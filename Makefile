@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-units lint-determinism lint-vectorize lint-sarif test check rules invariants bench chaos sweep-smoke serve-smoke serve
+.PHONY: lint lint-units lint-determinism lint-vectorize lint-sarif test check rules invariants chaos
 
 lint:
 	$(PYTHON) -m repro.analysis lint
@@ -27,25 +27,7 @@ invariants:
 test:
 	REPRO_CHECK_INVARIANTS=1 $(PYTHON) -m pytest -x -q
 
-bench:
-	$(PYTHON) -m repro bench --min-speedup 1.0 --frame-min-speedup 1.5
-
 chaos:
 	$(PYTHON) -m repro chaos --jobs 2 --manifest CHAOS.manifest.json
-
-# Tiny sampled sweep through each executor backend; fails on
-# cross-backend divergence or dropped points (writes BENCH_sweep.json).
-sweep-smoke:
-	$(PYTHON) -m repro.perf.sweep_smoke
-
-# Boot the job server, run a cold and a warm job over HTTP, verify the
-# manifest round-trip, cache warmth and LRU eviction (writes
-# SERVE_stats.json).
-serve-smoke:
-	$(PYTHON) -m repro.perf.serve_smoke
-
-# Long-running simulation service on the fast workload subset.
-serve:
-	$(PYTHON) -m repro serve --fast
 
 check: lint test

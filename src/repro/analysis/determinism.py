@@ -86,9 +86,7 @@ _WORKER_ENTRY_NAMES = frozenset({"run_fanout", "run_many"})
 #: Direct taint-into-sink inside them is still checked locally.
 _PROPAGATION_EXEMPT_MARKERS = (
     "src/repro/obs/",
-    "src/repro/perf/",
     "src/repro/faults/",
-    "src/repro/serve/",
 )
 
 _TIME_FUNCS = frozenset({

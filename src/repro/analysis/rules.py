@@ -11,9 +11,8 @@ Rule IDs are stable and gate-able:
 * ``REP106`` — float equality comparison on cycle/energy quantities.
 * ``REP107`` — public function in ``core``/``memory``/``texture`` missing
   type annotations.
-* ``REP108`` — ``time.monotonic()`` call site outside ``repro.perf`` /
-  ``repro.obs`` / ``repro.faults``; host-side timing goes through the
-  tracing spans.
+* ``REP108`` — ``time.monotonic()`` call site outside ``repro.obs`` /
+  ``repro.faults``; host-side timing goes through the tracing spans.
 * ``REP109`` — bare ``map()``/``submit()`` on a process/thread pool
   outside ``repro.faults``; batch fan-out goes through the
   fault-tolerant ``repro.faults.run_fanout`` scheduler.
@@ -138,13 +137,11 @@ class WallClockRule(LintRule):
     node_types = (ast.Call,)
 
     def applies_to(self, ctx: LintContext) -> bool:
-        # repro.perf is the benchmark harness, repro.obs the tracing
-        # layer, repro.faults the retry/timeout scheduler, and
-        # repro.serve the job server (uptime, job timestamps, queue
-        # pacing): all four exist to measure or pace host wall-clock
-        # time (never simulated time), so the rule would flag every
-        # line they exist to write.
-        if ctx.in_subpackages(("perf", "obs", "faults", "serve")):
+        # repro.obs is the tracing layer and repro.faults the
+        # retry/timeout scheduler: both exist to measure or pace host
+        # wall-clock time (never simulated time), so the rule would
+        # flag every line they exist to write.
+        if ctx.in_subpackages(("obs", "faults")):
             return False
         return ctx.is_sim_source
 
@@ -429,20 +426,20 @@ class MonotonicOutsideObsRule(LintRule):
     """Raw ``time.monotonic()`` reads scattered through the codebase are
     untraceable one-off timers; host phases are timed with
     ``repro.obs.span()``/``timed_stage`` so they land in run manifests
-    and Chrome traces.  ``repro.perf`` (the benchmark harness),
-    ``repro.obs`` itself and ``repro.faults`` (whose scheduler must
-    measure task deadlines) are the only legitimate call sites."""
+    and Chrome traces.  ``repro.obs`` itself and ``repro.faults``
+    (whose scheduler must measure task deadlines) are the only
+    legitimate call sites."""
 
     rule_id = "REP108"
     name = "monotonic-outside-obs"
     description = (
-        "time.monotonic() outside repro.perf/repro.obs/repro.faults; "
+        "time.monotonic() outside repro.obs/repro.faults; "
         "time host phases with repro.obs spans"
     )
     node_types = (ast.Call,)
 
     def applies_to(self, ctx: LintContext) -> bool:
-        return not ctx.in_subpackages(("perf", "obs", "faults", "serve"))
+        return not ctx.in_subpackages(("obs", "faults"))
 
     def check(self, node: ast.AST, ctx: LintContext) -> None:
         func = node.func  # type: ignore[attr-defined]

@@ -1,11 +1,11 @@
 """Profile-guided vectorization & numeric-parity analysis: REP400 family.
 
-BENCH_sampling.json shows the batched filtering kernels gained 13-34x
-from numpy batching while the trace phase got only 2.5-2.8x: the
-remaining scalar hot path (the rasterizer fragment loop, per-fragment
-``math.acos``, event-at-a-time scheduling) is now the bottleneck the
-ROADMAP names.  This engine finds those sites *systematically* instead
-of by hand, and -- uniquely among the REP families -- can rank its
+The batched filtering kernels gained 13-34x from numpy batching while
+the trace phase got only 2.5-2.8x: the remaining scalar hot path (the
+rasterizer fragment loop, per-fragment ``math.acos``, event-at-a-time
+scheduling) is now the bottleneck the ROADMAP names.  This engine
+finds those sites *systematically* instead of by hand, and -- uniquely
+among the REP families -- can rank its
 findings by measured wall-clock share when handed a
 ``repro-run-manifest/1`` span tree (``--profile MANIFEST``).
 
@@ -117,12 +117,11 @@ _MATH_EXACT = frozenset({
 })
 #: math.* transcendentals whose numpy twin is a SIMD kernel that may
 #: differ from libm in the last ulp -- vectorizable only behind a
-#: measured parity check.  PARITY_math.json (written next to the bench
-#: manifests by ``python -m repro bench`` via repro.perf.parity) records
-#: the measured divergence: ~9% of acos inputs, ~0.6% of hypot, ~0.03%
-#: of log2 differ from libm by one ulp on this toolchain, while numpy
-#: itself is batch-invariant -- which is why repro.texture.npmath
-#: canonicalises on the ufunc for both the scalar oracle and the batch.
+#: measured parity check.  Measured on one toolchain, ~9% of acos
+#: inputs, ~0.6% of hypot and ~0.03% of log2 differ from libm by one
+#: ulp, while numpy itself is batch-invariant (tests/texture/
+#: test_npmath.py) -- which is why repro.texture.npmath canonicalises
+#: on the ufunc for both the scalar oracle and the batch.
 _MATH_LAST_ULP = frozenset({
     "acos", "asin", "atan", "atan2", "cos", "sin", "tan", "exp", "expm1",
     "log", "log2", "log10", "log1p", "pow", "hypot", "cosh", "sinh",

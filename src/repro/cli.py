@@ -6,29 +6,26 @@ Subcommands:
 * ``simulate <workload>`` -- run all four designs on one workload and
   print the comparison.
 * ``fig <id>`` -- regenerate one figure's table (e.g. ``fig 10``).
+* ``render <workload>`` -- render one frame to a PPM image.
 * ``report`` -- run every experiment and write EXPERIMENTS.md.
-* ``bench`` -- time the batched sampler and cached runner, writing
-  ``BENCH_sampling.json`` / ``BENCH_runner.json``.
 * ``trace <manifest.json>`` -- convert a run manifest's span tree to
   Chrome trace-event JSON (load in ``chrome://tracing`` / Perfetto).
 * ``chaos`` -- run the design grid under an injected fault plan and
   verify the results stay bit-identical to a clean serial run.
 * ``sweep`` -- run a (sampled) design-space sweep over threshold x
   workload x link-scale x memory-backend through a chosen executor
-  backend; optionally cross-check backends for bit-identity and write
-  the A-TFIM crossover surface into EXPERIMENTS.md.
-* ``serve`` -- run the HTTP/JSON simulation job server
-  (:mod:`repro.serve`): POST sweep-vocabulary jobs, poll their status,
-  scrape ``/stats``; a bounded multi-tenant queue applies 429
-  backpressure and a namespaced, size-bounded disk cache persists
-  artefacts across jobs and restarts.
+  backend; optionally cross-check against serial execution for
+  bit-identity and write the A-TFIM crossover surface into
+  EXPERIMENTS.md.
 
-``report``, ``fig`` and ``bench`` accept ``--jobs N`` to fan design-point
+``report`` and ``fig`` accept ``--jobs N`` to fan design-point
 simulations out over processes; ``report`` persists results under
 ``--cache-dir`` (or ``$REPRO_CACHE_DIR``) so reruns are incremental.
-The same three accept ``--manifest [PATH]`` to record a
-:class:`~repro.obs.manifest.RunManifest` (tracing is switched on for the
-run); ``REPRO_TRACE=1`` enables span recording everywhere else.
+``report``, ``fig`` and ``chaos`` accept ``--manifest [PATH]`` to record
+a :class:`~repro.obs.manifest.RunManifest` (tracing is switched on for
+the run); ``REPRO_TRACE=1`` enables span recording everywhere else.
+Host speed is measured by the ``bench`` package at the repository root
+(``python3 -m bench``), not by this CLI.
 
 The top-level ``--faults SPEC`` switch (equivalent: the ``REPRO_FAULTS``
 environment variable) activates a deterministic fault-injection plan for
@@ -183,45 +180,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.manifest is not None:
         print(f"wrote {args.manifest or manifest_path_for(path)}")
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf import run_bench
-
-    manifest_requested = args.manifest is not None
-    was_tracing = obs.tracing_enabled()
-    if manifest_requested and not was_tracing:
-        obs.set_tracing(True)
-    try:
-        with obs.span("cli.bench", fast=args.fast):
-            code = run_bench(
-                fast=args.fast,
-                jobs=args.jobs,
-                min_speedup=args.min_speedup,
-                lint_min_speedup=args.lint_min_speedup,
-                frame_min_speedup=args.frame_min_speedup,
-                output_dir=args.output_dir,
-            )
-        if manifest_requested:
-            from repro.obs.manifest import build_manifest
-
-            record = build_manifest(
-                command="bench",
-                config={"fast": args.fast, "jobs": args.jobs,
-                        "min_speedup": args.min_speedup,
-                        "lint_min_speedup": args.lint_min_speedup,
-                        "frame_min_speedup": args.frame_min_speedup,
-                        "output_dir": args.output_dir},
-            )
-            path = args.manifest or str(
-                Path(args.output_dir) / "BENCH.manifest.json"
-            )
-            record.write(path)
-            print(f"wrote {path}")
-    finally:
-        if manifest_requested and not was_tracing:
-            obs.set_tracing(False)
-    return code
 
 
 DEFAULT_CHAOS_SPEC = "seed=7,crash=0.2,fail=0.2,corrupt=0.2,store=0.1"
@@ -419,25 +377,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if identical and not result.missing else 1
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the simulation job server until interrupted."""
-    from repro.serve import JobServer, ServeConfig
-
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        workloads=FAST_WORKLOADS if args.fast else None,
-        cache_dir=args.cache_dir,
-        cache_max_bytes=args.cache_max_bytes,
-        max_queue_depth=args.max_queue_depth,
-        tenant_quota=args.tenant_quota,
-        max_points=args.max_points,
-        jobs=args.jobs,
-        backend=args.backend,
-    )
-    return JobServer(config).serve_blocking()
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.manifest import write_chrome_trace
 
@@ -515,31 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "enables tracing and the per-phase timing table")
     report.set_defaults(func=_cmd_report)
 
-    bench = sub.add_parser(
-        "bench", help="time batched sampler + cached runner, write BENCH_*.json"
-    )
-    bench.add_argument("--fast", action="store_true",
-                       help="single-workload smoke configuration (CI)")
-    bench.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers for the cold runner benchmark")
-    bench.add_argument("--lint-min-speedup", type=float, default=0.0,
-                       help="fail unless parallel lint beats serial by this "
-                            "factor (0 disables; single-core boxes cannot "
-                            "win, see BENCH_lint.json)")
-    bench.add_argument("--min-speedup", type=float, default=1.0,
-                       help="fail if the batched exact sampler's slowest "
-                       "workload speedup is below this factor")
-    bench.add_argument("--frame-min-speedup", type=float, default=1.0,
-                       help="fail if the whole-frame (trace+replay) "
-                       "vectorized speedup is below this factor on any "
-                       "workload, see BENCH_frame.json")
-    bench.add_argument("--output-dir", default=".",
-                       help="directory for BENCH_*.json (default: cwd)")
-    bench.add_argument("--manifest", nargs="?", const="", default=None,
-                       help="record a run manifest (optional path; default "
-                       "<output-dir>/BENCH.manifest.json)")
-    bench.set_defaults(func=_cmd_bench)
-
     trace = sub.add_parser(
         "trace", help="convert a run manifest to Chrome trace-event JSON"
     )
@@ -578,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0,
                        help="sampling seed (default: 0)")
     sweep.add_argument("--backend", default="process-pool",
-                       choices=["serial", "process-pool", "work-stealing"],
+                       choices=["serial", "process-pool"],
                        help="executor backend for the fan-out "
                        "(default: process-pool)")
     sweep.add_argument("--jobs", type=int, default=None,
@@ -599,42 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "EXPERIMENTS.md (optional path) instead of printing "
                        "it")
     sweep.set_defaults(func=_cmd_sweep)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the HTTP/JSON simulation job server (POST /jobs, "
-        "GET /jobs/<id>, GET /stats)",
-    )
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8731,
-                       help="TCP port (default: 8731; 0 binds an "
-                       "ephemeral port)")
-    serve.add_argument("--fast", action="store_true",
-                       help="serve the 3-workload fast subset only")
-    serve.add_argument("--cache-dir", default=None,
-                       help="artifact-store root, namespaced by source "
-                       "version (default: no persistence)")
-    serve.add_argument("--cache-max-bytes", type=int, default=None,
-                       help="size budget for the whole cache root; "
-                       "least-recently-used entries are evicted above it")
-    serve.add_argument("--max-queue-depth", type=int, default=8,
-                       help="admission bound on queued jobs; submissions "
-                       "beyond it get HTTP 429 (default: 8)")
-    serve.add_argument("--tenant-quota", type=int, default=None,
-                       help="per-tenant bound on queued jobs (default: "
-                       "no quota)")
-    serve.add_argument("--max-points", type=int, default=64,
-                       help="admission bound on points per job "
-                       "(default: 64)")
-    serve.add_argument("--jobs", type=int, default=None,
-                       help="default worker processes per job (a "
-                       "request's own 'jobs' field overrides)")
-    serve.add_argument("--backend", default=None,
-                       choices=["serial", "process-pool", "work-stealing"],
-                       help="default executor backend (a request's own "
-                       "'backend' field overrides)")
-    serve.set_defaults(func=_cmd_serve)
     return parser
 
 

@@ -34,12 +34,11 @@ import os
 import pickle
 import struct
 import tempfile
-import time
 import warnings
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 from repro.faults.injector import active_injector
 from repro.obs.tracer import span as _trace_span
@@ -52,15 +51,6 @@ _MISS = object()
 _MAGIC = b"RPC1"
 """Entry-format marker: magic + little-endian CRC32 + pickle payload."""
 _HEADER = struct.Struct("<4sI")
-
-TEMP_REAP_AGE_SECONDS = 600.0
-"""Minimum age before an orphaned ``*.tmp`` file is reaped.
-
-A live :meth:`DiskCache.store` holds its temp file for milliseconds;
-anything this old belongs to a worker that died between
-``NamedTemporaryFile`` creation and ``os.replace`` and would otherwise
-leak forever (``entries()``/``total_bytes()`` never see ``*.tmp``
-files, so a long-running server's cache dir grows unbounded)."""
 
 
 def _frame(payload: bytes) -> bytes:
@@ -112,10 +102,6 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     errors: int = 0
-    evictions: int = 0
-    """Entries removed by the size-budget policy (:meth:`DiskCache.evict`)."""
-    reaped_temp_files: int = 0
-    """Orphaned ``*.tmp`` files removed by the startup/eviction reaper."""
 
     @property
     def hit_rate(self) -> float:
@@ -167,31 +153,10 @@ def _canonical_payload(value: Any, path: str) -> Any:
 
 @dataclass
 class DiskCache:
-    """Pickle-backed content-addressed store under a root directory.
-
-    ``namespace`` selects a subdirectory of ``root`` to read and write
-    under -- the serving layer passes :func:`source_version` so each
-    simulator version's artefacts live in their own directory (the
-    *keys* already embed the source version; the namespace makes the
-    partition visible on disk, so eviction can drop a stale version's
-    entries wholesale without hashing anything).  ``max_bytes`` arms
-    the size-budget LRU policy: :meth:`evict` removes
-    least-recently-used entries (stale foreign namespaces first) until
-    the whole ``root`` tree fits the budget.  Eviction is *invoked* by
-    the retention owner -- the job server runs it after every job --
-    rather than by :meth:`store`, keeping the store path free of
-    wall-clock reads (the temp-file reaper is age-gated) and of
-    repeated whole-tree rescans under fan-out.
-    """
+    """Pickle-backed content-addressed store under a root directory."""
 
     root: Optional[Path] = None
     stats: CacheStats = field(default_factory=CacheStats)
-    namespace: Optional[str] = None
-    """Subdirectory of ``root`` this cache reads/writes (``None``: root
-    itself, the historical flat layout)."""
-    max_bytes: Optional[int] = None
-    """Size budget over the whole ``root`` tree; ``None`` disables
-    eviction entirely."""
 
     def __post_init__(self) -> None:
         if self.root is None:
@@ -199,26 +164,6 @@ class DiskCache:
             self.root = Path(env) if env else Path.cwd() / ".repro-cache"
         else:
             self.root = Path(self.root)
-        if self.max_bytes is not None and self.max_bytes < 0:
-            raise ValueError("max_bytes must be non-negative")
-
-    @classmethod
-    def versioned(cls, root: Optional[Path] = None, **kwargs: Any) -> "DiskCache":
-        """A cache namespaced by the current :func:`source_version`."""
-        return cls(root=root, namespace=source_version(), **kwargs)
-
-    @property
-    def base_dir(self) -> Path:
-        """The directory entries of *this* cache live under.
-
-        Pool workers opened on a namespaced cache must share its
-        partition, so the runner hands them ``base_dir`` (not ``root``)
-        as their un-namespaced cache root.
-        """
-        return self.root / self.namespace if self.namespace else self.root
-
-    _base = base_dir
-    """Historical private alias of :attr:`base_dir`."""
 
     def key(self, category: str, **payload: Any) -> str:
         """Content key: SHA-256 over category + source version + payload.
@@ -241,7 +186,7 @@ class DiskCache:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def _path(self, key: str) -> Path:
-        return self._base / key[:2] / f"{key}.pkl"
+        return self.root / key[:2] / f"{key}.pkl"
 
     def load(self, key: str) -> Tuple[bool, Any]:
         """Return ``(hit, value)``; corrupt entries count as misses.
@@ -270,13 +215,6 @@ class DiskCache:
                     current.attributes["outcome"] = "error"
                 return False, None
             self.stats.hits += 1
-            if self.max_bytes is not None:
-                # LRU recency under the eviction policy is the entry's
-                # mtime; a hit refreshes it (atime is unreliable across
-                # filesystems).  The entry may have been evicted or
-                # replaced since the read -- recency is best-effort.
-                with contextlib.suppress(OSError):
-                    os.utime(path, None)
             if current is not None:
                 current.attributes["outcome"] = "hit"
             return True, value
@@ -353,14 +291,15 @@ class DiskCache:
 
     # Introspection -----------------------------------------------------
     #
-    # Parallel ``run_many`` workers replace and evict entries while the
-    # parent process reports cache statistics, so every path listed here
-    # may vanish before (or while) it is inspected; both methods treat a
-    # vanished file or shard directory as simply absent.
+    # Parallel ``run_many`` workers replace entries (and other processes
+    # may delete them) while the parent process reports cache
+    # statistics, so every path listed here may vanish before (or while)
+    # it is inspected; both methods treat a vanished file or shard
+    # directory as simply absent.
 
     def _entry_paths(self) -> Iterator[Path]:
         """This cache's entries on disk now, tolerating concurrent deletion."""
-        yield from _scan_suffix(self._base, ".pkl", depth=1)
+        yield from _scan_suffix(self.root, ".pkl", depth=1)
 
     def entries(self) -> int:
         """Number of entries currently on disk."""
@@ -376,86 +315,12 @@ class DiskCache:
                 continue
         return total
 
-    # Retention ---------------------------------------------------------
-    #
-    # A long-running server turns the cache from a per-invocation
-    # accelerator into a shared artifact store, so it needs the two
-    # policies one-shot runs never did: a size budget (LRU eviction) and
-    # a reaper for the temp files a crashed writer leaves behind.
-
-    def reap_temp_files(
-        self, max_age: float = TEMP_REAP_AGE_SECONDS
-    ) -> int:
-        """Remove orphaned ``*.tmp`` files older than ``max_age`` seconds.
-
-        Age-gated so a live writer's temp file (between
-        ``NamedTemporaryFile`` and ``os.replace``) is never touched;
-        only files a dead worker abandoned qualify.  Returns how many
-        were removed.  Called at server startup and by :meth:`evict`.
-        """
-        now = time.time()  # repro: noqa(REP102) -- host-side age gate on orphaned files; never touches simulated results
-        reaped = 0
-        for path in _scan_suffix(self.root, ".tmp", depth=2):
-            try:
-                if now - path.stat().st_mtime < max_age:
-                    continue
-                os.unlink(path)
-            except OSError:
-                continue  # vanished, or another process got it first
-            reaped += 1
-        self.stats.reaped_temp_files += reaped
-        return reaped
-
-    def evict(self, max_bytes: Optional[int] = None) -> int:
-        """Remove least-recently-used entries until the root fits a budget.
-
-        The budget (``max_bytes`` argument, else the instance's
-        ``max_bytes``; ``None`` is a no-op) covers the **whole root
-        tree**, not just this cache's namespace.  Eviction order: stale
-        temp files are reaped first, then entries in *foreign*
-        namespaces (a namespaced cache can never hit them -- their keys
-        embed a different source version), oldest first, then this
-        cache's own entries, oldest first.  Returns the number of
-        entries removed; concurrently-vanished files are skipped.
-        """
-        budget = self.max_bytes if max_bytes is None else max_bytes
-        if budget is None:
-            return 0
-        self.reap_temp_files()
-        base = self._base.resolve()
-        ranked: List[Tuple[bool, float, int, Path]] = []
-        total = 0
-        for path in _scan_suffix(self.root, ".pkl", depth=2):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            foreign = (
-                self.namespace is not None
-                and base not in path.resolve().parents
-            )
-            ranked.append((not foreign, stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        ranked.sort(key=lambda item: (item[0], item[1], str(item[3])))
-        evicted = 0
-        for _own, _mtime, size, path in ranked:
-            if total <= budget:
-                break
-            with contextlib.suppress(OSError):
-                os.unlink(path)
-                evicted += 1
-            total -= size
-        self.stats.evictions += evicted
-        return evicted
-
 
 def _scan_suffix(base: Path, suffix: str, depth: int) -> Iterator[Path]:
     """Files under ``base`` (at most ``depth`` directory levels down)
     with ``suffix``, tolerating directories vanishing mid-scan.
 
-    ``depth=1`` walks the flat shard layout (``root/ab/<key>.pkl``);
-    ``depth=2`` additionally descends namespace directories
-    (``root/<namespace>/ab/<key>.pkl``).
+    ``depth=1`` walks the shard layout (``root/ab/<key>.pkl``).
     """
     try:
         children = sorted(base.iterdir())

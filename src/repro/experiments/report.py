@@ -40,8 +40,8 @@ Graphics Processors for 3D Rendering" (HPCA 2017).  Regenerate with
 `--jobs N` to simulate grid points in parallel).  Results are
 content-addressed: set `REPRO_CACHE_DIR` (or pass `--cache-dir`) to
 persist traces and design runs on disk, making reruns incremental --
-entries self-invalidate when the simulator source changes.  Timing of the
-batched sampler and this cache is reported by `python -m repro bench`.
+entries self-invalidate when the simulator source changes.  Host timing
+of the simulator is measured by `python3 -m bench`.
 
 Absolute magnitudes come from a cycle-approximate model over procedurally
 generated miniature frames (see DESIGN.md sections 2 and 5), so the

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -219,8 +218,6 @@ class ExperimentRunner:
         cache_dir: Optional[Union[str, Path]] = None,
         jobs: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        backend: Optional[str] = None,
-        cache: Optional[DiskCache] = None,
     ) -> None:
         if workload_names is None:
             self.workloads: List[GameWorkload] = list(WORKLOADS)
@@ -231,27 +228,17 @@ class ExperimentRunner:
         self._energy: Dict[RunKey, EnergyBreakdown] = {}
         self.energy_model = EnergyModel()
         self.jobs = jobs
-        self.backend = backend
         self.retry_policy = retry_policy or RetryPolicy()
         self.memo_hits = 0
         self.memo_misses = 0
         self._last_fanout = FanoutReport()
-        self._memo_lock = threading.RLock()
-        """Guards the memo dicts and counters: a persistent server reads
-        :meth:`cache_stats` from its HTTP thread while a job thread is
-        inside :meth:`run_batch`."""
-        if cache is not None:
-            # An explicitly-constructed cache (namespaced, size-bounded:
-            # the job server's artifact store) wins over cache_dir/env.
-            self._disk: Optional[DiskCache] = cache
-        else:
-            if cache_dir is None:
-                env = os.environ.get("REPRO_CACHE_DIR")
-                cache_dir = Path(env) if env else None
-            self._disk = (
-                DiskCache(root=Path(cache_dir)) if cache_dir is not None
-                else None
-            )
+        if cache_dir is None:
+            env = os.environ.get("REPRO_CACHE_DIR")
+            cache_dir = Path(env) if env else None
+        self._disk: Optional[DiskCache] = (
+            DiskCache(root=Path(cache_dir)) if cache_dir is not None
+            else None
+        )
 
     @property
     def disk_cache(self) -> Optional[DiskCache]:
@@ -346,8 +333,7 @@ class ExperimentRunner:
                 disk_key = self._disk.key("run", **_run_payload(key))
                 hit, run = self._disk.load(disk_key)
                 if hit:
-                    with self._memo_lock:
-                        self._runs[key] = run
+                    self._runs[key] = run
                     if current is not None:
                         current.attributes["source"] = "disk"
                     return run
@@ -359,8 +345,7 @@ class ExperimentRunner:
                         pair = _trace_pair(self._disk, workload)
                     else:
                         pair = workload.trace()
-                with self._memo_lock:
-                    self._traces[workload.name] = pair
+                self._traces[workload.name] = pair
             scene, trace = pair
             config = workload.design_config(
                 key.design,
@@ -374,8 +359,7 @@ class ExperimentRunner:
             run = simulate_frame(scene, trace, config)
             if current is not None:
                 current.attributes["source"] = "simulated"
-            with self._memo_lock:
-                self._runs[key] = run
+            self._runs[key] = run
             if self._disk is not None and disk_key is not None:
                 self._disk.store_safe(disk_key, run)
             return run
@@ -390,39 +374,6 @@ class ExperimentRunner:
     ) -> Dict[RunKey, DesignRun]:
         """Simulate a batch of grid points, fanning out across processes.
 
-        Thin wrapper over :meth:`run_batch` that additionally publishes
-        the batch's :class:`~repro.faults.outcomes.FanoutReport` as
-        :meth:`fanout_report` -- the historical single-shot interface.
-        Long-running callers that issue batches concurrently (the job
-        server) use :meth:`run_batch` directly, which hands each caller
-        its own report instead of racing on the runner-wide slot.
-        """
-        results, report = self.run_batch(
-            keys,
-            jobs=jobs,
-            retry_policy=retry_policy,
-            task_timeout=task_timeout,
-            backend=backend,
-        )
-        self._last_fanout = report
-        return results
-
-    def run_batch(
-        self,
-        keys: Sequence[RunKey],
-        jobs: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        task_timeout: Optional[float] = None,
-        backend: Optional[str] = None,
-    ) -> Tuple[Dict[RunKey, DesignRun], FanoutReport]:
-        """Re-entrant core of :meth:`run_many`: returns ``(results, report)``.
-
-        Safe to call repeatedly from a persistent process: the batch's
-        fan-out report is *returned* (never stored on the runner), the
-        memo dictionaries and counters are mutated under a lock so
-        concurrent :meth:`cache_stats` reads see consistent values, and
-        every scratch resource is scoped to the call.
-
         Two phases: first every distinct workload's trace is generated
         (one worker each), then the design runs execute against the
         now-warm cache.  Workers exchange artefacts through the disk
@@ -432,9 +383,8 @@ class ExperimentRunner:
         because the whole pipeline is deterministic.
 
         ``backend`` names an executor backend
-        (:data:`repro.faults.BACKEND_NAMES`: ``serial``,
-        ``process-pool``, ``work-stealing``); naming one explicitly --
-        here or on the runner -- routes scheduling through
+        (:data:`repro.faults.BACKEND_NAMES`: ``serial`` or
+        ``process-pool``); naming one routes scheduling through
         :func:`~repro.faults.executor.run_fanout` on that backend even
         when ``jobs`` would otherwise take the in-process shortcut, so
         cross-backend comparisons exercise the same code path.
@@ -451,20 +401,19 @@ class ExperimentRunner:
         jobs = jobs if jobs is not None else self.jobs
         if jobs is None:
             jobs = os.cpu_count() or 1
-        backend = backend if backend is not None else self.backend
         results: Dict[RunKey, DesignRun] = {}
         pending: List[RunKey] = []
         report = FanoutReport()
-        with self._memo_lock:
-            for key in keys:
-                if key in self._runs:
-                    self.memo_hits += 1
-                    results[key] = self._runs[key]
-                elif key not in pending:
-                    pending.append(key)
-            if not pending:
-                return results, report
-            self.memo_misses += len(pending)
+        self._last_fanout = report
+        for key in keys:
+            if key in self._runs:
+                self.memo_hits += 1
+                results[key] = self._runs[key]
+            elif key not in pending:
+                pending.append(key)
+        if not pending:
+            return results
+        self.memo_misses += len(pending)
 
         if backend is None and (jobs <= 1 or len(pending) == 1):
             with obs.span(
@@ -476,14 +425,11 @@ class ExperimentRunner:
                         attempts=1,
                     )
                     results[key] = self._simulate_pending(key)
-            return results, report
+            return results
 
         scratch: Optional[tempfile.TemporaryDirectory] = None
         if self._disk is not None:
-            # base_dir, not root: workers construct un-namespaced caches,
-            # so a namespaced parent must point them inside its partition
-            # or the two would read and write disjoint directories.
-            cache_root = str(self._disk.base_dir)
+            cache_root = str(self._disk.root)
         else:
             scratch = tempfile.TemporaryDirectory(prefix="repro-cache-")
             cache_root = scratch.name
@@ -548,14 +494,13 @@ class ExperimentRunner:
                              if key in run_results],
                         )
                 report.merge(run_report)
-                with self._memo_lock:
-                    for key in pending:
-                        if key not in run_results:
-                            continue  # FAILED: absent, labelled in the report
-                        value = run_results[key]
-                        run = value[0] if traced else value
-                        self._runs[key] = run
-                        results[key] = run
+                for key in pending:
+                    if key not in run_results:
+                        continue  # FAILED: absent, labelled in the report
+                    value = run_results[key]
+                    run = value[0] if traced else value
+                    self._runs[key] = run
+                    results[key] = run
                 if many_span is not None:
                     summary = report.as_dict()
                     del summary["tasks"]
@@ -563,12 +508,11 @@ class ExperimentRunner:
         finally:
             if scratch is not None:
                 scratch.cleanup()
-        return results, report
+        return results
 
     def completed_runs(self) -> Dict[RunKey, DesignRun]:
         """Snapshot of every design run this runner has produced so far."""
-        with self._memo_lock:
-            return dict(self._runs)
+        return dict(self._runs)
 
     def energy(
         self,
@@ -605,11 +549,9 @@ class ExperimentRunner:
     def cache_stats(self) -> RunnerCacheStats:
         """Memoisation and disk-cache effectiveness counters."""
         disk = self._disk
-        with self._memo_lock:
-            memo_hits, memo_misses = self.memo_hits, self.memo_misses
         return RunnerCacheStats(
-            memo_hits=memo_hits,
-            memo_misses=memo_misses,
+            memo_hits=self.memo_hits,
+            memo_misses=self.memo_misses,
             disk_hits=disk.stats.hits if disk else 0,
             disk_misses=disk.stats.misses if disk else 0,
             disk_stores=disk.stats.stores if disk else 0,

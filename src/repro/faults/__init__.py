@@ -31,7 +31,6 @@ from repro.faults.backends import (
     ExecutorBackend,
     ProcessPoolBackend,
     SerialBackend,
-    WorkStealingBackend,
     make_backend,
 )
 from repro.faults.executor import FanoutTask, run_fanout
@@ -79,7 +78,6 @@ __all__ = [
     "SerialBackend",
     "TaskReport",
     "task_token",
-    "WorkStealingBackend",
     "activate",
     "active_injector",
     "deactivate",

@@ -17,21 +17,15 @@ through a small protocol:
 ``release``
     bookkeeping hook: the scheduler no longer tracks this future.
 
-Three implementations:
+Two implementations:
 
 * :class:`SerialBackend` -- in-process, one attempt at a time.  Crash
   faults raise :class:`~repro.faults.injector.InjectedCrash` instead of
   killing the process (see :func:`~repro.faults.injector.inline_execution`),
-  so retry schedules replay identically to the pooled backends.
+  so retry schedules replay identically to the process pool.
 * :class:`ProcessPoolBackend` -- one ``ProcessPoolExecutor``, the
   classic single fault domain: a worker crash requeues everything in
   flight.
-* :class:`WorkStealingBackend` -- several independent pools ("shards"),
-  each its own fault domain.  Shards pull work from the scheduler's
-  shared ready queue as their slots free up (``submit`` routes each
-  attempt to the least-loaded shard), so an idle shard steals whatever
-  work exists rather than being bound to a static partition -- and a
-  crash or hung-task reclaim only requeues that shard's attempts.
 
 Backends are process-local today; the protocol is the seam for remote
 (SSH/queue) execution later -- ``domain_of`` becomes the remote host.
@@ -42,7 +36,7 @@ from __future__ import annotations
 import abc
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Tuple, Union
 
 from repro.faults.injector import inline_execution
 
@@ -167,70 +161,6 @@ class ProcessPoolBackend(ExecutorBackend):
         self._pool.shutdown(wait=False, cancel_futures=True)
 
 
-class WorkStealingBackend(ExecutorBackend):
-    """Several independent process pools, each its own fault domain.
-
-    ``submit`` routes each attempt to the least-loaded shard (lowest
-    index on ties, so routing is deterministic given the same load
-    sequence); shards therefore drain the scheduler's shared ready
-    queue at their own pace instead of owning a static slice of it.
-    A ``BrokenProcessPool`` or hung-task reclaim in one shard leaves
-    the other shards' in-flight attempts untouched.
-    """
-
-    name = "work-stealing"
-
-    def __init__(self, shards: int, jobs_per_shard: int) -> None:
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
-        if jobs_per_shard < 1:
-            raise ValueError("jobs_per_shard must be at least 1")
-        self.shards = shards
-        self.jobs_per_shard = jobs_per_shard
-        self._pools: List[ProcessPoolExecutor] = [
-            ProcessPoolExecutor(max_workers=jobs_per_shard)
-            for _ in range(shards)
-        ]
-        self._load: List[int] = [0] * shards
-        self._shard_of: Dict["Future[Any]", int] = {}
-
-    @property
-    def capacity(self) -> int:
-        return self.shards * self.jobs_per_shard
-
-    def _pick_shard(self) -> int:
-        return min(range(self.shards), key=lambda i: (self._load[i], i))
-
-    def submit(
-        self, fn: Callable[..., Any], args: Tuple[Any, ...]
-    ) -> "Future[Any]":
-        shard = self._pick_shard()
-        try:
-            future = self._pools[shard].submit(fn, *args)
-        except BrokenProcessPool as error:
-            raise BackendBrokenError(shard, error) from error
-        self._load[shard] += 1
-        self._shard_of[future] = shard
-        return future
-
-    def domain_of(self, future: "Future[Any]") -> int:
-        return self._shard_of[future]
-
-    def release(self, future: "Future[Any]") -> None:
-        shard = self._shard_of.pop(future, None)
-        if shard is not None:
-            self._load[shard] -= 1
-
-    def recover(self, domain: int) -> None:
-        self._pools[domain] = _rebuild_pool(
-            self._pools[domain], self.jobs_per_shard
-        )
-
-    def shutdown(self) -> None:
-        for pool in self._pools:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-
 def _rebuild_pool(
     pool: ProcessPoolExecutor, jobs: int
 ) -> ProcessPoolExecutor:
@@ -248,35 +178,26 @@ def _rebuild_pool(
     return ProcessPoolExecutor(max_workers=jobs)
 
 
-BACKEND_NAMES = ("serial", "process-pool", "work-stealing")
-"""Accepted ``make_backend`` spec strings (aliases: pool, stealing)."""
+BACKEND_NAMES = ("serial", "process-pool")
+"""Accepted ``make_backend`` spec strings."""
 
 
 def make_backend(
-    spec: Union[None, str, ExecutorBackend],
-    jobs: int,
-    shards: Optional[int] = None,
+    spec: Union[None, str, ExecutorBackend], jobs: int
 ) -> ExecutorBackend:
     """Resolve a backend spec to a live :class:`ExecutorBackend`.
 
     ``None`` keeps the historical behaviour (one local process pool of
     ``jobs`` workers).  A string picks a named backend; an instance is
     returned as-is (the caller-built backend is still shut down by
-    ``run_fanout``, which owns whatever it schedules on).  For
-    ``work-stealing``, ``shards`` defaults to 2 when ``jobs`` allows,
-    and ``jobs`` total workers are split evenly across shards.
+    ``run_fanout``, which owns whatever it schedules on).
     """
     if isinstance(spec, ExecutorBackend):
         return spec
-    if spec is None or spec in ("process-pool", "pool"):
+    if spec is None or spec == "process-pool":
         return ProcessPoolBackend(jobs)
     if spec == "serial":
         return SerialBackend()
-    if spec in ("work-stealing", "stealing"):
-        if shards is None or shards < 1:
-            shards = 2 if jobs >= 2 else 1
-        jobs_per_shard = max(1, (jobs + shards - 1) // shards)
-        return WorkStealingBackend(shards, jobs_per_shard)
     raise ValueError(
         f"unknown executor backend {spec!r}; expected one of {BACKEND_NAMES}"
     )

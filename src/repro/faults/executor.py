@@ -2,8 +2,8 @@
 
 :func:`run_fanout` replaces bare ``ProcessPoolExecutor.map`` for batch
 work whose individual points may fail.  Attempts execute on a pluggable
-:class:`~repro.faults.backends.ExecutorBackend` (in-process serial, one
-local process pool, or several work-stealing pool shards); per-task
+:class:`~repro.faults.backends.ExecutorBackend` (in-process serial or
+one local process pool); per-task
 ``submit`` scheduling keeps at most ``backend.capacity`` attempts in
 flight and survives the three failure shapes large batch sweeps
 actually hit:
@@ -14,7 +14,7 @@ actually hit:
   loop, never a scheduler sleep: other tasks keep submitting and
   harvesting while one task waits out its delay;
 * a worker process **dies** (``BrokenProcessPool``) -- only the broken
-  **fault domain** (the affected pool shard) is rebuilt, and only its
+  **fault domain** (the affected pool) is rebuilt, and only its
   in-flight keys are requeued (the dead worker cannot be identified
   within the domain, so all of the domain's attempts are charged a
   retry);

@@ -11,7 +11,7 @@ The observability layer for the reproduction's *host-side* phases:
 * :class:`~repro.obs.manifest.RunManifest` -- the JSON provenance record
   (config digest, source version, cache counters, span tree, flattened
   metrics) written next to experiment output by the ``--manifest`` flag
-  of ``report``/``fig``/``bench``.
+  of ``report``/``fig``/``chaos``.
 * :mod:`~repro.obs.chrome` -- Chrome trace-event export of the span
   tree (``python -m repro trace <manifest.json>``).
 * :mod:`~repro.obs.snapshot` -- StatGroup snapshots of drained frames,
@@ -46,7 +46,6 @@ from repro.obs.tracer import (
     event,
     get_tracer,
     reset_tracer,
-    scoped_tracer,
     set_tracing,
     span,
     timed_stage,
@@ -74,7 +73,6 @@ __all__ = [
     "profile_total",
     "reset_tracer",
     "run_stat_group",
-    "scoped_tracer",
     "runner_stat_group",
     "set_tracing",
     "span",

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.obs.chrome import chrome_trace
-from repro.obs.tracer import Tracer, get_tracer, tracing_enabled
+from repro.obs.tracer import get_tracer, tracing_enabled
 
 MANIFEST_SCHEMA = "repro-run-manifest/1"
 
@@ -113,26 +113,19 @@ def build_manifest(
     command: str,
     config: Optional[Mapping[str, Any]] = None,
     runner: Optional[Any] = None,
-    tracer: Optional[Tracer] = None,
-    fanout: Optional[Any] = None,
 ) -> RunManifest:
     """Assemble a manifest from the current process state.
 
     ``runner`` (an :class:`~repro.experiments.runner.ExperimentRunner`)
     contributes its cache counters and the flattened per-run StatGroup
-    metrics; the span tree is drained from ``tracer`` (default: the
-    process-wide one).  ``fanout`` (a
-    :class:`~repro.faults.outcomes.FanoutReport`) overrides the
-    runner's *most recent* fan-out record -- a persistent server
-    building one manifest per job passes each job's own report here,
-    since ``runner.fanout_report()`` only remembers the last batch.
+    metrics, plus its most recent fan-out record; the span tree is
+    drained from the process-wide tracer.
     """
     # Imported lazily: the cache module itself records spans through
     # repro.obs, so a top-level import would be circular.
     from repro.experiments.cache import source_version
 
     config = dict(config or {})
-    tracer = tracer if tracer is not None else get_tracer()
     cache: Dict[str, float] = {}
     stats: Dict[str, Optional[float]] = {}
     faults: Dict[str, Any] = {}
@@ -144,10 +137,10 @@ def build_manifest(
     if runner is not None:
         from repro.obs.snapshot import runner_stat_group
 
-        if fanout is None:
-            report = getattr(runner, "fanout_report", None)
-            if callable(report):
-                fanout = report()
+        report = getattr(runner, "fanout_report", None)
+        fanout = report() if callable(report) else None
+        if fanout is not None and fanout.tasks:
+            faults["fanout"] = fanout.as_dict()
         counters = runner.cache_stats()
         cache = {
             "memo_hits": float(counters.memo_hits),
@@ -161,8 +154,6 @@ def build_manifest(
             "disk_hit_rate": counters.disk_hit_rate,
         }
         stats = runner_stat_group(runner).as_dict()
-    if fanout is not None and fanout.tasks:
-        faults["fanout"] = fanout.as_dict()
     return RunManifest(
         command=command,
         config=config,
@@ -171,7 +162,7 @@ def build_manifest(
         created_unix=time.time(),  # repro: noqa(REP300) -- provenance timestamp; excluded from the bit-identity comparison
         tracing=tracing_enabled(),
         cache=cache,
-        spans=tracer.as_dicts(),
+        spans=get_tracer().as_dicts(),
         stats=stats,
         faults=faults,
     )

@@ -6,8 +6,8 @@ monotonic-clock duration, a wall-clock start for cross-process alignment,
 nested parent/child structure, free-form attributes, and an optional
 flattened :class:`~repro.sim.stats.StatGroup` snapshot attached at drain
 time.  Simulated time (cycles) never flows through here; spans measure
-the reproduction itself, which is why this module (like
-:mod:`repro.perf`) is exempt from the REP102 wall-clock lint rule.
+the reproduction itself, which is why this module is exempt from the
+REP102 wall-clock lint rule.
 
 Tracing is **off by default** and must cost nothing when off: every
 entry point checks one module-level flag and returns a preallocated
@@ -19,12 +19,11 @@ or :func:`set_tracing` (which also exports the variable so
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, TypeVar, Union
 
 ENV_FLAG = "REPRO_TRACE"
 """Environment variable that switches tracing on (any value but ``0``)."""
@@ -284,28 +283,6 @@ def reset_tracer() -> None:
     """Clear the process-wide tracer (pool workers call this on entry:
     a forked worker inherits the parent's half-built span forest)."""
     _TRACER.reset()  # repro: noqa(REP301) -- dropping inherited spans on worker entry is the fork-safety fix, not the hazard
-
-
-@contextlib.contextmanager
-def scoped_tracer() -> Iterator[Tracer]:
-    """Swap in a fresh process-wide tracer for the duration of the block.
-
-    The request-scoped recording discipline for long-running processes:
-    a job server tracing every request into the single process tracer
-    would accumulate an unbounded span forest, so each request records
-    into its own throwaway :class:`Tracer` (drain it with
-    :meth:`Tracer.as_dicts` before the block ends) and the previous
-    tracer -- spans and open-stack intact -- is restored on exit.
-    Scopes may nest; they are not thread-safe against *concurrent* span
-    recording, matching the one-request-at-a-time job worker.
-    """
-    global _TRACER
-    previous = _TRACER
-    _TRACER = Tracer()
-    try:
-        yield _TRACER
-    finally:
-        _TRACER = previous
 
 
 _F = TypeVar("_F", bound=Callable[..., Any])

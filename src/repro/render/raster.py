@@ -588,9 +588,8 @@ class Rasterizer:
         vectorised early-Z equals the sequential test), and the camera
         angle's arc cosine is the same canonical ``np.arccos`` kernel
         the scalar oracle calls through :mod:`repro.texture.npmath`
-        (divergence from libm is measured and recorded in
-        ``PARITY_math.json``; both paths sidestep it by sharing the
-        numpy kernel).
+        (numpy diverges from libm in the last ulp on some inputs; both
+        paths sidestep that by sharing the numpy kernel).
         """
         if rows.size == 0:
             return FragmentBatch.empty(texture_id)

@@ -6,19 +6,17 @@ numpy expression to reproduce the scalar oracle bit for bit.  For the
 REP401 ``_MATH_LAST_ULP`` transcendentals -- ``acos``, ``hypot``,
 ``log2`` -- that is impossible when the oracle calls libm: numpy's SIMD
 kernels disagree with libm in the last ulp on a measured fraction of
-inputs (``PARITY_math.json``, regenerated by ``python -m repro bench``:
-~9% for acos, ~0.6% for hypot, ~0.03% for log2 on this toolchain),
-and libm itself is not correctly rounded, so no cheap per-lane
-recompute can reconcile the two.
+inputs (~9% for acos, ~0.6% for hypot, ~0.03% for log2 on one
+toolchain), and libm itself is not correctly rounded, so no cheap
+per-lane recompute can reconcile the two.
 
 The resolution is to *canonicalise on the numpy kernel*: both the
 scalar oracle and the batch call the same ufunc, so the only question
 left is whether a ufunc evaluated on a single element equals the same
 ufunc evaluated inside a batch.  It does -- numpy ufunc results are
 invariant to array size, offset, alignment and chunking (the SIMD and
-scalar tails of one kernel implement the same polynomial); the parity
-probe in :mod:`repro.perf.parity` measures exactly this invariance and
-records it alongside the libm divergence rates.
+scalar tails of one kernel implement the same polynomial), and
+``tests/texture/test_npmath.py`` checks exactly this invariance.
 
 Every function here has a ``*_batch`` twin that is the same ufunc
 applied to arrays; calling the scalar form in a loop and the batch form

@@ -252,7 +252,6 @@ class TestNoqaEscapeHatch:
 
 class TestMonotonicOutsideObs:
     OBS_PATH = "src/repro/obs/tracer.py"
-    PERF_PATH = "src/repro/perf/bench.py"
 
     def test_monotonic_flagged_in_sim(self):
         assert "REP108" in ids_for("import time\nt = time.monotonic()\n")
@@ -268,10 +267,6 @@ class TestMonotonicOutsideObs:
         source = "import time\nt = time.monotonic()\n"
         assert "REP108" not in ids_for(source, self.OBS_PATH)
 
-    def test_perf_module_exempt(self):
-        source = "import time\nt = time.monotonic()\n"
-        assert "REP108" not in ids_for(source, self.PERF_PATH)
-
     def test_other_time_functions_not_flagged_by_rep108(self):
         assert "REP108" not in ids_for("import time\nt = time.time()\n")
 
@@ -283,8 +278,8 @@ class TestMonotonicOutsideObs:
         assert ids_for(source) == []
 
     def test_wall_clock_rule_exempts_obs_package(self):
-        # REP102's exemption must cover repro.obs alongside repro.perf:
-        # the tracer exists to read the host clocks.
+        # REP102's exemption must cover repro.obs: the tracer exists to
+        # read the host clocks.
         source = "import time\nt = time.time()\n"
         assert "REP102" not in ids_for(source, self.OBS_PATH)
 

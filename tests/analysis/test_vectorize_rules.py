@@ -620,7 +620,7 @@ UNPROFILED_SOURCE = textwrap.dedent(
         return acc
     """
 )
-UNPROFILED_PATH = "src/repro/perf/extra.py"
+UNPROFILED_PATH = "src/repro/misc/extra.py"
 
 
 def _write_manifest(tmp_path: Path) -> Path:
@@ -674,7 +674,7 @@ class TestProfileGuidedRanking:
         target = tmp_path / "src" / "repro" / "sim" / "hot.py"
         target.parent.mkdir(parents=True)
         target.write_text(RANKING_SOURCE, encoding="utf-8")
-        extra = tmp_path / "src" / "repro" / "perf" / "extra.py"
+        extra = tmp_path / "src" / "repro" / "misc" / "extra.py"
         extra.parent.mkdir(parents=True)
         extra.write_text(UNPROFILED_SOURCE, encoding="utf-8")
         manifest = _write_manifest(tmp_path)

@@ -1,11 +1,11 @@
 """Cross-backend bit-identity on a real (small) design grid.
 
 The chaos gate's contract, extended across executor backends: whatever
-schedules the work -- in-process serial, one process pool, or several
-work-stealing shards -- and whatever faults fire along the way, the
-simulation results must be bit-identical.  Each backend gets its own
-disk cache root so agreement is proven by recomputation, not by one
-backend reading another's cached artefacts.
+schedules the work -- in-process serial or one process pool -- and
+whatever faults fire along the way, the simulation results must be
+bit-identical.  Each backend gets its own disk cache root so agreement
+is proven by recomputation, not by one backend reading another's
+cached artefacts.
 """
 
 import pytest

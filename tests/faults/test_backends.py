@@ -1,4 +1,4 @@
-"""Executor backends: serial, process-pool, work-stealing fault domains.
+"""Executor backends: in-process serial and the process-pool fault domain.
 
 Toy task functions live at module level so pool workers can import
 them; each takes the trailing ``FaultContext`` the scheduler passes.
@@ -12,6 +12,7 @@ import pytest
 from repro import faults
 from repro.faults import (
     FAST_RETRIES,
+    BACKEND_NAMES,
     BackendBrokenError,
     FanoutTask,
     FaultPlan,
@@ -19,7 +20,6 @@ from repro.faults import (
     ProcessPoolBackend,
     RunOutcome,
     SerialBackend,
-    WorkStealingBackend,
     make_backend,
     run_fanout,
 )
@@ -72,13 +72,12 @@ class TestMakeBackend:
         serial = make_backend("serial", jobs=4)
         assert isinstance(serial, SerialBackend)
         assert serial.capacity == 1
-        stealing = make_backend("work-stealing", jobs=4, shards=2)
+        pool = make_backend("process-pool", jobs=4)
         try:
-            assert isinstance(stealing, WorkStealingBackend)
-            assert stealing.shards == 2
-            assert stealing.capacity == 4
+            assert isinstance(pool, ProcessPoolBackend)
+            assert pool.capacity == 4
         finally:
-            stealing.shutdown()
+            pool.shutdown()
 
     def test_instance_passes_through(self):
         backend = SerialBackend()
@@ -122,46 +121,10 @@ class TestSerialBackend:
         assert issubclass(InjectedCrash, faults.InjectedFault)
 
 
-class TestWorkStealingBackend:
-    def test_routes_to_least_loaded_shard(self):
-        backend = WorkStealingBackend(shards=2, jobs_per_shard=1)
-        try:
-            first = backend.submit(_double, (1, None))
-            second = backend.submit(_double, (2, None))
-            assert backend.domain_of(first) == 0
-            assert backend.domain_of(second) == 1
-            assert first.result() == 2 and second.result() == 4
-            backend.release(first)
-            third = backend.submit(_double, (3, None))
-            assert backend.domain_of(third) == 0
-            assert third.result() == 6
-        finally:
-            backend.shutdown()
-
-    def test_crash_only_drains_its_own_domain(self):
-        # Shard 0 hosts a crashing task, shard 1 a healthy sleeper.  The
-        # sleeper's domain never breaks, so it completes on its first
-        # and only attempt -- no retry, no bystander requeue.
-        tasks = [
-            FanoutTask(key="crashy", fn=_crash_first, args=(1,)),
-            FanoutTask(key="steady", fn=_sleep_attempt0, args=(7,)),
-        ]
-        results, report = run_fanout(
-            tasks, jobs=2, policy=FAST_RETRIES,
-            backend=WorkStealingBackend(shards=2, jobs_per_shard=1),
-        )
-        assert results == {"crashy": 2, "steady": 7}
-        steady = report.tasks["steady"]
-        assert steady.outcome is RunOutcome.OK
-        assert steady.attempts == 1
-        assert steady.retries == 0
-        assert steady.bystander_requeues == 0
-        assert report.tasks["crashy"].outcome is RunOutcome.RETRIED
-        assert report.pool_rebuilds == 1
-
+class TestProcessPoolBackend:
     def test_single_domain_pool_drains_everything(self):
-        # Contrast case: on the single-domain process pool the same
-        # crash kills the sleeper's worker too, charging it a retry.
+        # The whole pool is one fault domain: a crashing task kills the
+        # healthy sleeper's worker too, charging it a retry.
         tasks = [
             FanoutTask(key="crashy", fn=_crash_first, args=(1,)),
             FanoutTask(key="steady", fn=_sleep_attempt0, args=(7,)),
@@ -174,15 +137,15 @@ class TestWorkStealingBackend:
         assert steady.attempts >= 2
         assert steady.retries >= 1
 
-    def test_submit_on_broken_shard_raises_with_domain(self):
-        backend = WorkStealingBackend(shards=2, jobs_per_shard=1)
+    def test_submit_on_broken_pool_raises_with_domain(self):
+        backend = ProcessPoolBackend(jobs=1)
         try:
             future = backend.submit(_exit_now, (0, None))
             with pytest.raises(Exception):
                 future.result()
             backend.release(future)
-            # Shard 0 is broken and still least-loaded; submitting to it
-            # must identify the domain so the scheduler can recover it.
+            # The pool is broken; submitting to it must identify the
+            # domain so the scheduler can recover it.
             with pytest.raises(BackendBrokenError) as excinfo:
                 backend.submit(_double, (1, None))
             assert excinfo.value.domain == 0
@@ -196,7 +159,7 @@ class TestWorkStealingBackend:
 class TestBackendMatrixToyTasks:
     def test_results_identical_across_backends(self):
         expected = {i: i * 2 for i in range(6)}
-        for spec in ("serial", "process-pool", "work-stealing"):
+        for spec in BACKEND_NAMES:
             tasks = [
                 FanoutTask(key=i, fn=_double, args=(i,)) for i in range(6)
             ]

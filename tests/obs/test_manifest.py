@@ -170,8 +170,8 @@ class _FakeRunner:
 
 class TestBuildManifest:
     def test_without_runner(self):
-        manifest = build_manifest("bench", config={"fast": True})
-        assert manifest.command == "bench"
+        manifest = build_manifest("fig", config={"fast": True})
+        assert manifest.command == "fig"
         assert manifest.digest == config_digest({"fast": True})
         assert len(manifest.source) == 16
         assert manifest.cache == {}
