@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-units lint-determinism lint-vectorize lint-sarif test check rules invariants chaos
+.PHONY: lint lint-units lint-determinism test check rules invariants chaos
 
 lint:
 	$(PYTHON) -m repro.analysis lint
@@ -11,12 +11,6 @@ lint-units:
 
 lint-determinism:
 	$(PYTHON) -m repro.analysis lint --select REP3
-
-lint-vectorize:
-	$(PYTHON) -m repro.analysis lint --select REP4
-
-lint-sarif:
-	$(PYTHON) -m repro.analysis lint --format sarif --output lint-results.sarif
 
 rules:
 	$(PYTHON) -m repro.analysis rules

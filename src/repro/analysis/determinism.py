@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.linter import LintContext, LintRule
+from repro.analysis.linter import LintContext, LintRule, Linter, expand_paths
 
 DETERMINISM_RULE_TABLE: Tuple[Tuple[str, str, str], ...] = (
     ("REP300", "nondeterminism-taint",
@@ -434,13 +434,7 @@ def _propagation_exempt(path: str) -> bool:
     return any(marker in path for marker in _PROPAGATION_EXEMPT_MARKERS)
 
 
-def harvest_model(sources: Sequence[Tuple[str, str]]) -> _ProjectModel:
-    """Parse and harvest every ``src/repro/`` source into one model.
-
-    Shared by the REP300 determinism pass and the REP400 vectorization
-    pass: both need the same cross-file call graph, they just walk it
-    from different roots.
-    """
+def _build_model(sources: Sequence[Tuple[str, str]]) -> _ProjectModel:
     model = _ProjectModel()
     for raw_path, source in sources:
         path = Path(raw_path).as_posix()
@@ -451,17 +445,11 @@ def harvest_model(sources: Sequence[Tuple[str, str]]) -> _ProjectModel:
         except SyntaxError:
             continue  # REP100 reports it; nothing to harvest
         _Harvester(model, path).harvest(tree)
-    return model
 
-
-def make_callee_resolver(model: _ProjectModel):
-    """Name-based callee resolution honouring the call-shape split.
-
-    Returns ``resolve(rec) -> List[key]`` where keys index
-    ``model.records``.  Bare-name calls resolve to module-level
-    functions, plain attribute calls to methods, module-alias attribute
-    calls to either, and ``ClassName(...)`` to the class's init chain.
-    """
+    # Name-based callee resolution honouring the call-shape split:
+    # bare-name calls resolve to module-level functions, plain attribute
+    # calls to methods, module-alias attribute calls to either, and
+    # ``ClassName(...)`` to the class's init chain.
     fn_index: Dict[str, List[Tuple[str, str]]] = {}
     method_index: Dict[str, List[Tuple[str, str]]] = {}
     all_index: Dict[str, List[Tuple[str, str]]] = {}
@@ -483,46 +471,17 @@ def make_callee_resolver(model: _ProjectModel):
         keys.extend(rec.children)
         return keys
 
-    return resolved_callees
-
-
-def reachable_from(model: _ProjectModel, root_names: Iterable[str],
-                   root_classes: Iterable[str] = (),
-                   resolver=None) -> Set[Tuple[str, str]]:
-    """Every record transitively callable from the named roots.
-
-    ``root_names`` match by simple function name; ``root_classes``
-    additionally seed every method of the named classes (entry objects
-    like samplers whose public surface is all hot).
-    """
-    if resolver is None:
-        resolver = make_callee_resolver(model)
-    names = set(root_names)
-    classes = set(root_classes)
-    stack = [
-        key for key, rec in model.records.items()
-        if rec.simple in names
-        or (rec.is_method and rec.qualname.split(".")[0] in classes)
-    ]
-    reachable: Set[Tuple[str, str]] = set()
-    while stack:
-        key = stack.pop()
-        if key in reachable:
-            continue
-        reachable.add(key)
-        stack.extend(resolver(model.records[key]))
-    return reachable
-
-
-def _build_model(sources: Sequence[Tuple[str, str]]) -> _ProjectModel:
-    model = harvest_model(sources)
-    resolved_callees = make_callee_resolver(model)
-
     # Worker reachability: everything transitively callable from the
     # parallel entry points or a submitted task function.
     root_names = _WORKER_ENTRY_NAMES | model.submit_names
-    model.reachable = reachable_from(model, root_names,
-                                     resolver=resolved_callees)
+    stack = [key for key, rec in model.records.items()
+             if rec.simple in root_names]
+    while stack:
+        key = stack.pop()
+        if key in model.reachable:
+            continue
+        model.reachable.add(key)
+        stack.extend(resolved_callees(model.records[key]))
 
     # ND propagation: a function is nondeterministic-returning if it
     # calls an ND source or an ND function, fixed-pointed across files.
@@ -1087,20 +1046,27 @@ def static_determinism_attestation(
     evidence in ``CHAOS.manifest.json``, so one artifact carries both the
     dynamic proof (this grid, this run) and the static proof (every
     worker-reachable code path, including ones the grid never executed).
-    """
-    from repro.analysis.linter import lint_paths
 
+    The pass only analyses files under a ``src/repro/`` path, so a tree
+    anywhere else (an installed ``site-packages/repro/``, say) yields no
+    analysed files; that is reported as not clean rather than as a proof.
+    """
     if paths is None:
         import repro
 
         paths = [Path(repro.__file__).resolve().parent]
     targets = [Path(p) for p in paths]
-    findings = [f for f in lint_paths(targets)
-                if f.rule_id.startswith("REP3")]
+    rule = DeterminismRule()
+    sources = [(str(path), path.read_text(encoding="utf-8"))
+               for path in expand_paths(targets)]
+    analysed = sum(1 for path, source in sources
+                   if rule.applies_to(LintContext(path, source)))
+    findings = Linter([rule]).lint_sources(sources)
     return {
         "schema": "repro-static-determinism/1",
         "rules": determinism_rule_ids(),
         "paths": [target.as_posix() for target in targets],
+        "files_analysed": analysed,
         "findings": [f.as_dict() for f in findings],
-        "clean": not findings,
+        "clean": analysed > 0 and not findings,
     }

@@ -283,15 +283,22 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             # Attest that the REP300-series static pass is clean: the
             # chaos gate's bit-identity claim rests on the worker paths
             # being free of nondeterminism sources.
-            from repro.analysis import static_determinism_attestation
+            from repro.analysis.determinism import (
+                static_determinism_attestation,
+            )
 
             attestation = static_determinism_attestation()
             record.faults["static_determinism"] = attestation
+            if attestation["findings"]:
+                verdict = f"{len(attestation['findings'])} finding(s)"
+            elif attestation["clean"]:
+                verdict = "clean"
+            else:
+                verdict = "NOT clean, nothing analysed"
             print(
                 "static determinism pass "
-                + f"({', '.join(attestation['rules'])}): "
-                + ("clean" if attestation["clean"]
-                   else f"{len(attestation['findings'])} finding(s)")
+                + f"({', '.join(attestation['rules'])}) over "
+                + f"{attestation['files_analysed']} file(s): {verdict}"
             )
             path = args.manifest or "CHAOS.manifest.json"
             record.write(path)

@@ -257,7 +257,7 @@ class GpuPipeline:
             if per_cluster[cluster]:
                 heapq.heappush(heap, (next_issue(cluster), cluster))
 
-        while heap:  # repro: noqa(REP400) -- scalar scheduling oracle: the batched per-timestamp drain in _replay_batched is parity-tested against exactly this loop
+        while heap:
             issue, cluster = heapq.heappop(heap)
             current = next_issue(cluster)
             if current > issue:
@@ -401,10 +401,10 @@ class GpuPipeline:
             remaining -= len(ready)
 
         session.finish()
-        completions = np.asarray(completion_log, dtype=np.float64)  # repro: noqa(REP403) -- round count is data-dependent (each round's ready set depends on prior completions), so the log cannot be preallocated; one conversion at drain end
+        completions = np.asarray(completion_log, dtype=np.float64)
         issues = np.repeat(
-            np.asarray(round_times, dtype=np.float64),  # repro: noqa(REP403) -- grows one entry per scheduling round, not per fragment; size unknown until the drain terminates
-            np.asarray(round_sizes, dtype=np.int64),  # repro: noqa(REP403) -- ditto; paired with round_times to expand per-round issue times to per-fragment
+            np.asarray(round_times, dtype=np.float64),
+            np.asarray(round_sizes, dtype=np.int64),
         )
         latencies = completions - issues
         if bool(np.any(latencies < 0)):

@@ -16,17 +16,8 @@ The observability layer for the reproduction's *host-side* phases:
   tree (``python -m repro trace <manifest.json>``).
 * :mod:`~repro.obs.snapshot` -- StatGroup snapshots of drained frames,
   design runs and whole runners.
-* :mod:`~repro.obs.attribution` -- span-tree -> per-name wall-clock
-  cost table (inclusive/exclusive seconds), consumed by the REP400
-  profile-guided linter ranking.
 """
 
-from repro.obs.attribution import (
-    SpanCost,
-    attribute_spans,
-    iter_spans,
-    profile_total,
-)
 from repro.obs.chrome import chrome_trace
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
@@ -57,20 +48,16 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "RunManifest",
     "Span",
-    "SpanCost",
     "Tracer",
     "annotate",
     "attach_stats",
-    "attribute_spans",
     "event",
     "build_manifest",
     "chrome_trace",
     "config_digest",
     "frame_stat_group",
     "get_tracer",
-    "iter_spans",
     "load_manifest",
-    "profile_total",
     "reset_tracer",
     "run_stat_group",
     "runner_stat_group",

@@ -217,7 +217,7 @@ class Rasterizer:
             fragments = [f for emission in emissions for f in emission]
             if fragments:
                 self.stats.triangles_rasterized += 1
-            for fragment in fragments:  # repro: noqa(REP400) -- this IS the scalar-oracle emission the SoA FragmentBatch path is parity-tested against
+            for fragment in fragments:
                 request = self._fragment_to_request(fragment)
                 results.append((fragment, request))
         return results
@@ -293,7 +293,7 @@ class Rasterizer:
         )
         tiles_x = batch.x // self.tile_size
         tiles_y = batch.y // self.tile_size
-        return [  # repro: noqa(REP400) -- AoS bridge to the per-request expander: frozen-dataclass materialisation only, every float column above is batched
+        return [
             TextureRequest(
                 pixel_x=int(batch.x[index]),
                 pixel_y=int(batch.y[index]),
@@ -344,10 +344,9 @@ class Rasterizer:
 
         # --- geometry: transform, clip, project ------------------------
         # Homogeneous positions and texel-space UVs for all three
-        # vertices at once (REP403: the per-vertex np.append/np.array
-        # allocations used to run inside the loop).  Row-wise this is
-        # the same IEEE-754 arithmetic as the per-vertex form, so the
-        # clip vertices are bit-identical.
+        # vertices at once.  Row-wise this is the same IEEE-754
+        # arithmetic as the per-vertex form, so the clip vertices are
+        # bit-identical.
         positions = np.concatenate(
             [triangle.vertices, np.ones((3, 1))], axis=1
         )
@@ -400,7 +399,7 @@ class Rasterizer:
         # Screen coordinates (pixel centres at integer + 0.5).
         screen = np.zeros((3, 2))
         inv_w = np.zeros(3)
-        for index, vertex in enumerate(trio):  # repro: noqa(REP400) -- bounded by the 3 vertices of a triangle, not by fragment count
+        for index, vertex in enumerate(trio):
             w = vertex[3]
             if w <= 0:
                 return []  # guarded by clipping; degenerate numeric case
@@ -500,7 +499,7 @@ class Rasterizer:
         path is tested against; select with ``Rasterizer(vectorized=False)``)."""
         fragments: List[RasterFragment] = []
         camera_position = camera.position
-        for row, col in zip(rows, cols):  # repro: noqa(REP400) -- this IS the scalar oracle the vectorized path is parity-tested against
+        for row, col in zip(rows, cols):
             b = (bary0[row, col], bary1[row, col], bary2[row, col])
             d = denom[row, col]
             if d <= 0:
@@ -617,7 +616,9 @@ class Rasterizer:
             pixel_x[visible], pixel_y[visible], depth[visible], w_value[visible],
         )
         b0, b1, b2 = b0[visible], b1[visible], b2[visible]
-        framebuffer.depth[pixel_y, pixel_x] = depth  # repro: noqa(REP404) -- pixel coordinates within one triangle are unique (top-left fill rule), so no duplicate indices exist
+        # Pixel coordinates within one triangle are unique (top-left fill
+        # rule), so this scatter has no duplicate indices to order.
+        framebuffer.depth[pixel_y, pixel_x] = depth
 
         numerators = (
             b0[:, None] * attrs_over_w[0]

@@ -9,8 +9,7 @@ that every performance model in :mod:`repro` is built on:
   bounded request queues with backpressure).
 * :mod:`repro.sim.stats` -- counters, accumulators and hierarchical stat
   groups used for reporting.
-* :mod:`repro.sim.latency` -- latency records and histogram utilities
-  (re-exported by :mod:`repro.sim.events` for backwards compatibility).
+* :mod:`repro.sim.latency` -- latency records and histogram utilities.
 
 The central modelling idea (documented in DESIGN.md section 5) is that a
 request's completion time on a contended resource is::

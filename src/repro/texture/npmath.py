@@ -3,12 +3,11 @@
 The SoA/bit-identical-oracle contract (``texture/batch.py`` and now the
 SoA fragment stream in ``render/raster.py``) requires every batched
 numpy expression to reproduce the scalar oracle bit for bit.  For the
-REP401 ``_MATH_LAST_ULP`` transcendentals -- ``acos``, ``hypot``,
-``log2`` -- that is impossible when the oracle calls libm: numpy's SIMD
-kernels disagree with libm in the last ulp on a measured fraction of
-inputs (~9% for acos, ~0.6% for hypot, ~0.03% for log2 on one
-toolchain), and libm itself is not correctly rounded, so no cheap
-per-lane recompute can reconcile the two.
+transcendentals ``acos``, ``hypot`` and ``log2`` that is impossible
+when the oracle calls libm: numpy's SIMD kernels disagree with libm in
+the last ulp on a measured fraction of inputs (~9% for acos, ~0.6% for
+hypot, ~0.03% for log2 on one toolchain), and libm itself is not
+correctly rounded, so no cheap per-lane recompute can reconcile the two.
 
 The resolution is to *canonicalise on the numpy kernel*: both the
 scalar oracle and the batch call the same ufunc, so the only question

@@ -114,27 +114,6 @@ class TestPlantedUnitViolations:
         self._plant(tmp_path)
         assert analysis_main(["lint", "--select", "XYZ", str(tmp_path)]) == 2
 
-    def test_cli_sarif_output(self, tmp_path, capsys):
-        import json
-
-        self._plant(tmp_path)
-        report = tmp_path / "lint.sarif"
-        exit_code = analysis_main(
-            ["lint", "--format", "sarif", "--output", str(report), str(tmp_path)]
-        )
-        assert exit_code == 1
-        sarif = json.loads(report.read_text())
-        assert sarif["version"] == "2.1.0"
-        run = sarif["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        rule_ids_in_driver = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"REP100", "REP200", "REP207"} <= rule_ids_in_driver
-        results = run["results"]
-        assert any(result["ruleId"] == "REP200" for result in results)
-        location = results[0]["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("planted.py")
-        assert location["region"]["startLine"] > 0
-
 
 class TestInvariantsOnRenders:
     def test_small_render_all_designs_zero_violations(self, tiny_trace, fast_workload):

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import copy
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import invariants
 from repro.analysis.invariants import (
     InvariantError,
@@ -194,3 +199,21 @@ class TestEnablement:
             assert checks_enabled() is expected
         monkeypatch.delenv(invariants.ENV_FLAG)
         assert checks_enabled() is False
+
+
+class TestImportFootprint:
+    def test_importing_invariants_does_not_load_the_linter(self):
+        # The simulator imports the invariants at frame drain time; the
+        # lint engine must not ride along.  A fresh interpreter, because
+        # this one has long since imported the linter's modules.
+        src = Path(repro.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.analysis.invariants; "
+             "print(*sorted(name for name in sys.modules "
+             "if name.startswith('repro.analysis.')))"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["repro.analysis.invariants"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import LatencyHistogram, LatencyRecord, makespan
+from repro.sim.latency import LatencyHistogram, LatencyRecord, makespan
 
 
 class TestLatencyRecord:
