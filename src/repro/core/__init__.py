@@ -17,7 +17,7 @@ and the GPU pipeline model.
 """
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpandedRequest, RequestExpander
+from repro.core.expansion import ExpandedFrame, ExpandedRequest, RequestExpander
 from repro.core.frontend import (
     DesignRun,
     SequenceResult,
@@ -31,6 +31,7 @@ __all__ = [
     "DesignConfig",
     "RequestExpander",
     "ExpandedRequest",
+    "ExpandedFrame",
     "simulate_frame",
     "simulate_sequence",
     "DesignRun",

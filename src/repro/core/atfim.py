@@ -23,16 +23,18 @@ Unit are 16-wide ALU arrays.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from itertools import accumulate
+from typing import List, NamedTuple, Sequence
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpandedRequest, ParentTexel
+from repro.core.expansion import ExpandedFrame, ExpandedRequest
 from repro.core.paths import (
     CacheHierarchy,
     CacheHierarchyStats,
     HmcExternalInterface,
     PathActivity,
     ReadMergeWindow,
+    ReplaySession,
     TexturePath,
     _line_payload_bytes,
     make_hmc,
@@ -84,25 +86,42 @@ class AtfimPath(TexturePath):
         self.offload_packages = 0
 
     def serve(self, cluster: int, issue: float, expanded: ExpandedRequest) -> float:
-        packets = self.config.packets
+        return self._serve_parents(
+            cluster, issue, expanded.request.camera_angle,
+            range(len(expanded.parents)), _ParentColumns.of_request(expanded),
+        )
+
+    def begin_replay(self, frame: ExpandedFrame) -> ReplaySession:
+        return _AtfimReplaySession(self, frame)
+
+    def _serve_parents(
+        self,
+        cluster: int,
+        issue: float,
+        angle: float,
+        parents: range,
+        columns: "_ParentColumns",
+    ) -> float:
+        """Serve one request: its camera angle and its parents, given as
+        row indices into ``columns``."""
         unit = self.units[cluster]
         unit.note_request()
         threshold = self.config.effective_angle_threshold
-        angle = expanded.request.camera_angle
 
         # GPU side: generate the (few) parent-texel addresses.
-        num_parents = expanded.num_parent_texels
+        num_parents = len(parents)
         address_done = unit.generate_addresses(issue, num_parents)
 
         # Classify each parent against the angle-tagged caches.  Only
         # anisotropic parents carry an angle tag; isotropic ones behave
         # like ordinary cached lines.
-        missing: List[ParentTexel] = []
-        for parent in expanded.parents:
-            needs_angle = parent.num_children > 1
+        missing: List[int] = []
+        child_counts, lines = columns.child_counts, columns.lines
+        for parent in parents:
+            needs_angle = child_counts[parent] > 1
             result = self.caches.probe(
                 cluster,
-                parent.line_address,
+                lines[parent],
                 angle if needs_angle else None,
                 threshold if needs_angle else None,
             )
@@ -116,14 +135,16 @@ class AtfimPath(TexturePath):
                 missing.append(parent)
 
         if missing:
-            parents_ready = self._offload(address_done, missing)
+            parents_ready = self._offload(address_done, missing, columns)
         else:
             parents_ready = address_done
 
         # GPU side: bilinear/trilinear over the (approximated) parents.
         return unit.filter_texels(parents_ready, num_parents)
 
-    def _offload(self, arrival: float, missing: List[ParentTexel]) -> float:
+    def _offload(
+        self, arrival: float, missing: List[int], columns: "_ParentColumns"
+    ) -> float:
         """Round-trip the missing parents through the HMC pipeline."""
         packets = self.config.packets
         self.offload_packages += 1
@@ -131,7 +152,7 @@ class AtfimPath(TexturePath):
         # Offloading Unit: one compressed package for this fetch's
         # missing parents (they share the first parent's base address).
         request_bytes = packets.parent_texel_request_bytes
-        home = missing[0].line_address
+        home = columns.lines[missing[0]]
         self.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
         delivered = self.hmc.send_request(arrival, home, request_bytes)
 
@@ -139,16 +160,17 @@ class AtfimPath(TexturePath):
         admitted = self.parent_buffer.enqueue(delivered)
 
         # Texel Generator: one address op per child texel.
-        total_children = sum(parent.num_children for parent in missing)
+        total_children = sum(columns.child_counts[parent] for parent in missing)
         self.child_texels_generated += total_children
         generated = self.texel_generator.generate_addresses(admitted, total_children)
 
         # Child Texel Consolidation: dedup child lines across parents.
+        child_lines, bounds = columns.child_lines, columns.child_offsets
         if self.config.consolidation_enabled:
             lines: List[int] = []
             seen = set()
             for parent in missing:
-                for line in parent.child_line_addresses:
+                for line in child_lines[bounds[parent]:bounds[parent + 1]]:
                     if line not in seen:
                         seen.add(line)
                         lines.append(line)
@@ -156,7 +178,7 @@ class AtfimPath(TexturePath):
             lines = [
                 line
                 for parent in missing
-                for line in parent.child_line_addresses
+                for line in child_lines[bounds[parent]:bounds[parent + 1]]
             ]
 
         # Vault fetches at internal bandwidth, merged against in-flight
@@ -243,3 +265,60 @@ class AtfimPath(TexturePath):
         if total == 0:
             return 0.0
         return self.parent_recalculations / total
+
+
+class _ParentColumns(NamedTuple):
+    """Per-parent values :meth:`AtfimPath._serve_parents` reads by row:
+    line address, child texel count, and the parent's unique child
+    lines ``child_lines[child_offsets[p]:child_offsets[p + 1]]``."""
+
+    lines: Sequence[int]
+    child_counts: Sequence[int]
+    child_offsets: Sequence[int]
+    child_lines: Sequence[int]
+
+    @classmethod
+    def of_request(cls, expanded: ExpandedRequest) -> "_ParentColumns":
+        parents = expanded.parents
+        return cls(
+            lines=[parent.line_address for parent in parents],
+            child_counts=[parent.num_children for parent in parents],
+            child_offsets=list(accumulate(
+                (len(parent.child_line_addresses) for parent in parents),
+                initial=0,
+            )),
+            child_lines=[
+                line for parent in parents
+                for line in parent.child_line_addresses
+            ],
+        )
+
+    @classmethod
+    def of_frame(cls, frame: ExpandedFrame) -> "_ParentColumns":
+        return cls(
+            lines=frame.parent_lines.tolist(),
+            child_counts=frame.child_counts.tolist(),
+            child_offsets=frame.child_offsets.tolist(),
+            child_lines=frame.child_lines.tolist(),
+        )
+
+
+class _AtfimReplaySession(ReplaySession):
+    """Replay session for A-TFIM: each request's camera angle and parent
+    rows, read from the frame, go straight to
+    :meth:`AtfimPath._serve_parents`."""
+
+    def __init__(self, path: AtfimPath, frame: ExpandedFrame) -> None:
+        super().__init__(path, frame)
+        columns = _ParentColumns.of_frame(frame)
+        angles = frame.camera_angles.tolist()
+        offsets = frame.parent_offsets.tolist()
+        serve_parents = path._serve_parents
+
+        def serve_one(cluster: int, issue: float, index: int) -> float:
+            return serve_parents(
+                cluster, issue, angles[index],
+                range(offsets[index], offsets[index + 1]), columns,
+            )
+
+        self.serve_one = serve_one

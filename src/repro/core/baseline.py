@@ -13,7 +13,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpandedRequest
+from repro.core.expansion import ExpandedFrame, ExpandedRequest
 from repro.core.paths import (
     CacheHierarchy,
     CacheHierarchyStats,
@@ -77,43 +77,25 @@ class GpuFilteringPath(TexturePath):
                 data_ready = ready
         return unit.filter_texels(data_ready, num_texels)
 
-    def serve_batch(
-        self,
-        clusters: Sequence[int],
-        issue: float,
-        expansions: Sequence[ExpandedRequest],
-    ) -> np.ndarray:
-        """Batched twin of :meth:`serve`: a one-shot replay session."""
-        session = self.begin_replay(expansions)
-        served = session.serve_chunk(
-            clusters, issue, list(range(len(expansions)))
-        )
-        session.finish()
-        return np.asarray(served, dtype=np.float64)
+    def begin_replay(self, frame: ExpandedFrame) -> "_GpuReplaySession":
+        return _GpuReplaySession(self, frame)
 
-    def begin_replay(
-        self, expansions: Sequence[ExpandedRequest]
-    ) -> "_GpuReplaySession":
-        return _GpuReplaySession(self, expansions)
+    def _columns_for(self, frame: ExpandedFrame) -> "_ReplayColumns":
+        """Per-trace replay columns, memoised on the frame's identity.
 
-    def _columns_for(
-        self, expansions: Sequence[ExpandedRequest]
-    ) -> "_ReplayColumns":
-        """Per-trace replay columns, memoised on the list's identity.
-
-        The frame frontend replays the *same* expansion list object for
-        the warm-up and the measured pass, so keying on identity lets
-        the measured replay reuse the warm-up's precompute.  Holding the
-        list reference in the cache keeps the ``is`` test sound (the id
+        The frame frontend replays the *same* frame object for the
+        warm-up and the measured pass, so keying on identity lets the
+        measured replay reuse the warm-up's precompute.  Holding the
+        frame reference in the cache keeps the ``is`` test sound (the id
         cannot be recycled while we hold it).  Columns depend only on
-        the expansions and the cache/ALU geometry, both fixed for the
-        path's lifetime, so the cache survives reset_for_measurement.
+        the frame and the cache/ALU geometry, both fixed for the path's
+        lifetime, so the cache survives reset_for_measurement.
         """
         cached = self._column_cache
-        if cached is not None and cached[0] is expansions:
+        if cached is not None and cached[0] is frame:
             return cached[1]
-        columns = _ReplayColumns(self, expansions)
-        self._column_cache = (expansions, columns)
+        columns = _ReplayColumns(self, frame)
+        self._column_cache = (frame, columns)
         return columns
 
     def activity(self) -> PathActivity:
@@ -148,11 +130,11 @@ class GpuFilteringPath(TexturePath):
 class _ReplayColumns:
     """Immutable per-trace columns for the GPU-filtering replay session.
 
-    Everything here is a pure function of the expansion list and the
-    cache/ALU geometry, computed as whole-trace numpy expressions and
-    materialised as python lists (the scheduler indexes them one scalar
-    at a time, where list indexing beats ndarray item access).  The
-    arithmetic is lane-for-lane the scalar path's:
+    Everything here is a pure function of the frame's conventional-line
+    arrays and the cache/ALU geometry, computed as whole-trace numpy
+    expressions and materialised as python lists (the scheduler indexes
+    them one scalar at a time, where list indexing beats ndarray item
+    access).  The arithmetic is lane-for-lane the scalar path's:
 
     * stage occupancies are the same IEEE-754 division
       ``texels / ops_per_cycle`` the :class:`ThroughputUnit` performs;
@@ -160,10 +142,10 @@ class _ReplayColumns:
       int64 floor division and modulus agree exactly with python ints
       for the non-negative addresses the expansion produces.
 
-    Columns are memoised per path keyed on the expansion list's
-    *identity* (see :meth:`GpuFilteringPath._columns_for`): the frame
-    frontend replays the same list object for the warm-up and measured
-    passes, so the second replay reuses the first pass's columns.
+    Columns are memoised per path keyed on the frame's *identity* (see
+    :meth:`GpuFilteringPath._columns_for`): the frame frontend replays
+    the same frame object for the warm-up and measured passes, so the
+    second replay reuses the first pass's columns.
     """
 
     __slots__ = (
@@ -172,41 +154,24 @@ class _ReplayColumns:
         "l1_assoc", "l2_assoc",
     )
 
-    def __init__(
-        self, path: "GpuFilteringPath", expansions: Sequence[ExpandedRequest]
-    ) -> None:
+    def __init__(self, path: "GpuFilteringPath", frame: ExpandedFrame) -> None:
         gpu = path.config.gpu
         unit_config = gpu.texture_unit
-        count = len(expansions)
-        texels = np.fromiter(
-            (e.num_conventional_texels for e in expansions),
-            dtype=np.int64, count=count,
-        )
-        texels_float = texels.astype(np.float64)
-        self.texels = texels.tolist()
+        texels_float = frame.texels.astype(np.float64)
+        self.texels = frame.texels.tolist()
         self.addr_occ = (texels_float / float(unit_config.address_alus)).tolist()
         self.filt_occ = (texels_float / float(unit_config.filter_alus)).tolist()
         self.pipe_depth = unit_config.pipeline_depth
 
-        line_counts = np.fromiter(
-            (len(e.conventional_lines) for e in expansions),
-            dtype=np.int64, count=count,
-        )
-        total_lines = int(line_counts.sum())
-        lines_flat = np.fromiter(
-            (address for e in expansions for address in e.conventional_lines),
-            dtype=np.int64, count=total_lines,
-        )
-        if total_lines and bool(np.any(lines_flat < 0)):
+        lines = frame.lines
+        if bool(np.any(lines < 0)):
             raise ValueError("negative address")
-        self.offsets = np.concatenate(
-            ([0], np.cumsum(line_counts))
-        ).tolist()
-        self.lines = lines_flat.tolist()
+        self.offsets = frame.line_offsets.tolist()
+        self.lines = lines.tolist()
 
         l1, l2 = gpu.l1_cache, gpu.l2_cache
-        l1_lines = lines_flat // l1.line_bytes
-        l2_lines = lines_flat // l2.line_bytes
+        l1_lines = lines // l1.line_bytes
+        l2_lines = lines // l2.line_bytes
         l1_sets, l2_sets = l1.num_sets, l2.num_sets
         self.l1_set = (l1_lines % l1_sets).tolist()
         self.l1_tag = (l1_lines // l1_sets).tolist()
@@ -236,11 +201,9 @@ class _GpuReplaySession(ReplaySession):
     flushed back by ``finish``.
     """
 
-    def __init__(
-        self, path: "GpuFilteringPath", expansions: Sequence[ExpandedRequest]
-    ) -> None:
-        super().__init__(path, expansions)
-        columns = path._columns_for(expansions)
+    def __init__(self, path: "GpuFilteringPath", frame: ExpandedFrame) -> None:
+        super().__init__(path, frame)
+        columns = path._columns_for(frame)
         texels = columns.texels
         addr_occ = columns.addr_occ
         filt_occ = columns.filt_occ

@@ -13,15 +13,26 @@ The expansion reuses the exact arithmetic of
 :mod:`repro.texture.sampling`, so architectural texel counts match the
 functional renderer by construction.  Coordinates are resolved to byte
 and cache-line addresses through a :class:`~repro.texture.address.TexelAddressMap`.
+
+It comes in two forms.  :meth:`RequestExpander.expand_frame` expands a
+whole trace in a few numpy passes into an :class:`ExpandedFrame`, CSR
+arrays (an offsets array plus one flat array of values) that every
+design's replay reads by request index; this is what the simulator runs.
+:meth:`RequestExpander.expand` walks one request in Python and returns an
+:class:`ExpandedRequest`: the readable reference that the columnar form
+is tested against, element for element and in the same order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 from repro.render.scene import Scene
 from repro.texture.address import TexelAddressMap
+from repro.texture.batch import RequestBatch, level_blend_arrays, probe_offset_arrays
 from repro.texture.mipmap import MipmapChain
 from repro.texture.requests import TextureRequest
 from repro.texture.sampling import (
@@ -30,6 +41,10 @@ from repro.texture.sampling import (
     parent_texel_coords,
     probe_offsets,
 )
+
+_TAP_DX = np.array([0, 1, 0, 1], dtype=np.int64)
+_TAP_DY = np.array([0, 0, 1, 1], dtype=np.int64)
+"""The bilinear tap order of :func:`repro.texture.sampling.bilinear_taps`."""
 
 
 @dataclass(frozen=True)
@@ -73,6 +88,170 @@ class ExpandedRequest:
         return sum(parent.num_children for parent in self.parents)
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets of segments with these lengths: 0, then running totals."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _segment_take(
+    counts: np.ndarray, order: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Re-lay CSR segments out in ``order``.
+
+    ``counts[j]`` is the length of segment ``j`` of a flat array.
+    Returns the gather index that places segments ``order[0]``,
+    ``order[1]``, ... back to back, and the offsets of that layout.
+    """
+    starts = _offsets(counts)[:-1]
+    picked = counts[order]
+    offsets = _offsets(picked)
+    take = np.arange(offsets[-1], dtype=np.int64) + np.repeat(
+        starts[order] - offsets[:-1], picked
+    )
+    return take, offsets
+
+
+def _first_touch(rows: np.ndarray) -> np.ndarray:
+    """Mask of each row's first occurrences, as a first-touch dedup keeps.
+
+    A stable sort ranks equal values by position, so the first of each
+    run of equal values in sorted order is the earliest in the row.
+    """
+    if rows.shape[1] <= 1:
+        return np.ones(rows.shape, dtype=bool)
+    order = np.argsort(rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=1)
+    first = np.ones(rows.shape, dtype=bool)
+    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    mask = np.empty(rows.shape, dtype=bool)
+    np.put_along_axis(mask, order, first, axis=1)
+    return mask
+
+
+@dataclass(frozen=True, eq=False)
+class ExpandedFrame:
+    """One trace's expansion as CSR arrays, indexed by request.
+
+    Request ``i``'s conventional lines are
+    ``lines[line_offsets[i]:line_offsets[i + 1]]`` and its parents are
+    rows ``parent_offsets[i]`` up to ``parent_offsets[i + 1]`` of the
+    per-parent arrays; parent ``p``'s child lines are
+    ``child_lines[child_offsets[p]:child_offsets[p + 1]]``.  Every set
+    keeps :meth:`RequestExpander.expand`'s first-touch order, and
+    ``frame[i]`` builds that method's :class:`ExpandedRequest` on demand
+    (for the scalar scheduler oracle and for tests).
+    """
+
+    requests: Sequence[TextureRequest]
+    texels: np.ndarray
+    """Per request: conventional texel fetches before line coalescing."""
+    camera_angles: np.ndarray
+    line_offsets: np.ndarray
+    lines: np.ndarray
+    """Unique conventional-order cache lines, request after request."""
+    parent_offsets: np.ndarray
+    parent_lines: np.ndarray
+    parent_levels: np.ndarray
+    parent_x: np.ndarray
+    parent_y: np.ndarray
+    child_counts: np.ndarray
+    """Per parent: child texels the Texel Generator makes (its probes)."""
+    child_offsets: np.ndarray
+    child_lines: np.ndarray
+    """Each parent's unique child lines, parent after parent."""
+
+    def __len__(self) -> int:
+        return len(self.requests)
+
+    def __getitem__(self, index: int) -> ExpandedRequest:
+        index = range(len(self))[index]
+        start, end = self.line_offsets[index:index + 2].tolist()
+        first, last = self.parent_offsets[index:index + 2].tolist()
+        bounds = self.child_offsets[first:last + 1].tolist()
+        parents = tuple(
+            ParentTexel(
+                level=int(self.parent_levels[parent]),
+                x=int(self.parent_x[parent]),
+                y=int(self.parent_y[parent]),
+                line_address=int(self.parent_lines[parent]),
+                child_line_addresses=tuple(
+                    self.child_lines[bounds[k]:bounds[k + 1]].tolist()
+                ),
+                num_children=int(self.child_counts[parent]),
+            )
+            for k, parent in enumerate(range(first, last))
+        )
+        return ExpandedRequest(
+            request=self.requests[index],
+            conventional_lines=tuple(self.lines[start:end].tolist()),
+            num_conventional_texels=int(self.texels[index]),
+            parents=parents,
+            num_parent_texels=len(parents),
+        )
+
+    @classmethod
+    def from_requests(
+        cls, expansions: Sequence[ExpandedRequest]
+    ) -> "ExpandedFrame":
+        """The columnar form of a list of per-request expansions.
+
+        The one adaptor for callers that still hold lists;
+        :class:`~repro.gpu.pipeline.GpuPipeline` memoises it on the
+        list's identity.
+        """
+        parents = [parent for item in expansions for parent in item.parents]
+
+        def column(values: Iterable[float], dtype: type = np.int64) -> np.ndarray:
+            return np.array(list(values), dtype=dtype)
+
+        return cls(
+            requests=[item.request for item in expansions],
+            texels=column(item.num_conventional_texels for item in expansions),
+            camera_angles=column(
+                (item.request.camera_angle for item in expansions), np.float64
+            ),
+            line_offsets=_offsets(
+                column(len(item.conventional_lines) for item in expansions)
+            ),
+            lines=column(
+                line for item in expansions for line in item.conventional_lines
+            ),
+            parent_offsets=_offsets(
+                column(len(item.parents) for item in expansions)
+            ),
+            parent_lines=column(parent.line_address for parent in parents),
+            parent_levels=column(parent.level for parent in parents),
+            parent_x=column(parent.x for parent in parents),
+            parent_y=column(parent.y for parent in parents),
+            child_counts=column(parent.num_children for parent in parents),
+            child_offsets=_offsets(
+                column(len(parent.child_line_addresses) for parent in parents)
+            ),
+            child_lines=column(
+                line for parent in parents
+                for line in parent.child_line_addresses
+            ),
+        )
+
+
+class _Group(NamedTuple):
+    """One (texture, probe count) group's expansion, in group row order."""
+
+    texels: np.ndarray
+    line_counts: np.ndarray
+    lines: np.ndarray
+    parent_counts: np.ndarray
+    parent_lines: np.ndarray
+    parent_levels: np.ndarray
+    parent_x: np.ndarray
+    parent_y: np.ndarray
+    child_counts: np.ndarray
+    child_line_counts: np.ndarray
+    child_lines: np.ndarray
+
+
 class RequestExpander:
     """Expands requests for one scene's texture set."""
 
@@ -93,7 +272,12 @@ class RequestExpander:
         return self._chains[texture_id]
 
     def expand(self, request: TextureRequest) -> ExpandedRequest:
-        """Compute every address set for one request."""
+        """Compute every address set for one request.
+
+        The scalar reference of :meth:`expand_frame`; with
+        ``request.footprint.probes`` replaced by 1 it is also the
+        reference of that method's ``aniso_enabled=False`` form.
+        """
         chain = self._chain(request.texture_id)
         footprint = request.footprint
 
@@ -150,34 +334,144 @@ class RequestExpander:
             num_parent_texels=len(parent_records),
         )
 
-    def expand_isotropic(self, request: TextureRequest) -> ExpandedRequest:
-        """Expansion with anisotropic filtering disabled (Fig. 4 study).
+    def expand_frame(
+        self, requests: Sequence[TextureRequest], aniso_enabled: bool = True
+    ) -> ExpandedFrame:
+        """Expand a whole trace at once: :meth:`expand` of every request.
 
-        The conventional texel set collapses to the parent texels (the
-        trilinear taps); parents carry themselves as their only child.
+        Requests are grouped by (texture, probe count), so every group's
+        address sets are rectangular arrays, and each group is expanded
+        in one vectorised pass.  With ``aniso_enabled=False`` (Fig. 4's
+        trilinear-only study) every footprint takes one probe: the
+        conventional set collapses to the parent texels and each parent
+        is its own single child.
         """
-        chain = self._chain(request.texture_id)
-        footprint = request.footprint
-        parents = parent_texel_coords(chain, footprint.lod, request.u, request.v)
-        lines: Dict[int, None] = {}
-        parent_records: List[ParentTexel] = []
-        for level, x, y, _weight in parents:
-            line = self.address_map.texel_line(chain, level, x, y, self.line_bytes)
-            lines.setdefault(line, None)
-            parent_records.append(
-                ParentTexel(
-                    level=level,
-                    x=x,
-                    y=y,
-                    line_address=line,
-                    child_line_addresses=(line,),
-                    num_children=1,
+        count = len(requests)
+        if count == 0:
+            return ExpandedFrame.from_requests([])
+        batch = RequestBatch.from_requests(requests)
+        if not aniso_enabled:
+            batch.probes = np.ones(count, dtype=np.int64)
+        texture_ids = np.array(
+            [request.texture_id for request in requests], dtype=np.int64
+        )
+        members: List[np.ndarray] = []
+        groups: List[_Group] = []
+        for texture_id in np.unique(texture_ids).tolist():
+            in_texture = texture_ids == texture_id
+            chain = self._chain(texture_id)
+            for probes in np.unique(batch.probes[in_texture]).tolist():
+                rows = np.nonzero(in_texture & (batch.probes == probes))[0]
+                members.append(rows)
+                groups.append(self._expand_group(chain, batch, rows, probes))
+
+        # Groups are laid out one after another; gather each request's
+        # segments back into trace order.
+        position = np.empty(count, dtype=np.int64)
+        position[np.concatenate(members)] = np.arange(count, dtype=np.int64)
+
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([getattr(group, name) for group in groups])
+
+        line_take, line_offsets = _segment_take(joined("line_counts"), position)
+        parent_take, parent_offsets = _segment_take(
+            joined("parent_counts"), position
+        )
+        child_take, child_offsets = _segment_take(
+            joined("child_line_counts"), parent_take
+        )
+        return ExpandedFrame(
+            requests=requests,
+            texels=joined("texels")[position],
+            camera_angles=np.array(
+                [request.camera_angle for request in requests],
+                dtype=np.float64,
+            ),
+            line_offsets=line_offsets,
+            lines=joined("lines")[line_take],
+            parent_offsets=parent_offsets,
+            parent_lines=joined("parent_lines")[parent_take],
+            parent_levels=joined("parent_levels")[parent_take],
+            parent_x=joined("parent_x")[parent_take],
+            parent_y=joined("parent_y")[parent_take],
+            child_counts=joined("child_counts")[parent_take],
+            child_offsets=child_offsets,
+            child_lines=joined("child_lines")[child_take],
+        )
+
+    def _expand_group(
+        self,
+        chain: MipmapChain,
+        batch: RequestBatch,
+        rows: np.ndarray,
+        probes: int,
+    ) -> _Group:
+        """:meth:`expand` for requests sharing one texture and probe count.
+
+        Per mip level of the blend (slot 0 the low level, slot 1 the
+        high one), the texels form a ``(request, probe, tap)`` array:
+        read probe-major it is the conventional walk, read tap-major
+        each tap's row is one parent's children.  A single-level request
+        repeats its low level in slot 1; those repeats are all
+        duplicates, so first-touch dedup drops them from the
+        conventional set, and a mask drops their parents.
+        """
+        count = len(rows)
+        u, v = batch.u[rows], batch.v[rows]
+        low, high, _weight = level_blend_arrays(chain, batch.lod[rows])
+        dual = low != high
+        slots = [low, high] if bool(dual.any()) else [low]
+        texel_sets, parent_lines, tap_xs, tap_ys = [], [], [], []
+        for level in slots:
+            scale = np.ldexp(1.0, level)
+            tap_x = np.floor(u / scale - 0.5).astype(np.int64)[:, None] + _TAP_DX
+            tap_y = np.floor(v / scale - 0.5).astype(np.int64)[:, None] + _TAP_DY
+            offset_x = np.empty((count, probes), dtype=np.int64)
+            offset_y = np.empty((count, probes), dtype=np.int64)
+            for index in range(probes):
+                offset_x[:, index], offset_y[:, index] = probe_offset_arrays(
+                    level,
+                    batch.major_du[rows],
+                    batch.major_dv[rows],
+                    batch.major_length[rows],
+                    probes,
+                    index,
                 )
-            )
-        return ExpandedRequest(
-            request=request,
-            conventional_lines=tuple(lines),
-            num_conventional_texels=len(parents),
-            parents=tuple(parent_records),
-            num_parent_texels=len(parents),
+            texel_sets.append(self.address_map.texel_lines(
+                chain,
+                level[:, None, None],
+                tap_x[:, None, :] + offset_x[:, :, None],
+                tap_y[:, None, :] + offset_y[:, :, None],
+                self.line_bytes,
+            ))
+            parent_lines.append(self.address_map.texel_lines(
+                chain, level[:, None], tap_x, tap_y, self.line_bytes
+            ))
+            tap_xs.append(tap_x)
+            tap_ys.append(tap_y)
+
+        walk = np.concatenate(
+            [texels.reshape(count, -1) for texels in texel_sets], axis=1
+        )
+        kept = _first_touch(walk)
+        real = np.ones((count, 4 * len(slots)), dtype=bool)
+        real[:, 4:] = dual[:, None]
+        levels = np.repeat(np.stack(slots, axis=1), 4, axis=1)
+        children = np.stack(
+            [texels.transpose(0, 2, 1) for texels in texel_sets], axis=1
+        ).reshape(-1, probes)[real.ravel()]
+        unique_children = _first_touch(children)
+        parent_counts = real.sum(axis=1)
+        return _Group(
+            texels=probes * parent_counts,
+            line_counts=kept.sum(axis=1),
+            lines=walk[kept],
+            parent_counts=parent_counts,
+            parent_lines=np.concatenate(parent_lines, axis=1)[real],
+            parent_levels=levels[real],
+            parent_x=np.concatenate(tap_xs, axis=1)[real],
+            parent_y=np.concatenate(tap_ys, axis=1)[real],
+            child_counts=np.full(len(children), probes, dtype=np.int64),
+            child_line_counts=unique_children.sum(axis=1),
+            child_lines=children[unique_children],
         )

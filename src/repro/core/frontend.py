@@ -121,12 +121,7 @@ def simulate_frame(
         traffic = TrafficMeter()
         expander = RequestExpander(scene, address_map)
         with obs.span("core.expand"):
-            if config.aniso_enabled:
-                expanded = [expander.expand(request) for request in trace.requests]
-            else:
-                expanded = [
-                    expander.expand_isotropic(request) for request in trace.requests
-                ]
+            expanded = expander.expand_frame(trace.requests, config.aniso_enabled)
 
         path = make_texture_path(config, traffic)
         pipeline = GpuPipeline(config.gpu)
@@ -213,12 +208,7 @@ def simulate_sequence(
     for frame_index, trace in enumerate(traces):
         with obs.span("core.simulate_sequence_frame", frame=frame_index,
                       design=config.design.value):
-            if config.aniso_enabled:
-                expanded = [expander.expand(request) for request in trace.requests]
-            else:
-                expanded = [
-                    expander.expand_isotropic(request) for request in trace.requests
-                ]
+            expanded = expander.expand_frame(trace.requests, config.aniso_enabled)
             before = traffic.snapshot()
             frame = pipeline.simulate_frame(
                 trace=trace,

@@ -14,10 +14,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-import numpy as np
-
 from repro.core.designs import DesignConfig
-from repro.core.expansion import ExpandedRequest
+from repro.core.expansion import ExpandedFrame, ExpandedRequest
 from repro.gpu.texunit import TextureUnit, TextureUnitActivity
 from repro.memory.gddr5 import Gddr5Memory
 from repro.memory.hmc import HybridMemoryCube
@@ -290,24 +288,24 @@ class PathActivity:
 class ReplaySession:
     """Per-replay serving context for the batched scheduler.
 
-    Created by :meth:`TexturePath.begin_replay` with the full expansion
-    list of the frame.  The scheduler calls :meth:`serve_chunk` once per
-    ready timestamp (clusters ascending, the scalar heap's pop order)
-    and :meth:`finish` once at drain time, before any counters are read.
+    Created by :meth:`TexturePath.begin_replay` with the frame's
+    :class:`~repro.core.expansion.ExpandedFrame`.  The scheduler calls
+    :meth:`serve_chunk` once per ready timestamp (clusters ascending, the
+    scalar heap's pop order) and :meth:`finish` once at drain time,
+    before any counters are read.
 
-    The base implementation delegates each request to the path's scalar
-    :meth:`TexturePath.serve` -- the correctness fallback.  Paths with a
-    specialised session hoist per-replay constants and precompute
-    per-request columns here instead; overrides must keep the arithmetic
-    bit-identical to the scalar path (the replay parity tests compare
-    the two schedulers end to end).
+    The base implementation builds each request's
+    :class:`~repro.core.expansion.ExpandedRequest` and delegates to the
+    path's scalar :meth:`TexturePath.serve` -- the correctness fallback.
+    Every design's path overrides it with a session that reads the
+    frame's arrays by request index instead; overrides must keep the
+    arithmetic bit-identical to the scalar path (the replay parity tests
+    compare the two schedulers end to end).
     """
 
-    def __init__(
-        self, path: "TexturePath", expansions: Sequence[ExpandedRequest]
-    ) -> None:
+    def __init__(self, path: "TexturePath", frame: ExpandedFrame) -> None:
         self.path = path
-        self.expansions = expansions
+        self.frame = frame
 
     def serve_one(self, cluster: int, issue: float, index: int) -> float:
         """Serve the single request at ``index`` issuing at ``issue``.
@@ -318,7 +316,7 @@ class ReplaySession:
         multi-cluster rounds.  Both must produce the identical scalar
         service sequence.
         """
-        return self.path.serve(cluster, issue, self.expansions[index])
+        return self.path.serve(cluster, issue, self.frame[index])
 
     def serve_chunk(
         self, clusters: Sequence[int], issue: float, indices: Sequence[int]
@@ -345,43 +343,16 @@ class TexturePath(abc.ABC):
     def serve(self, cluster: int, issue: float, expanded: ExpandedRequest) -> float:
         """Serve one request; return the completion cycle at the shader."""
 
-    def serve_batch(
-        self,
-        clusters: Sequence[int],
-        issue: float,
-        expansions: Sequence[ExpandedRequest],
-    ) -> np.ndarray:
-        """Serve several requests that all issue at the same cycle.
-
-        ``clusters`` must be sorted ascending -- the batched replay
-        scheduler drains clusters ready at one timestamp in ascending
-        order, which is exactly the order the scalar heap loop pops
-        equal-time entries, so shared resources (L2 port, links, memory
-        channels) observe arrivals in the identical sequence either way.
-        Returns completion cycles in the same order.
-
-        The default walks :meth:`serve` per request: the correctness
-        fallback for paths without a specialised batch implementation.
-        Overrides must keep the per-request arithmetic bit-identical to
-        :meth:`serve` -- the replay parity tests compare the two.
-        """
-        completions = np.empty(len(expansions), dtype=np.float64)
-        for index, (cluster, expanded) in enumerate(zip(clusters, expansions)):
-            completions[index] = self.serve(cluster, issue, expanded)
-        return completions
-
-    def begin_replay(
-        self, expansions: Sequence[ExpandedRequest]
-    ) -> ReplaySession:
-        """Open a serving session for one replay of ``expansions``.
+    def begin_replay(self, frame: ExpandedFrame) -> ReplaySession:
+        """Open a serving session for one replay of ``frame``.
 
         The batched scheduler serves every request of a replay through
         one session, letting path implementations precompute per-request
         columns (texel counts, stage occupancies, cache set/tag address
-        math) as whole-trace numpy expressions and keep hot counters in
-        locals until :meth:`ReplaySession.finish`.
+        math) from the frame's arrays and keep hot counters in locals
+        until :meth:`ReplaySession.finish`.
         """
-        return ReplaySession(self, expansions)
+        return ReplaySession(self, frame)
 
     @abc.abstractmethod
     def activity(self) -> PathActivity:

@@ -15,13 +15,14 @@ packages.  Backpressure from the bounded texture request queue (capacity
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpandedRequest
+from repro.core.expansion import ExpandedFrame, ExpandedRequest
 from repro.core.paths import (
     PathActivity,
     ReadMergeWindow,
+    ReplaySession,
     TexturePath,
     _line_payload_bytes,
     make_hmc,
@@ -73,6 +74,18 @@ class StfimPath(TexturePath):
         return cluster // self.config.mtu_share
 
     def serve(self, cluster: int, issue: float, expanded: ExpandedRequest) -> float:
+        return self._serve_lines(
+            cluster, issue, expanded.num_conventional_texels,
+            expanded.conventional_lines,
+        )
+
+    def begin_replay(self, frame: ExpandedFrame) -> ReplaySession:
+        return _StfimReplaySession(self, frame)
+
+    def _serve_lines(
+        self, cluster: int, issue: float, num_texels: int, lines: Sequence[int]
+    ) -> float:
+        """Serve one request: its texel count and unique texel lines."""
         packets = self.config.packets
         index = self._mtu_index(cluster)
         mtu = self.mtus[index]
@@ -82,17 +95,16 @@ class StfimPath(TexturePath):
         # gated by the MTU's bounded request queue (stall protocol).
         admitted = self.queues[index].enqueue(issue)
         request_bytes = packets.texture_request_bytes
-        home = expanded.conventional_lines[0] if expanded.conventional_lines else 0
+        home = lines[0] if lines else 0
         self.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
         delivered = self.hmc.send_request(admitted, home, request_bytes)
 
         # MTU pipeline: address generation, vault fetches, filtering.
-        num_texels = expanded.num_conventional_texels
         address_done = mtu.generate_addresses(delivered, num_texels)
         data_ready = address_done
         line_bytes = _line_payload_bytes(packets, self.config.texture_compression)
         window = self.merge_windows[index]
-        for line in expanded.conventional_lines:
+        for line in lines:
             merged_ready = window.lookup(line)
             if merged_ready is not None:
                 ready = max(address_done, merged_ready)
@@ -137,3 +149,24 @@ class StfimPath(TexturePath):
         for window in self.merge_windows:
             window.reset()
         self.hmc.reset()
+
+
+class _StfimReplaySession(ReplaySession):
+    """Replay session for S-TFIM: each request's texel count and line
+    slice, read from the frame, go straight to
+    :meth:`StfimPath._serve_lines`."""
+
+    def __init__(self, path: StfimPath, frame: ExpandedFrame) -> None:
+        super().__init__(path, frame)
+        texels = frame.texels.tolist()
+        offsets = frame.line_offsets.tolist()
+        lines = frame.lines.tolist()
+        serve_lines = path._serve_lines
+
+        def serve_one(cluster: int, issue: float, index: int) -> float:
+            return serve_lines(
+                cluster, issue, texels[index],
+                lines[offsets[index]:offsets[index + 1]],
+            )
+
+        self.serve_one = serve_one

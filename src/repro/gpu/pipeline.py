@@ -21,11 +21,11 @@ result -- falls out of the same replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.expansion import ExpandedRequest, RequestExpander
+from repro.core.expansion import ExpandedFrame, ExpandedRequest
 from repro.core.paths import CacheHierarchyStats, PathActivity, TexturePath
 from repro.gpu.config import GPUConfig
 from repro.gpu.geometry import GeometryResult, simulate_geometry
@@ -135,11 +135,18 @@ class FrameResult:
         return "\n".join(lines)
 
 
+Expansion = Union[ExpandedFrame, Sequence[ExpandedRequest]]
+"""A frame's expansion: the columnar frame, or a list of per-request
+expansions, which :meth:`GpuPipeline._frame_for` adapts."""
+
+
 class GpuPipeline:
     """Simulates whole frames given a texture path.
 
     ``batched_replay`` (the default) drains all heap events ready at one
-    timestamp as a numpy chunk through ``path.serve_batch``; the scalar
+    timestamp as a chunk through the replay session that
+    ``path.begin_replay`` opens (``ReplaySession.serve_chunk``, or
+    ``serve_one`` for the usual single-request round); the scalar
     one-event-at-a-time heap loop is retained as the oracle the batched
     scheduler is parity-tested against (``tests/gpu/test_replay_batch``).
     """
@@ -148,6 +155,24 @@ class GpuPipeline:
         self.config = config
         self.batched_replay = batched_replay
         self._partition_cache = None
+        self._frame_cache = None
+
+    def _frame_for(self, expanded: Expansion) -> ExpandedFrame:
+        """The columnar frame of ``expanded``.
+
+        A list is adapted by :meth:`ExpandedFrame.from_requests`,
+        memoised on the list's identity: a caller that replays one list
+        for the warm-up and the measured pass converts it once.  Holding
+        the list in the cache keeps the ``is`` test sound.
+        """
+        if isinstance(expanded, ExpandedFrame):
+            return expanded
+        cached = self._frame_cache
+        if cached is not None and cached[0] is expanded:
+            return cached[1]
+        frame = ExpandedFrame.from_requests(expanded)
+        self._frame_cache = (expanded, frame)
+        return frame
 
     def assign_clusters(self, trace: FragmentTrace) -> np.ndarray:
         """Bind each request to a shader cluster by tile, round-robin.
@@ -177,7 +202,7 @@ class GpuPipeline:
         """Split the request stream per cluster, preserving order.
 
         Returns per-cluster lists of request *indices* (into the trace
-        and its expansion list) plus per-cluster fragment counts.
+        and its expansion) plus per-cluster fragment counts.
 
         Memoised on the trace's identity: the warm-up and measured
         replays of one frame partition the same trace object, and the
@@ -203,7 +228,7 @@ class GpuPipeline:
     def replay_texture_stream(
         self,
         trace: FragmentTrace,
-        expanded: Sequence[ExpandedRequest],
+        expanded: Expansion,
         path: TexturePath,
         batched: Optional[bool] = None,
     ) -> tuple[float, LatencyHistogram, List[int]]:
@@ -217,16 +242,17 @@ class GpuPipeline:
         ``batched=None`` defers to the pipeline's ``batched_replay``
         default; the batched and scalar schedulers are bit-identical.
         """
+        frame = self._frame_for(expanded)
         if batched is None:
             batched = self.batched_replay
         if batched:
-            return self._replay_batched(trace, expanded, path)
-        return self._replay_scalar(trace, expanded, path)
+            return self._replay_batched(trace, frame, path)
+        return self._replay_scalar(trace, frame, path)
 
     def _replay_scalar(
         self,
         trace: FragmentTrace,
-        expanded: Sequence[ExpandedRequest],
+        frame: ExpandedFrame,
         path: TexturePath,
     ) -> tuple[float, LatencyHistogram, List[int]]:
         """One-event-at-a-time heap replay: the scheduling oracle."""
@@ -264,7 +290,7 @@ class GpuPipeline:
                 # Window state changed since this entry was pushed.
                 heapq.heappush(heap, (current, cluster))
                 continue
-            expansion = expanded[per_cluster[cluster][cursor[cluster]]]
+            expansion = frame[per_cluster[cluster][cursor[cluster]]]
             cursor[cluster] += 1
             completion = path.serve(cluster, issue, expansion)
             if completion < issue:
@@ -285,7 +311,7 @@ class GpuPipeline:
     def _replay_batched(
         self,
         trace: FragmentTrace,
-        expanded: Sequence[ExpandedRequest],
+        frame: ExpandedFrame,
         path: TexturePath,
     ) -> tuple[float, LatencyHistogram, List[int]]:
         """Per-timestamp chunked replay, bit-identical to the oracle.
@@ -302,8 +328,8 @@ class GpuPipeline:
 
         The vectorization lives where the data is wide, not in the
         (inherently sequential, 16-entry) scheduler state: per-request
-        columns are precomputed by :meth:`TexturePath.begin_replay` as
-        whole-trace numpy expressions, and the latency histogram and
+        columns come from the frame's arrays through
+        :meth:`TexturePath.begin_replay`, and the latency histogram and
         makespan are reduced at drain time from the event-ordered
         completion log -- ``observe_batch``'s cumsum-based fold is
         bit-identical to per-event ``observe``, and float max is
@@ -323,7 +349,7 @@ class GpuPipeline:
         if remaining == 0:
             return 0.0, histogram, fragments_per_cluster
 
-        session = path.begin_replay(expanded)
+        session = path.begin_replay(frame)
         serve_one = session.serve_one
         serve_chunk = session.serve_chunk
         infinity = float("inf")
@@ -416,7 +442,7 @@ class GpuPipeline:
     def simulate_frame(
         self,
         trace: FragmentTrace,
-        expanded: Sequence[ExpandedRequest],
+        expanded: Expansion,
         path: TexturePath,
         traffic: TrafficMeter,
         num_vertices: int,
@@ -424,7 +450,8 @@ class GpuPipeline:
     ) -> FrameResult:
         """Run the full pipeline model for one frame."""
         if len(expanded) != len(trace.requests):
-            raise ValueError("expansion list does not match the trace")
+            raise ValueError("expansion does not match the trace")
+        frame = self._frame_for(expanded)
         config = self.config
 
         geometry = simulate_geometry(config, num_vertices, traffic)
@@ -432,7 +459,7 @@ class GpuPipeline:
         raster_cycles = len(trace.requests) / config.fragments_per_cycle_raster
 
         texture_cycles, histogram, fragments_per_cluster = (
-            self.replay_texture_stream(trace, expanded, path)
+            self.replay_texture_stream(trace, frame, path)
         )
 
         shader = simulate_fragment_shading(config, fragments_per_cluster)
@@ -457,7 +484,7 @@ class GpuPipeline:
             rop=rop.cycles,
             fragment_stage=fragment_stage,
         )
-        texels = sum(expansion.num_conventional_texels for expansion in expanded)
+        texels = int(frame.texels.sum())
         return FrameResult(
             stages=stages,
             traffic=traffic,

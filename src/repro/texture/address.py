@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
+import numpy as np
+
 from repro.texture.mipmap import MipmapChain
 from repro.units import Bytes
 
@@ -95,3 +97,41 @@ class TexelAddressMap:
     ) -> int:
         """Cache line holding texel (x, y) of ``level``."""
         return self.line_address(self.texel_address(chain, level, x, y), line_bytes)
+
+    def texel_lines(
+        self,
+        chain: MipmapChain,
+        levels: np.ndarray,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        line_bytes: Bytes = 64,
+    ) -> np.ndarray:
+        """:meth:`texel_line` over int64 arrays that broadcast together.
+
+        Integer arithmetic only, so every element equals the scalar
+        method's result: numpy's ``%`` and ``//`` by a positive divisor
+        floor exactly as Python's do, including for negative coordinates.
+        """
+        if line_bytes <= 0:
+            raise ValueError("line size must be positive")
+        mips = chain.levels
+        clamped = np.clip(levels, 0, chain.max_level)
+        width = np.array([mip.width for mip in mips], dtype=np.int64)[clamped]
+        height = np.array([mip.height for mip in mips], dtype=np.int64)[clamped]
+        byte_offset = np.array(
+            [mip.byte_offset for mip in mips], dtype=np.int64
+        )[clamped]
+        x = xs % width
+        y = ys % height
+        linear = y * width + x
+        if self.layout is TextureLayout.TILED:
+            tile = self.tile_size
+            tiled = (
+                ((y // tile) * (width // tile) + x // tile) * (tile * tile)
+                + (y % tile) * tile
+                + x % tile
+            )
+            linear = np.where(width < tile, linear, tiled)
+        base = self.texture_region(chain.texture.texture_id)
+        address = base + byte_offset + linear * self.bytes_per_texel
+        return (address // line_bytes) * line_bytes

@@ -1,14 +1,30 @@
-"""Tests for request expansion -- and its agreement with the functional
-sampler, which ties the cycle model's texel counts to the renderer's."""
+"""Tests for request expansion -- its agreement with the functional
+sampler, which ties the cycle model's texel counts to the renderer's, and
+the columnar ``expand_frame`` against the scalar ``expand`` it replaces on
+the simulate path."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.expansion import RequestExpander
+from repro.core import Design, simulate_frame, simulate_sequence
+from repro.core.designs import DesignConfig
+from repro.core.expansion import (
+    ExpandedFrame,
+    ExpandedRequest,
+    ParentTexel,
+    RequestExpander,
+)
+from repro.experiments.runner import FAST_WORKLOADS
 from repro.render.scene import Scene
-from repro.texture.lod import compute_footprint
+from repro.texture.address import TexelAddressMap, TextureLayout
+from repro.texture.lod import SampleFootprint, compute_footprint
 from repro.texture.requests import TextureRequest
 from repro.texture.sampling import TextureSampler
+from repro.texture.texture import Texture
+from repro.workloads import workload_by_name
 from repro.workloads.textures import ProceduralTextureLibrary
 
 
@@ -27,6 +43,19 @@ def make_request(u=20.0, v=20.0, probes=4, lod=1.5):
         pixel_x=0, pixel_y=0, texture_id=0, u=u, v=v,
         footprint=footprint, camera_angle=0.4,
     )
+
+
+def single_probe(request):
+    """``request`` with anisotropic filtering disabled: one probe."""
+    footprint = dataclasses.replace(request.footprint, probes=1)
+    return dataclasses.replace(request, footprint=footprint)
+
+
+def isotropic(expander, request):
+    """The scalar reference of ``expand_frame(aniso_enabled=False)``:
+    ``expand`` at one probe, reported against the original request."""
+    expanded = expander.expand(single_probe(request))
+    return dataclasses.replace(expanded, request=request)
 
 
 class TestExpansion:
@@ -87,7 +116,7 @@ class TestExpansion:
     def test_isotropic_expansion_collapses(self, scene):
         expander = RequestExpander(scene)
         request = make_request(probes=8, lod=1.5)
-        expanded = expander.expand_isotropic(request)
+        expanded = expander.expand_frame([request], aniso_enabled=False)[0]
         # Anisotropy disabled: only the 8 trilinear taps remain.
         assert expanded.num_conventional_texels == 8
         for parent in expanded.parents:
@@ -97,5 +126,142 @@ class TestExpansion:
         expander = RequestExpander(scene)
         request = make_request(probes=8)
         full = expander.expand(request)
-        isotropic = expander.expand_isotropic(request)
-        assert isotropic.num_conventional_texels < full.num_conventional_texels
+        flat = expander.expand_frame([request], aniso_enabled=False)[0]
+        assert flat.num_conventional_texels < full.num_conventional_texels
+
+
+@pytest.fixture(scope="module", params=[
+    (name, seed) for name in FAST_WORKLOADS for seed in (0, 1)
+], ids=lambda param: f"{param[0]}-seed{param[1]}")
+def fast_trace(request):
+    name, seed = request.param
+    workload = workload_by_name(name)
+    workload = dataclasses.replace(workload, seed=workload.seed + seed)
+    return workload.trace()
+
+
+class TestExpandFrame:
+    """``expand_frame`` is ``expand``, request for request, exactly."""
+
+    def test_matches_scalar_expand_on_fast_traces(self, fast_trace):
+        scene, trace = fast_trace
+        expander = RequestExpander(scene)
+        frame = expander.expand_frame(trace.requests)
+        assert len(frame) == len(trace.requests)
+        for index, request in enumerate(trace.requests):
+            assert frame[index] == expander.expand(request)
+
+    def test_isotropic_is_expand_at_one_probe(self):
+        scene, trace = workload_by_name(FAST_WORKLOADS[0]).trace()
+        expander = RequestExpander(scene)
+        frame = expander.expand_frame(trace.requests, aniso_enabled=False)
+        for index, request in enumerate(trace.requests):
+            assert frame[index] == isotropic(expander, request)
+
+    def test_from_requests_round_trips(self, scene):
+        expander = RequestExpander(scene)
+        expanded = [
+            expander.expand(make_request(u=u, probes=probes, lod=lod))
+            for u, probes, lod in [(3.0, 1, 0.0), (-7.5, 4, 1.5), (90.0, 8, 2.3)]
+        ]
+        frame = ExpandedFrame.from_requests(expanded)
+        assert [frame[index] for index in range(len(frame))] == expanded
+        assert frame[-1] == expanded[-1]
+
+    def test_empty_trace(self, scene):
+        frame = RequestExpander(scene).expand_frame([])
+        assert len(frame) == 0
+        assert frame.line_offsets.tolist() == [0]
+        assert frame.parent_offsets.tolist() == [0]
+        assert frame.child_offsets.tolist() == [0]
+
+
+def _scene_for_properties():
+    """A 64-texel chain (whose top levels are narrower than a 4-texel
+    tile) plus a 2x64 strip, narrower than a tile at every level."""
+    scene = Scene()
+    library = ProceduralTextureLibrary()
+    scene.add_texture(library.create("checker", 64, seed=1))
+    scene.add_texture(Texture(texture_id=1, data=np.full((64, 2, 4), 0.5)))
+    return scene
+
+
+PROPERTY_SCENE = _scene_for_properties()
+MAX_LEVEL = PROPERTY_SCENE.mipmap_chain(0).max_level
+
+coordinates = st.one_of(
+    st.floats(-200.0, 200.0),
+    st.floats(-1e7, 1e7),
+)
+lods = st.one_of(
+    st.floats(-3.0, MAX_LEVEL + 3.0),
+    st.sampled_from([-1.0, 0.0, 1.0, 2.0, float(MAX_LEVEL), MAX_LEVEL + 2.0]),
+)
+
+
+@st.composite
+def texture_requests(draw):
+    footprint = SampleFootprint(
+        lod=draw(lods),
+        anisotropy=1.0,
+        probes=draw(st.integers(1, 16)),
+        major_du=draw(st.floats(-1.0, 1.0)),
+        major_dv=draw(st.floats(-1.0, 1.0)),
+        major_length=draw(st.floats(0.0, 100.0)),
+    )
+    return TextureRequest(
+        pixel_x=0, pixel_y=0, texture_id=draw(st.sampled_from([0, 1])),
+        u=draw(coordinates), v=draw(coordinates),
+        footprint=footprint, camera_angle=draw(st.floats(0.0, 1.5)),
+    )
+
+
+class TestExpandFrameProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        requests=st.lists(texture_requests(), min_size=1, max_size=12),
+        layout=st.sampled_from(list(TextureLayout)),
+        line_bytes=st.sampled_from([64, 128]),
+    )
+    def test_matches_scalar_expand(self, requests, layout, line_bytes):
+        expander = RequestExpander(
+            PROPERTY_SCENE, TexelAddressMap(layout=layout), line_bytes=line_bytes
+        )
+        frame = expander.expand_frame(requests)
+        flat = expander.expand_frame(requests, aniso_enabled=False)
+        for index, request in enumerate(requests):
+            assert frame[index] == expander.expand(request)
+            assert flat[index] == isotropic(expander, request)
+
+
+class TestSimulatePathBuildsNoObjects:
+    """Every design replays the frame's arrays: no per-request
+    ``ExpandedRequest`` or ``ParentTexel`` is built on the simulate path."""
+
+    @pytest.fixture
+    def forbid_objects(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        monkeypatch.setattr(ExpandedRequest, "__init__", refuse)
+        monkeypatch.setattr(ParentTexel, "__init__", refuse)
+
+    @pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
+    def test_simulate_frame(self, tiny_trace, forbid_objects, design):
+        scene, trace = tiny_trace
+        run = simulate_frame(scene, trace, DesignConfig(design=design))
+        assert run.frame.num_requests == len(trace.requests)
+
+    @pytest.mark.parametrize("design", [Design.BASELINE, Design.A_TFIM],
+                             ids=lambda d: d.value)
+    def test_simulate_sequence(self, tiny_trace, forbid_objects, design):
+        scene, trace = tiny_trace
+        result = simulate_sequence(
+            scene, [trace, trace], DesignConfig(design=design)
+        )
+        assert result.num_frames == 2
+
+    def test_the_patch_bites(self, scene, forbid_objects):
+        with pytest.raises(AssertionError, match="built a"):
+            RequestExpander(scene).expand(make_request())
+

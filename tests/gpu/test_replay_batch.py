@@ -6,8 +6,13 @@ one-event-at-a-time heap loop (``_replay_scalar``) is the oracle.  The
 contract is exact equality -- not approximate -- across every observable
 the replay produces: makespan, the latency histogram (total, count, max,
 buckets), per-cluster fragment counts, external memory traffic, unit
-activity counters, and L1/L2 cache statistics.
+activity counters, and L1/L2 cache statistics.  The batched replay reads
+the columnar ``ExpandedFrame``; the oracle can also be handed the list of
+per-request ``RequestExpander.expand`` results, so the two expansions are
+held to the same replay too.
 """
+
+import dataclasses
 
 import pytest
 
@@ -43,9 +48,18 @@ def frame():
     expander = RequestExpander(scene)
     return {
         "trace": trace,
-        "aniso": [expander.expand(r) for r in trace.requests],
-        "iso": [expander.expand_isotropic(r) for r in trace.requests],
+        "expander": expander,
+        "aniso": expander.expand_frame(trace.requests),
+        "iso": expander.expand_frame(trace.requests, aniso_enabled=False),
+        "aniso_list": [expander.expand(r) for r in trace.requests],
+        "iso_list": [expander.expand(single_probe(r)) for r in trace.requests],
     }
+
+
+def single_probe(request):
+    """``request`` with anisotropic filtering disabled: one probe."""
+    footprint = dataclasses.replace(request.footprint, probes=1)
+    return dataclasses.replace(request, footprint=footprint)
 
 
 def observe(path, traffic, makespan, histogram, per_cluster):
@@ -98,6 +112,19 @@ class TestBitIdentity:
         batched = replay(design, depth, frame["trace"], expanded, True)
         assert batched == scalar
 
+    @pytest.mark.parametrize("design", ALL_DESIGNS, ids=lambda d: d.value)
+    @pytest.mark.parametrize("filtering", ("aniso", "iso"))
+    def test_frame_replay_matches_scalar_over_list(
+        self, frame, design, filtering
+    ):
+        """The columnar frame, replayed batched, against the scalar
+        scheduler over the per-request scalar expansions."""
+        scalar = replay(
+            design, 4, frame["trace"], frame[f"{filtering}_list"], False
+        )
+        batched = replay(design, 4, frame["trace"], frame[filtering], True)
+        assert batched == scalar
+
     def test_batched_is_the_default(self, frame):
         expanded = pick_expansions(Design.BASELINE, frame)
         gpu = small_gpu(4)
@@ -139,7 +166,7 @@ class TestDegenerateStreams:
             width=trace.width, height=trace.height,
             requests=trace.requests[:count], tile_size=trace.tile_size,
         )
-        expanded = frame["aniso"][:count]
+        expanded = frame["expander"].expand_frame(prefix.requests)
         scalar = replay(Design.BASELINE, 1, prefix, expanded, False)
         batched = replay(Design.BASELINE, 1, prefix, expanded, True)
         assert batched == scalar
