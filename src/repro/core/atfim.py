@@ -24,14 +24,17 @@ Unit are 16-wide ALU arrays.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import List, NamedTuple, Sequence
+from typing import List, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from repro.core.designs import Design, DesignConfig
 from repro.core.expansion import ExpandedFrame, ExpandedRequest
 from repro.core.paths import (
     CacheHierarchy,
     CacheHierarchyStats,
-    HmcExternalInterface,
+    GpuReplayColumns,
+    GpuReplayState,
     PathActivity,
     ReadMergeWindow,
     ReplaySession,
@@ -43,7 +46,8 @@ from repro.gpu.config import ATFIM_MEMORY_UNIT
 from repro.gpu.texunit import TextureUnit
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.sim.resources import RequestQueue
-from repro.texture.cache import CacheAccessResult
+from repro.texture.cache import CacheAccessResult, _Line
+from repro.texture.lod import quantize_angles
 
 PARENT_TEXEL_BUFFER_DEPTH = 256
 """Entries in the Parent Texel Buffer, equal to the memory request queue
@@ -293,32 +297,205 @@ class _ParentColumns(NamedTuple):
             ],
         )
 
-    @classmethod
-    def of_frame(cls, frame: ExpandedFrame) -> "_ParentColumns":
-        return cls(
-            lines=frame.parent_lines.tolist(),
-            child_counts=frame.child_counts.tolist(),
-            child_offsets=frame.child_offsets.tolist(),
-            child_lines=frame.child_lines.tolist(),
+
+class _AtfimColumns:
+    """Per-trace columns of the A-TFIM replay session.
+
+    ``gpu`` holds the texture-unit and cache columns over the parents
+    (each parent is one address op and one filter op on the GPU, and one
+    probe of ``parent_lines``); ``angled[p]`` is parent ``p``'s
+    ``child_counts > 1`` flag (only anisotropic parents carry an angle
+    tag); ``l1_angle[i]`` and ``l2_angle[i]`` are request ``i``'s camera
+    angle quantised to each cache's ``angle_bits``, as
+    ``TextureCache.lookup`` stores it.
+    """
+
+    __slots__ = ("gpu", "angled", "l1_angle", "l2_angle")
+
+    def __init__(self, config: DesignConfig, frame: ExpandedFrame) -> None:
+        offsets = frame.parent_offsets
+        self.gpu = GpuReplayColumns(
+            config.gpu, np.diff(offsets), offsets, frame.parent_lines
         )
+        self.angled = (frame.child_counts > 1).tolist()
+        angles = frame.camera_angles
+        self.l1_angle = quantize_angles(
+            angles, config.gpu.l1_cache.angle_bits
+        ).tolist()
+        self.l2_angle = quantize_angles(
+            angles, config.gpu.l2_cache.angle_bits
+        ).tolist()
 
 
 class _AtfimReplaySession(ReplaySession):
-    """Replay session for A-TFIM: each request's camera angle and parent
-    rows, read from the frame, go straight to
-    :meth:`AtfimPath._serve_parents`."""
+    """Replay session for A-TFIM.
+
+    Built as a closure over per-trace columns and local state, as
+    :class:`~repro.core.baseline._GpuReplaySession` is.  The session
+    inlines :meth:`AtfimPath._serve_parents` operation for operation:
+    the texture unit's address and filter stages over the request's
+    parents, and the angle-tagged L1 -> L2 classification
+    (:meth:`CacheHierarchy.probe` over ``TextureCache.lookup``) reading
+    each parent's set, tag and angle flag and the request's quantised
+    angle from :class:`_AtfimColumns`, which the warm-up replay hands to
+    the measured one (:meth:`TexturePath._columns_for`).  Every
+    counter -- L1/L2 hits, misses and angle misses, parent reuses,
+    recalculations and cold misses, unit activity -- is folded locally
+    and flushed back by ``finish``.
+
+    ``_offload`` stays one live call per request with missing parents:
+    the HMC links and vaults, the Parent Texel Buffer, the logic-layer
+    units and the child merge window keep their own state.  As in the
+    scalar path, the cache side charges no time: a parent that misses
+    L1 and hits L2 is a reuse and pays no L2-port occupancy or latency,
+    unlike :meth:`CacheHierarchy.lookup`.
+    """
 
     def __init__(self, path: AtfimPath, frame: ExpandedFrame) -> None:
         super().__init__(path, frame)
-        columns = _ParentColumns.of_frame(frame)
-        angles = frame.camera_angles.tolist()
-        offsets = frame.parent_offsets.tolist()
-        serve_parents = path._serve_parents
+        columns = path._columns_for(
+            frame, lambda: _AtfimColumns(path.config, frame)
+        )
+        gpu = columns.gpu
+        texels = gpu.texels
+        addr_occ = gpu.addr_occ
+        filt_occ = gpu.filt_occ
+        pipe_depth = gpu.pipe_depth
+        offsets = gpu.offsets
+        l1_set_col, l1_tag_col = gpu.l1_set, gpu.l1_tag
+        l2_set_col, l2_tag_col = gpu.l2_set, gpu.l2_tag
+        l1_assoc, l2_assoc = gpu.l1_assoc, gpu.l2_assoc
+        # Only offloaded parents' rows are read, so ``_offload`` gets
+        # views of the frame's arrays (items read as python ints).
+        parents = _ParentColumns(
+            lines=gpu.lines,
+            child_counts=memoryview(frame.child_counts),
+            child_offsets=memoryview(frame.child_offsets),
+            child_lines=memoryview(frame.child_lines),
+        )
+        angled = columns.angled
+        l1_angle, l2_angle = columns.l1_angle, columns.l2_angle
+        threshold = path.config.effective_angle_threshold
+        offload = path._offload
+
+        state = GpuReplayState(path.units, path.caches)
+        addr_next, addr_busy = state.addr_next, state.addr_busy
+        filt_next, filt_busy = state.filt_next, state.filt_busy
+        requests_delta, ops_delta = state.requests, state.ops
+        l1_hits, l1_misses = state.l1_hits, state.l1_misses
+        l1_angle_misses = state.l1_angle_misses
+        l1_by_cluster = state.l1_sets
+        l2_table = state.l2_sets
+        l2 = path.caches.l2
+        l2_hits, l2_misses, l2_angle_misses = l2.hits, l2.misses, l2.angle_misses
+        reuses = path.parent_reuses
+        recalculations = path.parent_recalculations
+        cold_misses = path.parent_cold_misses
+        make_line = _Line
+        hit, angle_miss, miss = (
+            CacheAccessResult.HIT, CacheAccessResult.ANGLE_MISS,
+            CacheAccessResult.MISS,
+        )
+
+        def probe_l2(k: int, angle: Optional[float]) -> CacheAccessResult:
+            """``TextureCache.lookup`` on the L2 for parent row ``k``;
+            ``angle`` is None for an untagged (isotropic) parent."""
+            nonlocal l2_hits, l2_misses, l2_angle_misses
+            cache_set = l2_table[l2_set_col[k]]
+            tag = l2_tag_col[k]
+            line = cache_set.get(tag)
+            if line is not None:
+                cache_set.move_to_end(tag)
+                if angle is not None and (
+                    line.angle is None or abs(line.angle - angle) > threshold
+                ):
+                    line.angle = angle
+                    l2_angle_misses += 1
+                    return angle_miss
+                l2_hits += 1
+                return hit
+            if len(cache_set) >= l2_assoc:
+                cache_set.popitem(last=False)
+            cache_set[tag] = make_line(tag, angle)
+            l2_misses += 1
+            return miss
 
         def serve_one(cluster: int, issue: float, index: int) -> float:
-            return serve_parents(
-                cluster, issue, angles[index],
-                range(offsets[index], offsets[index + 1]), columns,
+            nonlocal reuses, recalculations, cold_misses
+            requests_delta[cluster] += 1
+            num_parents = texels[index]
+            if not num_parents:
+                return issue
+            ops_delta[cluster] += num_parents
+            previous = addr_next[cluster]
+            start = issue if issue > previous else previous
+            occupancy = addr_occ[num_parents]
+            done = start + occupancy
+            addr_next[cluster] = done
+            addr_busy[cluster] += occupancy
+            address_done = done + pipe_depth
+
+            l1_sets = l1_by_cluster[cluster]
+            l1_stored = l1_angle[index]
+            missing: List[int] = []
+            for k in range(offsets[index], offsets[index + 1]):
+                cache_set = l1_sets[l1_set_col[k]]
+                tag = l1_tag_col[k]
+                line = cache_set.get(tag)
+                tagged = angled[k]
+                if line is not None:
+                    cache_set.move_to_end(tag)
+                    if tagged and (line.angle is None
+                                   or abs(line.angle - l1_stored) > threshold):
+                        # A stale-angle line is recalculated whatever the
+                        # L2 holds; the L2 copy's angle tag refreshes.
+                        line.angle = l1_stored
+                        l1_angle_misses[cluster] += 1
+                        probe_l2(k, l2_angle[index])
+                        recalculations += 1
+                        missing.append(k)
+                    else:
+                        l1_hits[cluster] += 1
+                        reuses += 1
+                    continue
+                if len(cache_set) >= l1_assoc:
+                    cache_set.popitem(last=False)
+                l1_misses[cluster] += 1
+                if tagged:
+                    cache_set[tag] = make_line(tag, l1_stored)
+                    result = probe_l2(k, l2_angle[index])
+                else:
+                    cache_set[tag] = make_line(tag)
+                    result = probe_l2(k, None)
+                if result is hit:
+                    reuses += 1
+                elif result is angle_miss:
+                    recalculations += 1
+                    missing.append(k)
+                else:
+                    cold_misses += 1
+                    missing.append(k)
+
+            ready = (
+                offload(address_done, missing, parents)
+                if missing else address_done
             )
+            previous = filt_next[cluster]
+            start = ready if ready > previous else previous
+            occupancy = filt_occ[num_parents]
+            done = start + occupancy
+            filt_next[cluster] = done
+            filt_busy[cluster] += occupancy
+            return done + pipe_depth
+
+        def finish() -> None:
+            state.flush()
+            l2.hits, l2.misses, l2.angle_misses = (
+                l2_hits, l2_misses, l2_angle_misses
+            )
+            path.parent_reuses = reuses
+            path.parent_recalculations = recalculations
+            path.parent_cold_misses = cold_misses
 
         self.serve_one = serve_one
+        self.finish = finish

@@ -7,10 +7,7 @@ external links for B-PIM -- section III's drop-in replacement).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import List, Sequence
-
-import numpy as np
 
 from repro.core.designs import Design, DesignConfig
 from repro.core.expansion import ExpandedFrame, ExpandedRequest
@@ -18,6 +15,8 @@ from repro.core.paths import (
     CacheHierarchy,
     CacheHierarchyStats,
     Gddr5Interface,
+    GpuReplayColumns,
+    GpuReplayState,
     HmcExternalInterface,
     MemoryInterface,
     PathActivity,
@@ -28,7 +27,7 @@ from repro.core.paths import (
 from repro.gpu.texunit import TextureUnit
 from repro.memory.gddr5 import Gddr5Memory
 from repro.memory.traffic import TrafficMeter
-from repro.texture.cache import TextureCache, _Line
+from repro.texture.cache import _Line
 
 
 class GpuFilteringPath(TexturePath):
@@ -63,7 +62,6 @@ class GpuFilteringPath(TexturePath):
                 compressed=config.texture_compression,
             )
             self.gddr5 = None
-        self._column_cache = None
 
     def serve(self, cluster: int, issue: float, expanded: ExpandedRequest) -> float:
         unit = self.units[cluster]
@@ -79,24 +77,6 @@ class GpuFilteringPath(TexturePath):
 
     def begin_replay(self, frame: ExpandedFrame) -> "_GpuReplaySession":
         return _GpuReplaySession(self, frame)
-
-    def _columns_for(self, frame: ExpandedFrame) -> "_ReplayColumns":
-        """Per-trace replay columns, memoised on the frame's identity.
-
-        The frame frontend replays the *same* frame object for the
-        warm-up and the measured pass, so keying on identity lets the
-        measured replay reuse the warm-up's precompute.  Holding the
-        frame reference in the cache keeps the ``is`` test sound (the id
-        cannot be recycled while we hold it).  Columns depend only on
-        the frame and the cache/ALU geometry, both fixed for the path's
-        lifetime, so the cache survives reset_for_measurement.
-        """
-        cached = self._column_cache
-        if cached is not None and cached[0] is frame:
-            return cached[1]
-        columns = _ReplayColumns(self, frame)
-        self._column_cache = (frame, columns)
-        return columns
 
     def activity(self) -> PathActivity:
         activity = PathActivity()
@@ -127,59 +107,6 @@ class GpuFilteringPath(TexturePath):
         if self.hmc is not None:
             self.hmc.reset()
 
-class _ReplayColumns:
-    """Immutable per-trace columns for the GPU-filtering replay session.
-
-    Everything here is a pure function of the frame's conventional-line
-    arrays and the cache/ALU geometry, computed as whole-trace numpy
-    expressions and materialised as python lists (the scheduler indexes
-    them one scalar at a time, where list indexing beats ndarray item
-    access).  The arithmetic is lane-for-lane the scalar path's:
-
-    * stage occupancies are the same IEEE-754 division
-      ``texels / ops_per_cycle`` the :class:`ThroughputUnit` performs;
-    * cache set/tag columns replicate ``TextureCache._locate`` --
-      int64 floor division and modulus agree exactly with python ints
-      for the non-negative addresses the expansion produces.
-
-    Columns are memoised per path keyed on the frame's *identity* (see
-    :meth:`GpuFilteringPath._columns_for`): the frame frontend replays
-    the same frame object for the warm-up and measured passes, so the
-    second replay reuses the first pass's columns.
-    """
-
-    __slots__ = (
-        "texels", "addr_occ", "filt_occ", "pipe_depth", "offsets",
-        "lines", "l1_set", "l1_tag", "l2_set", "l2_tag",
-        "l1_assoc", "l2_assoc",
-    )
-
-    def __init__(self, path: "GpuFilteringPath", frame: ExpandedFrame) -> None:
-        gpu = path.config.gpu
-        unit_config = gpu.texture_unit
-        texels_float = frame.texels.astype(np.float64)
-        self.texels = frame.texels.tolist()
-        self.addr_occ = (texels_float / float(unit_config.address_alus)).tolist()
-        self.filt_occ = (texels_float / float(unit_config.filter_alus)).tolist()
-        self.pipe_depth = unit_config.pipeline_depth
-
-        lines = frame.lines
-        if bool(np.any(lines < 0)):
-            raise ValueError("negative address")
-        self.offsets = frame.line_offsets.tolist()
-        self.lines = lines.tolist()
-
-        l1, l2 = gpu.l1_cache, gpu.l2_cache
-        l1_lines = lines // l1.line_bytes
-        l2_lines = lines // l2.line_bytes
-        l1_sets, l2_sets = l1.num_sets, l2.num_sets
-        self.l1_set = (l1_lines % l1_sets).tolist()
-        self.l1_tag = (l1_lines // l1_sets).tolist()
-        self.l2_set = (l2_lines % l2_sets).tolist()
-        self.l2_tag = (l2_lines // l2_sets).tolist()
-        self.l1_assoc = l1.associativity
-        self.l2_assoc = l2.associativity
-
 
 class _GpuReplaySession(ReplaySession):
     """Replay session for the baseline/B-PIM path.
@@ -203,7 +130,9 @@ class _GpuReplaySession(ReplaySession):
 
     def __init__(self, path: "GpuFilteringPath", frame: ExpandedFrame) -> None:
         super().__init__(path, frame)
-        columns = path._columns_for(frame)
+        columns = path._columns_for(frame, lambda: GpuReplayColumns(
+            path.config.gpu, frame.texels, frame.line_offsets, frame.lines
+        ))
         texels = columns.texels
         addr_occ = columns.addr_occ
         filt_occ = columns.filt_occ
@@ -214,34 +143,16 @@ class _GpuReplaySession(ReplaySession):
         l2_set_col, l2_tag_col = columns.l2_set, columns.l2_tag
         l1_assoc, l2_assoc = columns.l1_assoc, columns.l2_assoc
 
-        units = path.units
         caches = path.caches
         read_line = path.memory.read_line
 
-        addr_next = [unit.address_stage._next_issue for unit in units]
-        addr_busy = [unit.address_stage.busy_cycles for unit in units]
-        filt_next = [unit.filter_stage._next_issue for unit in units]
-        filt_busy = [unit.filter_stage.busy_cycles for unit in units]
-        requests_delta = [0] * len(units)
-        ops_delta = [0] * len(units)
-        l1_hits = [cache.hits for cache in caches.l1]
-        l1_misses = [cache.misses for cache in caches.l1]
-
-        def set_table(cache: TextureCache) -> List[OrderedDict]:
-            # Materialise every set's OrderedDict up front so the hot
-            # loop indexes a list instead of setdefault-ing a dict;
-            # pre-created empty sets are invisible to cache semantics.
-            sets_dict = cache._sets
-            table = []
-            for set_index in range(cache.config.num_sets):
-                entry = sets_dict.get(set_index)
-                if entry is None:
-                    entry = sets_dict[set_index] = OrderedDict()
-                table.append(entry)
-            return table
-
-        l1_by_cluster = [set_table(cache) for cache in caches.l1]
-        l2_table = set_table(caches.l2)
+        state = GpuReplayState(path.units, caches)
+        addr_next, addr_busy = state.addr_next, state.addr_busy
+        filt_next, filt_busy = state.filt_next, state.filt_busy
+        requests_delta, ops_delta = state.requests, state.ops
+        l1_hits, l1_misses = state.l1_hits, state.l1_misses
+        l1_by_cluster = state.l1_sets
+        l2_table = state.l2_sets
         l2_hits = caches.l2.hits
         l2_misses = caches.l2.misses
         port = caches.l2_port
@@ -263,7 +174,7 @@ class _GpuReplaySession(ReplaySession):
             if num_texels:
                 previous = addr_next[cluster]
                 start = issue if issue > previous else previous
-                occupancy = addr_occ[index]
+                occupancy = addr_occ[num_texels]
                 done = start + occupancy
                 addr_next[cluster] = done
                 addr_busy[cluster] += occupancy
@@ -283,7 +194,7 @@ class _GpuReplaySession(ReplaySession):
                     continue
                 if len(cache_set) >= l1_assoc:
                     cache_set.popitem(last=False)
-                cache_set[tag] = make_line(tag=tag)
+                cache_set[tag] = make_line(tag)
                 l1_misses[cluster] += 1
                 cache_set = l2_table[l2_set_col[k]]
                 tag = l2_tag_col[k]
@@ -303,7 +214,7 @@ class _GpuReplaySession(ReplaySession):
                 else:
                     if len(cache_set) >= l2_assoc:
                         cache_set.popitem(last=False)
-                    cache_set[tag] = make_line(tag=tag)
+                    cache_set[tag] = make_line(tag)
                     l2_misses += 1
                     ready = read_line(address_done, lines[k])
                 if ready > data_ready:
@@ -311,7 +222,7 @@ class _GpuReplaySession(ReplaySession):
             if num_texels:
                 previous = filt_next[cluster]
                 start = data_ready if data_ready > previous else previous
-                occupancy = filt_occ[index]
+                occupancy = filt_occ[num_texels]
                 done = start + occupancy
                 filt_next[cluster] = done
                 filt_busy[cluster] += occupancy
@@ -327,25 +238,9 @@ class _GpuReplaySession(ReplaySession):
             ]
 
         def finish() -> None:
-            from repro.units import Bytes, Cycles, Ops
+            from repro.units import Bytes, Cycles
 
-            for cluster, unit in enumerate(units):
-                activity = unit.activity
-                activity.requests += requests_delta[cluster]
-                ops = ops_delta[cluster]
-                activity.address_ops = Ops(activity.address_ops + ops)
-                activity.filter_ops = Ops(activity.filter_ops + ops)
-                address_stage = unit.address_stage
-                address_stage._next_issue = Cycles(addr_next[cluster])
-                address_stage.busy_cycles = Cycles(addr_busy[cluster])
-                address_stage.total_ops = Ops(address_stage.total_ops + ops)
-                filter_stage = unit.filter_stage
-                filter_stage._next_issue = Cycles(filt_next[cluster])
-                filter_stage.busy_cycles = Cycles(filt_busy[cluster])
-                filter_stage.total_ops = Ops(filter_stage.total_ops + ops)
-                l1 = caches.l1[cluster]
-                l1.hits = l1_hits[cluster]
-                l1.misses = l1_misses[cluster]
+            state.flush()
             caches.l2.hits = l2_hits
             caches.l2.misses = l2_misses
             port._next_free = Cycles(port_next)

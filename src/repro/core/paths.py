@@ -12,10 +12,15 @@ from __future__ import annotations
 import abc
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import (
+    Any, Callable, List, Optional, Sequence, Tuple, TypeVar, Union,
+)
+
+import numpy as np
 
 from repro.core.designs import DesignConfig
 from repro.core.expansion import ExpandedFrame, ExpandedRequest
+from repro.gpu.config import GPUConfig
 from repro.gpu.texunit import TextureUnit, TextureUnitActivity
 from repro.memory.gddr5 import Gddr5Memory
 from repro.memory.hmc import HybridMemoryCube
@@ -24,7 +29,10 @@ from repro.memory.packets import PacketSpec
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.sim.resources import BandwidthServer
 from repro.texture.cache import CacheAccessResult, TextureCache
-from repro.units import Bytes, Cycles, Radians
+from repro.units import Bytes, Cycles, Ops, Radians
+
+
+_Columns = TypeVar("_Columns")
 
 
 def make_hmc(config: DesignConfig) -> Union[HybridMemoryCube, MultiCubeMemory]:
@@ -231,8 +239,11 @@ class CacheHierarchy:
         """Classify an access (updating cache state) without timing.
 
         Used by the A-TFIM path, which needs to know the outcome first to
-        decide whether the HMC must recalculate; the timing of the chosen
-        path is then charged separately.
+        decide whether the HMC must recalculate.  No timing is charged
+        here or afterwards for the cache side: a parent that misses L1
+        and hits L2 is a reuse and pays neither the L2 port's occupancy
+        nor its latency, where :meth:`lookup` charges both.  Only
+        offloaded parents cost time (the HMC round trip).
         """
         result = self.l1[cluster].lookup(address, angle, angle_threshold)
         if result is CacheAccessResult.HIT:
@@ -283,6 +294,135 @@ class PathActivity:
     parent_reuses: int = 0
     child_texels_generated: int = 0
     child_lines_fetched: int = 0
+
+
+class GpuReplayColumns:
+    """Per-trace columns for a replay session that inlines the GPU side.
+
+    Request ``i`` puts ``texels[i]`` texels through its cluster's texture
+    unit (one address op and one filter op each) and probes the caches
+    for ``lines[offsets[i]:offsets[i + 1]]``; ``addr_occ[n]`` and
+    ``filt_occ[n]`` are the two stages' occupancies for ``n`` texels.
+    Every column is a pure function of those arrays and the cache/ALU
+    geometry, computed as a whole-trace numpy expression and
+    materialised as a python list (the scheduler indexes them one scalar
+    at a time, where list indexing beats ndarray item access).  The
+    arithmetic is lane-for-lane the scalar path's:
+
+    * stage occupancies are the same IEEE-754 division
+      ``texels / ops_per_cycle`` the :class:`ThroughputUnit` performs;
+    * cache set/tag columns replicate ``TextureCache._locate`` --
+      int64 floor division and modulus agree exactly with python ints
+      for the non-negative addresses the expansion produces.
+
+    The per-line columns are computed once per distinct line and share
+    one python int per distinct value: a trace touches few distinct
+    lines many times (doom3-640x480's 38,312 parents sit in 858 lines),
+    so the lists cost little more than their pointers.
+    """
+
+    __slots__ = (
+        "texels", "addr_occ", "filt_occ", "pipe_depth", "offsets",
+        "lines", "l1_set", "l1_tag", "l2_set", "l2_tag",
+        "l1_assoc", "l2_assoc",
+    )
+
+    def __init__(self, gpu: GPUConfig, texels: np.ndarray,
+                 offsets: np.ndarray, lines: np.ndarray) -> None:
+        unit_config = gpu.texture_unit
+        self.texels = texels.tolist()
+        counts = np.arange(max(self.texels, default=0) + 1, dtype=np.float64)
+        self.addr_occ = (counts / float(unit_config.address_alus)).tolist()
+        self.filt_occ = (counts / float(unit_config.filter_alus)).tolist()
+        self.pipe_depth = unit_config.pipeline_depth
+
+        if bool(np.any(lines < 0)):
+            raise ValueError("negative address")
+        self.offsets = offsets.tolist()
+        distinct, inverse = np.unique(lines, return_inverse=True)
+
+        def per_line(values: np.ndarray) -> List[int]:
+            return values.astype(object)[inverse].tolist()
+
+        self.lines = per_line(distinct)
+        l1, l2 = gpu.l1_cache, gpu.l2_cache
+        l1_lines = distinct // l1.line_bytes
+        l2_lines = distinct // l2.line_bytes
+        l1_sets, l2_sets = l1.num_sets, l2.num_sets
+        self.l1_set = per_line(l1_lines % l1_sets)
+        self.l1_tag = per_line(l1_lines // l1_sets)
+        self.l2_set = per_line(l2_lines % l2_sets)
+        self.l2_tag = per_line(l2_lines // l2_sets)
+        self.l1_assoc = l1.associativity
+        self.l2_assoc = l2.associativity
+
+
+def _set_table(cache: TextureCache) -> List[OrderedDict]:
+    """Every set's OrderedDict of ``cache``, indexed by set.
+
+    Materialised up front so an inlined session's hot loop indexes a
+    list instead of setdefault-ing a dict; pre-created empty sets are
+    invisible to cache semantics.
+    """
+    sets_dict = cache._sets
+    table = []
+    for set_index in range(cache.config.num_sets):
+        entry = sets_dict.get(set_index)
+        if entry is None:
+            entry = sets_dict[set_index] = OrderedDict()
+        table.append(entry)
+    return table
+
+
+class GpuReplayState:
+    """The GPU side's mutable state, unpacked for an inlined replay session.
+
+    Seeded from the live texture units and caches, per cluster: the
+    address and filter stages' next-issue clocks and busy cycles, the
+    requests and ops the session adds, the L1's hit, miss and angle-miss
+    counters, and the L1's :func:`_set_table`; plus the shared L2's set
+    table.  A session binds these lists to closure locals, mutates them
+    in service order (so float accumulators reproduce the scalar ``+=``
+    sequence bit for bit) and calls :meth:`flush` from its ``finish``.
+    The L2's counters are plain ints, which each session keeps and
+    flushes itself.
+    """
+
+    def __init__(self, units: Sequence[TextureUnit], caches: CacheHierarchy) -> None:
+        self.units = units
+        self.caches = caches
+        self.addr_next = [unit.address_stage._next_issue for unit in units]
+        self.addr_busy = [unit.address_stage.busy_cycles for unit in units]
+        self.filt_next = [unit.filter_stage._next_issue for unit in units]
+        self.filt_busy = [unit.filter_stage.busy_cycles for unit in units]
+        self.requests = [0] * len(units)
+        self.ops = [0] * len(units)
+        self.l1_hits = [cache.hits for cache in caches.l1]
+        self.l1_misses = [cache.misses for cache in caches.l1]
+        self.l1_angle_misses = [cache.angle_misses for cache in caches.l1]
+        self.l1_sets = [_set_table(cache) for cache in caches.l1]
+        self.l2_sets = _set_table(caches.l2)
+
+    def flush(self) -> None:
+        """Write the session's per-cluster state back to the live objects."""
+        for cluster, unit in enumerate(self.units):
+            activity = unit.activity
+            activity.requests += self.requests[cluster]
+            ops = self.ops[cluster]
+            activity.address_ops = Ops(activity.address_ops + ops)
+            activity.filter_ops = Ops(activity.filter_ops + ops)
+            address_stage = unit.address_stage
+            address_stage._next_issue = Cycles(self.addr_next[cluster])
+            address_stage.busy_cycles = Cycles(self.addr_busy[cluster])
+            address_stage.total_ops = Ops(address_stage.total_ops + ops)
+            filter_stage = unit.filter_stage
+            filter_stage._next_issue = Cycles(self.filt_next[cluster])
+            filter_stage.busy_cycles = Cycles(self.filt_busy[cluster])
+            filter_stage.total_ops = Ops(filter_stage.total_ops + ops)
+            l1 = self.caches.l1[cluster]
+            l1.hits = self.l1_hits[cluster]
+            l1.misses = self.l1_misses[cluster]
+            l1.angle_misses = self.l1_angle_misses[cluster]
 
 
 class ReplaySession:
@@ -338,10 +478,36 @@ class TexturePath(abc.ABC):
     def __init__(self, config: DesignConfig, traffic: TrafficMeter) -> None:
         self.config = config
         self.traffic = traffic
+        self._column_cache: Optional[Tuple[ExpandedFrame, Any]] = None
 
     @abc.abstractmethod
     def serve(self, cluster: int, issue: float, expanded: ExpandedRequest) -> float:
         """Serve one request; return the completion cycle at the shader."""
+
+    def _columns_for(
+        self, frame: ExpandedFrame, build: Callable[[], _Columns]
+    ) -> _Columns:
+        """``build()``'s per-trace replay columns, memoised on the
+        frame's identity from one replay to the next.
+
+        The frame frontend replays the *same* frame object for the
+        warm-up and the measured pass, so keying on identity lets the
+        measured replay reuse the warm-up's precompute.  Holding the
+        frame reference in the cache keeps the ``is`` test sound (the id
+        cannot be recycled while we hold it).  Columns depend only on
+        the frame and the path's configuration, both fixed for the
+        path's lifetime, so the cache survives reset_for_measurement.
+        A hit hands the columns over and empties the cache: after the
+        warm-up and measured pair the path holds no frame or columns,
+        so the finished runs a caller keeps (or pickles) stay small.
+        """
+        cached, self._column_cache = self._column_cache, None
+        if cached is not None and cached[0] is frame:
+            return cached[1]
+        del cached  # free another frame's columns before building
+        columns = build()
+        self._column_cache = (frame, columns)
+        return columns
 
     def begin_replay(self, frame: ExpandedFrame) -> ReplaySession:
         """Open a serving session for one replay of ``frame``.

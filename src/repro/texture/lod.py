@@ -248,3 +248,20 @@ def quantize_angle(angle: Radians, bits: Bits = 7) -> float:
     clamped = min(angle, half_pi)
     step = half_pi / levels
     return round(clamped / step) * step
+
+
+def quantize_angles(angles: np.ndarray, bits: Bits = 7) -> np.ndarray:
+    """:func:`quantize_angle` over an array, element for element.
+
+    ``np.rint`` rounds half to even as python's ``round`` does, and the
+    clamp, division and product are the same IEEE-754 operations, so
+    every element equals the scalar result exactly.
+    """
+    if bits <= 0:
+        raise ValueError("bit count must be positive")
+    if bool(np.any(angles < 0)):
+        raise ValueError("angle must be non-negative")
+    levels = (1 << bits) - 1
+    half_pi = math.pi / 2.0
+    step = half_pi / levels
+    return np.rint(np.minimum(angles, half_pi) / step) * step

@@ -6,13 +6,20 @@ one-event-at-a-time heap loop (``_replay_scalar``) is the oracle.  The
 contract is exact equality -- not approximate -- across every observable
 the replay produces: makespan, the latency histogram (total, count, max,
 buckets), per-cluster fragment counts, external memory traffic, unit
-activity counters, and L1/L2 cache statistics.  The batched replay reads
+activity counters, L1/L2 cache statistics, and the path's whole
+flattened ``stat_group()`` (angle misses, A-TFIM reuse/recalculation/
+cold-miss counts, child lines, offload packages, memory-side counters).
+A-TFIM is also held to it across camera-angle thresholds with Child
+Texel Consolidation on and off, and every design across a warm-up ->
+``reset_for_measurement`` -> measured pair of replays on one path, the
+protocol ``simulate_frame`` runs.  The batched replay reads
 the columnar ``ExpandedFrame``; the oracle can also be handed the list of
 per-request ``RequestExpander.expand`` results, so the two expansions are
 held to the same replay too.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -84,17 +91,33 @@ def observe(path, traffic, makespan, histogram, per_cluster):
         "l1_misses": caches.l1_misses,
         "l2_hits": caches.l2_hits,
         "l2_misses": caches.l2_misses,
+        "stat_group": dict(path.stat_group().flatten()),
     }
 
 
-def replay(design, depth, trace, expanded, batched):
+def replay(design, depth, trace, expanded, batched, passes=1, **overrides):
+    """Replay ``expanded`` ``passes`` times through one path, resetting
+    for measurement in between; observe the last pass."""
+    return replay_frames(design, depth, [(trace, expanded)] * passes,
+                         batched, **overrides)
+
+
+def replay_frames(design, depth, frames, batched, **overrides):
+    """Replay each ``(trace, expanded)`` in turn through one path,
+    resetting for measurement in between; observe the last one."""
     gpu = small_gpu(depth)
     traffic = TrafficMeter()
-    path = make_texture_path(DesignConfig(design=design, gpu=gpu), traffic)
-    pipeline = GpuPipeline(gpu)
-    makespan, histogram, per_cluster = pipeline.replay_texture_stream(
-        trace, expanded, path, batched=batched
+    path = make_texture_path(
+        DesignConfig(design=design, gpu=gpu, **overrides), traffic
     )
+    pipeline = GpuPipeline(gpu)
+    for index, (trace, expanded) in enumerate(frames):
+        if index:
+            path.reset_for_measurement()
+            traffic.reset()
+        makespan, histogram, per_cluster = pipeline.replay_texture_stream(
+            trace, expanded, path, batched=batched
+        )
     return observe(path, traffic, makespan, histogram, per_cluster)
 
 
@@ -123,6 +146,53 @@ class TestBitIdentity:
             design, 4, frame["trace"], frame[f"{filtering}_list"], False
         )
         batched = replay(design, 4, frame["trace"], frame[filtering], True)
+        assert batched == scalar
+
+    @pytest.mark.parametrize(
+        "threshold", (0.0, DesignConfig().angle_threshold, math.pi / 2),
+        ids=("zero", "default", "half-pi"),
+    )
+    @pytest.mark.parametrize("consolidation", (True, False),
+                             ids=("merge", "no-merge"))
+    @pytest.mark.parametrize("depth", DEPTHS)
+    def test_atfim_thresholds_and_consolidation(
+        self, frame, threshold, consolidation, depth
+    ):
+        """The angle-miss and consolidation branches of A-TFIM."""
+        overrides = dict(angle_threshold=threshold,
+                         consolidation_enabled=consolidation)
+        scalar = replay(Design.A_TFIM, depth, frame["trace"], frame["aniso"],
+                        False, **overrides)
+        batched = replay(Design.A_TFIM, depth, frame["trace"],
+                         frame["aniso"], True, **overrides)
+        assert batched == scalar
+
+    @pytest.mark.parametrize("design", ALL_DESIGNS, ids=lambda d: d.value)
+    def test_measured_replay_after_warmup(self, frame, design):
+        """Warm-up, reset, measured replay on one path: the second replay
+        reuses the path's per-frame precompute and the warm caches."""
+        expanded = pick_expansions(design, frame)
+        scalar = replay(design, 4, frame["trace"], expanded, False, passes=2)
+        batched = replay(design, 4, frame["trace"], expanded, True, passes=2)
+        assert batched == scalar
+
+    @pytest.mark.parametrize("design", ALL_DESIGNS, ids=lambda d: d.value)
+    def test_next_frame_after_warm_caches(self, frame, design):
+        """A different frame replayed on the warm path, as
+        ``simulate_sequence`` does: nothing of the first frame's
+        per-frame precompute may leak into the second."""
+        trace = frame["trace"]
+        suffix = FragmentTrace(
+            width=trace.width, height=trace.height,
+            requests=trace.requests[len(trace.requests) // 2:],
+            tile_size=trace.tile_size,
+        )
+        frames = [
+            (trace, pick_expansions(design, frame)),
+            (suffix, frame["expander"].expand_frame(suffix.requests)),
+        ]
+        scalar = replay_frames(design, 4, frames, False)
+        batched = replay_frames(design, 4, frames, True)
         assert batched == scalar
 
     def test_batched_is_the_default(self, frame):
@@ -183,13 +253,13 @@ class TestDegenerateStreams:
 class TestSessionContract:
     def test_serve_chunk_matches_serve_one(self, frame):
         """Chunked serving is the same fold as one-at-a-time serving."""
-        expanded = pick_expansions(Design.BASELINE, frame)
         gpu = small_gpu(4)
 
-        def run(chunked):
+        def run(design, chunked):
+            expanded = pick_expansions(design, frame)
             traffic = TrafficMeter()
             path = make_texture_path(
-                DesignConfig(design=Design.BASELINE, gpu=gpu), traffic
+                DesignConfig(design=design, gpu=gpu), traffic
             )
             session = path.begin_replay(expanded)
             indices = list(range(len(expanded)))
@@ -212,29 +282,48 @@ class TestSessionContract:
                 path, traffic, 0.0, _EmptyHistogram(), ()
             )
 
-        chunked, state_chunked = run(True)
-        single, state_single = run(False)
-        assert chunked == single
-        assert state_chunked == state_single
+        for design in ALL_DESIGNS:
+            chunked, state_chunked = run(design, True)
+            single, state_single = run(design, False)
+            assert chunked == single, design
+            assert state_chunked == state_single, design
 
     def test_finish_flushes_counters(self, frame):
         """Counters observed before finish() must not include the session."""
-        expanded = pick_expansions(Design.BASELINE, frame)
         gpu = small_gpu(4)
-        traffic = TrafficMeter()
+        for design in (Design.BASELINE, Design.A_TFIM):
+            expanded = pick_expansions(design, frame)
+            traffic = TrafficMeter()
+            path = make_texture_path(
+                DesignConfig(design=design, gpu=gpu), traffic
+            )
+            session = path.begin_replay(expanded)
+            session.serve_chunk([0, 1], 0.0, [0, 1])
+            before = path.activity()
+            requests_before = (before.gpu_texture.requests
+                               + before.memory_texture.requests)
+            session.finish()
+            after = path.activity()
+            requests_after = (after.gpu_texture.requests
+                              + after.memory_texture.requests)
+            assert requests_after == requests_before + 2, design
+
+    @pytest.mark.parametrize("design", (Design.BASELINE, Design.A_TFIM),
+                             ids=lambda d: d.value)
+    def test_columns_handed_to_the_next_replay_only(self, frame, design):
+        """A replay leaves its columns for the next replay of the same
+        frame, which takes them: afterwards the path holds none."""
+        expanded = pick_expansions(design, frame)
+        gpu = small_gpu(4)
         path = make_texture_path(
-            DesignConfig(design=Design.BASELINE, gpu=gpu), traffic
+            DesignConfig(design=design, gpu=gpu), TrafficMeter()
         )
-        session = path.begin_replay(expanded)
-        session.serve_chunk([0, 1], 0.0, [0, 1])
-        before = path.activity()
-        requests_before = (before.gpu_texture.requests
-                           + before.memory_texture.requests)
-        session.finish()
-        after = path.activity()
-        requests_after = (after.gpu_texture.requests
-                          + after.memory_texture.requests)
-        assert requests_after == requests_before + 2
+        first = path.begin_replay(expanded)
+        first.finish()
+        assert path._column_cache[0] is expanded
+        second = path.begin_replay(expanded)
+        second.finish()
+        assert path._column_cache is None
 
 
 class _EmptyHistogram:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ from repro.texture.lod import (
     camera_angle_from_normal,
     compute_footprint,
     quantize_angle,
+    quantize_angles,
 )
 
 
@@ -154,3 +156,26 @@ class TestQuantizeAngle:
             quantize_angle(-0.1)
         with pytest.raises(ValueError):
             quantize_angle(0.1, bits=0)
+        with pytest.raises(ValueError):
+            quantize_angles(np.array([0.1, -0.1]))
+        with pytest.raises(ValueError):
+            quantize_angles(np.array([0.1]), bits=0)
+
+
+class TestQuantizeAngles:
+    """The array form equals the scalar function element for element."""
+
+    @given(
+        angles=st.lists(st.floats(0, 4.0), max_size=40),
+        bits=st.integers(1, 10),
+    )
+    def test_matches_scalar(self, angles, bits):
+        batch = quantize_angles(np.array(angles, dtype=np.float64), bits)
+        assert batch.tolist() == [quantize_angle(a, bits) for a in angles]
+
+    @pytest.mark.parametrize("bits", (1, 3, 7))
+    def test_half_steps_round_half_even(self, bits):
+        step = (math.pi / 2) / ((1 << bits) - 1)
+        ties = [(k + 0.5) * step for k in range((1 << bits) - 1)]
+        batch = quantize_angles(np.array(ties), bits)
+        assert batch.tolist() == [quantize_angle(a, bits) for a in ties]
