@@ -96,7 +96,7 @@ def checks_enabled() -> bool:
     """Whether invariant checking is on by default (environment flag)."""
     # The flag only decides whether results are *validated*, never what
     # they are, so a worker-side read cannot skew any computed value.
-    return os.environ.get(ENV_FLAG, "").lower() in ("1", "true", "on", "yes")  # repro: noqa(REP304) -- validation toggle, cannot alter results
+    return os.environ.get(ENV_FLAG, "").lower() in ("1", "true", "on", "yes")
 
 
 def _close(left: float, right: float) -> bool:

@@ -11,20 +11,16 @@ Rule IDs are stable and gate-able:
 * ``REP106`` — float equality comparison on cycle/energy quantities.
 * ``REP107`` — public function in ``core``/``memory``/``texture`` missing
   type annotations.
-* ``REP108`` — ``time.monotonic()`` call site outside ``repro.obs`` /
-  ``repro.faults``; host-side timing goes through the tracing spans.
+* ``REP108`` — ``time.monotonic()`` call site outside ``repro.obs``;
+  host-side timing goes through the tracing spans.
 * ``REP109`` — bare ``map()``/``submit()`` on a process/thread pool
-  outside ``repro.faults``; batch fan-out goes through the
-  fault-tolerant ``repro.faults.run_fanout`` scheduler.
+  outside ``src/repro/experiments/runner.py``; batch fan-out goes
+  through ``ExperimentRunner.run_many``.
 
 The REP200-series unit-aware dataflow rules (``bytes + cycles``,
 degree/radian confusion, untagged public quantities, ...) live in
-:mod:`repro.analysis.units`, and the REP300-series determinism /
-worker-safety rules (nondeterminism taint into cache keys and
-manifests, fork-unsafe global mutation, unpicklable task payloads,
-order-sensitive parallel reductions, worker env reads) live in
-:mod:`repro.analysis.determinism`.  Both engines are registered here
-alongside the syntactic rules.
+:mod:`repro.analysis.units`; that engine is registered here alongside
+the syntactic rules.
 """
 
 from __future__ import annotations
@@ -32,11 +28,6 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Tuple
 
-from repro.analysis.determinism import (
-    DETERMINISM_RULE_TABLE,
-    DeterminismRule,
-    determinism_rule_ids,
-)
 from repro.analysis.linter import LintContext, LintRule
 from repro.analysis.units import UNIT_RULE_TABLE, UnitDataflowRule, unit_rule_ids
 
@@ -128,11 +119,10 @@ class WallClockRule(LintRule):
     node_types = (ast.Call,)
 
     def applies_to(self, ctx: LintContext) -> bool:
-        # repro.obs is the tracing layer and repro.faults the
-        # retry/timeout scheduler: both exist to measure or pace host
-        # wall-clock time (never simulated time), so the rule would
-        # flag every line they exist to write.
-        if ctx.in_subpackages(("obs", "faults")):
+        # repro.obs is the tracing layer: it exists to measure host
+        # wall-clock time (never simulated time), so the rule would flag
+        # every line it exists to write.
+        if ctx.in_subpackages(("obs",)):
             return False
         return ctx.is_sim_source
 
@@ -417,20 +407,19 @@ class MonotonicOutsideObsRule(LintRule):
     """Raw ``time.monotonic()`` reads scattered through the codebase are
     untraceable one-off timers; host phases are timed with
     ``repro.obs.span()``/``timed_stage`` so they land in run manifests
-    and Chrome traces.  ``repro.obs`` itself and ``repro.faults``
-    (whose scheduler must measure task deadlines) are the only
-    legitimate call sites."""
+    and Chrome traces.  ``repro.obs`` itself is the only legitimate
+    call site."""
 
     rule_id = "REP108"
     name = "monotonic-outside-obs"
     description = (
-        "time.monotonic() outside repro.obs/repro.faults; "
+        "time.monotonic() outside repro.obs; "
         "time host phases with repro.obs spans"
     )
     node_types = (ast.Call,)
 
     def applies_to(self, ctx: LintContext) -> bool:
-        return not ctx.in_subpackages(("obs", "faults"))
+        return not ctx.in_subpackages(("obs",))
 
     def check(self, node: ast.AST, ctx: LintContext) -> None:
         func = node.func  # type: ignore[attr-defined]
@@ -451,11 +440,12 @@ class MonotonicOutsideObsRule(LintRule):
 
 
 # ---------------------------------------------------------------------------
-# REP109 — batch fan-out goes through the fault-tolerant scheduler.
+# REP109 — batch fan-out goes through ExperimentRunner.run_many.
 # ---------------------------------------------------------------------------
 
 _POOL_METHODS = frozenset({"map", "submit"})
 _POOL_NAME_HINTS = ("pool", "executor")
+_FANOUT_MODULE = "src/repro/experiments/runner.py"
 
 
 def _looks_like_pool(node: ast.expr) -> bool:
@@ -480,22 +470,22 @@ def _looks_like_pool(node: ast.expr) -> bool:
 
 
 class BarePoolMapRule(LintRule):
-    """``pool.map()`` abandons the whole batch when one worker dies and
-    retries nothing; :func:`repro.faults.run_fanout` retries failed
-    attempts, rebuilds broken pools and degrades to serial, so it is the
-    one sanctioned way to fan batch work out (``repro.faults`` itself is
-    the only module allowed to talk to the raw executor)."""
+    """:meth:`ExperimentRunner.run_many` is the one fan-out site, so one
+    place picks the pool's start method (``spawn``: workers see only
+    their arguments and the environment) and how a failed worker fails
+    the batch; ``src/repro/experiments/runner.py`` is the only module
+    allowed to talk to a raw executor."""
 
     rule_id = "REP109"
     name = "bare-pool-map"
     description = (
-        "map()/submit() on a process/thread pool outside repro.faults; "
-        "fan out through repro.faults.run_fanout"
+        "map()/submit() on a process/thread pool outside "
+        "experiments/runner.py; fan out through ExperimentRunner.run_many"
     )
     node_types = (ast.Call,)
 
     def applies_to(self, ctx: LintContext) -> bool:
-        return not ctx.in_subpackages(("faults",))
+        return not ctx.path.endswith(_FANOUT_MODULE)
 
     def check(self, node: ast.AST, ctx: LintContext) -> None:
         func = node.func  # type: ignore[attr-defined]
@@ -507,8 +497,8 @@ class BarePoolMapRule(LintRule):
             ctx.report(
                 self,
                 node,
-                f"bare {func.attr}() on a process/thread pool; schedule "
-                "batch work through repro.faults.run_fanout",
+                f"bare {func.attr}() on a process/thread pool; fan batch "
+                "work out through ExperimentRunner.run_many",
             )
 
 
@@ -523,28 +513,21 @@ DEFAULT_RULES: Tuple[LintRule, ...] = (
     MonotonicOutsideObsRule(),
     BarePoolMapRule(),
     UnitDataflowRule(),
-    DeterminismRule(),
 )
-
-#: Engines owning a whole ID range each; excluded from the per-rule
-#: listings and replaced by their ID tables.
-_MULTI_ID_ENGINES = (UnitDataflowRule, DeterminismRule)
 
 
 def rule_ids() -> List[str]:
     """The stable IDs of all default rules (excluding REP100).
 
     The unit dataflow engine is one rule object but owns the eight
-    REP200-series IDs, and the determinism engine owns the five
-    REP300-series IDs; they are all listed here.
+    REP200-series IDs; they are all listed here.
     """
     ids = [
         rule.rule_id
         for rule in DEFAULT_RULES
-        if not isinstance(rule, _MULTI_ID_ENGINES)
+        if not isinstance(rule, UnitDataflowRule)
     ]
     ids.extend(unit_rule_ids())
-    ids.extend(determinism_rule_ids())
     return ids
 
 
@@ -552,19 +535,17 @@ def rule_catalog() -> List[Tuple[str, str, str]]:
     """``(rule_id, name, description)`` for every reportable rule.
 
     Includes REP100 (emitted by the engine on syntax errors) plus the
-    REP200-series IDs owned by the unit dataflow engine and the
-    REP300-series IDs owned by the determinism engine; used by the rule
-    listing and by ``lint --select`` to reject unknown prefixes.
+    REP200-series IDs owned by the unit dataflow engine; used by the
+    rule listing and by ``lint --select`` to reject unknown prefixes.
     """
     catalog: List[Tuple[str, str, str]] = [
         ("REP100", "syntax-error", "file does not parse")
     ]
     for rule in DEFAULT_RULES:
-        if isinstance(rule, _MULTI_ID_ENGINES):
+        if isinstance(rule, UnitDataflowRule):
             continue
         catalog.append((rule.rule_id, rule.name, rule.description))
     catalog.extend(UNIT_RULE_TABLE)
-    catalog.extend(DETERMINISM_RULE_TABLE)
     return catalog
 
 

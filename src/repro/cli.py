@@ -10,26 +10,22 @@ Subcommands:
 * ``report`` -- run every experiment and write EXPERIMENTS.md.
 * ``trace <manifest.json>`` -- convert a run manifest's span tree to
   Chrome trace-event JSON (load in ``chrome://tracing`` / Perfetto).
-* ``chaos`` -- run the design grid under an injected fault plan and
-  verify the results stay bit-identical to a clean serial run.
 * ``sweep`` -- run a (sampled) design-space sweep over threshold x
-  workload x link-scale x memory-backend through a chosen executor
-  backend; optionally cross-check against serial execution for
-  bit-identity and write the A-TFIM crossover surface into
-  EXPERIMENTS.md.
+  workload x link-scale x memory-backend; optionally cross-check
+  against a serial re-run for bit-identity and write the A-TFIM
+  crossover surface into EXPERIMENTS.md.
 
-``report`` and ``fig`` accept ``--jobs N`` to fan design-point
-simulations out over processes; ``report`` persists results under
+``report``, ``fig`` and ``sweep`` accept ``--jobs N`` to fan
+design-point simulations out over one ``spawn`` process pool (see
+:meth:`~repro.experiments.runner.ExperimentRunner.run_many`): workers
+see only their arguments and the environment, and the first failed
+worker fails the run.  ``report`` persists results under
 ``--cache-dir`` (or ``$REPRO_CACHE_DIR``) so reruns are incremental.
-``report``, ``fig`` and ``chaos`` accept ``--manifest [PATH]`` to record
-a :class:`~repro.obs.manifest.RunManifest` (tracing is switched on for
+``report`` and ``fig`` accept ``--manifest [PATH]`` to record a
+:class:`~repro.obs.manifest.RunManifest` (tracing is switched on for
 the run); ``REPRO_TRACE=1`` enables span recording everywhere else.
 Host speed is measured by the ``bench`` package at the repository root
 (``python3 -m bench``), not by this CLI.
-
-The top-level ``--faults SPEC`` switch (equivalent: the ``REPRO_FAULTS``
-environment variable) activates a deterministic fault-injection plan for
-any subcommand -- see :mod:`repro.faults`.
 """
 
 from __future__ import annotations
@@ -182,135 +178,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-DEFAULT_CHAOS_SPEC = "seed=7,crash=0.2,fail=0.2,corrupt=0.2,store=0.1"
-"""The ``chaos`` subcommand's default fault plan: every injection site
-exercised at rates high enough to fire on a 12-point grid."""
-
-
-def _run_signature(run) -> tuple:
-    """The fields two runs must agree on to count as bit-identical."""
-    return (
-        run.frame_cycles,
-        run.texture_cycles,
-        run.external_texture_bytes,
-        run.frame.num_requests,
-    )
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Prove the fault-tolerant fan-out: clean serial vs faulted parallel."""
-    import tempfile
-
-    from repro import faults
-    from repro.experiments.runner import RunKey
-    from repro.faults import FAST_RETRIES, FaultPlan
-
-    spec = args.faults if getattr(args, "faults", None) else DEFAULT_CHAOS_SPEC
-    plan = FaultPlan.parse(spec)
-    names = [args.workload] if args.workload else list(FAST_WORKLOADS)
-    keys = [
-        RunKey(name, design, DEFAULT_THRESHOLD.effective_radians, True)
-        for name in names
-        for design in Design
-    ]
-    jobs = args.jobs or 2
-    manifest_requested = args.manifest is not None
-    was_tracing = obs.tracing_enabled()
-    if manifest_requested and not was_tracing:
-        obs.set_tracing(True)
-    runner = None
-    try:
-        with obs.span("cli.chaos", plan=plan.describe(), jobs=jobs):
-            print(f"chaos: plan [{plan.describe()}] over {len(keys)} grid "
-                  f"points, jobs={jobs}")
-            with tempfile.TemporaryDirectory(
-                prefix="repro-chaos-clean-"
-            ) as clean_dir, faults.suppress():
-                clean_runner = ExperimentRunner(names, cache_dir=clean_dir)
-                clean = clean_runner.run_many(keys, jobs=1)
-            previous = os.environ.get(faults.ENV_FLAG)
-            os.environ[faults.ENV_FLAG] = spec
-            faults.activate(plan)
-            try:
-                with tempfile.TemporaryDirectory(
-                    prefix="repro-chaos-"
-                ) as chaos_dir:
-                    runner = ExperimentRunner(
-                        names, cache_dir=chaos_dir, retry_policy=FAST_RETRIES
-                    )
-                    faulted = runner.run_many(keys, jobs=jobs)
-            finally:
-                faults.reset()
-                if previous is None:
-                    os.environ.pop(faults.ENV_FLAG, None)
-                else:
-                    os.environ[faults.ENV_FLAG] = previous
-            report = runner.fanout_report()
-            counts = report.outcome_counts()
-            print(
-                "outcomes: "
-                + " ".join(f"{name}={count}" for name, count in counts.items())
-                + f"  retries={report.total_retries}"
-                + f" pool_rebuilds={report.pool_rebuilds}"
-            )
-            missing = [key for key in keys if key not in faulted]
-            mismatched = [
-                key
-                for key in keys
-                if key in faulted
-                and _run_signature(faulted[key]) != _run_signature(clean[key])
-            ]
-            for key in missing:
-                print(f"MISSING: {key}")
-            for key in mismatched:
-                print(f"MISMATCH: {key}")
-            identical = not missing and not mismatched
-            print("bit-identical to clean serial run: "
-                  + ("yes" if identical else "NO"))
-        if manifest_requested:
-            from repro.obs.manifest import build_manifest
-
-            record = build_manifest(
-                command="chaos",
-                config={"plan": plan.as_dict(), "jobs": jobs,
-                        "workloads": names},
-                runner=runner,
-            )
-            # The injector is already deactivated (the comparison runs
-            # clean), so record the exercised plan explicitly.
-            record.faults.setdefault("plan", plan.as_dict())
-            record.faults["bit_identical"] = identical
-            # Attest that the REP300-series static pass is clean: the
-            # chaos gate's bit-identity claim rests on the worker paths
-            # being free of nondeterminism sources.
-            from repro.analysis.determinism import (
-                static_determinism_attestation,
-            )
-
-            attestation = static_determinism_attestation()
-            record.faults["static_determinism"] = attestation
-            if attestation["findings"]:
-                verdict = f"{len(attestation['findings'])} finding(s)"
-            elif attestation["clean"]:
-                verdict = "clean"
-            else:
-                verdict = "NOT clean, nothing analysed"
-            print(
-                "static determinism pass "
-                + f"({', '.join(attestation['rules'])}) over "
-                + f"{attestation['files_analysed']} file(s): {verdict}"
-            )
-            path = args.manifest or "CHAOS.manifest.json"
-            record.write(path)
-            print(f"wrote {path}")
-    finally:
-        if manifest_requested and not was_tracing:
-            obs.set_tracing(False)
-    return 0 if identical else 1
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Run a sampled design-space sweep through an executor backend."""
+    """Run a sampled design-space sweep."""
     import tempfile
 
     from repro.experiments.sweep import (
@@ -319,7 +188,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         surface_markdown,
         update_experiments_md,
     )
-    from repro.faults import FAST_RETRIES
 
     names = FAST_WORKLOADS if args.fast else workload_names()
     definition = SweepDefinition(
@@ -332,41 +200,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     print(
         f"sweep {definition.name!r}: {len(points)} points "
-        f"({definition.size} in the full product), "
-        f"backend={args.backend}, jobs={args.jobs}"
+        f"({definition.size} in the full product), jobs={args.jobs}"
     )
 
-    def execute(backend, cache_dir):
+    def execute(jobs, cache_dir):
         return run_sweep(
-            definition,
-            points=points,
-            cache_dir=cache_dir,
-            jobs=args.jobs,
-            backend=backend,
-            retry_policy=FAST_RETRIES,
+            definition, points=points, cache_dir=cache_dir, jobs=jobs
         )
 
-    with obs.span("cli.sweep", points=len(points), backend=args.backend):
+    with obs.span("cli.sweep", points=len(points), jobs=args.jobs):
         if args.cache_dir is not None:
-            result = execute(args.backend, args.cache_dir)
+            result = execute(args.jobs, args.cache_dir)
         else:
             with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
-                result = execute(args.backend, scratch)
+                result = execute(args.jobs, scratch)
         identical = True
         if args.check:
             with tempfile.TemporaryDirectory(
                 prefix="repro-sweep-check-"
             ) as scratch:
-                reference = execute("serial", scratch)
+                reference = execute(1, scratch)
             identical = result.signatures() == reference.signatures()
             print(
                 "bit-identical to serial execution: "
                 + ("yes" if identical else "NO")
             )
-    counts = result.fanout.get("outcomes", {})
-    if counts:
-        print("outcomes: "
-              + " ".join(f"{name}={count}" for name, count in counts.items()))
     if result.missing:
         for point in result.missing:
             print(f"MISSING: {point.token}")
@@ -407,14 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate every simulated frame against the conservation "
         "invariants of repro.analysis.invariants (exits with a traceback "
         "on the first violation)",
-    )
-    parser.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="activate a deterministic fault-injection plan for this run "
-        "(e.g. 'seed=7,crash=0.2,corrupt=0.2'); equivalent to setting "
-        "REPRO_FAULTS",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -469,27 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output path (default: <manifest>.trace.json)")
     trace.set_defaults(func=_cmd_trace)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="run the design grid under injected faults; verify results "
-        "stay bit-identical to a clean serial run",
-    )
-    chaos.add_argument("--workload", choices=workload_names(), default=None,
-                       help="single workload (default: the fast subset, a "
-                       "12-point grid)")
-    chaos.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers for the faulted run "
-                       "(default: 2)")
-    chaos.add_argument("--manifest", nargs="?", const="", default=None,
-                       help="record a run manifest with the fault plan and "
-                       "per-key outcomes (optional path; default "
-                       "CHAOS.manifest.json)")
-    chaos.set_defaults(func=_cmd_chaos)
-
     sweep = sub.add_parser(
         "sweep",
         help="run a sampled design-space sweep (threshold x workload x "
-        "link scale x memory backend) through an executor backend",
+        "link scale x memory backend)",
     )
     sweep.add_argument("--name", default="design-space",
                        help="sweep name (seeds the deterministic sampler)")
@@ -498,10 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "Cartesian product)")
     sweep.add_argument("--seed", type=int, default=0,
                        help="sampling seed (default: 0)")
-    sweep.add_argument("--backend", default="process-pool",
-                       choices=["serial", "process-pool"],
-                       help="executor backend for the fan-out "
-                       "(default: process-pool)")
     sweep.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: cpu count)")
     sweep.add_argument("--fast", action="store_true",
@@ -527,31 +356,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Both switches thread through simulation layers (runner, report,
-    # pool workers) via the environment variables those layers consult;
-    # restore them afterwards so embedding callers see no side effects.
+    # The switch threads through simulation layers (runner, report, pool
+    # workers) via the environment variable those layers consult; restore
+    # it afterwards so embedding callers see no side effects.
     restores = []
-    faults_activated = False
     if args.check_invariants:
         from repro.analysis.invariants import ENV_FLAG as invariants_flag
 
         restores.append((invariants_flag, os.environ.get(invariants_flag)))
         os.environ[invariants_flag] = "1"
-    if args.faults:
-        from repro import faults
-
-        plan = faults.FaultPlan.parse(args.faults)
-        restores.append((faults.ENV_FLAG, os.environ.get(faults.ENV_FLAG)))
-        os.environ[faults.ENV_FLAG] = args.faults
-        faults.activate(plan)
-        faults_activated = True
     try:
         return args.func(args)
     finally:
-        if faults_activated:
-            from repro import faults
-
-            faults.reset()
         for flag, previous in restores:
             if previous is None:
                 os.environ.pop(flag, None)

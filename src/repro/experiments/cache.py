@@ -21,8 +21,7 @@ The cache is an accelerator, never a point of failure: a value that was
 already computed must reach the caller even when persisting it fails.
 :meth:`DiskCache.store_safe` (used by :meth:`DiskCache.get_or_compute`
 and every runner call site) downgrades store errors to a warning plus a
-``stats.errors`` bump.  Fault-injection plans (:mod:`repro.faults`) can
-force store failures and corrupt writes here to prove those paths.
+``stats.errors`` bump.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Optional, Tuple
 
-from repro.faults.injector import active_injector
 from repro.obs.tracer import span as _trace_span
 
 _SOURCE_VERSION: Optional[str] = None
@@ -90,7 +88,8 @@ def source_version() -> str:
             digest.update(str(path.relative_to(package_root)).encode())
             digest.update(b"\0")
             digest.update(path.read_bytes())
-        _SOURCE_VERSION = digest.hexdigest()[:16]  # repro: noqa(REP301) -- per-process memo of a digest every process derives identically
+        # A per-process memo of a digest every process derives identically.
+        _SOURCE_VERSION = digest.hexdigest()[:16]
     return _SOURCE_VERSION
 
 
@@ -160,7 +159,8 @@ class DiskCache:
 
     def __post_init__(self) -> None:
         if self.root is None:
-            env = os.environ.get("REPRO_CACHE_DIR")  # repro: noqa(REP304) -- selects the store's location, never the content of any entry
+            # Selects the store's location, never the content of any entry.
+            env = os.environ.get("REPRO_CACHE_DIR")
             self.root = Path(env) if env else Path.cwd() / ".repro-cache"
         else:
             self.root = Path(self.root)
@@ -224,20 +224,12 @@ class DiskCache:
 
         Raises on failure -- callers that must survive a failed store
         (any caller holding an already-computed value) go through
-        :meth:`store_safe` instead.  An active fault plan may force this
-        method to raise ``OSError`` or to write a corrupt entry.
+        :meth:`store_safe` instead.
         """
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        injector = active_injector()
         with _trace_span("cache.store", key=key[:12]):
-            if injector is not None and injector.store_should_fail(key):
-                raise OSError(f"injected store failure for key {key[:12]}")
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            if injector is not None:
-                corrupted = injector.corrupt_payload(key, payload)
-                if corrupted is not None:
-                    payload = corrupted
             handle = tempfile.NamedTemporaryFile(
                 mode="wb", dir=path.parent, suffix=".tmp", delete=False
             )

@@ -106,46 +106,6 @@ def _cache_section(runner: ExperimentRunner) -> str:
     return out.getvalue()
 
 
-def _robustness_section(runner: ExperimentRunner) -> str:
-    """Fault-tolerance outcome counters of the last parallel fan-out."""
-    report = runner.fanout_report()
-    out = io.StringIO()
-    out.write("\n## Robustness (fault-tolerant fan-out)\n\n")
-    if report.tasks:
-        counts = report.outcome_counts()
-        out.write("| outcome | tasks | meaning |\n|---|---:|---|\n")
-        out.write(f"| ok | {counts['ok']} | "
-                  "succeeded on the first pool attempt |\n")
-        out.write(f"| retried | {counts['retried']} | "
-                  "succeeded after retry (failure, crash, or timeout) |\n")
-        out.write(f"| degraded | {counts['degraded']} | "
-                  "retry budget exhausted; serial in-process fallback |\n")
-        out.write(f"| failed | {counts['failed']} | "
-                  "failed everywhere; absent from the results |\n")
-        out.write(
-            f"\n{report.total_retries} total retries,"
-            f" {report.pool_rebuilds} pool rebuilds"
-            " (a rebuild recovers a crashed or hung worker pool).\n"
-        )
-    else:
-        out.write(
-            "*No parallel fan-out in this run (serial execution or fully"
-            " memoised grid); outcome counters are empty.*\n"
-        )
-    out.write(
-        "\nBatch scheduling goes through `repro.faults.run_fanout`:"
-        " failed attempts retry with exponential backoff, dead workers"
-        " trigger a pool rebuild, and exhausted keys degrade to serial"
-        " execution, so a sweep always returns whatever completed."
-        "  Chaos-test it with `python -m repro chaos` or inject faults"
-        " into any command via `--faults` / `REPRO_FAULTS`"
-        " (`seed=`, `crash=`, `crash_on=`, `fail=`, `store=`,"
-        " `corrupt=`, `slow=`, `slow_seconds=`); plans are deterministic"
-        " per seed, and results stay bit-identical under injection.\n"
-    )
-    return out.getvalue()
-
-
 def _aggregate_spans(
     forest: Sequence[Dict[str, Any]], totals: Dict[str, List[float]]
 ) -> None:
@@ -272,7 +232,6 @@ def generate_with_runner(
                 )
 
         sections.append(_cache_section(runner))
-        sections.append(_robustness_section(runner))
 
     if obs.tracing_enabled():
         sections.append(_timing_section(obs.get_tracer().as_dicts()))

@@ -13,19 +13,14 @@ Three layers, consulted in order:
   figure suite are incremental across processes and sessions (enable by
   passing ``cache_dir`` or setting ``REPRO_CACHE_DIR``);
 * :meth:`ExperimentRunner.run_many`, which fans a batch of grid points
-  out over a process pool -- traces first (one per distinct workload),
-  then the design runs -- with workers communicating through the disk
-  cache rather than shipping multi-megabyte traces back.
+  out over one ``spawn`` process pool -- traces first (one per distinct
+  workload), then the design runs -- with workers communicating through
+  the disk cache rather than shipping multi-megabyte traces back.
 
-The fan-out is fault tolerant: scheduling goes through
-:func:`repro.faults.executor.run_fanout`, so a failed task attempt is
-retried with exponential backoff, a dead worker (``BrokenProcessPool``)
-triggers a pool rebuild with in-flight keys requeued, and a task that
-exhausts its retry budget degrades to serial in-process execution.
-Whatever happens, ``run_many`` returns every result it obtained, and
-:meth:`ExperimentRunner.fanout_report` labels each key with its
-:class:`~repro.faults.outcomes.RunOutcome` (ok / retried / degraded /
-failed).  Memoisation counters advance identically in the serial and
+A failed worker fails the whole batch: the first exception (or a dead
+worker's ``BrokenProcessPool``) cancels the remaining tasks, shuts the
+pool down and re-raises naming the workload or :class:`RunKey` that
+failed.  Memoisation counters advance identically in the serial and
 parallel branches: one miss per scheduled grid point (trace memoisation
 is only counted by direct :meth:`ExperimentRunner.trace` /
 :meth:`ExperimentRunner.run` calls).
@@ -37,24 +32,14 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro import faults, obs
+from repro import obs
 from repro.core import Design, simulate_frame
 from repro.core.angle import DEFAULT_THRESHOLD, AngleThreshold
 from repro.core.frontend import DesignRun
 from repro.energy import EnergyBreakdown, EnergyModel
 from repro.experiments.cache import DiskCache
-from repro.faults import (
-    FanoutReport,
-    FanoutTask,
-    FaultContext,
-    RetryPolicy,
-    RunOutcome,
-    TaskReport,
-    run_fanout,
-    task_token,
-)
 from repro.render.scene import Scene
 from repro.texture.requests import FragmentTrace
 from repro.units import Radians
@@ -125,30 +110,11 @@ def _trace_pair(
     return pair
 
 
-def _worker_trace(
-    workload_name: str, cache_root: str,
-    ctx: Optional[FaultContext] = None,
-) -> str:
-    """Pool worker: ensure one workload's trace exists in the disk cache."""
-    faults.enter_worker(ctx)
-    cache = DiskCache(root=Path(cache_root))
-    _trace_pair(cache, workload_by_name(workload_name))
-    return workload_name
-
-
-def _worker_run(
-    key: RunKey, cache_root: str,
-    ctx: Optional[FaultContext] = None,
+def _simulate_key(
+    workload: GameWorkload, pair: Tuple[Scene, FragmentTrace], key: RunKey
 ) -> DesignRun:
-    """Pool worker: simulate one grid point, reading/writing the cache."""
-    faults.enter_worker(ctx)
-    cache = DiskCache(root=Path(cache_root))
-    run_key = cache.key("run", **_run_payload(key))
-    hit, run = cache.load(run_key)
-    if hit:
-        return run
-    workload = workload_by_name(key.workload)
-    scene, trace = _trace_pair(cache, workload)
+    """Simulate the grid point ``key`` on the workload's scene + trace."""
+    scene, trace = pair
     config = workload.design_config(
         key.design,
         angle_threshold=key.angle_threshold,
@@ -158,46 +124,70 @@ def _worker_run(
         memory_backend=key.memory_backend,
         link_bandwidth_scale=key.link_bandwidth_scale,
     )
-    run = simulate_frame(scene, trace, config)
-    cache.store_safe(run_key, run)
-    return run
+    return simulate_frame(scene, trace, config)
 
 
-def _worker_trace_traced(
-    workload_name: str, cache_root: str,
-    ctx: Optional[FaultContext] = None,
-) -> Tuple[str, List[Dict[str, Any]]]:
-    """Traced pool worker: trace generation plus this worker's span forest.
+def _worker_trace(
+    workload_name: str, cache_root: str
+) -> List[Dict[str, Any]]:
+    """Pool worker: ensure one workload's trace exists in the disk cache.
 
-    Forked workers inherit the parent's half-built tracer state, so the
-    tracer is reset before any spans are recorded here -- except when
-    running in the parent itself (the degraded fallback under
-    :func:`faults.suppress`, or a serial-backend attempt under
-    :func:`faults.inline_execution`), where the parent's live tracer
-    already covers the work and resetting it would destroy the run's
-    span forest.
+    Returns this task's span forest (empty unless ``REPRO_TRACE`` is set:
+    a spawned worker learns that tracing is on only from the
+    environment).  A worker runs several tasks, so the tracer is reset
+    first to keep each forest to its own task's spans.
     """
-    if faults.suppressed() or faults.inline():
-        return _worker_trace(workload_name, cache_root, ctx), []
     obs.reset_tracer()
     with obs.span("worker.trace", workload=workload_name):
-        result = _worker_trace(workload_name, cache_root, ctx)
-    return result, obs.get_tracer().as_dicts()
+        cache = DiskCache(root=Path(cache_root))
+        _trace_pair(cache, workload_by_name(workload_name))
+    return obs.get_tracer().as_dicts()
 
 
-def _worker_run_traced(
-    key: RunKey, cache_root: str,
-    ctx: Optional[FaultContext] = None,
+def _worker_run(
+    key: RunKey, cache_root: str
 ) -> Tuple[DesignRun, List[Dict[str, Any]]]:
-    """Traced pool worker: one grid point plus this worker's span forest."""
-    if faults.suppressed() or faults.inline():
-        return _worker_run(key, cache_root, ctx), []
+    """Pool worker: simulate one grid point, reading/writing the cache.
+
+    Returns the run and this task's span forest (see :func:`_worker_trace`).
+    """
     obs.reset_tracer()
     with obs.span(
         "worker.run", workload=key.workload, design=key.design.name
     ):
-        result = _worker_run(key, cache_root, ctx)
-    return result, obs.get_tracer().as_dicts()
+        cache = DiskCache(root=Path(cache_root))
+        run_key = cache.key("run", **_run_payload(key))
+        hit, run = cache.load(run_key)
+        if not hit:
+            workload = workload_by_name(key.workload)
+            run = _simulate_key(workload, _trace_pair(cache, workload), key)
+            cache.store_safe(run_key, run)
+    return run, obs.get_tracer().as_dicts()
+
+
+def _pool_results(
+    pool: Any,
+    fn: Callable[[Any, str], Any],
+    items: Sequence[Any],
+    cache_root: str,
+) -> List[Any]:
+    """``fn(item, cache_root)`` for every item on ``pool``, in item order.
+
+    The first task to fail -- with its own exception, or with
+    ``BrokenProcessPool`` when a worker died -- cancels every task not
+    yet started, shuts the pool down and is re-raised naming its item.
+    """
+    from concurrent.futures import FIRST_EXCEPTION, wait
+
+    futures = [pool.submit(fn, item, cache_root) for item in items]
+    done, _pending = wait(futures, return_when=FIRST_EXCEPTION)
+    for item, future in zip(items, futures):
+        if future in done and future.exception() is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise RuntimeError(
+                f"run_many worker failed on {item!r}"
+            ) from future.exception()
+    return [future.result() for future in futures]
 
 
 def _graft_worker_spans(phase_span, forests: Sequence[List[Dict[str, Any]]]) -> None:
@@ -217,7 +207,6 @@ class ExperimentRunner:
         workload_names: Optional[Sequence[str]] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         jobs: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         if workload_names is None:
             self.workloads: List[GameWorkload] = list(WORKLOADS)
@@ -228,10 +217,8 @@ class ExperimentRunner:
         self._energy: Dict[RunKey, EnergyBreakdown] = {}
         self.energy_model = EnergyModel()
         self.jobs = jobs
-        self.retry_policy = retry_policy or RetryPolicy()
         self.memo_hits = 0
         self.memo_misses = 0
-        self._last_fanout = FanoutReport()
         if cache_dir is None:
             env = os.environ.get("REPRO_CACHE_DIR")
             cache_dir = Path(env) if env else None
@@ -244,14 +231,6 @@ class ExperimentRunner:
     def disk_cache(self) -> Optional[DiskCache]:
         """The persistent cache, or ``None`` when running memo-only."""
         return self._disk
-
-    def fanout_report(self) -> FanoutReport:
-        """Per-key robustness outcomes of the most recent :meth:`run_many`.
-
-        Empty until the first ``run_many`` call; keys already served from
-        the memo are not listed (they were never scheduled).
-        """
-        return self._last_fanout
 
     def trace(self, workload: GameWorkload) -> Tuple[Scene, FragmentTrace]:
         if workload.name in self._traces:
@@ -346,17 +325,7 @@ class ExperimentRunner:
                     else:
                         pair = workload.trace()
                 self._traces[workload.name] = pair
-            scene, trace = pair
-            config = workload.design_config(
-                key.design,
-                angle_threshold=key.angle_threshold,
-                aniso_enabled=key.aniso_enabled,
-                mtu_share=key.mtu_share,
-                consolidation_enabled=key.consolidation_enabled,
-                memory_backend=key.memory_backend,
-                link_bandwidth_scale=key.link_bandwidth_scale,
-            )
-            run = simulate_frame(scene, trace, config)
+            run = _simulate_key(workload, pair, key)
             if current is not None:
                 current.attributes["source"] = "simulated"
             self._runs[key] = run
@@ -368,43 +337,29 @@ class ExperimentRunner:
         self,
         keys: Sequence[RunKey],
         jobs: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        task_timeout: Optional[float] = None,
-        backend: Optional[str] = None,
     ) -> Dict[RunKey, DesignRun]:
         """Simulate a batch of grid points, fanning out across processes.
 
-        Two phases: first every distinct workload's trace is generated
-        (one worker each), then the design runs execute against the
-        now-warm cache.  Workers exchange artefacts through the disk
-        cache; when the runner has none configured, a temporary one
-        scoped to this call is used.  With ``jobs=1`` (or a single key)
-        everything runs in-process -- results are identical either way
-        because the whole pipeline is deterministic.
+        Two phases share one ``spawn`` process pool of
+        ``min(jobs, pending keys)`` workers: first every distinct
+        workload's trace is generated (one task each), then the design
+        runs execute against the now-warm cache.  Workers exchange
+        artefacts through the disk cache; when the runner has none
+        configured, a temporary one scoped to this call is used.  With
+        ``jobs=1`` (or a single key) everything runs in-process --
+        results are identical either way because the whole pipeline is
+        deterministic.
 
-        ``backend`` names an executor backend
-        (:data:`repro.faults.BACKEND_NAMES`: ``serial`` or
-        ``process-pool``); naming one routes scheduling through
-        :func:`~repro.faults.executor.run_fanout` on that backend even
-        when ``jobs`` would otherwise take the in-process shortcut, so
-        cross-backend comparisons exercise the same code path.
-
-        The parallel branch is fault tolerant (see
-        :func:`repro.faults.executor.run_fanout`): failed attempts are
-        retried under ``retry_policy`` (default: the runner's), tasks
-        exceeding ``task_timeout`` seconds are requeued after a pool
-        rebuild, and keys that exhaust their retries fall back to serial
-        in-process execution.  The returned mapping contains every key
-        that produced a result -- possibly a strict subset of ``keys``;
-        consult :meth:`fanout_report` for per-key outcomes.
+        Spawned workers see only their arguments and the environment
+        (``REPRO_TRACE``, ``REPRO_CHECK_INVARIANTS``), never state the
+        parent set up in memory.  The first failed task fails the batch
+        (see :func:`_pool_results`); no partial result is returned.
         """
         jobs = jobs if jobs is not None else self.jobs
         if jobs is None:
             jobs = os.cpu_count() or 1
         results: Dict[RunKey, DesignRun] = {}
         pending: List[RunKey] = []
-        report = FanoutReport()
-        self._last_fanout = report
         for key in keys:
             if key in self._runs:
                 self.memo_hits += 1
@@ -415,17 +370,16 @@ class ExperimentRunner:
             return results
         self.memo_misses += len(pending)
 
-        if backend is None and (jobs <= 1 or len(pending) == 1):
+        if jobs <= 1 or len(pending) == 1:
             with obs.span(
                 "runner.run_many", pending=len(pending), jobs=1
             ):
                 for key in pending:
-                    report.tasks[key] = TaskReport(
-                        token=task_token(key), outcome=RunOutcome.OK,
-                        attempts=1,
-                    )
                     results[key] = self._simulate_pending(key)
             return results
+
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         scratch: Optional[tempfile.TemporaryDirectory] = None
         if self._disk is not None:
@@ -433,78 +387,34 @@ class ExperimentRunner:
         else:
             scratch = tempfile.TemporaryDirectory(prefix="repro-cache-")
             cache_root = scratch.name
-        traced = obs.tracing_enabled()
-        policy = retry_policy if retry_policy is not None else self.retry_policy
-        trace_fn = _worker_trace_traced if traced else _worker_trace
-        run_fn = _worker_run_traced if traced else _worker_run
-        workload_names: List[str] = []
-        for key in pending:
-            if key.workload not in workload_names:
-                workload_names.append(key.workload)
+        workload_names = list(dict.fromkeys(key.workload for key in pending))
+        workers = min(jobs, len(pending))
         try:
             with obs.span(
-                "runner.run_many", pending=len(pending), jobs=jobs
-            ) as many_span:
+                "runner.run_many", pending=len(pending), jobs=workers
+            ), ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn"),
+            ) as pool:
                 with obs.span(
                     "runner.trace_phase", workloads=len(workload_names)
                 ) as trace_phase:
-                    trace_results, trace_report = run_fanout(
-                        [
-                            FanoutTask(
-                                key=name, fn=trace_fn, args=(name, cache_root)
-                            )
-                            for name in workload_names
-                        ],
-                        jobs=min(jobs, len(workload_names)),
-                        policy=policy,
-                        task_timeout=task_timeout,
-                        phase="faults.trace_fanout",
-                        backend=backend,
+                    forests = _pool_results(
+                        pool, _worker_trace, workload_names, cache_root
                     )
-                    if traced:
-                        # Graft in submission order, not dict (completion)
-                        # order, so the manifest span tree is bit-identical
-                        # across runs.
-                        _graft_worker_spans(
-                            trace_phase,
-                            [trace_results[name][1] for name in workload_names
-                             if name in trace_results],
-                        )
-                report.merge(trace_report)
+                    _graft_worker_spans(trace_phase, forests)
                 with obs.span(
                     "runner.run_phase", runs=len(pending)
                 ) as run_phase:
-                    run_results, run_report = run_fanout(
-                        [
-                            FanoutTask(
-                                key=key, fn=run_fn, args=(key, cache_root)
-                            )
-                            for key in pending
-                        ],
-                        jobs=jobs,
-                        policy=policy,
-                        task_timeout=task_timeout,
-                        phase="faults.run_fanout",
-                        backend=backend,
+                    outputs = _pool_results(
+                        pool, _worker_run, pending, cache_root
                     )
-                    if traced:
-                        _graft_worker_spans(
-                            run_phase,
-                            [run_results[key][1] for key in pending
-                             if key in run_results],
-                        )
-                report.merge(run_report)
-                for key in pending:
-                    if key not in run_results:
-                        continue  # FAILED: absent, labelled in the report
-                    value = run_results[key]
-                    run = value[0] if traced else value
+                    _graft_worker_spans(
+                        run_phase, [forest for _run, forest in outputs]
+                    )
+                for key, (run, _forest) in zip(pending, outputs):
                     self._runs[key] = run
                     results[key] = run
-                if many_span is not None:
-                    summary = report.as_dict()
-                    del summary["tasks"]
-                    many_span.attributes["fanout"] = summary
         finally:
             if scratch is not None:
                 scratch.cleanup()

@@ -1,11 +1,10 @@
-"""Declarative design-space sweeps over the fan-out scheduler.
+"""Declarative design-space sweeps over the runner's process pool.
 
 A sweep is a Cartesian product over four axes -- angle threshold,
 workload (which carries resolution), external-link bandwidth scale, and
 memory backend (:mod:`repro.memory.registry`) -- optionally subsampled
 to a fixed point budget, and executed as one batch through
-:meth:`~repro.experiments.runner.ExperimentRunner.run_many` on any
-executor backend (:data:`repro.faults.BACKEND_NAMES`).
+:meth:`~repro.experiments.runner.ExperimentRunner.run_many`.
 
 Two properties make thousand-point sweeps cheap and comparable:
 
@@ -15,9 +14,9 @@ Two properties make thousand-point sweeps cheap and comparable:
   onto shared :class:`~repro.experiments.runner.RunKey` simulations.
   A 1000-point sample typically needs far fewer unique frames.
 * **Deterministic sampling**: subsets are chosen by ranking each
-  point's token under :func:`repro.faults.plan.stable_fraction`, so a
-  sample is a pure function of ``(definition, n, seed)`` -- identical
-  across processes, hosts, and executor backends.
+  point's token under :func:`stable_fraction`, so a sample is a pure
+  function of ``(definition, n, seed)`` -- identical across processes,
+  hosts, and job counts.
 
 The headline product is the **A-TFIM crossover surface**: for each
 (memory backend x link scale) cell, the smallest angle threshold at
@@ -27,6 +26,7 @@ section of EXPERIMENTS.md (see :func:`surface_markdown`).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -36,8 +36,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core import Design
 from repro.core.angle import DEFAULT_THRESHOLD
 from repro.experiments.runner import ExperimentRunner, RunKey
-from repro.faults import RetryPolicy
-from repro.faults.plan import stable_fraction
 
 SWEEP_THRESHOLDS: Tuple[float, ...] = (
     0.0025,
@@ -55,6 +53,17 @@ SWEEP_THRESHOLDS: Tuple[float, ...] = (
 SWEEP_LINK_SCALES: Tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
 """Default external-interface multipliers around each backend's nominal
 link rate."""
+
+
+def stable_fraction(seed: int, site: str, token: str) -> float:
+    """A deterministic pseudo-uniform fraction in ``[0, 1)``.
+
+    Hashes ``(seed, site, token)`` with SHA-256; independent of call
+    order and process, unlike stateful RNG draws, so a sample replays
+    identically everywhere.
+    """
+    digest = hashlib.sha256(f"{seed}:{site}:{token}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
 @dataclass(frozen=True)
@@ -177,8 +186,7 @@ class SweepDefinition:
 
 
 def _signature(run) -> Tuple[float, float, float, int]:
-    """The fields two runs must agree on to count as bit-identical
-    (same contract as the ``chaos`` gate)."""
+    """The fields two runs must agree on to count as bit-identical."""
     return (
         run.frame_cycles,
         run.texture_cycles,
@@ -215,17 +223,15 @@ class SweepResult:
 
     definition: SweepDefinition
     records: List[SweepRecord]
-    executor_backend: Optional[str]
     unique_runs: int
     missing: List[SweepPoint] = field(default_factory=list)
-    fanout: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def num_points(self) -> int:
         return len(self.records) + len(self.missing)
 
     def signatures(self) -> Dict[str, Tuple[float, float, float, int]]:
-        """Token -> signature map for cross-backend identity checks."""
+        """Token -> signature map for serial/parallel identity checks."""
         return {
             record.point.token: record.signature for record in self.records
         }
@@ -293,13 +299,11 @@ class SweepResult:
     def as_dict(self) -> Dict[str, Any]:
         return {
             "sweep": self.definition.name,
-            "executor_backend": self.executor_backend,
             "points": self.num_points,
             "unique_runs": self.unique_runs,
             "missing": [point.token for point in self.missing],
             "records": [record.as_dict() for record in self.records],
             "surface": self.surface(),
-            "fanout": self.fanout,
         }
 
     def write_json(self, path: Union[str, Path]) -> Path:
@@ -314,16 +318,13 @@ def run_sweep(
     runner: Optional[ExperimentRunner] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     jobs: Optional[int] = None,
-    backend: Optional[str] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    task_timeout: Optional[float] = None,
 ) -> SweepResult:
-    """Execute a sweep (or a sampled subset) as one fan-out batch.
+    """Execute a sweep (or a sampled subset) as one ``run_many`` batch.
 
-    ``backend`` selects the executor backend for the underlying
+    ``jobs`` sizes the underlying
     :meth:`~repro.experiments.runner.ExperimentRunner.run_many` call;
-    the physics is deterministic, so every backend must produce the
-    same :meth:`SweepResult.signatures` -- the CI sweep gate asserts
+    the physics is deterministic, so every job count must produce the
+    same :meth:`SweepResult.signatures` -- ``sweep --check`` asserts
     exactly that.  Baseline normalization runs are scheduled
     automatically for every workload the points touch.
     """
@@ -344,14 +345,7 @@ def run_sweep(
                 keys.append(key)
     if runner is None:
         runner = ExperimentRunner(workloads, cache_dir=cache_dir)
-    runs = runner.run_many(
-        keys,
-        jobs=jobs,
-        retry_policy=retry_policy,
-        task_timeout=task_timeout,
-        backend=backend,
-    )
-    report = runner.fanout_report()
+    runs = runner.run_many(keys, jobs=jobs)
     records: List[SweepRecord] = []
     missing: List[SweepPoint] = []
     for point in points:
@@ -372,15 +366,11 @@ def run_sweep(
                 signature=_signature(run),
             )
         )
-    fanout = report.as_dict()
-    fanout.pop("tasks", None)
     return SweepResult(
         definition=definition,
         records=records,
-        executor_backend=report.backend,
         unique_runs=len(keys),
         missing=missing,
-        fanout=fanout,
     )
 
 
@@ -395,8 +385,7 @@ def surface_markdown(result: SweepResult) -> str:
         "",
         f"Sweep `{definition.name}`: {result.num_points} sampled points "
         f"({definition.size} in the full product) collapsing onto "
-        f"{result.unique_runs} unique simulations, executed on the "
-        f"`{result.executor_backend or 'in-process'}` executor backend.",
+        f"{result.unique_runs} unique simulations.",
         "",
         "Axes: angle threshold x workload/resolution x external-link "
         "scale x memory backend (`hmc` = paper Table I; `hbm` = "

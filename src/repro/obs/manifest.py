@@ -48,9 +48,6 @@ class RunManifest:
     cache: Dict[str, float] = field(default_factory=dict)
     spans: List[Dict[str, Any]] = field(default_factory=list)
     stats: Dict[str, Optional[float]] = field(default_factory=dict)
-    faults: Dict[str, Any] = field(default_factory=dict)
-    """Robustness record: the active fault plan (if any) and the last
-    fan-out's per-key outcomes.  Empty when the run never fanned out."""
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -64,12 +61,16 @@ class RunManifest:
             "cache": self.cache,
             "spans": self.spans,
             "stats": self.stats,
-            "faults": self.faults,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunManifest":
-        """Inverse of :meth:`as_dict`; validates the schema marker."""
+        """Inverse of :meth:`as_dict`; validates the schema marker.
+
+        Keys this version does not know are ignored, so manifests
+        written by older versions (for example with a ``faults`` block)
+        still load.
+        """
         schema = payload.get("schema")
         if schema != MANIFEST_SCHEMA:
             raise ValueError(
@@ -86,7 +87,6 @@ class RunManifest:
             cache=dict(payload.get("cache", {})),
             spans=list(payload.get("spans", [])),
             stats=dict(payload.get("stats", {})),
-            faults=dict(payload.get("faults", {})),
         )
 
     def chrome_trace(self) -> Dict[str, Any]:
@@ -118,8 +118,7 @@ def build_manifest(
 
     ``runner`` (an :class:`~repro.experiments.runner.ExperimentRunner`)
     contributes its cache counters and the flattened per-run StatGroup
-    metrics, plus its most recent fan-out record; the span tree is
-    drained from the process-wide tracer.
+    metrics; the span tree is drained from the process-wide tracer.
     """
     # Imported lazily: the cache module itself records spans through
     # repro.obs, so a top-level import would be circular.
@@ -128,19 +127,9 @@ def build_manifest(
     config = dict(config or {})
     cache: Dict[str, float] = {}
     stats: Dict[str, Optional[float]] = {}
-    faults: Dict[str, Any] = {}
-    from repro.faults.injector import active_injector
-
-    injector = active_injector()
-    if injector is not None:
-        faults["plan"] = injector.plan.as_dict()
     if runner is not None:
         from repro.obs.snapshot import runner_stat_group
 
-        report = getattr(runner, "fanout_report", None)
-        fanout = report() if callable(report) else None
-        if fanout is not None and fanout.tasks:
-            faults["fanout"] = fanout.as_dict()
         counters = runner.cache_stats()
         cache = {
             "memo_hits": float(counters.memo_hits),
@@ -159,12 +148,12 @@ def build_manifest(
         config=config,
         digest=config_digest(config),
         source=source_version(),
-        created_unix=time.time(),  # repro: noqa(REP300) -- provenance timestamp; excluded from the bit-identity comparison
+        # A provenance timestamp, not part of any result.
+        created_unix=time.time(),
         tracing=tracing_enabled(),
         cache=cache,
         spans=get_tracer().as_dicts(),
         stats=stats,
-        faults=faults,
     )
 
 

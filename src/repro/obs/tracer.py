@@ -13,7 +13,7 @@ Tracing is **off by default** and must cost nothing when off: every
 entry point checks one module-level flag and returns a preallocated
 no-op context manager, so instrumented hot paths pay a single boolean
 test per call.  Enable with the ``REPRO_TRACE=1`` environment variable
-or :func:`set_tracing` (which also exports the variable so
+or :func:`set_tracing` (which also exports the variable so spawned
 ``ProcessPoolExecutor`` workers inherit the setting).
 """
 
@@ -40,7 +40,7 @@ def set_tracing(on: bool, propagate_env: bool = True) -> None:
     """Flip the module flag at runtime.
 
     With ``propagate_env`` (the default) the ``REPRO_TRACE`` variable is
-    exported/cleared too, so pool workers forked after the call trace
+    exported/cleared too, so pool workers started after the call trace
     (or don't) consistently with their parent.
     """
     global _enabled
@@ -280,9 +280,10 @@ def attach_stats(stats: Any, prefix: str = "") -> None:
 
 
 def reset_tracer() -> None:
-    """Clear the process-wide tracer (pool workers call this on entry:
-    a forked worker inherits the parent's half-built span forest)."""
-    _TRACER.reset()  # repro: noqa(REP301) -- dropping inherited spans on worker entry is the fork-safety fix, not the hazard
+    """Clear the process-wide tracer (pool workers call this before each
+    task: a worker runs several tasks, and each task returns only its
+    own span forest)."""
+    _TRACER.reset()
 
 
 _F = TypeVar("_F", bound=Callable[..., Any])

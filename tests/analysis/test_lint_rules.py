@@ -303,7 +303,7 @@ class TestFindingFormat:
 
 
 class TestBarePoolMap:
-    FAULTS_PATH = "src/repro/faults/executor.py"
+    RUNNER_PATH = "src/repro/experiments/runner.py"
 
     def test_pool_map_flagged(self):
         source = """
@@ -326,12 +326,16 @@ class TestBarePoolMap:
     def test_flagged_in_tests_too(self):
         assert "REP109" in ids_for("pool.map(work, items)\n", TEST_PATH)
 
-    def test_faults_package_exempt(self):
+    def test_runner_module_exempt(self):
+        # run_many is the one fan-out site: only its module may talk to
+        # a raw executor, and its sibling modules may not.
         source = "future = pool.submit(work, item)\n"
-        assert "REP109" not in ids_for(source, self.FAULTS_PATH)
+        assert "REP109" not in ids_for(source, self.RUNNER_PATH)
+        sibling = "src/repro/experiments/sweep.py"
+        assert "REP109" in ids_for(source, sibling)
 
-    def test_run_fanout_not_flagged(self):
-        source = "results, report = run_fanout(tasks, jobs=4)\n"
+    def test_run_many_not_flagged(self):
+        source = "results = runner.run_many(keys, jobs=4)\n"
         assert "REP109" not in ids_for(source)
 
     def test_unrelated_map_not_flagged(self):
@@ -339,10 +343,15 @@ class TestBarePoolMap:
         assert "REP109" not in ids_for("out = map(fn, xs)\n")
 
 
-class TestFaultsPackageTimingExemptions:
-    FAULTS_PATH = "src/repro/faults/executor.py"
+class TestTimingExemptionsNarrowToObs:
+    OBS_PATH = "src/repro/obs/tracer.py"
+    RUNNER_PATH = "src/repro/experiments/runner.py"
 
-    def test_monotonic_allowed_in_faults(self):
+    def test_monotonic_allowed_only_in_obs(self):
+        # REP102 and REP108 exempt repro.obs alone; the module that
+        # owns the process pool gets no timing exemption.
         source = "import time\nt = time.monotonic()\n"
-        assert "REP108" not in ids_for(source, self.FAULTS_PATH)
-        assert "REP102" not in ids_for(source, self.FAULTS_PATH)
+        assert "REP108" not in ids_for(source, self.OBS_PATH)
+        assert "REP102" not in ids_for(source, self.OBS_PATH)
+        assert "REP108" in ids_for(source, self.RUNNER_PATH)
+        assert "REP102" in ids_for(source, self.RUNNER_PATH)

@@ -1,14 +1,27 @@
 """Disk cache, parallel fan-out, and cache-stat exposure of the runner."""
 
+import json
+import multiprocessing
+import os
 import pickle
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.core import Design
 from repro.core.angle import DEFAULT_THRESHOLD
 from repro.experiments.cache import CacheStats, DiskCache, source_version
 from repro.experiments.report import _cache_section, grid_keys
-from repro.experiments.runner import ExperimentRunner, RunKey
+from repro.experiments.runner import (
+    FAST_WORKLOADS,
+    ExperimentRunner,
+    RunKey,
+    _pool_results,
+)
+from repro.obs import run_stat_group
 from repro.workloads import workload_by_name
 
 WORKLOAD = "doom3-640x480"
@@ -17,6 +30,19 @@ KEYS = [
     RunKey(WORKLOAD, design, DEFAULT_THRESHOLD.effective_radians, True)
     for design in DESIGNS
 ]
+FAST_GRID = [
+    RunKey(name, design, DEFAULT_THRESHOLD.effective_radians, True)
+    for name in FAST_WORKLOADS
+    for design in Design
+]
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "simulated_runs.json"
+
+
+def _exit_on_die(item, _cache_root):
+    """Pool task that kills its worker process outright on ``"die"``."""
+    if item == "die":
+        os._exit(3)
+    return item
 
 
 def run_signature(run):
@@ -125,12 +151,16 @@ class TestRunnerDiskCache:
 
 
 class TestRunMany:
-    def test_parallel_matches_serial(self, tmp_path, serial_results):
-        runner = ExperimentRunner([WORKLOAD], cache_dir=tmp_path)
-        results = runner.run_many(KEYS, jobs=2)
-        assert set(results) == set(KEYS)
-        for key in KEYS:
-            assert run_signature(results[key]) == serial_results[key]
+    def test_parallel_matches_serial(self, tmp_path):
+        # The golden file holds the serially simulated snapshot of every
+        # fast-grid point; the pool must reproduce each one exactly.
+        golden = json.loads(GOLDEN.read_text())
+        runner = ExperimentRunner(FAST_WORKLOADS, cache_dir=tmp_path)
+        results = runner.run_many(FAST_GRID, jobs=2)
+        assert list(results) == FAST_GRID
+        for key in FAST_GRID:
+            expected = golden[f"{key.workload}/{key.design.value}"]
+            assert dict(run_stat_group(results[key]).flatten()) == expected, key
 
     def test_results_memoised_after_fan_out(self, tmp_path):
         runner = ExperimentRunner([WORKLOAD], cache_dir=tmp_path)
@@ -146,6 +176,62 @@ class TestRunMany:
         results = runner.run_many(KEYS, jobs=2)
         for key in KEYS:
             assert run_signature(results[key]) == serial_results[key]
+
+
+class TestPool:
+    def test_failed_worker_fails_the_batch_naming_it(self, tmp_path):
+        missing = RunKey(
+            "no-such-workload", Design.BASELINE,
+            DEFAULT_THRESHOLD.effective_radians, True,
+        )
+        runner = ExperimentRunner([WORKLOAD], cache_dir=tmp_path)
+        with pytest.raises(RuntimeError, match="no-such-workload"):
+            runner.run_many(KEYS + [missing], jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_fails_the_batch(self):
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+            with pytest.raises(RuntimeError, match="worker failed") as info:
+                _pool_results(pool, _exit_on_die, ["die", "ok"], "")
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_forests_grafted_per_key_in_key_order(
+        self, tmp_path, monkeypatch
+    ):
+        # Spawned workers learn that tracing is on only from REPRO_TRACE.
+        keys = [
+            RunKey(WORKLOAD, design, DEFAULT_THRESHOLD.effective_radians, True)
+            for design in Design
+        ]
+        monkeypatch.setenv(obs.ENV_FLAG, "1")
+        was = obs.tracing_enabled()
+        obs.set_tracing(True, propagate_env=False)
+        obs.reset_tracer()
+        try:
+            runner = ExperimentRunner([WORKLOAD], cache_dir=tmp_path)
+            runner.run_many(keys, jobs=2)
+            (many,) = obs.get_tracer().as_dicts()
+        finally:
+            obs.reset_tracer()
+            obs.set_tracing(was, propagate_env=False)
+        phases = {child["name"]: child for child in many["children"]}
+        run_phase = phases["runner.run_phase"]
+        forests = run_phase["attributes"]["worker_spans"]
+        # At most two workers ran four tasks, so a worker that kept spans
+        # from its previous task would show two roots in one forest.
+        assert [len(forest) for forest in forests] == [1] * len(keys)
+        roots = [forest[0] for forest in forests]
+        assert [root["name"] for root in roots] == ["worker.run"] * len(keys)
+        assert [
+            (root["attributes"]["workload"], root["attributes"]["design"])
+            for root in roots
+        ] == [(key.workload, key.design.name) for key in keys]
+        (trace_forest,) = phases["runner.trace_phase"]["attributes"][
+            "worker_spans"
+        ]
+        assert [span["name"] for span in trace_forest] == ["worker.trace"]
 
 
 class TestReportIntegration:

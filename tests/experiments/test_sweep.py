@@ -14,6 +14,7 @@ from repro.experiments.sweep import (
     SweepRecord,
     SweepResult,
     run_sweep,
+    stable_fraction,
     surface_markdown,
     update_experiments_md,
 )
@@ -73,6 +74,30 @@ class TestDefinition:
             tiny_definition().sample(0)
 
 
+class TestStableFraction:
+    def test_range_and_determinism(self):
+        for token in ("a", "b", "doom3@0", ""):
+            value = stable_fraction(7, "sweep:x", token)
+            assert 0.0 <= value < 1.0
+            assert value == stable_fraction(7, "sweep:x", token)
+
+    def test_varies_with_each_component(self):
+        base = stable_fraction(0, "site", "token")
+        assert base != stable_fraction(1, "site", "token")
+        assert base != stable_fraction(0, "other", "token")
+        assert base != stable_fraction(0, "site", "other")
+
+    def test_roughly_uniform(self):
+        values = [
+            stable_fraction(3, "u", str(index)) for index in range(2000)
+        ]
+        mean = sum(values) / len(values)
+        assert 0.45 < mean < 0.55
+        assert sum(1 for v in values if v < 0.2) / len(values) == pytest.approx(
+            0.2, abs=0.05
+        )
+
+
 class TestCanonicalization:
     def test_baseline_collapses_every_pim_axis(self):
         point = SweepPoint(WORKLOAD, Design.BASELINE, 0.005, "nearbank", 0.25)
@@ -108,7 +133,6 @@ def _fake_result(records):
     return SweepResult(
         definition=tiny_definition(),
         records=records,
-        executor_backend="serial",
         unique_runs=len(records),
     )
 

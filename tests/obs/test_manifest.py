@@ -146,6 +146,23 @@ class TestChromeTrace:
         )["args"]
         assert "worker_spans" not in args
 
+    def test_manifest_with_faults_block_still_converts(self, tmp_path):
+        # Manifests written before the fault-injection layer was removed
+        # carry a "faults" block; they must still load and convert.
+        payload = _sample_manifest().as_dict()
+        payload["faults"] = {
+            "plan": {"seed": 7, "crash_rate": 0.2},
+            "fanout": {"outcomes": {"ok": 12}, "pool_rebuilds": 0},
+        }
+        source = tmp_path / "old.manifest.json"
+        source.write_text(json.dumps(payload))
+        manifest = load_manifest(source)
+        assert manifest.spans == payload["spans"]
+        assert "faults" not in manifest.as_dict()
+        output = write_chrome_trace(source, tmp_path / "old.trace.json")
+        trace = json.loads(output.read_text())
+        assert len(trace["traceEvents"]) == 2
+
     def test_write_chrome_trace_from_file(self, tmp_path):
         manifest = _sample_manifest()
         source = manifest.write(tmp_path / "run.manifest.json")
