@@ -10,12 +10,8 @@ Subcommands:
 * ``report`` -- run every experiment and write EXPERIMENTS.md.
 * ``trace <manifest.json>`` -- convert a run manifest's span tree to
   Chrome trace-event JSON (load in ``chrome://tracing`` / Perfetto).
-* ``sweep`` -- run a (sampled) design-space sweep over threshold x
-  workload x link-scale x memory-backend; optionally cross-check
-  against a serial re-run for bit-identity and write the A-TFIM
-  crossover surface into EXPERIMENTS.md.
 
-``report``, ``fig`` and ``sweep`` accept ``--jobs N`` to fan
+``report`` and ``fig`` accept ``--jobs N`` to fan
 design-point simulations out over one ``spawn`` process pool (see
 :meth:`~repro.experiments.runner.ExperimentRunner.run_many`): workers
 see only their arguments and the environment, and the first failed
@@ -178,70 +174,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Run a sampled design-space sweep."""
-    import tempfile
-
-    from repro.experiments.sweep import (
-        SweepDefinition,
-        run_sweep,
-        surface_markdown,
-        update_experiments_md,
-    )
-
-    names = FAST_WORKLOADS if args.fast else workload_names()
-    definition = SweepDefinition(
-        name=args.name, workloads=tuple(names), seed=args.seed
-    )
-    points = (
-        definition.points()
-        if args.points <= 0 or args.points >= definition.size
-        else definition.sample(args.points)
-    )
-    print(
-        f"sweep {definition.name!r}: {len(points)} points "
-        f"({definition.size} in the full product), jobs={args.jobs}"
-    )
-
-    def execute(jobs, cache_dir):
-        return run_sweep(
-            definition, points=points, cache_dir=cache_dir, jobs=jobs
-        )
-
-    with obs.span("cli.sweep", points=len(points), jobs=args.jobs):
-        if args.cache_dir is not None:
-            result = execute(args.jobs, args.cache_dir)
-        else:
-            with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
-                result = execute(args.jobs, scratch)
-        identical = True
-        if args.check:
-            with tempfile.TemporaryDirectory(
-                prefix="repro-sweep-check-"
-            ) as scratch:
-                reference = execute(1, scratch)
-            identical = result.signatures() == reference.signatures()
-            print(
-                "bit-identical to serial execution: "
-                + ("yes" if identical else "NO")
-            )
-    if result.missing:
-        for point in result.missing:
-            print(f"MISSING: {point.token}")
-    print(f"{len(result.records)} records over {result.unique_runs} "
-          "unique simulations")
-    if args.output:
-        path = result.write_json(args.output)
-        print(f"wrote {path}")
-    if args.update_experiments is not None:
-        target = args.update_experiments or "EXPERIMENTS.md"
-        path = update_experiments_md(surface_markdown(result), target)
-        print(f"wrote {path}")
-    else:
-        print(surface_markdown(result))
-    return 0 if identical and not result.missing else 1
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.manifest import write_chrome_trace
 
@@ -319,36 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output path (default: <manifest>.trace.json)")
     trace.set_defaults(func=_cmd_trace)
 
-    sweep = sub.add_parser(
-        "sweep",
-        help="run a sampled design-space sweep (threshold x workload x "
-        "link scale x memory backend)",
-    )
-    sweep.add_argument("--name", default="design-space",
-                       help="sweep name (seeds the deterministic sampler)")
-    sweep.add_argument("--points", type=int, default=64,
-                       help="sampled point budget (<= 0: the full "
-                       "Cartesian product)")
-    sweep.add_argument("--seed", type=int, default=0,
-                       help="sampling seed (default: 0)")
-    sweep.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: cpu count)")
-    sweep.add_argument("--fast", action="store_true",
-                       help="3-workload subset instead of all of Table II")
-    sweep.add_argument("--check", action="store_true",
-                       help="re-run the sweep serially in a separate cache "
-                       "and fail unless results are bit-identical")
-    sweep.add_argument("--cache-dir", default=None,
-                       help="persist traces/runs here (default: a "
-                       "per-invocation temporary directory)")
-    sweep.add_argument("--output", default=None,
-                       help="write the full sweep result as JSON here")
-    sweep.add_argument("--update-experiments", nargs="?", const="",
-                       default=None,
-                       help="rewrite the crossover-surface section of "
-                       "EXPERIMENTS.md (optional path) instead of printing "
-                       "it")
-    sweep.set_defaults(func=_cmd_sweep)
     return parser
 
 

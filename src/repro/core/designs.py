@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from repro.gpu.config import GPUConfig
 from repro.memory.gddr5 import Gddr5Config
@@ -67,14 +66,6 @@ class DesignConfig:
     """Store textures block-compressed (section VIII: orthogonal to the
     TFIM designs): texel line fills move 4x fewer bytes; texture units
     (GPU or in-memory) decompress inline."""
-    memory_backend: str = "hmc"
-    """Which :mod:`repro.memory.registry` substrate produced ``hmc``.
-    Categorical sweep axis; the physics lives in the ``hmc`` cube
-    config itself, this names its provenance (and is validated against
-    the registry)."""
-    link_bandwidth_scale: float = 1.0
-    """External-interface multiplier already applied to ``hmc`` (sweep
-    axis; 1.0 = the backend's nominal interface)."""
 
     def __post_init__(self) -> None:
         if self.angle_threshold < 0:
@@ -87,11 +78,6 @@ class DesignConfig:
             raise ValueError("cannot share one MTU across more clusters than exist")
         if self.num_cubes < 1:
             raise ValueError("need at least one HMC cube")
-        if self.link_bandwidth_scale <= 0:
-            raise ValueError("link bandwidth scale must be positive")
-        from repro.memory.registry import memory_backend
-
-        memory_backend(self.memory_backend)  # validates the name
 
     @property
     def effective_angle_threshold(self) -> float:
@@ -106,35 +92,3 @@ class DesignConfig:
         # Full-duplex links: writes ride tx, reads ride rx; ROP traffic is
         # write-dominated, so charge one direction's rate.
         return self.hmc.link_bytes_per_cycle
-
-    def with_design(self, design: Design) -> "DesignConfig":
-        """A copy of this configuration at a different design point."""
-        return DesignConfig(
-            design=design,
-            gpu=self.gpu,
-            gddr5=self.gddr5,
-            hmc=self.hmc,
-            packets=self.packets,
-            angle_threshold=self.angle_threshold,
-            aniso_enabled=self.aniso_enabled,
-            mtu_share=self.mtu_share,
-            consolidation_enabled=self.consolidation_enabled,
-            memory_backend=self.memory_backend,
-            link_bandwidth_scale=self.link_bandwidth_scale,
-        )
-
-    def with_threshold(self, angle_threshold: Radians) -> "DesignConfig":
-        """A copy with a different camera-angle threshold (A-TFIM)."""
-        return DesignConfig(
-            design=self.design,
-            gpu=self.gpu,
-            gddr5=self.gddr5,
-            hmc=self.hmc,
-            packets=self.packets,
-            angle_threshold=angle_threshold,
-            aniso_enabled=self.aniso_enabled,
-            mtu_share=self.mtu_share,
-            consolidation_enabled=self.consolidation_enabled,
-            memory_backend=self.memory_backend,
-            link_bandwidth_scale=self.link_bandwidth_scale,
-        )

@@ -259,27 +259,6 @@ def manifest_path_for(output: Union[str, Path]) -> Path:
     return Path(output).with_suffix(".manifest.json")
 
 
-def _carried_sections(output: Path) -> str:
-    """Sections other tools maintain inside the report file.
-
-    ``python -m repro sweep --update-experiments`` appends the A-TFIM
-    crossover surface; a full regeneration must carry it over instead
-    of clobbering it.  Returns the section text (trailing-newline
-    normalised) or ``""`` when the file or section does not exist.
-    """
-    if not output.exists():
-        return ""
-    from repro.experiments.sweep import SURFACE_HEADING
-
-    text = output.read_text()
-    start = text.find(SURFACE_HEADING)
-    if start < 0:
-        return ""
-    end = text.find("\n## ", start + len(SURFACE_HEADING))
-    chunk = text[start:] if end < 0 else text[start:end]
-    return chunk.rstrip("\n") + "\n"
-
-
 def write_report(
     path: str = "EXPERIMENTS.md",
     workload_names: Optional[Sequence[str]] = None,
@@ -312,9 +291,6 @@ def write_report(
         elapsed = time.time() - started  # repro: noqa(REP102) -- wall-clock timing of report generation, not sim time
         text += f"\n---\nGenerated in {elapsed:.0f} s.\n"
         output = Path(path)
-        carried = _carried_sections(output)
-        if carried:
-            text += "\n" + carried
         output.write_text(text)
         if manifest is not None:
             from repro.obs.manifest import build_manifest

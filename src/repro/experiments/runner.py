@@ -42,7 +42,6 @@ from repro.energy import EnergyBreakdown, EnergyModel
 from repro.experiments.cache import DiskCache
 from repro.render.scene import Scene
 from repro.texture.requests import FragmentTrace
-from repro.units import Radians
 from repro.workloads import WORKLOADS, GameWorkload, workload_by_name
 
 FAST_WORKLOADS = ["doom3-640x480", "riddick-640x480", "wolfenstein-640x480"]
@@ -59,10 +58,6 @@ class RunKey:
     aniso_enabled: bool
     mtu_share: int = 1
     consolidation_enabled: bool = True
-    memory_backend: str = "hmc"
-    """PIM substrate (:mod:`repro.memory.registry` name)."""
-    link_bandwidth_scale: float = 1.0
-    """External-interface multiplier of the substrate (sweep axis)."""
 
 
 @dataclass
@@ -93,8 +88,6 @@ def _run_payload(key: RunKey) -> Dict[str, Any]:
         "aniso_enabled": key.aniso_enabled,
         "mtu_share": key.mtu_share,
         "consolidation_enabled": key.consolidation_enabled,
-        "memory_backend": key.memory_backend,
-        "link_bandwidth_scale": key.link_bandwidth_scale,
     }
 
 
@@ -121,8 +114,6 @@ def _simulate_key(
         aniso_enabled=key.aniso_enabled,
         mtu_share=key.mtu_share,
         consolidation_enabled=key.consolidation_enabled,
-        memory_backend=key.memory_backend,
-        link_bandwidth_scale=key.link_bandwidth_scale,
     )
     return simulate_frame(scene, trace, config)
 
@@ -280,15 +271,7 @@ class ExperimentRunner:
                     if current is not None:
                         current.attributes["source"] = "disk"
                     return run
-            scene, trace = self.trace(workload)
-            config = workload.design_config(
-                design,
-                angle_threshold=threshold.effective_radians,
-                aniso_enabled=aniso_enabled,
-                mtu_share=mtu_share,
-                consolidation_enabled=consolidation_enabled,
-            )
-            run = simulate_frame(scene, trace, config)
+            run = _simulate_key(workload, self.trace(workload), key)
             if current is not None:
                 current.attributes["source"] = "simulated"
             self._runs[key] = run

@@ -4,14 +4,10 @@ The designs in the paper are distinguished almost entirely by *where*
 texture data moves and over *which* interface:
 
 * Baseline: GPU <-> GDDR5 at 128 GB/s.
-* B-PIM / S-TFIM / A-TFIM: GPU <-> a PIM-capable stacked memory.  The
-  paper's substrate is the HMC (320 GB/s external serial links, 512 GB/s
-  of aggregate internal vault bandwidth behind the logic layer); the
-  :mod:`~repro.memory.registry` adds an HBM-class interposer stack
-  (:mod:`~repro.memory.hbm`) and a UPMEM-like near-bank module
-  (:mod:`~repro.memory.nearbank`), both expressed as parameterizations
-  of the same vault-based cube abstraction so the crossover can be
-  swept across substrates.
+* B-PIM / S-TFIM / A-TFIM: GPU <-> Hybrid Memory Cube: 320 GB/s
+  external serial links, 512 GB/s of aggregate internal vault
+  bandwidth behind the logic layer that hosts the in-memory texture
+  units (:mod:`~repro.memory.multicube` attaches several cubes).
 
 This subpackage models the memory systems as resource-occupancy servers
 (see :mod:`repro.sim.resources`), defines the package formats that make
@@ -22,21 +18,11 @@ used to regenerate Fig. 2 and Fig. 12.
 from repro.memory.packets import PacketFormat, PacketSpec
 from repro.memory.dram import DramTiming, DramBank, DramDevice
 from repro.memory.gddr5 import Gddr5Config, Gddr5Memory
-from repro.memory.hbm import HbmConfig, HbmStack
 from repro.memory.hmc import HmcConfig, HmcLink, HmcVault, HybridMemoryCube
 from repro.memory.multicube import MultiCubeMemory
-from repro.memory.nearbank import NearBankPimConfig, NearBankPimMemory
-from repro.memory.registry import (
-    MEMORY_BACKENDS,
-    MemoryBackendSpec,
-    memory_backend,
-    memory_backend_names,
-)
 from repro.memory.traffic import TrafficClass, TrafficMeter
 
 __all__ = [
-    "MEMORY_BACKENDS",
-    "MemoryBackendSpec",
     "PacketFormat",
     "PacketSpec",
     "DramTiming",
@@ -44,17 +30,11 @@ __all__ = [
     "DramDevice",
     "Gddr5Config",
     "Gddr5Memory",
-    "HbmConfig",
-    "HbmStack",
     "HmcConfig",
     "HmcLink",
     "HmcVault",
     "HybridMemoryCube",
     "MultiCubeMemory",
-    "NearBankPimConfig",
-    "NearBankPimMemory",
     "TrafficClass",
     "TrafficMeter",
-    "memory_backend",
-    "memory_backend_names",
 ]

@@ -2,11 +2,13 @@
 
 Each paper benchmark (game x resolution) maps to a procedural workload:
 a scene style, texture sizing, anisotropy cap, and the simulated frame
-size.  Paper resolutions are kept as metadata; simulation renders at a
-scaled-down resolution with a compensating mip LOD bias (DESIGN.md,
-"scaled simulation resolutions"), so mip selection and anisotropy match
-the full-resolution render while Python-side fragment counts stay
-tractable.
+size.  Paper resolutions are kept as metadata; simulation renders at
+1/``DEFAULT_SIM_SCALE`` linear scale, so Python-side fragment counts
+stay tractable.  Anisotropy ratios do not depend on resolution, so the
+mip LOD bias is a fixed sharpening ``detail_bias`` rather than a
+scale-coupled one; caches, memory bandwidth and the angle threshold are
+recalibrated for the miniature frame instead (DESIGN.md section 5,
+"Miniature-frame calibration").
 
 The per-game knobs implement the qualitative differences the paper's
 results show: higher-resolution configurations use higher anisotropy
@@ -25,7 +27,6 @@ from repro.core.designs import Design, DesignConfig
 from repro.gpu.config import GPUConfig
 from repro.memory.gddr5 import Gddr5Config
 from repro.memory.hmc import HmcConfig
-from repro.memory.registry import memory_backend as memory_backend_spec
 from repro.render.camera import Camera
 from repro.render.renderer import Renderer
 from repro.render.scene import Scene
@@ -169,21 +170,12 @@ class GameWorkload:
             bandwidth_gb_per_s=128.0 / self.bandwidth_scale,
         )
 
-    def hmc_config(
-        self,
-        memory_backend: str = "hmc",
-        link_bandwidth_scale: float = 1.0,
-    ) -> HmcConfig:
-        """The PIM substrate's cube config, scaled for this workload.
-
-        ``memory_backend`` names a :mod:`repro.memory.registry` spec
-        (hmc / hbm / nearbank); ``link_bandwidth_scale`` multiplies the
-        external interface only.  The defaults reproduce the paper's
-        HMC figures exactly.
-        """
-        spec = memory_backend_spec(memory_backend)
-        return spec.make_cube_config(
-            self.bandwidth_scale, link_bandwidth_scale
+    def hmc_config(self) -> HmcConfig:
+        """Table I's HMC (320 GB/s links, 512 GB/s over 32 vaults), scaled
+        for this workload like every other bandwidth."""
+        return HmcConfig(
+            external_bandwidth_gb_per_s=320.0 / self.bandwidth_scale,
+            internal_bandwidth_gb_per_s=512.0 / self.bandwidth_scale,
         )
 
     def design_config(self, design: Design, **overrides) -> DesignConfig:
@@ -191,16 +183,12 @@ class GameWorkload:
 
         Applies the workload's scaled GPU caches, scaled memory
         bandwidth, and the angle-threshold scale compensation (see
-        :class:`~repro.core.designs.DesignConfig`).  ``memory_backend``
-        and ``link_bandwidth_scale`` overrides select and scale the PIM
-        substrate through the registry; an explicit ``hmc`` override
-        still wins.
+        :class:`~repro.core.designs.DesignConfig`).  Keyword overrides set
+        the other fields; an explicit ``hmc`` replaces the scaled cube.
         """
         overrides.setdefault("angle_threshold_scale", float(self.sim_scale))
         overrides.setdefault("gddr5", self.gddr5_config())
-        backend = overrides.setdefault("memory_backend", "hmc")
-        link_scale = overrides.setdefault("link_bandwidth_scale", 1.0)
-        overrides.setdefault("hmc", self.hmc_config(backend, link_scale))
+        overrides.setdefault("hmc", self.hmc_config())
         return DesignConfig(design=design, gpu=self.gpu_config(), **overrides)
 
 

@@ -331,7 +331,7 @@ class TestBarePoolMap:
         # a raw executor, and its sibling modules may not.
         source = "future = pool.submit(work, item)\n"
         assert "REP109" not in ids_for(source, self.RUNNER_PATH)
-        sibling = "src/repro/experiments/sweep.py"
+        sibling = "src/repro/experiments/report.py"
         assert "REP109" in ids_for(source, sibling)
 
     def test_run_many_not_flagged(self):

@@ -33,19 +33,6 @@ class TestDesignConfig:
         config = DesignConfig(angle_threshold=0.1, angle_threshold_scale=8.0)
         assert config.effective_angle_threshold == pytest.approx(0.8)
 
-    def test_with_design_preserves_rest(self):
-        config = DesignConfig(angle_threshold=0.2, mtu_share=2)
-        other = config.with_design(Design.A_TFIM)
-        assert other.design is Design.A_TFIM
-        assert other.angle_threshold == 0.2
-        assert other.mtu_share == 2
-
-    def test_with_threshold(self):
-        config = DesignConfig(design=Design.A_TFIM)
-        other = config.with_threshold(0.5)
-        assert other.angle_threshold == 0.5
-        assert other.design is Design.A_TFIM
-
     def test_external_bandwidth_depends_on_design(self):
         baseline = DesignConfig(design=Design.BASELINE)
         pim = DesignConfig(design=Design.B_PIM)

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.experiments.report import _carried_sections, generate
-from repro.experiments.sweep import SURFACE_HEADING
+from repro.experiments.report import generate
 
 
 class TestCli:
@@ -17,6 +16,12 @@ class TestCli:
         assert main(["fig", "overhead"]) == 0
         out = capsys.readouterr().out
         assert "parent_buffer_kb" in out
+
+    def test_subcommands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert "{list,simulate,fig,render,report,trace}" in out
 
     def test_fig_unknown(self, capsys):
         assert main(["fig", "99"]) == 1
@@ -40,28 +45,3 @@ class TestReport:
         assert "fig14" in text
         assert "sec7e" in text
         assert "riddick-640x480" in text
-
-
-class TestCarriedSections:
-    """Regeneration must not clobber the sweep crossover surface."""
-
-    def test_missing_file_and_missing_section(self, tmp_path):
-        assert _carried_sections(tmp_path / "absent.md") == ""
-        plain = tmp_path / "plain.md"
-        plain.write_text("# Report\n\n## Table I\n\ndata\n")
-        assert _carried_sections(plain) == ""
-
-    def test_extracts_trailing_surface_section(self, tmp_path):
-        path = tmp_path / "EXPERIMENTS.md"
-        section = f"{SURFACE_HEADING}\n\n| a | b |\n|---|---|\n| 1 | 2 |\n"
-        path.write_text(
-            "# Report\n\n## Table I\n\ndata\n\n---\nGenerated in 1 s.\n\n"
-            + section
-        )
-        assert _carried_sections(path) == section
-
-    def test_stops_at_next_heading(self, tmp_path):
-        path = tmp_path / "EXPERIMENTS.md"
-        section = f"{SURFACE_HEADING}\n\nsurface rows\n"
-        path.write_text("# Report\n\n" + section + "\n## Later section\n\nx\n")
-        assert _carried_sections(path) == section

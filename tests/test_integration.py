@@ -6,6 +6,7 @@ fast workload and assert the *shapes* the paper reports, which is the
 reproduction's actual contract.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -123,6 +124,49 @@ class TestThresholdSweep:
         loosest = sweep[THRESHOLD_SWEEP[-1].label].frame.traffic.external_texture
         assert strictest > loosest
         assert loosest < baseline
+
+
+class TestExternalLinkBandwidth:
+    """A wider external link never slows a PIM design.
+
+    Only frame cycles are monotone: mean texture latency can tick up as
+    the link widens (B-PIM on riddick-640x480 goes from 2048.0 to
+    2050.25 cycles between x2 and x3).
+    """
+
+    DESIGNS = (Design.B_PIM, Design.S_TFIM, Design.A_TFIM)
+    SCALES = (0.5, 1.0, 2.0)
+
+    @pytest.fixture(scope="class")
+    def frame_cycles(self, fast_workload, fast_workload_trace):
+        scene, trace = fast_workload_trace
+        paper = fast_workload.hmc_config()
+        cycles = {}
+        for design in self.DESIGNS:
+            cycles[design] = []
+            for scale in self.SCALES:
+                external = paper.external_bandwidth_gb_per_s * scale
+                # HmcConfig rejects a cube whose vaults are slower than
+                # its links.
+                hmc = dataclasses.replace(
+                    paper,
+                    external_bandwidth_gb_per_s=external,
+                    internal_bandwidth_gb_per_s=max(
+                        paper.internal_bandwidth_gb_per_s, external
+                    ),
+                )
+                config = fast_workload.design_config(design, hmc=hmc)
+                run = simulate_frame(scene, trace, config)
+                cycles[design].append(run.frame.frame_cycles)
+        return cycles
+
+    @pytest.mark.parametrize(
+        "design", DESIGNS, ids=lambda design: design.value
+    )
+    def test_frame_cycles_never_rise(self, frame_cycles, design):
+        cycles = frame_cycles[design]
+        for narrower, wider in zip(cycles, cycles[1:]):
+            assert wider <= narrower
 
 
 class TestEnergyShapes:

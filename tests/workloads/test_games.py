@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Design
+from repro.memory.hmc import HmcConfig
 from repro.workloads import WORKLOADS, workload_by_name, workload_names
 
 
@@ -87,6 +88,30 @@ class TestDesignConfigBuilder:
         assert config.hmc.internal_bandwidth_gb_per_s / (
             config.hmc.external_bandwidth_gb_per_s
         ) == pytest.approx(512.0 / 320.0)
+
+    def test_hmc_config_is_the_paper_cube(self):
+        """Table I's cube (320 GB/s links, 512 GB/s over the vaults),
+        divided by the workload's bandwidth scale like the GDDR5."""
+        for workload in WORKLOADS:
+            scale = workload.bandwidth_scale
+            assert workload.hmc_config() == HmcConfig(
+                external_bandwidth_gb_per_s=320.0 / scale,
+                internal_bandwidth_gb_per_s=512.0 / scale,
+            )
+
+    def test_every_design_runs_on_the_paper_hmc(self):
+        for workload in WORKLOADS:
+            paper = workload.hmc_config()
+            for design in Design:
+                assert workload.design_config(design).hmc == paper
+
+    def test_explicit_hmc_override_wins(self):
+        # ablations.internal_bandwidth varies the cube this way.
+        workload = workload_by_name("riddick-640x480")
+        custom = HmcConfig(external_bandwidth_gb_per_s=99.0,
+                           internal_bandwidth_gb_per_s=101.0)
+        config = workload.design_config(Design.A_TFIM, hmc=custom)
+        assert config.hmc == custom
 
     def test_overrides_pass_through(self):
         workload = workload_by_name("doom3-640x480")
