@@ -1,13 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-units test check rules invariants
+.PHONY: lint test check rules invariants
 
 lint:
 	$(PYTHON) -m repro.analysis lint
-
-lint-units:
-	$(PYTHON) -m repro.analysis lint --select REP2
 
 rules:
 	$(PYTHON) -m repro.analysis rules

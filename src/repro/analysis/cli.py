@@ -5,8 +5,8 @@ Subcommands:
 * ``lint [paths...]`` -- run the custom AST rules over the given files or
   directories (default: ``src``, ``benchmarks``, ``tests`` and
   ``examples`` under the current directory).  Exits 1 when findings
-  exist, so CI can gate on it.  ``--select PREFIX`` keeps only the
-  matching rule IDs; ``--format json`` prints machine-readable findings.
+  exist, so CI can gate on it.  ``--format json`` prints
+  machine-readable findings.
 * ``rules`` -- list the rule IDs and what each one enforces.
 * ``invariants`` -- list the registered runtime invariants.
 """
@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.linter import lint_paths
-from repro.analysis.rules import describe_rules, rule_catalog
+from repro.analysis.rules import describe_rules
 
 DEFAULT_LINT_TARGETS = ("src", "benchmarks", "tests", "examples")
 
@@ -46,20 +46,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             )
             return 2
     findings = lint_paths(targets)
-    if args.select:
-        prefixes = tuple(args.select)
-        known = [
-            rule_id
-            for rule_id, _name, _description in rule_catalog()
-            if rule_id.startswith(prefixes)
-        ]
-        if not known:
-            print(
-                f"--select {' '.join(args.select)} matches no known rule IDs",
-                file=sys.stderr,
-            )
-            return 2
-        findings = [f for f in findings if f.rule_id.startswith(prefixes)]
     if args.format == "json":
         print(json.dumps([finding.as_dict() for finding in findings], indent=2))
     else:
@@ -101,13 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="files or directories (default: src benchmarks "
                            "tests examples)")
     lint.add_argument("--format", choices=["text", "json"], default="text")
-    lint.add_argument(
-        "--select",
-        metavar="PREFIX",
-        action="append",
-        help="only report rule IDs starting with PREFIX "
-             "(repeatable; e.g. --select REP2 for the unit rules)",
-    )
     lint.set_defaults(func=_cmd_lint)
 
     rules = sub.add_parser("rules", help="list lint rule IDs")

@@ -2,7 +2,8 @@
 
 A rule is a small class naming the AST node types it wants to see; the
 :class:`Linter` parses each file once, walks the tree once, and fans
-every node out to the rules registered for its type.  Findings carry
+every node out to the rules registered for its type.  Rules see one
+file at a time: no rule keeps state across files.  Findings carry
 ``file:line:col`` locations and stable rule IDs, and can be suppressed
 per line with the escape hatch::
 
@@ -49,23 +50,15 @@ class LintContext:
         return any(f"src/repro/{name}/" in self.path for name in names)
 
     def report(self, rule: "LintRule", node: ast.AST, message: str) -> None:
-        self.report_id(rule.rule_id, node, message)
-
-    def report_id(self, rule_id: str, node: ast.AST, message: str) -> None:
-        """Report a finding under an explicit rule ID.
-
-        Multi-rule engines (the REP200-series unit pass emits eight IDs
-        from one walk) report through this entry point; the per-line
-        ``noqa`` suppression applies per ID exactly as for single-ID
-        rules.
-        """
+        """Record a finding of ``rule`` at ``node`` unless its line
+        suppresses that rule's ID."""
         line = getattr(node, "lineno", 1)
         column = getattr(node, "col_offset", 0) + 1
-        if rule_id in self.noqa.get(line, set()):
+        if rule.rule_id in self.noqa.get(line, set()):
             return
         self.findings.append(
             Finding(
-                rule_id=rule_id,
+                rule_id=rule.rule_id,
                 path=self.path,
                 line=line,
                 column=column,
@@ -90,14 +83,6 @@ class LintRule:
     def applies_to(self, ctx: LintContext) -> bool:
         """Whether this rule runs on the given file at all."""
         return True
-
-    def prepare(self, sources: Sequence[Tuple[str, str]]) -> None:
-        """Observe the whole ``(path, source)`` batch before any check.
-
-        Cross-file rules (call-graph-aware passes) override this to
-        build shared symbol tables; the default is a no-op.  The linter
-        calls it once per lint run with every file in the batch.
-        """
 
     def check(self, node: ast.AST, ctx: LintContext) -> None:
         """Inspect one node; call ``ctx.report`` on violations."""
@@ -127,14 +112,6 @@ class Linter:
 
     def lint_source(self, source: str, path: str) -> List[Finding]:
         """Lint one already-read source text against all rules."""
-        self._prepare([(path, source)])
-        return self._lint_prepared(source, path)
-
-    def _prepare(self, sources: Sequence[Tuple[str, str]]) -> None:
-        for rule in self.rules:
-            rule.prepare(sources)
-
-    def _lint_prepared(self, source: str, path: str) -> List[Finding]:
         ctx = LintContext(path, source)
         try:
             tree = ast.parse(source, filename=path)
@@ -159,36 +136,12 @@ class Linter:
         ctx.findings.sort(key=lambda f: (f.line, f.column, f.rule_id))
         return ctx.findings
 
-    def lint_file(self, path: Path) -> List[Finding]:
-        source = path.read_text(encoding="utf-8")
-        return self.lint_source(source, str(path))
-
     def lint_paths(self, paths: Iterable[Path]) -> List[Finding]:
-        """Lint every ``*.py`` file under the given files/directories.
-
-        The whole batch is read first and handed to every rule's
-        :meth:`LintRule.prepare`, so cross-file passes see the complete
-        fileset before any per-file check runs.
-        """
-        sources = [
-            (str(path), path.read_text(encoding="utf-8"))
-            for path in expand_paths(paths)
-        ]
-        return self.lint_sources(sources)
-
-    def lint_sources(
-        self, sources: Sequence[Tuple[str, str]]
-    ) -> List[Finding]:
-        """Lint an already-read ``(path, source)`` batch as one unit.
-
-        Cross-file rules see the whole batch in :meth:`LintRule.prepare`
-        exactly as :meth:`lint_paths` would arrange; tests use this to
-        plant multi-file fixtures without touching the filesystem.
-        """
-        self._prepare(sources)
+        """Lint every ``*.py`` file under the given files/directories."""
         findings: List[Finding] = []
-        for path, source in sources:
-            findings.extend(self._lint_prepared(source, path))
+        for path in expand_paths(paths):
+            source = path.read_text(encoding="utf-8")
+            findings.extend(self.lint_source(source, str(path)))
         return findings
 
 
@@ -213,13 +166,6 @@ def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     from repro.analysis.rules import DEFAULT_RULES
 
     return Linter(DEFAULT_RULES).lint_source(source, path)
-
-
-def lint_sources(sources: Sequence[Tuple[str, str]]) -> List[Finding]:
-    """Lint an in-memory ``(path, source)`` batch with the default rules."""
-    from repro.analysis.rules import DEFAULT_RULES
-
-    return Linter(DEFAULT_RULES).lint_sources(sources)
 
 
 def lint_paths(paths: Iterable[Path]) -> List[Finding]:

@@ -17,10 +17,8 @@ Rule IDs are stable and gate-able:
   outside ``src/repro/experiments/runner.py``; batch fan-out goes
   through ``ExperimentRunner.run_many``.
 
-The REP200-series unit-aware dataflow rules (``bytes + cycles``,
-degree/radian confusion, untagged public quantities, ...) live in
-:mod:`repro.analysis.units`; that engine is registered here alongside
-the syntactic rules.
+Every rule is syntactic and per file: one :class:`LintRule` per ID, each
+seeing one node at a time.
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Tuple
 
-from repro.analysis.linter import LintContext, LintRule
-from repro.analysis.units import UNIT_RULE_TABLE, UnitDataflowRule, unit_rule_ids
+from repro.analysis.linter import SYNTAX_ERROR_RULE, LintContext, LintRule
 
 # ---------------------------------------------------------------------------
 # REP101 — statistics must be mutated through their own methods.
@@ -512,46 +509,24 @@ DEFAULT_RULES: Tuple[LintRule, ...] = (
     PublicAnnotationRule(),
     MonotonicOutsideObsRule(),
     BarePoolMapRule(),
-    UnitDataflowRule(),
 )
 
 
 def rule_ids() -> List[str]:
-    """The stable IDs of all default rules (excluding REP100).
-
-    The unit dataflow engine is one rule object but owns the eight
-    REP200-series IDs; they are all listed here.
-    """
-    ids = [
-        rule.rule_id
-        for rule in DEFAULT_RULES
-        if not isinstance(rule, UnitDataflowRule)
-    ]
-    ids.extend(unit_rule_ids())
-    return ids
-
-
-def rule_catalog() -> List[Tuple[str, str, str]]:
-    """``(rule_id, name, description)`` for every reportable rule.
-
-    Includes REP100 (emitted by the engine on syntax errors) plus the
-    REP200-series IDs owned by the unit dataflow engine; used by the
-    rule listing and by ``lint --select`` to reject unknown prefixes.
-    """
-    catalog: List[Tuple[str, str, str]] = [
-        ("REP100", "syntax-error", "file does not parse")
-    ]
-    for rule in DEFAULT_RULES:
-        if isinstance(rule, UnitDataflowRule):
-            continue
-        catalog.append((rule.rule_id, rule.name, rule.description))
-    catalog.extend(UNIT_RULE_TABLE)
-    return catalog
+    """The stable IDs of all default rules (excluding REP100)."""
+    return [rule.rule_id for rule in DEFAULT_RULES]
 
 
 def describe_rules() -> str:
-    """A one-line-per-rule listing for ``python -m repro.analysis rules``."""
+    """A one-line-per-rule listing for ``python -m repro.analysis rules``.
+
+    Starts with REP100, which the engine itself emits on syntax errors.
+    """
+    catalog = [(SYNTAX_ERROR_RULE, "syntax-error", "file does not parse")]
+    catalog.extend(
+        (rule.rule_id, rule.name, rule.description) for rule in DEFAULT_RULES
+    )
     return "\n".join(
         f"{rule_id} {name:19s} {description}"
-        for rule_id, name, description in rule_catalog()
+        for rule_id, name, description in catalog
     )

@@ -38,7 +38,8 @@ class DesignConfig:
     ``aniso_enabled`` disables anisotropic filtering entirely for the
     Fig. 4 study.  ``mtu_share`` > 1 makes several clusters share one
     S-TFIM MTU (the area-saving variant the paper mentions but does not
-    evaluate; our ablation does).
+    evaluate; our ablation does); it must divide the cluster count, so
+    that every MTU serves the same number of clusters.
     """
 
     design: Design = Design.BASELINE
@@ -74,8 +75,11 @@ class DesignConfig:
             raise ValueError("angle threshold scale must be positive")
         if self.mtu_share < 1:
             raise ValueError("MTU share ratio must be >= 1")
-        if self.mtu_share > self.gpu.num_clusters:
-            raise ValueError("cannot share one MTU across more clusters than exist")
+        if self.gpu.num_clusters % self.mtu_share:
+            raise ValueError(
+                f"MTU share ratio {self.mtu_share} must divide the "
+                f"{self.gpu.num_clusters} clusters"
+            )
         if self.num_cubes < 1:
             raise ValueError("need at least one HMC cube")
 

@@ -9,7 +9,7 @@ writes EXPERIMENTS.md.
 
 from repro.experiments.common import FigureData, FigureRow
 from repro.experiments.runner import ExperimentRunner, RunKey
-from repro.experiments.paper import PAPER, stat, within_factor
+from repro.experiments.paper import PAPER, stat
 from repro.experiments.validate import CheckResult, summarize, validate
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "RunKey",
     "PAPER",
     "stat",
-    "within_factor",
     "CheckResult",
     "validate",
     "summarize",

@@ -19,9 +19,8 @@ entry overwritten).
 
 The cache is an accelerator, never a point of failure: a value that was
 already computed must reach the caller even when persisting it fails.
-:meth:`DiskCache.store_safe` (used by :meth:`DiskCache.get_or_compute`
-and every runner call site) downgrades store errors to a warning plus a
-``stats.errors`` bump.
+:meth:`DiskCache.store_safe` (used by every runner call site) downgrades
+store errors to a warning plus a ``stats.errors`` bump.
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ from typing import Any, Iterator, Optional, Tuple
 from repro.obs.tracer import span as _trace_span
 
 _SOURCE_VERSION: Optional[str] = None
-
-_MISS = object()
-"""Sentinel distinguishing "no entry" from a legitimately-None value."""
 
 _MAGIC = b"RPC1"
 """Entry-format marker: magic + little-endian CRC32 + pickle payload."""
@@ -266,20 +262,6 @@ class DiskCache:
             )
             return False
         return True
-
-    def get_or_compute(self, key: str, compute) -> Any:
-        """Load ``key`` or run ``compute()`` and persist its result.
-
-        The computed value is returned even when persisting it fails
-        (see :meth:`store_safe`): losing a cache entry must never lose
-        the computation that produced it.
-        """
-        hit, value = self.load(key)
-        if hit:
-            return value
-        value = compute()
-        self.store_safe(key, value)
-        return value
 
     # Introspection -----------------------------------------------------
     #

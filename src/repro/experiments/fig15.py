@@ -14,20 +14,19 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from repro.core.angle import THRESHOLD_SWEEP, AngleThreshold
 from repro.experiments.common import FigureData
 from repro.experiments.runner import ExperimentRunner
 from repro.quality import psnr
 from repro.render.renderer import SamplingMode
-from repro.workloads import GameWorkload
 
 
-def render_pair(
-    workload: GameWorkload, threshold: AngleThreshold
-) -> tuple[np.ndarray, np.ndarray]:
-    """Render (reference, A-TFIM) images for one workload/threshold.
+def run(
+    runner: Optional[ExperimentRunner] = None,
+    workload_names: Optional[Sequence[str]] = None,
+    thresholds: Optional[Sequence[AngleThreshold]] = None,
+) -> FigureData:
+    """PSNR of each workload's A-TFIM render against its exact render.
 
     The quality model applies the paper's threshold *unscaled*: the
     error a stale reused parent introduces is governed by the absolute
@@ -37,23 +36,6 @@ def render_pair(
     per-cache-line angle gradient, which the miniature inflates --
     DESIGN.md section 5.)
     """
-    built = workload.build()
-    renderer = workload.make_renderer()
-    reference = renderer.render(built.scene, built.camera, SamplingMode.EXACT)
-    approximate = renderer.render(
-        built.scene,
-        built.camera,
-        SamplingMode.ATFIM,
-        angle_threshold=threshold.effective_radians,
-    )
-    return reference.image, approximate.image
-
-
-def run(
-    runner: Optional[ExperimentRunner] = None,
-    workload_names: Optional[Sequence[str]] = None,
-    thresholds: Optional[Sequence[AngleThreshold]] = None,
-) -> FigureData:
     runner = runner or ExperimentRunner(workload_names)
     thresholds = list(thresholds or THRESHOLD_SWEEP)
     columns = [threshold.label for threshold in thresholds]

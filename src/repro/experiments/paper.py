@@ -115,18 +115,3 @@ def stat(name: str) -> PaperStat:
     if name not in PAPER:
         raise KeyError(f"unknown paper statistic {name!r}; known: {sorted(PAPER)}")
     return PAPER[name]
-
-
-def within_factor(measured: float, name: str, factor: float = 2.0) -> bool:
-    """True when ``measured`` is within ``factor``x of the paper's mean.
-
-    The reproduction's magnitude contract (DESIGN.md): shapes exact,
-    magnitudes within a small factor of the paper's testbed numbers.
-    """
-    if factor < 1.0:
-        raise ValueError("factor must be >= 1")
-    reference = stat(name).mean
-    if reference <= 0:
-        raise ValueError("reference must be positive")
-    ratio = measured / reference
-    return 1.0 / factor <= ratio <= factor

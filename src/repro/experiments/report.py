@@ -168,6 +168,41 @@ def _figure_section(data: FigureData, precision: int = 3) -> str:
     return out.getvalue()
 
 
+def figure_tables(
+    runner: ExperimentRunner,
+    include_quality: bool = True,
+    include_ablations: bool = True,
+) -> List[Tuple[FigureData, int]]:
+    """Every figure table of the report, in report order.
+
+    Each entry is ``(data, precision)``: the figure and the number of
+    decimals EXPERIMENTS.md prints it with.
+    """
+    figures: List[Tuple[FigureData, int]] = []
+    with obs.span("report.figures"):
+        for module in (fig02, fig04, fig05, fig10, fig11, fig12, fig13):
+            figures.append((module.run(runner), 3))
+        speedups = fig14.run(runner)
+        figures.append((speedups, 3))
+    if include_quality:
+        with obs.span("report.quality"):
+            qualities = fig15.run(runner)
+            figures.append((qualities, 1))
+            figures.append(
+                (fig16.run(runner, speedups=speedups, qualities=qualities), 2)
+            )
+    figures.append((overhead_analysis.run(), 4))
+
+    if include_ablations:
+        with obs.span("report.ablations"):
+            name = runner.workloads[0].name
+            figures.append((ablations.mtu_sharing(runner), 3))
+            figures.append((ablations.consolidation(runner), 3))
+            figures.append((ablations.anisotropy_cap(name), 3))
+            figures.append((ablations.internal_bandwidth(name), 3))
+    return figures
+
+
 def generate_with_runner(
     workload_names: Optional[Sequence[str]] = None,
     include_quality: bool = True,
@@ -194,42 +229,10 @@ def generate_with_runner(
         sections.append("\n## Table II: gaming benchmarks\n\n```\n"
                         + tables.format_table2() + "\n```\n")
 
-        with obs.span("report.figures"):
-            sections.append(_figure_section(fig02.run(runner)))
-            sections.append(_figure_section(fig04.run(runner)))
-            sections.append(_figure_section(fig05.run(runner)))
-            sections.append(_figure_section(fig10.run(runner)))
-            sections.append(_figure_section(fig11.run(runner)))
-            sections.append(_figure_section(fig12.run(runner)))
-            sections.append(_figure_section(fig13.run(runner)))
-            speedups = fig14.run(runner)
-            sections.append(_figure_section(speedups))
-        if include_quality:
-            with obs.span("report.quality"):
-                qualities = fig15.run(runner)
-                sections.append(_figure_section(qualities, precision=1))
-                sections.append(
-                    _figure_section(
-                        fig16.run(runner, speedups=speedups,
-                                  qualities=qualities),
-                        precision=2,
-                    )
-                )
-        sections.append(_figure_section(overhead_analysis.run(), precision=4))
-
-        if include_ablations:
-            with obs.span("report.ablations"):
-                names = [w.name for w in runner.workloads]
-                sections.append(_figure_section(ablations.mtu_sharing(runner)))
-                sections.append(
-                    _figure_section(ablations.consolidation(runner))
-                )
-                sections.append(
-                    _figure_section(ablations.anisotropy_cap(names[0]))
-                )
-                sections.append(
-                    _figure_section(ablations.internal_bandwidth(names[0]))
-                )
+        for data, precision in figure_tables(
+            runner, include_quality, include_ablations
+        ):
+            sections.append(_figure_section(data, precision))
 
         sections.append(_cache_section(runner))
 

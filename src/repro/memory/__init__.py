@@ -15,7 +15,7 @@ S-TFIM lose and A-TFIM win, and provides class-tagged traffic accounting
 used to regenerate Fig. 2 and Fig. 12.
 """
 
-from repro.memory.packets import PacketFormat, PacketSpec
+from repro.memory.packets import PacketSpec
 from repro.memory.dram import DramTiming, DramBank, DramDevice
 from repro.memory.gddr5 import Gddr5Config, Gddr5Memory
 from repro.memory.hmc import HmcConfig, HmcLink, HmcVault, HybridMemoryCube
@@ -23,7 +23,6 @@ from repro.memory.multicube import MultiCubeMemory
 from repro.memory.traffic import TrafficClass, TrafficMeter
 
 __all__ = [
-    "PacketFormat",
     "PacketSpec",
     "DramTiming",
     "DramBank",

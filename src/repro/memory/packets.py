@@ -13,22 +13,10 @@ same, auditable costs.
 """
 
 from __future__ import annotations
-from repro.units import Bytes
 
 from dataclasses import dataclass
-from enum import Enum
 
-
-class PacketFormat(Enum):
-    """The on-link package kinds used by the four designs."""
-
-    READ_REQUEST = "read_request"
-    READ_RESPONSE = "read_response"
-    WRITE_REQUEST = "write_request"
-    TEXTURE_REQUEST = "texture_request"    # S-TFIM: full live-texture info
-    TEXTURE_RESPONSE = "texture_response"  # S-TFIM: filtered texture sample
-    PARENT_TEXEL_REQUEST = "parent_texel_request"    # A-TFIM offload package
-    PARENT_TEXEL_RESPONSE = "parent_texel_response"  # A-TFIM parent result
+from repro.units import Bytes
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,11 @@ def frame_stat_group(frame: "FrameResult", name: str = "frame") -> StatGroup:
     group = StatGroup(name)
 
     stages = group.child("stages")
-    stages.counter("geometry_cycles").add(frame.stages.geometry)  # repro: noqa(REP206) -- StageTimes.geometry is cycles; the joules inference collides with EnergyBreakdown.geometry
+    stages.counter("geometry_cycles").add(frame.stages.geometry)
     stages.counter("rasterization_cycles").add(frame.stages.rasterization)
-    stages.counter("shader_cycles").add(frame.stages.shader)  # repro: noqa(REP206) -- StageTimes.shader is cycles; the joules inference collides with EnergyBreakdown.shader
+    stages.counter("shader_cycles").add(frame.stages.shader)
     stages.counter("texture_cycles").add(frame.stages.texture)
-    stages.counter("rop_cycles").add(frame.stages.rop)  # repro: noqa(REP206) -- StageTimes.rop is cycles; the joules inference collides with EnergyBreakdown.rop
+    stages.counter("rop_cycles").add(frame.stages.rop)
     stages.counter("fragment_stage_cycles").add(frame.stages.fragment_stage)
     stages.counter("frame_cycles").add(frame.frame_cycles)
 

@@ -1,6 +1,5 @@
-"""Image quality metrics: PSNR (the paper's metric) and SSIM."""
+"""Image quality metric: PSNR, the paper's metric."""
 
 from repro.quality.psnr import mse, psnr, PSNR_IDENTICAL_CAP
-from repro.quality.ssim import ssim
 
-__all__ = ["mse", "psnr", "ssim", "PSNR_IDENTICAL_CAP"]
+__all__ = ["mse", "psnr", "PSNR_IDENTICAL_CAP"]

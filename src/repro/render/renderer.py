@@ -29,7 +29,7 @@ Sampling modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -43,7 +43,6 @@ from repro.render.scene import Scene
 from repro.texture.lod import quantize_angle
 from repro.texture.requests import FragmentTrace, TextureRequest
 from repro.texture.sampling import (
-    TextureSampler,
     anisotropic_first_sample,
     anisotropic_sample,
     filter_parent_texel,

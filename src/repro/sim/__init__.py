@@ -3,7 +3,7 @@
 This subpackage provides the discrete-event, resource-occupancy machinery
 that every performance model in :mod:`repro` is built on:
 
-* :mod:`repro.sim.clock` -- simulation clock and frequency-domain helpers.
+* :mod:`repro.sim.clock` -- GB/s to bytes-per-cycle conversion.
 * :mod:`repro.sim.resources` -- shared resources modelled as rolling
   next-free-cycle servers (bandwidth servers, pipelined throughput units,
   bounded request queues with backpressure).
@@ -19,25 +19,18 @@ request's completion time on a contended resource is::
     ready  = finish + latency
 
 which captures bandwidth saturation, queueing delay and pipe latency
-without per-cycle ticking.
+without per-cycle ticking.  There is no global clock object: each
+resource keeps its own next-free cycle.
 """
 
-from repro.sim.clock import SimClock
-from repro.sim.resources import (
-    BandwidthServer,
-    RequestQueue,
-    ResourceBusyError,
-    ThroughputUnit,
-)
+from repro.sim.resources import BandwidthServer, RequestQueue, ThroughputUnit
 from repro.sim.stats import Accumulator, Counter, StatGroup
 from repro.sim.latency import LatencyHistogram, LatencyRecord
 
 __all__ = [
-    "SimClock",
     "BandwidthServer",
     "ThroughputUnit",
     "RequestQueue",
-    "ResourceBusyError",
     "Counter",
     "Accumulator",
     "StatGroup",

@@ -1,94 +1,17 @@
-"""Simulation clock and frequency-domain conversion helpers.
+"""Bandwidth-unit conversion.
 
 All performance models in :mod:`repro` express time in *GPU cycles* (the
 host GPU runs at 1 GHz in the paper's Table I, so one cycle is one
-nanosecond under the default configuration).  Components that run in a
-different clock domain (e.g. the HMC at 1.25 GHz) convert their native
-cycle counts into GPU cycles through :class:`ClockDomain`.
+nanosecond under the default configuration).  There is no global clock
+object: each resource keeps its own next-free cycle
+(:mod:`repro.sim.resources`).  The paper quotes bandwidths in GB/s;
+:func:`bytes_per_cycle` converts them into the per-cycle rates the
+resource servers use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.units import BytesPerCycle, Cycles, Gigahertz, GigabytesPerSecond, Seconds
-
-
-@dataclass
-class SimClock:
-    """A monotonically advancing cycle counter.
-
-    The clock is deliberately minimal: resource servers own their own
-    next-free pointers, so the clock only tracks the frame-global notion
-    of "now" and the high-water mark of completion times, which becomes
-    the frame's cycle count.
-    """
-
-    now: Cycles = Cycles(0.0)
-    _high_water: Cycles = Cycles(0.0)
-
-    def advance_to(self, cycle: Cycles) -> None:
-        """Move the clock forward to ``cycle``.
-
-        Moving backwards is an error: discrete-event processing must feed
-        the clock a non-decreasing sequence of event times.
-        """
-        if cycle < self.now:
-            raise ValueError(
-                f"clock cannot move backwards: now={self.now}, requested={cycle}"
-            )
-        self.now = cycle
-        if cycle > self._high_water:
-            self._high_water = cycle
-
-    def observe_completion(self, cycle: Cycles) -> None:
-        """Record a completion time without advancing ``now``.
-
-        Completion times may lie in the future of the issue clock (the
-        whole point of a latency model); the largest one observed is the
-        frame's makespan.
-        """
-        if cycle > self._high_water:
-            self._high_water = cycle
-
-    @property
-    def elapsed(self) -> Cycles:
-        """Total simulated cycles: the high-water completion mark."""
-        return self._high_water
-
-    def reset(self) -> None:
-        self.now = Cycles(0.0)
-        self._high_water = Cycles(0.0)
-
-
-@dataclass(frozen=True)
-class ClockDomain:
-    """A named clock domain with a frequency in GHz.
-
-    Provides conversion of native cycles to the reference (GPU) domain.
-    """
-
-    name: str
-    frequency_ghz: Gigahertz
-    reference_ghz: Gigahertz = Gigahertz(1.0)
-
-    def __post_init__(self) -> None:
-        if self.frequency_ghz <= 0:
-            raise ValueError("frequency must be positive")
-        if self.reference_ghz <= 0:
-            raise ValueError("reference frequency must be positive")
-
-    def to_reference_cycles(self, native_cycles: Cycles) -> Cycles:
-        """Convert cycles of this domain into reference-domain cycles."""
-        return Cycles(native_cycles * (self.reference_ghz / self.frequency_ghz))
-
-    def from_reference_cycles(self, reference_cycles: Cycles) -> Cycles:
-        """Convert reference-domain cycles into this domain's cycles."""
-        return Cycles(reference_cycles * (self.frequency_ghz / self.reference_ghz))
-
-    def seconds(self, native_cycles: Cycles) -> Seconds:
-        """Wall-clock seconds represented by ``native_cycles``."""
-        return Seconds(native_cycles / (self.frequency_ghz * 1e9))
+from repro.units import BytesPerCycle, Gigahertz, GigabytesPerSecond
 
 
 def bytes_per_cycle(

@@ -14,13 +14,8 @@ magnitude faster than per-cycle ticking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.units import Bytes, BytesPerCycle, Cycles, Ops, OpsPerCycle
-
-
-class ResourceBusyError(RuntimeError):
-    """Raised when a bounded queue rejects a request (backpressure)."""
 
 
 @dataclass

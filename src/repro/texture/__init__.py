@@ -35,7 +35,6 @@ from repro.texture.sampling import (
 from repro.texture.cache import CacheConfig, TextureCache, CacheAccessResult
 from repro.texture.compression import compress_image, compressed_line_bytes
 from repro.texture.requests import TextureRequest, TexelFetch
-from repro.texture.traceio import load_trace, save_trace
 
 __all__ = [
     "TexelFormat",
@@ -59,6 +58,4 @@ __all__ = [
     "compressed_line_bytes",
     "TextureRequest",
     "TexelFetch",
-    "save_trace",
-    "load_trace",
 ]

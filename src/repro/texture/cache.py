@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional
 
@@ -69,10 +69,6 @@ class CacheConfig:
         return Bytes(
             math.ceil(self.num_lines * self.angle_bits / BITS_PER_BYTE)
         )
-
-
-L1_TEXTURE_CACHE = CacheConfig(size_bytes=16 * 1024)
-L2_TEXTURE_CACHE = CacheConfig(size_bytes=128 * 1024)
 
 
 @dataclass

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -354,23 +354,6 @@ class TextureSampler:
         """Reference (conventional-order) lookup."""
         recorder = _FetchRecorder() if record else None
         color = anisotropic_sample(self.chain, footprint, u, v, recorder)
-        return SampleResult(
-            color=color, texels=recorder.texels if recorder else []
-        )
-
-    def sample_reordered(
-        self,
-        footprint: SampleFootprint,
-        u: float,
-        v: float,
-        record: bool = False,
-        parent_overrides: Optional[Dict[TexelCoord, np.ndarray]] = None,
-    ) -> SampleResult:
-        """A-TFIM-order lookup."""
-        recorder = _FetchRecorder() if record else None
-        color = anisotropic_first_sample(
-            self.chain, footprint, u, v, recorder, parent_overrides
-        )
         return SampleResult(
             color=color, texels=recorder.texels if recorder else []
         )

@@ -1,33 +1,20 @@
-"""Unit-tagged scalar aliases and the shared unit vocabulary.
+"""Unit-tagged scalar aliases and the shared unit constants.
 
 The simulator's arithmetic mixes heterogeneous physical quantities --
 GPU cycles, transferred bytes, bytes-per-cycle rates, picojoules,
-camera angles in radians -- and a silent mix-up (``bytes + cycles``,
-``degrees > radians``) skews every figure the reproduction regenerates.
-This module is the single source of truth for the quantity vocabulary:
+camera angles in radians.  The ``NewType`` aliases below (:data:`Cycles`,
+:data:`Bytes`, ...) name the unit of each parameter, field and return
+value throughout ``sim/``, ``memory/``, ``core/``, ``energy/`` and
+``texture/``.  They are identity functions at runtime (zero cost);
+type checkers treat them as distinct types.
 
-* :data:`Cycles`, :data:`Bytes`, ... -- ``NewType`` aliases used in
-  annotations throughout ``sim/``, ``memory/``, ``core/``, ``energy/``
-  and ``texture/``.  They are identity functions at runtime (zero cost)
-  but the :mod:`repro.analysis.units` dataflow pass reads them as unit
-  tags and type checkers treat them as distinct types.
-* :data:`UNIT_ALIASES` -- alias name -> canonical unit tag, the seed
-  table the analyzer uses to interpret annotations.
-* :func:`unit_for_name` -- the name-heuristic table: infers a unit tag
-  from an identifier (``*_cycles``, ``nbytes``, ``energy_pj``,
-  ``angle_deg``, ...) when no annotation is present.
-* :data:`MUL_TABLE` / :data:`DIV_TABLE` -- the dimensional algebra:
-  which products/quotients of tagged quantities are meaningful, and
-  what unit they produce (``Cycles * BytesPerCycle -> Bytes``).
-
-Keeping the vocabulary in the library proper (not inside the analyzer)
-means runtime code, annotations and the static pass can never drift
-apart.
+:data:`BITS_PER_BYTE` and :data:`PJ` are the shared conversion
+constants (bits per byte, joules per picojoule).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, NewType, Optional, Tuple
+from typing import NewType
 
 # ---------------------------------------------------------------------------
 # Annotation aliases.  All are identity wrappers over plain numbers.
@@ -35,9 +22,6 @@ from typing import Dict, FrozenSet, NewType, Optional, Tuple
 
 Cycles = NewType("Cycles", float)
 """Time in GPU reference-clock cycles (1 GHz in Table I => 1 ns each)."""
-
-Seconds = NewType("Seconds", float)
-"""Wall-clock seconds of simulated time (reports only, never sim state)."""
 
 Bytes = NewType("Bytes", float)
 """A byte count (transfer sizes, capacities, traffic totals)."""
@@ -53,9 +37,6 @@ Ops = NewType("Ops", float)
 
 OpsPerCycle = NewType("OpsPerCycle", float)
 """An issue rate in operations per GPU cycle."""
-
-Picojoules = NewType("Picojoules", float)
-"""Dynamic energy in picojoules (per-event energy bookkeeping)."""
 
 Joules = NewType("Joules", float)
 """Energy in joules (frame-level energy breakdowns)."""
@@ -84,221 +65,8 @@ Degrees = NewType("Degrees", float)
 Radians = NewType("Radians", float)
 """An angle in radians (all internal camera-angle arithmetic)."""
 
-
-# ---------------------------------------------------------------------------
-# Canonical unit tags (plain strings; the analyzer's currency).
-# ---------------------------------------------------------------------------
-
-U_CYCLES = "cycles"
-U_SECONDS = "seconds"
-U_BYTES = "bytes"
-U_BITS = "bits"
-U_BYTES_PER_CYCLE = "bytes_per_cycle"
-U_OPS = "ops"
-U_OPS_PER_CYCLE = "ops_per_cycle"
-U_PJ = "pj"
-U_JOULES = "joules"
-U_PJ_PER_BIT = "pj_per_bit"
-U_PJ_PER_BYTE = "pj_per_byte"
-U_PJ_PER_OP = "pj_per_op"
-U_WATTS = "watts"
-U_GHZ = "ghz"
-U_GB_PER_S = "gb_per_s"
-U_DEGREES = "degrees"
-U_RADIANS = "radians"
-U_BITS_PER_BYTE = "bits_per_byte"
-"""The 8-bits-in-a-byte conversion constant, a unit of its own so that
-``bytes * BITS_PER_BYTE -> bits`` type-checks dimensionally."""
-U_JOULES_PER_PJ = "joules_per_pj"
-"""The 1e-12 pJ -> J conversion constant (the ``PJ`` scale factor)."""
-
 BITS_PER_BYTE = 8
-"""Bits per byte; carries unit ``bits_per_byte`` so ``bytes * BITS_PER_BYTE``
-dimension-checks to bits."""
+"""Bits per byte."""
 
 PJ = 1e-12
-"""Joules per picojoule; carries unit ``joules_per_pj`` so
-``pj * PJ`` dimension-checks to joules."""
-
-SCALAR = "scalar"
-"""A dimensionless quantity (ratios, fractions, counts of no unit)."""
-
-ANGLE_UNITS: FrozenSet[str] = frozenset({U_DEGREES, U_RADIANS})
-
-UNIT_ALIASES: Dict[str, str] = {
-    "Cycles": U_CYCLES,
-    "Seconds": U_SECONDS,
-    "Bytes": U_BYTES,
-    "Bits": U_BITS,
-    "BytesPerCycle": U_BYTES_PER_CYCLE,
-    "Ops": U_OPS,
-    "OpsPerCycle": U_OPS_PER_CYCLE,
-    "Picojoules": U_PJ,
-    "Joules": U_JOULES,
-    "PicojoulesPerBit": U_PJ_PER_BIT,
-    "PicojoulesPerByte": U_PJ_PER_BYTE,
-    "PicojoulesPerOp": U_PJ_PER_OP,
-    "Watts": U_WATTS,
-    "Gigahertz": U_GHZ,
-    "GigabytesPerSecond": U_GB_PER_S,
-    "Degrees": U_DEGREES,
-    "Radians": U_RADIANS,
-}
-
-
-# ---------------------------------------------------------------------------
-# Name heuristics: identifier -> unit tag.
-# ---------------------------------------------------------------------------
-
-# Exact (lowercased) identifier matches, tried first.
-_EXACT_NAMES: Dict[str, str] = {
-    "latency": U_CYCLES,
-    "arrival": U_CYCLES,
-    "makespan": U_CYCLES,
-    "nbytes": U_BYTES,
-    "bytes_per_cycle": U_BYTES_PER_CYCLE,
-    "bpc": U_BYTES_PER_CYCLE,
-    "ops_per_cycle": U_OPS_PER_CYCLE,
-    "drain_rate": U_OPS_PER_CYCLE,
-    "angle_threshold": U_RADIANS,
-    "bits_per_byte": U_BITS_PER_BYTE,
-    "pj": U_JOULES_PER_PJ,
-    "energy_pj": U_PJ,
-}
-
-# Suffix matches on whole underscore-separated words, tried in order;
-# rate-like compound suffixes must come before their bare-unit tails
-# ("_bytes_per_cycle" before "_bytes", "_pj_per_bit" before "_pj").
-_SUFFIX_UNITS: Tuple[Tuple[str, str], ...] = (
-    ("bytes_per_cycle", U_BYTES_PER_CYCLE),
-    ("ops_per_cycle", U_OPS_PER_CYCLE),
-    ("gb_per_s", U_GB_PER_S),
-    ("pj_per_bit", U_PJ_PER_BIT),
-    ("pj_per_byte", U_PJ_PER_BYTE),
-    ("pj_per_op", U_PJ_PER_OP),
-    ("cycles", U_CYCLES),
-    ("cycle", U_CYCLES),
-    ("latency", U_CYCLES),
-    ("bytes", U_BYTES),
-    ("bits", U_BITS),
-    ("pj", U_PJ),
-    ("joules", U_JOULES),
-    ("watts", U_WATTS),
-    ("ghz", U_GHZ),
-    ("ops", U_OPS),
-    ("deg", U_DEGREES),
-    ("degrees", U_DEGREES),
-    ("rad", U_RADIANS),
-    ("radians", U_RADIANS),
-    ("fraction", SCALAR),
-    ("ratio", SCALAR),
-    ("scale", SCALAR),
-    ("share", SCALAR),
-)
-
-
-def unit_for_name(identifier: str) -> Optional[str]:
-    """Infer a unit tag from an identifier, or ``None`` if agnostic.
-
-    Matching is on whole underscore-separated words so that ``nbytes``
-    and ``total_bytes`` tag as bytes but ``frame_id`` never tags at all,
-    and compound rate suffixes win over their tails (``bytes_per_cycle``
-    is a rate, not bytes).
-    """
-    lowered = identifier.lower().lstrip("_")
-    if lowered in _EXACT_NAMES:
-        return _EXACT_NAMES[lowered]
-    for suffix, unit in _SUFFIX_UNITS:
-        if lowered == suffix or lowered.endswith("_" + suffix):
-            return unit
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Dimensional algebra.
-# ---------------------------------------------------------------------------
-
-# Unordered products of two tagged quantities with a meaningful result.
-_MUL_PAIRS: Tuple[Tuple[str, str, str], ...] = (
-    (U_CYCLES, U_BYTES_PER_CYCLE, U_BYTES),
-    (U_CYCLES, U_OPS_PER_CYCLE, U_OPS),
-    (U_SECONDS, U_WATTS, U_JOULES),
-    (U_SECONDS, U_GHZ, U_CYCLES),
-    (U_SECONDS, U_GB_PER_S, U_BYTES),
-    (U_BITS, U_PJ_PER_BIT, U_PJ),
-    (U_BYTES, U_PJ_PER_BYTE, U_PJ),
-    (U_OPS, U_PJ_PER_OP, U_PJ),
-    (U_BYTES, U_BITS_PER_BYTE, U_BITS),
-    (U_PJ, U_JOULES_PER_PJ, U_JOULES),
-)
-
-MUL_TABLE: Dict[Tuple[str, str], str] = {}
-for _a, _b, _r in _MUL_PAIRS:
-    MUL_TABLE[(_a, _b)] = _r
-    MUL_TABLE[(_b, _a)] = _r
-
-# Ordered quotients (numerator, denominator) -> result.  Every product
-# rule implies its two quotient rules; a handful of genuine rate
-# definitions are added on top.
-DIV_TABLE: Dict[Tuple[str, str], str] = {}
-for _a, _b, _r in _MUL_PAIRS:
-    DIV_TABLE[(_r, _a)] = _b
-    DIV_TABLE[(_r, _b)] = _a
-DIV_TABLE.update(
-    {
-        (U_BYTES, U_CYCLES): U_BYTES_PER_CYCLE,
-        (U_OPS, U_CYCLES): U_OPS_PER_CYCLE,
-        (U_GB_PER_S, U_GHZ): U_BYTES_PER_CYCLE,
-        (U_PJ, U_BITS): U_PJ_PER_BIT,
-        (U_PJ, U_BYTES): U_PJ_PER_BYTE,
-        (U_PJ, U_OPS): U_PJ_PER_OP,
-        (U_JOULES, U_SECONDS): U_WATTS,
-    }
-)
-
-
-def multiply_units(left: str, right: str) -> Optional[str]:
-    """The unit of ``left * right``, or ``None`` if dimensionally wrong.
-
-    ``SCALAR`` is the multiplicative identity.  Products of two tagged
-    quantities are meaningful only when :data:`MUL_TABLE` says so.
-    """
-    if left == SCALAR:
-        return right
-    if right == SCALAR:
-        return left
-    return MUL_TABLE.get((left, right))
-
-
-def divide_units(numerator: str, denominator: str) -> Optional[str]:
-    """The unit of ``numerator / denominator``, or ``None`` if wrong.
-
-    Dividing equal units yields a dimensionless ratio; dividing by a
-    scalar preserves the numerator.  A scalar divided by a tagged
-    quantity would be an inverse unit the vocabulary does not model, so
-    it is dimensionally wrong.
-    """
-    if numerator == denominator:
-        return SCALAR
-    if denominator == SCALAR:
-        return numerator
-    return DIV_TABLE.get((numerator, denominator))
-
-
-def addable(left: str, right: str) -> bool:
-    """Whether ``left + right`` / comparisons between them make sense.
-
-    Equal units are addable; so is anything with a dimensionless scalar
-    (numeric literals infer as scalars, and ``latency + 1.0`` is the
-    bread and butter of cycle arithmetic).
-    """
-    return left == right or left == SCALAR or right == SCALAR
-
-
-def add_units(left: str, right: str) -> Optional[str]:
-    """The unit of ``left + right``/``left - right``, or ``None``."""
-    if not addable(left, right):
-        return None
-    if left == SCALAR:
-        return right
-    return left
+"""Joules per picojoule."""

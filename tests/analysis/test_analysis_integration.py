@@ -71,48 +71,11 @@ class TestSeededViolations:
     def test_rules_and_invariants_listings(self, capsys):
         assert analysis_main(["rules"]) == 0
         out = capsys.readouterr().out
-        assert "REP101" in out
-        assert "REP200" in out
+        assert [line.split()[0] for line in out.splitlines()] == [
+            f"REP{number}" for number in range(100, 110)
+        ]
         assert analysis_main(["invariants"]) == 0
         assert "texel-balance" in capsys.readouterr().out
-
-
-class TestPlantedUnitViolations:
-    """The unit dataflow pass must catch a planted bytes+cycles bug
-    end-to-end: real files on disk, lint_paths, the same entry point CI
-    uses."""
-
-    def _plant(self, tmp_path):
-        bad = tmp_path / "src" / "repro" / "sim" / "planted.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text(
-            textwrap.dedent(
-                """
-                from repro.units import Bytes, Cycles
-
-
-                def _ready_time(nbytes: Bytes, latency: Cycles) -> float:
-                    # Classic transcription bug: adding a size to a time.
-                    return nbytes + latency
-                """
-            )
-        )
-        return bad
-
-    def test_planted_bytes_plus_cycles_is_caught(self, tmp_path):
-        bad = self._plant(tmp_path)
-        findings = lint_paths([bad])
-        assert "REP200" in {f.rule_id for f in findings}
-
-    def test_cli_exits_nonzero_and_select_filters(self, tmp_path, capsys):
-        self._plant(tmp_path)
-        exit_code = analysis_main(["lint", "--select", "REP2", str(tmp_path)])
-        assert exit_code == 1
-        assert "REP200" in capsys.readouterr().out
-
-    def test_cli_select_rejects_unknown_prefix(self, tmp_path, capsys):
-        self._plant(tmp_path)
-        assert analysis_main(["lint", "--select", "XYZ", str(tmp_path)]) == 2
 
 
 class TestInvariantsOnRenders:

@@ -48,3 +48,5 @@ class TestDesignConfig:
             DesignConfig(mtu_share=0)
         with pytest.raises(ValueError):
             DesignConfig(mtu_share=32)  # more than clusters
+        with pytest.raises(ValueError):
+            DesignConfig(mtu_share=3)  # does not divide the 16 clusters

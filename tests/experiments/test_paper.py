@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.experiments.paper import (
-    PAPER,
-    STFIM_TRAFFIC_BARS,
-    stat,
-    within_factor,
-)
+from repro.experiments.paper import PAPER, STFIM_TRAFFIC_BARS, stat
 
 
 class TestRegistry:
@@ -36,17 +31,3 @@ class TestRegistry:
         for name, value in PAPER.items():
             assert value.description, name
 
-
-class TestWithinFactor:
-    def test_exact_match(self):
-        assert within_factor(3.97, "atfim_texture_speedup")
-
-    def test_half_is_within_2x(self):
-        assert within_factor(2.0, "atfim_texture_speedup", factor=2.0)
-
-    def test_quarter_is_outside_2x(self):
-        assert not within_factor(0.9, "atfim_texture_speedup", factor=2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            within_factor(1.0, "atfim_texture_speedup", factor=0.5)

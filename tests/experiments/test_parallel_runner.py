@@ -22,7 +22,6 @@ from repro.experiments.runner import (
     _pool_results,
 )
 from repro.obs import run_stat_group
-from repro.workloads import workload_by_name
 
 WORKLOAD = "doom3-640x480"
 DESIGNS = (Design.BASELINE, Design.A_TFIM)
@@ -103,14 +102,6 @@ class TestDiskCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "from-env"))
         cache = DiskCache()
         assert cache.root == tmp_path / "from-env"
-
-    def test_get_or_compute(self, tmp_path):
-        cache = DiskCache(root=tmp_path)
-        key = cache.key("unit", payload=9)
-        calls = []
-        assert cache.get_or_compute(key, lambda: calls.append(1) or "v") == "v"
-        assert cache.get_or_compute(key, lambda: calls.append(1) or "v") == "v"
-        assert len(calls) == 1
 
 
 class TestRunnerDiskCache:
@@ -303,22 +294,6 @@ class TestCacheRobustnessContracts:
             assert cache.store_safe(key, "value") is False
         assert cache.stats.errors == 1
         assert cache.stats.stores == 0
-
-    def test_get_or_compute_returns_value_when_store_fails(
-        self, tmp_path, monkeypatch
-    ):
-        import os as os_module
-
-        cache = DiskCache(root=tmp_path)
-        key = cache.key("unit", payload="compute")
-
-        def refuse(*_args, **_kwargs):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(os_module, "replace", refuse)
-        with pytest.warns(RuntimeWarning, match="continuing with the computed"):
-            assert cache.get_or_compute(key, lambda: "computed") == "computed"
-        assert cache.stats.errors == 1
 
 
 class TestMemoCountingParity:

@@ -73,35 +73,3 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(np.zeros((2, 2)), np.zeros((2, 2)), peak=0.0)
 
-
-class TestSsim:
-    def test_identical_is_one(self):
-        from repro.quality import ssim
-
-        image = make_image(shape=(16, 16, 3))
-        assert ssim(image, image) == pytest.approx(1.0)
-
-    def test_noise_below_one(self):
-        from repro.quality import ssim
-
-        reference = make_image(5)
-        noisy = np.clip(reference + 0.2 * make_image(6), 0, 1)
-        assert ssim(reference, noisy) < 0.999
-
-    def test_grayscale_input(self):
-        from repro.quality import ssim
-
-        image = make_image(shape=(16, 16))
-        assert ssim(image, image) == pytest.approx(1.0)
-
-    def test_window_too_large_rejected(self):
-        from repro.quality import ssim
-
-        with pytest.raises(ValueError):
-            ssim(np.zeros((4, 4)), np.zeros((4, 4)), radius=3)
-
-    def test_shape_mismatch_rejected(self):
-        from repro.quality import ssim
-
-        with pytest.raises(ValueError):
-            ssim(np.zeros((16, 16)), np.zeros((16, 17)))

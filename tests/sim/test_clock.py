@@ -1,82 +1,8 @@
-"""Tests for the simulation clock and frequency conversions."""
+"""Tests for the GB/s to bytes-per-cycle conversion."""
 
 import pytest
 
-from repro.sim.clock import ClockDomain, SimClock, bytes_per_cycle
-
-
-class TestSimClock:
-    def test_starts_at_zero(self):
-        clock = SimClock()
-        assert clock.now == 0.0
-        assert clock.elapsed == 0.0
-
-    def test_advance_moves_now_and_high_water(self):
-        clock = SimClock()
-        clock.advance_to(10.0)
-        assert clock.now == 10.0
-        assert clock.elapsed == 10.0
-
-    def test_advance_backwards_rejected(self):
-        clock = SimClock()
-        clock.advance_to(5.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(4.0)
-
-    def test_advance_to_same_cycle_allowed(self):
-        clock = SimClock()
-        clock.advance_to(5.0)
-        clock.advance_to(5.0)
-        assert clock.now == 5.0
-
-    def test_observe_completion_does_not_move_now(self):
-        clock = SimClock()
-        clock.advance_to(3.0)
-        clock.observe_completion(100.0)
-        assert clock.now == 3.0
-        assert clock.elapsed == 100.0
-
-    def test_observe_completion_in_past_keeps_high_water(self):
-        clock = SimClock()
-        clock.observe_completion(50.0)
-        clock.observe_completion(10.0)
-        assert clock.elapsed == 50.0
-
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance_to(10.0)
-        clock.observe_completion(90.0)
-        clock.reset()
-        assert clock.now == 0.0
-        assert clock.elapsed == 0.0
-
-
-class TestClockDomain:
-    def test_identity_when_same_frequency(self):
-        domain = ClockDomain(name="gpu", frequency_ghz=1.0)
-        assert domain.to_reference_cycles(100.0) == 100.0
-        assert domain.from_reference_cycles(100.0) == 100.0
-
-    def test_faster_domain_cycles_shrink_in_reference(self):
-        # 1.25 GHz memory cycles are shorter than 1 GHz GPU cycles.
-        domain = ClockDomain(name="mem", frequency_ghz=1.25)
-        assert domain.to_reference_cycles(125.0) == pytest.approx(100.0)
-
-    def test_round_trip(self):
-        domain = ClockDomain(name="mem", frequency_ghz=1.25)
-        assert domain.from_reference_cycles(
-            domain.to_reference_cycles(37.0)
-        ) == pytest.approx(37.0)
-
-    def test_seconds(self):
-        domain = ClockDomain(name="gpu", frequency_ghz=1.0)
-        assert domain.seconds(1e9) == pytest.approx(1.0)
-
-    def test_invalid_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            ClockDomain(name="bad", frequency_ghz=0.0)
-        with pytest.raises(ValueError):
-            ClockDomain(name="bad", frequency_ghz=1.0, reference_ghz=-1.0)
+from repro.sim.clock import bytes_per_cycle
 
 
 class TestBytesPerCycle:
