@@ -89,7 +89,9 @@ def invariant(name: str) -> Callable[[InvariantFn], InvariantFn]:
 
 
 def invariant_names() -> List[str]:
-    return [name for name, _ in _REGISTRY]
+    """Every invariant the flag enables: the drain-time run checks, then
+    the renderer's ``batch-fetch-parity``."""
+    return [name for name, _ in _REGISTRY] + [BATCH_PARITY_INVARIANT]
 
 
 def checks_enabled() -> bool:

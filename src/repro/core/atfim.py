@@ -23,13 +23,12 @@ Unit are 16-wide ALU arrays.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpandedFrame, ExpandedRequest
+from repro.core.expansion import ExpandedFrame
 from repro.core.paths import (
     CacheHierarchy,
     CacheHierarchyStats,
@@ -89,67 +88,14 @@ class AtfimPath(TexturePath):
         self.child_lines_fetched = 0
         self.offload_packages = 0
 
-    def serve(self, cluster: int, issue: float, expanded: ExpandedRequest) -> float:
-        return self._serve_parents(
-            cluster, issue, expanded.request.camera_angle,
-            range(len(expanded.parents)), _ParentColumns.of_request(expanded),
-        )
-
     def begin_replay(self, frame: ExpandedFrame) -> ReplaySession:
         return _AtfimReplaySession(self, frame)
-
-    def _serve_parents(
-        self,
-        cluster: int,
-        issue: float,
-        angle: float,
-        parents: range,
-        columns: "_ParentColumns",
-    ) -> float:
-        """Serve one request: its camera angle and its parents, given as
-        row indices into ``columns``."""
-        unit = self.units[cluster]
-        unit.note_request()
-        threshold = self.config.effective_angle_threshold
-
-        # GPU side: generate the (few) parent-texel addresses.
-        num_parents = len(parents)
-        address_done = unit.generate_addresses(issue, num_parents)
-
-        # Classify each parent against the angle-tagged caches.  Only
-        # anisotropic parents carry an angle tag; isotropic ones behave
-        # like ordinary cached lines.
-        missing: List[int] = []
-        child_counts, lines = columns.child_counts, columns.lines
-        for parent in parents:
-            needs_angle = child_counts[parent] > 1
-            result = self.caches.probe(
-                cluster,
-                lines[parent],
-                angle if needs_angle else None,
-                threshold if needs_angle else None,
-            )
-            if result is CacheAccessResult.HIT:
-                self.parent_reuses += 1
-            elif result is CacheAccessResult.ANGLE_MISS:
-                self.parent_recalculations += 1
-                missing.append(parent)
-            else:
-                self.parent_cold_misses += 1
-                missing.append(parent)
-
-        if missing:
-            parents_ready = self._offload(address_done, missing, columns)
-        else:
-            parents_ready = address_done
-
-        # GPU side: bilinear/trilinear over the (approximated) parents.
-        return unit.filter_texels(parents_ready, num_parents)
 
     def _offload(
         self, arrival: float, missing: List[int], columns: "_ParentColumns"
     ) -> float:
-        """Round-trip the missing parents through the HMC pipeline."""
+        """Round-trip the missing parents, given as row indices into
+        ``columns``, through the HMC pipeline."""
         packets = self.config.packets
         self.offload_packages += 1
 
@@ -272,30 +218,14 @@ class AtfimPath(TexturePath):
 
 
 class _ParentColumns(NamedTuple):
-    """Per-parent values :meth:`AtfimPath._serve_parents` reads by row:
-    line address, child texel count, and the parent's unique child
-    lines ``child_lines[child_offsets[p]:child_offsets[p + 1]]``."""
+    """Per-parent values :meth:`AtfimPath._offload` reads by row: line
+    address, child texel count, and the parent's unique child lines
+    ``child_lines[child_offsets[p]:child_offsets[p + 1]]``."""
 
     lines: Sequence[int]
     child_counts: Sequence[int]
     child_offsets: Sequence[int]
     child_lines: Sequence[int]
-
-    @classmethod
-    def of_request(cls, expanded: ExpandedRequest) -> "_ParentColumns":
-        parents = expanded.parents
-        return cls(
-            lines=[parent.line_address for parent in parents],
-            child_counts=[parent.num_children for parent in parents],
-            child_offsets=list(accumulate(
-                (len(parent.child_line_addresses) for parent in parents),
-                initial=0,
-            )),
-            child_lines=[
-                line for parent in parents
-                for line in parent.child_line_addresses
-            ],
-        )
 
 
 class _AtfimColumns:
@@ -332,27 +262,26 @@ class _AtfimReplaySession(ReplaySession):
 
     Built as a closure over per-trace columns and local state, as
     :class:`~repro.core.baseline._GpuReplaySession` is.  The session
-    inlines :meth:`AtfimPath._serve_parents` operation for operation:
-    the texture unit's address and filter stages over the request's
-    parents, and the angle-tagged L1 -> L2 classification
-    (:meth:`CacheHierarchy.probe` over ``TextureCache.lookup``) reading
-    each parent's set, tag and angle flag and the request's quantised
-    angle from :class:`_AtfimColumns`, which the warm-up replay hands to
-    the measured one (:meth:`TexturePath._columns_for`).  Every
+    inlines the scalar reference operation for operation: the texture
+    unit's address and filter stages over the request's parents, and
+    the angle-tagged L1 -> L2 classification (``TextureCache.lookup`` on
+    each level) reading each parent's set, tag and angle flag and the
+    request's quantised angle from :class:`_AtfimColumns`, which the
+    warm-up replay hands to the measured one
+    (:meth:`TexturePath._columns_for`).  Every
     counter -- L1/L2 hits, misses and angle misses, parent reuses,
     recalculations and cold misses, unit activity -- is folded locally
     and flushed back by ``finish``.
 
     ``_offload`` stays one live call per request with missing parents:
     the HMC links and vaults, the Parent Texel Buffer, the logic-layer
-    units and the child merge window keep their own state.  As in the
-    scalar path, the cache side charges no time: a parent that misses
-    L1 and hits L2 is a reuse and pays no L2-port occupancy or latency,
-    unlike :meth:`CacheHierarchy.lookup`.
+    units and the child merge window keep their own state.  The cache
+    side charges no time: a parent that misses L1 and hits L2 is a reuse
+    and pays no L2-port occupancy or latency, which the baseline/B-PIM
+    session charges for the same event.
     """
 
     def __init__(self, path: AtfimPath, frame: ExpandedFrame) -> None:
-        super().__init__(path, frame)
         columns = path._columns_for(
             frame, lambda: _AtfimColumns(path.config, frame)
         )

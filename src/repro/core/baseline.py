@@ -7,10 +7,10 @@ external links for B-PIM -- section III's drop-in replacement).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpandedFrame, ExpandedRequest
+from repro.core.expansion import ExpandedFrame
 from repro.core.paths import (
     CacheHierarchy,
     CacheHierarchyStats,
@@ -63,18 +63,6 @@ class GpuFilteringPath(TexturePath):
             )
             self.gddr5 = None
 
-    def serve(self, cluster: int, issue: float, expanded: ExpandedRequest) -> float:
-        unit = self.units[cluster]
-        unit.note_request()
-        num_texels = expanded.num_conventional_texels
-        address_done = unit.generate_addresses(issue, num_texels)
-        data_ready = address_done
-        for line in expanded.conventional_lines:
-            ready = self.caches.lookup(cluster, address_done, line, self.memory)
-            if ready > data_ready:
-                data_ready = ready
-        return unit.filter_texels(data_ready, num_texels)
-
     def begin_replay(self, frame: ExpandedFrame) -> "_GpuReplaySession":
         return _GpuReplaySession(self, frame)
 
@@ -111,15 +99,14 @@ class GpuFilteringPath(TexturePath):
 class _GpuReplaySession(ReplaySession):
     """Replay session for the baseline/B-PIM path.
 
-    ``serve_chunk`` is built as a closure in ``__init__`` so that every
+    ``serve_one`` is built as a closure in ``__init__`` so that every
     per-trace constant and every piece of mutable timing state is a cell
-    variable rather than an attribute: the batched scheduler's chunks
-    are usually a single request (cluster clocks drift apart within a
-    few rounds), so per-call attribute-to-local hoisting would cost more
+    variable rather than an attribute: the scheduler calls it once per
+    request, so per-call attribute-to-local hoisting would cost more
     than the serving arithmetic itself.
 
-    The serving arithmetic inlines :meth:`GpuFilteringPath.serve`'s
-    call chain (texture-unit stages, L1/L2 lookup, L2 port) operation
+    The serving arithmetic inlines the scalar reference's call chain
+    (texture-unit stages, L1 -> L2 -> memory lookup, L2 port) operation
     for operation; only the memory-side line fill stays a live call,
     because the memory interfaces keep internal channel/link state and
     traffic accounting of their own.  Mutable counters are seeded from
@@ -129,7 +116,6 @@ class _GpuReplaySession(ReplaySession):
     """
 
     def __init__(self, path: "GpuFilteringPath", frame: ExpandedFrame) -> None:
-        super().__init__(path, frame)
         columns = path._columns_for(frame, lambda: GpuReplayColumns(
             path.config.gpu, frame.texels, frame.line_offsets, frame.lines
         ))
@@ -229,14 +215,6 @@ class _GpuReplaySession(ReplaySession):
                 return done + pipe_depth
             return data_ready
 
-        def serve_chunk(
-            clusters: Sequence[int], issue: float, indices: Sequence[int]
-        ) -> List[float]:
-            return [
-                serve_one(cluster, issue, index)
-                for cluster, index in zip(clusters, indices)
-            ]
-
         def finish() -> None:
             from repro.units import Bytes, Cycles
 
@@ -249,5 +227,4 @@ class _GpuReplaySession(ReplaySession):
             port.busy_cycles = Cycles(port_busy)
 
         self.serve_one = serve_one
-        self.serve_chunk = serve_chunk
         self.finish = finish

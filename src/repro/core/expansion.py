@@ -141,7 +141,7 @@ class ExpandedFrame:
     ``child_lines[child_offsets[p]:child_offsets[p + 1]]``.  Every set
     keeps :meth:`RequestExpander.expand`'s first-touch order, and
     ``frame[i]`` builds that method's :class:`ExpandedRequest` on demand
-    (for the scalar scheduler oracle and for tests).
+    (for the scalar references in the tests).
     """
 
     requests: Sequence[TextureRequest]

@@ -19,7 +19,7 @@ from typing import (
 import numpy as np
 
 from repro.core.designs import DesignConfig
-from repro.core.expansion import ExpandedFrame, ExpandedRequest
+from repro.core.expansion import ExpandedFrame
 from repro.gpu.config import GPUConfig
 from repro.gpu.texunit import TextureUnit, TextureUnitActivity
 from repro.memory.gddr5 import Gddr5Memory
@@ -28,8 +28,8 @@ from repro.memory.multicube import MultiCubeMemory
 from repro.memory.packets import PacketSpec
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.sim.resources import BandwidthServer
-from repro.texture.cache import CacheAccessResult, TextureCache
-from repro.units import Bytes, Cycles, Ops, Radians
+from repro.texture.cache import TextureCache
+from repro.units import Bytes, Cycles, Ops
 
 
 _Columns = TypeVar("_Columns")
@@ -204,66 +204,6 @@ class CacheHierarchy:
         )
         self.line_bytes = gpu.l1_cache.line_bytes
 
-    def lookup(
-        self,
-        cluster: int,
-        arrival: Cycles,
-        address: int,
-        memory: MemoryInterface,
-        angle: Optional[float] = None,
-        angle_threshold: Optional[Radians] = None,
-    ) -> float:
-        """Serve one line through L1 -> L2 -> memory; return ready time.
-
-        Angle arguments enable A-TFIM's angle-tagged reuse check; an
-        angle mismatch anywhere forces a memory-path recalculation, which
-        the A-TFIM path routes through the HMC instead of this method
-        (it calls :meth:`probe` first), so plain lookups here never see
-        angle misses.
-        """
-        result = self.l1[cluster].lookup(address, angle, angle_threshold)
-        if result is CacheAccessResult.HIT:
-            return arrival
-        l2_result = self.l2.lookup(address, angle, angle_threshold)
-        if l2_result is CacheAccessResult.HIT:
-            return self.l2_port.access(arrival, self.line_bytes)
-        return memory.read_line(arrival, address)
-
-    def probe(
-        self,
-        cluster: int,
-        address: int,
-        angle: Optional[float] = None,
-        angle_threshold: Optional[Radians] = None,
-    ) -> CacheAccessResult:
-        """Classify an access (updating cache state) without timing.
-
-        Used by the A-TFIM path, which needs to know the outcome first to
-        decide whether the HMC must recalculate.  No timing is charged
-        here or afterwards for the cache side: a parent that misses L1
-        and hits L2 is a reuse and pays neither the L2 port's occupancy
-        nor its latency, where :meth:`lookup` charges both.  Only
-        offloaded parents cost time (the HMC round trip).
-        """
-        result = self.l1[cluster].lookup(address, angle, angle_threshold)
-        if result is CacheAccessResult.HIT:
-            return CacheAccessResult.HIT
-        if result is CacheAccessResult.ANGLE_MISS:
-            # A stale-angle line must be recalculated regardless of L2;
-            # refresh the L2 copy's angle tag as well.
-            self.l2.lookup(address, angle, angle_threshold)
-            return CacheAccessResult.ANGLE_MISS
-        l2_result = self.l2.lookup(address, angle, angle_threshold)
-        if l2_result is CacheAccessResult.HIT:
-            return CacheAccessResult.HIT
-        if l2_result is CacheAccessResult.ANGLE_MISS:
-            return CacheAccessResult.ANGLE_MISS
-        return CacheAccessResult.MISS
-
-    def l2_fill_time(self, arrival: Cycles) -> float:
-        """Timing of an L1 miss satisfied by the L2."""
-        return self.l2_port.access(arrival, self.line_bytes)
-
     def stats(self) -> CacheHierarchyStats:
         aggregated = CacheHierarchyStats()
         for cache in self.l1:
@@ -426,47 +366,21 @@ class GpuReplayState:
 
 
 class ReplaySession:
-    """Per-replay serving context for the batched scheduler.
+    """One replay's serving context, opened by :meth:`TexturePath.begin_replay`.
 
-    Created by :meth:`TexturePath.begin_replay` with the frame's
-    :class:`~repro.core.expansion.ExpandedFrame`.  The scheduler calls
-    :meth:`serve_chunk` once per ready timestamp (clusters ascending, the
-    scalar heap's pop order) and :meth:`finish` once at drain time,
-    before any counters are read.
-
-    The base implementation builds each request's
-    :class:`~repro.core.expansion.ExpandedRequest` and delegates to the
-    path's scalar :meth:`TexturePath.serve` -- the correctness fallback.
-    Every design's path overrides it with a session that reads the
-    frame's arrays by request index instead; overrides must keep the
-    arithmetic bit-identical to the scalar path (the replay parity tests
-    compare the two schedulers end to end).
+    The scheduler calls :meth:`serve_one` once per request, in service
+    order, and :meth:`finish` once at drain time, before any counter is
+    read.  Each design's session reads the frame's
+    :class:`~repro.core.expansion.ExpandedFrame` arrays by request index;
+    its arithmetic must stay bit-identical to the design's scalar
+    reference in ``tests/reference.py``, which the replay parity tests
+    compare it with end to end.
     """
 
-    def __init__(self, path: "TexturePath", frame: ExpandedFrame) -> None:
-        self.path = path
-        self.frame = frame
-
     def serve_one(self, cluster: int, issue: float, index: int) -> float:
-        """Serve the single request at ``index`` issuing at ``issue``.
-
-        The batched scheduler's rounds are almost always singletons
-        (cluster clocks drift apart within a few cycles), so this is
-        its hot entry point; :meth:`serve_chunk` handles the rare
-        multi-cluster rounds.  Both must produce the identical scalar
-        service sequence.
-        """
-        return self.path.serve(cluster, issue, self.frame[index])
-
-    def serve_chunk(
-        self, clusters: Sequence[int], issue: float, indices: Sequence[int]
-    ) -> List[float]:
-        """Serve the requests at ``indices``, all issuing at ``issue``."""
-        serve_one = self.serve_one
-        return [
-            serve_one(cluster, issue, index)
-            for cluster, index in zip(clusters, indices)
-        ]
+        """Serve the request at ``index``, issuing at ``issue`` from
+        ``cluster``; return its completion cycle at the shader."""
+        raise NotImplementedError
 
     def finish(self) -> None:
         """Flush any locally accumulated counters back to the path."""
@@ -479,10 +393,6 @@ class TexturePath(abc.ABC):
         self.config = config
         self.traffic = traffic
         self._column_cache: Optional[Tuple[ExpandedFrame, Any]] = None
-
-    @abc.abstractmethod
-    def serve(self, cluster: int, issue: float, expanded: ExpandedRequest) -> float:
-        """Serve one request; return the completion cycle at the shader."""
 
     def _columns_for(
         self, frame: ExpandedFrame, build: Callable[[], _Columns]
@@ -509,16 +419,16 @@ class TexturePath(abc.ABC):
         self._column_cache = (frame, columns)
         return columns
 
+    @abc.abstractmethod
     def begin_replay(self, frame: ExpandedFrame) -> ReplaySession:
         """Open a serving session for one replay of ``frame``.
 
-        The batched scheduler serves every request of a replay through
-        one session, letting path implementations precompute per-request
+        The scheduler serves every request of a replay through one
+        session, letting path implementations precompute per-request
         columns (texel counts, stage occupancies, cache set/tag address
         math) from the frame's arrays and keep hot counters in locals
         until :meth:`ReplaySession.finish`.
         """
-        return ReplaySession(self, frame)
 
     @abc.abstractmethod
     def activity(self) -> PathActivity:

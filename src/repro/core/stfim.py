@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpandedFrame, ExpandedRequest
+from repro.core.expansion import ExpandedFrame
 from repro.core.paths import (
     PathActivity,
     ReadMergeWindow,
@@ -72,12 +72,6 @@ class StfimPath(TexturePath):
 
     def _mtu_index(self, cluster: int) -> int:
         return cluster // self.config.mtu_share
-
-    def serve(self, cluster: int, issue: float, expanded: ExpandedRequest) -> float:
-        return self._serve_lines(
-            cluster, issue, expanded.num_conventional_texels,
-            expanded.conventional_lines,
-        )
 
     def begin_replay(self, frame: ExpandedFrame) -> ReplaySession:
         return _StfimReplaySession(self, frame)
@@ -157,7 +151,6 @@ class _StfimReplaySession(ReplaySession):
     :meth:`StfimPath._serve_lines`."""
 
     def __init__(self, path: StfimPath, frame: ExpandedFrame) -> None:
-        super().__init__(path, frame)
         texels = frame.texels.tolist()
         offsets = frame.line_offsets.tolist()
         lines = frame.lines.tolist()

@@ -21,7 +21,7 @@ result -- falls out of the same replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -141,19 +141,10 @@ expansions, which :meth:`GpuPipeline._frame_for` adapts."""
 
 
 class GpuPipeline:
-    """Simulates whole frames given a texture path.
+    """Simulates whole frames given a texture path."""
 
-    ``batched_replay`` (the default) drains all heap events ready at one
-    timestamp as a chunk through the replay session that
-    ``path.begin_replay`` opens (``ReplaySession.serve_chunk``, or
-    ``serve_one`` for the usual single-request round); the scalar
-    one-event-at-a-time heap loop is retained as the oracle the batched
-    scheduler is parity-tested against (``tests/gpu/test_replay_batch``).
-    """
-
-    def __init__(self, config: GPUConfig, batched_replay: bool = True) -> None:
+    def __init__(self, config: GPUConfig) -> None:
         self.config = config
-        self.batched_replay = batched_replay
         self._partition_cache = None
         self._frame_cache = None
 
@@ -230,7 +221,6 @@ class GpuPipeline:
         trace: FragmentTrace,
         expanded: Expansion,
         path: TexturePath,
-        batched: Optional[bool] = None,
     ) -> tuple[float, LatencyHistogram, List[int]]:
         """Replay all texture requests through a texture path.
 
@@ -239,105 +229,29 @@ class GpuPipeline:
         completed (finite latency-hiding depth).  Returns the texture
         makespan, the latency histogram, and per-cluster fragment counts.
 
-        ``batched=None`` defers to the pipeline's ``batched_replay``
-        default; the batched and scalar schedulers are bit-identical.
+        Event-ordered: each round serves, in ascending cluster order,
+        every cluster whose next request issues earliest, so shared
+        resources (L2 port, links, memory channels) observe arrivals in
+        simulated-time order.  Serving cluster ``c`` mutates only ``c``'s
+        own clock and inflight window, so a round's ready set is fixed
+        the moment its time becomes the minimum, and the service
+        sequence is exactly that of a one-event-at-a-time heap popping
+        equal times in ascending cluster order (the reference scheduler
+        in ``tests/reference.py``).
+
+        Requests are served through the session that
+        :meth:`TexturePath.begin_replay` opens on the frame's arrays.  The
+        latency histogram and makespan are reduced at drain time from the
+        event-ordered completion log: ``observe_batch``'s cumsum-based
+        fold is bit-identical to per-event ``observe``, and float max is
+        order-independent.  The scheduler state stays in python lists:
+        rounds are singletons in steady state (cluster clocks drift apart
+        after the first few cycles), so numpy state arrays per round
+        cost more than they save.
         """
+        if len(expanded) != len(trace.requests):
+            raise ValueError("expansion does not match the trace")
         frame = self._frame_for(expanded)
-        if batched is None:
-            batched = self.batched_replay
-        if batched:
-            return self._replay_batched(trace, frame, path)
-        return self._replay_scalar(trace, frame, path)
-
-    def _replay_scalar(
-        self,
-        trace: FragmentTrace,
-        frame: ExpandedFrame,
-        path: TexturePath,
-    ) -> tuple[float, LatencyHistogram, List[int]]:
-        """One-event-at-a-time heap replay: the scheduling oracle."""
-        import heapq
-
-        config = self.config
-        histogram = LatencyHistogram("texture_latency")
-        depth = config.max_inflight_texture_requests
-        makespan = 0.0
-        per_cluster, fragments_per_cluster = self._partition(trace)
-
-        # Event-ordered replay: always serve the cluster whose next
-        # request issues earliest, so shared resources (L2 port, links,
-        # memory channels) observe arrivals in simulated-time order.
-        cluster_clock = [0.0] * config.num_clusters
-        cursor = [0] * config.num_clusters
-        inflight: List[List[float]] = [[] for _ in range(config.num_clusters)]
-
-        def next_issue(cluster: int) -> float:
-            issue = cluster_clock[cluster]
-            window = inflight[cluster]
-            if len(window) >= depth and window[-depth] > issue:
-                issue = window[-depth]
-            return issue
-
-        heap: List[tuple[float, int]] = []
-        for cluster in range(config.num_clusters):
-            if per_cluster[cluster]:
-                heapq.heappush(heap, (next_issue(cluster), cluster))
-
-        while heap:
-            issue, cluster = heapq.heappop(heap)
-            current = next_issue(cluster)
-            if current > issue:
-                # Window state changed since this entry was pushed.
-                heapq.heappush(heap, (current, cluster))
-                continue
-            expansion = frame[per_cluster[cluster][cursor[cluster]]]
-            cursor[cluster] += 1
-            completion = path.serve(cluster, issue, expansion)
-            if completion < issue:
-                raise RuntimeError("texture path completed before issue")
-            histogram.observe(completion - issue)
-            window = inflight[cluster]
-            window.append(completion)
-            if len(window) > depth:
-                del window[0]
-            cluster_clock[cluster] = issue + 1.0
-            if completion > makespan:
-                makespan = completion
-            if cursor[cluster] < len(per_cluster[cluster]):
-                heapq.heappush(heap, (next_issue(cluster), cluster))
-
-        return makespan, histogram, fragments_per_cluster
-
-    def _replay_batched(
-        self,
-        trace: FragmentTrace,
-        frame: ExpandedFrame,
-        path: TexturePath,
-    ) -> tuple[float, LatencyHistogram, List[int]]:
-        """Per-timestamp chunked replay, bit-identical to the oracle.
-
-        All events ready at the minimum next-issue time are drained as
-        one chunk through the path's replay session.  Why chunking
-        preserves the heap schedule: serving cluster ``c`` at time ``t``
-        mutates only ``c``'s own clock and inflight window, so the
-        ready set at ``t`` is fixed the moment ``t`` becomes the
-        minimum next-issue time.  The scalar heap pops equal-time
-        entries in ascending cluster order; draining the ready set in
-        ascending cluster order therefore issues the exact same
-        (time, cluster) service sequence to the shared resources.
-
-        The vectorization lives where the data is wide, not in the
-        (inherently sequential, 16-entry) scheduler state: per-request
-        columns come from the frame's arrays through
-        :meth:`TexturePath.begin_replay`, and the latency histogram and
-        makespan are reduced at drain time from the event-ordered
-        completion log -- ``observe_batch``'s cumsum-based fold is
-        bit-identical to per-event ``observe``, and float max is
-        order-independent.  Profiling drove this split: ready sets are
-        singletons in steady state (cluster clocks drift apart after
-        the first few cycles), so numpy state arrays per round cost
-        more than they save.
-        """
         config = self.config
         num_clusters = config.num_clusters
         histogram = LatencyHistogram("texture_latency")
@@ -351,12 +265,11 @@ class GpuPipeline:
 
         session = path.begin_replay(frame)
         serve_one = session.serve_one
-        serve_chunk = session.serve_chunk
         infinity = float("inf")
         cursor = [0] * num_clusters
         inflight: List[List[float]] = [[] for _ in range(num_clusters)]
         # ready_at[c] is always fresh (recomputed after each serve), so
-        # no stale-entry revalidation is needed: the scalar heap's
+        # no stale-entry revalidation is needed: the reference heap's
         # re-pushed entries resolve to these same fresh values -- and
         # the per-cluster clock (issue + 1) folds into ready_at too.
         ready_at = [
@@ -402,15 +315,14 @@ class GpuPipeline:
                 for cluster in range(num_clusters)
                 if ready_at[cluster] == now
             ]
-            indices = [
-                per_cluster[cluster][cursor[cluster]] for cluster in ready
-            ]
-            served = serve_chunk(ready, now, indices)
-            completion_log.extend(served)
             round_times.append(now)
             round_sizes.append(len(ready))
             next_time = now + 1.0
-            for cluster, completion in zip(ready, served):
+            for cluster in ready:
+                completion = serve_one(
+                    cluster, now, per_cluster[cluster][cursor[cluster]]
+                )
+                completion_log.append(completion)
                 window = inflight[cluster]
                 window.append(completion)
                 if len(window) > depth:
@@ -449,8 +361,6 @@ class GpuPipeline:
         external_bytes_per_cycle: float,
     ) -> FrameResult:
         """Run the full pipeline model for one frame."""
-        if len(expanded) != len(trace.requests):
-            raise ValueError("expansion does not match the trace")
         frame = self._frame_for(expanded)
         config = self.config
 

@@ -33,11 +33,7 @@ from repro.render.camera import Camera
 from repro.render.framebuffer import Framebuffer
 from repro.render.scene import Scene, TexturedTriangle
 from repro.texture import npmath
-from repro.texture.lod import (
-    camera_angle_from_normal,
-    compute_footprint,
-    compute_footprint_batch,
-)
+from repro.texture.lod import compute_footprint_batch
 from repro.texture.requests import TextureRequest
 
 
@@ -62,12 +58,11 @@ class RasterFragment:
 class FragmentBatch:
     """SoA fragment stream: one scanned triangle's fragments as columns.
 
-    The vectorized rasterizer emits these directly -- numpy arrays for
-    pixel position, depth, texture coordinates, derivatives and camera
-    angle -- so footprint math and request generation stay batched all
-    the way to the expander's AoS bridge.  :meth:`to_fragments` is the
-    adapter back to :class:`RasterFragment` rows, bit-identical to what
-    the scalar oracle path emits.
+    The rasterizer emits these directly -- numpy arrays for pixel
+    position, depth, texture coordinates, derivatives and camera angle --
+    so footprint math and request generation stay batched all the way to
+    the expander's AoS bridge.  :meth:`to_fragments` is the adapter back
+    to :class:`RasterFragment` rows.
     """
 
     x: np.ndarray
@@ -162,7 +157,7 @@ class Rasterizer:
     """
 
     def __init__(self, tile_size: int = 16, max_anisotropy: int = 16,
-                 lod_bias: float = 0.0, vectorized: bool = True) -> None:
+                 lod_bias: float = 0.0) -> None:
         if tile_size <= 0:
             raise ValueError("tile size must be positive")
         if max_anisotropy < 1:
@@ -170,9 +165,6 @@ class Rasterizer:
         self.tile_size = tile_size
         self.max_anisotropy = max_anisotropy
         self.lod_bias = lod_bias
-        self.vectorized = vectorized
-        """Emit fragments through the batched (numpy) path; the scalar
-        per-pixel loop remains available as the bit-exact oracle."""
         self.stats = RasterStats()
 
     def rasterize_scene(
@@ -190,36 +182,17 @@ class Rasterizer:
         returned list still contains fragments that are later overdrawn,
         exactly as a real immediate-mode pipeline would shade them).
 
-        When ``vectorized`` (the default), the fragment stream flows as
-        :class:`FragmentBatch` columns with batched footprint math; this
-        method then materialises the AoS pairs at the end.  Callers that
-        only need requests should use :meth:`trace_requests`, which skips
-        the :class:`RasterFragment` materialisation entirely.
+        The fragment stream flows as :class:`FragmentBatch` columns with
+        batched footprint math; this method then materialises the AoS
+        pairs at the end.  Callers that only need requests should use
+        :meth:`trace_requests`, which skips the :class:`RasterFragment`
+        materialisation entirely.
         """
-        if self.vectorized:
-            results: List[Tuple[RasterFragment, TextureRequest]] = []
-            for batch in self.rasterize_batches(scene, camera, framebuffer):
-                results.extend(
-                    zip(batch.to_fragments(), self.requests_from_batch(batch))
-                )
-            return results
-        self.stats = RasterStats()
-        width, height = framebuffer.width, framebuffer.height
-        view_projection = camera.view_projection(width, height)
-        results = []
-        for triangle in scene.triangles:
-            self.stats.triangles_submitted += 1
-            texture = scene.textures[triangle.texture_id]
-            emissions = self._rasterize_triangle(
-                triangle, texture.width, texture.height,
-                view_projection, camera, framebuffer,
+        results: List[Tuple[RasterFragment, TextureRequest]] = []
+        for batch in self.rasterize_batches(scene, camera, framebuffer):
+            results.extend(
+                zip(batch.to_fragments(), self.requests_from_batch(batch))
             )
-            fragments = [f for emission in emissions for f in emission]
-            if fragments:
-                self.stats.triangles_rasterized += 1
-            for fragment in fragments:
-                request = self._fragment_to_request(fragment)
-                results.append((fragment, request))
         return results
 
     def rasterize_batches(
@@ -230,16 +203,10 @@ class Rasterizer:
     ) -> List[FragmentBatch]:
         """Rasterize every triangle into SoA :class:`FragmentBatch` columns.
 
-        The vectorized entry point: fragments never exist as Python
-        objects here -- each scanned triangle contributes one columnar
-        batch in submission order, and the early-Z depth buffer is
-        updated exactly as in the scalar path.
+        Fragments never exist as Python objects here: each scanned fan
+        triangle contributes one columnar batch in submission order, and
+        the early-Z depth buffer is updated as it goes.
         """
-        if not self.vectorized:
-            raise ValueError(
-                "rasterize_batches requires the vectorized rasterizer; "
-                "the scalar oracle emits through rasterize_scene"
-            )
         self.stats = RasterStats()
         width, height = framebuffer.width, framebuffer.height
         view_projection = camera.view_projection(width, height)
@@ -264,17 +231,10 @@ class Rasterizer:
     ) -> List[TextureRequest]:
         """Rasterize and return only the texture requests (trace path).
 
-        The fast path for the cycle model: with the vectorized rasterizer
-        the SoA batches go straight to batched footprint math and request
-        materialisation, skipping :class:`RasterFragment` entirely.  The
-        scalar oracle produces the identical request list through the
-        per-fragment path.
+        The fast path for the cycle model: the SoA batches go straight to
+        batched footprint math and request materialisation, skipping
+        :class:`RasterFragment` entirely.
         """
-        if not self.vectorized:
-            return [
-                request
-                for _, request in self.rasterize_scene(scene, camera, framebuffer)
-            ]
         requests: List[TextureRequest] = []
         for batch in self.rasterize_batches(scene, camera, framebuffer):
             requests.extend(self.requests_from_batch(batch))
@@ -308,23 +268,6 @@ class Rasterizer:
             for index in range(len(batch))
         ]
 
-    def _fragment_to_request(self, fragment: RasterFragment) -> TextureRequest:
-        footprint = compute_footprint(
-            fragment.dudx, fragment.dvdx, fragment.dudy, fragment.dvdy,
-            max_anisotropy=self.max_anisotropy, lod_bias=self.lod_bias,
-        )
-        return TextureRequest(
-            pixel_x=fragment.x,
-            pixel_y=fragment.y,
-            texture_id=fragment.texture_id,
-            u=fragment.u,
-            v=fragment.v,
-            footprint=footprint,
-            camera_angle=fragment.camera_angle,
-            tile_x=fragment.x // self.tile_size,
-            tile_y=fragment.y // self.tile_size,
-        )
-
     def _rasterize_triangle(
         self,
         triangle: TexturedTriangle,
@@ -336,9 +279,8 @@ class Rasterizer:
     ) -> List:
         """Clip and scan one triangle; return per-fan-triangle emissions.
 
-        Each element is what the selected emitter produced for one fan
-        triangle: a :class:`FragmentBatch` (vectorized) or a list of
-        :class:`RasterFragment` (scalar oracle).
+        Each element is what :meth:`_scan_convex_triangle` produced for
+        one fan triangle.
         """
         width, height = framebuffer.width, framebuffer.height
 
@@ -388,11 +330,10 @@ class Rasterizer:
         camera: Camera,
         framebuffer: Framebuffer,
     ):
-        """Scan one convex screen triangle through the selected emitter.
+        """Scan one convex screen triangle through :meth:`_emit_fragments`.
 
-        Returns a :class:`FragmentBatch` (vectorized) or a list of
-        :class:`RasterFragment` (scalar); degenerate triangles yield an
-        empty list either way.
+        Returns its :class:`FragmentBatch`, or an empty list for a
+        degenerate triangle.
         """
         width, height = framebuffer.width, framebuffer.height
 
@@ -465,100 +406,13 @@ class Rasterizer:
         )
 
         rows, cols = np.nonzero(inside)
-        emit = (
-            self._emit_fragments_vectorized
-            if self.vectorized
-            else self._emit_fragments_scalar
-        )
-        return emit(
+        return self._emit_fragments(
             rows, cols, bary0, bary1, bary2, denom, attrs_over_w,
             grad_b, grad_denom_x, grad_denom_y,
             min_x, min_y, normal, texture_id, camera, framebuffer,
         )
 
-    def _emit_fragments_scalar(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        bary0: np.ndarray,
-        bary1: np.ndarray,
-        bary2: np.ndarray,
-        denom: np.ndarray,
-        attrs_over_w: np.ndarray,
-        grad_b: List[Tuple[float, float]],
-        grad_denom_x: float,
-        grad_denom_y: float,
-        min_x: int,
-        min_y: int,
-        normal: np.ndarray,
-        texture_id: int,
-        camera: Camera,
-        framebuffer: Framebuffer,
-    ) -> List[RasterFragment]:
-        """Reference per-pixel emission loop (the oracle the vectorized
-        path is tested against; select with ``Rasterizer(vectorized=False)``)."""
-        fragments: List[RasterFragment] = []
-        camera_position = camera.position
-        for row, col in zip(rows, cols):
-            b = (bary0[row, col], bary1[row, col], bary2[row, col])
-            d = denom[row, col]
-            if d <= 0:
-                continue
-            w_value = 1.0 / d
-            numerators = (
-                b[0] * attrs_over_w[0] + b[1] * attrs_over_w[1] + b[2] * attrs_over_w[2]
-            )
-            attrs = numerators * w_value
-            u, v = attrs[0], attrs[1]
-            world = attrs[2:5]
-
-            pixel_x = min_x + col
-            pixel_y = min_y + row
-            depth = w_value  # camera-space depth; smaller is closer
-            self.stats.fragments_generated += 1
-            if not framebuffer.depth_test(pixel_x, pixel_y, depth):
-                self.stats.fragments_early_z_killed += 1
-                continue
-            framebuffer.depth[pixel_y, pixel_x] = depth
-
-            # Analytic derivatives via the quotient rule.
-            grad_num_x = (
-                grad_b[0][0] * attrs_over_w[0]
-                + grad_b[1][0] * attrs_over_w[1]
-                + grad_b[2][0] * attrs_over_w[2]
-            )
-            grad_num_y = (
-                grad_b[0][1] * attrs_over_w[0]
-                + grad_b[1][1] * attrs_over_w[1]
-                + grad_b[2][1] * attrs_over_w[2]
-            )
-            dudx = (grad_num_x[0] - u * grad_denom_x) * w_value
-            dvdx = (grad_num_x[1] - v * grad_denom_x) * w_value
-            dudy = (grad_num_y[0] - u * grad_denom_y) * w_value
-            dvdy = (grad_num_y[1] - v * grad_denom_y) * w_value
-
-            view = camera_position - world
-            angle = camera_angle_from_normal(
-                normal[0], normal[1], normal[2], view[0], view[1], view[2]
-            )
-            fragments.append(
-                RasterFragment(
-                    x=pixel_x,
-                    y=pixel_y,
-                    depth=depth,
-                    u=u,
-                    v=v,
-                    dudx=dudx,
-                    dvdx=dvdx,
-                    dudy=dudy,
-                    dvdy=dvdy,
-                    camera_angle=angle,
-                    texture_id=texture_id,
-                )
-            )
-        return fragments
-
-    def _emit_fragments_vectorized(
+    def _emit_fragments(
         self,
         rows: np.ndarray,
         cols: np.ndarray,
@@ -581,14 +435,15 @@ class Rasterizer:
         analytic derivatives as whole-array operations, emitted as one
         SoA :class:`FragmentBatch`.
 
-        Bit-identical to :meth:`_emit_fragments_scalar`: every
-        arithmetic step is the same IEEE-754 expression applied
-        elementwise, pixels within one triangle are unique (so the
-        vectorised early-Z equals the sequential test), and the camera
-        angle's arc cosine is the same canonical ``np.arccos`` kernel
-        the scalar oracle calls through :mod:`repro.texture.npmath`
-        (numpy diverges from libm in the last ulp on some inputs; both
-        paths sidestep that by sharing the numpy kernel).
+        Bit-identical to the per-pixel reference emitter in
+        ``tests/reference.py``: every arithmetic step is the same
+        IEEE-754 expression applied elementwise, pixels within one
+        triangle are unique (so the vectorised early-Z equals the
+        sequential test), and the camera angle's arc cosine is the same
+        canonical ``np.arccos`` kernel the reference calls through
+        :mod:`repro.texture.npmath` (numpy diverges from libm in the last
+        ulp on some inputs; both sidestep that by sharing the numpy
+        kernel).
         """
         if rows.size == 0:
             return FragmentBatch.empty(texture_id)

@@ -44,10 +44,8 @@ from repro.texture.lod import quantize_angle
 from repro.texture.requests import FragmentTrace, TextureRequest
 from repro.texture.sampling import (
     anisotropic_first_sample,
-    anisotropic_sample,
     filter_parent_texel,
     parent_texel_coords,
-    trilinear_sample,
 )
 
 
@@ -123,14 +121,9 @@ class Renderer:
         tile_size: int = 16,
         max_anisotropy: int = 16,
         lod_bias: float = 0.0,
-        batch_sampling: bool = True,
     ) -> None:
         self.width = width
         self.height = height
-        self.batch_sampling = batch_sampling
-        """Shade EXACT/ISOTROPIC frames through the vectorised kernels of
-        :mod:`repro.texture.batch` (bit-identical to the scalar path;
-        disable to force the scalar oracle)."""
         self.rasterizer = Rasterizer(
             tile_size=tile_size, max_anisotropy=max_anisotropy, lod_bias=lod_bias
         )
@@ -191,8 +184,7 @@ class Renderer:
 
             requests: List[TextureRequest] = [request for _, request in shaded]
             with obs.span("render.shade", fragments=len(shaded)):
-                batchable = mode in (SamplingMode.EXACT, SamplingMode.ISOTROPIC)
-                if batchable and self.batch_sampling and shaded:
+                if mode in (SamplingMode.EXACT, SamplingMode.ISOTROPIC):
                     colors = self._shade_batch(scene, requests, mode)
                     for index, (fragment, _request) in enumerate(shaded):
                         framebuffer.write(
@@ -265,13 +257,10 @@ class Renderer:
         mode: SamplingMode,
         parent_store: Optional[_AngleTaggedParentStore],
     ) -> np.ndarray:
+        """Per-request shading of the REORDERED and ATFIM modes."""
         footprint = request.footprint
-        if mode is SamplingMode.EXACT:
-            return anisotropic_sample(chain, footprint, request.u, request.v)
         if mode is SamplingMode.REORDERED:
             return anisotropic_first_sample(chain, footprint, request.u, request.v)
-        if mode is SamplingMode.ISOTROPIC:
-            return trilinear_sample(chain, footprint.lod, request.u, request.v)
         if mode is SamplingMode.ATFIM:
             return self._shade_atfim(chain, request, parent_store)
         raise ValueError(f"unknown sampling mode {mode}")

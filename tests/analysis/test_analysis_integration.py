@@ -75,7 +75,12 @@ class TestSeededViolations:
             f"REP{number}" for number in range(100, 110)
         ]
         assert analysis_main(["invariants"]) == 0
-        assert "texel-balance" in capsys.readouterr().out
+        *names, hint = capsys.readouterr().out.splitlines()
+        assert names == [
+            "texel-balance", "traffic-balance", "clock-monotonic",
+            "energy-conserved", "cache-sanity", "batch-fetch-parity",
+        ]
+        assert "REPRO_CHECK_INVARIANTS=1" in hint
 
 
 class TestInvariantsOnRenders:

@@ -16,6 +16,7 @@ from repro.memory.hmc import HybridMemoryCube
 from repro.memory.packets import PacketSpec
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.texture.cache import CacheAccessResult
+from tests.reference import lookup, probe
 
 
 class TestReadMergeWindow:
@@ -72,6 +73,9 @@ class TestMemoryInterfaces:
 
 
 class TestCacheHierarchy:
+    """The cache hierarchy's state and counters, driven through the
+    scalar references' line lookup and parent probe."""
+
     def make(self):
         config = DesignConfig(design=Design.BASELINE)
         traffic = TrafficMeter()
@@ -81,37 +85,37 @@ class TestCacheHierarchy:
 
     def test_miss_goes_to_memory_once(self):
         hierarchy, memory, traffic = self.make()
-        hierarchy.lookup(0, 0.0, 0, memory)
+        lookup(hierarchy, 0, 0.0, 0, memory)
         first_bytes = traffic.external_texture
-        hierarchy.lookup(0, 0.0, 0, memory)
+        lookup(hierarchy, 0, 0.0, 0, memory)
         assert traffic.external_texture == first_bytes  # L1 hit, no refetch
 
     def test_l2_serves_other_clusters(self):
         hierarchy, memory, traffic = self.make()
-        hierarchy.lookup(0, 0.0, 0, memory)     # cluster 0 fills L1+L2
+        lookup(hierarchy, 0, 0.0, 0, memory)     # cluster 0 fills L1+L2
         bytes_after_fill = traffic.external_texture
-        hierarchy.lookup(1, 0.0, 0, memory)     # cluster 1: L1 miss, L2 hit
+        lookup(hierarchy, 1, 0.0, 0, memory)     # cluster 1: L1 miss, L2 hit
         assert traffic.external_texture == bytes_after_fill
         stats = hierarchy.stats()
         assert stats.l2_hits >= 1
 
     def test_probe_classifies_without_timing(self):
         hierarchy, _, _ = self.make()
-        assert hierarchy.probe(0, 0) is CacheAccessResult.MISS
-        assert hierarchy.probe(0, 0) is CacheAccessResult.HIT
+        assert probe(hierarchy, 0, 0) is CacheAccessResult.MISS
+        assert probe(hierarchy, 0, 0) is CacheAccessResult.HIT
 
     def test_probe_angle_miss_forces_recalculation(self):
         hierarchy, _, _ = self.make()
         threshold = 0.01 * math.pi
-        hierarchy.probe(0, 0, angle=0.1, angle_threshold=threshold)
-        result = hierarchy.probe(0, 0, angle=1.0, angle_threshold=threshold)
+        probe(hierarchy, 0, 0, angle=0.1, angle_threshold=threshold)
+        result = probe(hierarchy, 0, 0, angle=1.0, angle_threshold=threshold)
         assert result is CacheAccessResult.ANGLE_MISS
 
     def test_reset_for_measurement_keeps_contents(self):
         hierarchy, memory, traffic = self.make()
-        hierarchy.lookup(0, 0.0, 0, memory)
+        lookup(hierarchy, 0, 0.0, 0, memory)
         hierarchy.reset_for_measurement()
         stats_before = hierarchy.stats()
         assert stats_before.l1_accesses == 0
         # Contents survived: the next access hits.
-        assert hierarchy.probe(0, 0) is CacheAccessResult.HIT
+        assert probe(hierarchy, 0, 0) is CacheAccessResult.HIT

@@ -7,17 +7,26 @@ values.  The test compares every value exactly, so any change that moves
 a reported number -- intended or not -- shows up as a failing test and,
 once accepted, as a reviewed diff to the file.
 
-The file is regenerated only by this command, from the repository root::
+``fig15_images.json`` pins the images behind Fig. 15's PSNR values: for
+each ``Renderer.render`` call the report makes (every fast workload's
+exact render, then its A-TFIM render at each threshold), the sha256 of
+the image and the render's parent reuse and recalculation counts.  A
+change that alters an image but not its PSNR shows up there.
+
+Both files are regenerated only by this command, from the repository
+root::
 
     PYTHONPATH=src python -m tests.golden.test_figure_tables --regenerate
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, List, NamedTuple
+from unittest import mock
 
 import pytest
 
@@ -25,8 +34,10 @@ from repro.experiments import tables
 from repro.experiments.common import FigureData
 from repro.experiments.report import figure_tables
 from repro.experiments.runner import FAST_WORKLOADS, ExperimentRunner
+from repro.render.renderer import Renderer, SamplingMode
 
 GOLDEN = Path(__file__).with_name("figure_tables.json")
+IMAGES = Path(__file__).with_name("fig15_images.json")
 
 TEXT_TABLES = {
     "Table I": tables.format_table1,
@@ -39,6 +50,13 @@ FIGURES = (
 )
 
 
+class Report(NamedTuple):
+    tables: Dict[str, Any]
+    """Every table of the fast-set report, keyed by its name."""
+    images: List[Dict[str, Any]]
+    """One digest per image the report renders, in render order."""
+
+
 def _pinned(data: FigureData) -> Dict[str, Any]:
     return {
         "columns": list(data.columns),
@@ -46,13 +64,30 @@ def _pinned(data: FigureData) -> Dict[str, Any]:
     }
 
 
-def report_tables() -> Dict[str, Any]:
-    """Every table of the fast-set report, keyed by its name."""
+def report_tables() -> Report:
+    """Run the fast-set report, recording every image it renders."""
+    images: List[Dict[str, Any]] = []
+    render = Renderer.render
+
+    def recording_render(renderer, scene, camera,
+                         mode=SamplingMode.EXACT, angle_threshold=0.0):
+        output = render(renderer, scene, camera, mode, angle_threshold)
+        images.append({
+            "scene": scene.name,
+            "mode": mode.value,
+            "angle_threshold": angle_threshold,
+            "sha256": hashlib.sha256(output.image.tobytes()).hexdigest(),
+            "parent_reuses": output.parent_reuses,
+            "parent_recalculations": output.parent_recalculations,
+        })
+        return output
+
     pinned: Dict[str, Any] = {name: text() for name, text in TEXT_TABLES.items()}
     runner = ExperimentRunner(FAST_WORKLOADS)
-    for data, _precision in figure_tables(runner):
-        pinned[data.figure] = _pinned(data)
-    return pinned
+    with mock.patch.object(Renderer, "render", recording_render):
+        for data, _precision in figure_tables(runner):
+            pinned[data.figure] = _pinned(data)
+    return Report(tables=pinned, images=images)
 
 
 @pytest.fixture(scope="module")
@@ -66,18 +101,28 @@ def golden():
 
 
 def test_pinned_tables_are_the_golden_keys(current, golden):
-    assert list(current) == list(golden) == [*TEXT_TABLES, *FIGURES]
+    assert list(current.tables) == list(golden) == [*TEXT_TABLES, *FIGURES]
 
 
 @pytest.mark.parametrize("name", [*TEXT_TABLES, *FIGURES])
 def test_table_matches_golden(current, golden, name):
-    assert current[name] == golden[name]
+    assert current.tables[name] == golden[name]
+
+
+def test_fig15_images_match_golden(current):
+    pinned = json.loads(IMAGES.read_text())
+    assert len(pinned) == len(FAST_WORKLOADS) * 6
+    assert current.images == pinned
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit("usage: python -m tests.golden.test_figure_tables --regenerate")
+    report = report_tables()
     GOLDEN.write_text(
-        json.dumps(report_tables(), indent=1, allow_nan=False) + "\n"
+        json.dumps(report.tables, indent=1, allow_nan=False) + "\n"
     )
-    print(f"wrote {GOLDEN}")
+    IMAGES.write_text(
+        json.dumps(report.images, indent=1, allow_nan=False) + "\n"
+    )
+    print(f"wrote {GOLDEN} and {IMAGES}")

@@ -91,6 +91,22 @@ class TestReplay:
 
         assert run_with_depth(2) >= run_with_depth(64)
 
+    @pytest.mark.parametrize(
+        "design", (Design.BASELINE, Design.S_TFIM, Design.A_TFIM),
+        ids=lambda design: design.value,
+    )
+    @pytest.mark.parametrize("extra", (-5, 5), ids=("short", "long"))
+    def test_mismatched_expansion_rejected(self, tiny_setup, design, extra):
+        """The warm-up replay calls this without ``simulate_frame``."""
+        scene, trace, expanded = tiny_setup
+        mismatched = (
+            expanded[:extra] if extra < 0 else expanded + expanded[:extra]
+        )
+        gpu = small_gpu()
+        path = make_path(design, gpu, TrafficMeter())
+        with pytest.raises(ValueError, match="does not match the trace"):
+            GpuPipeline(gpu).replay_texture_stream(trace, mismatched, path)
+
 
 class TestSimulateFrame:
     def test_frame_result_consistency(self, tiny_setup):

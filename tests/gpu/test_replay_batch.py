@@ -1,10 +1,11 @@
-"""Bit-identity of the batched replay scheduler against the scalar oracle.
+"""Bit-identity of the replay scheduler against the scalar reference.
 
-``GpuPipeline._replay_batched`` drains every heap event ready at one
-timestamp as a chunk through ``ReplaySession.serve_chunk``; the scalar
-one-event-at-a-time heap loop (``_replay_scalar``) is the oracle.  The
-contract is exact equality -- not approximate -- across every observable
-the replay produces: makespan, the latency histogram (total, count, max,
+``GpuPipeline.replay_texture_stream`` serves every request ready at one
+timestamp through the design's replay session; the one-event-at-a-time
+heap scheduler of ``tests/reference.py``, serving each request through
+the design's scalar ``serve``, is the reference.  The contract is exact
+equality -- not approximate -- across every observable the replay
+produces: makespan, the latency histogram (total, count, max,
 buckets), per-cluster fragment counts, external memory traffic, unit
 activity counters, L1/L2 cache statistics, and the path's whole
 flattened ``stat_group()`` (angle misses, A-TFIM reuse/recalculation/
@@ -12,8 +13,8 @@ cold-miss counts, child lines, offload packages, memory-side counters).
 A-TFIM is also held to it across camera-angle thresholds with Child
 Texel Consolidation on and off, and every design across a warm-up ->
 ``reset_for_measurement`` -> measured pair of replays on one path, the
-protocol ``simulate_frame`` runs.  The batched replay reads
-the columnar ``ExpandedFrame``; the oracle can also be handed the list of
+protocol ``simulate_frame`` runs.  The production replay reads the
+columnar ``ExpandedFrame``; the reference can also be handed the list of
 per-request ``RequestExpander.expand`` results, so the two expansions are
 held to the same replay too.
 """
@@ -33,6 +34,7 @@ from repro.memory.traffic import TrafficMeter
 from repro.render.renderer import Renderer
 from repro.texture.cache import CacheConfig
 from repro.texture.requests import FragmentTrace
+from tests import reference
 from tests.conftest import make_tiny_scene
 
 ALL_DESIGNS = (Design.BASELINE, Design.B_PIM, Design.S_TFIM, Design.A_TFIM)
@@ -97,7 +99,9 @@ def observe(path, traffic, makespan, histogram, per_cluster):
 
 def replay(design, depth, trace, expanded, batched, passes=1, **overrides):
     """Replay ``expanded`` ``passes`` times through one path, resetting
-    for measurement in between; observe the last pass."""
+    for measurement in between; observe the last pass.  ``batched``
+    replays through the production scheduler, otherwise through the
+    reference."""
     return replay_frames(design, depth, [(trace, expanded)] * passes,
                          batched, **overrides)
 
@@ -115,9 +119,13 @@ def replay_frames(design, depth, frames, batched, **overrides):
         if index:
             path.reset_for_measurement()
             traffic.reset()
-        makespan, histogram, per_cluster = pipeline.replay_texture_stream(
-            trace, expanded, path, batched=batched
-        )
+        if batched:
+            result = pipeline.replay_texture_stream(trace, expanded, path)
+        else:
+            result = reference.replay_texture_stream(
+                pipeline, trace, expanded, path
+            )
+        makespan, histogram, per_cluster = result
     return observe(path, traffic, makespan, histogram, per_cluster)
 
 
@@ -140,8 +148,8 @@ class TestBitIdentity:
     def test_frame_replay_matches_scalar_over_list(
         self, frame, design, filtering
     ):
-        """The columnar frame, replayed batched, against the scalar
-        scheduler over the per-request scalar expansions."""
+        """The columnar frame, replayed by the production scheduler,
+        against the reference over the per-request scalar expansions."""
         scalar = replay(
             design, 4, frame["trace"], frame[f"{filtering}_list"], False
         )
@@ -195,22 +203,6 @@ class TestBitIdentity:
         batched = replay_frames(design, 4, frames, True)
         assert batched == scalar
 
-    def test_batched_is_the_default(self, frame):
-        expanded = pick_expansions(Design.BASELINE, frame)
-        gpu = small_gpu(4)
-        traffic = TrafficMeter()
-        path = make_texture_path(
-            DesignConfig(design=Design.BASELINE, gpu=gpu), traffic
-        )
-        pipeline = GpuPipeline(gpu)
-        assert pipeline.batched_replay is True
-        default = observe(
-            path, traffic,
-            *pipeline.replay_texture_stream(frame["trace"], expanded, path),
-        )
-        explicit = replay(Design.BASELINE, 4, frame["trace"], expanded, True)
-        assert default == explicit
-
 
 class TestDegenerateStreams:
     def empty_trace(self):
@@ -251,43 +243,6 @@ class TestDegenerateStreams:
 
 
 class TestSessionContract:
-    def test_serve_chunk_matches_serve_one(self, frame):
-        """Chunked serving is the same fold as one-at-a-time serving."""
-        gpu = small_gpu(4)
-
-        def run(design, chunked):
-            expanded = pick_expansions(design, frame)
-            traffic = TrafficMeter()
-            path = make_texture_path(
-                DesignConfig(design=design, gpu=gpu), traffic
-            )
-            session = path.begin_replay(expanded)
-            indices = list(range(len(expanded)))
-            clusters = [i % 4 for i in indices]
-            if chunked:
-                completions = []
-                for start in range(0, len(indices), 7):
-                    completions.extend(session.serve_chunk(
-                        clusters[start:start + 7],
-                        float(start),
-                        indices[start:start + 7],
-                    ))
-            else:
-                completions = [
-                    session.serve_one(clusters[i], float(i - i % 7), i)
-                    for i in indices
-                ]
-            session.finish()
-            return completions, observe(
-                path, traffic, 0.0, _EmptyHistogram(), ()
-            )
-
-        for design in ALL_DESIGNS:
-            chunked, state_chunked = run(design, True)
-            single, state_single = run(design, False)
-            assert chunked == single, design
-            assert state_chunked == state_single, design
-
     def test_finish_flushes_counters(self, frame):
         """Counters observed before finish() must not include the session."""
         gpu = small_gpu(4)
@@ -298,7 +253,8 @@ class TestSessionContract:
                 DesignConfig(design=design, gpu=gpu), traffic
             )
             session = path.begin_replay(expanded)
-            session.serve_chunk([0, 1], 0.0, [0, 1])
+            session.serve_one(0, 0.0, 0)
+            session.serve_one(1, 0.0, 1)
             before = path.activity()
             requests_before = (before.gpu_texture.requests
                                + before.memory_texture.requests)
@@ -324,10 +280,3 @@ class TestSessionContract:
         second = path.begin_replay(expanded)
         second.finish()
         assert path._column_cache is None
-
-
-class _EmptyHistogram:
-    total = 0.0
-    count = 0
-    max_latency = 0.0
-    buckets = ()

@@ -1,0 +1,424 @@
+"""Scalar references that the parity tests hold the production code to.
+
+Each layer of the simulator has one production implementation, batched
+or inlined for speed.  This module keeps the plain one-at-a-time form of
+each, with the same arithmetic, so a parity test can demand bit-identical
+results:
+
+* :func:`replay_texture_stream` -- the one-event-at-a-time heap
+  scheduler, serving each request through its design's :func:`serve`;
+* :func:`serve` -- one request through one design's texture path:
+  texture-unit stages, L1 -> L2 -> memory :func:`lookup` (baseline and
+  B-PIM), the S-TFIM memory texture unit, or the A-TFIM angle-tagged
+  :func:`probe` and offload;
+* :class:`ScalarRasterizer` -- the per-pixel fragment emitter and the
+  per-fragment footprint;
+* :class:`ScalarRenderer` -- per-request EXACT and ISOTROPIC shading.
+"""
+
+from __future__ import annotations
+
+import heapq
+from itertools import accumulate
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.core.atfim import AtfimPath, _ParentColumns
+from repro.core.baseline import GpuFilteringPath
+from repro.core.expansion import ExpandedRequest
+from repro.core.paths import CacheHierarchy, MemoryInterface, TexturePath
+from repro.core.stfim import StfimPath
+from repro.gpu.pipeline import Expansion, GpuPipeline
+from repro.render.camera import Camera
+from repro.render.framebuffer import Framebuffer
+from repro.render.raster import RasterFragment, Rasterizer, RasterStats
+from repro.render.renderer import Renderer, SamplingMode
+from repro.render.scene import Scene
+from repro.sim.latency import LatencyHistogram
+from repro.texture.cache import CacheAccessResult
+from repro.texture.lod import camera_angle_from_normal, compute_footprint
+from repro.texture.requests import FragmentTrace, TextureRequest
+from repro.texture.sampling import anisotropic_sample, trilinear_sample
+from repro.units import Cycles, Radians
+
+
+# ---------------------------------------------------------------------------
+# Texture replay.
+# ---------------------------------------------------------------------------
+
+
+def replay_texture_stream(
+    pipeline: GpuPipeline,
+    trace: FragmentTrace,
+    expanded: Expansion,
+    path: TexturePath,
+) -> Tuple[float, LatencyHistogram, List[int]]:
+    """One-event-at-a-time heap replay of ``trace`` through ``path``.
+
+    ``expanded`` is indexed by request: a list of per-request expansions
+    or an :class:`~repro.core.expansion.ExpandedFrame`.
+    """
+    config = pipeline.config
+    histogram = LatencyHistogram("texture_latency")
+    depth = config.max_inflight_texture_requests
+    makespan = 0.0
+    per_cluster, fragments_per_cluster = pipeline._partition(trace)
+
+    # Event-ordered replay: always serve the cluster whose next
+    # request issues earliest, so shared resources (L2 port, links,
+    # memory channels) observe arrivals in simulated-time order.
+    cluster_clock = [0.0] * config.num_clusters
+    cursor = [0] * config.num_clusters
+    inflight: List[List[float]] = [[] for _ in range(config.num_clusters)]
+
+    def next_issue(cluster: int) -> float:
+        issue = cluster_clock[cluster]
+        window = inflight[cluster]
+        if len(window) >= depth and window[-depth] > issue:
+            issue = window[-depth]
+        return issue
+
+    heap: List[Tuple[float, int]] = []
+    for cluster in range(config.num_clusters):
+        if per_cluster[cluster]:
+            heapq.heappush(heap, (next_issue(cluster), cluster))
+
+    while heap:
+        issue, cluster = heapq.heappop(heap)
+        current = next_issue(cluster)
+        if current > issue:
+            # Window state changed since this entry was pushed.
+            heapq.heappush(heap, (current, cluster))
+            continue
+        expansion = expanded[per_cluster[cluster][cursor[cluster]]]
+        cursor[cluster] += 1
+        completion = serve(path, cluster, issue, expansion)
+        if completion < issue:
+            raise RuntimeError("texture path completed before issue")
+        histogram.observe(completion - issue)
+        window = inflight[cluster]
+        window.append(completion)
+        if len(window) > depth:
+            del window[0]
+        cluster_clock[cluster] = issue + 1.0
+        if completion > makespan:
+            makespan = completion
+        if cursor[cluster] < len(per_cluster[cluster]):
+            heapq.heappush(heap, (next_issue(cluster), cluster))
+
+    return makespan, histogram, fragments_per_cluster
+
+
+def serve(
+    path: TexturePath, cluster: int, issue: float, expanded: ExpandedRequest
+) -> float:
+    """Serve one request; return the completion cycle at the shader."""
+    if isinstance(path, GpuFilteringPath):
+        return _serve_gpu_filtering(path, cluster, issue, expanded)
+    if isinstance(path, StfimPath):
+        return path._serve_lines(
+            cluster, issue, expanded.num_conventional_texels,
+            expanded.conventional_lines,
+        )
+    if isinstance(path, AtfimPath):
+        return _serve_atfim(path, cluster, issue, expanded)
+    raise TypeError(f"no reference for {type(path).__name__}")
+
+
+def _serve_gpu_filtering(
+    path: GpuFilteringPath, cluster: int, issue: float,
+    expanded: ExpandedRequest,
+) -> float:
+    """Baseline/B-PIM: every conventional-order line through the caches,
+    then filtering on the GPU."""
+    unit = path.units[cluster]
+    unit.note_request()
+    num_texels = expanded.num_conventional_texels
+    address_done = unit.generate_addresses(issue, num_texels)
+    data_ready = address_done
+    for line in expanded.conventional_lines:
+        ready = lookup(path.caches, cluster, address_done, line, path.memory)
+        if ready > data_ready:
+            data_ready = ready
+    return unit.filter_texels(data_ready, num_texels)
+
+
+def _serve_atfim(
+    path: AtfimPath, cluster: int, issue: float, expanded: ExpandedRequest
+) -> float:
+    """A-TFIM: classify each parent against the angle-tagged caches,
+    offload the missing ones, filter the parents on the GPU."""
+    parents = expanded.parents
+    columns = _ParentColumns(
+        lines=[parent.line_address for parent in parents],
+        child_counts=[parent.num_children for parent in parents],
+        child_offsets=list(accumulate(
+            (len(parent.child_line_addresses) for parent in parents),
+            initial=0,
+        )),
+        child_lines=[
+            line for parent in parents
+            for line in parent.child_line_addresses
+        ],
+    )
+    angle = expanded.request.camera_angle
+    unit = path.units[cluster]
+    unit.note_request()
+    threshold = path.config.effective_angle_threshold
+
+    # GPU side: generate the (few) parent-texel addresses.
+    num_parents = len(parents)
+    address_done = unit.generate_addresses(issue, num_parents)
+
+    # Classify each parent against the angle-tagged caches.  Only
+    # anisotropic parents carry an angle tag; isotropic ones behave
+    # like ordinary cached lines.
+    missing: List[int] = []
+    for parent in range(num_parents):
+        needs_angle = columns.child_counts[parent] > 1
+        result = probe(
+            path.caches,
+            cluster,
+            columns.lines[parent],
+            angle if needs_angle else None,
+            threshold if needs_angle else None,
+        )
+        if result is CacheAccessResult.HIT:
+            path.parent_reuses += 1
+        elif result is CacheAccessResult.ANGLE_MISS:
+            path.parent_recalculations += 1
+            missing.append(parent)
+        else:
+            path.parent_cold_misses += 1
+            missing.append(parent)
+
+    if missing:
+        parents_ready = path._offload(address_done, missing, columns)
+    else:
+        parents_ready = address_done
+
+    # GPU side: bilinear/trilinear over the (approximated) parents.
+    return unit.filter_texels(parents_ready, num_parents)
+
+
+def lookup(
+    caches: CacheHierarchy,
+    cluster: int,
+    arrival: Cycles,
+    address: int,
+    memory: MemoryInterface,
+) -> float:
+    """Serve one line through L1 -> L2 -> memory; return ready time.
+
+    An L1 hit is ready at ``arrival``; an L2 hit occupies the L2 port
+    for one line and pays its latency; an L2 miss reads memory.
+    """
+    result = caches.l1[cluster].lookup(address)
+    if result is CacheAccessResult.HIT:
+        return arrival
+    l2_result = caches.l2.lookup(address)
+    if l2_result is CacheAccessResult.HIT:
+        return caches.l2_port.access(arrival, caches.line_bytes)
+    return memory.read_line(arrival, address)
+
+
+def probe(
+    caches: CacheHierarchy,
+    cluster: int,
+    address: int,
+    angle: Optional[float] = None,
+    angle_threshold: Optional[Radians] = None,
+) -> CacheAccessResult:
+    """Classify an access against L1 then L2, updating cache state.
+
+    No time is charged: a parent that misses L1 and hits L2 is a reuse
+    and pays neither the L2 port's occupancy nor its latency, where
+    :func:`lookup` charges both.
+    """
+    result = caches.l1[cluster].lookup(address, angle, angle_threshold)
+    if result is CacheAccessResult.HIT:
+        return CacheAccessResult.HIT
+    if result is CacheAccessResult.ANGLE_MISS:
+        # A stale-angle line must be recalculated regardless of L2;
+        # refresh the L2 copy's angle tag as well.
+        caches.l2.lookup(address, angle, angle_threshold)
+        return CacheAccessResult.ANGLE_MISS
+    l2_result = caches.l2.lookup(address, angle, angle_threshold)
+    if l2_result is CacheAccessResult.HIT:
+        return CacheAccessResult.HIT
+    if l2_result is CacheAccessResult.ANGLE_MISS:
+        return CacheAccessResult.ANGLE_MISS
+    return CacheAccessResult.MISS
+
+
+# ---------------------------------------------------------------------------
+# Rasterization and shading.
+# ---------------------------------------------------------------------------
+
+
+class ScalarRasterizer(Rasterizer):
+    """The rasterizer with a per-pixel emitter and per-fragment footprints.
+
+    Only :meth:`rasterize_scene` and :meth:`trace_requests` are defined
+    for it; its emitter returns :class:`RasterFragment` lists, not
+    batches.
+    """
+
+    def rasterize_scene(
+        self,
+        scene: Scene,
+        camera: Camera,
+        framebuffer: Framebuffer,
+    ) -> List[Tuple[RasterFragment, TextureRequest]]:
+        self.stats = RasterStats()
+        width, height = framebuffer.width, framebuffer.height
+        view_projection = camera.view_projection(width, height)
+        results = []
+        for triangle in scene.triangles:
+            self.stats.triangles_submitted += 1
+            texture = scene.textures[triangle.texture_id]
+            emissions = self._rasterize_triangle(
+                triangle, texture.width, texture.height,
+                view_projection, camera, framebuffer,
+            )
+            fragments = [f for emission in emissions for f in emission]
+            if fragments:
+                self.stats.triangles_rasterized += 1
+            for fragment in fragments:
+                request = self._fragment_to_request(fragment)
+                results.append((fragment, request))
+        return results
+
+    def trace_requests(
+        self,
+        scene: Scene,
+        camera: Camera,
+        framebuffer: Framebuffer,
+    ) -> List[TextureRequest]:
+        return [
+            request
+            for _, request in self.rasterize_scene(scene, camera, framebuffer)
+        ]
+
+    def _fragment_to_request(self, fragment: RasterFragment) -> TextureRequest:
+        footprint = compute_footprint(
+            fragment.dudx, fragment.dvdx, fragment.dudy, fragment.dvdy,
+            max_anisotropy=self.max_anisotropy, lod_bias=self.lod_bias,
+        )
+        return TextureRequest(
+            pixel_x=fragment.x,
+            pixel_y=fragment.y,
+            texture_id=fragment.texture_id,
+            u=fragment.u,
+            v=fragment.v,
+            footprint=footprint,
+            camera_angle=fragment.camera_angle,
+            tile_x=fragment.x // self.tile_size,
+            tile_y=fragment.y // self.tile_size,
+        )
+
+    def _emit_fragments(
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        bary0: np.ndarray,
+        bary1: np.ndarray,
+        bary2: np.ndarray,
+        denom: np.ndarray,
+        attrs_over_w: np.ndarray,
+        grad_b: List[Tuple[float, float]],
+        grad_denom_x: float,
+        grad_denom_y: float,
+        min_x: int,
+        min_y: int,
+        normal: np.ndarray,
+        texture_id: int,
+        camera: Camera,
+        framebuffer: Framebuffer,
+    ) -> List[RasterFragment]:
+        """Per-pixel emission loop."""
+        fragments: List[RasterFragment] = []
+        camera_position = camera.position
+        for row, col in zip(rows, cols):
+            b = (bary0[row, col], bary1[row, col], bary2[row, col])
+            d = denom[row, col]
+            if d <= 0:
+                continue
+            w_value = 1.0 / d
+            numerators = (
+                b[0] * attrs_over_w[0] + b[1] * attrs_over_w[1] + b[2] * attrs_over_w[2]
+            )
+            attrs = numerators * w_value
+            u, v = attrs[0], attrs[1]
+            world = attrs[2:5]
+
+            pixel_x = min_x + col
+            pixel_y = min_y + row
+            depth = w_value  # camera-space depth; smaller is closer
+            self.stats.fragments_generated += 1
+            if not framebuffer.depth_test(pixel_x, pixel_y, depth):
+                self.stats.fragments_early_z_killed += 1
+                continue
+            framebuffer.depth[pixel_y, pixel_x] = depth
+
+            # Analytic derivatives via the quotient rule.
+            grad_num_x = (
+                grad_b[0][0] * attrs_over_w[0]
+                + grad_b[1][0] * attrs_over_w[1]
+                + grad_b[2][0] * attrs_over_w[2]
+            )
+            grad_num_y = (
+                grad_b[0][1] * attrs_over_w[0]
+                + grad_b[1][1] * attrs_over_w[1]
+                + grad_b[2][1] * attrs_over_w[2]
+            )
+            dudx = (grad_num_x[0] - u * grad_denom_x) * w_value
+            dvdx = (grad_num_x[1] - v * grad_denom_x) * w_value
+            dudy = (grad_num_y[0] - u * grad_denom_y) * w_value
+            dvdy = (grad_num_y[1] - v * grad_denom_y) * w_value
+
+            view = camera_position - world
+            angle = camera_angle_from_normal(
+                normal[0], normal[1], normal[2], view[0], view[1], view[2]
+            )
+            fragments.append(
+                RasterFragment(
+                    x=pixel_x,
+                    y=pixel_y,
+                    depth=depth,
+                    u=u,
+                    v=v,
+                    dudx=dudx,
+                    dvdx=dvdx,
+                    dudy=dudy,
+                    dvdy=dvdy,
+                    camera_angle=angle,
+                    texture_id=texture_id,
+                )
+            )
+        return fragments
+
+
+class ScalarRenderer(Renderer):
+    """The renderer with EXACT and ISOTROPIC shading one request at a time."""
+
+    def _shade_batch(
+        self,
+        scene: Scene,
+        requests: Sequence[TextureRequest],
+        mode: SamplingMode,
+    ) -> np.ndarray:
+        colors = np.zeros((len(requests), 4), dtype=np.float64)
+        for index, request in enumerate(requests):
+            chain = scene.mipmap_chain(request.texture_id)
+            footprint = request.footprint
+            if mode is SamplingMode.ISOTROPIC:
+                colors[index] = trilinear_sample(
+                    chain, footprint.lod, request.u, request.v
+                )
+            else:
+                colors[index] = anisotropic_sample(
+                    chain, footprint, request.u, request.v
+                )
+        return colors

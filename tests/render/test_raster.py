@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.render.camera import Camera
 from repro.render.framebuffer import Framebuffer
@@ -65,6 +66,72 @@ class TestCoverage:
         rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
         assert rasterizer.stats.triangles_submitted == 2
         assert rasterizer.stats.fragments_generated >= 64
+
+
+@st.composite
+def planar_grids(draw):
+    """A flat grid of 1-4 x 1-4 quads with a random tilt and position,
+    half of them crossing the near plane of :func:`facing_camera`, and
+    a framebuffer of 8-48 pixels a side."""
+    columns = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 4))
+    pitch = draw(st.floats(-1.4, 1.4))
+    yaw = draw(st.floats(-1.4, 1.4))
+    quad = draw(st.floats(0.5, 6.0))
+    centre = np.array([
+        draw(st.floats(-4.0, 4.0)),
+        draw(st.floats(-4.0, 4.0)),
+        draw(st.floats(-12.0, 8.0)),
+    ])
+    if draw(st.booleans()):
+        # Centred on the near plane and tilted off it: part of the grid
+        # lies in front of the camera and part behind.
+        centre[2] = 10.0 - facing_camera().near
+        pitch = math.copysign(max(abs(pitch), 0.2), pitch)
+    across = np.array([math.cos(yaw), 0.0, -math.sin(yaw)])
+    up = np.array([
+        math.sin(yaw) * math.sin(pitch), math.cos(pitch),
+        math.cos(yaw) * math.sin(pitch),
+    ])
+    points = [
+        [
+            centre + (i - columns / 2) * quad * across
+            + (j - rows / 2) * quad * up
+            for j in range(rows + 1)
+        ]
+        for i in range(columns + 1)
+    ]
+    scene = make_scene()
+    for i in range(columns):
+        for j in range(rows):
+            scene.add_quad(
+                [points[i][j], points[i + 1][j],
+                 points[i + 1][j + 1], points[i][j + 1]],
+                0,
+            )
+    size = (draw(st.integers(8, 48)), draw(st.integers(8, 48)))
+    return scene, size
+
+
+class TestPlanarMesh:
+    @settings(max_examples=150, deadline=None)
+    @given(planar_grids())
+    def test_each_pixel_covered_at_most_once(self, grid):
+        """The top-left rule in ``_covered``: triangles that share an
+        edge never both claim a pixel.  Early-Z would kill a second
+        fragment at equal depth and hide the double cover, so no
+        fragment may be killed either."""
+        scene, (width, height) = grid
+        rasterizer = Rasterizer()
+        batches = rasterizer.rasterize_batches(
+            scene, facing_camera(), Framebuffer(width, height)
+        )
+        pixels = [
+            pixel for batch in batches
+            for pixel in zip(batch.x.tolist(), batch.y.tolist())
+        ]
+        assert len(pixels) == len(set(pixels))
+        assert rasterizer.stats.fragments_early_z_killed == 0
 
 
 class TestDepth:

@@ -34,6 +34,7 @@ from repro.texture.sampling import (
 )
 from repro.texture.texture import Texture
 from tests.conftest import make_tiny_scene
+from tests.reference import ScalarRasterizer, ScalarRenderer
 
 
 def make_chain(size=16, seed=5, texture_id=0):
@@ -232,7 +233,7 @@ class TestVectorizedRaster:
     def test_fragments_identical_to_scalar_path(self):
         scene, camera = make_tiny_scene()
         scalar = Renderer(width=48, height=36, tile_size=4, max_anisotropy=8)
-        scalar.rasterizer.vectorized = False
+        scalar.rasterizer = ScalarRasterizer(tile_size=4, max_anisotropy=8)
         vector = Renderer(width=48, height=36, tile_size=4, max_anisotropy=8)
         scalar_out = scalar.trace_only(scene, camera)
         vector_out = vector.trace_only(scene, camera)
@@ -250,9 +251,8 @@ class TestBatchedRenderer:
     def test_frame_identical_to_scalar_shading(self, mode):
         scene, camera = make_tiny_scene()
         batched = Renderer(width=48, height=36, tile_size=4, max_anisotropy=8)
-        scalar = Renderer(
-            width=48, height=36, tile_size=4, max_anisotropy=8,
-            batch_sampling=False,
+        scalar = ScalarRenderer(
+            width=48, height=36, tile_size=4, max_anisotropy=8
         )
         batched_image = batched.render(scene, camera, mode).image
         scalar_image = scalar.render(scene, camera, mode).image
