@@ -46,36 +46,6 @@ def test_ablation_anisotropy_cap(benchmark):
         assert higher >= lower
 
 
-def test_ablation_multi_cube(benchmark):
-    data = benchmark.pedantic(
-        ablations.multi_cube,
-        kwargs={"workload_name": "doom3-640x480", "cube_counts": (1, 2, 4)},
-        rounds=1,
-        iterations=1,
-    )
-    print_figure(data)
-    speedups = data.column("render_speedup")
-    # More cubes never hurt (parallel links and vaults).
-    assert speedups[-1] >= speedups[0] * 0.95
-
-
-def test_ablation_compression(benchmark):
-    data = benchmark.pedantic(
-        ablations.compression,
-        kwargs={"workload_name": "doom3-640x480"},
-        rounds=1,
-        iterations=1,
-    )
-    print_figure(data)
-    # Compression cuts the baseline's external texture traffic...
-    assert data.row("baseline+bc").get("external_texture_ratio") < 1.0
-    # ...and never slows any design down.
-    for design in ("baseline", "b-pim", "a-tfim"):
-        assert data.row(f"{design}+bc").get("render_speedup") >= (
-            data.row(design).get("render_speedup") * 0.98
-        )
-
-
 def test_ablation_internal_bandwidth(benchmark):
     data = benchmark.pedantic(
         ablations.internal_bandwidth,

@@ -11,11 +11,13 @@ Subcommands:
 * ``trace <manifest.json>`` -- convert a run manifest's span tree to
   Chrome trace-event JSON (load in ``chrome://tracing`` / Perfetto).
 
-``report`` and ``fig`` accept ``--jobs N`` to fan
+``report`` accepts ``--jobs N`` to fan
 design-point simulations out over one ``spawn`` process pool (see
 :meth:`~repro.experiments.runner.ExperimentRunner.run_many`): workers
 see only their arguments and the environment, and the first failed
-worker fails the run.  ``report`` persists results under
+worker fails the run.  ``fig`` runs serially: it reads only its own
+figure's points, so prefetching the report grid would cost more than
+it saves.  ``report`` persists results under
 ``--cache-dir`` (or ``$REPRO_CACHE_DIR``) so reruns are incremental.
 ``report`` and ``fig`` accept ``--manifest [PATH]`` to record a
 :class:`~repro.obs.manifest.RunManifest` (tracing is switched on for
@@ -103,12 +105,8 @@ def _cmd_fig(args: argparse.Namespace) -> int:
         with obs.span("cli.fig", figure=args.id):
             if args.id == "overhead":
                 data = module.run()
-            elif (args.jobs and args.jobs > 1) or manifest_requested:
-                from repro.experiments.report import grid_keys
-
-                runner = ExperimentRunner(names, jobs=args.jobs)
-                if args.jobs and args.jobs > 1:
-                    runner.run_many(grid_keys(runner), jobs=args.jobs)
+            elif manifest_requested:
+                runner = ExperimentRunner(names)
                 data = module.run(runner)
             else:
                 data = module.run(workload_names=names)
@@ -121,8 +119,7 @@ def _cmd_fig(args: argparse.Namespace) -> int:
 
             record = build_manifest(
                 command="fig",
-                config={"figure": args.id, "fast": args.fast,
-                        "jobs": args.jobs},
+                config={"figure": args.id, "fast": args.fast},
                 runner=runner,
             )
             path = args.manifest or f"FIG{args.id}.manifest.json"
@@ -211,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("fig", help="regenerate one figure")
     fig.add_argument("id", help="figure id (2,4,5,10-16,overhead)")
     fig.add_argument("--fast", action="store_true", help="3-workload subset")
-    fig.add_argument("--jobs", type=int, default=None,
-                     help="prefetch the design grid over N processes")
     fig.add_argument("--manifest", nargs="?", const="", default=None,
                      help="record a run manifest (optional path; default "
                      "FIG<id>.manifest.json); enables tracing for the run")

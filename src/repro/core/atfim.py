@@ -38,11 +38,10 @@ from repro.core.paths import (
     ReadMergeWindow,
     ReplaySession,
     TexturePath,
-    _line_payload_bytes,
-    make_hmc,
 )
 from repro.gpu.config import ATFIM_MEMORY_UNIT
 from repro.gpu.texunit import TextureUnit
+from repro.memory.hmc import HybridMemoryCube
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.sim.resources import RequestQueue
 from repro.texture.cache import CacheAccessResult, _Line
@@ -61,7 +60,7 @@ class AtfimPath(TexturePath):
         if config.design is not Design.A_TFIM:
             raise ValueError(f"wrong path for design {config.design}")
         gpu = config.gpu
-        self.hmc = make_hmc(config)
+        self.hmc = HybridMemoryCube(config.hmc)
         self.units: List[TextureUnit] = [
             TextureUnit(f"tu.{cluster}", gpu.texture_unit)
             for cluster in range(gpu.num_clusters)
@@ -102,9 +101,8 @@ class AtfimPath(TexturePath):
         # Offloading Unit: one compressed package for this fetch's
         # missing parents (they share the first parent's base address).
         request_bytes = packets.parent_texel_request_bytes
-        home = columns.lines[missing[0]]
         self.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
-        delivered = self.hmc.send_request(arrival, home, request_bytes)
+        delivered = self.hmc.send_request(arrival, request_bytes)
 
         # Parent Texel Buffer admission (backpressure when full).
         admitted = self.parent_buffer.enqueue(delivered)
@@ -135,7 +133,7 @@ class AtfimPath(TexturePath):
         # identical child fetches.  The merge window IS the consolidation
         # buffer's cross-package face: disabling consolidation disables
         # both the intra-package dedup above and this merging.
-        line_bytes = _line_payload_bytes(packets, self.config.texture_compression)
+        line_bytes = packets.cache_line_bytes
         data_ready = generated
         merging = self.config.consolidation_enabled
         for line in lines:
@@ -159,7 +157,7 @@ class AtfimPath(TexturePath):
         # Response package back to the GPU, normal bilinear-fetch format.
         response_bytes = packets.parent_texel_response_bytes(len(missing))
         self.traffic.add_external(TrafficClass.TEXTURE, float(response_bytes))
-        return self.hmc.send_response(combined, home, response_bytes)
+        return self.hmc.send_response(combined, response_bytes)
 
     def activity(self) -> PathActivity:
         activity = PathActivity()
@@ -218,11 +216,10 @@ class AtfimPath(TexturePath):
 
 
 class _ParentColumns(NamedTuple):
-    """Per-parent values :meth:`AtfimPath._offload` reads by row: line
-    address, child texel count, and the parent's unique child lines
+    """Per-parent values :meth:`AtfimPath._offload` reads by row: child
+    texel count, and the parent's unique child lines
     ``child_lines[child_offsets[p]:child_offsets[p + 1]]``."""
 
-    lines: Sequence[int]
     child_counts: Sequence[int]
     child_offsets: Sequence[int]
     child_lines: Sequence[int]
@@ -297,7 +294,6 @@ class _AtfimReplaySession(ReplaySession):
         # Only offloaded parents' rows are read, so ``_offload`` gets
         # views of the frame's arrays (items read as python ints).
         parents = _ParentColumns(
-            lines=gpu.lines,
             child_counts=memoryview(frame.child_counts),
             child_offsets=memoryview(frame.child_offsets),
             child_lines=memoryview(frame.child_lines),

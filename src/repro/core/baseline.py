@@ -22,10 +22,10 @@ from repro.core.paths import (
     PathActivity,
     ReplaySession,
     TexturePath,
-    make_hmc,
 )
 from repro.gpu.texunit import TextureUnit
 from repro.memory.gddr5 import Gddr5Memory
+from repro.memory.hmc import HybridMemoryCube
 from repro.memory.traffic import TrafficMeter
 from repro.texture.cache import _Line
 
@@ -51,15 +51,13 @@ class GpuFilteringPath(TexturePath):
         if config.design is Design.BASELINE:
             self.gddr5 = Gddr5Memory(config.gddr5)
             self.memory: MemoryInterface = Gddr5Interface(
-                self.gddr5, config.packets, traffic,
-                compressed=config.texture_compression,
+                self.gddr5, config.packets, traffic
             )
             self.hmc = None
         else:
-            self.hmc = make_hmc(config)
+            self.hmc = HybridMemoryCube(config.hmc)
             self.memory = HmcExternalInterface(
-                self.hmc, config.packets, traffic,
-                compressed=config.texture_compression,
+                self.hmc, config.packets, traffic
             )
             self.gddr5 = None
 

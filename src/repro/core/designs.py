@@ -60,13 +60,6 @@ class DesignConfig:
     consolidation_enabled: bool = True
     """A-TFIM ablation switch: disable Child Texel Consolidation to
     quantify the value of merging duplicate child fetches."""
-    num_cubes: int = 1
-    """HMC cubes attached to the GPU (section V-E): textures map whole
-    to one cube, so offloaded filtering never straddles cubes."""
-    texture_compression: bool = False
-    """Store textures block-compressed (section VIII: orthogonal to the
-    TFIM designs): texel line fills move 4x fewer bytes; texture units
-    (GPU or in-memory) decompress inline."""
 
     def __post_init__(self) -> None:
         if self.angle_threshold < 0:
@@ -80,8 +73,6 @@ class DesignConfig:
                 f"MTU share ratio {self.mtu_share} must divide the "
                 f"{self.gpu.num_clusters} clusters"
             )
-        if self.num_cubes < 1:
-            raise ValueError("need at least one HMC cube")
 
     @property
     def effective_angle_threshold(self) -> float:

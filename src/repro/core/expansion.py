@@ -255,14 +255,9 @@ class _Group(NamedTuple):
 class RequestExpander:
     """Expands requests for one scene's texture set."""
 
-    def __init__(
-        self,
-        scene: Scene,
-        address_map: TexelAddressMap | None = None,
-        line_bytes: int = 64,
-    ) -> None:
+    def __init__(self, scene: Scene, line_bytes: int = 64) -> None:
         self.scene = scene
-        self.address_map = address_map or TexelAddressMap()
+        self.address_map = TexelAddressMap()
         self.line_bytes = line_bytes
         self._chains: Dict[int, MipmapChain] = {}
 

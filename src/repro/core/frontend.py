@@ -27,7 +27,6 @@ from repro.core.stfim import StfimPath
 from repro.gpu.pipeline import FrameResult, GpuPipeline
 from repro.memory.traffic import TrafficMeter
 from repro.render.scene import Scene
-from repro.texture.address import TexelAddressMap
 from repro.texture.requests import FragmentTrace
 from repro.units import Bytes, Cycles
 
@@ -92,7 +91,6 @@ def simulate_frame(
     scene: Scene,
     trace: FragmentTrace,
     config: DesignConfig,
-    address_map: Optional[TexelAddressMap] = None,
     warmup: bool = True,
     check_invariants: Optional[bool] = None,
 ) -> DesignRun:
@@ -119,7 +117,7 @@ def simulate_frame(
         aniso_enabled=config.aniso_enabled,
     ):
         traffic = TrafficMeter()
-        expander = RequestExpander(scene, address_map)
+        expander = RequestExpander(scene)
         with obs.span("core.expand"):
             expanded = expander.expand_frame(trace.requests, config.aniso_enabled)
 
@@ -185,7 +183,6 @@ def simulate_sequence(
     scene: Scene,
     traces: Sequence[FragmentTrace],
     config: DesignConfig,
-    address_map: Optional[TexelAddressMap] = None,
     check_invariants: Optional[bool] = None,
 ) -> SequenceResult:
     """Simulate a sequence of frames with persistent texture caches.
@@ -200,7 +197,7 @@ def simulate_sequence(
         raise ValueError("a sequence needs at least one frame")
     checking = _resolve_check_invariants(check_invariants)
     traffic = TrafficMeter()
-    expander = RequestExpander(scene, address_map)
+    expander = RequestExpander(scene)
     path = make_texture_path(config, traffic)
     pipeline = GpuPipeline(config.gpu)
 

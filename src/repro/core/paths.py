@@ -12,9 +12,7 @@ from __future__ import annotations
 import abc
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import (
-    Any, Callable, List, Optional, Sequence, Tuple, TypeVar, Union,
-)
+from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -24,7 +22,6 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.texunit import TextureUnit, TextureUnitActivity
 from repro.memory.gddr5 import Gddr5Memory
 from repro.memory.hmc import HybridMemoryCube
-from repro.memory.multicube import MultiCubeMemory
 from repro.memory.packets import PacketSpec
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.sim.resources import BandwidthServer
@@ -33,18 +30,6 @@ from repro.units import Bytes, Cycles, Ops
 
 
 _Columns = TypeVar("_Columns")
-
-
-def make_hmc(config: DesignConfig) -> Union[HybridMemoryCube, MultiCubeMemory]:
-    """Instantiate the HMC side of a design: one cube or several.
-
-    Returns an object with the single-cube interface (``send_request``,
-    ``send_response``, ``external_read``, ``internal_read``, aggregate
-    byte/read counters, ``reset``).
-    """
-    if config.num_cubes == 1:
-        return HybridMemoryCube(config.hmc)
-    return MultiCubeMemory(config.hmc, num_cubes=config.num_cubes)
 
 
 class ReadMergeWindow:
@@ -97,24 +82,15 @@ class MemoryInterface(abc.ABC):
         """External bytes one line fill costs (request + response)."""
 
 
-def _line_payload_bytes(packets: PacketSpec, compressed: bool) -> int:
-    """Payload bytes one texel-line fill moves (section VIII option)."""
-    if not compressed:
-        return packets.cache_line_bytes
-    from repro.texture.compression import compressed_line_bytes
-
-    return int(compressed_line_bytes(packets.cache_line_bytes))
-
-
 class Gddr5Interface(MemoryInterface):
     """Baseline: cache-line reads over the GDDR5 bus."""
 
     def __init__(self, memory: Gddr5Memory, packets: PacketSpec,
-                 traffic: TrafficMeter, compressed: bool = False) -> None:
+                 traffic: TrafficMeter) -> None:
         self.memory = memory
         self.packets = packets
         self.traffic = traffic
-        self.payload_bytes = _line_payload_bytes(packets, compressed)
+        self.payload_bytes = packets.cache_line_bytes
 
     def read_line(self, arrival: Cycles, address: int) -> float:
         ready = self.memory.read(arrival, address, self.payload_bytes)
@@ -133,11 +109,11 @@ class HmcExternalInterface(MemoryInterface):
     """B-PIM (and A-TFIM's isotropic reads): line reads over the links."""
 
     def __init__(self, hmc: HybridMemoryCube, packets: PacketSpec,
-                 traffic: TrafficMeter, compressed: bool = False) -> None:
+                 traffic: TrafficMeter) -> None:
         self.hmc = hmc
         self.packets = packets
         self.traffic = traffic
-        self.payload_bytes = _line_payload_bytes(packets, compressed)
+        self.payload_bytes = packets.cache_line_bytes
 
     def read_line(self, arrival: Cycles, address: int) -> float:
         ready = self.hmc.external_read(

@@ -24,11 +24,10 @@ from repro.core.paths import (
     ReadMergeWindow,
     ReplaySession,
     TexturePath,
-    _line_payload_bytes,
-    make_hmc,
 )
 from repro.gpu.config import MTU_TEXTURE_UNIT
 from repro.gpu.texunit import TextureUnit
+from repro.memory.hmc import HybridMemoryCube
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.sim.resources import RequestQueue
 from repro.units import Cycles
@@ -51,7 +50,7 @@ class StfimPath(TexturePath):
         super().__init__(config, traffic)
         if config.design is not Design.S_TFIM:
             raise ValueError(f"wrong path for design {config.design}")
-        self.hmc = make_hmc(config)
+        self.hmc = HybridMemoryCube(config.hmc)
         num_mtus = config.gpu.num_clusters // config.mtu_share
         if num_mtus == 0:
             raise ValueError("MTU sharing leaves no MTUs")
@@ -89,14 +88,13 @@ class StfimPath(TexturePath):
         # gated by the MTU's bounded request queue (stall protocol).
         admitted = self.queues[index].enqueue(issue)
         request_bytes = packets.texture_request_bytes
-        home = lines[0] if lines else 0
         self.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
-        delivered = self.hmc.send_request(admitted, home, request_bytes)
+        delivered = self.hmc.send_request(admitted, request_bytes)
 
         # MTU pipeline: address generation, vault fetches, filtering.
         address_done = mtu.generate_addresses(delivered, num_texels)
         data_ready = address_done
-        line_bytes = _line_payload_bytes(packets, self.config.texture_compression)
+        line_bytes = packets.cache_line_bytes
         window = self.merge_windows[index]
         for line in lines:
             merged_ready = window.lookup(line)
@@ -113,7 +111,7 @@ class StfimPath(TexturePath):
         # MTU -> shader: one filtered sample back over the receive link.
         response_bytes = packets.texture_response_bytes(samples=1)
         self.traffic.add_external(TrafficClass.TEXTURE, float(response_bytes))
-        return self.hmc.send_response(filtered, home, response_bytes)
+        return self.hmc.send_response(filtered, response_bytes)
 
     def activity(self) -> PathActivity:
         activity = PathActivity()

@@ -8,6 +8,11 @@
 * **Anisotropy cap sweep**: how the maximum anisotropy level changes the
   baseline/A-TFIM gap.
 * **HMC bandwidth sensitivity**: A-TFIM speedup vs internal bandwidth.
+
+Every run uses the paper's single HMC and uncompressed textures: the
+paper names several cubes (section V-E) and texture compression
+(section VIII) only as options no figure evaluates, so neither is
+modelled.
 """
 
 from __future__ import annotations
@@ -163,82 +168,6 @@ def internal_bandwidth(
             f"internal_x{multiplier}",
             a_tfim_texture_speedup=run.frame.texture_speedup_over(baseline.frame),
         )
-    return data
-
-
-def multi_cube(
-    workload_name: str = "doom3-640x480",
-    cube_counts: Sequence[int] = (1, 2, 4),
-) -> FigureData:
-    """A-TFIM with multiple HMC cubes (paper section V-E).
-
-    Textures map whole to one cube, so offloads never straddle cubes;
-    extra cubes add parallel links and vaults.
-    """
-    workload = workload_by_name(workload_name)
-    scene, trace = workload.trace()
-    baseline = simulate_frame(
-        scene, trace, workload.design_config(Design.BASELINE)
-    )
-    data = FigureData(
-        figure="ablation-multi-cube",
-        title=f"A-TFIM speedup vs number of HMC cubes ({workload_name})",
-        columns=["render_speedup", "texture_speedup"],
-        paper_reference=(
-            "Section V-E: with multiple HMCs, a parent texel fetch maps "
-            "to a single cube (parents and children share a texture)."
-        ),
-    )
-    for cubes in cube_counts:
-        config = workload.design_config(
-            Design.A_TFIM,
-            angle_threshold=DEFAULT_THRESHOLD.effective_radians,
-            num_cubes=cubes,
-        )
-        run = simulate_frame(scene, trace, config)
-        data.add_row(
-            f"cubes_{cubes}",
-            render_speedup=run.frame.speedup_over(baseline.frame),
-            texture_speedup=run.frame.texture_speedup_over(baseline.frame),
-        )
-    return data
-
-
-def compression(
-    workload_name: str = "doom3-640x480",
-) -> FigureData:
-    """Texture compression (section VIII) combined with each design."""
-    workload = workload_by_name(workload_name)
-    scene, trace = workload.trace()
-    data = FigureData(
-        figure="ablation-compression",
-        title=f"Texture compression x design ({workload_name})",
-        columns=["render_speedup", "external_texture_ratio"],
-        paper_reference=(
-            "Section VIII: fixed-rate texture compression is orthogonal "
-            "to the TFIM designs."
-        ),
-    )
-    baseline = simulate_frame(
-        scene, trace, workload.design_config(Design.BASELINE)
-    )
-    for design in (Design.BASELINE, Design.B_PIM, Design.A_TFIM):
-        for compressed in (False, True):
-            config = workload.design_config(
-                design,
-                angle_threshold=DEFAULT_THRESHOLD.effective_radians,
-                texture_compression=compressed,
-            )
-            run = simulate_frame(scene, trace, config)
-            suffix = "+bc" if compressed else ""
-            data.add_row(
-                f"{design.value}{suffix}",
-                render_speedup=run.frame.speedup_over(baseline.frame),
-                external_texture_ratio=(
-                    run.frame.traffic.external_texture
-                    / baseline.frame.traffic.external_texture
-                ),
-            )
     return data
 
 

@@ -4,10 +4,10 @@ The designs in the paper are distinguished almost entirely by *where*
 texture data moves and over *which* interface:
 
 * Baseline: GPU <-> GDDR5 at 128 GB/s.
-* B-PIM / S-TFIM / A-TFIM: GPU <-> Hybrid Memory Cube: 320 GB/s
+* B-PIM / S-TFIM / A-TFIM: GPU <-> one Hybrid Memory Cube: 320 GB/s
   external serial links, 512 GB/s of aggregate internal vault
   bandwidth behind the logic layer that hosts the in-memory texture
-  units (:mod:`~repro.memory.multicube` attaches several cubes).
+  units.
 
 This subpackage models the memory systems as resource-occupancy servers
 (see :mod:`repro.sim.resources`), defines the package formats that make
@@ -19,7 +19,6 @@ from repro.memory.packets import PacketSpec
 from repro.memory.dram import DramTiming, DramBank, DramDevice
 from repro.memory.gddr5 import Gddr5Config, Gddr5Memory
 from repro.memory.hmc import HmcConfig, HmcLink, HmcVault, HybridMemoryCube
-from repro.memory.multicube import MultiCubeMemory
 from repro.memory.traffic import TrafficClass, TrafficMeter
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "HmcLink",
     "HmcVault",
     "HybridMemoryCube",
-    "MultiCubeMemory",
     "TrafficClass",
     "TrafficMeter",
 ]

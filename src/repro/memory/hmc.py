@@ -198,21 +198,12 @@ class HybridMemoryCube:
         self.external_writes += 1
         return self.vault_for(address).access(delivered, address, nbytes)
 
-    def send_request(self, arrival: Cycles, address: int, nbytes: Bytes) -> Cycles:
-        """Ship a request package toward the cube holding ``address``.
-
-        For a single cube the address only selects the cube in the
-        multi-cube wrapper (:mod:`repro.memory.multicube`); the package
-        rides the transmit link either way.
-        """
-        if address < 0:
-            raise ValueError("negative address")
+    def send_request(self, arrival: Cycles, nbytes: Bytes) -> Cycles:
+        """Ship a request package to the cube over the transmit link."""
         return self.tx_link.transmit(arrival, nbytes)
 
-    def send_response(self, arrival: Cycles, address: int, nbytes: Bytes) -> Cycles:
-        """Ship a response package from the cube holding ``address``."""
-        if address < 0:
-            raise ValueError("negative address")
+    def send_response(self, arrival: Cycles, nbytes: Bytes) -> Cycles:
+        """Ship a response package from the cube over the receive link."""
         return self.rx_link.transmit(arrival, nbytes)
 
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ The observability layer for the reproduction's *host-side* phases:
 * :class:`~repro.obs.manifest.RunManifest` -- the JSON provenance record
   (config digest, source version, cache counters, span tree, flattened
   metrics) written next to experiment output by the ``--manifest`` flag
-  of ``report``/``fig``.  Spans recorded by ``--jobs`` pool workers are
+  of ``report``/``fig``.  Spans recorded by ``report --jobs`` pool workers are
   grafted under the parent's fan-out phase span, so a parallel run
   still yields one tree.
 * :mod:`~repro.obs.chrome` -- Chrome trace-event export of the span

@@ -8,7 +8,8 @@ traffic for the cycle model):
 * :mod:`repro.texture.formats` -- texel formats and cache-line packing.
 * :mod:`repro.texture.texture` -- the Texture object (image + metadata).
 * :mod:`repro.texture.mipmap` -- mipmap chain construction and layout.
-* :mod:`repro.texture.address` -- texel coordinate -> byte address maps.
+* :mod:`repro.texture.address` -- texel coordinate -> byte address
+  map (tiled layout).
 * :mod:`repro.texture.lod` -- screen-space derivatives -> mip LOD and
   anisotropy (level-of-anisotropy, footprint axes, camera angle).
 * :mod:`repro.texture.sampling` -- bilinear / trilinear / anisotropic
@@ -23,7 +24,7 @@ traffic for the cycle model):
 from repro.texture.formats import TexelFormat, RGBA8
 from repro.texture.texture import Texture
 from repro.texture.mipmap import MipmapChain, build_mipmaps
-from repro.texture.address import TextureLayout, TexelAddressMap
+from repro.texture.address import TexelAddressMap
 from repro.texture.lod import SampleFootprint, compute_footprint
 from repro.texture.sampling import (
     TextureSampler,
@@ -33,7 +34,6 @@ from repro.texture.sampling import (
     anisotropic_first_sample,
 )
 from repro.texture.cache import CacheConfig, TextureCache, CacheAccessResult
-from repro.texture.compression import compress_image, compressed_line_bytes
 from repro.texture.requests import TextureRequest, TexelFetch
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "Texture",
     "MipmapChain",
     "build_mipmaps",
-    "TextureLayout",
     "TexelAddressMap",
     "SampleFootprint",
     "compute_footprint",
@@ -54,8 +53,6 @@ __all__ = [
     "CacheConfig",
     "TextureCache",
     "CacheAccessResult",
-    "compress_image",
-    "compressed_line_bytes",
     "TextureRequest",
     "TexelFetch",
 ]

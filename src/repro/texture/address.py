@@ -3,16 +3,12 @@
 The cycle model needs realistic addresses so caches and DRAM banks see
 realistic locality.  Real GPUs store textures in a *tiled* (blocked)
 layout so that 2D-local texel neighbourhoods map into the same cache
-line; we implement both a tiled layout (default, 4x4 texel tiles = one
-64-byte line for RGBA8) and a simple row-major layout for ablations.
+line; the map uses 4x4 texel tiles, one 64-byte line for RGBA8.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Tuple
 
 import numpy as np
 
@@ -20,16 +16,9 @@ from repro.texture.mipmap import MipmapChain
 from repro.units import Bytes
 
 
-class TextureLayout(Enum):
-    """Memory layout of texel data."""
-
-    TILED = "tiled"
-    ROW_MAJOR = "row_major"
-
-
 @dataclass(frozen=True)
 class TexelAddressMap:
-    """Maps (texture, level, x, y) to a byte address.
+    """Maps (texture, level, x, y) to a byte address in a tiled layout.
 
     Each texture occupies a contiguous region starting at
     ``texture_base + texture_id * texture_stride``; mip levels are laid
@@ -40,7 +29,6 @@ class TexelAddressMap:
     regions, which is what matters for bank/vault interleaving.
     """
 
-    layout: TextureLayout = TextureLayout.TILED
     bytes_per_texel: int = 4
     tile_size: int = 4
     texture_base: int = 1 << 28
@@ -66,10 +54,7 @@ class TexelAddressMap:
         width, height = mip.width, mip.height
         x %= width
         y %= height
-        if self.layout is TextureLayout.ROW_MAJOR:
-            linear = y * width + x
-        else:
-            linear = self._tiled_index(x, y, width)
+        linear = self._tiled_index(x, y, width)
         base = self.texture_region(chain.texture.texture_id)
         return base + mip.byte_offset + linear * self.bytes_per_texel
 
@@ -123,15 +108,13 @@ class TexelAddressMap:
         )[clamped]
         x = xs % width
         y = ys % height
-        linear = y * width + x
-        if self.layout is TextureLayout.TILED:
-            tile = self.tile_size
-            tiled = (
-                ((y // tile) * (width // tile) + x // tile) * (tile * tile)
-                + (y % tile) * tile
-                + x % tile
-            )
-            linear = np.where(width < tile, linear, tiled)
+        tile = self.tile_size
+        tiled = (
+            ((y // tile) * (width // tile) + x // tile) * (tile * tile)
+            + (y % tile) * tile
+            + x % tile
+        )
+        linear = np.where(width < tile, y * width + x, tiled)
         base = self.texture_region(chain.texture.texture_id)
         address = base + byte_offset + linear * self.bytes_per_texel
         return (address // line_bytes) * line_bytes

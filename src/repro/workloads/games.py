@@ -5,7 +5,7 @@ a scene style, texture sizing, anisotropy cap, and the simulated frame
 size.  Paper resolutions are kept as metadata; simulation renders at
 1/``DEFAULT_SIM_SCALE`` linear scale, so Python-side fragment counts
 stay tractable.  Anisotropy ratios do not depend on resolution, so the
-mip LOD bias is a fixed sharpening ``detail_bias`` rather than a
+mip LOD bias is a fixed sharpening ``DETAIL_BIAS`` rather than a
 scale-coupled one; caches, memory bandwidth and the angle threshold are
 recalibrated for the miniature frame instead (DESIGN.md section 5,
 "Miniature-frame calibration").
@@ -36,6 +36,15 @@ from repro.workloads.scenes import BuiltScene, SceneStyle, build_scene
 
 DEFAULT_SIM_SCALE = 8
 """Linear downscale factor between paper resolution and simulated frame."""
+
+DETAIL_BIAS = -1.5
+"""Sharpening mip LOD bias, as games apply for crisper surfaces.  More
+negative = finer mip levels = more unique texels per pixel, which is
+what gives texture fetches their ~60 % share of memory traffic
+(Fig. 2).  Kept independent of ``sim_scale``: anisotropy ratios are
+resolution-invariant, and a scale-coupled bias of ``-log2(s)`` would
+make each simulated pixel stride ``s`` texels and destroy all cache
+locality (see DESIGN.md calibration notes)."""
 
 
 @dataclass(frozen=True)
@@ -71,20 +80,6 @@ class GameWorkload:
     def sim_height(self) -> int:
         return max(16, self.paper_height // self.sim_scale)
 
-    detail_bias: float = -1.5
-    """Sharpening mip bias, as games apply for crisper surfaces.  More
-    negative = finer mip levels = more unique texels per pixel, which is
-    what gives texture fetches their ~60 % share of memory traffic
-    (Fig. 2).  Kept independent of ``sim_scale``: anisotropy ratios are
-    resolution-invariant, and a scale-coupled bias of ``-log2(s)`` would
-    make each simulated pixel stride ``s`` texels and destroy all cache
-    locality (see DESIGN.md calibration notes)."""
-
-    @property
-    def lod_bias(self) -> float:
-        """Mip LOD bias applied at the scaled simulation resolution."""
-        return self.detail_bias
-
     @property
     def resolution_label(self) -> str:
         return f"{self.paper_width}x{self.paper_height}"
@@ -110,7 +105,7 @@ class GameWorkload:
             height=self.sim_height,
             tile_size=self.sim_tile_size,
             max_anisotropy=self.max_anisotropy,
-            lod_bias=self.lod_bias,
+            lod_bias=DETAIL_BIAS,
         )
 
     def trace(self) -> Tuple[Scene, FragmentTrace]:

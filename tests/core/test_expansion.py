@@ -19,7 +19,6 @@ from repro.core.expansion import (
 )
 from repro.experiments.runner import FAST_WORKLOADS
 from repro.render.scene import Scene
-from repro.texture.address import TexelAddressMap, TextureLayout
 from repro.texture.lod import SampleFootprint, compute_footprint
 from repro.texture.requests import TextureRequest
 from repro.texture.sampling import TextureSampler
@@ -220,13 +219,10 @@ class TestExpandFrameProperties:
     @settings(max_examples=150, deadline=None)
     @given(
         requests=st.lists(texture_requests(), min_size=1, max_size=12),
-        layout=st.sampled_from(list(TextureLayout)),
         line_bytes=st.sampled_from([64, 128]),
     )
-    def test_matches_scalar_expand(self, requests, layout, line_bytes):
-        expander = RequestExpander(
-            PROPERTY_SCENE, TexelAddressMap(layout=layout), line_bytes=line_bytes
-        )
+    def test_matches_scalar_expand(self, requests, line_bytes):
+        expander = RequestExpander(PROPERTY_SCENE, line_bytes=line_bytes)
         frame = expander.expand_frame(requests)
         flat = expander.expand_frame(requests, aniso_enabled=False)
         for index, request in enumerate(requests):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.experiments.report import generate
 
 
@@ -25,6 +25,16 @@ class TestCli:
 
     def test_fig_unknown(self, capsys):
         assert main(["fig", "99"]) == 1
+
+    def test_jobs_is_a_report_option_only(self, capsys):
+        """``fig`` reads only its own figure's points, so it has no grid
+        prefetch and no ``--jobs``; ``report`` reads the whole grid."""
+        parser = build_parser()
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["fig", "2", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert parser.parse_args(["report", "--jobs", "2"]).jobs == 2
 
     def test_simulate(self, capsys):
         assert main(["simulate", "riddick-640x480"]) == 0

@@ -151,7 +151,6 @@ def _serve_atfim(
     offload the missing ones, filter the parents on the GPU."""
     parents = expanded.parents
     columns = _ParentColumns(
-        lines=[parent.line_address for parent in parents],
         child_counts=[parent.num_children for parent in parents],
         child_offsets=list(accumulate(
             (len(parent.child_line_addresses) for parent in parents),
@@ -180,7 +179,7 @@ def _serve_atfim(
         result = probe(
             path.caches,
             cluster,
-            columns.lines[parent],
+            parents[parent].line_address,
             angle if needs_angle else None,
             threshold if needs_angle else None,
         )

@@ -49,6 +49,16 @@ class TestExamples:
         assert "int:ext ratio" in out
         assert "gddr5 scale" in out
 
+    def test_game_benchmark_suite(self):
+        out = run_example("game_benchmark_suite.py", "--fast")
+        assert "geometric means across workloads" in out
+        means = out.split("geometric means across workloads")[1]
+        rows = [line.split() for line in means.splitlines()[1:]]
+        designs = [row[0] for row in rows]
+        assert designs == ["baseline", "b-pim", "s-tfim", "a-tfim"]
+        for row in rows:
+            assert row[1::2] == ["render", "texture", "traffic", "energy"]
+
     def test_animated_sequence(self):
         out = run_example("animated_sequence.py", "riddick-640x480", "3")
         assert "walk forward" in out

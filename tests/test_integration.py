@@ -9,11 +9,26 @@ reproduction's actual contract.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import Design, simulate_frame
 from repro.core.angle import THRESHOLD_SWEEP
+from repro.core.expansion import RequestExpander
 from repro.energy import EnergyModel
+from repro.experiments.runner import FAST_WORKLOADS
+from repro.workloads import workload_by_name
+
+
+def _threshold_sweep(workload, scene, trace, **overrides):
+    """A-TFIM at every Fig. 14 threshold, keyed by threshold label."""
+    return {
+        threshold.label: simulate_frame(scene, trace, workload.design_config(
+            Design.A_TFIM, angle_threshold=threshold.effective_radians,
+            **overrides,
+        ))
+        for threshold in THRESHOLD_SWEEP
+    }
 
 
 class TestDesignOrderings:
@@ -80,14 +95,7 @@ class TestTrafficShapes:
 class TestThresholdSweep:
     @pytest.fixture(scope="class")
     def sweep(self, fast_workload, fast_workload_trace):
-        scene, trace = fast_workload_trace
-        runs = {}
-        for threshold in THRESHOLD_SWEEP:
-            config = fast_workload.design_config(
-                Design.A_TFIM, angle_threshold=threshold.effective_radians
-            )
-            runs[threshold.label] = simulate_frame(scene, trace, config)
-        return runs
+        return _threshold_sweep(fast_workload, *fast_workload_trace)
 
     def test_speedup_monotone_in_threshold(self, sweep, design_runs):
         """Fig. 14: looser thresholds are never slower."""
@@ -124,6 +132,23 @@ class TestThresholdSweep:
         loosest = sweep[THRESHOLD_SWEEP[-1].label].frame.traffic.external_texture
         assert strictest > loosest
         assert loosest < baseline
+
+    def test_consolidation_never_fetches_more_child_lines(
+        self, sweep, fast_workload, fast_workload_trace
+    ):
+        """Child Texel Consolidation fetches at most the child lines the
+        design fetches without it (doom3-640x480 at 0.01pi: 1,307 vs
+        3,057).  Replay order follows completion times, so this is an
+        observed property of these named points, not a structural one."""
+        unconsolidated = _threshold_sweep(
+            fast_workload, *fast_workload_trace, consolidation_enabled=False
+        )
+        for threshold in THRESHOLD_SWEEP:
+            on = sweep[threshold.label].path.activity()
+            off = unconsolidated[threshold.label].path.activity()
+            assert on.child_lines_fetched <= off.child_lines_fetched, (
+                threshold.label
+            )
 
 
 class TestExternalLinkBandwidth:
@@ -167,6 +192,32 @@ class TestExternalLinkBandwidth:
         cycles = frame_cycles[design]
         for narrower, wider in zip(cycles, cycles[1:]):
             assert wider <= narrower
+
+
+class TestAnisotropyCap:
+    """A higher anisotropy cap never lowers any request's texel count.
+
+    The cap only clamps each footprint's probe count, so every cap
+    rasterizes the same requests in the same order and they line up by
+    index (hl2-640x480's mean goes 7.71 -> 14.75 -> 23.84 -> 33.22 ->
+    43.12 texels over caps 1 -> 16).
+    """
+
+    CAPS = (1, 2, 4, 8, 16)
+
+    @pytest.mark.parametrize("name", FAST_WORKLOADS)
+    def test_texels_never_fall(self, name):
+        base = workload_by_name(name)
+        previous = previous_pixels = None
+        for cap in self.CAPS:
+            workload = dataclasses.replace(base, max_anisotropy=cap)
+            scene, trace = workload.trace()
+            pixels = [(r.pixel_x, r.pixel_y) for r in trace.requests]
+            texels = RequestExpander(scene).expand_frame(trace.requests).texels
+            if previous is not None:
+                assert pixels == previous_pixels
+                assert bool(np.all(texels >= previous)), f"cap {cap}"
+            previous, previous_pixels = texels, pixels
 
 
 class TestEnergyShapes:

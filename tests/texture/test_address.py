@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.texture.address import TexelAddressMap, TextureLayout
+from repro.texture.address import TexelAddressMap
 from repro.texture.mipmap import build_mipmaps
 from repro.texture.texture import Texture
 
@@ -19,16 +19,6 @@ class TestTexelAddressMap:
     def test_addresses_unique_within_level(self):
         chain = make_chain(16)
         address_map = TexelAddressMap()
-        addresses = {
-            address_map.texel_address(chain, 0, x, y)
-            for x in range(16)
-            for y in range(16)
-        }
-        assert len(addresses) == 256
-
-    def test_row_major_unique_too(self):
-        chain = make_chain(16)
-        address_map = TexelAddressMap(layout=TextureLayout.ROW_MAJOR)
         addresses = {
             address_map.texel_address(chain, 0, x, y)
             for x in range(16)
@@ -69,16 +59,6 @@ class TestTexelAddressMap:
             for y in range(4)
         }
         assert len(lines) == 1
-
-    def test_row_major_4x4_block_spans_lines(self):
-        chain = make_chain(64)
-        address_map = TexelAddressMap(layout=TextureLayout.ROW_MAJOR)
-        lines = {
-            address_map.texel_line(chain, 0, x, y)
-            for x in range(4)
-            for y in range(4)
-        }
-        assert len(lines) == 4  # one line per row of 16 texels
 
     def test_wrap_addressing(self):
         chain = make_chain(16)
