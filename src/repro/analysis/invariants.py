@@ -25,7 +25,9 @@ rather than on a :class:`~repro.core.frontend.DesignRun`:
   the scalar oracle and touch exactly the same per-fragment texel sets
   (hence equal fetch counts).  The batched renderer validates a
   deterministic sample of every frame at drain time via
-  :func:`check_batch_scalar_parity` when checking is enabled.
+  :func:`check_batch_scalar_parity` when checking is enabled: sampled
+  requests in the exact and isotropic modes, sampled recalculated
+  parent texels in the reordered and A-TFIM modes.
 
 Checks run against a finished :class:`~repro.core.frontend.DesignRun`
 (drain time: all events retired, all counters final).  Enable them with
@@ -316,9 +318,11 @@ def check_batch_scalar_parity(
     ``(request_index, batch_color, scalar_color, batch_texels,
     scalar_texels)`` where the colors are RGBA vectors and the texel
     collections are the deduplicated ``(level, x, y)`` fetch sets of
-    each path.  A violation is reported when colors differ in any bit
-    or the fetch sets (and therefore the fetch counts the cycle model
-    bills for) diverge.
+    each path.  For a checked parent texel the index is its lookup's
+    and each "color" is the parent's count, coordinates, weight and
+    filtered value.  A violation is reported when colors differ in any
+    bit or the fetch sets (and therefore the fetch counts the cycle
+    model bills for) diverge.
     """
     violations: List[InvariantViolation] = []
     for index, batch_color, scalar_color, batch_texels, scalar_texels in entries:

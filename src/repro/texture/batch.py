@@ -21,19 +21,25 @@ operations in the same order* as the scalar path —
 * anisotropic probes accumulate in probe-index order and divide once at
   the end;
 * probe offsets use the same ``round()`` (half-to-even, matching
-  ``np.rint``) of the same products.
+  ``np.rint``) of the same products;
+* A-TFIM's anisotropic-first order filters each parent's children the
+  same way, then adds a request's weighted parents in slot order, each
+  as ``color += weight * value``.
 
 The scalar functions stay the oracle: ``tests/texture/test_batch.py``
 asserts ``np.array_equal`` (exact, every bit) between the two paths, and
 the drain-time ``batch-fetch-parity`` invariant
 (:func:`repro.analysis.invariants.check_batch_scalar_parity`) re-checks
 a deterministic sample of every batched render when
-``REPRO_CHECK_INVARIANTS=1``.
+``REPRO_CHECK_INVARIANTS=1``: requests for the exact and isotropic
+kernels, recalculated parents for the anisotropic-first one.
 
 Grouping strategy: fragments are partitioned by probe count, and within
-each trilinear stage by mip level.  Partitioning never changes results —
-all arithmetic is per-fragment elementwise — it only keeps gathers
-rectangular.
+each trilinear stage by mip level; parents are partitioned by mip level
+and probe count.  Partitioning never changes results — all arithmetic
+is per-fragment elementwise — it only keeps gathers rectangular.  The
+one step that is not elementwise is A-TFIM's reuse decision
+(:func:`reuse_producers`), which runs in request order.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.texture.lod import SampleFootprint
+from repro.texture.lod import SampleFootprint, quantize_angles
 from repro.texture.mipmap import MipmapChain
 from repro.texture.requests import TextureRequest
 from repro.texture.sampling import TexelCoord
@@ -398,6 +404,217 @@ def isotropic_batch(
     )
 
 
+PARENT_SLOTS = 8
+"""Parent texels per lookup: 4 bilinear taps at each of two mip levels."""
+
+
+@dataclass
+class ParentTexels:
+    """The parent texels of every request in a batch, as ``(requests, 8)``
+    columns: :func:`~repro.texture.sampling.parent_texel_coords` per row.
+
+    Slots 0-3 are the low level's bilinear taps and 4-7 the high level's,
+    each in the scalar tap order.  A single-level request has only four
+    parents, so its slots 4-7 are not ``used``.  Coordinates are
+    unwrapped; ``keys`` numbers the wrapped texel within the whole chain,
+    so two lookups share a key exactly when they name the same parent.
+    """
+
+    levels: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    weights: np.ndarray
+    keys: np.ndarray
+    used: np.ndarray
+
+
+def parent_texel_arrays(
+    chain: MipmapChain, lod: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> ParentTexels:
+    """Vectorised :func:`~repro.texture.sampling.parent_texel_coords`.
+
+    Each weight is the bilinear tap weight times the level weight, the
+    same two IEEE-754 products as the scalar function, so every
+    coordinate and weight matches it exactly.
+    """
+    count = len(lod)
+    low, high, blend_weight = level_blend_arrays(chain, lod)
+    widths = np.array([mip.width for mip in chain.levels], dtype=np.int64)
+    heights = np.array([mip.height for mip in chain.levels], dtype=np.int64)
+    bases = np.concatenate(([0], np.cumsum(widths * heights)[:-1]))
+    shape = (count, PARENT_SLOTS)
+    levels = np.empty(shape, dtype=np.int64)
+    xs = np.empty(shape, dtype=np.int64)
+    ys = np.empty(shape, dtype=np.int64)
+    weights = np.empty(shape, dtype=np.float64)
+    for first, level, level_weight in (
+        (0, low, 1.0 - blend_weight),
+        (4, high, blend_weight),
+    ):
+        scale = np.ldexp(1.0, level)
+        su = u / scale - 0.5
+        sv = v / scale - 0.5
+        x0f = np.floor(su)
+        y0f = np.floor(sv)
+        fx = su - x0f
+        fy = sv - y0f
+        x0 = x0f.astype(np.int64)
+        y0 = y0f.astype(np.int64)
+        taps = (
+            (x0, y0, (1.0 - fx) * (1.0 - fy)),
+            (x0 + 1, y0, fx * (1.0 - fy)),
+            (x0, y0 + 1, (1.0 - fx) * fy),
+            (x0 + 1, y0 + 1, fx * fy),
+        )
+        for slot, (tap_x, tap_y, tap_weight) in enumerate(taps, start=first):
+            levels[:, slot] = level
+            xs[:, slot] = tap_x
+            ys[:, slot] = tap_y
+            weights[:, slot] = tap_weight * level_weight
+    used = np.ones(shape, dtype=bool)
+    used[:, 4:] = ((blend_weight != 0.0) & (low != high))[:, None]
+    level_widths = widths[levels]
+    keys = (
+        bases[levels]
+        + (ys % heights[levels]) * level_widths
+        + xs % level_widths
+    )
+    return ParentTexels(
+        levels=levels, xs=xs, ys=ys, weights=weights, keys=keys, used=used
+    )
+
+
+def filter_parent_batch(
+    chain: MipmapChain,
+    levels: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    probes: np.ndarray,
+    major_du: np.ndarray,
+    major_dv: np.ndarray,
+    major_length: np.ndarray,
+    recorder: Optional[BatchFetchRecorder] = None,
+    lookup_indices: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Vectorised :func:`~repro.texture.sampling.filter_parent_texel`.
+
+    One row per parent: its level, unwrapped coordinates and its
+    request's footprint columns.  Parents are grouped by level and probe
+    count; each group adds its child texels into a zero vector in probe
+    index order and divides by the count once, as the scalar loop does.
+    ``recorder`` logs each row's child fetches under ``lookup_indices``.
+    """
+    out = np.empty((len(levels), 4), dtype=np.float64)
+    for level in np.unique(levels):
+        mip = chain.level(int(level))
+        at_level = levels == level
+        for count in np.unique(probes[at_level]):
+            sel = np.nonzero(at_level & (probes == count))[0]
+            acc = np.zeros((len(sel), 4), dtype=np.float64)
+            for index in range(int(count)):
+                dx, dy = probe_offset_arrays(
+                    levels[sel], major_du[sel], major_dv[sel],
+                    major_length[sel], int(count), index,
+                )
+                cx = (xs[sel] + dx) % mip.width
+                cy = (ys[sel] + dy) % mip.height
+                if recorder is not None and lookup_indices is not None:
+                    recorder.add(lookup_indices[sel], mip.level, cx, cy)
+                acc += mip.data[cy, cx]
+            out[sel] = acc / int(count)
+    return out
+
+
+def reuse_producers(
+    keys: np.ndarray, angles: np.ndarray, threshold: float
+) -> np.ndarray:
+    """A-TFIM's angle-tagged parent reuse, decided over a lookup stream.
+
+    ``keys`` and ``angles`` (quantised camera angles) hold one entry per
+    parent lookup, in request order and slot by slot.  A lookup reuses
+    when its key is stored and the stored angle is within ``threshold``
+    of its own.  The stored angle is that of the key's last
+    *recalculation*: a reuse leaves the entry alone, while a
+    recalculation stores its own index and angle.  Returns, for every
+    lookup, the index of the lookup whose filtered value it uses (its
+    own index when it recalculates).
+
+    This is the one sequential step of the A-TFIM kernel: each decision
+    depends on the recalculations before it, and one request can hit a
+    key twice (wrapped taps on a tiny mip), so it runs per lookup.
+    """
+    if threshold < 0:
+        raise ValueError("threshold must be non-negative")
+    producers = list(range(len(keys)))
+    stored: Dict[int, Tuple[int, float]] = {}
+    for index, key, angle in zip(producers, keys.tolist(), angles.tolist()):
+        entry = stored.get(key)
+        if entry is not None and abs(entry[1] - angle) <= threshold:
+            producers[index] = entry[0]
+        else:
+            stored[key] = (index, angle)
+    return np.array(producers, dtype=np.int64)
+
+
+def anisotropic_first_batch(
+    chain: MipmapChain,
+    batch: RequestBatch,
+    angles: Optional[np.ndarray] = None,
+    threshold: float = 0.0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A-TFIM's anisotropic-first filter over a batch.
+
+    The batched counterpart of the scalar renderer's A-TFIM shading (and,
+    without ``angles``, of
+    :func:`~repro.texture.sampling.anisotropic_first_sample`).  Every
+    request's parents become lookups in request order, slot by slot.
+    Without ``angles`` each lookup filters its own parent.  With the
+    requests' camera ``angles`` (radians), :func:`reuse_producers`
+    decides which lookup produces each value.  Each producer is filtered
+    once by :func:`filter_parent_batch`, the values are gathered, and
+    each request adds its weighted slots in slot order, the scalar
+    ``color += weight * value``.
+
+    Returns the colors and the per-lookup producer indices.
+    """
+    parents = parent_texel_arrays(chain, batch.lod, batch.u, batch.v)
+    used = parents.used.ravel()
+    lookups = np.nonzero(used)[0]
+    rows = lookups // PARENT_SLOTS
+    keys = parents.keys.ravel()[lookups]
+    if angles is None:
+        producers = np.arange(len(keys), dtype=np.int64)
+    else:
+        quantised = quantize_angles(np.asarray(angles, dtype=np.float64))
+        producers = reuse_producers(keys, quantised[rows], threshold)
+    own = np.nonzero(producers == np.arange(len(keys)))[0]
+    flat_own = lookups[own]
+    own_rows = rows[own]
+    values = np.empty((len(keys), 4), dtype=np.float64)
+    values[own] = filter_parent_batch(
+        chain,
+        parents.levels.ravel()[flat_own],
+        parents.xs.ravel()[flat_own],
+        parents.ys.ravel()[flat_own],
+        batch.probes[own_rows],
+        batch.major_du[own_rows],
+        batch.major_dv[own_rows],
+        batch.major_length[own_rows],
+    )
+    slot_values = np.zeros((len(used), 4), dtype=np.float64)
+    slot_values[lookups] = values[producers]
+    slot_values = slot_values.reshape(len(batch), PARENT_SLOTS, 4)
+    colors = np.zeros((len(batch), 4), dtype=np.float64)
+    for slot in range(4):
+        colors += parents.weights[:, slot, None] * slot_values[:, slot]
+    dual = np.nonzero(parents.used[:, 4])[0]
+    for slot in range(4, PARENT_SLOTS):
+        colors[dual] += (
+            parents.weights[dual, slot, None] * slot_values[dual, slot]
+        )
+    return colors, producers
+
+
 class BatchSampler:
     """Batched facade over one mip chain, mirroring ``TextureSampler``.
 
@@ -430,29 +647,43 @@ class BatchSampler:
         batch: RequestBatch,
         isotropic: bool = False,
         sample_limit: int = 256,
+        producers: Optional[np.ndarray] = None,
     ) -> None:
         """Drain-time parity check of the batch path against the oracle.
 
-        Re-filters a deterministic, evenly-strided sample of the batch
-        through both paths with fetch recording on, then asserts (via
+        Re-filters a deterministic, evenly-strided sample through both
+        paths with fetch recording on, then asserts (via
         :func:`repro.analysis.invariants.check_batch_scalar_parity`)
-        that colors are bit-identical and per-fragment texel fetch sets
-        (and therefore counts) agree.  Raises
+        that results are bit-identical and per-sample texel fetch sets
+        (and therefore counts) agree.  Without ``producers`` the sample
+        is of requests, re-filtered by the exact (or isotropic) kernel.
+        With the ``producers`` of an :func:`anisotropic_first_batch`
+        call, it is of the recalculated parents: each is checked against
+        :func:`~repro.texture.sampling.parent_texel_coords` (parent
+        count, coordinates and weight) and
+        :func:`~repro.texture.sampling.filter_parent_texel` (value and
+        child fetches).  Raises
         :class:`repro.analysis.invariants.InvariantError` on any
         divergence.
         """
         from repro.analysis.invariants import check_batch_scalar_parity
+
+        if producers is None:
+            entries = self._request_entries(batch, isotropic, sample_limit)
+        else:
+            entries = self._parent_entries(batch, producers, sample_limit)
+        check_batch_scalar_parity(entries)
+
+    def _request_entries(
+        self, batch: RequestBatch, isotropic: bool, sample_limit: int
+    ) -> List[tuple]:
         from repro.texture.sampling import (
             _FetchRecorder,
             anisotropic_sample,
             trilinear_sample,
         )
 
-        total = len(batch)
-        if total == 0:
-            return
-        stride = max(1, total // max(1, sample_limit))
-        picked = np.arange(0, total, stride, dtype=np.int64)[:sample_limit]
+        picked = _strided(len(batch), sample_limit)
         sub = RequestBatch(
             u=batch.u[picked],
             v=batch.v[picked],
@@ -474,14 +705,7 @@ class BatchSampler:
         entries = []
         for position in range(len(sub)):
             scalar_recorder = _FetchRecorder()
-            footprint = SampleFootprint(
-                lod=float(sub.lod[position]),
-                anisotropy=1.0,
-                probes=int(sub.probes[position]),
-                major_du=float(sub.major_du[position]),
-                major_dv=float(sub.major_dv[position]),
-                major_length=float(sub.major_length[position]),
-            )
+            footprint = _footprint(sub, position)
             if isotropic:
                 scalar_color = trilinear_sample(
                     self.chain,
@@ -507,4 +731,86 @@ class BatchSampler:
                     frozenset(scalar_recorder.texels),
                 )
             )
-        check_batch_scalar_parity(entries)
+        return entries
+
+    def _parent_entries(
+        self, batch: RequestBatch, producers: np.ndarray, sample_limit: int
+    ) -> List[tuple]:
+        from repro.texture.sampling import (
+            _FetchRecorder,
+            filter_parent_texel,
+            parent_texel_coords,
+        )
+
+        parents = parent_texel_arrays(self.chain, batch.lod, batch.u, batch.v)
+        lookups = np.nonzero(parents.used.ravel())[0]
+        recalculated = np.nonzero(producers == np.arange(len(producers)))[0]
+        picked = recalculated[_strided(len(recalculated), sample_limit)]
+        flat = lookups[picked]
+        rows = flat // PARENT_SLOTS
+        batch_recorder = BatchFetchRecorder()
+        batch_values = filter_parent_batch(
+            self.chain,
+            parents.levels.ravel()[flat],
+            parents.xs.ravel()[flat],
+            parents.ys.ravel()[flat],
+            batch.probes[rows],
+            batch.major_du[rows],
+            batch.major_dv[rows],
+            batch.major_length[rows],
+            recorder=batch_recorder,
+            lookup_indices=np.arange(len(flat), dtype=np.int64),
+        )
+        batch_texels = batch_recorder.request_texels()
+
+        entries = []
+        for position, (row, lookup) in enumerate(zip(rows, flat)):
+            slot = int(lookup) % PARENT_SLOTS
+            batch_parent = (
+                int(parents.used[row].sum()),
+                int(parents.levels[row, slot]),
+                int(parents.xs[row, slot]),
+                int(parents.ys[row, slot]),
+                float(parents.weights[row, slot]),
+                *batch_values[position],
+            )
+            scalar_parents = parent_texel_coords(
+                self.chain,
+                float(batch.lod[row]),
+                float(batch.u[row]),
+                float(batch.v[row]),
+            )
+            level, x, y, weight = scalar_parents[slot]
+            scalar_recorder = _FetchRecorder()
+            scalar_value = filter_parent_texel(
+                self.chain, _footprint(batch, int(row)), level, x, y,
+                recorder=scalar_recorder,
+            )
+            entries.append(
+                (
+                    int(picked[position]),
+                    batch_parent,
+                    (len(scalar_parents), level, x, y, weight, *scalar_value),
+                    frozenset(batch_texels.get(position, [])),
+                    frozenset(scalar_recorder.texels),
+                )
+            )
+        return entries
+
+
+def _strided(total: int, sample_limit: int) -> np.ndarray:
+    """A deterministic, evenly-strided sample of ``range(total)``."""
+    stride = max(1, total // max(1, sample_limit))
+    return np.arange(0, total, stride, dtype=np.int64)[:sample_limit]
+
+
+def _footprint(batch: RequestBatch, position: int) -> SampleFootprint:
+    """Row ``position`` of ``batch`` as a scalar footprint."""
+    return SampleFootprint(
+        lod=float(batch.lod[position]),
+        anisotropy=1.0,
+        probes=int(batch.probes[position]),
+        major_du=float(batch.major_du[position]),
+        major_dv=float(batch.major_dv[position]),
+        major_length=float(batch.major_length[position]),
+    )

@@ -21,8 +21,8 @@ class Texture:
 
     Data is stored as ``float64[height, width, 4]``.  Keeping the
     functional representation in floating point makes the filter-reorder
-    equality proof (paper section V-B) exact rather than
-    quantization-limited; the architectural model separately accounts
+    equality (paper section V-B) hold to rounding error rather than to
+    8-bit quantization; the architectural model separately accounts
     bytes using :class:`~repro.texture.formats.TexelFormat`.
     """
 

@@ -152,8 +152,8 @@ class GameWorkload:
         The simulated frame issues ~1/sim_scale^2 of the full frame's
         requests; leaving memory bandwidth at full spec would make every
         design compute-bound, contradicting the paper's premise that
-        texel fetching saturates memory (section I).  Scaling bandwidth
-        by sim_scale/2 restores the paper's utilization regime while the
+        texel fetching saturates memory (section I).  Dividing bandwidth
+        by sim_scale/2.67 restores the paper's utilization regime while the
         *ratios* between GDDR5 (128 GB/s), HMC external (320 GB/s) and
         HMC internal (512 GB/s) -- the quantities the designs exploit --
         are preserved exactly.

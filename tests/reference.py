@@ -13,14 +13,15 @@ results:
   :func:`probe` and offload;
 * :class:`ScalarRasterizer` -- the per-pixel fragment emitter and the
   per-fragment footprint;
-* :class:`ScalarRenderer` -- per-request EXACT and ISOTROPIC shading.
+* :class:`ScalarRenderer` -- per-request shading in all four sampling
+  modes, with A-TFIM's parent reuse in :class:`AngleTaggedParentStore`.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,9 +38,20 @@ from repro.render.renderer import Renderer, SamplingMode
 from repro.render.scene import Scene
 from repro.sim.latency import LatencyHistogram
 from repro.texture.cache import CacheAccessResult
-from repro.texture.lod import camera_angle_from_normal, compute_footprint
+from repro.texture.lod import (
+    camera_angle_from_normal,
+    compute_footprint,
+    quantize_angle,
+)
+from repro.texture.mipmap import MipmapChain
 from repro.texture.requests import FragmentTrace, TextureRequest
-from repro.texture.sampling import anisotropic_sample, trilinear_sample
+from repro.texture.sampling import (
+    anisotropic_first_sample,
+    anisotropic_sample,
+    filter_parent_texel,
+    parent_texel_coords,
+    trilinear_sample,
+)
 from repro.units import Cycles, Radians
 
 
@@ -399,15 +411,85 @@ class ScalarRasterizer(Rasterizer):
         return fragments
 
 
+class AngleTaggedParentStore:
+    """Functional model of A-TFIM's angle-tagged parent-texel reuse.
+
+    Keys are parent texel identities ``(texture, level, x, y)``; values
+    are the filtered parent value and the (quantised) camera angle it was
+    filtered under.  A lookup whose angle differs by more than the
+    threshold recalculates, exactly mirroring the architectural cache
+    policy in :mod:`repro.texture.cache` -- but holding *values*, because
+    the functional path needs the possibly-stale colors to measure their
+    quality impact.
+    """
+
+    def __init__(self, threshold: float, angle_bits: int = 7) -> None:
+        if threshold < 0:
+            raise ValueError("threshold must be non-negative")
+        self.threshold = threshold
+        self.angle_bits = angle_bits
+        self._store: Dict[Tuple[int, int, int, int], Tuple[np.ndarray, float]] = {}
+        self.reuses = 0
+        self.recalculations = 0
+
+    def lookup(
+        self, key: Tuple[int, int, int, int], angle: float
+    ) -> Optional[np.ndarray]:
+        quantised = quantize_angle(angle, self.angle_bits)
+        entry = self._store.get(key)
+        if entry is None:
+            return None
+        value, stored_angle = entry
+        if abs(stored_angle - quantised) <= self.threshold:
+            self.reuses += 1
+            return value
+        return None
+
+    def store(self, key: Tuple[int, int, int, int], angle: float,
+              value: np.ndarray) -> None:
+        quantised = quantize_angle(angle, self.angle_bits)
+        self._store[key] = (value, quantised)
+        self.recalculations += 1
+
+
+def shade_atfim(
+    chain: MipmapChain,
+    request: TextureRequest,
+    parent_store: AngleTaggedParentStore,
+) -> np.ndarray:
+    """A-TFIM shading with angle-threshold parent reuse.
+
+    For each parent texel: reuse the stored value when the angle
+    matches within the threshold; otherwise recalculate it from its
+    child texels under *this* request's footprint and store it.
+    """
+    footprint = request.footprint
+    parents = parent_texel_coords(chain, footprint.lod, request.u, request.v)
+    color = np.zeros(4, dtype=np.float64)
+    for level, x, y, weight in parents:
+        mip = chain.level(level)
+        key = (request.texture_id, level, x % mip.width, y % mip.height)
+        value = parent_store.lookup(key, request.camera_angle)
+        if value is None:
+            value = filter_parent_texel(chain, footprint, level, x, y)
+            parent_store.store(key, request.camera_angle, value)
+        color += weight * value
+    return color
+
+
 class ScalarRenderer(Renderer):
-    """The renderer with EXACT and ISOTROPIC shading one request at a time."""
+    """The renderer with every sampling mode shaded one request at a time."""
 
     def _shade_batch(
         self,
         scene: Scene,
         requests: Sequence[TextureRequest],
         mode: SamplingMode,
-    ) -> np.ndarray:
+        angle_threshold: float,
+    ) -> Tuple[np.ndarray, int, int]:
+        store = None
+        if mode is SamplingMode.ATFIM:
+            store = AngleTaggedParentStore(threshold=angle_threshold)
         colors = np.zeros((len(requests), 4), dtype=np.float64)
         for index, request in enumerate(requests):
             chain = scene.mipmap_chain(request.texture_id)
@@ -416,8 +498,16 @@ class ScalarRenderer(Renderer):
                 colors[index] = trilinear_sample(
                     chain, footprint.lod, request.u, request.v
                 )
-            else:
+            elif mode is SamplingMode.EXACT:
                 colors[index] = anisotropic_sample(
                     chain, footprint, request.u, request.v
                 )
-        return colors
+            elif mode is SamplingMode.REORDERED:
+                colors[index] = anisotropic_first_sample(
+                    chain, footprint, request.u, request.v
+                )
+            else:
+                colors[index] = shade_atfim(chain, request, store)
+        if store is None:
+            return colors, 0, 0
+        return colors, store.reuses, store.recalculations

@@ -29,8 +29,11 @@ class TestRenderModes:
         assert exact_image.shape == (24, 32, 3)
         assert exact_image.max() > 0.0
 
-    def test_reordered_matches_exact_bitwise(self, tiny, renderer, exact_image):
+    def test_reordered_matches_exact_to_rounding(self, tiny, renderer,
+                                                 exact_image):
         # The architectural claim of section V-B, at frame granularity.
+        # The orders round differently (300 of these 768 pixels differ,
+        # by at most 3.3e-16), so the frames are close, not bitwise equal.
         scene, camera = tiny
         reordered = renderer.render(scene, camera, SamplingMode.REORDERED).image
         np.testing.assert_allclose(reordered, exact_image, atol=1e-12)

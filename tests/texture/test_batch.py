@@ -11,28 +11,37 @@ import numpy as np
 import pytest
 
 from repro.analysis.invariants import InvariantError, check_batch_scalar_parity
+from repro.core.angle import THRESHOLD_SWEEP
 from repro.render.renderer import Renderer, SamplingMode
+from repro.texture import batch as batch_kernels
 from repro.texture.batch import (
     BatchFetchRecorder,
     BatchSampler,
     RequestBatch,
     anisotropic_batch,
+    anisotropic_first_batch,
     bilinear_batch,
+    filter_parent_batch,
     isotropic_batch,
     level_blend_arrays,
+    parent_texel_arrays,
     probe_offset_arrays,
 )
 from repro.texture.lod import compute_footprint
 from repro.texture.mipmap import build_mipmaps
 from repro.texture.sampling import (
     _FetchRecorder,
+    anisotropic_first_sample,
     anisotropic_sample,
     bilinear_sample,
+    filter_parent_texel,
     level_blend_for,
+    parent_texel_coords,
     probe_offsets,
     trilinear_sample,
 )
 from repro.texture.texture import Texture
+from repro.workloads import workload_by_name
 from tests.conftest import make_tiny_scene
 from tests.reference import ScalarRasterizer, ScalarRenderer
 
@@ -207,6 +216,70 @@ class TestAnisotropicBatch:
             assert counts[index] == len(scalar_recorder.texels)
 
 
+class TestParentKernels:
+    def test_parent_arrays_match_scalar_coords(self):
+        chain = make_chain()
+        cases = [(lod, uv) for lod in LODS for uv in EDGE_UVS]
+        lods = np.array([lod for lod, _ in cases])
+        us = np.array([u for _, (u, _) in cases])
+        vs = np.array([v for _, (_, v) in cases])
+        parents = parent_texel_arrays(chain, lods, us, vs)
+        for row, (lod, (u, v)) in enumerate(cases):
+            scalar = parent_texel_coords(chain, lod, u, v)
+            assert int(parents.used[row].sum()) == len(scalar)
+            for slot, (level, x, y, weight) in enumerate(scalar):
+                mip = chain.level(level)
+                assert parents.levels[row, slot] == level
+                assert parents.xs[row, slot] == x
+                assert parents.ys[row, slot] == y
+                assert parents.weights[row, slot] == weight
+                assert parents.keys[row, slot] == (
+                    sum(m.width * m.height for m in chain.levels[:level])
+                    + (y % mip.height) * mip.width + x % mip.width
+                )
+
+    def test_filter_parent_batch_matches_scalar(self):
+        chain = make_chain(64)
+        fps = [
+            footprint(probes=probes, lod=lod, direction=direction)
+            for probes in (1, 2, 4, 8)
+            for lod in (0.0, 1.5, 3.0)
+            for direction in ((1.0, 0.0), (0.6, 0.8))
+        ]
+        coords = [(0, -3, 70), (1, 31, 0), (2, 5, -9), (6, 0, 0)]
+        rows = [(fp, c) for fp in fps for c in coords]
+        batch_values = filter_parent_batch(
+            chain,
+            np.array([level for _, (level, _, _) in rows]),
+            np.array([x for _, (_, x, _) in rows]),
+            np.array([y for _, (_, _, y) in rows]),
+            np.array([fp.probes for fp, _ in rows]),
+            np.array([fp.major_du for fp, _ in rows]),
+            np.array([fp.major_dv for fp, _ in rows]),
+            np.array([fp.major_length for fp, _ in rows]),
+        )
+        scalar_values = np.array(
+            [filter_parent_texel(chain, fp, *coord) for fp, coord in rows]
+        )
+        assert np.array_equal(batch_values, scalar_values)
+
+    def test_reordered_batch_matches_scalar(self):
+        chain = make_chain(64)
+        fps = [
+            footprint(probes=probes, lod=lod, direction=(0.6, 0.8))
+            for probes in (1, 4, 8)
+            for lod in (0.0, 0.5, 2.25)
+        ]
+        uvs = [EDGE_UVS[i % len(EDGE_UVS)] for i in range(len(fps))]
+        colors, producers = anisotropic_first_batch(chain, _batch_of(fps, uvs))
+        scalar = np.array(
+            [anisotropic_first_sample(chain, fp, u, v)
+             for fp, (u, v) in zip(fps, uvs)]
+        )
+        assert np.array_equal(colors, scalar)
+        assert np.array_equal(producers, np.arange(len(producers)))
+
+
 class TestBatchSampler:
     def test_verify_against_scalar_passes(self):
         chain = make_chain(64)
@@ -215,6 +288,24 @@ class TestBatchSampler:
         sampler = BatchSampler(chain)
         sampler.verify_against_scalar(batch)
         sampler.verify_against_scalar(batch, isotropic=True)
+
+    def test_verify_checks_recalculated_parents(self, monkeypatch):
+        chain = make_chain(64)
+        fps = [footprint(probes=p, lod=l) for p in (1, 4) for l in (0.0, 1.25)]
+        batch = _batch_of(fps, EDGE_UVS[: len(fps)])
+        sampler = BatchSampler(chain)
+        _, producers = anisotropic_first_batch(
+            chain, batch, np.full(len(fps), 0.3), 0.0
+        )
+        sampler.verify_against_scalar(batch, producers=producers)
+        exact = batch_kernels.filter_parent_batch
+        monkeypatch.setattr(
+            batch_kernels,
+            "filter_parent_batch",
+            lambda *args, **kwargs: exact(*args, **kwargs) * (1.0 + 1e-9),
+        )
+        with pytest.raises(InvariantError):
+            sampler.verify_against_scalar(batch, producers=producers)
 
     def test_parity_check_rejects_divergence(self):
         color = np.array([0.1, 0.2, 0.3, 1.0])
@@ -244,16 +335,68 @@ class TestVectorizedRaster:
         assert scalar_out.raster_stats == vector_out.raster_stats
 
 
-class TestBatchedRenderer:
-    @pytest.mark.parametrize(
-        "mode", [SamplingMode.EXACT, SamplingMode.ISOTROPIC]
+SHADING_CASES = [
+    pytest.param(SamplingMode.EXACT, 0.0, id="SamplingMode.EXACT"),
+    pytest.param(SamplingMode.ISOTROPIC, 0.0, id="SamplingMode.ISOTROPIC"),
+    pytest.param(SamplingMode.REORDERED, 0.0, id="SamplingMode.REORDERED"),
+] + [
+    pytest.param(
+        SamplingMode.ATFIM, threshold, id=f"SamplingMode.ATFIM-{threshold}"
     )
-    def test_frame_identical_to_scalar_shading(self, mode):
+    for threshold in (0.0, 0.05, 10.0)
+]
+
+
+def assert_renders_identical(batched, scalar, scene, camera, mode, threshold):
+    batched_out = batched.render(scene, camera, mode, threshold)
+    scalar_out = scalar.render(scene, camera, mode, threshold)
+    assert np.array_equal(batched_out.image, scalar_out.image)
+    assert batched_out.parent_reuses == scalar_out.parent_reuses
+    assert (
+        batched_out.parent_recalculations == scalar_out.parent_recalculations
+    )
+    return batched_out
+
+
+class TestBatchedRenderer:
+    @pytest.mark.parametrize("mode, threshold", SHADING_CASES)
+    def test_frame_identical_to_scalar_shading(self, mode, threshold):
         scene, camera = make_tiny_scene()
         batched = Renderer(width=48, height=36, tile_size=4, max_anisotropy=8)
         scalar = ScalarRenderer(
             width=48, height=36, tile_size=4, max_anisotropy=8
         )
-        batched_image = batched.render(scene, camera, mode).image
-        scalar_image = scalar.render(scene, camera, mode).image
-        assert np.array_equal(batched_image, scalar_image)
+        output = assert_renders_identical(
+            batched, scalar, scene, camera, mode, threshold
+        )
+        if mode is SamplingMode.ATFIM:
+            assert output.parent_recalculations > 0
+        else:
+            assert output.parent_reuses == output.parent_recalculations == 0
+
+    @pytest.mark.parametrize("name", ["hl2-640x480", "fear-320x240"])
+    def test_atfim_sweep_identical_on_unpinned_scenes(self, name):
+        # Fig. 15's golden hashes pin only the fast set; these scenes
+        # are held to the scalar store at every swept threshold.
+        workload = workload_by_name(name)
+        built = workload.build()
+        batched = workload.make_renderer()
+        raster = batched.rasterizer
+        scalar = ScalarRenderer(
+            width=batched.width,
+            height=batched.height,
+            tile_size=raster.tile_size,
+            max_anisotropy=raster.max_anisotropy,
+            lod_bias=raster.lod_bias,
+        )
+        for threshold in THRESHOLD_SWEEP:
+            assert_renders_identical(
+                batched, scalar, built.scene, built.camera,
+                SamplingMode.ATFIM, threshold.effective_radians,
+            )
+
+    def test_negative_threshold_rejected(self):
+        scene, camera = make_tiny_scene()
+        renderer = Renderer(width=16, height=12, tile_size=4)
+        with pytest.raises(ValueError):
+            renderer.render(scene, camera, SamplingMode.ATFIM, -0.01)

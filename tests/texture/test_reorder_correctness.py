@@ -3,10 +3,13 @@
 A-TFIM reorders texture filtering to run anisotropic *first* (averaging
 each parent texel's probe-displaced children in memory) and bilinear /
 trilinear afterwards.  Eq. (3) argues the output color is unchanged
-because the nested weighted averages commute.  These tests assert the
-claim *bit-exactly* over randomized textures, sample positions and
-footprints -- the strongest form of the paper's "our simulation results
-also confirm the correctness of the output texture".
+because the nested weighted averages commute.  That holds in exact
+arithmetic; in floating point the two orders add the same terms in a
+different order and round differently, so results differ in the last
+bits (at most 3.3e-16 per channel on the fast set's frames).  These
+tests assert the claim to ``atol=1e-12`` over randomized textures,
+sample positions and footprints -- the paper's "our simulation results
+also confirm the correctness of the output texture", up to rounding.
 """
 
 import numpy as np
