@@ -15,12 +15,14 @@ functional renderer by construction.  Coordinates are resolved to byte
 and cache-line addresses through a :class:`~repro.texture.address.TexelAddressMap`.
 
 It comes in two forms.  :meth:`RequestExpander.expand_frame` expands a
-whole trace in a few numpy passes into an :class:`ExpandedFrame`, CSR
-arrays (an offsets array plus one flat array of values) that every
-design's replay reads by request index; this is what the simulator runs.
-:meth:`RequestExpander.expand` walks one request in Python and returns an
-:class:`ExpandedRequest`: the readable reference that the columnar form
-is tested against, element for element and in the same order.
+whole trace, reading its columns, in a few numpy passes into an
+:class:`ExpandedFrame`, CSR arrays (an offsets array plus one flat array
+of values) that every design's replay reads by request index; this is
+what the simulator runs.  :meth:`RequestExpander.expand` walks one
+:class:`~repro.texture.requests.TextureRequest` row in Python and
+returns an :class:`ExpandedRequest`: the readable reference that the
+columnar form is tested against, element for element and in the same
+order.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.render.scene import Scene
 from repro.texture.address import TexelAddressMap
 from repro.texture.batch import RequestBatch, level_blend_arrays, probe_offset_arrays
 from repro.texture.mipmap import MipmapChain
-from repro.texture.requests import TextureRequest
+from repro.texture.requests import FragmentTrace, TextureRequest
 from repro.texture.sampling import (
     child_texel_coords,
     level_blend_for,
@@ -63,7 +65,8 @@ class ParentTexel:
 class ExpandedRequest:
     """All addresses one request touches, under both filter orders."""
 
-    request: TextureRequest
+    camera_angle: float
+    """The request's camera angle, radians (A-TFIM's reuse tag)."""
     conventional_lines: Tuple[int, ...]
     """Unique cache-line addresses of the conventional-order texel set."""
     num_conventional_texels: int
@@ -144,7 +147,6 @@ class ExpandedFrame:
     (for the scalar references in the tests).
     """
 
-    requests: Sequence[TextureRequest]
     texels: np.ndarray
     """Per request: conventional texel fetches before line coalescing."""
     camera_angles: np.ndarray
@@ -163,7 +165,7 @@ class ExpandedFrame:
     """Each parent's unique child lines, parent after parent."""
 
     def __len__(self) -> int:
-        return len(self.requests)
+        return len(self.texels)
 
     def __getitem__(self, index: int) -> ExpandedRequest:
         index = range(len(self))[index]
@@ -184,7 +186,7 @@ class ExpandedFrame:
             for k, parent in enumerate(range(first, last))
         )
         return ExpandedRequest(
-            request=self.requests[index],
+            camera_angle=float(self.camera_angles[index]),
             conventional_lines=tuple(self.lines[start:end].tolist()),
             num_conventional_texels=int(self.texels[index]),
             parents=parents,
@@ -207,10 +209,9 @@ class ExpandedFrame:
             return np.array(list(values), dtype=dtype)
 
         return cls(
-            requests=[item.request for item in expansions],
             texels=column(item.num_conventional_texels for item in expansions),
             camera_angles=column(
-                (item.request.camera_angle for item in expansions), np.float64
+                (item.camera_angle for item in expansions), np.float64
             ),
             line_offsets=_offsets(
                 column(len(item.conventional_lines) for item in expansions)
@@ -322,7 +323,7 @@ class RequestExpander:
             )
 
         return ExpandedRequest(
-            request=request,
+            camera_angle=request.camera_angle,
             conventional_lines=tuple(conventional_lines),
             num_conventional_texels=texel_count,
             parents=tuple(parent_records),
@@ -330,26 +331,25 @@ class RequestExpander:
         )
 
     def expand_frame(
-        self, requests: Sequence[TextureRequest], aniso_enabled: bool = True
+        self, trace: FragmentTrace, aniso_enabled: bool = True
     ) -> ExpandedFrame:
         """Expand a whole trace at once: :meth:`expand` of every request.
 
-        Requests are grouped by (texture, probe count), so every group's
+        Reads the trace's columns; no request row is built.  Requests
+        are grouped by (texture, probe count), so every group's
         address sets are rectangular arrays, and each group is expanded
         in one vectorised pass.  With ``aniso_enabled=False`` (Fig. 4's
         trilinear-only study) every footprint takes one probe: the
         conventional set collapses to the parent texels and each parent
         is its own single child.
         """
-        count = len(requests)
+        count = len(trace)
         if count == 0:
             return ExpandedFrame.from_requests([])
-        batch = RequestBatch.from_requests(requests)
+        batch = RequestBatch.from_trace(trace)
         if not aniso_enabled:
             batch.probes = np.ones(count, dtype=np.int64)
-        texture_ids = np.array(
-            [request.texture_id for request in requests], dtype=np.int64
-        )
+        texture_ids = trace.texture_id
         members: List[np.ndarray] = []
         groups: List[_Group] = []
         for texture_id in np.unique(texture_ids).tolist():
@@ -376,12 +376,8 @@ class RequestExpander:
             joined("child_line_counts"), parent_take
         )
         return ExpandedFrame(
-            requests=requests,
             texels=joined("texels")[position],
-            camera_angles=np.array(
-                [request.camera_angle for request in requests],
-                dtype=np.float64,
-            ),
+            camera_angles=trace.camera_angle,
             line_offsets=line_offsets,
             lines=joined("lines")[line_take],
             parent_offsets=parent_offsets,

@@ -113,13 +113,13 @@ def simulate_frame(
     with obs.span(
         "core.simulate_frame",
         design=config.design.value,
-        requests=len(trace.requests),
+        requests=len(trace),
         aniso_enabled=config.aniso_enabled,
     ):
         traffic = TrafficMeter()
         expander = RequestExpander(scene)
         with obs.span("core.expand"):
-            expanded = expander.expand_frame(trace.requests, config.aniso_enabled)
+            expanded = expander.expand_frame(trace, config.aniso_enabled)
 
         path = make_texture_path(config, traffic)
         pipeline = GpuPipeline(config.gpu)
@@ -205,7 +205,7 @@ def simulate_sequence(
     for frame_index, trace in enumerate(traces):
         with obs.span("core.simulate_sequence_frame", frame=frame_index,
                       design=config.design.value):
-            expanded = expander.expand_frame(trace.requests, config.aniso_enabled)
+            expanded = expander.expand_frame(trace, config.aniso_enabled)
             before = traffic.snapshot()
             frame = pipeline.simulate_frame(
                 trace=trace,

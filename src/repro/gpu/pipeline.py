@@ -172,20 +172,12 @@ class GpuPipeline:
         distributing tiles round-robin across clusters is the baseline
         architecture's load-balancing policy and keeps a tile's texel
         locality within one L1.  Pure integer tile math, evaluated as
-        one numpy expression over the gathered tile columns.
+        one numpy expression over the trace's tile columns.
         """
         tile_size = trace.tile_size
         tiles_x = max(1, (trace.width + tile_size - 1) // tile_size)
-        num_requests = len(trace.requests)
-        tile_x = np.fromiter(
-            (request.tile_x for request in trace.requests),
-            dtype=np.int64, count=num_requests,
-        )
-        tile_y = np.fromiter(
-            (request.tile_y for request in trace.requests),
-            dtype=np.int64, count=num_requests,
-        )
-        return (tile_y * tiles_x + tile_x) % self.config.num_clusters
+        tiles = trace.tile_y * tiles_x + trace.tile_x
+        return tiles % self.config.num_clusters
 
     def _partition(
         self, trace: FragmentTrace
@@ -249,7 +241,7 @@ class GpuPipeline:
         after the first few cycles), so numpy state arrays per round
         cost more than they save.
         """
-        if len(expanded) != len(trace.requests):
+        if len(expanded) != len(trace):
             raise ValueError("expansion does not match the trace")
         frame = self._frame_for(expanded)
         config = self.config
@@ -366,7 +358,7 @@ class GpuPipeline:
 
         geometry = simulate_geometry(config, num_vertices, traffic)
 
-        raster_cycles = len(trace.requests) / config.fragments_per_cycle_raster
+        raster_cycles = len(trace) / config.fragments_per_cycle_raster
 
         texture_cycles, histogram, fragments_per_cluster = (
             self.replay_texture_stream(trace, frame, path)
@@ -376,7 +368,7 @@ class GpuPipeline:
 
         rop = simulate_rop(
             config,
-            num_fragments=len(trace.requests),
+            num_fragments=len(trace),
             num_pixels=trace.width * trace.height,
             external_bytes_per_cycle=external_bytes_per_cycle,
             traffic=traffic,
@@ -401,8 +393,8 @@ class GpuPipeline:
             texture_latency=histogram,
             path_activity=path.activity(),
             cache_stats=path.cache_stats(),
-            num_fragments=len(trace.requests),
-            num_requests=len(trace.requests),
+            num_fragments=len(trace),
+            num_requests=len(trace),
             texels_requested=texels,
             geometry=geometry,
             rop=rop,

@@ -2,8 +2,8 @@
 
 This subpackage renders actual images (so PSNR comparisons in the quality
 study are real) and, as a side effect of rasterization, produces the
-per-fragment texture request traces that drive the cycle-approximate
-performance model.
+columnar texture request traces that the shader reads and that drive
+the cycle-approximate performance model.
 
 * :mod:`repro.render.camera` -- pinhole camera, view/projection matrices.
 * :mod:`repro.render.scene` -- scenes of textured triangles.

@@ -52,10 +52,22 @@ class Framebuffer:
         self.depth_passes += int(mask.sum())
         return mask
 
-    def write(self, x: int, y: int, z: float, color: np.ndarray) -> None:
-        """Unconditionally commit a fragment that passed the depth test."""
-        self.depth[y, x] = z
-        self.color[y, x] = color
+    def write_colors(
+        self, xs: np.ndarray, ys: np.ndarray, colors: np.ndarray
+    ) -> None:
+        """Commit shaded fragments in order: each pixel keeps its last.
+
+        The image equals that of writing the fragments one at a time.
+        numpy does not say which value an assignment with duplicate
+        indices keeps, so only each pixel's last fragment is scattered.
+        Depth is left alone: the rasterizer's early-Z already wrote each
+        pixel's nearest depth, which for fragments that passed it in
+        order is the last one's.
+        """
+        pixels = ys * self.width + xs
+        _, from_end = np.unique(pixels[::-1], return_index=True)
+        last = len(pixels) - 1 - from_end
+        self.color[ys[last], xs[last]] = colors[last]
 
     def clear(self) -> None:
         self.color.fill(0.0)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,24 +34,7 @@ from repro.render.framebuffer import Framebuffer
 from repro.render.scene import Scene, TexturedTriangle
 from repro.texture import npmath
 from repro.texture.lod import compute_footprint_batch
-from repro.texture.requests import TextureRequest
-
-
-@dataclass
-class RasterFragment:
-    """One fragment emitted by the rasterizer (pre-shading)."""
-
-    x: int
-    y: int
-    depth: float
-    u: float
-    v: float
-    dudx: float
-    dvdx: float
-    dudy: float
-    dvdy: float
-    camera_angle: float
-    texture_id: int
+from repro.texture.requests import FragmentTrace
 
 
 @dataclass(frozen=True)
@@ -59,15 +42,14 @@ class FragmentBatch:
     """SoA fragment stream: one scanned triangle's fragments as columns.
 
     The rasterizer emits these directly -- numpy arrays for pixel
-    position, depth, texture coordinates, derivatives and camera angle --
-    so footprint math and request generation stay batched all the way to
-    the expander's AoS bridge.  :meth:`to_fragments` is the adapter back
-    to :class:`RasterFragment` rows.
+    position, texture coordinates, derivatives and camera angle -- and
+    :meth:`Rasterizer.rasterize_scene` concatenates them into the frame's
+    :class:`~repro.texture.requests.FragmentTrace`.  Depth goes straight
+    to the framebuffer's early-Z buffer.
     """
 
     x: np.ndarray
     y: np.ndarray
-    depth: np.ndarray
     u: np.ndarray
     v: np.ndarray
     dudx: np.ndarray
@@ -85,29 +67,10 @@ class FragmentBatch:
         ints = np.empty(0, dtype=np.int64)
         floats = np.empty(0, dtype=np.float64)
         return cls(
-            x=ints, y=ints, depth=floats, u=floats, v=floats,
+            x=ints, y=ints, u=floats, v=floats,
             dudx=floats, dvdx=floats, dudy=floats, dvdy=floats,
             camera_angle=floats, texture_id=texture_id,
         )
-
-    def to_fragments(self) -> List[RasterFragment]:
-        """AoS adapter: materialise the columns as fragment rows."""
-        return [
-            RasterFragment(
-                x=int(self.x[index]),
-                y=int(self.y[index]),
-                depth=float(self.depth[index]),
-                u=float(self.u[index]),
-                v=float(self.v[index]),
-                dudx=float(self.dudx[index]),
-                dvdx=float(self.dvdx[index]),
-                dudy=float(self.dudy[index]),
-                dvdy=float(self.dvdy[index]),
-                camera_angle=float(self.camera_angle[index]),
-                texture_id=self.texture_id,
-            )
-            for index in range(len(self.x))
-        ]
 
 
 @dataclass
@@ -172,28 +135,45 @@ class Rasterizer:
         scene: Scene,
         camera: Camera,
         framebuffer: Framebuffer,
-    ) -> List[Tuple[RasterFragment, TextureRequest]]:
-        """Rasterize every triangle; return visible fragments + requests.
+    ) -> FragmentTrace:
+        """Rasterize every triangle into the frame's :class:`FragmentTrace`.
 
-        Fragments are emitted in triangle submission order; each carries a
-        :class:`TextureRequest` ready for either the functional sampler or
-        the cycle model.  The framebuffer's depth buffer is updated so
-        later triangles are early-Z culled against earlier ones (the
-        returned list still contains fragments that are later overdrawn,
+        The per-triangle :class:`FragmentBatch` columns are concatenated
+        in submission order; one :func:`compute_footprint_batch` call
+        over the whole frame gives every footprint, and each fragment's
+        tile comes from its pixel.  The framebuffer's depth buffer is
+        updated so later triangles are early-Z culled against earlier
+        ones (the trace still holds fragments that are later overdrawn,
         exactly as a real immediate-mode pipeline would shade them).
-
-        The fragment stream flows as :class:`FragmentBatch` columns with
-        batched footprint math; this method then materialises the AoS
-        pairs at the end.  Callers that only need requests should use
-        :meth:`trace_requests`, which skips the :class:`RasterFragment`
-        materialisation entirely.
         """
-        results: List[Tuple[RasterFragment, TextureRequest]] = []
-        for batch in self.rasterize_batches(scene, camera, framebuffer):
-            results.extend(
-                zip(batch.to_fragments(), self.requests_from_batch(batch))
-            )
-        return results
+        batches = self.rasterize_batches(scene, camera, framebuffer)
+        if not batches:
+            batches = [FragmentBatch.empty(0)]
+
+        def column(name: str) -> np.ndarray:
+            return np.concatenate([getattr(batch, name) for batch in batches])
+
+        x, y = column("x"), column("y")
+        return FragmentTrace(
+            width=framebuffer.width,
+            height=framebuffer.height,
+            pixel_x=x,
+            pixel_y=y,
+            texture_id=np.repeat(
+                np.array([b.texture_id for b in batches], dtype=np.int64),
+                [len(b) for b in batches],
+            ),
+            u=column("u"),
+            v=column("v"),
+            footprint=compute_footprint_batch(
+                column("dudx"), column("dvdx"), column("dudy"), column("dvdy"),
+                max_anisotropy=self.max_anisotropy, lod_bias=self.lod_bias,
+            ),
+            camera_angle=column("camera_angle"),
+            tile_x=x // self.tile_size,
+            tile_y=y // self.tile_size,
+            tile_size=self.tile_size,
+        )
 
     def rasterize_batches(
         self,
@@ -222,51 +202,6 @@ class Rasterizer:
                 self.stats.triangles_rasterized += 1
             batches.extend(batch for batch in emissions if len(batch))
         return batches
-
-    def trace_requests(
-        self,
-        scene: Scene,
-        camera: Camera,
-        framebuffer: Framebuffer,
-    ) -> List[TextureRequest]:
-        """Rasterize and return only the texture requests (trace path).
-
-        The fast path for the cycle model: the SoA batches go straight to
-        batched footprint math and request materialisation, skipping
-        :class:`RasterFragment` entirely.
-        """
-        requests: List[TextureRequest] = []
-        for batch in self.rasterize_batches(scene, camera, framebuffer):
-            requests.extend(self.requests_from_batch(batch))
-        return requests
-
-    def requests_from_batch(self, batch: FragmentBatch) -> List[TextureRequest]:
-        """Turn one SoA batch into texture requests with batched math.
-
-        Footprints (hypot/log2 heavy) and tile coordinates are computed
-        as whole columns; the final loop only materialises the frozen
-        :class:`TextureRequest` rows the per-request expander consumes.
-        """
-        footprints = compute_footprint_batch(
-            batch.dudx, batch.dvdx, batch.dudy, batch.dvdy,
-            max_anisotropy=self.max_anisotropy, lod_bias=self.lod_bias,
-        )
-        tiles_x = batch.x // self.tile_size
-        tiles_y = batch.y // self.tile_size
-        return [
-            TextureRequest(
-                pixel_x=int(batch.x[index]),
-                pixel_y=int(batch.y[index]),
-                texture_id=batch.texture_id,
-                u=float(batch.u[index]),
-                v=float(batch.v[index]),
-                footprint=footprints.footprint(index),
-                camera_angle=float(batch.camera_angle[index]),
-                tile_x=int(tiles_x[index]),
-                tile_y=int(tiles_y[index]),
-            )
-            for index in range(len(batch))
-        ]
 
     def _rasterize_triangle(
         self,
@@ -519,7 +454,6 @@ class Rasterizer:
         return FragmentBatch(
             x=pixel_x,
             y=pixel_y,
-            depth=depth,
             u=u,
             v=v,
             dudx=dudx,

@@ -4,8 +4,9 @@ The renderer produces two artefacts from one rasterization pass:
 
 * an actual RGBA image, filtered under a chosen :class:`SamplingMode` --
   this is what the quality study (Fig. 15/16) compares via PSNR;
-* a :class:`~repro.texture.requests.FragmentTrace` of per-fragment
-  texture requests, which the cycle-approximate performance model replays.
+* a :class:`~repro.texture.requests.FragmentTrace`, the frame's texture
+  requests as columns, which the shader reads here and the
+  cycle-approximate performance model replays.
 
 Sampling modes:
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from repro.render.camera import Camera
 from repro.render.framebuffer import Framebuffer
 from repro.render.raster import Rasterizer, RasterStats
 from repro.render.scene import Scene
-from repro.texture.requests import FragmentTrace, TextureRequest
+from repro.texture.requests import FragmentTrace
 
 
 class SamplingMode(Enum):
@@ -94,15 +95,7 @@ class Renderer:
         with obs.span(
             "render.trace_only", width=self.width, height=self.height
         ):
-            requests = self.rasterizer.trace_requests(
-                scene, camera, framebuffer
-            )
-        trace = FragmentTrace(
-            width=self.width,
-            height=self.height,
-            requests=requests,
-            tile_size=self.rasterizer.tile_size,
-        )
+            trace = self.rasterizer.rasterize_scene(scene, camera, framebuffer)
         return RenderOutput(
             image=framebuffer.rgb_image(),
             trace=trace,
@@ -120,8 +113,12 @@ class Renderer:
         """Rasterize and shade every visible fragment.
 
         ``angle_threshold`` (radians) only applies to
-        :attr:`SamplingMode.ATFIM`.
+        :attr:`SamplingMode.ATFIM`.  The shaded colours are written in
+        submission order, so an overdrawn pixel shows its last fragment,
+        the nearest one early-Z let through.
         """
+        if mode is SamplingMode.ATFIM and angle_threshold < 0:
+            raise ValueError("threshold must be non-negative")
         with obs.span(
             "render.render",
             mode=mode.value,
@@ -130,28 +127,15 @@ class Renderer:
         ):
             framebuffer = Framebuffer(self.width, self.height)
             with obs.span("render.rasterize"):
-                shaded = self.rasterizer.rasterize_scene(
+                trace = self.rasterizer.rasterize_scene(
                     scene, camera, framebuffer
                 )
-
-            if mode is SamplingMode.ATFIM and angle_threshold < 0:
-                raise ValueError("threshold must be non-negative")
-            requests: List[TextureRequest] = [request for _, request in shaded]
-            with obs.span("render.shade", fragments=len(shaded)):
+            with obs.span("render.shade", fragments=len(trace)):
                 colors, reuses, recalculations = self._shade_batch(
-                    scene, requests, mode, angle_threshold
+                    scene, trace, mode, angle_threshold
                 )
-                for index, (fragment, _request) in enumerate(shaded):
-                    framebuffer.write(
-                        fragment.x, fragment.y, fragment.depth, colors[index]
-                    )
+                framebuffer.write_colors(trace.pixel_x, trace.pixel_y, colors)
 
-        trace = FragmentTrace(
-            width=self.width,
-            height=self.height,
-            requests=requests,
-            tile_size=self.rasterizer.tile_size,
-        )
         return RenderOutput(
             image=framebuffer.rgb_image(),
             trace=trace,
@@ -164,20 +148,20 @@ class Renderer:
     def _shade_batch(
         self,
         scene: Scene,
-        requests: List[TextureRequest],
+        trace: FragmentTrace,
         mode: SamplingMode,
         angle_threshold: float,
     ) -> Tuple[np.ndarray, int, int]:
         """Shade every request through the batched kernels, per texture.
 
         Fragments are grouped by texture (each group shares one mip
-        chain), filtered as arrays, and scattered back into submission
-        order.  A-TFIM's parent keys never span textures, so deciding
-        reuse per group, in request order, is exact.  Returns the colors
-        and, for :attr:`SamplingMode.ATFIM`, the parent reuse and
-        recalculation counts (zero otherwise).  With
-        ``REPRO_CHECK_INVARIANTS=1`` each group is also validated
-        against the scalar oracle at drain time
+        chain), sliced from the trace's columns in submission order,
+        filtered as arrays, and scattered back.  A-TFIM's parent keys
+        never span textures, so deciding reuse per group, in request
+        order, is exact.  Returns the colors and, for
+        :attr:`SamplingMode.ATFIM`, the parent reuse and recalculation
+        counts (zero otherwise).  With ``REPRO_CHECK_INVARIANTS=1`` each
+        group is also validated against the scalar oracle at drain time
         (``batch-fetch-parity``: bit-identical colors or recalculated
         parents, equal texel fetch sets).
         """
@@ -188,16 +172,13 @@ class Renderer:
             anisotropic_first_batch,
         )
 
-        colors = np.zeros((len(requests), 4), dtype=np.float64)
+        colors = np.zeros((len(trace), 4), dtype=np.float64)
         reuses = recalculations = 0
-        by_texture: Dict[int, List[int]] = {}
-        for index, request in enumerate(requests):
-            by_texture.setdefault(request.texture_id, []).append(index)
-        for texture_id, indices in by_texture.items():
+        for texture_id in np.unique(trace.texture_id).tolist():
+            indices = np.nonzero(trace.texture_id == texture_id)[0]
             chain = scene.mipmap_chain(texture_id)
             sampler = BatchSampler(chain)
-            group = [requests[i] for i in indices]
-            batch = RequestBatch.from_requests(group)
+            batch = RequestBatch.from_trace(trace, indices)
             producers = None
             if mode is SamplingMode.EXACT:
                 colors[indices] = sampler.sample_exact(batch)
@@ -206,7 +187,7 @@ class Renderer:
             else:
                 angles = None
                 if mode is SamplingMode.ATFIM:
-                    angles = np.array([r.camera_angle for r in group])
+                    angles = trace.camera_angle[indices]
                 colors[indices], producers = anisotropic_first_batch(
                     chain, batch, angles, angle_threshold
                 )

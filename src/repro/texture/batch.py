@@ -45,13 +45,13 @@ one step that is not elementwise is A-TFIM's reuse decision
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.texture.lod import SampleFootprint, quantize_angles
 from repro.texture.mipmap import MipmapChain
-from repro.texture.requests import TextureRequest
+from repro.texture.requests import FragmentTrace
 from repro.texture.sampling import TexelCoord
 
 
@@ -76,30 +76,19 @@ class RequestBatch:
         return int(self.u.shape[0])
 
     @classmethod
-    def from_footprints(
-        cls,
-        footprints: Sequence[SampleFootprint],
-        us: Sequence[float],
-        vs: Sequence[float],
+    def from_trace(
+        cls, trace: FragmentTrace, rows: Union[slice, np.ndarray] = slice(None)
     ) -> "RequestBatch":
+        """The lookups at ``rows`` of a trace (all of them by default)."""
+        footprint = trace.footprint
         return cls(
-            u=np.asarray(us, dtype=np.float64),
-            v=np.asarray(vs, dtype=np.float64),
-            lod=np.array([f.lod for f in footprints], dtype=np.float64),
-            probes=np.array([f.probes for f in footprints], dtype=np.int64),
-            major_du=np.array([f.major_du for f in footprints], dtype=np.float64),
-            major_dv=np.array([f.major_dv for f in footprints], dtype=np.float64),
-            major_length=np.array(
-                [f.major_length for f in footprints], dtype=np.float64
-            ),
-        )
-
-    @classmethod
-    def from_requests(cls, requests: Sequence[TextureRequest]) -> "RequestBatch":
-        return cls.from_footprints(
-            [request.footprint for request in requests],
-            [request.u for request in requests],
-            [request.v for request in requests],
+            u=trace.u[rows],
+            v=trace.v[rows],
+            lod=footprint.lod[rows],
+            probes=footprint.probes[rows],
+            major_du=footprint.major_du[rows],
+            major_dv=footprint.major_dv[rows],
+            major_length=footprint.major_length[rows],
         )
 
 

@@ -153,8 +153,8 @@ class FootprintBatch:
     """SoA form of :class:`SampleFootprint` for a fragment batch.
 
     Columns are parallel numpy arrays; ``footprint(i)`` materialises one
-    row as a :class:`SampleFootprint` (the AoS bridge the per-request
-    expander still consumes).
+    row as a :class:`SampleFootprint`, for the request rows that
+    :attr:`~repro.texture.requests.FragmentTrace.requests` builds.
     """
 
     lod: np.ndarray

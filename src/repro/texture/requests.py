@@ -1,20 +1,25 @@
 """Trace record types exchanged between the renderer and cycle model.
 
-The functional renderer walks the scene once and emits, per fragment, a
-:class:`TextureRequest` describing everything the texture subsystem needs
-to replay the lookup architecturally: the footprint (LOD, anisotropy,
-probe axis), the camera angle, and which texture is addressed.  The
-cycle model expands requests into :class:`TexelFetch` streams using the
-same sampling math as the functional path, so functional and
-architectural texel counts agree by construction.
+The rasterizer emits one :class:`FragmentTrace` per frame: every visible
+fragment's texture lookup -- the footprint (LOD, anisotropy, probe axis),
+the camera angle, and which texture is addressed -- as columns in
+submission order.  The functional shader, the cycle model's request
+expander and the GPU pipeline all read those columns, and the expander
+uses the same sampling math as the functional path, so functional and
+architectural texel counts agree by construction.  A
+:class:`TextureRequest` is one row of a trace, built on demand through
+:attr:`FragmentTrace.requests` for the scalar references.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Union
 
-from repro.texture.lod import SampleFootprint
+import numpy as np
+
+from repro.texture.lod import FootprintBatch, SampleFootprint
 
 
 @dataclass(frozen=True)
@@ -58,29 +63,82 @@ class TexelFetch:
             raise ValueError("negative address")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FragmentTrace:
-    """The complete per-frame texture request stream plus frame stats."""
+    """One frame's texture requests as columns, in submission order.
+
+    Every array holds one entry per fragment, and entry ``i`` of all of
+    them is the frame's ``i``-th :class:`TextureRequest`.  The columns
+    are checked as a request's fields are: no texture id and no camera
+    angle may be negative.
+    """
 
     width: int
     height: int
-    requests: List[TextureRequest]
+    pixel_x: np.ndarray
+    pixel_y: np.ndarray
+    texture_id: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    """Sample positions in level-0 texel units."""
+    footprint: FootprintBatch
+    camera_angle: np.ndarray
+    """Angle between surface normal and view vector, radians."""
+    tile_x: np.ndarray
+    tile_y: np.ndarray
+    """Rasterizer tile of each fragment (drives cluster binding)."""
     tile_size: int = 16
-    """The rasterizer tile size the requests' tile coordinates use."""
+    """The rasterizer tile size the tile columns use."""
+
+    def __post_init__(self) -> None:
+        if bool(np.any(self.texture_id < 0)):
+            raise ValueError("negative texture id")
+        if bool(np.any(self.camera_angle < 0)):
+            raise ValueError("negative camera angle")
+
+    def __len__(self) -> int:
+        return len(self.u)
 
     @property
     def num_fragments(self) -> int:
-        return len(self.requests)
+        return len(self)
 
-    def requests_by_tile(self, tiles_x: int) -> List[Tuple[int, TextureRequest]]:
-        """Pair each request with a flattened tile index.
+    @property
+    def requests(self) -> Sequence[TextureRequest]:
+        """The trace as a read-only sequence of rows.
 
-        The GPU pipeline assigns fragment tiles round-robin to shader
-        clusters; this helper produces the (tile, request) pairs that
-        the assignment consumes.
+        ``len()`` is free; each access builds one :class:`TextureRequest`
+        from the columns, and nothing is kept.
         """
-        paired = []
-        for request in self.requests:
-            tile_index = request.tile_y * tiles_x + request.tile_x
-            paired.append((tile_index, request))
-        return paired
+        return _RequestRows(self)
+
+
+class _RequestRows(Sequence):
+    """The :attr:`FragmentTrace.requests` view."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: FragmentTrace) -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace)
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[TextureRequest, List[TextureRequest]]:
+        picked = range(len(self))[index]
+        if isinstance(picked, range):
+            return [self[row] for row in picked]
+        trace = self._trace
+        return TextureRequest(
+            pixel_x=int(trace.pixel_x[picked]),
+            pixel_y=int(trace.pixel_y[picked]),
+            texture_id=int(trace.texture_id[picked]),
+            u=float(trace.u[picked]),
+            v=float(trace.v[picked]),
+            footprint=trace.footprint.footprint(picked),
+            camera_angle=float(trace.camera_angle[picked]),
+            tile_x=int(trace.tile_x[picked]),
+            tile_y=int(trace.tile_y[picked]),
+        )

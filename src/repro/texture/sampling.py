@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -316,7 +316,6 @@ def anisotropic_first_sample(
     u: float,
     v: float,
     recorder: Optional[_FetchRecorder] = None,
-    parent_overrides: Optional[Dict[TexelCoord, np.ndarray]] = None,
 ) -> np.ndarray:
     """A-TFIM reordered filtering: anisotropic first, then bi/trilinear.
 
@@ -327,20 +326,11 @@ def anisotropic_first_sample(
     in floating point the sums round differently, and the property tests
     in ``tests/texture/test_reorder_correctness.py`` assert agreement to
     1e-12.
-
-    ``parent_overrides`` lets the caller substitute cached (possibly
-    angle-stale) parent values, which is how the functional A-TFIM
-    renderer models the camera-angle reuse approximation.
     """
     parents = parent_texel_coords(chain, footprint.lod, u, v)
     color = np.zeros(4, dtype=np.float64)
     for level, x, y, weight in parents:
-        mip = chain.level(level)
-        key = (level, x % mip.width, y % mip.height)
-        if parent_overrides is not None and key in parent_overrides:
-            value = parent_overrides[key]
-        else:
-            value = filter_parent_texel(chain, footprint, level, x, y, recorder)
+        value = filter_parent_texel(chain, footprint, level, x, y, recorder)
         color += weight * value
     return color
 

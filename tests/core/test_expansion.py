@@ -25,6 +25,7 @@ from repro.texture.sampling import TextureSampler
 from repro.texture.texture import Texture
 from repro.workloads import workload_by_name
 from repro.workloads.textures import ProceduralTextureLibrary
+from tests.reference import trace_from_requests
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +53,8 @@ def single_probe(request):
 
 def isotropic(expander, request):
     """The scalar reference of ``expand_frame(aniso_enabled=False)``:
-    ``expand`` at one probe, reported against the original request."""
-    expanded = expander.expand(single_probe(request))
-    return dataclasses.replace(expanded, request=request)
+    ``expand`` at one probe."""
+    return expander.expand(single_probe(request))
 
 
 class TestExpansion:
@@ -115,7 +115,9 @@ class TestExpansion:
     def test_isotropic_expansion_collapses(self, scene):
         expander = RequestExpander(scene)
         request = make_request(probes=8, lod=1.5)
-        expanded = expander.expand_frame([request], aniso_enabled=False)[0]
+        expanded = expander.expand_frame(
+            trace_from_requests([request]), aniso_enabled=False
+        )[0]
         # Anisotropy disabled: only the 8 trilinear taps remain.
         assert expanded.num_conventional_texels == 8
         for parent in expanded.parents:
@@ -125,7 +127,9 @@ class TestExpansion:
         expander = RequestExpander(scene)
         request = make_request(probes=8)
         full = expander.expand(request)
-        flat = expander.expand_frame([request], aniso_enabled=False)[0]
+        flat = expander.expand_frame(
+            trace_from_requests([request]), aniso_enabled=False
+        )[0]
         assert flat.num_conventional_texels < full.num_conventional_texels
 
 
@@ -145,15 +149,15 @@ class TestExpandFrame:
     def test_matches_scalar_expand_on_fast_traces(self, fast_trace):
         scene, trace = fast_trace
         expander = RequestExpander(scene)
-        frame = expander.expand_frame(trace.requests)
-        assert len(frame) == len(trace.requests)
+        frame = expander.expand_frame(trace)
+        assert len(frame) == len(trace)
         for index, request in enumerate(trace.requests):
             assert frame[index] == expander.expand(request)
 
     def test_isotropic_is_expand_at_one_probe(self):
         scene, trace = workload_by_name(FAST_WORKLOADS[0]).trace()
         expander = RequestExpander(scene)
-        frame = expander.expand_frame(trace.requests, aniso_enabled=False)
+        frame = expander.expand_frame(trace, aniso_enabled=False)
         for index, request in enumerate(trace.requests):
             assert frame[index] == isotropic(expander, request)
 
@@ -168,7 +172,7 @@ class TestExpandFrame:
         assert frame[-1] == expanded[-1]
 
     def test_empty_trace(self, scene):
-        frame = RequestExpander(scene).expand_frame([])
+        frame = RequestExpander(scene).expand_frame(trace_from_requests([]))
         assert len(frame) == 0
         assert frame.line_offsets.tolist() == [0]
         assert frame.parent_offsets.tolist() == [0]
@@ -223,8 +227,9 @@ class TestExpandFrameProperties:
     )
     def test_matches_scalar_expand(self, requests, line_bytes):
         expander = RequestExpander(PROPERTY_SCENE, line_bytes=line_bytes)
-        frame = expander.expand_frame(requests)
-        flat = expander.expand_frame(requests, aniso_enabled=False)
+        trace = trace_from_requests(requests)
+        frame = expander.expand_frame(trace)
+        flat = expander.expand_frame(trace, aniso_enabled=False)
         for index, request in enumerate(requests):
             assert frame[index] == expander.expand(request)
             assert flat[index] == isotropic(expander, request)

@@ -13,8 +13,16 @@ exact render, then its A-TFIM render at each threshold), the sha256 of
 the image and the render's parent reuse and recalculation counts.  A
 change that alters an image but not its PSNR shows up there.
 
-Both files are regenerated only by this command, from the repository
-root::
+Every fast-set fragment lands on its own pixel, so neither file can see
+the order in which overlapping fragments are written.
+``overdraw_renders.json`` pins two frames whose fragments overdraw,
+hl2-640x480 and fear-640x480: for the exact render and the A-TFIM
+render at each threshold of ``THRESHOLD_SWEEP``, the fragment and
+covered-pixel counts, the sha256 of the image and of the depth buffer,
+and the parent reuse and recalculation counts.
+
+All three files are regenerated only by this command, from the
+repository root::
 
     PYTHONPATH=src python -m tests.golden.test_figure_tables --regenerate
 """
@@ -28,16 +36,21 @@ from pathlib import Path
 from typing import Any, Dict, List, NamedTuple
 from unittest import mock
 
+import numpy as np
 import pytest
 
+from repro.core.angle import THRESHOLD_SWEEP
 from repro.experiments import tables
 from repro.experiments.common import FigureData
 from repro.experiments.report import figure_tables
 from repro.experiments.runner import FAST_WORKLOADS, ExperimentRunner
 from repro.render.renderer import Renderer, SamplingMode
+from repro.workloads import workload_by_name
 
 GOLDEN = Path(__file__).with_name("figure_tables.json")
 IMAGES = Path(__file__).with_name("fig15_images.json")
+OVERDRAW = Path(__file__).with_name("overdraw_renders.json")
+OVERDRAW_WORKLOADS = ("hl2-640x480", "fear-640x480")
 
 TEXT_TABLES = {
     "Table I": tables.format_table1,
@@ -90,6 +103,40 @@ def report_tables() -> Report:
     return Report(tables=pinned, images=images)
 
 
+def _sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+def overdraw_renders() -> List[Dict[str, Any]]:
+    """The exact and swept A-TFIM renders of the overdrawn scenes."""
+    renders = [(SamplingMode.EXACT, 0.0)] + [
+        (SamplingMode.ATFIM, threshold.effective_radians)
+        for threshold in THRESHOLD_SWEEP
+    ]
+    pins: List[Dict[str, Any]] = []
+    for name in OVERDRAW_WORKLOADS:
+        workload = workload_by_name(name)
+        built = workload.build()
+        renderer = workload.make_renderer()
+        for mode, angle_threshold in renders:
+            output = renderer.render(
+                built.scene, built.camera, mode, angle_threshold
+            )
+            depth = output.framebuffer.depth
+            pins.append({
+                "workload": name,
+                "mode": mode.value,
+                "angle_threshold": angle_threshold,
+                "fragments": output.trace.num_fragments,
+                "pixels": int(np.isfinite(depth).sum()),
+                "image_sha256": _sha256(output.image),
+                "depth_sha256": _sha256(depth),
+                "parent_reuses": output.parent_reuses,
+                "parent_recalculations": output.parent_recalculations,
+            })
+    return pins
+
+
 @pytest.fixture(scope="module")
 def current():
     return report_tables()
@@ -115,6 +162,14 @@ def test_fig15_images_match_golden(current):
     assert current.images == pinned
 
 
+def test_overdraw_renders_match_golden():
+    pinned = json.loads(OVERDRAW.read_text())
+    assert len(pinned) == len(OVERDRAW_WORKLOADS) * (1 + len(THRESHOLD_SWEEP))
+    # The pins are only worth having while the scenes overdraw.
+    assert all(pin["fragments"] > pin["pixels"] for pin in pinned)
+    assert overdraw_renders() == pinned
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit("usage: python -m tests.golden.test_figure_tables --regenerate")
@@ -125,4 +180,7 @@ if __name__ == "__main__":
     IMAGES.write_text(
         json.dumps(report.images, indent=1, allow_nan=False) + "\n"
     )
-    print(f"wrote {GOLDEN} and {IMAGES}")
+    OVERDRAW.write_text(
+        json.dumps(overdraw_renders(), indent=1, allow_nan=False) + "\n"
+    )
+    print(f"wrote {GOLDEN}, {IMAGES} and {OVERDRAW}")

@@ -33,7 +33,6 @@ from repro.gpu.pipeline import GpuPipeline
 from repro.memory.traffic import TrafficMeter
 from repro.render.renderer import Renderer
 from repro.texture.cache import CacheConfig
-from repro.texture.requests import FragmentTrace
 from tests import reference
 from tests.conftest import make_tiny_scene
 
@@ -58,8 +57,8 @@ def frame():
     return {
         "trace": trace,
         "expander": expander,
-        "aniso": expander.expand_frame(trace.requests),
-        "iso": expander.expand_frame(trace.requests, aniso_enabled=False),
+        "aniso": expander.expand_frame(trace),
+        "iso": expander.expand_frame(trace, aniso_enabled=False),
         "aniso_list": [expander.expand(r) for r in trace.requests],
         "iso_list": [expander.expand(single_probe(r)) for r in trace.requests],
     }
@@ -190,14 +189,13 @@ class TestBitIdentity:
         ``simulate_sequence`` does: nothing of the first frame's
         per-frame precompute may leak into the second."""
         trace = frame["trace"]
-        suffix = FragmentTrace(
-            width=trace.width, height=trace.height,
-            requests=trace.requests[len(trace.requests) // 2:],
-            tile_size=trace.tile_size,
+        suffix = reference.trace_from_requests(
+            trace.requests[len(trace) // 2:],
+            trace.width, trace.height, trace.tile_size,
         )
         frames = [
             (trace, pick_expansions(design, frame)),
-            (suffix, frame["expander"].expand_frame(suffix.requests)),
+            (suffix, frame["expander"].expand_frame(suffix)),
         ]
         scalar = replay_frames(design, 4, frames, False)
         batched = replay_frames(design, 4, frames, True)
@@ -206,7 +204,7 @@ class TestBitIdentity:
 
 class TestDegenerateStreams:
     def empty_trace(self):
-        return FragmentTrace(width=48, height=36, requests=[], tile_size=4)
+        return reference.trace_from_requests([], 48, 36, tile_size=4)
 
     @pytest.mark.parametrize("batched", (False, True))
     def test_empty_trace(self, batched):
@@ -224,11 +222,10 @@ class TestDegenerateStreams:
     @pytest.mark.parametrize("count", (1, 3))
     def test_tiny_prefixes_agree(self, frame, count):
         trace = frame["trace"]
-        prefix = FragmentTrace(
-            width=trace.width, height=trace.height,
-            requests=trace.requests[:count], tile_size=trace.tile_size,
+        prefix = reference.trace_from_requests(
+            trace.requests[:count], trace.width, trace.height, trace.tile_size
         )
-        expanded = frame["expander"].expand_frame(prefix.requests)
+        expanded = frame["expander"].expand_frame(prefix)
         scalar = replay(Design.BASELINE, 1, prefix, expanded, False)
         batched = replay(Design.BASELINE, 1, prefix, expanded, True)
         assert batched == scalar

@@ -11,15 +11,20 @@ results:
   texture-unit stages, L1 -> L2 -> memory :func:`lookup` (baseline and
   B-PIM), the S-TFIM memory texture unit, or the A-TFIM angle-tagged
   :func:`probe` and offload;
-* :class:`ScalarRasterizer` -- the per-pixel fragment emitter and the
-  per-fragment footprint;
+* :class:`ScalarRasterizer` -- the per-pixel fragment emitter, emitting
+  :class:`RasterFragment` rows, and the per-fragment footprint;
 * :class:`ScalarRenderer` -- per-request shading in all four sampling
-  modes, with A-TFIM's parent reuse in :class:`AngleTaggedParentStore`.
+  modes, with A-TFIM's parent reuse in :class:`AngleTaggedParentStore`,
+  and the sequential per-fragment framebuffer write.
+
+It also holds the row-to-column helpers for hand-built inputs:
+:func:`trace_from_requests` and :func:`request_batch`.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,12 +38,15 @@ from repro.core.stfim import StfimPath
 from repro.gpu.pipeline import Expansion, GpuPipeline
 from repro.render.camera import Camera
 from repro.render.framebuffer import Framebuffer
-from repro.render.raster import RasterFragment, Rasterizer, RasterStats
-from repro.render.renderer import Renderer, SamplingMode
+from repro.render.raster import Rasterizer, RasterStats
+from repro.render.renderer import Renderer, RenderOutput, SamplingMode
 from repro.render.scene import Scene
 from repro.sim.latency import LatencyHistogram
 from repro.texture.cache import CacheAccessResult
+from repro.texture.batch import RequestBatch
 from repro.texture.lod import (
+    FootprintBatch,
+    SampleFootprint,
     camera_angle_from_normal,
     compute_footprint,
     quantize_angle,
@@ -173,7 +181,7 @@ def _serve_atfim(
             for line in parent.child_line_addresses
         ],
     )
-    angle = expanded.request.camera_angle
+    angle = expanded.camera_angle
     unit = path.units[cluster]
     unit.note_request()
     threshold = path.config.effective_angle_threshold
@@ -268,15 +276,93 @@ def probe(
 # ---------------------------------------------------------------------------
 
 
+def _footprint_columns(footprints: Sequence[SampleFootprint]) -> FootprintBatch:
+    def column(name: str, dtype: type = np.float64) -> np.ndarray:
+        return np.array([getattr(f, name) for f in footprints], dtype=dtype)
+
+    return FootprintBatch(
+        lod=column("lod"),
+        anisotropy=column("anisotropy"),
+        probes=column("probes", np.int64),
+        major_du=column("major_du"),
+        major_dv=column("major_dv"),
+        major_length=column("major_length"),
+    )
+
+
+def trace_from_requests(
+    requests: Sequence[TextureRequest],
+    width: int = 64,
+    height: int = 64,
+    tile_size: int = 16,
+) -> FragmentTrace:
+    """The columnar trace of a list of request rows."""
+
+    def column(name: str, dtype: type = np.int64) -> np.ndarray:
+        return np.array([getattr(r, name) for r in requests], dtype=dtype)
+
+    return FragmentTrace(
+        width=width,
+        height=height,
+        pixel_x=column("pixel_x"),
+        pixel_y=column("pixel_y"),
+        texture_id=column("texture_id"),
+        u=column("u", np.float64),
+        v=column("v", np.float64),
+        footprint=_footprint_columns([r.footprint for r in requests]),
+        camera_angle=column("camera_angle", np.float64),
+        tile_x=column("tile_x"),
+        tile_y=column("tile_y"),
+        tile_size=tile_size,
+    )
+
+
+def request_batch(
+    footprints: Sequence[SampleFootprint],
+    us: Sequence[float],
+    vs: Sequence[float],
+) -> RequestBatch:
+    """The :class:`RequestBatch` of footprints and sample positions."""
+    columns = _footprint_columns(footprints)
+    return RequestBatch(
+        u=np.asarray(us, dtype=np.float64),
+        v=np.asarray(vs, dtype=np.float64),
+        lod=columns.lod,
+        probes=columns.probes,
+        major_du=columns.major_du,
+        major_dv=columns.major_dv,
+        major_length=columns.major_length,
+    )
+
+
+@dataclass
+class RasterFragment:
+    """One fragment emitted by the per-pixel rasterizer (pre-shading)."""
+
+    x: int
+    y: int
+    depth: float
+    u: float
+    v: float
+    dudx: float
+    dvdx: float
+    dudy: float
+    dvdy: float
+    camera_angle: float
+    texture_id: int
+
+
 class ScalarRasterizer(Rasterizer):
     """The rasterizer with a per-pixel emitter and per-fragment footprints.
 
-    Only :meth:`rasterize_scene` and :meth:`trace_requests` are defined
-    for it; its emitter returns :class:`RasterFragment` lists, not
-    batches.
+    :meth:`rasterize_fragments` returns each visible fragment as a
+    :class:`RasterFragment` row with its :class:`TextureRequest`;
+    :meth:`rasterize_scene` turns the requests into the frame's trace.
+    Its emitter returns fragment lists, not batches, so
+    :meth:`rasterize_batches` is not defined for it.
     """
 
-    def rasterize_scene(
+    def rasterize_fragments(
         self,
         scene: Scene,
         camera: Camera,
@@ -301,16 +387,17 @@ class ScalarRasterizer(Rasterizer):
                 results.append((fragment, request))
         return results
 
-    def trace_requests(
+    def rasterize_scene(
         self,
         scene: Scene,
         camera: Camera,
         framebuffer: Framebuffer,
-    ) -> List[TextureRequest]:
-        return [
-            request
-            for _, request in self.rasterize_scene(scene, camera, framebuffer)
-        ]
+    ) -> FragmentTrace:
+        shaded = self.rasterize_fragments(scene, camera, framebuffer)
+        return trace_from_requests(
+            [request for _, request in shaded],
+            framebuffer.width, framebuffer.height, self.tile_size,
+        )
 
     def _fragment_to_request(self, fragment: RasterFragment) -> TextureRequest:
         footprint = compute_footprint(
@@ -477,37 +564,72 @@ def shade_atfim(
     return color
 
 
-class ScalarRenderer(Renderer):
-    """The renderer with every sampling mode shaded one request at a time."""
+def shade_request(
+    chain: MipmapChain,
+    request: TextureRequest,
+    mode: SamplingMode,
+    parent_store: Optional[AngleTaggedParentStore],
+) -> np.ndarray:
+    """One request's colour under ``mode``, by the scalar kernels."""
+    footprint = request.footprint
+    if mode is SamplingMode.ISOTROPIC:
+        return trilinear_sample(chain, footprint.lod, request.u, request.v)
+    if mode is SamplingMode.EXACT:
+        return anisotropic_sample(chain, footprint, request.u, request.v)
+    if mode is SamplingMode.REORDERED:
+        return anisotropic_first_sample(chain, footprint, request.u, request.v)
+    return shade_atfim(chain, request, parent_store)
 
-    def _shade_batch(
+
+class ScalarRenderer(Renderer):
+    """The renderer one fragment at a time.
+
+    It rasterizes through :class:`ScalarRasterizer`, shades each request
+    with :func:`shade_request`, and writes each fragment's depth and
+    colour in submission order, so a later fragment at a pixel
+    overwrites an earlier one.
+    """
+
+    def __init__(
+        self,
+        width: int,
+        height: int,
+        tile_size: int = 16,
+        max_anisotropy: int = 16,
+        lod_bias: float = 0.0,
+    ) -> None:
+        super().__init__(width, height, tile_size, max_anisotropy, lod_bias)
+        self.rasterizer = ScalarRasterizer(
+            tile_size=tile_size, max_anisotropy=max_anisotropy,
+            lod_bias=lod_bias,
+        )
+
+    def render(
         self,
         scene: Scene,
-        requests: Sequence[TextureRequest],
-        mode: SamplingMode,
-        angle_threshold: float,
-    ) -> Tuple[np.ndarray, int, int]:
+        camera: Camera,
+        mode: SamplingMode = SamplingMode.EXACT,
+        angle_threshold: Radians = 0.0,
+    ) -> RenderOutput:
         store = None
         if mode is SamplingMode.ATFIM:
             store = AngleTaggedParentStore(threshold=angle_threshold)
-        colors = np.zeros((len(requests), 4), dtype=np.float64)
-        for index, request in enumerate(requests):
+        framebuffer = Framebuffer(self.width, self.height)
+        shaded = self.rasterizer.rasterize_fragments(scene, camera, framebuffer)
+        for fragment, request in shaded:
             chain = scene.mipmap_chain(request.texture_id)
-            footprint = request.footprint
-            if mode is SamplingMode.ISOTROPIC:
-                colors[index] = trilinear_sample(
-                    chain, footprint.lod, request.u, request.v
-                )
-            elif mode is SamplingMode.EXACT:
-                colors[index] = anisotropic_sample(
-                    chain, footprint, request.u, request.v
-                )
-            elif mode is SamplingMode.REORDERED:
-                colors[index] = anisotropic_first_sample(
-                    chain, footprint, request.u, request.v
-                )
-            else:
-                colors[index] = shade_atfim(chain, request, store)
-        if store is None:
-            return colors, 0, 0
-        return colors, store.reuses, store.recalculations
+            color = shade_request(chain, request, mode, store)
+            framebuffer.depth[fragment.y, fragment.x] = fragment.depth
+            framebuffer.color[fragment.y, fragment.x] = color
+        counts = (0, 0) if store is None else (store.reuses, store.recalculations)
+        return RenderOutput(
+            image=framebuffer.rgb_image(),
+            trace=trace_from_requests(
+                [request for _, request in shaded],
+                self.width, self.height, self.rasterizer.tile_size,
+            ),
+            raster_stats=self.rasterizer.stats,
+            framebuffer=framebuffer,
+            parent_reuses=counts[0],
+            parent_recalculations=counts[1],
+        )

@@ -43,9 +43,9 @@ class TestCoverage:
         add_fullscreen_wall(scene)
         framebuffer = Framebuffer(16, 12)
         rasterizer = Rasterizer(tile_size=4)
-        fragments = rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
-        covered = {(f.x, f.y) for f, _ in fragments}
-        assert len(fragments) == 16 * 12
+        trace = rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
+        covered = set(zip(trace.pixel_x.tolist(), trace.pixel_y.tolist()))
+        assert len(trace) == 16 * 12
         assert len(covered) == 16 * 12
 
     def test_offscreen_triangle_generates_nothing(self):
@@ -55,8 +55,8 @@ class TestCoverage:
         )
         framebuffer = Framebuffer(16, 12)
         rasterizer = Rasterizer()
-        fragments = rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
-        assert fragments == []
+        trace = rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
+        assert len(trace) == 0
 
     def test_stats_recorded(self):
         scene = make_scene()
@@ -141,10 +141,10 @@ class TestDepth:
         add_fullscreen_wall(scene, texture_id=1, z=-5.0)  # far (behind)
         framebuffer = Framebuffer(8, 8)
         rasterizer = Rasterizer(tile_size=4)
-        fragments = rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
+        trace = rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
         # The far wall is drawn after the near wall and should be fully
         # early-Z culled.
-        assert all(f.texture_id == 0 for f, _ in fragments)
+        assert bool(np.all(trace.texture_id == 0))
         assert rasterizer.stats.fragments_early_z_killed == 64
 
     def test_overdraw_when_far_drawn_first(self):
@@ -153,9 +153,9 @@ class TestDepth:
         add_fullscreen_wall(scene, texture_id=0, z=0.0)   # near second
         framebuffer = Framebuffer(8, 8)
         rasterizer = Rasterizer(tile_size=4)
-        fragments = rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
+        trace = rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
         # Both walls shade: 2x the pixels (immediate-mode overdraw).
-        assert len(fragments) == 2 * 64
+        assert len(trace) == 2 * 64
 
 
 class TestDerivatives:
@@ -177,13 +177,16 @@ class TestDerivatives:
             target=np.array([0.0, 0.0, 0.0]),
             fov_y=math.radians(60.0),
         )
-        fragments = rasterizer.rasterize_scene(scene, camera, framebuffer)
+        batches = rasterizer.rasterize_batches(scene, camera, framebuffer)
+        x, y, dudx, dvdx = (
+            np.concatenate([getattr(batch, name) for batch in batches])
+            for name in ("x", "y", "dudx", "dvdx")
+        )
         # 64 texels across ~32 pixels -> du/dx ~ 2 texels/pixel.
-        centre = [f for f, _ in fragments if abs(f.x - 16) < 4 and abs(f.y - 16) < 4]
-        assert centre
-        for fragment in centre:
-            assert fragment.dudx == pytest.approx(2.0, rel=0.2)
-            assert abs(fragment.dvdx) < 0.2
+        centre = (abs(x - 16) < 4) & (abs(y - 16) < 4)
+        assert centre.any()
+        assert dudx[centre] == pytest.approx(2.0, rel=0.2)
+        assert bool(np.all(np.abs(dvdx[centre]) < 0.2))
 
     def test_grazing_floor_is_anisotropic(self):
         scene = make_scene()
@@ -198,18 +201,16 @@ class TestDerivatives:
         )
         framebuffer = Framebuffer(32, 24)
         rasterizer = Rasterizer(max_anisotropy=16)
-        results = rasterizer.rasterize_scene(scene, camera, framebuffer)
-        anisotropies = [request.footprint.anisotropy for _, request in results]
-        assert max(anisotropies) > 2.0
+        trace = rasterizer.rasterize_scene(scene, camera, framebuffer)
+        assert trace.footprint.anisotropy.max() > 2.0
 
     def test_camera_angle_face_on_vs_grazing(self):
         scene = make_scene()
         add_fullscreen_wall(scene)  # facing the camera
         framebuffer = Framebuffer(8, 8)
         rasterizer = Rasterizer()
-        results = rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
-        angles = [f.camera_angle for f, _ in results]
-        assert max(angles) < math.radians(45.0)
+        trace = rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
+        assert trace.camera_angle.max() < math.radians(45.0)
 
 
 class TestClipping:
@@ -218,8 +219,8 @@ class TestClipping:
         add_fullscreen_wall(scene, z=20.0)  # behind the camera at z=10
         framebuffer = Framebuffer(8, 8)
         rasterizer = Rasterizer()
-        fragments = rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
-        assert fragments == []
+        trace = rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
+        assert len(trace) == 0
         assert rasterizer.stats.triangles_clipped_away == 2
 
     def test_plane_crossing_near_plane_is_clipped_not_culled(self):
@@ -237,17 +238,19 @@ class TestClipping:
         )
         framebuffer = Framebuffer(16, 12)
         rasterizer = Rasterizer()
-        fragments = rasterizer.rasterize_scene(scene, camera, framebuffer)
-        assert len(fragments) > 0
+        trace = rasterizer.rasterize_scene(scene, camera, framebuffer)
+        assert len(trace) > 0
 
     def test_requests_carry_tiles(self):
         scene = make_scene()
         add_fullscreen_wall(scene)
         framebuffer = Framebuffer(16, 16)
         rasterizer = Rasterizer(tile_size=4)
-        results = rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
-        tiles = {(request.tile_x, request.tile_y) for _, request in results}
+        trace = rasterizer.rasterize_scene(scene, facing_camera(), framebuffer)
+        tiles = set(zip(trace.tile_x.tolist(), trace.tile_y.tolist()))
         assert len(tiles) == 16  # 4x4 tiles
+        assert np.array_equal(trace.tile_x, trace.pixel_x // 4)
+        assert np.array_equal(trace.tile_y, trace.pixel_y // 4)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -212,10 +212,10 @@ class TestAnisotropyCap:
         for cap in self.CAPS:
             workload = dataclasses.replace(base, max_anisotropy=cap)
             scene, trace = workload.trace()
-            pixels = [(r.pixel_x, r.pixel_y) for r in trace.requests]
-            texels = RequestExpander(scene).expand_frame(trace.requests).texels
+            pixels = np.stack([trace.pixel_x, trace.pixel_y])
+            texels = RequestExpander(scene).expand_frame(trace).texels
             if previous is not None:
-                assert pixels == previous_pixels
+                assert np.array_equal(pixels, previous_pixels)
                 assert bool(np.all(texels >= previous)), f"cap {cap}"
             previous, previous_pixels = texels, pixels
 

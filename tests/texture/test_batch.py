@@ -17,7 +17,6 @@ from repro.texture import batch as batch_kernels
 from repro.texture.batch import (
     BatchFetchRecorder,
     BatchSampler,
-    RequestBatch,
     anisotropic_batch,
     anisotropic_first_batch,
     bilinear_batch,
@@ -43,7 +42,7 @@ from repro.texture.sampling import (
 from repro.texture.texture import Texture
 from repro.workloads import workload_by_name
 from tests.conftest import make_tiny_scene
-from tests.reference import ScalarRasterizer, ScalarRenderer
+from tests.reference import ScalarRasterizer, ScalarRenderer, request_batch
 
 
 def make_chain(size=16, seed=5, texture_id=0):
@@ -136,9 +135,7 @@ class TestBilinearBatch:
 
 
 def _batch_of(footprints, uvs):
-    return RequestBatch.from_footprints(
-        footprints, [u for u, _ in uvs], [v for _, v in uvs]
-    )
+    return request_batch(footprints, [u for u, _ in uvs], [v for _, v in uvs])
 
 
 class TestTrilinearBatch:
@@ -328,7 +325,7 @@ class TestVectorizedRaster:
         vector = Renderer(width=48, height=36, tile_size=4, max_anisotropy=8)
         scalar_out = scalar.trace_only(scene, camera)
         vector_out = vector.trace_only(scene, camera)
-        assert scalar_out.trace.requests == vector_out.trace.requests
+        assert list(scalar_out.trace.requests) == list(vector_out.trace.requests)
         assert np.array_equal(
             scalar_out.framebuffer.depth, vector_out.framebuffer.depth
         )
@@ -351,6 +348,9 @@ def assert_renders_identical(batched, scalar, scene, camera, mode, threshold):
     batched_out = batched.render(scene, camera, mode, threshold)
     scalar_out = scalar.render(scene, camera, mode, threshold)
     assert np.array_equal(batched_out.image, scalar_out.image)
+    assert np.array_equal(
+        batched_out.framebuffer.depth, scalar_out.framebuffer.depth
+    )
     assert batched_out.parent_reuses == scalar_out.parent_reuses
     assert (
         batched_out.parent_recalculations == scalar_out.parent_recalculations

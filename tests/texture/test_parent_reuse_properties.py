@@ -27,7 +27,12 @@ from repro.texture.lod import compute_footprint
 from repro.texture.mipmap import build_mipmaps
 from repro.texture.requests import TextureRequest
 from repro.texture.texture import Texture
-from tests.reference import AngleTaggedParentStore, shade_atfim
+from tests.reference import (
+    AngleTaggedParentStore,
+    request_batch,
+    shade_atfim,
+    trace_from_requests,
+)
 
 ANGLE_STEP = (math.pi / 2.0) / 127
 """One step of the 7-bit camera-angle quantiser."""
@@ -85,7 +90,7 @@ class TestBatchedReuseMatchesScalarStore:
         )
         colors, producers = anisotropic_first_batch(
             chain,
-            RequestBatch.from_requests(requests),
+            RequestBatch.from_trace(trace_from_requests(requests)),
             np.array([request.camera_angle for request in requests]),
             threshold,
         )
@@ -98,7 +103,7 @@ class TestBatchedReuseMatchesScalarStore:
 
     def test_negative_threshold_rejected(self):
         chain = build_mipmaps(Texture(texture_id=0, data=np.zeros((2, 2, 4))))
-        batch = RequestBatch.from_footprints(
+        batch = request_batch(
             [compute_footprint(1.0, 0.0, 0.0, 1.0)], [0.5], [0.5]
         )
         with pytest.raises(ValueError):

@@ -97,22 +97,3 @@ class TestReorderEquality:
         color = anisotropic_first_sample(chain, footprint, u, v)
         assert np.all(color >= -1e-12)
         assert np.all(color <= 1.0 + 1e-12)
-
-    def test_parent_override_changes_output(self):
-        # Sanity check that overrides are actually honoured: substituting
-        # a stale parent value must change the result (this is what the
-        # angle-threshold approximation does).
-        chain = chain_from_seed(3)
-        footprint = compute_footprint(4.0, 0.0, 0.0, 1.0)
-        exact = anisotropic_first_sample(chain, footprint, 5.0, 5.0)
-        from repro.texture.sampling import parent_texel_coords
-
-        parents = parent_texel_coords(chain, footprint.lod, 5.0, 5.0)
-        level, x, y, _ = parents[0]
-        mip = chain.level(level)
-        key = (level, x % mip.width, y % mip.height)
-        overrides = {key: np.array([9.0, 9.0, 9.0, 9.0])}
-        approximated = anisotropic_first_sample(
-            chain, footprint, 5.0, 5.0, parent_overrides=overrides
-        )
-        assert not np.allclose(exact, approximated)
