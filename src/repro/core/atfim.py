@@ -23,7 +23,7 @@ Unit are 16-wide ALU arrays.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -34,18 +34,24 @@ from repro.core.paths import (
     CacheHierarchyStats,
     GpuReplayColumns,
     GpuReplayState,
+    MergeWindowReplay,
     PathActivity,
+    QueueReplay,
     ReadMergeWindow,
     ReplaySession,
     TexturePath,
+    UnitReplayState,
+    check_frame,
 )
 from repro.gpu.config import ATFIM_MEMORY_UNIT
 from repro.gpu.texunit import TextureUnit
 from repro.memory.hmc import HybridMemoryCube
+from repro.memory.replay import HmcReplay, require_positive_sizes
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.sim.resources import RequestQueue
 from repro.texture.cache import CacheAccessResult, _Line
 from repro.texture.lod import quantize_angles
+from repro.units import Bytes
 
 PARENT_TEXEL_BUFFER_DEPTH = 256
 """Entries in the Parent Texel Buffer, equal to the memory request queue
@@ -89,75 +95,6 @@ class AtfimPath(TexturePath):
 
     def begin_replay(self, frame: ExpandedFrame) -> ReplaySession:
         return _AtfimReplaySession(self, frame)
-
-    def _offload(
-        self, arrival: float, missing: List[int], columns: "_ParentColumns"
-    ) -> float:
-        """Round-trip the missing parents, given as row indices into
-        ``columns``, through the HMC pipeline."""
-        packets = self.config.packets
-        self.offload_packages += 1
-
-        # Offloading Unit: one compressed package for this fetch's
-        # missing parents (they share the first parent's base address).
-        request_bytes = packets.parent_texel_request_bytes
-        self.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
-        delivered = self.hmc.send_request(arrival, request_bytes)
-
-        # Parent Texel Buffer admission (backpressure when full).
-        admitted = self.parent_buffer.enqueue(delivered)
-
-        # Texel Generator: one address op per child texel.
-        total_children = sum(columns.child_counts[parent] for parent in missing)
-        self.child_texels_generated += total_children
-        generated = self.texel_generator.generate_addresses(admitted, total_children)
-
-        # Child Texel Consolidation: dedup child lines across parents.
-        child_lines, bounds = columns.child_lines, columns.child_offsets
-        if self.config.consolidation_enabled:
-            lines: List[int] = []
-            seen = set()
-            for parent in missing:
-                for line in child_lines[bounds[parent]:bounds[parent + 1]]:
-                    if line not in seen:
-                        seen.add(line)
-                        lines.append(line)
-        else:
-            lines = [
-                line
-                for parent in missing
-                for line in child_lines[bounds[parent]:bounds[parent + 1]]
-            ]
-
-        # Vault fetches at internal bandwidth, merged against in-flight
-        # identical child fetches.  The merge window IS the consolidation
-        # buffer's cross-package face: disabling consolidation disables
-        # both the intra-package dedup above and this merging.
-        line_bytes = packets.cache_line_bytes
-        data_ready = generated
-        merging = self.config.consolidation_enabled
-        for line in lines:
-            merged_ready = (
-                self.child_merge_window.lookup(line) if merging else None
-            )
-            if merged_ready is not None:
-                ready = max(generated, merged_ready)
-            else:
-                ready = self.hmc.internal_read(generated, line, line_bytes)
-                self.traffic.add_internal(TrafficClass.TEXTURE, float(line_bytes))
-                if merging:
-                    self.child_merge_window.insert(line, ready)
-                self.child_lines_fetched += 1
-            if ready > data_ready:
-                data_ready = ready
-
-        # Combination Unit: one filter op per child texel.
-        combined = self.combination_unit.filter_texels(data_ready, total_children)
-
-        # Response package back to the GPU, normal bilinear-fetch format.
-        response_bytes = packets.parent_texel_response_bytes(len(missing))
-        self.traffic.add_external(TrafficClass.TEXTURE, float(response_bytes))
-        return self.hmc.send_response(combined, response_bytes)
 
     def activity(self) -> PathActivity:
         activity = PathActivity()
@@ -215,16 +152,6 @@ class AtfimPath(TexturePath):
         return self.parent_recalculations / total
 
 
-class _ParentColumns(NamedTuple):
-    """Per-parent values :meth:`AtfimPath._offload` reads by row: child
-    texel count, and the parent's unique child lines
-    ``child_lines[child_offsets[p]:child_offsets[p + 1]]``."""
-
-    child_counts: Sequence[int]
-    child_offsets: Sequence[int]
-    child_lines: Sequence[int]
-
-
 class _AtfimColumns:
     """Per-trace columns of the A-TFIM replay session.
 
@@ -234,16 +161,24 @@ class _AtfimColumns:
     ``child_counts > 1`` flag (only anisotropic parents carry an angle
     tag); ``l1_angle[i]`` and ``l2_angle[i]`` are request ``i``'s camera
     angle quantised to each cache's ``angle_bits``, as
-    ``TextureCache.lookup`` stores it.
+    ``TextureCache.lookup`` stores it.  The offload reads only missing
+    parents' rows of ``child_counts``, ``child_offsets`` and
+    ``child_lines``, so those stay views of the frame's arrays (items
+    read as python ints), checked once per frame like the rest.
     """
 
-    __slots__ = ("gpu", "angled", "l1_angle", "l2_angle")
+    __slots__ = ("gpu", "angled", "l1_angle", "l2_angle", "child_counts",
+                 "child_offsets", "child_lines")
 
     def __init__(self, config: DesignConfig, frame: ExpandedFrame) -> None:
         offsets = frame.parent_offsets
         self.gpu = GpuReplayColumns(
             config.gpu, np.diff(offsets), offsets, frame.parent_lines
         )
+        check_frame(frame.child_counts, frame.child_lines)
+        self.child_counts = memoryview(frame.child_counts)
+        self.child_offsets = memoryview(frame.child_offsets)
+        self.child_lines = memoryview(frame.child_lines)
         self.angled = (frame.child_counts > 1).tolist()
         angles = frame.camera_angles
         self.l1_angle = quantize_angles(
@@ -259,23 +194,34 @@ class _AtfimReplaySession(ReplaySession):
 
     Built as a closure over per-trace columns and local state, as
     :class:`~repro.core.baseline._GpuReplaySession` is.  The session
-    inlines the scalar reference operation for operation: the texture
-    unit's address and filter stages over the request's parents, and
-    the angle-tagged L1 -> L2 classification (``TextureCache.lookup`` on
-    each level) reading each parent's set, tag and angle flag and the
-    request's quantised angle from :class:`_AtfimColumns`, which the
-    warm-up replay hands to the measured one
-    (:meth:`TexturePath._columns_for`).  Every
-    counter -- L1/L2 hits, misses and angle misses, parent reuses,
-    recalculations and cold misses, unit activity -- is folded locally
-    and flushed back by ``finish``.
+    serves each request operation for operation as the scalar reference
+    in ``tests/reference.py`` does, with no call into a live object:
 
-    ``_offload`` stays one live call per request with missing parents:
-    the HMC links and vaults, the Parent Texel Buffer, the logic-layer
-    units and the child merge window keep their own state.  The cache
-    side charges no time: a parent that misses L1 and hits L2 is a reuse
-    and pays no L2-port occupancy or latency, which the baseline/B-PIM
-    session charges for the same event.
+    * the GPU texture unit's address and filter stages over the
+      request's parents (:class:`~repro.core.paths.GpuReplayState`), and
+      the angle-tagged L1 -> L2 classification (``TextureCache.lookup``
+      on each level) reading each parent's set, tag and angle flag and
+      the request's quantised angle from :class:`_AtfimColumns`, which
+      the warm-up replay hands to the measured one
+      (:meth:`TexturePath._columns_for`);
+    * the offload of the missing parents: one package over the transmit
+      link, the Parent Texel Buffer (:class:`~repro.core.paths.QueueReplay`),
+      the Texel Generator, Child Texel Consolidation and its merge
+      window (:class:`~repro.core.paths.MergeWindowReplay`) in front of
+      the vault reads, the Combination Unit, and the response package
+      over the receive link.  The two logic-layer units are a
+      :class:`~repro.core.paths.UnitReplayState`; the links and vaults
+      are :class:`~repro.memory.replay.HmcReplay`'s.
+
+    Every counter -- L1/L2 hits, misses and angle misses, parent reuses,
+    recalculations and cold misses, child texels and lines, offload
+    packages, unit activity, the memory side and the texture bytes -- is
+    folded locally and written back by ``finish``.  The meter's texture
+    entries are assigned, which is exact because nothing else adds
+    texture bytes while a session is open.  The cache side charges no
+    time: a parent that misses L1 and hits L2 is a reuse and pays no
+    L2-port occupancy or latency, which the baseline/B-PIM session
+    charges for the same event.
     """
 
     def __init__(self, path: AtfimPath, frame: ExpandedFrame) -> None:
@@ -284,29 +230,28 @@ class _AtfimReplaySession(ReplaySession):
         )
         gpu = columns.gpu
         texels = gpu.texels
-        addr_occ = gpu.addr_occ
-        filt_occ = gpu.filt_occ
-        pipe_depth = gpu.pipe_depth
         offsets = gpu.offsets
         l1_set_col, l1_tag_col = gpu.l1_set, gpu.l1_tag
         l2_set_col, l2_tag_col = gpu.l2_set, gpu.l2_tag
         l1_assoc, l2_assoc = gpu.l1_assoc, gpu.l2_assoc
-        # Only offloaded parents' rows are read, so ``_offload`` gets
-        # views of the frame's arrays (items read as python ints).
-        parents = _ParentColumns(
-            child_counts=memoryview(frame.child_counts),
-            child_offsets=memoryview(frame.child_offsets),
-            child_lines=memoryview(frame.child_lines),
-        )
+        child_counts = columns.child_counts
+        child_offsets = columns.child_offsets
+        child_lines = columns.child_lines
         angled = columns.angled
         l1_angle, l2_angle = columns.l1_angle, columns.l2_angle
-        threshold = path.config.effective_angle_threshold
-        offload = path._offload
+        config = path.config
+        threshold = config.effective_angle_threshold
+        consolidating = config.consolidation_enabled
+        packets = config.packets
+        request_bytes = packets.parent_texel_request_bytes
+        response_bytes = packets.parent_texel_response_bytes
+        line_bytes = packets.cache_line_bytes
+        require_positive_sizes(request_bytes, line_bytes)
 
         state = GpuReplayState(path.units, path.caches)
-        addr_next, addr_busy = state.addr_next, state.addr_busy
-        filt_next, filt_busy = state.filt_next, state.filt_busy
-        requests_delta, ops_delta = state.requests, state.ops
+        generate_addresses = state.generate_addresses
+        filter_texels = state.filter_texels
+        requests_delta = state.requests
         l1_hits, l1_misses = state.l1_hits, state.l1_misses
         l1_angle_misses = state.l1_angle_misses
         l1_by_cluster = state.l1_sets
@@ -321,6 +266,81 @@ class _AtfimReplaySession(ReplaySession):
             CacheAccessResult.HIT, CacheAccessResult.ANGLE_MISS,
             CacheAccessResult.MISS,
         )
+
+        # The logic layer: Texel Generator (unit 0) and Combination Unit
+        # (unit 1), the Parent Texel Buffer, the links and vaults.
+        logic = UnitReplayState([path.texel_generator, path.combination_unit])
+        generate_children = logic.generate_addresses
+        combine_children = logic.filter_texels
+        parent_buffer = QueueReplay([path.parent_buffer])
+        admit = parent_buffer.enqueue
+        memory = HmcReplay(path.hmc)
+        send_request, send_response = memory.send_request, memory.send_response
+        internal_read = memory.internal_read
+        traffic = path.traffic
+        external_bytes = traffic.external[TrafficClass.TEXTURE]
+        internal_bytes = traffic.internal[TrafficClass.TEXTURE]
+        offload_packages = path.offload_packages
+        children_generated = path.child_texels_generated
+        lines_fetched = path.child_lines_fetched
+
+        def fetch(arrival: float, line: int) -> float:
+            nonlocal internal_bytes, lines_fetched
+            internal_bytes += line_bytes
+            lines_fetched += 1
+            return internal_read(arrival, line, line_bytes)
+
+        # The merge window IS the consolidation buffer's cross-package
+        # face: disabling consolidation disables both the intra-package
+        # dedup and the merging.
+        window = MergeWindowReplay([path.child_merge_window], fetch)
+        merged_read = window.read
+
+        def offload(arrival: float, missing: List[int]) -> float:
+            """Round-trip the missing parents, given as parent rows,
+            through the HMC pipeline."""
+            nonlocal offload_packages, children_generated, external_bytes
+            offload_packages += 1
+            # Offloading Unit: one compressed package for this fetch's
+            # missing parents, then Parent Texel Buffer admission.
+            external_bytes += request_bytes
+            delivered = send_request(arrival, request_bytes)
+            admitted = admit(0, delivered)
+            # Texel Generator: one address op per child texel.
+            total_children = 0
+            for parent in missing:
+                total_children += child_counts[parent]
+            children_generated += total_children
+            generated = generate_children(0, admitted, total_children)
+            # Child Texel Consolidation: dedup child lines across
+            # parents, in first-touch order, and merge each against
+            # in-flight identical fetches; vault reads at internal
+            # bandwidth for the rest.
+            data_ready = generated
+            if consolidating:
+                seen = set()
+                for parent in missing:
+                    bounds = child_offsets[parent], child_offsets[parent + 1]
+                    for line in child_lines[bounds[0]:bounds[1]]:
+                        if line in seen:
+                            continue
+                        seen.add(line)
+                        ready = merged_read(0, generated, line)
+                        if ready > data_ready:
+                            data_ready = ready
+            else:
+                for parent in missing:
+                    bounds = child_offsets[parent], child_offsets[parent + 1]
+                    for line in child_lines[bounds[0]:bounds[1]]:
+                        ready = fetch(generated, line)
+                        if ready > data_ready:
+                            data_ready = ready
+            # Combination Unit: one filter op per child texel; the
+            # response returns in normal bilinear-fetch format.
+            combined = combine_children(1, data_ready, total_children)
+            response = response_bytes(len(missing))
+            external_bytes += response
+            return send_response(combined, response)
 
         def probe_l2(k: int, angle: Optional[float]) -> CacheAccessResult:
             """``TextureCache.lookup`` on the L2 for parent row ``k``;
@@ -351,14 +371,7 @@ class _AtfimReplaySession(ReplaySession):
             num_parents = texels[index]
             if not num_parents:
                 return issue
-            ops_delta[cluster] += num_parents
-            previous = addr_next[cluster]
-            start = issue if issue > previous else previous
-            occupancy = addr_occ[num_parents]
-            done = start + occupancy
-            addr_next[cluster] = done
-            addr_busy[cluster] += occupancy
-            address_done = done + pipe_depth
+            address_done = generate_addresses(cluster, issue, num_parents)
 
             l1_sets = l1_by_cluster[cluster]
             l1_stored = l1_angle[index]
@@ -401,26 +414,26 @@ class _AtfimReplaySession(ReplaySession):
                     cold_misses += 1
                     missing.append(k)
 
-            ready = (
-                offload(address_done, missing, parents)
-                if missing else address_done
-            )
-            previous = filt_next[cluster]
-            start = ready if ready > previous else previous
-            occupancy = filt_occ[num_parents]
-            done = start + occupancy
-            filt_next[cluster] = done
-            filt_busy[cluster] += occupancy
-            return done + pipe_depth
+            ready = offload(address_done, missing) if missing else address_done
+            return filter_texels(cluster, ready, num_parents)
 
         def finish() -> None:
             state.flush()
+            logic.flush()
+            parent_buffer.flush()
+            window.flush()
+            memory.flush()
+            traffic.external[TrafficClass.TEXTURE] = Bytes(external_bytes)
+            traffic.internal[TrafficClass.TEXTURE] = Bytes(internal_bytes)
             l2.hits, l2.misses, l2.angle_misses = (
                 l2_hits, l2_misses, l2_angle_misses
             )
             path.parent_reuses = reuses
             path.parent_recalculations = recalculations
             path.parent_cold_misses = cold_misses
+            path.offload_packages = offload_packages
+            path.child_texels_generated = children_generated
+            path.child_lines_fetched = lines_fetched
 
         self.serve_one = serve_one
         self.finish = finish

@@ -7,18 +7,15 @@ external links for B-PIM -- section III's drop-in replacement).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.core.designs import Design, DesignConfig
 from repro.core.expansion import ExpandedFrame
 from repro.core.paths import (
     CacheHierarchy,
     CacheHierarchyStats,
-    Gddr5Interface,
     GpuReplayColumns,
     GpuReplayState,
-    HmcExternalInterface,
-    MemoryInterface,
     PathActivity,
     ReplaySession,
     TexturePath,
@@ -26,8 +23,10 @@ from repro.core.paths import (
 from repro.gpu.texunit import TextureUnit
 from repro.memory.gddr5 import Gddr5Memory
 from repro.memory.hmc import HybridMemoryCube
-from repro.memory.traffic import TrafficMeter
+from repro.memory.replay import Gddr5Replay, HmcReplay, require_positive_sizes
+from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.texture.cache import _Line
+from repro.units import Bytes, Cycles
 
 
 class GpuFilteringPath(TexturePath):
@@ -49,16 +48,10 @@ class GpuFilteringPath(TexturePath):
         ]
         self.caches = CacheHierarchy(config, traffic)
         if config.design is Design.BASELINE:
-            self.gddr5 = Gddr5Memory(config.gddr5)
-            self.memory: MemoryInterface = Gddr5Interface(
-                self.gddr5, config.packets, traffic
-            )
-            self.hmc = None
+            self.gddr5: Optional[Gddr5Memory] = Gddr5Memory(config.gddr5)
+            self.hmc: Optional[HybridMemoryCube] = None
         else:
             self.hmc = HybridMemoryCube(config.hmc)
-            self.memory = HmcExternalInterface(
-                self.hmc, config.packets, traffic
-            )
             self.gddr5 = None
 
     def begin_replay(self, frame: ExpandedFrame) -> "_GpuReplaySession":
@@ -103,14 +96,18 @@ class _GpuReplaySession(ReplaySession):
     request, so per-call attribute-to-local hoisting would cost more
     than the serving arithmetic itself.
 
-    The serving arithmetic inlines the scalar reference's call chain
-    (texture-unit stages, L1 -> L2 -> memory lookup, L2 port) operation
-    for operation; only the memory-side line fill stays a live call,
-    because the memory interfaces keep internal channel/link state and
-    traffic accounting of their own.  Mutable counters are seeded from
-    the live objects, folded locally in service order (so float
-    accumulators reproduce the scalar ``+=`` sequence bit for bit), and
-    flushed back by ``finish``.
+    The serving arithmetic is the scalar reference's call chain
+    (texture-unit stages, L1 -> L2 -> memory lookup, L2 port, line fill)
+    operation for operation, with no call into a live object: the units
+    are :class:`~repro.core.paths.GpuReplayState`'s, the L1/L2 lookup
+    and the L2 port are inlined, and a line fill is the replay form of
+    ``Gddr5Memory.read`` (baseline) or ``HybridMemoryCube.external_read``
+    (B-PIM) from :mod:`repro.memory.replay`.  Every piece of state is
+    seeded from the live objects, folded locally in service order (so
+    float accumulators reproduce the scalar ``+=`` sequence bit for bit),
+    and written back by ``finish``.  That includes the frame's texture
+    bytes: ``finish`` assigns the meter's texture entry, which is exact
+    because nothing else adds texture bytes while a session is open.
     """
 
     def __init__(self, path: "GpuFilteringPath", frame: ExpandedFrame) -> None:
@@ -118,9 +115,6 @@ class _GpuReplaySession(ReplaySession):
             path.config.gpu, frame.texels, frame.line_offsets, frame.lines
         ))
         texels = columns.texels
-        addr_occ = columns.addr_occ
-        filt_occ = columns.filt_occ
-        pipe_depth = columns.pipe_depth
         offsets = columns.offsets
         lines = columns.lines
         l1_set_col, l1_tag_col = columns.l1_set, columns.l1_tag
@@ -128,12 +122,33 @@ class _GpuReplaySession(ReplaySession):
         l1_assoc, l2_assoc = columns.l1_assoc, columns.l2_assoc
 
         caches = path.caches
-        read_line = path.memory.read_line
+        packets = path.config.packets
+        request_bytes = packets.read_request_bytes
+        payload_bytes = packets.cache_line_bytes
+        response_bytes = payload_bytes + packets.header_bytes
+        require_positive_sizes(request_bytes, payload_bytes)
+        line_traffic = float(request_bytes + response_bytes)
+        if path.gddr5 is not None:
+            memory = Gddr5Replay(path.gddr5)
+            gddr5_read = memory.read
+
+            def fill_line(arrival: float, address: int) -> float:
+                return gddr5_read(arrival, address, payload_bytes)
+        else:
+            memory = HmcReplay(path.hmc)
+            external_read = memory.external_read
+
+            def fill_line(arrival: float, address: int) -> float:
+                return external_read(
+                    arrival, address, request_bytes, response_bytes
+                )
+        traffic = path.traffic
+        texture_bytes = traffic.external[TrafficClass.TEXTURE]
 
         state = GpuReplayState(path.units, caches)
-        addr_next, addr_busy = state.addr_next, state.addr_busy
-        filt_next, filt_busy = state.filt_next, state.filt_busy
-        requests_delta, ops_delta = state.requests, state.ops
+        generate_addresses = state.generate_addresses
+        filter_texels = state.filter_texels
+        requests_delta = state.requests
         l1_hits, l1_misses = state.l1_hits, state.l1_misses
         l1_by_cluster = state.l1_sets
         l2_table = state.l2_sets
@@ -151,20 +166,10 @@ class _GpuReplaySession(ReplaySession):
 
         def serve_one(cluster: int, issue: float, index: int) -> float:
             nonlocal port_next, port_bytes, port_requests, port_busy
-            nonlocal l2_hits, l2_misses
+            nonlocal l2_hits, l2_misses, texture_bytes
             requests_delta[cluster] += 1
             num_texels = texels[index]
-            ops_delta[cluster] += num_texels
-            if num_texels:
-                previous = addr_next[cluster]
-                start = issue if issue > previous else previous
-                occupancy = addr_occ[num_texels]
-                done = start + occupancy
-                addr_next[cluster] = done
-                addr_busy[cluster] += occupancy
-                address_done = done + pipe_depth
-            else:
-                address_done = issue
+            address_done = generate_addresses(cluster, issue, num_texels)
             data_ready = address_done
             l1_sets = l1_by_cluster[cluster]
             for k in range(offsets[index], offsets[index + 1]):
@@ -200,23 +205,16 @@ class _GpuReplaySession(ReplaySession):
                         cache_set.popitem(last=False)
                     cache_set[tag] = make_line(tag)
                     l2_misses += 1
-                    ready = read_line(address_done, lines[k])
+                    ready = fill_line(address_done, lines[k])
+                    texture_bytes += line_traffic
                 if ready > data_ready:
                     data_ready = ready
-            if num_texels:
-                previous = filt_next[cluster]
-                start = data_ready if data_ready > previous else previous
-                occupancy = filt_occ[num_texels]
-                done = start + occupancy
-                filt_next[cluster] = done
-                filt_busy[cluster] += occupancy
-                return done + pipe_depth
-            return data_ready
+            return filter_texels(cluster, data_ready, num_texels)
 
         def finish() -> None:
-            from repro.units import Bytes, Cycles
-
             state.flush()
+            memory.flush()
+            traffic.external[TrafficClass.TEXTURE] = Bytes(texture_bytes)
             caches.l2.hits = l2_hits
             caches.l2.misses = l2_misses
             port._next_free = Cycles(port_next)

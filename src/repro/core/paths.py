@@ -20,13 +20,10 @@ from repro.core.designs import DesignConfig
 from repro.core.expansion import ExpandedFrame
 from repro.gpu.config import GPUConfig
 from repro.gpu.texunit import TextureUnit, TextureUnitActivity
-from repro.memory.gddr5 import Gddr5Memory
-from repro.memory.hmc import HybridMemoryCube
-from repro.memory.packets import PacketSpec
-from repro.memory.traffic import TrafficClass, TrafficMeter
-from repro.sim.resources import BandwidthServer
+from repro.memory.traffic import TrafficMeter
+from repro.sim.resources import BandwidthServer, RequestQueue
 from repro.texture.cache import TextureCache
-from repro.units import Bytes, Cycles, Ops
+from repro.units import Cycles, Ops
 
 
 _Columns = TypeVar("_Columns")
@@ -70,67 +67,82 @@ class ReadMergeWindow:
         self.merged = 0
 
 
-class MemoryInterface(abc.ABC):
-    """Uniform cache-line read interface over GDDR5 or HMC-external."""
+class MergeWindowReplay:
+    """:meth:`ReadMergeWindow.lookup`, then ``fetch`` and
+    :meth:`ReadMergeWindow.insert` on a miss, over a list of windows.
 
-    @abc.abstractmethod
-    def read_line(self, arrival: Cycles, address: int) -> float:
-        """Fetch one cache line; return the data-delivery cycle."""
+    ``read(index, arrival, line)`` returns the ready time of ``line``
+    through ``windows[index]``: a merge is ready no earlier than
+    ``arrival``; a miss is ``fetch(arrival, line)``, the session's vault
+    read, and enters the window.  The windows' LRU dicts are mutated in
+    place; their merged counts fold locally until :meth:`flush`.
+    """
 
-    @abc.abstractmethod
-    def line_traffic_bytes(self) -> Bytes:
-        """External bytes one line fill costs (request + response)."""
+    __slots__ = ("read", "flush")
+
+    def __init__(self, windows: Sequence[ReadMergeWindow],
+                 fetch: Callable[[float, int], float]) -> None:
+        tables = [window._lines for window in windows]
+        capacities = [window.capacity for window in windows]
+        merged = [window.merged for window in windows]
+
+        def read(index: int, arrival: float, line: int) -> float:
+            table = tables[index]
+            ready = table.get(line)
+            if ready is not None:
+                table.move_to_end(line)
+                merged[index] += 1
+                return ready if ready > arrival else arrival
+            ready = fetch(arrival, line)
+            table[line] = ready
+            if len(table) > capacities[index]:
+                table.popitem(last=False)
+            return ready
+
+        def flush() -> None:
+            for window, count in zip(windows, merged):
+                window.merged = count
+
+        self.read = read
+        self.flush = flush
 
 
-class Gddr5Interface(MemoryInterface):
-    """Baseline: cache-line reads over the GDDR5 bus."""
+class QueueReplay:
+    """:meth:`~repro.sim.resources.RequestQueue.enqueue` over a list of
+    queues: ``enqueue(index, arrival)`` returns the admission cycle.
 
-    def __init__(self, memory: Gddr5Memory, packets: PacketSpec,
-                 traffic: TrafficMeter) -> None:
-        self.memory = memory
-        self.packets = packets
-        self.traffic = traffic
-        self.payload_bytes = packets.cache_line_bytes
+    Each queue's clock, entry count and stall cycles fold locally until
+    :meth:`flush`.
+    """
 
-    def read_line(self, arrival: Cycles, address: int) -> float:
-        ready = self.memory.read(arrival, address, self.payload_bytes)
-        self.traffic.add_external(TrafficClass.TEXTURE, self.line_traffic_bytes())
-        return ready
+    __slots__ = ("enqueue", "flush")
 
-    def line_traffic_bytes(self) -> Bytes:
-        return float(
-            self.packets.read_request_bytes
-            + self.payload_bytes
-            + self.packets.header_bytes
-        )
+    def __init__(self, queues: Sequence[RequestQueue]) -> None:
+        # The two quotients enqueue divides out on every call.
+        lead = [float(queue.capacity - 1) / queue.drain_rate
+                for queue in queues]
+        step = [1.0 / queue.drain_rate for queue in queues]
+        free_at = [queue._occupancy_free_at for queue in queues]
+        enqueued = [queue.total_enqueued for queue in queues]
+        stalls = [queue.total_stall_cycles for queue in queues]
 
+        def enqueue(index: int, arrival: float) -> float:
+            free = free_at[index]
+            earliest = free - lead[index]
+            admitted = earliest if earliest > arrival else arrival
+            free_at[index] = (admitted if admitted > free else free) + step[index]
+            enqueued[index] += 1
+            stalls[index] += admitted - arrival
+            return admitted
 
-class HmcExternalInterface(MemoryInterface):
-    """B-PIM (and A-TFIM's isotropic reads): line reads over the links."""
+        def flush() -> None:
+            for index, queue in enumerate(queues):
+                queue._occupancy_free_at = Cycles(free_at[index])
+                queue.total_enqueued = enqueued[index]
+                queue.total_stall_cycles = Cycles(stalls[index])
 
-    def __init__(self, hmc: HybridMemoryCube, packets: PacketSpec,
-                 traffic: TrafficMeter) -> None:
-        self.hmc = hmc
-        self.packets = packets
-        self.traffic = traffic
-        self.payload_bytes = packets.cache_line_bytes
-
-    def read_line(self, arrival: Cycles, address: int) -> float:
-        ready = self.hmc.external_read(
-            arrival,
-            address,
-            self.packets.read_request_bytes,
-            self.payload_bytes + self.packets.header_bytes,
-        )
-        self.traffic.add_external(TrafficClass.TEXTURE, self.line_traffic_bytes())
-        return ready
-
-    def line_traffic_bytes(self) -> Bytes:
-        return float(
-            self.packets.read_request_bytes
-            + self.payload_bytes
-            + self.packets.header_bytes
-        )
+        self.enqueue = enqueue
+        self.flush = flush
 
 
 @dataclass
@@ -212,24 +224,30 @@ class PathActivity:
     child_lines_fetched: int = 0
 
 
+def check_frame(texel_counts: np.ndarray, *addresses: np.ndarray) -> None:
+    """The live units' and memories' per-access checks, hoisted to one
+    vectorised check per frame: a texture unit refuses a negative texel
+    count, a memory a negative address."""
+    if bool(np.any(texel_counts < 0)):
+        raise ValueError("negative texel count")
+    for column in addresses:
+        if bool(np.any(column < 0)):
+            raise ValueError("negative address")
+
+
 class GpuReplayColumns:
     """Per-trace columns for a replay session that inlines the GPU side.
 
     Request ``i`` puts ``texels[i]`` texels through its cluster's texture
     unit (one address op and one filter op each) and probes the caches
-    for ``lines[offsets[i]:offsets[i + 1]]``; ``addr_occ[n]`` and
-    ``filt_occ[n]`` are the two stages' occupancies for ``n`` texels.
-    Every column is a pure function of those arrays and the cache/ALU
-    geometry, computed as a whole-trace numpy expression and
-    materialised as a python list (the scheduler indexes them one scalar
-    at a time, where list indexing beats ndarray item access).  The
-    arithmetic is lane-for-lane the scalar path's:
-
-    * stage occupancies are the same IEEE-754 division
-      ``texels / ops_per_cycle`` the :class:`ThroughputUnit` performs;
-    * cache set/tag columns replicate ``TextureCache._locate`` --
-      int64 floor division and modulus agree exactly with python ints
-      for the non-negative addresses the expansion produces.
+    for ``lines[offsets[i]:offsets[i + 1]]``.  Every column is a pure
+    function of those arrays and the cache geometry, computed as a
+    whole-trace numpy expression and materialised as a python list (the
+    scheduler indexes them one scalar at a time, where list indexing
+    beats ndarray item access).  The cache set/tag columns replicate
+    ``TextureCache._locate``: int64 floor division and modulus agree
+    exactly with python ints for non-negative addresses, which
+    :func:`check_frame` ensures once per frame.
 
     The per-line columns are computed once per distinct line and share
     one python int per distinct value: a trace touches few distinct
@@ -238,22 +256,14 @@ class GpuReplayColumns:
     """
 
     __slots__ = (
-        "texels", "addr_occ", "filt_occ", "pipe_depth", "offsets",
-        "lines", "l1_set", "l1_tag", "l2_set", "l2_tag",
-        "l1_assoc", "l2_assoc",
+        "texels", "offsets", "lines", "l1_set", "l1_tag", "l2_set",
+        "l2_tag", "l1_assoc", "l2_assoc",
     )
 
     def __init__(self, gpu: GPUConfig, texels: np.ndarray,
                  offsets: np.ndarray, lines: np.ndarray) -> None:
-        unit_config = gpu.texture_unit
+        check_frame(texels, lines)
         self.texels = texels.tolist()
-        counts = np.arange(max(self.texels, default=0) + 1, dtype=np.float64)
-        self.addr_occ = (counts / float(unit_config.address_alus)).tolist()
-        self.filt_occ = (counts / float(unit_config.filter_alus)).tolist()
-        self.pipe_depth = unit_config.pipeline_depth
-
-        if bool(np.any(lines < 0)):
-            raise ValueError("negative address")
         self.offsets = offsets.tolist()
         distinct, inverse = np.unique(lines, return_inverse=True)
 
@@ -290,29 +300,103 @@ def _set_table(cache: TextureCache) -> List[OrderedDict]:
     return table
 
 
-class GpuReplayState:
+class UnitReplayState:
+    """Texture units' mutable state, unpacked for an inlined replay session.
+
+    Seeded from the live units, per unit: the address and filter stages'
+    next-issue clocks and busy cycles, and the requests and address and
+    filter ops the session adds.  ``generate_addresses(unit, arrival,
+    n)`` and ``filter_texels(unit, arrival, n)`` are
+    :class:`~repro.gpu.texunit.TextureUnit`'s two methods over these
+    lists, operation for operation; a session counts a request with
+    ``requests[unit] += 1``.  One state serves the GPU's per-cluster
+    units, S-TFIM's MTUs and A-TFIM's logic-layer Texel Generator and
+    Combination Unit.  A session mutates the lists in service order (so
+    float accumulators reproduce the scalar ``+=`` sequence bit for bit)
+    and calls :meth:`flush` from its ``finish``.
+    """
+
+    def __init__(self, units: Sequence[TextureUnit]) -> None:
+        self.units = units
+        addr_rate = [unit.address_stage.ops_per_cycle for unit in units]
+        addr_depth = [unit.address_stage.pipeline_depth for unit in units]
+        filt_rate = [unit.filter_stage.ops_per_cycle for unit in units]
+        filt_depth = [unit.filter_stage.pipeline_depth for unit in units]
+        addr_next = self.addr_next = [
+            unit.address_stage._next_issue for unit in units
+        ]
+        addr_busy = self.addr_busy = [
+            unit.address_stage.busy_cycles for unit in units
+        ]
+        filt_next = self.filt_next = [
+            unit.filter_stage._next_issue for unit in units
+        ]
+        filt_busy = self.filt_busy = [
+            unit.filter_stage.busy_cycles for unit in units
+        ]
+        addr_ops = self.addr_ops = [0] * len(units)
+        filt_ops = self.filt_ops = [0] * len(units)
+        self.requests = [0] * len(units)
+
+        def generate_addresses(unit: int, arrival: float,
+                               num_texels: int) -> float:
+            addr_ops[unit] += num_texels
+            if not num_texels:
+                return arrival
+            previous = addr_next[unit]
+            start = previous if previous > arrival else arrival
+            occupancy = num_texels / addr_rate[unit]
+            done = start + occupancy
+            addr_next[unit] = done
+            addr_busy[unit] += occupancy
+            return done + addr_depth[unit]
+
+        def filter_texels(unit: int, arrival: float, num_texels: int) -> float:
+            filt_ops[unit] += num_texels
+            if not num_texels:
+                return arrival
+            previous = filt_next[unit]
+            start = previous if previous > arrival else arrival
+            occupancy = num_texels / filt_rate[unit]
+            done = start + occupancy
+            filt_next[unit] = done
+            filt_busy[unit] += occupancy
+            return done + filt_depth[unit]
+
+        self.generate_addresses = generate_addresses
+        self.filter_texels = filter_texels
+
+    def flush(self) -> None:
+        """Write the session's per-unit state back to the live units."""
+        for index, unit in enumerate(self.units):
+            activity = unit.activity
+            activity.requests += self.requests[index]
+            addr_ops, filt_ops = self.addr_ops[index], self.filt_ops[index]
+            activity.address_ops = Ops(activity.address_ops + addr_ops)
+            activity.filter_ops = Ops(activity.filter_ops + filt_ops)
+            address_stage = unit.address_stage
+            address_stage._next_issue = Cycles(self.addr_next[index])
+            address_stage.busy_cycles = Cycles(self.addr_busy[index])
+            address_stage.total_ops = Ops(address_stage.total_ops + addr_ops)
+            filter_stage = unit.filter_stage
+            filter_stage._next_issue = Cycles(self.filt_next[index])
+            filter_stage.busy_cycles = Cycles(self.filt_busy[index])
+            filter_stage.total_ops = Ops(filter_stage.total_ops + filt_ops)
+
+
+class GpuReplayState(UnitReplayState):
     """The GPU side's mutable state, unpacked for an inlined replay session.
 
-    Seeded from the live texture units and caches, per cluster: the
-    address and filter stages' next-issue clocks and busy cycles, the
-    requests and ops the session adds, the L1's hit, miss and angle-miss
-    counters, and the L1's :func:`_set_table`; plus the shared L2's set
-    table.  A session binds these lists to closure locals, mutates them
-    in service order (so float accumulators reproduce the scalar ``+=``
-    sequence bit for bit) and calls :meth:`flush` from its ``finish``.
-    The L2's counters are plain ints, which each session keeps and
-    flushes itself.
+    The per-cluster texture units (:class:`UnitReplayState`, the unit
+    half), plus each cluster's L1 hit, miss and angle-miss counters and
+    :func:`_set_table`, and the shared L2's set table.  The L2's
+    counters are plain ints, which each session keeps and flushes
+    itself.
     """
 
     def __init__(self, units: Sequence[TextureUnit], caches: CacheHierarchy) -> None:
-        self.units = units
+        super().__init__(units)
         self.caches = caches
-        self.addr_next = [unit.address_stage._next_issue for unit in units]
-        self.addr_busy = [unit.address_stage.busy_cycles for unit in units]
-        self.filt_next = [unit.filter_stage._next_issue for unit in units]
-        self.filt_busy = [unit.filter_stage.busy_cycles for unit in units]
-        self.requests = [0] * len(units)
-        self.ops = [0] * len(units)
         self.l1_hits = [cache.hits for cache in caches.l1]
         self.l1_misses = [cache.misses for cache in caches.l1]
         self.l1_angle_misses = [cache.angle_misses for cache in caches.l1]
@@ -321,21 +405,8 @@ class GpuReplayState:
 
     def flush(self) -> None:
         """Write the session's per-cluster state back to the live objects."""
-        for cluster, unit in enumerate(self.units):
-            activity = unit.activity
-            activity.requests += self.requests[cluster]
-            ops = self.ops[cluster]
-            activity.address_ops = Ops(activity.address_ops + ops)
-            activity.filter_ops = Ops(activity.filter_ops + ops)
-            address_stage = unit.address_stage
-            address_stage._next_issue = Cycles(self.addr_next[cluster])
-            address_stage.busy_cycles = Cycles(self.addr_busy[cluster])
-            address_stage.total_ops = Ops(address_stage.total_ops + ops)
-            filter_stage = unit.filter_stage
-            filter_stage._next_issue = Cycles(self.filt_next[cluster])
-            filter_stage.busy_cycles = Cycles(self.filt_busy[cluster])
-            filter_stage.total_ops = Ops(filter_stage.total_ops + ops)
-            l1 = self.caches.l1[cluster]
+        super().flush()
+        for cluster, l1 in enumerate(self.caches.l1):
             l1.hits = self.l1_hits[cluster]
             l1.misses = self.l1_misses[cluster]
             l1.angle_misses = self.l1_angle_misses[cluster]
@@ -401,9 +472,10 @@ class TexturePath(abc.ABC):
 
         The scheduler serves every request of a replay through one
         session, letting path implementations precompute per-request
-        columns (texel counts, stage occupancies, cache set/tag address
-        math) from the frame's arrays and keep hot counters in locals
-        until :meth:`ReplaySession.finish`.
+        columns (texel counts, line slices, cache set/tag address math)
+        from the frame's arrays and keep the state they serve -- units,
+        caches, queues, merge windows and the memory -- in locals until
+        :meth:`ReplaySession.finish`.
         """
 
     @abc.abstractmethod

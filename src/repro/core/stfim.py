@@ -15,22 +15,27 @@ packages.  Backpressure from the bounded texture request queue (capacity
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.core.designs import Design, DesignConfig
 from repro.core.expansion import ExpandedFrame
 from repro.core.paths import (
+    MergeWindowReplay,
     PathActivity,
+    QueueReplay,
     ReadMergeWindow,
     ReplaySession,
     TexturePath,
+    UnitReplayState,
+    check_frame,
 )
 from repro.gpu.config import MTU_TEXTURE_UNIT
 from repro.gpu.texunit import TextureUnit
 from repro.memory.hmc import HybridMemoryCube
+from repro.memory.replay import HmcReplay, require_positive_sizes
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.sim.resources import RequestQueue
-from repro.units import Cycles
+from repro.units import Bytes, Cycles
 
 MTU_REQUEST_QUEUE_DEPTH = 256
 """Texture request queue entries per MTU (matches the parent texel
@@ -69,49 +74,8 @@ class StfimPath(TexturePath):
             ReadMergeWindow(READ_MERGE_WINDOW_LINES) for _ in range(num_mtus)
         ]
 
-    def _mtu_index(self, cluster: int) -> int:
-        return cluster // self.config.mtu_share
-
     def begin_replay(self, frame: ExpandedFrame) -> ReplaySession:
         return _StfimReplaySession(self, frame)
-
-    def _serve_lines(
-        self, cluster: int, issue: float, num_texels: int, lines: Sequence[int]
-    ) -> float:
-        """Serve one request: its texel count and unique texel lines."""
-        packets = self.config.packets
-        index = self._mtu_index(cluster)
-        mtu = self.mtus[index]
-        mtu.note_request()
-
-        # Shader -> MTU: live-texture package over the transmit link,
-        # gated by the MTU's bounded request queue (stall protocol).
-        admitted = self.queues[index].enqueue(issue)
-        request_bytes = packets.texture_request_bytes
-        self.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
-        delivered = self.hmc.send_request(admitted, request_bytes)
-
-        # MTU pipeline: address generation, vault fetches, filtering.
-        address_done = mtu.generate_addresses(delivered, num_texels)
-        data_ready = address_done
-        line_bytes = packets.cache_line_bytes
-        window = self.merge_windows[index]
-        for line in lines:
-            merged_ready = window.lookup(line)
-            if merged_ready is not None:
-                ready = max(address_done, merged_ready)
-            else:
-                ready = self.hmc.internal_read(address_done, line, line_bytes)
-                self.traffic.add_internal(TrafficClass.TEXTURE, float(line_bytes))
-                window.insert(line, ready)
-            if ready > data_ready:
-                data_ready = ready
-        filtered = mtu.filter_texels(data_ready, num_texels)
-
-        # MTU -> shader: one filtered sample back over the receive link.
-        response_bytes = packets.texture_response_bytes(samples=1)
-        self.traffic.add_external(TrafficClass.TEXTURE, float(response_bytes))
-        return self.hmc.send_response(filtered, response_bytes)
 
     def activity(self) -> PathActivity:
         activity = PathActivity()
@@ -143,21 +107,104 @@ class StfimPath(TexturePath):
         self.hmc.reset()
 
 
+class _StfimColumns:
+    """Per-trace columns of the S-TFIM replay session: request ``i``'s
+    texel count ``texels[i]`` and unique texel lines
+    ``lines[offsets[i]:offsets[i + 1]]``, as python lists, checked once
+    per frame (:func:`~repro.core.paths.check_frame`)."""
+
+    __slots__ = ("texels", "offsets", "lines")
+
+    def __init__(self, frame: ExpandedFrame) -> None:
+        check_frame(frame.texels, frame.lines)
+        self.texels = frame.texels.tolist()
+        self.offsets = frame.line_offsets.tolist()
+        self.lines = frame.lines.tolist()
+
+
 class _StfimReplaySession(ReplaySession):
-    """Replay session for S-TFIM: each request's texel count and line
-    slice, read from the frame, go straight to
-    :meth:`StfimPath._serve_lines`."""
+    """Replay session for S-TFIM.
+
+    Built as a closure over per-trace columns and local state, as
+    :class:`~repro.core.baseline._GpuReplaySession` is, and serving each
+    request operation for operation as the scalar reference in
+    ``tests/reference.py`` does, with no call into a live object:
+
+    * shader -> MTU: the MTU's bounded request queue
+      (:class:`~repro.core.paths.QueueReplay`), then the live-texture
+      package over the transmit link;
+    * the MTU's address stage (:class:`~repro.core.paths.UnitReplayState`
+      over the MTUs), each unique texel line through the MTU's
+      read-merge window (:class:`~repro.core.paths.MergeWindowReplay`)
+      or, on a miss, a vault read, then the MTU's filter stage;
+    * MTU -> shader: one filtered sample over the receive link.
+
+    The links and vaults are :class:`~repro.memory.replay.HmcReplay`'s.
+    Every piece of state is seeded from the live objects, folded locally
+    in service order and written back by ``finish``.  That includes the
+    texture bytes, external and internal: ``finish`` assigns the meter's
+    texture entries, which is exact because nothing else adds texture
+    bytes while a session is open.
+    """
 
     def __init__(self, path: StfimPath, frame: ExpandedFrame) -> None:
-        texels = frame.texels.tolist()
-        offsets = frame.line_offsets.tolist()
-        lines = frame.lines.tolist()
-        serve_lines = path._serve_lines
+        columns = path._columns_for(frame, lambda: _StfimColumns(frame))
+        texels = columns.texels
+        offsets = columns.offsets
+        lines = columns.lines
+        packets = path.config.packets
+        request_bytes = packets.texture_request_bytes
+        response_bytes = packets.texture_response_bytes(samples=1)
+        line_bytes = packets.cache_line_bytes
+        require_positive_sizes(request_bytes, response_bytes, line_bytes)
+        share = path.config.mtu_share
+
+        units = UnitReplayState(path.mtus)
+        requests = units.requests
+        generate_addresses = units.generate_addresses
+        filter_texels = units.filter_texels
+        queues = QueueReplay(path.queues)
+        enqueue = queues.enqueue
+        memory = HmcReplay(path.hmc)
+        send_request, send_response = memory.send_request, memory.send_response
+        internal_read = memory.internal_read
+        traffic = path.traffic
+        external_bytes = traffic.external[TrafficClass.TEXTURE]
+        internal_bytes = traffic.internal[TrafficClass.TEXTURE]
+
+        def fetch(arrival: float, line: int) -> float:
+            nonlocal internal_bytes
+            internal_bytes += line_bytes
+            return internal_read(arrival, line, line_bytes)
+
+        windows = MergeWindowReplay(path.merge_windows, fetch)
+        read = windows.read
 
         def serve_one(cluster: int, issue: float, index: int) -> float:
-            return serve_lines(
-                cluster, issue, texels[index],
-                lines[offsets[index]:offsets[index + 1]],
-            )
+            nonlocal external_bytes
+            mtu = cluster // share
+            requests[mtu] += 1
+            admitted = enqueue(mtu, issue)
+            external_bytes += request_bytes
+            delivered = send_request(admitted, request_bytes)
+            num_texels = texels[index]
+            address_done = generate_addresses(mtu, delivered, num_texels)
+            data_ready = address_done
+            for k in range(offsets[index], offsets[index + 1]):
+                ready = read(mtu, address_done, lines[k])
+                if ready > data_ready:
+                    data_ready = ready
+            filtered = filter_texels(mtu, data_ready, num_texels)
+            external_bytes += response_bytes
+            return send_response(filtered, response_bytes)
+
+        def finish() -> None:
+            units.flush()
+            queues.flush()
+            windows.flush()
+            memory.flush()
+            traffic.external[TrafficClass.TEXTURE] = Bytes(external_bytes)
+            traffic.internal[TrafficClass.TEXTURE] = Bytes(internal_bytes)
 
         self.serve_one = serve_one
+        self.finish = finish

@@ -20,8 +20,6 @@ class Framebuffer:
     height: int
     color: np.ndarray = field(init=False)
     depth: np.ndarray = field(init=False)
-    depth_tests: int = field(default=0, init=False)
-    depth_passes: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -31,11 +29,7 @@ class Framebuffer:
 
     def depth_test(self, x: int, y: int, z: float) -> bool:
         """Early-Z test: True when the fragment is visible so far."""
-        self.depth_tests += 1
-        if z < self.depth[y, x]:
-            self.depth_passes += 1
-            return True
-        return False
+        return bool(z < self.depth[y, x])
 
     def depth_test_batch(
         self, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray
@@ -44,13 +38,9 @@ class Framebuffer:
 
         Callers guarantee ``(xs, ys)`` pairs are distinct (true for the
         fragments of one triangle), so the gathered comparison equals a
-        sequential per-fragment test.  Counters advance exactly as the
-        scalar test would.
+        sequential per-fragment test.
         """
-        mask = zs < self.depth[ys, xs]
-        self.depth_tests += int(mask.size)
-        self.depth_passes += int(mask.sum())
-        return mask
+        return zs < self.depth[ys, xs]
 
     def write_colors(
         self, xs: np.ndarray, ys: np.ndarray, colors: np.ndarray
@@ -72,8 +62,6 @@ class Framebuffer:
     def clear(self) -> None:
         self.color.fill(0.0)
         self.depth.fill(np.inf)
-        self.depth_tests = 0
-        self.depth_passes = 0
 
     @property
     def num_pixels(self) -> int:

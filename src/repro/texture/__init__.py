@@ -34,7 +34,7 @@ from repro.texture.sampling import (
     anisotropic_first_sample,
 )
 from repro.texture.cache import CacheConfig, TextureCache, CacheAccessResult
-from repro.texture.requests import TextureRequest, TexelFetch
+from repro.texture.requests import TextureRequest
 
 __all__ = [
     "TexelFormat",
@@ -54,5 +54,4 @@ __all__ = [
     "TextureCache",
     "CacheAccessResult",
     "TextureRequest",
-    "TexelFetch",
 ]

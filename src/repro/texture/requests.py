@@ -46,23 +46,6 @@ class TextureRequest:
             raise ValueError("negative camera angle")
 
 
-@dataclass(frozen=True)
-class TexelFetch:
-    """One texel read issued while serving a request."""
-
-    texture_id: int
-    level: int
-    x: int
-    y: int
-    address: int
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError("negative mip level")
-        if self.address < 0:
-            raise ValueError("negative address")
-
-
 @dataclass(frozen=True, eq=False)
 class FragmentTrace:
     """One frame's texture requests as columns, in submission order.

@@ -5,18 +5,18 @@ import math
 import pytest
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.paths import (
-    CacheHierarchy,
-    Gddr5Interface,
-    HmcExternalInterface,
-    ReadMergeWindow,
-)
+from repro.core.paths import CacheHierarchy, ReadMergeWindow
 from repro.memory.gddr5 import Gddr5Memory
 from repro.memory.hmc import HybridMemoryCube
 from repro.memory.packets import PacketSpec
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.texture.cache import CacheAccessResult
-from tests.reference import lookup, probe
+from tests.reference import (
+    Gddr5Interface,
+    HmcExternalInterface,
+    lookup,
+    probe,
+)
 
 
 class TestReadMergeWindow:

@@ -9,11 +9,18 @@ produces: makespan, the latency histogram (total, count, max,
 buckets), per-cluster fragment counts, external memory traffic, unit
 activity counters, L1/L2 cache statistics, and the path's whole
 flattened ``stat_group()`` (angle misses, A-TFIM reuse/recalculation/
-cold-miss counts, child lines, offload packages, memory-side counters).
+cold-miss counts, child lines, offload packages, memory-side counters),
+and the whole state a replay leaves behind in the memory side and the
+texture units (:func:`resource_state`): every bandwidth server's clock
+and totals, every DRAM bank's open row, clock and counters, per-vault
+access counts, request queues, read-merge windows, stage clocks and
+both traffic dicts.  Every replay of a sequence is observed, so the
+warm-up's state is held to it as well as the measured replay's.
 A-TFIM is also held to it across camera-angle thresholds with Child
-Texel Consolidation on and off, and every design across a warm-up ->
-``reset_for_measurement`` -> measured pair of replays on one path, the
-protocol ``simulate_frame`` runs.  The production replay reads the
+Texel Consolidation on and off, S-TFIM with two and four clusters per
+MTU, and every design across a warm-up -> ``reset_for_measurement`` ->
+measured pair of replays on one path, the protocol ``simulate_frame``
+runs.  The production replay reads the
 columnar ``ExpandedFrame``; the reference can also be handed the list of
 per-request ``RequestExpander.expand`` results, so the two expansions are
 held to the same replay too.
@@ -24,7 +31,7 @@ import math
 
 import pytest
 
-from repro.core import Design
+from repro.core import Design, stfim
 from repro.core.designs import DesignConfig
 from repro.core.expansion import RequestExpander
 from repro.core.frontend import make_texture_path
@@ -38,6 +45,16 @@ from tests.conftest import make_tiny_scene
 
 ALL_DESIGNS = (Design.BASELINE, Design.B_PIM, Design.S_TFIM, Design.A_TFIM)
 DEPTHS = (1, 2, 64)
+DESIGN_POINTS = [(design, {}) for design in ALL_DESIGNS] + [
+    (Design.S_TFIM, {"mtu_share": share}) for share in (2, 4)
+]
+"""Every design, plus S-TFIM with MTUs shared by two and four clusters."""
+
+
+def point_id(point):
+    design, overrides = point
+    suffix = "".join(f"-{key}{value}" for key, value in overrides.items())
+    return design.value + suffix
 
 
 def small_gpu(depth):
@@ -70,6 +87,79 @@ def single_probe(request):
     return dataclasses.replace(request, footprint=footprint)
 
 
+def server_state(server):
+    return (server.name, server.next_free, server.total_bytes,
+            server.total_requests, server.busy_cycles)
+
+
+def bank_state(bank):
+    return (bank.open_row, bank.next_free, bank.row_hits, bank.row_misses,
+            bank.busy_cycles)
+
+
+def unit_state(unit):
+    activity = unit.activity
+    return tuple(
+        (stage.next_issue, stage.busy_cycles, stage.total_ops)
+        for stage in (unit.address_stage, unit.filter_stage)
+    ) + ((activity.requests, activity.address_ops, activity.filter_ops),)
+
+
+def resource_state(path, traffic):
+    """Everything a replay leaves in the path's memory side and units.
+
+    Links, TSVs, the GDDR5 bus and the L2 port (clock, bytes, requests,
+    busy cycles); every DRAM bank (open row, clock, row hits and misses,
+    busy cycles); per-vault accesses and the memories' read counters;
+    the request queues (clock, count, stall cycles); the read-merge
+    windows (LRU contents in order, merged count); every texture unit's
+    stages and activity; and both traffic dicts, every class.
+    """
+    servers, banks, state = [], [], {}
+    hmc = getattr(path, "hmc", None)
+    if hmc is not None:
+        servers += [hmc.tx_link.server, hmc.rx_link.server]
+        servers += [vault.tsv for vault in hmc.vaults]
+        banks += [bank for vault in hmc.vaults for bank in vault.device.banks]
+        state["vault_accesses"] = [vault.accesses for vault in hmc.vaults]
+        state["hmc_reads"] = (hmc.external_reads, hmc.external_writes,
+                              hmc.internal_reads)
+    gddr5 = getattr(path, "gddr5", None)
+    if gddr5 is not None:
+        servers.append(gddr5.bus)
+        banks += [bank for channel in gddr5.channels for bank in channel.banks]
+        state["gddr5_reads"] = (gddr5.reads, gddr5.writes)
+    caches = getattr(path, "caches", None)
+    if caches is not None:
+        servers.append(caches.l2_port)
+    queues = list(getattr(path, "queues", []))
+    if hasattr(path, "parent_buffer"):
+        queues.append(path.parent_buffer)
+    windows = list(getattr(path, "merge_windows", []))
+    if hasattr(path, "child_merge_window"):
+        windows.append(path.child_merge_window)
+    units = list(getattr(path, "units", [])) + list(getattr(path, "mtus", []))
+    for name in ("texel_generator", "combination_unit"):
+        if hasattr(path, name):
+            units.append(getattr(path, name))
+    state["servers"] = [server_state(server) for server in servers]
+    state["banks"] = [bank_state(bank) for bank in banks]
+    state["queues"] = [
+        (queue.name, queue._occupancy_free_at, queue.total_enqueued,
+         queue.total_stall_cycles)
+        for queue in queues
+    ]
+    state["windows"] = [
+        (list(window._lines.items()), window.merged) for window in windows
+    ]
+    state["units"] = [unit_state(unit) for unit in units]
+    state["traffic"] = (
+        {cls.value: value for cls, value in traffic.external.items()},
+        {cls.value: value for cls, value in traffic.internal.items()},
+    )
+    return state
+
+
 def observe(path, traffic, makespan, histogram, per_cluster):
     """Every replay observable, collapsed into one comparable dict."""
     activity = path.activity()
@@ -93,12 +183,13 @@ def observe(path, traffic, makespan, histogram, per_cluster):
         "l2_hits": caches.l2_hits,
         "l2_misses": caches.l2_misses,
         "stat_group": dict(path.stat_group().flatten()),
+        "resources": resource_state(path, traffic),
     }
 
 
 def replay(design, depth, trace, expanded, batched, passes=1, **overrides):
     """Replay ``expanded`` ``passes`` times through one path, resetting
-    for measurement in between; observe the last pass.  ``batched``
+    for measurement in between; observe every pass.  ``batched``
     replays through the production scheduler, otherwise through the
     reference."""
     return replay_frames(design, depth, [(trace, expanded)] * passes,
@@ -107,13 +198,16 @@ def replay(design, depth, trace, expanded, batched, passes=1, **overrides):
 
 def replay_frames(design, depth, frames, batched, **overrides):
     """Replay each ``(trace, expanded)`` in turn through one path,
-    resetting for measurement in between; observe the last one."""
+    resetting for measurement in between; observe each replay before
+    the reset that follows it.  One replay's observation is returned
+    as is, several as a list."""
     gpu = small_gpu(depth)
     traffic = TrafficMeter()
     path = make_texture_path(
         DesignConfig(design=design, gpu=gpu, **overrides), traffic
     )
     pipeline = GpuPipeline(gpu)
+    observed = []
     for index, (trace, expanded) in enumerate(frames):
         if index:
             path.reset_for_measurement()
@@ -124,8 +218,8 @@ def replay_frames(design, depth, frames, batched, **overrides):
             result = reference.replay_texture_stream(
                 pipeline, trace, expanded, path
             )
-        makespan, histogram, per_cluster = result
-    return observe(path, traffic, makespan, histogram, per_cluster)
+        observed.append(observe(path, traffic, *result))
+    return observed[0] if len(observed) == 1 else observed
 
 
 def pick_expansions(design, frame):
@@ -134,12 +228,16 @@ def pick_expansions(design, frame):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("design", ALL_DESIGNS, ids=lambda d: d.value)
+    @pytest.mark.parametrize("point", DESIGN_POINTS, ids=point_id)
     @pytest.mark.parametrize("depth", DEPTHS)
-    def test_batched_matches_scalar_oracle(self, frame, design, depth):
+    def test_batched_matches_scalar_oracle(self, frame, point, depth):
+        """A warm-up and a measured replay, each observed in full."""
+        design, overrides = point
         expanded = pick_expansions(design, frame)
-        scalar = replay(design, depth, frame["trace"], expanded, False)
-        batched = replay(design, depth, frame["trace"], expanded, True)
+        scalar = replay(design, depth, frame["trace"], expanded, False,
+                        passes=2, **overrides)
+        batched = replay(design, depth, frame["trace"], expanded, True,
+                         passes=2, **overrides)
         assert batched == scalar
 
     @pytest.mark.parametrize("design", ALL_DESIGNS, ids=lambda d: d.value)
@@ -173,6 +271,20 @@ class TestBitIdentity:
         batched = replay(Design.A_TFIM, depth, frame["trace"],
                          frame["aniso"], True, **overrides)
         assert batched == scalar
+
+    @pytest.mark.parametrize("depth", DEPTHS)
+    def test_mtu_queue_backpressure(self, frame, depth, monkeypatch):
+        """MTU request queues short enough to fill, so the stall
+        protocol delays admissions: four clusters share each MTU."""
+        monkeypatch.setattr(stfim, "MTU_REQUEST_QUEUE_DEPTH", 2)
+        expanded = pick_expansions(Design.S_TFIM, frame)
+        scalar = replay(Design.S_TFIM, depth, frame["trace"], expanded,
+                        False, passes=2, mtu_share=4)
+        batched = replay(Design.S_TFIM, depth, frame["trace"], expanded,
+                         True, passes=2, mtu_share=4)
+        assert batched == scalar
+        stalls = [queue[3] for queue in scalar[-1]["resources"]["queues"]]
+        assert min(stalls) > 0
 
     @pytest.mark.parametrize("design", ALL_DESIGNS, ids=lambda d: d.value)
     def test_measured_replay_after_warmup(self, frame, design):
@@ -261,8 +373,10 @@ class TestSessionContract:
                               + after.memory_texture.requests)
             assert requests_after == requests_before + 2, design
 
-    @pytest.mark.parametrize("design", (Design.BASELINE, Design.A_TFIM),
-                             ids=lambda d: d.value)
+    @pytest.mark.parametrize(
+        "design", (Design.BASELINE, Design.S_TFIM, Design.A_TFIM),
+        ids=lambda d: d.value,
+    )
     def test_columns_handed_to_the_next_replay_only(self, frame, design):
         """A replay leaves its columns for the next replay of the same
         frame, which takes them: afterwards the path holds none."""

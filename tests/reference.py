@@ -9,8 +9,12 @@ results:
   scheduler, serving each request through its design's :func:`serve`;
 * :func:`serve` -- one request through one design's texture path:
   texture-unit stages, L1 -> L2 -> memory :func:`lookup` (baseline and
-  B-PIM), the S-TFIM memory texture unit, or the A-TFIM angle-tagged
-  :func:`probe` and offload;
+  B-PIM, filling lines through a :class:`MemoryInterface`), the S-TFIM
+  memory texture unit (:func:`serve_stfim`), or the A-TFIM angle-tagged
+  :func:`probe` and :func:`offload`.  Each calls the live objects'
+  per-access methods: ``HybridMemoryCube.internal_read`` and its links,
+  ``Gddr5Memory.read``, ``RequestQueue.enqueue``, the
+  :class:`~repro.core.paths.ReadMergeWindow` and the texture units;
 * :class:`ScalarRasterizer` -- the per-pixel fragment emitter, emitting
   :class:`RasterFragment` rows, and the per-fragment footprint;
 * :class:`ScalarRenderer` -- per-request shading in all four sampling
@@ -23,19 +27,24 @@ It also holds the row-to-column helpers for hand-built inputs:
 
 from __future__ import annotations
 
+import abc
 import heapq
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.atfim import AtfimPath, _ParentColumns
+from repro.core.atfim import AtfimPath
 from repro.core.baseline import GpuFilteringPath
 from repro.core.expansion import ExpandedRequest
-from repro.core.paths import CacheHierarchy, MemoryInterface, TexturePath
+from repro.core.paths import CacheHierarchy, TexturePath
 from repro.core.stfim import StfimPath
 from repro.gpu.pipeline import Expansion, GpuPipeline
+from repro.memory.gddr5 import Gddr5Memory
+from repro.memory.hmc import HybridMemoryCube
+from repro.memory.packets import PacketSpec
+from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.render.camera import Camera
 from repro.render.framebuffer import Framebuffer
 from repro.render.raster import Rasterizer, RasterStats
@@ -60,7 +69,7 @@ from repro.texture.sampling import (
     parent_texel_coords,
     trilinear_sample,
 )
-from repro.units import Cycles, Radians
+from repro.units import Bytes, Cycles, Radians
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +146,84 @@ def serve(
     if isinstance(path, GpuFilteringPath):
         return _serve_gpu_filtering(path, cluster, issue, expanded)
     if isinstance(path, StfimPath):
-        return path._serve_lines(
-            cluster, issue, expanded.num_conventional_texels,
+        return serve_stfim(
+            path, cluster, issue, expanded.num_conventional_texels,
             expanded.conventional_lines,
         )
     if isinstance(path, AtfimPath):
         return _serve_atfim(path, cluster, issue, expanded)
     raise TypeError(f"no reference for {type(path).__name__}")
+
+
+class MemoryInterface(abc.ABC):
+    """Uniform cache-line read interface over GDDR5 or HMC-external."""
+
+    @abc.abstractmethod
+    def read_line(self, arrival: Cycles, address: int) -> float:
+        """Fetch one cache line; return the data-delivery cycle."""
+
+    @abc.abstractmethod
+    def line_traffic_bytes(self) -> Bytes:
+        """External bytes one line fill costs (request + response)."""
+
+
+class Gddr5Interface(MemoryInterface):
+    """Baseline: cache-line reads over the GDDR5 bus."""
+
+    def __init__(self, memory: Gddr5Memory, packets: PacketSpec,
+                 traffic: TrafficMeter) -> None:
+        self.memory = memory
+        self.packets = packets
+        self.traffic = traffic
+        self.payload_bytes = packets.cache_line_bytes
+
+    def read_line(self, arrival: Cycles, address: int) -> float:
+        ready = self.memory.read(arrival, address, self.payload_bytes)
+        self.traffic.add_external(TrafficClass.TEXTURE, self.line_traffic_bytes())
+        return ready
+
+    def line_traffic_bytes(self) -> Bytes:
+        return float(
+            self.packets.read_request_bytes
+            + self.payload_bytes
+            + self.packets.header_bytes
+        )
+
+
+class HmcExternalInterface(MemoryInterface):
+    """B-PIM: line reads over the HMC's external links."""
+
+    def __init__(self, hmc: HybridMemoryCube, packets: PacketSpec,
+                 traffic: TrafficMeter) -> None:
+        self.hmc = hmc
+        self.packets = packets
+        self.traffic = traffic
+        self.payload_bytes = packets.cache_line_bytes
+
+    def read_line(self, arrival: Cycles, address: int) -> float:
+        ready = self.hmc.external_read(
+            arrival,
+            address,
+            self.packets.read_request_bytes,
+            self.payload_bytes + self.packets.header_bytes,
+        )
+        self.traffic.add_external(TrafficClass.TEXTURE, self.line_traffic_bytes())
+        return ready
+
+    def line_traffic_bytes(self) -> Bytes:
+        return float(
+            self.packets.read_request_bytes
+            + self.payload_bytes
+            + self.packets.header_bytes
+        )
+
+
+def memory_interface(path: GpuFilteringPath) -> MemoryInterface:
+    """The line-fill interface over ``path``'s memory."""
+    packets = path.config.packets
+    if path.gddr5 is not None:
+        return Gddr5Interface(path.gddr5, packets, path.traffic)
+    return HmcExternalInterface(path.hmc, packets, path.traffic)
 
 
 def _serve_gpu_filtering(
@@ -157,11 +237,134 @@ def _serve_gpu_filtering(
     num_texels = expanded.num_conventional_texels
     address_done = unit.generate_addresses(issue, num_texels)
     data_ready = address_done
+    memory = memory_interface(path)
     for line in expanded.conventional_lines:
-        ready = lookup(path.caches, cluster, address_done, line, path.memory)
+        ready = lookup(path.caches, cluster, address_done, line, memory)
         if ready > data_ready:
             data_ready = ready
     return unit.filter_texels(data_ready, num_texels)
+
+
+def serve_stfim(
+    path: StfimPath, cluster: int, issue: float, num_texels: int,
+    lines: Sequence[int],
+) -> float:
+    """S-TFIM: one request, its texel count and unique texel lines,
+    through its MTU in the logic layer."""
+    packets = path.config.packets
+    index = cluster // path.config.mtu_share
+    mtu = path.mtus[index]
+    mtu.note_request()
+
+    # Shader -> MTU: live-texture package over the transmit link,
+    # gated by the MTU's bounded request queue (stall protocol).
+    admitted = path.queues[index].enqueue(issue)
+    request_bytes = packets.texture_request_bytes
+    path.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
+    delivered = path.hmc.send_request(admitted, request_bytes)
+
+    # MTU pipeline: address generation, vault fetches, filtering.
+    address_done = mtu.generate_addresses(delivered, num_texels)
+    data_ready = address_done
+    line_bytes = packets.cache_line_bytes
+    window = path.merge_windows[index]
+    for line in lines:
+        merged_ready = window.lookup(line)
+        if merged_ready is not None:
+            ready = max(address_done, merged_ready)
+        else:
+            ready = path.hmc.internal_read(address_done, line, line_bytes)
+            path.traffic.add_internal(TrafficClass.TEXTURE, float(line_bytes))
+            window.insert(line, ready)
+        if ready > data_ready:
+            data_ready = ready
+    filtered = mtu.filter_texels(data_ready, num_texels)
+
+    # MTU -> shader: one filtered sample back over the receive link.
+    response_bytes = packets.texture_response_bytes(samples=1)
+    path.traffic.add_external(TrafficClass.TEXTURE, float(response_bytes))
+    return path.hmc.send_response(filtered, response_bytes)
+
+
+class ParentColumns(NamedTuple):
+    """Per-parent values :func:`offload` reads by row: child texel
+    count, and the parent's unique child lines
+    ``child_lines[child_offsets[p]:child_offsets[p + 1]]``."""
+
+    child_counts: Sequence[int]
+    child_offsets: Sequence[int]
+    child_lines: Sequence[int]
+
+
+def offload(
+    path: AtfimPath, arrival: float, missing: List[int],
+    columns: ParentColumns,
+) -> float:
+    """A-TFIM: round-trip the missing parents, given as row indices
+    into ``columns``, through the HMC pipeline."""
+    packets = path.config.packets
+    path.offload_packages += 1
+
+    # Offloading Unit: one compressed package for this fetch's
+    # missing parents (they share the first parent's base address).
+    request_bytes = packets.parent_texel_request_bytes
+    path.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
+    delivered = path.hmc.send_request(arrival, request_bytes)
+
+    # Parent Texel Buffer admission (backpressure when full).
+    admitted = path.parent_buffer.enqueue(delivered)
+
+    # Texel Generator: one address op per child texel.
+    total_children = sum(columns.child_counts[parent] for parent in missing)
+    path.child_texels_generated += total_children
+    generated = path.texel_generator.generate_addresses(admitted, total_children)
+
+    # Child Texel Consolidation: dedup child lines across parents.
+    child_lines, bounds = columns.child_lines, columns.child_offsets
+    if path.config.consolidation_enabled:
+        lines: List[int] = []
+        seen = set()
+        for parent in missing:
+            for line in child_lines[bounds[parent]:bounds[parent + 1]]:
+                if line not in seen:
+                    seen.add(line)
+                    lines.append(line)
+    else:
+        lines = [
+            line
+            for parent in missing
+            for line in child_lines[bounds[parent]:bounds[parent + 1]]
+        ]
+
+    # Vault fetches at internal bandwidth, merged against in-flight
+    # identical child fetches.  The merge window IS the consolidation
+    # buffer's cross-package face: disabling consolidation disables
+    # both the intra-package dedup above and this merging.
+    line_bytes = packets.cache_line_bytes
+    data_ready = generated
+    merging = path.config.consolidation_enabled
+    for line in lines:
+        merged_ready = (
+            path.child_merge_window.lookup(line) if merging else None
+        )
+        if merged_ready is not None:
+            ready = max(generated, merged_ready)
+        else:
+            ready = path.hmc.internal_read(generated, line, line_bytes)
+            path.traffic.add_internal(TrafficClass.TEXTURE, float(line_bytes))
+            if merging:
+                path.child_merge_window.insert(line, ready)
+            path.child_lines_fetched += 1
+        if ready > data_ready:
+            data_ready = ready
+
+    # Combination Unit: one filter op per child texel.
+    combined = path.combination_unit.filter_texels(data_ready, total_children)
+
+    # Response package back to the GPU, normal bilinear-fetch format.
+    response_bytes = packets.parent_texel_response_bytes(len(missing))
+    path.traffic.add_external(TrafficClass.TEXTURE, float(response_bytes))
+    return path.hmc.send_response(combined, response_bytes)
 
 
 def _serve_atfim(
@@ -170,7 +373,7 @@ def _serve_atfim(
     """A-TFIM: classify each parent against the angle-tagged caches,
     offload the missing ones, filter the parents on the GPU."""
     parents = expanded.parents
-    columns = _ParentColumns(
+    columns = ParentColumns(
         child_counts=[parent.num_children for parent in parents],
         child_offsets=list(accumulate(
             (len(parent.child_line_addresses) for parent in parents),
@@ -213,7 +416,7 @@ def _serve_atfim(
             missing.append(parent)
 
     if missing:
-        parents_ready = path._offload(address_done, missing, columns)
+        parents_ready = offload(path, address_done, missing, columns)
     else:
         parents_ready = address_done
 

@@ -47,14 +47,6 @@ class TestFramebuffer:
         framebuffer.write_colors(empty, empty, np.empty((0, 4)))
         assert np.all(framebuffer.color == 0.0)
 
-    def test_counters(self):
-        framebuffer = Framebuffer(4, 4)
-        framebuffer.depth_test(0, 0, 1.0)
-        framebuffer.depth[0, 0] = 1.0
-        framebuffer.depth_test(0, 0, 2.0)
-        assert framebuffer.depth_tests == 2
-        assert framebuffer.depth_passes == 1
-
     def test_clear(self):
         framebuffer = Framebuffer(4, 4)
         framebuffer.write_colors(np.array([0]), np.array([0]), np.ones((1, 4)))
@@ -62,7 +54,6 @@ class TestFramebuffer:
         framebuffer.clear()
         assert np.all(framebuffer.color == 0.0)
         assert np.all(np.isinf(framebuffer.depth))
-        assert framebuffer.depth_tests == 0
 
     def test_rgb_image_drops_alpha(self):
         framebuffer = Framebuffer(4, 4)

@@ -8,7 +8,7 @@ import pytest
 from repro.core import Design, simulate_frame, simulate_sequence
 from repro.render.renderer import SamplingMode
 from repro.texture.lod import compute_footprint
-from repro.texture.requests import FragmentTrace, TexelFetch, TextureRequest
+from repro.texture.requests import FragmentTrace, TextureRequest
 from repro.workloads import workload_by_name
 from tests.reference import trace_from_requests
 
@@ -42,18 +42,6 @@ class TestTextureRequest:
                 pixel_x=0, pixel_y=0, texture_id=0, u=0, v=0,
                 footprint=compute_footprint(1, 0, 0, 1), camera_angle=-0.1,
             )
-
-
-class TestTexelFetch:
-    def test_construction(self):
-        fetch = TexelFetch(texture_id=0, level=2, x=3, y=4, address=128)
-        assert fetch.level == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TexelFetch(texture_id=0, level=-1, x=0, y=0, address=0)
-        with pytest.raises(ValueError):
-            TexelFetch(texture_id=0, level=0, x=0, y=0, address=-1)
 
 
 class TestFragmentTrace:
