@@ -31,7 +31,6 @@ from repro.core.designs import Design, DesignConfig
 from repro.core.expansion import ExpandedFrame
 from repro.core.paths import (
     CacheHierarchy,
-    CacheHierarchyStats,
     GpuReplayColumns,
     GpuReplayState,
     MergeWindowReplay,
@@ -110,9 +109,6 @@ class AtfimPath(TexturePath):
         activity.child_texels_generated = self.child_texels_generated
         activity.child_lines_fetched = self.child_lines_fetched
         return activity
-
-    def cache_stats(self) -> CacheHierarchyStats:
-        return self.caches.stats()
 
     def stat_group(self, name: str = "path") -> "StatGroup":
         group = super().stat_group(name)

@@ -13,7 +13,6 @@ from repro.core.designs import Design, DesignConfig
 from repro.core.expansion import ExpandedFrame
 from repro.core.paths import (
     CacheHierarchy,
-    CacheHierarchyStats,
     GpuReplayColumns,
     GpuReplayState,
     PathActivity,
@@ -65,9 +64,6 @@ class GpuFilteringPath(TexturePath):
         activity.l1_accesses = stats.l1_accesses
         activity.l2_accesses = stats.l1_misses + stats.l1_angle_misses
         return activity
-
-    def cache_stats(self) -> CacheHierarchyStats:
-        return self.caches.stats()
 
     def stat_group(self, name: str = "path") -> "StatGroup":
         group = super().stat_group(name)

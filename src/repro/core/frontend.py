@@ -14,14 +14,14 @@ actually operates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.atfim import AtfimPath
 from repro.core.baseline import GpuFilteringPath
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import RequestExpander
+from repro.core.expansion import ExpandedFrame, RequestExpander
 from repro.core.paths import TexturePath
 from repro.core.stfim import StfimPath
 from repro.gpu.pipeline import FrameResult, GpuPipeline
@@ -71,6 +71,33 @@ class DesignRun:
         return self.frame.traffic.external_total
 
 
+_last_expansion: Optional[Tuple[Scene, FragmentTrace, bool, ExpandedFrame]] = None
+"""The most recent expansion, with its scene, trace and ``aniso_enabled``."""
+
+
+def _expand(scene: Scene, trace: FragmentTrace, aniso_enabled: bool) -> ExpandedFrame:
+    """``trace``'s expansion, shared by consecutive calls on one trace.
+
+    The figures run every design point of a trace one after another, and
+    the expansion depends only on the scene, the trace and
+    ``aniso_enabled``, so one memo of the most recent expansion serves
+    them all.  It is keyed on the identities of the scene and the trace,
+    whose references it holds, so an id cannot be recycled while it is
+    kept; a trace's columns are read-only.  The old entry is dropped
+    before a new one is built, so at most one expansion is alive.
+    """
+    global _last_expansion
+    cached = _last_expansion
+    if (cached is not None and cached[0] is scene and cached[1] is trace
+            and cached[2] == aniso_enabled):
+        return cached[3]
+    _last_expansion = cached = None
+    with obs.span("core.expand"):
+        expanded = RequestExpander(scene).expand_frame(trace, aniso_enabled)
+    _last_expansion = (scene, trace, aniso_enabled, expanded)
+    return expanded
+
+
 def _resolve_check_invariants(check_invariants: Optional[bool]) -> bool:
     """``None`` defers to the REPRO_CHECK_INVARIANTS environment flag."""
     if check_invariants is not None:
@@ -103,8 +130,15 @@ def simulate_frame(
 
     With ``warmup`` (the default), the frame is replayed once to warm the
     texture caches before the measured replay, modelling the steady state
-    of a running game.  Without it, compulsory misses -- hugely inflated
-    at our scaled-down frame sizes -- dominate every design's miss rate.
+    of a running game.  It changes little: the scaled caches hold far
+    fewer lines than a frame touches, so a frame evicts the warm-up's
+    lines before it reuses them (a capacity regime), and 25 of the 40
+    workload x design points read identical cold and warm.  S-TFIM has
+    no caches, and its ``reset_for_measurement`` returns it to its
+    constructed state, so it runs no warm-up.
+
+    Consecutive calls on one (scene, trace) with the same
+    ``aniso_enabled`` share one expansion (:func:`_expand`).
 
     ``check_invariants`` validates the drained frame against the
     conservation invariants of :mod:`repro.analysis.invariants`; ``None``
@@ -117,13 +151,10 @@ def simulate_frame(
         aniso_enabled=config.aniso_enabled,
     ):
         traffic = TrafficMeter()
-        expander = RequestExpander(scene)
-        with obs.span("core.expand"):
-            expanded = expander.expand_frame(trace, config.aniso_enabled)
-
+        expanded = _expand(scene, trace, config.aniso_enabled)
         path = make_texture_path(config, traffic)
         pipeline = GpuPipeline(config.gpu)
-        if warmup:
+        if warmup and path.caches is not None:
             with obs.span("core.warmup_replay"):
                 pipeline.replay_texture_stream(trace, expanded, path)
             path.reset_for_measurement()
@@ -137,6 +168,7 @@ def simulate_frame(
                 num_vertices=scene.num_vertices,
                 external_bytes_per_cycle=config.external_bytes_per_cycle,
             )
+        path.release_columns()
         run = DesignRun(config=config, frame=frame, path=path)
         if _resolve_check_invariants(check_invariants):
             with obs.span("core.check_invariants"):
@@ -197,7 +229,6 @@ def simulate_sequence(
         raise ValueError("a sequence needs at least one frame")
     checking = _resolve_check_invariants(check_invariants)
     traffic = TrafficMeter()
-    expander = RequestExpander(scene)
     path = make_texture_path(config, traffic)
     pipeline = GpuPipeline(config.gpu)
 
@@ -205,7 +236,7 @@ def simulate_sequence(
     for frame_index, trace in enumerate(traces):
         with obs.span("core.simulate_sequence_frame", frame=frame_index,
                       design=config.design.value):
-            expanded = expander.expand_frame(trace, config.aniso_enabled)
+            expanded = _expand(scene, trace, config.aniso_enabled)
             before = traffic.snapshot()
             frame = pipeline.simulate_frame(
                 trace=trace,
@@ -226,4 +257,5 @@ def simulate_sequence(
                 )
             # Fresh clocks and counters for the next frame; caches persist.
             path.reset_for_measurement()
+    path.release_columns()
     return SequenceResult(config=config, frames=frames, path=path)

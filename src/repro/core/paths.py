@@ -439,6 +439,9 @@ class TexturePath(abc.ABC):
     def __init__(self, config: DesignConfig, traffic: TrafficMeter) -> None:
         self.config = config
         self.traffic = traffic
+        # The GPU's L1/L2 texture caches: the one state a path keeps
+        # across reset_for_measurement.  S-TFIM has none.
+        self.caches: Optional[CacheHierarchy] = None
         self._column_cache: Optional[Tuple[ExpandedFrame, Any]] = None
 
     def _columns_for(
@@ -454,9 +457,10 @@ class TexturePath(abc.ABC):
         cannot be recycled while we hold it).  Columns depend only on
         the frame and the path's configuration, both fixed for the
         path's lifetime, so the cache survives reset_for_measurement.
-        A hit hands the columns over and empties the cache: after the
-        warm-up and measured pair the path holds no frame or columns,
-        so the finished runs a caller keeps (or pickles) stay small.
+        A hit hands the columns over and empties the cache, and the
+        frontend calls :meth:`release_columns` after its last replay:
+        a finished run holds no frame or columns, so the runs a caller
+        keeps (or pickles) stay small.
         """
         cached, self._column_cache = self._column_cache, None
         if cached is not None and cached[0] is frame:
@@ -465,6 +469,10 @@ class TexturePath(abc.ABC):
         columns = build()
         self._column_cache = (frame, columns)
         return columns
+
+    def release_columns(self) -> None:
+        """Drop the frame and columns the last replay left for a next one."""
+        self._column_cache = None
 
     @abc.abstractmethod
     def begin_replay(self, frame: ExpandedFrame) -> ReplaySession:
@@ -486,14 +494,19 @@ class TexturePath(abc.ABC):
     def reset_for_measurement(self) -> None:
         """Reset all timing state and counters, keeping cache contents.
 
-        Called between the warm-up replay and the measured replay: the
-        measured pass then sees steady-state caches (as a long-running
-        game would) with fresh resource clocks and statistics.
+        Called between the warm-up replay and the measured replay, and
+        between a sequence's frames: the next replay sees the caches the
+        last one left, with fresh resource clocks and statistics.  The
+        caches are all it keeps, so a path without them (S-TFIM) returns
+        to its constructed state, and ``simulate_frame`` skips its
+        warm-up.
         """
 
     def cache_stats(self) -> CacheHierarchyStats:
         """Cache outcomes (zeroed for cache-less paths like S-TFIM)."""
-        return CacheHierarchyStats()
+        if self.caches is None:
+            return CacheHierarchyStats()
+        return self.caches.stats()
 
     def stat_group(self, name: str = "path") -> "StatGroup":
         """Snapshot of this path's filter-stage and cache counters.

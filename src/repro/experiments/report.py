@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import io
+import sys
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -83,29 +84,6 @@ def grid_keys(runner: ExperimentRunner) -> List[RunKey]:
     return list(dict.fromkeys(keys))
 
 
-def _cache_section(runner: ExperimentRunner) -> str:
-    """Runner cache-effectiveness summary appended to the report."""
-    stats = runner.cache_stats()
-    out = io.StringIO()
-    out.write("\n## Runner cache statistics\n\n")
-    out.write("```\n")
-    out.write(f"memoisation hits    {stats.memo_hits}\n")
-    out.write(f"memoisation misses  {stats.memo_misses}\n")
-    out.write(f"disk hits           {stats.disk_hits}\n")
-    out.write(f"disk misses         {stats.disk_misses}\n")
-    out.write(f"disk stores         {stats.disk_stores}\n")
-    out.write(f"disk entries        {stats.disk_entries}\n")
-    out.write(f"disk bytes          {stats.disk_bytes}\n")
-    out.write(f"disk hit rate       {stats.disk_hit_rate:.2f}\n")
-    out.write("```\n")
-    if runner.disk_cache is None:
-        out.write(
-            "\n*No persistent cache configured (set `REPRO_CACHE_DIR` or"
-            " pass `--cache-dir` to make reruns incremental).*\n"
-        )
-    return out.getvalue()
-
-
 def _aggregate_spans(
     forest: Sequence[Dict[str, Any]], totals: Dict[str, List[float]]
 ) -> None:
@@ -120,7 +98,7 @@ def _aggregate_spans(
             _aggregate_spans(worker_forest, totals)
 
 
-def _timing_section(spans: Sequence[Dict[str, Any]]) -> str:
+def _timing_table(spans: Sequence[Dict[str, Any]]) -> str:
     """Per-phase host timing table sourced from the recorded span tree.
 
     Worker spans run concurrently across processes, so per-phase totals
@@ -132,21 +110,16 @@ def _timing_section(spans: Sequence[Dict[str, Any]]) -> str:
     if not totals:
         return ""
     out = io.StringIO()
-    out.write("\n## Host-phase timing (from the run manifest)\n\n")
-    out.write("| phase | count | total (s) | mean (s) |\n")
-    out.write("|---|---:|---:|---:|\n")
+    out.write("host-phase timing (aggregate seconds; worker phases sum"
+              " across processes)\n")
+    out.write(f"{'phase':<32} {'count':>6} {'total (s)':>10} {'mean (s)':>9}\n")
     for name, (count, total) in sorted(
         totals.items(), key=lambda item: -item[1][1]
     ):
         count = int(count)
         out.write(
-            f"| {name} | {count} | {total:.3f} | {total / count:.3f} |\n"
+            f"{name:<32} {count:>6} {total:>10.3f} {total / count:>9.3f}\n"
         )
-    out.write(
-        "\nAggregate host-side seconds per traced phase (worker phases sum"
-        " across processes, so totals can exceed the elapsed wall time)."
-        "  Regenerate with `python -m repro report --manifest`.\n"
-    )
     return out.getvalue()
 
 
@@ -212,6 +185,11 @@ def generate_with_runner(
 ) -> Tuple[str, ExperimentRunner]:
     """Build the full EXPERIMENTS.md text; also return the runner.
 
+    The text is a pure function of the source and the arguments: how
+    the run went (its host time, the runner's cache counters) is left
+    to the manifest and stderr, so the same report reads the same
+    whether it ran serially or with ``jobs``.
+
     With ``jobs > 1`` the whole design-point grid is prefetched through
     :meth:`ExperimentRunner.run_many` before any figure renders, so the
     expensive simulations run concurrently and the figures themselves
@@ -233,11 +211,6 @@ def generate_with_runner(
             runner, include_quality, include_ablations
         ):
             sections.append(_figure_section(data, precision))
-
-        sections.append(_cache_section(runner))
-
-    if obs.tracing_enabled():
-        sections.append(_timing_section(obs.get_tracer().as_dicts()))
 
     return "".join(sections), runner
 
@@ -277,11 +250,12 @@ def write_report(
     alongside the report: a path, or ``""`` to derive one from ``path``
     (``EXPERIMENTS.md`` -> ``EXPERIMENTS.manifest.json``).  Requesting a
     manifest turns tracing on for the duration of the run so the span
-    tree and the per-phase timing table are populated.
+    tree is populated.  The elapsed time, and with tracing on a
+    per-phase timing table of the spans, go to stderr, not the report.
     """
     # Timing the report generator itself (not simulated time) is the one
-    # legitimate wall-clock read in the package; the elapsed note below
-    # is informational and excluded from every measured quantity.
+    # legitimate wall-clock read in the package; the elapsed note it
+    # writes to stderr is informational and excluded from the report.
     started = time.time()  # repro: noqa(REP102) -- wall-clock timing of report generation, not sim time
     was_tracing = obs.tracing_enabled()
     if manifest is not None and not was_tracing:
@@ -292,9 +266,11 @@ def write_report(
             jobs=jobs, cache_dir=cache_dir,
         )
         elapsed = time.time() - started  # repro: noqa(REP102) -- wall-clock timing of report generation, not sim time
-        text += f"\n---\nGenerated in {elapsed:.0f} s.\n"
         output = Path(path)
         output.write_text(text)
+        if obs.tracing_enabled():
+            sys.stderr.write(_timing_table(obs.get_tracer().as_dicts()))
+        sys.stderr.write(f"generated {output} in {elapsed:.0f} s\n")
         if manifest is not None:
             from repro.obs.manifest import build_manifest
 

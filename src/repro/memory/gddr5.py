@@ -68,6 +68,7 @@ class Gddr5Memory:
             for _ in range(self.config.num_channels)
         ]
         self.reads = 0
+        # Texture traffic only reads; the stat group keeps the counter.
         self.writes = 0
 
     def channel_for(self, address: int) -> DramDevice:
@@ -88,13 +89,6 @@ class Gddr5Memory:
         if nbytes <= 0:
             raise ValueError("read size must be positive")
         self.reads += 1
-        return self._access(arrival, address, nbytes)
-
-    def write(self, arrival: Cycles, address: int, nbytes: Bytes) -> Cycles:
-        """Write ``nbytes`` at ``address``; return acceptance cycle."""
-        if nbytes <= 0:
-            raise ValueError("write size must be positive")
-        self.writes += 1
         return self._access(arrival, address, nbytes)
 
     @property

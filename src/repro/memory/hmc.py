@@ -145,8 +145,8 @@ class HybridMemoryCube:
 
     Two access paths exist:
 
-    * :meth:`external_read` / :meth:`external_write` -- the host GPU
-      reaches DRAM over the serial links (what B-PIM uses for everything);
+    * :meth:`external_read` -- the host GPU reaches DRAM over the serial
+      links (what B-PIM uses for everything);
     * :meth:`internal_read` -- logic-layer units (MTUs, the A-TFIM texel
       pipeline) reach DRAM directly through the switch and TSVs, never
       touching the links.
@@ -160,6 +160,7 @@ class HybridMemoryCube:
             HmcVault(index, self.config) for index in range(self.config.num_vaults)
         ]
         self.external_reads = 0
+        # Texture traffic only reads; the stat group keeps the counter.
         self.external_writes = 0
         self.internal_reads = 0
 
@@ -191,12 +192,6 @@ class HybridMemoryCube:
         )
         self.external_reads += 1
         return self.rx_link.transmit(data_ready, response_bytes)
-
-    def external_write(self, arrival: Cycles, address: int, nbytes: Bytes) -> Cycles:
-        """A write crossing the tx link; returns the acceptance cycle."""
-        delivered = self.tx_link.transmit(arrival, nbytes)
-        self.external_writes += 1
-        return self.vault_for(address).access(delivered, address, nbytes)
 
     def send_request(self, arrival: Cycles, nbytes: Bytes) -> Cycles:
         """Ship a request package to the cube over the transmit link."""

@@ -64,20 +64,9 @@ class BandwidthServer:
         self.busy_cycles = Cycles(self.busy_cycles + occupancy)
         return Cycles(self._next_free + self.latency)
 
-    def peek_ready(self, arrival: Cycles, nbytes: Bytes) -> Cycles:
-        """Compute the ready time *without* consuming the resource."""
-        start = max(arrival, self._next_free)
-        return Cycles(start + nbytes / self.bytes_per_cycle + self.latency)
-
     @property
     def next_free(self) -> Cycles:
         return self._next_free
-
-    def utilization(self, elapsed: Cycles) -> float:
-        """Fraction of ``elapsed`` cycles this server was transferring."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / elapsed)
 
     def reset(self) -> None:
         self._next_free = Cycles(0.0)
@@ -122,11 +111,6 @@ class ThroughputUnit:
     @property
     def next_issue(self) -> Cycles:
         return self._next_issue
-
-    def utilization(self, elapsed: Cycles) -> float:
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / elapsed)
 
     def reset(self) -> None:
         self._next_issue = Cycles(0.0)

@@ -181,8 +181,10 @@ class TextureCache:
         """Zero the hit/miss statistics but keep the cached contents.
 
         Used by the warm-up protocol: the first replay of a frame warms
-        the caches (amortising compulsory misses exactly as a long-running
-        game does), and only the second, warm replay is measured.
+        the caches and only the second replay is measured, and by
+        sequences, whose frames keep the caches the last one left.  At
+        the scaled cache sizes a frame touches more lines than the L2
+        holds, so the warm-up changes few points (see ``simulate_frame``).
         """
         self.hits = 0
         self.misses = 0

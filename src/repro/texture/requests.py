@@ -14,7 +14,7 @@ architectural texel counts agree by construction.  A
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Union
 
 import numpy as np
@@ -53,7 +53,10 @@ class FragmentTrace:
     Every array holds one entry per fragment, and entry ``i`` of all of
     them is the frame's ``i``-th :class:`TextureRequest`.  The columns
     are checked as a request's fields are: no texture id and no camera
-    angle may be negative.
+    angle may be negative.  They are read-only from construction on, so
+    what is derived from a trace and memoised on its identity (its
+    expansion, its cluster partition, a path's replay columns) cannot go
+    stale through an in-place edit.
     """
 
     width: int
@@ -78,6 +81,11 @@ class FragmentTrace:
             raise ValueError("negative texture id")
         if bool(np.any(self.camera_angle < 0)):
             raise ValueError("negative camera angle")
+        for owner in (self, self.footprint):
+            for column in fields(owner):
+                value = getattr(owner, column.name)
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.u)

@@ -14,7 +14,7 @@ from repro import obs
 from repro.core import Design
 from repro.core.angle import DEFAULT_THRESHOLD
 from repro.experiments.cache import CacheStats, DiskCache, source_version
-from repro.experiments.report import _cache_section, grid_keys
+from repro.experiments.report import grid_keys
 from repro.experiments.runner import (
     FAST_WORKLOADS,
     ExperimentRunner,
@@ -237,13 +237,6 @@ class TestReportIntegration:
         assert any(key.mtu_share > 1 for key in keys)
         thresholds = {key.angle_threshold for key in keys}
         assert len(thresholds) > 1
-
-    def test_cache_section_renders_stats(self):
-        runner = ExperimentRunner([WORKLOAD])
-        section = _cache_section(runner)
-        assert "Runner cache statistics" in section
-        assert "memoisation hits" in section
-        assert "REPRO_CACHE_DIR" in section  # hint shown when no disk cache
 
 
 class TestArtefactsPickle:

@@ -81,13 +81,6 @@ class TestHybridMemoryCube:
         internal = hmc.internal_read(0.0, 0, 64)
         assert internal < external
 
-    def test_external_write_uses_tx_only(self):
-        hmc = HybridMemoryCube()
-        hmc.external_write(0.0, address=0, nbytes=80)
-        assert hmc.tx_link.total_bytes == 80.0
-        assert hmc.rx_link.total_bytes == 0.0
-        assert hmc.external_writes == 1
-
     def test_full_duplex_directions_independent(self):
         hmc = HybridMemoryCube()
         # Saturate tx; rx should be unaffected.

@@ -45,18 +45,6 @@ class TestBandwidthServer:
         assert server.total_requests == 2
         assert server.busy_cycles == pytest.approx(3.0)
 
-    def test_utilization(self):
-        server = BandwidthServer(name="bus", bytes_per_cycle=64.0)
-        server.access(0.0, 640)
-        assert server.utilization(elapsed=20.0) == pytest.approx(0.5)
-        assert server.utilization(elapsed=0.0) == 0.0
-
-    def test_peek_does_not_consume(self):
-        server = BandwidthServer(name="bus", bytes_per_cycle=64.0, latency=1.0)
-        peeked = server.peek_ready(0.0, 64)
-        assert server.total_requests == 0
-        assert server.access(0.0, 64) == pytest.approx(peeked)
-
     def test_negative_size_rejected(self):
         server = BandwidthServer(name="bus", bytes_per_cycle=64.0)
         with pytest.raises(ValueError):

@@ -78,6 +78,22 @@ class TestFragmentTrace:
         with pytest.raises(ValueError):
             dataclasses.replace(trace, **{column: negative})
 
+    def test_columns_are_read_only(self):
+        """What is memoised on a trace's identity (its expansion, its
+        cluster partition, a path's replay columns) cannot go stale
+        through an in-place edit."""
+        trace = trace_from_requests([make_request()] * 2)
+        columns = [
+            getattr(owner, field.name)
+            for owner in (trace, trace.footprint)
+            for field in dataclasses.fields(owner)
+            if field.name not in ("width", "height", "tile_size", "footprint")
+        ]
+        assert len(columns) == 14
+        for column in columns:
+            with pytest.raises(ValueError):
+                column[0] = 1
+
     def test_pickle_round_trips(self):
         # The runner's disk cache stores traces as pickles.
         _scene, trace = workload_by_name("doom3-640x480").trace()
