@@ -11,15 +11,13 @@ Subcommands:
 * ``trace <manifest.json>`` -- convert a run manifest's span tree to
   Chrome trace-event JSON (load in ``chrome://tracing`` / Perfetto).
 
-``report`` accepts ``--jobs N`` to fan
-design-point simulations out over one ``spawn`` process pool (see
+``report`` accepts ``--jobs N`` to simulate the workloads on one
+``spawn`` process pool, one task per workload (see
 :meth:`~repro.experiments.runner.ExperimentRunner.run_many`): workers
 see only their arguments and the environment, and the first failed
 worker fails the run.  ``fig`` runs serially: it reads only its own
 figure's points, so prefetching the report grid would cost more than
-it saves.  ``report`` persists results under
-``--cache-dir`` (or ``$REPRO_CACHE_DIR``) so reruns are incremental.
-``report`` and ``fig`` accept ``--manifest [PATH]`` to record a
+it saves.  ``report`` and ``fig`` accept ``--manifest [PATH]`` to record a
 :class:`~repro.obs.manifest.RunManifest` (tracing is switched on for
 the run); ``REPRO_TRACE=1`` enables span recording everywhere else.
 Host speed is measured by the ``bench`` package at the repository root
@@ -162,7 +160,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         workload_names=names,
         include_quality=not args.no_quality,
         jobs=args.jobs,
-        cache_dir=args.cache_dir,
         manifest=args.manifest,
     )
     print(f"wrote {path}")
@@ -228,10 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--no-quality", action="store_true",
                         help="skip the (slow) PSNR study")
     report.add_argument("--jobs", type=int, default=None,
-                        help="simulate design grid points over N processes")
-    report.add_argument("--cache-dir", default=None,
-                        help="persist traces/runs here (default: "
-                        "$REPRO_CACHE_DIR if set, else no disk cache)")
+                        help="simulate the workloads over N processes")
     report.add_argument("--manifest", nargs="?", const="", default=None,
                         help="record a run manifest next to the report "
                         "(optional path; default <output>.manifest.json); "

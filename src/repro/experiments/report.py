@@ -38,10 +38,8 @@ HEADER = """# EXPERIMENTS — paper vs. measured
 Reproduction of every table and figure in "Processing-in-Memory Enabled
 Graphics Processors for 3D Rendering" (HPCA 2017).  Regenerate with
 `python -m repro report` (add `--fast` for the 3-workload subset,
-`--jobs N` to simulate grid points in parallel).  Results are
-content-addressed: set `REPRO_CACHE_DIR` (or pass `--cache-dir`) to
-persist traces and design runs on disk, making reruns incremental --
-entries self-invalidate when the simulator source changes.  Host timing
+`--jobs N` to simulate the workloads on N processes).  The text is the
+same either way: it depends only on the simulator source.  Host timing
 of the simulator is measured by `python3 -m bench`.
 
 Absolute magnitudes come from a cycle-approximate model over procedurally
@@ -52,12 +50,16 @@ measurement.
 """
 
 
-def grid_keys(runner: ExperimentRunner) -> List[RunKey]:
-    """Every grid point the figure suite touches, for parallel prefetch.
+def grid_keys(
+    runner: ExperimentRunner, include_ablations: bool = True
+) -> List[RunKey]:
+    """Every grid point the report reads, for the prefetch.
 
-    Mirrors the slices taken by fig02-fig14 and the ablations: all four
-    designs at the default threshold, the fig04 aniso-off baseline, the
-    A-TFIM threshold sweep, MTU sharing ratios, and consolidation off.
+    Mirrors the slices taken by fig02-fig14: all four designs at the
+    default threshold, the fig04 aniso-off baseline and the A-TFIM
+    threshold sweep; with ``include_ablations`` also the points of the
+    two ablations the runner serves: S-TFIM with two and four clusters
+    per MTU, and A-TFIM with consolidation off.
     """
     default = DEFAULT_THRESHOLD.effective_radians
     keys: List[RunKey] = []
@@ -70,6 +72,8 @@ def grid_keys(runner: ExperimentRunner) -> List[RunKey]:
             keys.append(
                 RunKey(name, Design.A_TFIM, threshold.effective_radians, True)
             )
+        if not include_ablations:
+            continue
         for ratio in (2, 4):
             keys.append(
                 RunKey(name, Design.S_TFIM, default, True, mtu_share=ratio)
@@ -181,25 +185,25 @@ def generate_with_runner(
     include_quality: bool = True,
     include_ablations: bool = True,
     jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
 ) -> Tuple[str, ExperimentRunner]:
     """Build the full EXPERIMENTS.md text; also return the runner.
 
     The text is a pure function of the source and the arguments: how
-    the run went (its host time, the runner's cache counters) is left
+    the run went (its host time, the runner's memo counters) is left
     to the manifest and stderr, so the same report reads the same
     whether it ran serially or with ``jobs``.
 
-    With ``jobs > 1`` the whole design-point grid is prefetched through
-    :meth:`ExperimentRunner.run_many` before any figure renders, so the
-    expensive simulations run concurrently and the figures themselves
-    only hit warm caches.  The returned runner carries the cache
-    counters and completed runs the manifest records.
+    The design-point grid (:func:`grid_keys`) is prefetched through
+    :meth:`ExperimentRunner.run_many` before any figure renders, one
+    workload after another and, with ``jobs > 1``, on that many
+    processes; each workload's trace is then expanded once per
+    anisotropy setting, and the figures only hit the memo.  The
+    returned runner carries the memo counters and completed runs the
+    manifest records.
     """
-    runner = ExperimentRunner(workload_names, cache_dir=cache_dir, jobs=jobs)
+    runner = ExperimentRunner(workload_names)
     with obs.span("report.generate", workloads=len(runner.workloads)):
-        if jobs is not None and jobs > 1:
-            runner.run_many(grid_keys(runner), jobs=jobs)
+        runner.run_many(grid_keys(runner, include_ablations), jobs=jobs)
         sections: List[str] = [HEADER]
 
         sections.append("\n## Table I: simulator configuration\n\n```\n"
@@ -220,12 +224,10 @@ def generate(
     include_quality: bool = True,
     include_ablations: bool = True,
     jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
 ) -> str:
     """Build the full EXPERIMENTS.md text."""
     text, _runner = generate_with_runner(
-        workload_names, include_quality, include_ablations,
-        jobs=jobs, cache_dir=cache_dir,
+        workload_names, include_quality, include_ablations, jobs=jobs
     )
     return text
 
@@ -241,7 +243,6 @@ def write_report(
     include_quality: bool = True,
     include_ablations: bool = True,
     jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
     manifest: Optional[str] = None,
 ) -> Path:
     """Generate and write the report; return the output path.
@@ -262,8 +263,7 @@ def write_report(
         obs.set_tracing(True)
     try:
         text, runner = generate_with_runner(
-            workload_names, include_quality, include_ablations,
-            jobs=jobs, cache_dir=cache_dir,
+            workload_names, include_quality, include_ablations, jobs=jobs
         )
         elapsed = time.time() - started  # repro: noqa(REP102) -- wall-clock timing of report generation, not sim time
         output = Path(path)
@@ -282,7 +282,6 @@ def write_report(
                     "include_quality": include_quality,
                     "include_ablations": include_ablations,
                     "jobs": jobs,
-                    "cache_dir": str(cache_dir) if cache_dir else None,
                 },
                 runner=runner,
             )

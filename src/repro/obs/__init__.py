@@ -9,11 +9,11 @@ The observability layer for the reproduction's *host-side* phases:
   :func:`set_tracing`.
 * :func:`timed_stage` -- decorator giving any function a span for free.
 * :class:`~repro.obs.manifest.RunManifest` -- the JSON provenance record
-  (config digest, source version, cache counters, span tree, flattened
-  metrics) written next to experiment output by the ``--manifest`` flag
-  of ``report``/``fig``.  Spans recorded by ``report --jobs`` pool workers are
-  grafted under the parent's fan-out phase span, so a parallel run
-  still yields one tree.
+  (config digest, source version, span tree, flattened metrics with the
+  runner's memo counters) written next to experiment output by the
+  ``--manifest`` flag of ``report``/``fig``.  Spans recorded by
+  ``report --jobs`` pool workers are grafted under the parent's
+  ``runner.run_many`` span, so a parallel run still yields one tree.
 * :mod:`~repro.obs.chrome` -- Chrome trace-event export of the span
   tree (``python -m repro trace <manifest.json>``).
 * :mod:`~repro.obs.snapshot` -- StatGroup snapshots of drained frames,

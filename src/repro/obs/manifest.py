@@ -3,11 +3,12 @@
 A :class:`RunManifest` captures everything needed to trust -- or
 reproduce -- one invocation of the experiment tooling: the command and
 configuration (with a content digest), the simulator source version the
-results were computed from, the runner's cache effectiveness counters,
-the span tree recorded by :mod:`repro.obs.tracer`, and the flattened
-:class:`~repro.sim.stats.StatGroup` metrics of every completed design
-run.  Serialized as strict JSON (``allow_nan=False``: the PR-1 JSON
-safety rule -- non-finite values are a bug, not a serialization detail).
+results were computed from, the span tree recorded by
+:mod:`repro.obs.tracer`, and the flattened
+:class:`~repro.sim.stats.StatGroup` metrics of the runner: its memo
+counters and every completed design run.  Serialized as strict JSON
+(``allow_nan=False``: non-finite values are a bug, not a
+serialization detail).
 
 ``python -m repro trace <manifest.json>`` converts the embedded span
 tree to Chrome trace-event format (see :mod:`repro.obs.chrome`).
@@ -30,7 +31,7 @@ MANIFEST_SCHEMA = "repro-run-manifest/1"
 
 def config_digest(config: Mapping[str, Any]) -> str:
     """SHA-256 over the canonical JSON form of a config mapping
-    (first 16 hex chars, mirroring the cache's key digests)."""
+    (first 16 hex chars, like the source version)."""
     canonical = json.dumps(dict(config), sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -45,7 +46,6 @@ class RunManifest:
     source: str
     created_unix: float
     tracing: bool
-    cache: Dict[str, float] = field(default_factory=dict)
     spans: List[Dict[str, Any]] = field(default_factory=list)
     stats: Dict[str, Optional[float]] = field(default_factory=dict)
 
@@ -58,7 +58,6 @@ class RunManifest:
             "source": self.source,
             "created_unix": self.created_unix,
             "tracing": self.tracing,
-            "cache": self.cache,
             "spans": self.spans,
             "stats": self.stats,
         }
@@ -68,8 +67,8 @@ class RunManifest:
         """Inverse of :meth:`as_dict`; validates the schema marker.
 
         Keys this version does not know are ignored, so manifests
-        written by older versions (for example with a ``faults`` block)
-        still load.
+        written by older versions (for example with a ``faults`` or a
+        ``cache`` block) still load.
         """
         schema = payload.get("schema")
         if schema != MANIFEST_SCHEMA:
@@ -84,7 +83,6 @@ class RunManifest:
             source=payload["source"],
             created_unix=payload["created_unix"],
             tracing=bool(payload.get("tracing", False)),
-            cache=dict(payload.get("cache", {})),
             spans=list(payload.get("spans", [])),
             stats=dict(payload.get("stats", {})),
         )
@@ -117,31 +115,20 @@ def build_manifest(
     """Assemble a manifest from the current process state.
 
     ``runner`` (an :class:`~repro.experiments.runner.ExperimentRunner`)
-    contributes its cache counters and the flattened per-run StatGroup
-    metrics; the span tree is drained from the process-wide tracer.
+    contributes its flattened StatGroup metrics: the memo counters and
+    every completed run; the span tree is drained from the process-wide
+    tracer.
     """
-    # Imported lazily: the cache module itself records spans through
-    # repro.obs, so a top-level import would be circular.
+    # Imported lazily: importing repro.experiments loads the runner,
+    # which records spans through repro.obs, so a top-level import
+    # would be circular.
     from repro.experiments.cache import source_version
 
     config = dict(config or {})
-    cache: Dict[str, float] = {}
     stats: Dict[str, Optional[float]] = {}
     if runner is not None:
         from repro.obs.snapshot import runner_stat_group
 
-        counters = runner.cache_stats()
-        cache = {
-            "memo_hits": float(counters.memo_hits),
-            "memo_misses": float(counters.memo_misses),
-            "disk_hits": float(counters.disk_hits),
-            "disk_misses": float(counters.disk_misses),
-            "disk_stores": float(counters.disk_stores),
-            "disk_errors": float(counters.disk_errors),
-            "disk_entries": float(counters.disk_entries),
-            "disk_bytes": float(counters.disk_bytes),
-            "disk_hit_rate": counters.disk_hit_rate,
-        }
         stats = runner_stat_group(runner).as_dict()
     return RunManifest(
         command=command,
@@ -151,7 +138,6 @@ def build_manifest(
         # A provenance timestamp, not part of any result.
         created_unix=time.time(),
         tracing=tracing_enabled(),
-        cache=cache,
         spans=get_tracer().as_dicts(),
         stats=stats,
     )

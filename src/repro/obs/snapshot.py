@@ -83,19 +83,12 @@ def runner_stat_group(runner: "ExperimentRunner") -> StatGroup:
 
     One child per completed grid point, named
     ``<workload>/<design>[/t<threshold>][/...]``, plus the runner's own
-    memoisation and disk-cache counters.
+    memoisation counters.
     """
     root = StatGroup("runner")
     cache = root.child("cache")
-    stats = runner.cache_stats()
-    cache.counter("memo_hits").add(stats.memo_hits)
-    cache.counter("memo_misses").add(stats.memo_misses)
-    cache.counter("disk_hits").add(stats.disk_hits)
-    cache.counter("disk_misses").add(stats.disk_misses)
-    cache.counter("disk_stores").add(stats.disk_stores)
-    cache.counter("disk_errors").add(stats.disk_errors)
-    cache.counter("disk_entries").add(stats.disk_entries)
-    cache.counter("disk_bytes").add(stats.disk_bytes)
+    cache.counter("memo_hits").add(runner.memo_hits)
+    cache.counter("memo_misses").add(runner.memo_misses)
 
     runs = root.child("runs")
     for key, run in runner.completed_runs().items():

@@ -297,8 +297,8 @@ def timed_stage(name_or_fn: Union[str, None, _F] = None) -> Any:
         @timed_stage
         def drain(...): ...
 
-        @timed_stage("runner.trace_phase")
-        def trace_all(...): ...
+        @timed_stage("report.figures")
+        def assemble_figures(...): ...
 
     When tracing is disabled the wrapper is a single boolean test and a
     direct call -- instrumented code need not guard itself.

@@ -45,6 +45,16 @@ class TestRunner:
             runner.energy(workload, Design.B_PIM)
         )
 
+    def test_memo_counters_advance(self):
+        runner = ExperimentRunner(["riddick-640x480"])
+        workload = runner.workloads[0]
+        runner.run(workload, Design.BASELINE)
+        misses = runner.memo_misses
+        assert misses > 0
+        runner.run(workload, Design.BASELINE)
+        assert runner.memo_hits >= 1
+        assert runner.memo_misses == misses
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError):
             ExperimentRunner(["not-a-game"])

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro import obs
-from repro.experiments.runner import RunnerCacheStats
 from repro.obs.chrome import MAIN_TID, chrome_trace
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
@@ -27,7 +26,6 @@ def _sample_manifest(**overrides) -> RunManifest:
         source="0123456789abcdef",
         created_unix=1_700_000_000.0,
         tracing=True,
-        cache={"disk_hits": 3.0},
         spans=[
             {
                 "name": "report.generate",
@@ -128,7 +126,7 @@ class TestChromeTrace:
         }
         spans = [
             {
-                "name": "runner.run_phase",
+                "name": "runner.run_many",
                 "span_id": 1,
                 "parent_id": None,
                 "start_wall": 100.0,
@@ -142,23 +140,28 @@ class TestChromeTrace:
         tids = sorted(event["tid"] for event in events)
         assert tids == [MAIN_TID, MAIN_TID + 1, MAIN_TID + 2]
         args = next(
-            e for e in events if e["name"] == "runner.run_phase"
+            e for e in events if e["name"] == "runner.run_many"
         )["args"]
         assert "worker_spans" not in args
 
     def test_manifest_with_faults_block_still_converts(self, tmp_path):
         # Manifests written before the fault-injection layer was removed
-        # carry a "faults" block; they must still load and convert.
+        # carry a "faults" block, and those written before the disk cache
+        # was removed a "cache" block; they must still load and convert.
         payload = _sample_manifest().as_dict()
         payload["faults"] = {
             "plan": {"seed": 7, "crash_rate": 0.2},
             "fanout": {"outcomes": {"ok": 12}, "pool_rebuilds": 0},
+        }
+        payload["cache"] = {
+            "memo_hits": 4.0, "disk_hits": 1.0, "disk_hit_rate": 0.5,
         }
         source = tmp_path / "old.manifest.json"
         source.write_text(json.dumps(payload))
         manifest = load_manifest(source)
         assert manifest.spans == payload["spans"]
         assert "faults" not in manifest.as_dict()
+        assert "cache" not in manifest.as_dict()
         output = write_chrome_trace(source, tmp_path / "old.trace.json")
         trace = json.loads(output.read_text())
         assert len(trace["traceEvents"]) == 2
@@ -173,13 +176,10 @@ class TestChromeTrace:
 
 
 class _FakeRunner:
-    """The two methods build_manifest consumes, without a simulation."""
+    """What build_manifest reads of a runner, without a simulation."""
 
-    def cache_stats(self) -> RunnerCacheStats:
-        return RunnerCacheStats(
-            memo_hits=4, memo_misses=2, disk_hits=1, disk_misses=1,
-            disk_stores=1, disk_errors=0, disk_entries=2, disk_bytes=128,
-        )
+    memo_hits = 4
+    memo_misses = 2
 
     def completed_runs(self):
         return {}
@@ -191,14 +191,12 @@ class TestBuildManifest:
         assert manifest.command == "fig"
         assert manifest.digest == config_digest({"fast": True})
         assert len(manifest.source) == 16
-        assert manifest.cache == {}
         assert manifest.stats == {}
 
     def test_with_runner_counters_and_stats(self):
         manifest = build_manifest("report", runner=_FakeRunner())
-        assert manifest.cache["memo_hits"] == 4.0
-        assert manifest.cache["disk_hit_rate"] == pytest.approx(0.5)
         assert manifest.stats["runner.cache.memo_hits"] == 4.0
+        assert manifest.stats["runner.cache.memo_misses"] == 2.0
 
     def test_records_tracing_flag_and_spans(self):
         was = obs.tracing_enabled()
@@ -218,5 +216,4 @@ class TestBuildManifest:
         manifest = build_manifest("report", runner=_FakeRunner())
         path = manifest.write(tmp_path / "m.json")
         clone = load_manifest(path)
-        assert clone.cache == manifest.cache
         assert clone.stats == manifest.stats

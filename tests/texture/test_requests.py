@@ -95,7 +95,9 @@ class TestFragmentTrace:
                 column[0] = 1
 
     def test_pickle_round_trips(self):
-        # The runner's disk cache stores traces as pickles.
+        # No runner path pickles a trace any more (a `--jobs` task builds
+        # its own), but a trace is plain data and must survive a pickle
+        # round trip whole.
         _scene, trace = workload_by_name("doom3-640x480").trace()
         loaded = pickle.loads(pickle.dumps(trace))
         assert (loaded.width, loaded.height, loaded.tile_size) == (
