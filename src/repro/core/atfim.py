@@ -196,10 +196,10 @@ class _AtfimReplaySession(ReplaySession):
     * the GPU texture unit's address and filter stages over the
       request's parents (:class:`~repro.core.paths.GpuReplayState`), and
       the angle-tagged L1 -> L2 classification (``TextureCache.lookup``
-      on each level) reading each parent's set, tag and angle flag and
-      the request's quantised angle from :class:`_AtfimColumns`, which
-      the warm-up replay hands to the measured one
-      (:meth:`TexturePath._columns_for`);
+      on each level, with its cold-fill log) reading each parent's set,
+      tag and angle flag and the request's quantised angle from
+      :class:`_AtfimColumns`, which a frame's cold replay hands to its
+      warm one, if it has one (:meth:`TexturePath._columns_for`);
     * the offload of the missing parents: one package over the transmit
       link, the Parent Texel Buffer (:class:`~repro.core.paths.QueueReplay`),
       the Texel Generator, Child Texel Consolidation and its merge
@@ -250,8 +250,8 @@ class _AtfimReplaySession(ReplaySession):
         requests_delta = state.requests
         l1_hits, l1_misses = state.l1_hits, state.l1_misses
         l1_angle_misses = state.l1_angle_misses
-        l1_by_cluster = state.l1_sets
-        l2_table = state.l2_sets
+        l1_by_cluster, l1_fills = state.l1_sets, state.l1_fills
+        l2_table, l2_fills = state.l2_sets, state.l2_fills
         l2 = path.caches.l2
         l2_hits, l2_misses, l2_angle_misses = l2.hits, l2.misses, l2.angle_misses
         reuses = path.parent_reuses
@@ -357,6 +357,8 @@ class _AtfimReplaySession(ReplaySession):
                 return hit
             if len(cache_set) >= l2_assoc:
                 cache_set.popitem(last=False)
+            else:
+                l2_fills[l2_set_col[k]].append(tag)
             cache_set[tag] = make_line(tag, angle)
             l2_misses += 1
             return miss
@@ -394,6 +396,8 @@ class _AtfimReplaySession(ReplaySession):
                     continue
                 if len(cache_set) >= l1_assoc:
                     cache_set.popitem(last=False)
+                else:
+                    l1_fills[cluster][l1_set_col[k]].append(tag)
                 l1_misses[cluster] += 1
                 if tagged:
                     cache_set[tag] = make_line(tag, l1_stored)

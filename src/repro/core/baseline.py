@@ -96,12 +96,13 @@ class _GpuReplaySession(ReplaySession):
     (texture-unit stages, L1 -> L2 -> memory lookup, L2 port, line fill)
     operation for operation, with no call into a live object: the units
     are :class:`~repro.core.paths.GpuReplayState`'s, the L1/L2 lookup
-    and the L2 port are inlined, and a line fill is the replay form of
-    ``Gddr5Memory.read`` (baseline) or ``HybridMemoryCube.external_read``
-    (B-PIM) from :mod:`repro.memory.replay`.  Every piece of state is
-    seeded from the live objects, folded locally in service order (so
-    float accumulators reproduce the scalar ``+=`` sequence bit for bit),
-    and written back by ``finish``.  That includes the frame's texture
+    (with its cold-fill log) and the L2 port are inlined, and a line
+    fill is the replay form of ``Gddr5Memory.read`` (baseline) or
+    ``HybridMemoryCube.external_read`` (B-PIM) from
+    :mod:`repro.memory.replay`.  Every piece of state is seeded from
+    the live objects, folded locally in service order (so float
+    accumulators reproduce the scalar ``+=`` sequence bit for bit), and
+    written back by ``finish``.  That includes the frame's texture
     bytes: ``finish`` assigns the meter's texture entry, which is exact
     because nothing else adds texture bytes while a session is open.
     """
@@ -146,8 +147,8 @@ class _GpuReplaySession(ReplaySession):
         filter_texels = state.filter_texels
         requests_delta = state.requests
         l1_hits, l1_misses = state.l1_hits, state.l1_misses
-        l1_by_cluster = state.l1_sets
-        l2_table = state.l2_sets
+        l1_by_cluster, l1_fills = state.l1_sets, state.l1_fills
+        l2_table, l2_fills = state.l2_sets, state.l2_fills
         l2_hits = caches.l2.hits
         l2_misses = caches.l2.misses
         port = caches.l2_port
@@ -179,6 +180,8 @@ class _GpuReplaySession(ReplaySession):
                     continue
                 if len(cache_set) >= l1_assoc:
                     cache_set.popitem(last=False)
+                else:
+                    l1_fills[cluster][l1_set_col[k]].append(tag)
                 cache_set[tag] = make_line(tag)
                 l1_misses[cluster] += 1
                 cache_set = l2_table[l2_set_col[k]]
@@ -199,6 +202,8 @@ class _GpuReplaySession(ReplaySession):
                 else:
                     if len(cache_set) >= l2_assoc:
                         cache_set.popitem(last=False)
+                    else:
+                        l2_fills[l2_set_col[k]].append(tag)
                     cache_set[tag] = make_line(tag)
                     l2_misses += 1
                     ready = fill_line(address_done, lines[k])

@@ -128,21 +128,29 @@ def simulate_frame(
     design-independent -- all designs shade the same fragments; what
     differs is how their texture lookups are served.
 
-    With ``warmup`` (the default), the frame is replayed once to warm the
-    texture caches before the measured replay, modelling the steady state
-    of a running game.  It changes little: the scaled caches hold far
-    fewer lines than a frame touches, so a frame evicts the warm-up's
-    lines before it reuses them (a capacity regime), and 25 of the 40
-    workload x design points read identical cold and warm.  S-TFIM has
-    no caches, and its ``reset_for_measurement`` returns it to its
-    constructed state, so it runs no warm-up.
+    With ``warmup`` (the default), the measured frame is the frame
+    replayed from the texture caches it leaves behind, modelling the
+    steady state of a running game.  The frame is first replayed from
+    the freshly built path.  If that cold replay's caches show that a
+    warm start could change none of its cache outcomes
+    (:meth:`TexturePath.warm_start_inert`), the warm replay would repeat
+    it bit for bit, since ``reset_for_measurement`` returns everything
+    but the caches to its constructed state: the cold replay is then the
+    measured frame.  Otherwise the path is reset for measurement and the
+    frame replayed again.  The scaled caches hold far fewer lines than a
+    frame touches, so a frame evicts the warm lines before it reuses
+    them (a capacity regime), and 25 of the 40 workload x design points
+    are inert, S-TFIM (which has no caches) everywhere.  Without
+    ``warmup`` the cold replay is the measured frame.
 
     Consecutive calls on one (scene, trace) with the same
     ``aniso_enabled`` share one expansion (:func:`_expand`).
 
     ``check_invariants`` validates the drained frame against the
     conservation invariants of :mod:`repro.analysis.invariants`; ``None``
-    defers to the ``REPRO_CHECK_INVARIANTS`` environment flag.
+    defers to the ``REPRO_CHECK_INVARIANTS`` environment flag.  When
+    tracing, the ``core.simulate_frame`` span records ``replays``: 1, or
+    2 where the frame needed the warm replay.
     """
     with obs.span(
         "core.simulate_frame",
@@ -154,20 +162,25 @@ def simulate_frame(
         expanded = _expand(scene, trace, config.aniso_enabled)
         path = make_texture_path(config, traffic)
         pipeline = GpuPipeline(config.gpu)
-        if warmup and path.caches is not None:
-            with obs.span("core.warmup_replay"):
-                pipeline.replay_texture_stream(trace, expanded, path)
+
+        def replay() -> FrameResult:
+            with obs.span("core.replay"):
+                return pipeline.simulate_frame(
+                    trace=trace,
+                    expanded=expanded,
+                    path=path,
+                    traffic=traffic,
+                    num_vertices=scene.num_vertices,
+                    external_bytes_per_cycle=config.external_bytes_per_cycle,
+                )
+
+        frame = replay()
+        warm = warmup and not path.warm_start_inert()
+        if warm:
             path.reset_for_measurement()
             traffic.reset()
-        with obs.span("core.measured_replay"):
-            frame = pipeline.simulate_frame(
-                trace=trace,
-                expanded=expanded,
-                path=path,
-                traffic=traffic,
-                num_vertices=scene.num_vertices,
-                external_bytes_per_cycle=config.external_bytes_per_cycle,
-            )
+            frame = replay()
+        obs.annotate(replays=2 if warm else 1)
         path.release_columns()
         run = DesignRun(config=config, frame=frame, path=path)
         if _resolve_check_invariants(check_invariants):

@@ -202,6 +202,16 @@ class CacheHierarchy:
         aggregated.l2_misses = self.l2.misses + self.l2.angle_misses
         return aggregated
 
+    def warm_start_inert(self) -> bool:
+        """Whether every L1 and the L2 would repeat each outcome of the
+        accesses since they were empty, replayed from their contents.
+
+        Per cache that is :meth:`TextureCache.warm_start_inert`.  The
+        hierarchy needs nothing more: the L2 sees the L1s' misses, so
+        while the L1 outcomes repeat, so does the L2's access stream.
+        """
+        return all(cache.warm_start_inert() for cache in self.l1 + [self.l2])
+
     def reset_for_measurement(self) -> None:
         """Zero counters and the L2 port clock; keep cache contents."""
         for cache in self.l1:
@@ -283,21 +293,29 @@ class GpuReplayColumns:
         self.l2_assoc = l2.associativity
 
 
-def _set_table(cache: TextureCache) -> List[OrderedDict]:
-    """Every set's OrderedDict of ``cache``, indexed by set.
+def _set_tables(cache: TextureCache) -> Tuple[List[OrderedDict], List[List[int]]]:
+    """Every set's OrderedDict of ``cache`` and its cold-fill log, each
+    indexed by set.
 
     Materialised up front so an inlined session's hot loop indexes a
-    list instead of setdefault-ing a dict; pre-created empty sets are
-    invisible to cache semantics.
+    list instead of setdefault-ing a dict; pre-created empty sets and
+    logs are invisible to cache semantics and to
+    :meth:`TextureCache.warm_start_inert`.  A session appends a fill's
+    tag to its set's log where ``TextureCache._fill`` does: when the
+    set has a free way, so a full set's fill pays nothing.
     """
-    sets_dict = cache._sets
-    table = []
+    sets_dict, fills_dict = cache._sets, cache._cold_fills
+    sets, fills = [], []
     for set_index in range(cache.config.num_sets):
         entry = sets_dict.get(set_index)
         if entry is None:
             entry = sets_dict[set_index] = OrderedDict()
-        table.append(entry)
-    return table
+        sets.append(entry)
+        log = fills_dict.get(set_index)
+        if log is None:
+            log = fills_dict[set_index] = []
+        fills.append(log)
+    return sets, fills
 
 
 class UnitReplayState:
@@ -389,7 +407,7 @@ class GpuReplayState(UnitReplayState):
 
     The per-cluster texture units (:class:`UnitReplayState`, the unit
     half), plus each cluster's L1 hit, miss and angle-miss counters and
-    :func:`_set_table`, and the shared L2's set table.  The L2's
+    :func:`_set_tables`, and the shared L2's set tables.  The L2's
     counters are plain ints, which each session keeps and flushes
     itself.
     """
@@ -400,8 +418,10 @@ class GpuReplayState(UnitReplayState):
         self.l1_hits = [cache.hits for cache in caches.l1]
         self.l1_misses = [cache.misses for cache in caches.l1]
         self.l1_angle_misses = [cache.angle_misses for cache in caches.l1]
-        self.l1_sets = [_set_table(cache) for cache in caches.l1]
-        self.l2_sets = _set_table(caches.l2)
+        l1_tables = [_set_tables(cache) for cache in caches.l1]
+        self.l1_sets = [sets for sets, _ in l1_tables]
+        self.l1_fills = [fills for _, fills in l1_tables]
+        self.l2_sets, self.l2_fills = _set_tables(caches.l2)
 
     def flush(self) -> None:
         """Write the session's per-cluster state back to the live objects."""
@@ -450,16 +470,17 @@ class TexturePath(abc.ABC):
         """``build()``'s per-trace replay columns, memoised on the
         frame's identity from one replay to the next.
 
-        The frame frontend replays the *same* frame object for the
-        warm-up and the measured pass, so keying on identity lets the
-        measured replay reuse the warm-up's precompute.  Holding the
-        frame reference in the cache keeps the ``is`` test sound (the id
-        cannot be recycled while we hold it).  Columns depend only on
-        the frame and the path's configuration, both fixed for the
-        path's lifetime, so the cache survives reset_for_measurement.
-        A hit hands the columns over and empties the cache, and the
-        frontend calls :meth:`release_columns` after its last replay:
-        a finished run holds no frame or columns, so the runs a caller
+        Where a frame needs a replay from the warm caches, the frame
+        frontend replays the *same* frame object twice, so keying on
+        identity lets the warm replay reuse the cold one's precompute.
+        Holding the frame reference in the cache keeps the ``is`` test
+        sound (the id cannot be recycled while we hold it).  Columns
+        depend only on the frame and the path's configuration, both
+        fixed for the path's lifetime, so the cache survives
+        reset_for_measurement.  A hit hands the columns over and empties
+        the cache, and the frontend calls :meth:`release_columns` after
+        its last replay, whether that was the first or the second: a
+        finished run holds no frame or columns, so the runs a caller
         keeps (or pickles) stay small.
         """
         cached, self._column_cache = self._column_cache, None
@@ -494,13 +515,29 @@ class TexturePath(abc.ABC):
     def reset_for_measurement(self) -> None:
         """Reset all timing state and counters, keeping cache contents.
 
-        Called between the warm-up replay and the measured replay, and
-        between a sequence's frames: the next replay sees the caches the
-        last one left, with fresh resource clocks and statistics.  The
-        caches are all it keeps, so a path without them (S-TFIM) returns
-        to its constructed state, and ``simulate_frame`` skips its
-        warm-up.
+        Called between a frame's cold replay and its replay from the
+        warm caches, and between a sequence's frames: the next replay
+        sees the caches the last one left, with fresh resource clocks
+        and statistics.  The caches are all it keeps: every unit,
+        queue, merge window, link, TSV, DRAM bank and counter returns
+        to its constructed state, so a path without caches (S-TFIM)
+        returns to its constructed state entirely.  That is what lets
+        ``simulate_frame`` measure the cold replay wherever
+        :meth:`warm_start_inert` holds.
         """
+
+    def warm_start_inert(self) -> bool:
+        """Whether a replay from the caches' current contents would
+        repeat every cache outcome of the replays since they were empty.
+
+        After one replay from a freshly built path this decides whether
+        its warm restart could differ: if not, and with
+        :meth:`reset_for_measurement` returning everything else to its
+        constructed state, the warm restart would repeat every counter,
+        cycle, cache line and angle tag of the cold replay.  A path
+        without caches (S-TFIM) is trivially inert.
+        """
+        return self.caches is None or self.caches.warm_start_inert()
 
     def cache_stats(self) -> CacheHierarchyStats:
         """Cache outcomes (zeroed for cache-less paths like S-TFIM)."""

@@ -187,9 +187,10 @@ class GpuPipeline:
         Returns per-cluster lists of request *indices* (into the trace
         and its expansion) plus per-cluster fragment counts.
 
-        Memoised on the trace's identity: the warm-up and measured
-        replays of one frame partition the same trace object, and the
-        partition is read-only to both schedulers.
+        Memoised on the trace's identity: the replays of one frame (its
+        cold replay and, where it needs one, the replay from the warm
+        caches) partition the same trace object, and the partition is
+        read-only to both schedulers.
         """
         cached = self._partition_cache
         if cached is not None and cached[0] is trace:

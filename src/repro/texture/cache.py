@@ -16,7 +16,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.texture.lod import quantize_angle
 from repro.units import BITS_PER_BYTE, Bits, Bytes, Radians
@@ -84,6 +84,10 @@ class TextureCache:
     while timing is supplied by the resource servers in the cycle model.
     This separation keeps the cache reusable by both the functional
     renderer (for the quality study) and the performance model.
+
+    Each set also logs its *cold fill*: the tags it filled while it
+    still had a free way, in order, since the cache was last empty.
+    :meth:`warm_start_inert` reads it.
     """
 
     def __init__(self, config: CacheConfig, name: str = "texcache") -> None:
@@ -91,6 +95,8 @@ class TextureCache:
         self.name = name
         # One ordered dict per set: key = tag, order = LRU (oldest first).
         self._sets: Dict[int, "OrderedDict[int, _Line]"] = {}
+        # Per set, its cold fill (at most one tag per way).
+        self._cold_fills: Dict[int, List[int]] = {}
         self.hits = 0
         self.misses = 0
         self.angle_misses = 0
@@ -135,7 +141,7 @@ class TextureCache:
             self.hits += 1
             return CacheAccessResult.HIT
 
-        self._fill(cache_set, tag, stored_angle)
+        self._fill(set_index, cache_set, tag, stored_angle)
         self.misses += 1
         return CacheAccessResult.MISS
 
@@ -145,10 +151,13 @@ class TextureCache:
         return quantize_angle(angle, self.config.angle_bits)
 
     def _fill(
-        self, cache_set: "OrderedDict[int, _Line]", tag: int, angle: Optional[float]
+        self, set_index: int, cache_set: "OrderedDict[int, _Line]", tag: int,
+        angle: Optional[float],
     ) -> None:
         if len(cache_set) >= self.config.associativity:
             cache_set.popitem(last=False)  # evict LRU
+        else:
+            self._cold_fills.setdefault(set_index, []).append(tag)
         cache_set[tag] = _Line(tag=tag, angle=angle)
 
     def contains(self, address: int) -> bool:
@@ -171,8 +180,32 @@ class TextureCache:
             return 0.0
         return (self.misses + self.angle_misses) / self.accesses
 
+    def warm_start_inert(self) -> bool:
+        """Whether the accesses made since the cache was empty, replayed
+        from its current contents, would repeat every outcome.
+
+        Exact for LRU.  Take a set with cold fill t_0, t_1, ... and
+        contents W, oldest first, and replay its accesses from W.  While
+        the outcomes repeat, each fill evicts the oldest warm line, so
+        the set meets t_k with W[k:] still resident, and t_k misses
+        again iff it is not in W[k:]; every other access touches a line
+        both runs hold alike.  Once its last warm line is evicted, the
+        set holds the same lines as in the cold run, in the same order,
+        with the same angle tags.  A set that ended with a free way
+        still holds t_0, so it is never inert.
+        """
+        for set_index, fills in self._cold_fills.items():
+            position = {
+                tag: index for index, tag in enumerate(self._sets[set_index])
+            }
+            for k, tag in enumerate(fills):
+                if position.get(tag, -1) >= k:
+                    return False
+        return True
+
     def reset(self) -> None:
         self._sets.clear()
+        self._cold_fills.clear()
         self.hits = 0
         self.misses = 0
         self.angle_misses = 0
@@ -180,11 +213,12 @@ class TextureCache:
     def reset_counters(self) -> None:
         """Zero the hit/miss statistics but keep the cached contents.
 
-        Used by the warm-up protocol: the first replay of a frame warms
-        the caches and only the second replay is measured, and by
-        sequences, whose frames keep the caches the last one left.  At
-        the scaled cache sizes a frame touches more lines than the L2
-        holds, so the warm-up changes few points (see ``simulate_frame``).
+        Used between a frame's cold replay and its replay from the warm
+        caches, which ``simulate_frame`` runs only where
+        :meth:`warm_start_inert` is false, and between a sequence's
+        frames, which keep the caches the last one left.  The cold-fill
+        log is kept too: it still describes the accesses since the
+        cache was empty.
         """
         self.hits = 0
         self.misses = 0

@@ -24,6 +24,7 @@ from repro.texture.requests import TextureRequest
 from repro.texture.sampling import TextureSampler
 from repro.texture.texture import Texture
 from repro.workloads import workload_by_name
+from repro.workloads.animation import walk_forward
 from repro.workloads.textures import ProceduralTextureLibrary
 from tests.reference import trace_from_requests
 
@@ -134,13 +135,23 @@ class TestExpansion:
 
 
 @pytest.fixture(scope="module", params=[
-    (name, seed) for name in FAST_WORKLOADS for seed in (0, 1)
-], ids=lambda param: f"{param[0]}-seed{param[1]}")
+    (name, pose) for name in FAST_WORKLOADS for pose in ("start", "walk1")
+], ids=lambda param: f"{param[0]}-{param[1]}")
 def fast_trace(request):
-    name, seed = request.param
+    """Each fast workload's trace, from its own camera (``start``) and
+    from frame 1 of a three-frame ``walk_forward(4.0)`` (``walk1``).
+
+    The second input is the held-out one.  It has to move the geometry:
+    a workload seed only recolours textures, and expands to the same
+    columns."""
+    name, pose = request.param
     workload = workload_by_name(name)
-    workload = dataclasses.replace(workload, seed=workload.seed + seed)
-    return workload.trace()
+    if pose == "start":
+        return workload.trace()
+    built = workload.build()
+    camera = walk_forward(4.0)(built.camera).cameras(built.camera, 3)[1]
+    renderer = workload.make_renderer()
+    return built.scene, renderer.trace_only(built.scene, camera).trace
 
 
 class TestExpandFrame:

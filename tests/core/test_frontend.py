@@ -1,10 +1,13 @@
 """What ``simulate_frame`` and ``simulate_sequence`` share and skip.
 
-Consecutive calls on one trace share one expansion.  Only a path with
-texture caches gets a warm-up replay: S-TFIM has none, and its
-``reset_for_measurement`` returns it to its constructed state, so a
-warm-up could change nothing.  And no run keeps a frame or replay
-columns on its path.
+Consecutive calls on one trace share one expansion.  ``simulate_frame``
+replays a frame from the warm caches only where its cold replay's
+caches say a warm start could change a cache outcome
+(``TexturePath.warm_start_inert``); elsewhere the cold replay is the
+measured frame, which holds because ``reset_for_measurement`` returns
+every design's path, caches apart, to its constructed state.  S-TFIM
+has no caches, so it never replays twice.  And no run keeps a frame or
+replay columns on its path.
 """
 
 import copy
@@ -17,14 +20,22 @@ from repro.core.atfim import AtfimPath
 from repro.core.baseline import GpuFilteringPath
 from repro.core.designs import DesignConfig
 from repro.core.expansion import RequestExpander
-from repro.core.frontend import make_texture_path
+from repro.core.frontend import DesignRun, _expand, make_texture_path
 from repro.core.stfim import StfimPath
+from repro.experiments.runner import FAST_WORKLOADS
 from repro.gpu.pipeline import GpuPipeline
 from repro.memory.traffic import TrafficMeter
 from repro.obs import run_stat_group
 from repro.render.renderer import Renderer
+from repro.workloads import workload_by_name
 from tests.conftest import make_tiny_scene
 from tests.gpu.test_replay_batch import resource_state
+
+PARITY_WORKLOADS = FAST_WORKLOADS + ["fear-640x480"]
+WARM_DEPENDENT = {"tiny", "riddick-640x480", "fear-640x480"}
+"""The scenes of this module whose cached designs need the warm replay:
+the tiny scene's caches end with free ways, and ROADMAP's warm-up item
+names all 15 such report points."""
 
 
 @pytest.fixture
@@ -33,6 +44,21 @@ def fresh():
     scene, camera = make_tiny_scene()
     renderer = Renderer(width=48, height=36, tile_size=4, max_anisotropy=8)
     return scene, renderer.trace_only(scene, camera).trace
+
+
+@pytest.fixture(scope="module")
+def traces():
+    """``traces(name)``: a workload with its scene and trace, built on
+    first use and shared by this module's tests."""
+    built = {}
+
+    def get(name):
+        if name not in built:
+            workload = workload_by_name(name)
+            built[name] = (workload,) + workload.trace()
+        return built[name]
+
+    return get
 
 
 def count_calls(monkeypatch, owner, name, calls):
@@ -87,13 +113,20 @@ class TestOneExpansionPerTrace:
             assert len(calls) == expected
 
 
-@pytest.mark.parametrize("mtu_share", (1, 2, 4))
-def test_stfim_reset_restores_the_constructed_state(fresh, mtu_share):
-    """After a replay, ``reset_for_measurement`` leaves S-TFIM's memory
-    side, queues, merge windows and MTUs as a freshly built path's: the
-    condition that makes skipping its warm-up exact."""
+@pytest.mark.parametrize("design, mtu_share", [
+    pytest.param(Design.BASELINE, 1, id="baseline"),
+    pytest.param(Design.B_PIM, 1, id="b-pim"),
+    *(pytest.param(Design.S_TFIM, share, id=f"s-tfim-{share}")
+      for share in (1, 2, 4)),
+    pytest.param(Design.A_TFIM, 1, id="a-tfim"),
+])
+def test_reset_restores_the_constructed_state(fresh, design, mtu_share):
+    """After a replay, ``reset_for_measurement`` leaves every design's
+    memory side, units, queues, merge windows and counters as a freshly
+    built path's; only the caches' contents remain.  This is what makes
+    the cold replay the measured one where the warm start is inert."""
     scene, trace = fresh
-    config = DesignConfig(design=Design.S_TFIM, mtu_share=mtu_share)
+    config = DesignConfig(design=design, mtu_share=mtu_share)
     expanded = RequestExpander(scene).expand_frame(trace)
     traffic, built_traffic = TrafficMeter(), TrafficMeter()
     path = make_texture_path(config, traffic)
@@ -107,20 +140,92 @@ def test_stfim_reset_restores_the_constructed_state(fresh, mtu_share):
             == dict(built.stat_group().flatten()))
 
 
-@pytest.mark.parametrize(
-    "design, sessions",
-    [(Design.BASELINE, 2), (Design.B_PIM, 2), (Design.S_TFIM, 1),
-     (Design.A_TFIM, 2)],
-    ids=lambda value: value.value if isinstance(value, Design) else str(value),
-)
-def test_warm_up_replays_only_cached_designs(fresh, monkeypatch, design,
-                                             sessions):
-    scene, trace = fresh
+def scene_trace_config(source, design, fresh, traces):
+    """The tiny scene with a default config, or a workload's trace with
+    its own config."""
+    if source == "tiny":
+        scene, trace = fresh
+        return scene, trace, DesignConfig(design=design)
+    workload, scene, trace = traces(source)
+    return scene, trace, workload.design_config(design)
+
+
+def session_case(source, design):
+    """``(source, design, sessions)``, with an id naming all three (the
+    tiny scene's ids name no source)."""
+    cached = design is not Design.S_TFIM
+    sessions = 2 if cached and source in WARM_DEPENDENT else 1
+    prefix = "" if source == "tiny" else f"{source}-"
+    return pytest.param(source, design, sessions,
+                        id=f"{prefix}{design.value}-{sessions}")
+
+
+@pytest.mark.parametrize("source, design, sessions", [
+    session_case(source, design)
+    for source in ("tiny", "doom3-640x480", "riddick-640x480")
+    for design in Design
+])
+def test_warm_up_replays_only_cached_designs(fresh, traces, monkeypatch,
+                                             source, design, sessions):
+    """One replay session, plus one from the warm caches exactly where
+    the cold replay's check fails: never for S-TFIM, which has no
+    caches."""
+    scene, trace, config = scene_trace_config(source, design, fresh, traces)
+    cold = simulate_frame(scene, trace, config, warmup=False)
     calls = []
     for owner in (GpuFilteringPath, StfimPath, AtfimPath):
         count_calls(monkeypatch, owner, "begin_replay", calls)
-    simulate_frame(scene, trace, DesignConfig(design=design))
+    simulate_frame(scene, trace, config)
     assert len(calls) == sessions
+    assert len(calls) == (1 if cold.path.warm_start_inert() else 2)
+
+
+def cache_contents(path):
+    """Every cache set's lines, oldest first, with their angle tags."""
+    if path.caches is None:
+        return None
+    return [
+        {index: [(tag, line.angle) for tag, line in cache_set.items()]
+         for index, cache_set in cache._sets.items() if cache_set}
+        for cache in path.caches.l1 + [path.caches.l2]
+    ]
+
+
+def explicit_warm_up(scene, trace, config):
+    """The protocol ``simulate_frame`` stands for, spelled out: a
+    warm-up replay, ``reset_for_measurement``, the measured replay."""
+    traffic = TrafficMeter()
+    path = make_texture_path(config, traffic)
+    pipeline = GpuPipeline(config.gpu)
+    expanded = _expand(scene, trace, config.aniso_enabled)
+    pipeline.replay_texture_stream(trace, expanded, path)
+    path.reset_for_measurement()
+    traffic.reset()
+    frame = pipeline.simulate_frame(
+        trace=trace, expanded=expanded, path=path, traffic=traffic,
+        num_vertices=scene.num_vertices,
+        external_bytes_per_cycle=config.external_bytes_per_cycle,
+    )
+    return DesignRun(config=config, frame=frame, path=path)
+
+
+def observed(run):
+    return (dict(run_stat_group(run).flatten()),
+            resource_state(run.path, run.frame.traffic),
+            cache_contents(run.path))
+
+
+@pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
+@pytest.mark.parametrize("name", PARITY_WORKLOADS)
+def test_simulate_frame_matches_the_explicit_warm_up(traces, name, design):
+    """Whether or not it replays twice, ``simulate_frame`` leaves what
+    the explicit warm-up -> reset -> measured sequence leaves: the
+    flattened stat group, the memory side and units, and every cache
+    line with its angle tag."""
+    workload, scene, trace = traces(name)
+    config = workload.design_config(design)
+    assert (observed(simulate_frame(scene, trace, config))
+            == observed(explicit_warm_up(scene, trace, config)))
 
 
 def test_runs_hold_no_frame_or_columns(fresh):

@@ -14,7 +14,8 @@ and the whole state a replay leaves behind in the memory side and the
 texture units (:func:`resource_state`): every bandwidth server's clock
 and totals, every DRAM bank's open row, clock and counters, per-vault
 access counts, request queues, read-merge windows, stage clocks and
-both traffic dicts.  Every replay of a sequence is observed, so the
+both traffic dicts, plus every cache's cold-fill log
+(:func:`cold_fills`).  Every replay of a sequence is observed, so the
 warm-up's state is held to it as well as the measured replay's.
 A-TFIM is also held to it across camera-angle thresholds with Child
 Texel Consolidation on and off, S-TFIM with two and four clusters per
@@ -160,6 +161,19 @@ def resource_state(path, traffic):
     return state
 
 
+def cold_fills(path):
+    """Every cache's non-empty cold-fill logs, which decide
+    ``warm_start_inert``: a session must log what ``TextureCache._fill``
+    logs, in the same order."""
+    caches = getattr(path, "caches", None)
+    if caches is None:
+        return None
+    return [
+        {index: list(log) for index, log in cache._cold_fills.items() if log}
+        for cache in caches.l1 + [caches.l2]
+    ]
+
+
 def observe(path, traffic, makespan, histogram, per_cluster):
     """Every replay observable, collapsed into one comparable dict."""
     activity = path.activity()
@@ -184,6 +198,7 @@ def observe(path, traffic, makespan, histogram, per_cluster):
         "l2_misses": caches.l2_misses,
         "stat_group": dict(path.stat_group().flatten()),
         "resources": resource_state(path, traffic),
+        "cold_fills": cold_fills(path),
     }
 
 

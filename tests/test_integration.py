@@ -17,6 +17,7 @@ from repro.core.angle import THRESHOLD_SWEEP
 from repro.core.expansion import RequestExpander
 from repro.energy import EnergyModel
 from repro.experiments.runner import FAST_WORKLOADS
+from repro.obs import run_stat_group
 from repro.workloads import workload_by_name
 
 
@@ -244,12 +245,27 @@ class TestEnergyShapes:
 
 class TestWarmup:
     def test_warmup_reduces_cold_misses(self, fast_workload, fast_workload_trace):
+        """Only where the scaled caches can keep a line for its reuse:
+        doom3-640x480's frame evicts every warm line before reusing it,
+        so its warm frame equals the cold one bit for bit, while
+        riddick-640x480's warm frame misses the L2 less.  A model change
+        that moves either point fails here."""
         scene, trace = fast_workload_trace
         config = fast_workload.design_config(Design.BASELINE)
         cold = simulate_frame(scene, trace, config, warmup=False)
         warm = simulate_frame(scene, trace, config, warmup=True)
-        assert warm.frame.cache_stats.l1_misses <= cold.frame.cache_stats.l1_misses
-        assert warm.frame.traffic.external_texture <= (
+        assert (dict(run_stat_group(warm).flatten())
+                == dict(run_stat_group(cold).flatten()))
+
+        workload = workload_by_name("riddick-640x480")
+        scene, trace = workload.trace()
+        config = workload.design_config(Design.BASELINE)
+        cold = simulate_frame(scene, trace, config, warmup=False)
+        warm = simulate_frame(scene, trace, config, warmup=True)
+        assert (dict(run_stat_group(warm).flatten())
+                != dict(run_stat_group(cold).flatten()))
+        assert warm.frame.cache_stats.l2_misses < cold.frame.cache_stats.l2_misses
+        assert warm.frame.traffic.external_texture < (
             cold.frame.traffic.external_texture
         )
 

@@ -96,3 +96,86 @@ class TestCacheAgainstReference:
                 assert not expected_present
             else:
                 assert expected_present
+
+
+def geometry(sets, ways):
+    return CacheConfig(
+        size_bytes=LINE * sets * ways, line_bytes=LINE, associativity=ways
+    )
+
+
+@st.composite
+def warm_start_cases(draw):
+    """A cache geometry and an access stream over it: line indices,
+    with or without per-access camera angles and a threshold.
+
+    The stream is either random over a pool of lines up to three times
+    the capacity, or a cyclic scan over such a pool, so the warm-up
+    both matters and does not."""
+    sets = draw(st.integers(1, 8))
+    ways = draw(st.integers(1, 8))
+    pool = draw(st.integers(1, 3 * sets * ways))
+    if draw(st.booleans()):
+        lines = draw(st.lists(st.integers(0, pool - 1), min_size=1,
+                              max_size=150))
+    else:
+        lines = list(range(pool)) * draw(st.integers(1, 3))
+    angles, threshold = [None] * len(lines), None
+    if draw(st.booleans()):
+        angles = draw(st.lists(st.floats(0.0, 1.5), min_size=len(lines),
+                               max_size=len(lines)))
+        threshold = draw(st.floats(0.0, 0.5))
+    return geometry(sets, ways), list(zip(lines, angles)), threshold
+
+
+def run_pass(cache, stream, threshold):
+    return [
+        cache.lookup(line * LINE, angle=angle, angle_threshold=threshold)
+        for line, angle in stream
+    ]
+
+
+def contents(cache):
+    """Every set's lines, oldest first, with their angle tags."""
+    return {
+        index: [(tag, line.angle) for tag, line in cache_set.items()]
+        for index, cache_set in cache._sets.items() if cache_set
+    }
+
+
+class TestWarmStartInert:
+    """``warm_start_inert`` after a cold pass predicts, exactly, whether
+    the same pass from the warm contents repeats every outcome."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=warm_start_cases())
+    def test_check_is_exact_on_the_live_cache(self, case):
+        config, stream, threshold = case
+        cache = TextureCache(config)
+        cold = run_pass(cache, stream, threshold)
+        inert = cache.warm_start_inert()
+        cold_contents = contents(cache)
+        cache.reset_counters()
+        warm = run_pass(cache, stream, threshold)
+        assert inert == (warm == cold)
+        if inert:
+            assert contents(cache) == cold_contents
+
+    def test_a_set_with_a_free_way_is_not_inert(self):
+        """Set 0 cycles through twice its ways (inert on its own); set 1
+        sees two tags in four ways, so a warm start hits them."""
+        cache = TextureCache(geometry(sets=2, ways=4))
+        set_zero = [2 * tag for tag in range(8)]
+        run_pass(cache, [(line, None) for line in set_zero], None)
+        assert cache.warm_start_inert()
+        run_pass(cache, [(1, None), (3, None)], None)
+        assert not cache.warm_start_inert()
+
+    def test_reset_clears_the_log(self):
+        cache = TextureCache(geometry(sets=1, ways=2))
+        run_pass(cache, [(0, None)], None)
+        assert not cache.warm_start_inert()
+        cache.reset()
+        assert cache.warm_start_inert()
+        run_pass(cache, [(0, None), (1, None), (2, None), (3, None)], None)
+        assert cache.warm_start_inert()
