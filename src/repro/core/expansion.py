@@ -27,7 +27,7 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -51,11 +51,9 @@ _TAP_DY = np.array([0, 0, 1, 1], dtype=np.int64)
 
 @dataclass(frozen=True)
 class ParentTexel:
-    """One parent texel with its cache-line address and child lines."""
+    """One parent texel as a replay reads it: its cache-line address and
+    its children's lines (its mip level and coordinates are in those)."""
 
-    level: int
-    x: int
-    y: int
     line_address: int
     child_line_addresses: Tuple[int, ...]
     num_children: int
@@ -144,7 +142,13 @@ class ExpandedFrame:
     ``child_lines[child_offsets[p]:child_offsets[p + 1]]``.  Every set
     keeps :meth:`RequestExpander.expand`'s first-touch order, and
     ``frame[i]`` builds that method's :class:`ExpandedRequest` on demand
-    (for the scalar references in the tests).
+    (for the scalar references in the tests).  Only what a replay reads
+    is kept: no parent's mip level or coordinates.
+
+    The columns are read-only from construction on.  One expansion
+    serves every design point of a trace and every design run over a
+    camera path (:func:`repro.core.frontend._expand`), so an in-place
+    edit would silently change the next design's replay.
     """
 
     texels: np.ndarray
@@ -155,14 +159,15 @@ class ExpandedFrame:
     """Unique conventional-order cache lines, request after request."""
     parent_offsets: np.ndarray
     parent_lines: np.ndarray
-    parent_levels: np.ndarray
-    parent_x: np.ndarray
-    parent_y: np.ndarray
     child_counts: np.ndarray
     """Per parent: child texels the Texel Generator makes (its probes)."""
     child_offsets: np.ndarray
     child_lines: np.ndarray
     """Each parent's unique child lines, parent after parent."""
+
+    def __post_init__(self) -> None:
+        for column in fields(self):
+            getattr(self, column.name).flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.texels)
@@ -174,9 +179,6 @@ class ExpandedFrame:
         bounds = self.child_offsets[first:last + 1].tolist()
         parents = tuple(
             ParentTexel(
-                level=int(self.parent_levels[parent]),
-                x=int(self.parent_x[parent]),
-                y=int(self.parent_y[parent]),
                 line_address=int(self.parent_lines[parent]),
                 child_line_addresses=tuple(
                     self.child_lines[bounds[k]:bounds[k + 1]].tolist()
@@ -223,9 +225,6 @@ class ExpandedFrame:
                 column(len(item.parents) for item in expansions)
             ),
             parent_lines=column(parent.line_address for parent in parents),
-            parent_levels=column(parent.level for parent in parents),
-            parent_x=column(parent.x for parent in parents),
-            parent_y=column(parent.y for parent in parents),
             child_counts=column(parent.num_children for parent in parents),
             child_offsets=_offsets(
                 column(len(parent.child_line_addresses) for parent in parents)
@@ -245,9 +244,6 @@ class _Group(NamedTuple):
     lines: np.ndarray
     parent_counts: np.ndarray
     parent_lines: np.ndarray
-    parent_levels: np.ndarray
-    parent_x: np.ndarray
-    parent_y: np.ndarray
     child_counts: np.ndarray
     child_line_counts: np.ndarray
     child_lines: np.ndarray
@@ -311,9 +307,6 @@ class RequestExpander:
                 child_lines.setdefault(line, None)
             parent_records.append(
                 ParentTexel(
-                    level=level,
-                    x=x,
-                    y=y,
                     line_address=self.address_map.texel_line(
                         chain, level, x, y, self.line_bytes
                     ),
@@ -382,9 +375,6 @@ class RequestExpander:
             lines=joined("lines")[line_take],
             parent_offsets=parent_offsets,
             parent_lines=joined("parent_lines")[parent_take],
-            parent_levels=joined("parent_levels")[parent_take],
-            parent_x=joined("parent_x")[parent_take],
-            parent_y=joined("parent_y")[parent_take],
             child_counts=joined("child_counts")[parent_take],
             child_offsets=child_offsets,
             child_lines=joined("child_lines")[child_take],
@@ -412,7 +402,7 @@ class RequestExpander:
         low, high, _weight = level_blend_arrays(chain, batch.lod[rows])
         dual = low != high
         slots = [low, high] if bool(dual.any()) else [low]
-        texel_sets, parent_lines, tap_xs, tap_ys = [], [], [], []
+        texel_sets, parent_lines = [], []
         for level in slots:
             scale = np.ldexp(1.0, level)
             tap_x = np.floor(u / scale - 0.5).astype(np.int64)[:, None] + _TAP_DX
@@ -438,8 +428,6 @@ class RequestExpander:
             parent_lines.append(self.address_map.texel_lines(
                 chain, level[:, None], tap_x, tap_y, self.line_bytes
             ))
-            tap_xs.append(tap_x)
-            tap_ys.append(tap_y)
 
         walk = np.concatenate(
             [texels.reshape(count, -1) for texels in texel_sets], axis=1
@@ -447,7 +435,6 @@ class RequestExpander:
         kept = _first_touch(walk)
         real = np.ones((count, 4 * len(slots)), dtype=bool)
         real[:, 4:] = dual[:, None]
-        levels = np.repeat(np.stack(slots, axis=1), 4, axis=1)
         children = np.stack(
             [texels.transpose(0, 2, 1) for texels in texel_sets], axis=1
         ).reshape(-1, probes)[real.ravel()]
@@ -459,9 +446,6 @@ class RequestExpander:
             lines=walk[kept],
             parent_counts=parent_counts,
             parent_lines=np.concatenate(parent_lines, axis=1)[real],
-            parent_levels=levels[real],
-            parent_x=np.concatenate(tap_xs, axis=1)[real],
-            parent_y=np.concatenate(tap_ys, axis=1)[real],
             child_counts=np.full(len(children), probes, dtype=np.int64),
             child_line_counts=unique_children.sum(axis=1),
             child_lines=children[unique_children],

@@ -182,6 +182,23 @@ class TestExpandFrame:
         assert [frame[index] for index in range(len(frame))] == expanded
         assert frame[-1] == expanded[-1]
 
+    @pytest.mark.parametrize("build", ["expand_frame", "from_requests"])
+    def test_columns_are_read_only(self, scene, build):
+        """One expansion serves every design over a trace, so none may
+        edit it in place."""
+        expander = RequestExpander(scene)
+        requests = [make_request(u=3.0, probes=1, lod=0.0),
+                    make_request(probes=4)]
+        if build == "expand_frame":
+            frame = expander.expand_frame(trace_from_requests(requests))
+        else:
+            frame = ExpandedFrame.from_requests(
+                [expander.expand(request) for request in requests]
+            )
+        for column in dataclasses.fields(frame):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(frame, column.name)[0] = 0
+
     def test_empty_trace(self, scene):
         frame = RequestExpander(scene).expand_frame(trace_from_requests([]))
         assert len(frame) == 0

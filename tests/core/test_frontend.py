@@ -1,6 +1,10 @@
 """What ``simulate_frame`` and ``simulate_sequence`` share and skip.
 
-Consecutive calls on one trace share one expansion.  ``simulate_frame``
+A memo holds the expansions of the last call's traces: consecutive calls
+on one trace share one expansion, a second design over a camera path
+expands none of its frames, and a call on other traces frees the
+expansions it will not use, so ``simulate_frame`` leaves one expansion
+alive and a sequence its own.  ``simulate_frame``
 replays a frame from the warm caches only where its cold replay's
 caches say a warm start could change a cache outcome
 (``TexturePath.warm_start_inert``); elsewhere the cold replay is the
@@ -12,9 +16,12 @@ replay columns on its path.
 
 import copy
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
+from repro import obs
 from repro.core import Design, simulate_frame, simulate_sequence
 from repro.core.atfim import AtfimPath
 from repro.core.baseline import GpuFilteringPath
@@ -28,6 +35,7 @@ from repro.memory.traffic import TrafficMeter
 from repro.obs import run_stat_group
 from repro.render.renderer import Renderer
 from repro.workloads import workload_by_name
+from repro.workloads.animation import strafe, walk_forward
 from tests.conftest import make_tiny_scene
 from tests.gpu.test_replay_batch import resource_state
 
@@ -44,6 +52,19 @@ def fresh():
     scene, camera = make_tiny_scene()
     renderer = Renderer(width=48, height=36, tile_size=4, max_anisotropy=8)
     return scene, renderer.trace_only(scene, camera).trace
+
+
+@pytest.fixture
+def paths():
+    """A scene with two three-frame camera paths over it, a walk and a
+    strafe, whose traces no earlier call has seen."""
+    scene, camera = make_tiny_scene()
+    renderer = Renderer(width=48, height=36, tile_size=4, max_anisotropy=8)
+    return scene, [
+        [renderer.trace_only(scene, pose).trace
+         for pose in motion(camera).cameras(camera, 3)]
+        for motion in (walk_forward(2.0), strafe(1.0))
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +91,29 @@ def count_calls(monkeypatch, owner, name, calls):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(owner, name, wrapper)
+
+
+class Expansions:
+    """Every ``expand_frame`` result since the patch, held weakly."""
+
+    def __init__(self, monkeypatch):
+        self.made = []
+        original = RequestExpander.expand_frame
+
+        def wrapper(expander, trace, *args, **kwargs):
+            frame = original(expander, trace, *args, **kwargs)
+            self.made.append((trace, weakref.ref(frame)))
+            return frame
+
+        monkeypatch.setattr(RequestExpander, "expand_frame", wrapper)
+
+    def __len__(self):
+        return len(self.made)
+
+    def alive(self):
+        """The traces whose expansions something still holds."""
+        gc.collect()
+        return [trace for trace, ref in self.made if ref() is not None]
 
 
 class TestOneExpansionPerTrace:
@@ -111,6 +155,72 @@ class TestOneExpansionPerTrace:
         for step_scene, step_trace, step_config, expected in steps:
             simulate_frame(step_scene, step_trace, step_config)
             assert len(calls) == expected
+
+
+class TestOneExpansionPerPath:
+    """A sequence's expansions stay until a call on other traces."""
+
+    def test_a_second_design_over_a_path_expands_nothing(
+        self, paths, monkeypatch
+    ):
+        scene, (walk, strafing) = paths
+        made = Expansions(monkeypatch)
+        simulate_frame(scene, strafing[0], DesignConfig(design=Design.B_PIM))
+        for design in (Design.BASELINE, Design.A_TFIM):
+            simulate_sequence(scene, walk, DesignConfig(design=design))
+        assert len(made) == 1 + 3
+        assert made.alive() == walk
+
+    def test_a_frame_on_another_trace_frees_the_path(self, paths,
+                                                     monkeypatch):
+        scene, (walk, strafing) = paths
+        made = Expansions(monkeypatch)
+        simulate_sequence(scene, walk, DesignConfig(design=Design.BASELINE))
+        assert made.alive() == walk
+        simulate_frame(scene, strafing[0], DesignConfig(design=Design.A_TFIM))
+        assert made.alive() == [strafing[0]]
+
+    def test_a_path_over_other_traces_leaves_only_its_own(self, paths,
+                                                          monkeypatch):
+        scene, (walk, strafing) = paths
+        made = Expansions(monkeypatch)
+        config = DesignConfig(design=Design.A_TFIM)
+        simulate_sequence(scene, walk, config)
+        simulate_sequence(scene, strafing, config)
+        assert len(made) == 6
+        assert made.alive() == strafing
+
+
+def test_only_the_first_design_expands_under_its_sequence_span(paths):
+    """Under ``REPRO_TRACE``, each sequence is one span over its frames'
+    spans, and only the first design's holds expansions."""
+    scene, (walk, _strafing) = paths
+    designs = (Design.BASELINE, Design.A_TFIM)
+    was = obs.tracing_enabled()
+    obs.set_tracing(True, propagate_env=False)
+    obs.reset_tracer()
+    try:
+        for design in designs:
+            simulate_sequence(scene, walk, DesignConfig(design=design))
+        roots = obs.get_tracer().as_dicts()
+    finally:
+        obs.reset_tracer()
+        obs.set_tracing(was, propagate_env=False)
+
+    def count(span, name):
+        return sum(count(child, name) for child in span["children"]) + (
+            span["name"] == name)
+
+    assert [root["name"] for root in roots] == ["core.simulate_sequence"] * 2
+    assert [root["attributes"] for root in roots] == [
+        {"design": design.value, "frames": 3,
+         "requests": sum(len(trace) for trace in walk)}
+        for design in designs
+    ]
+    for root in roots:
+        assert [child["name"] for child in root["children"]] == (
+            ["core.simulate_sequence_frame"] * 3)
+    assert [count(root, "core.expand") for root in roots] == [3, 0]
 
 
 @pytest.mark.parametrize("design, mtu_share", [
@@ -197,7 +307,7 @@ def explicit_warm_up(scene, trace, config):
     traffic = TrafficMeter()
     path = make_texture_path(config, traffic)
     pipeline = GpuPipeline(config.gpu)
-    expanded = _expand(scene, trace, config.aniso_enabled)
+    (expanded,) = _expand(scene, [trace], config.aniso_enabled)
     pipeline.replay_texture_stream(trace, expanded, path)
     path.reset_for_measurement()
     traffic.reset()
