@@ -28,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.expansion import ExpandedFrame
+from repro.core.expansion import ExpandedFrame, _offsets
 from repro.core.paths import (
     CacheHierarchy,
     GpuReplayColumns,
@@ -151,38 +151,73 @@ class AtfimPath(TexturePath):
 class _AtfimColumns:
     """Per-trace columns of the A-TFIM replay session.
 
-    ``gpu`` holds the texture-unit and cache columns over the parents
-    (each parent is one address op and one filter op on the GPU, and one
-    probe of ``parent_lines``); ``angled[p]`` is parent ``p``'s
-    ``child_counts > 1`` flag (only anisotropic parents carry an angle
-    tag); ``l1_angle[i]`` and ``l2_angle[i]`` are request ``i``'s camera
+    Each parent is one address op and one filter op on the GPU, so
+    ``gpu.texels`` counts every parent of a request.  The cache probes
+    skip each parent row whose previous probe of the same L1 set, in
+    the same request, was the same line.  That line is still its set's
+    most recent, so the probe hits and moves no LRU entry.  It moves no
+    angle tag either: the request's angle is fixed and its parents all
+    carry a tag or none (``expand_frame`` gives each the request's probe
+    count), so the probe repeats a comparison that just came out within
+    the threshold, or meets the angle the previous probe stored.  That
+    holds for every threshold and every cache content, so it is decided
+    once per frame.  ``repeats[i]`` counts request ``i``'s skipped rows,
+    which the session adds to its L1 hits and reuses; ``gpu.offsets``
+    and the cache columns cover the kept rows, and ``rows[k]`` is kept
+    row ``k``'s parent row.
+
+    ``l1_angle[i]`` and ``l2_angle[i]`` are request ``i``'s camera
     angle quantised to each cache's ``angle_bits``, as
-    ``TextureCache.lookup`` stores it.  The offload reads only missing
-    parents' rows of ``child_counts``, ``child_offsets`` and
-    ``child_lines``, so those stay views of the frame's arrays (items
-    read as python ints), checked once per frame like the rest.
+    ``TextureCache.lookup`` stores it, or None where its parents carry
+    no angle tag (only anisotropic parents, ``child_counts > 1``, do).
+    The offload reads only missing parents' rows of ``child_counts``,
+    ``child_offsets`` and ``child_lines``, so those stay views of the
+    frame's arrays (items read as python ints), checked once per frame
+    like the rest.
     """
 
-    __slots__ = ("gpu", "angled", "l1_angle", "l2_angle", "child_counts",
-                 "child_offsets", "child_lines")
+    __slots__ = ("gpu", "repeats", "rows", "l1_angle", "l2_angle",
+                 "child_counts", "child_offsets", "child_lines")
 
     def __init__(self, config: DesignConfig, frame: ExpandedFrame) -> None:
-        offsets = frame.parent_offsets
+        lines, child_counts = frame.parent_lines, frame.child_counts
+        check_frame(child_counts, lines, frame.child_lines)
+        counts = np.diff(frame.parent_offsets)
+        request = np.repeat(np.arange(len(counts)), counts)
+        tagged = child_counts > 1
+        angled = np.zeros(len(counts), dtype=bool)
+        nonempty = counts > 0
+        angled[nonempty] = tagged[frame.parent_offsets[:-1][nonempty]]
+        if not np.array_equal(angled[request], tagged):
+            raise ValueError("a request's parents must all carry an angle "
+                             "tag or none")
+        # Rank each request's rows by L1 set, in probe order within a
+        # set: a row repeats where the row before it probed the same line.
+        l1 = config.gpu.l1_cache
+        l1_lines = lines // l1.line_bytes
+        order = np.argsort(request * l1.num_sets + l1_lines % l1.num_sets,
+                           kind="stable")
+        repeat = np.zeros(len(lines), dtype=bool)
+        repeat[order[1:]] = ((request[order[1:]] == request[order[:-1]])
+                             & (l1_lines[order[1:]] == l1_lines[order[:-1]]))
+        repeats = np.bincount(request[repeat], minlength=len(counts))
+        kept = ~repeat
         self.gpu = GpuReplayColumns(
-            config.gpu, np.diff(offsets), offsets, frame.parent_lines
+            config.gpu, counts, _offsets(counts - repeats), lines[kept]
         )
-        check_frame(frame.child_counts, frame.child_lines)
-        self.child_counts = memoryview(frame.child_counts)
+        self.repeats = repeats.tolist()
+        self.rows = np.flatnonzero(kept).tolist()
+        self.child_counts = memoryview(child_counts)
         self.child_offsets = memoryview(frame.child_offsets)
         self.child_lines = memoryview(frame.child_lines)
-        self.angled = (frame.child_counts > 1).tolist()
-        angles = frame.camera_angles
-        self.l1_angle = quantize_angles(
-            angles, config.gpu.l1_cache.angle_bits
-        ).tolist()
-        self.l2_angle = quantize_angles(
-            angles, config.gpu.l2_cache.angle_bits
-        ).tolist()
+
+        def tags(bits: int) -> List[Optional[float]]:
+            angles = quantize_angles(frame.camera_angles, bits).astype(object)
+            angles[~angled] = None
+            return angles.tolist()
+
+        self.l1_angle = tags(l1.angle_bits)
+        self.l2_angle = tags(config.gpu.l2_cache.angle_bits)
 
 
 class _AtfimReplaySession(ReplaySession):
@@ -196,10 +231,11 @@ class _AtfimReplaySession(ReplaySession):
     * the GPU texture unit's address and filter stages over the
       request's parents (:class:`~repro.core.paths.GpuReplayState`), and
       the angle-tagged L1 -> L2 classification (``TextureCache.lookup``
-      on each level, with its cold-fill log) reading each parent's set,
-      tag and angle flag and the request's quantised angle from
-      :class:`_AtfimColumns`, which a frame's cold replay hands to its
-      warm one, if it has one (:meth:`TexturePath._columns_for`);
+      on each level, with its cold-fill log) reading each kept parent's
+      set and tag, the request's repeated probes and its quantised
+      angle tags from :class:`_AtfimColumns`, which a frame's cold
+      replay hands to its warm one, if it has one
+      (:meth:`TexturePath._columns_for`);
     * the offload of the missing parents: one package over the transmit
       link, the Parent Texel Buffer (:class:`~repro.core.paths.QueueReplay`),
       the Texel Generator, Child Texel Consolidation and its merge
@@ -218,6 +254,13 @@ class _AtfimReplaySession(ReplaySession):
     time: a parent that misses L1 and hits L2 is a reuse and pays no
     L2-port occupancy or latency, which the baseline/B-PIM session
     charges for the same event.
+
+    Each angle comparison, on either level, also narrows the path's
+    :attr:`~repro.core.paths.TexturePath.threshold_interval`: ``below``
+    is the largest difference that stayed within the threshold and
+    ``above`` the smallest that exceeded it, so every effective
+    threshold t with ``below <= t < above`` decides every comparison
+    alike, and with it every counter, cycle and angle tag.
     """
 
     def __init__(self, path: AtfimPath, frame: ExpandedFrame) -> None:
@@ -230,13 +273,14 @@ class _AtfimReplaySession(ReplaySession):
         l1_set_col, l1_tag_col = gpu.l1_set, gpu.l1_tag
         l2_set_col, l2_tag_col = gpu.l2_set, gpu.l2_tag
         l1_assoc, l2_assoc = gpu.l1_assoc, gpu.l2_assoc
+        repeats, rows = columns.repeats, columns.rows
         child_counts = columns.child_counts
         child_offsets = columns.child_offsets
         child_lines = columns.child_lines
-        angled = columns.angled
         l1_angle, l2_angle = columns.l1_angle, columns.l2_angle
         config = path.config
         threshold = config.effective_angle_threshold
+        below, above = path.threshold_interval
         consolidating = config.consolidation_enabled
         packets = config.packets
         request_bytes = packets.parent_texel_request_bytes
@@ -338,8 +382,23 @@ class _AtfimReplaySession(ReplaySession):
             external_bytes += response
             return send_response(combined, response)
 
+        def stale(stored: Optional[float], angle: float) -> bool:
+            """Whether a line tagged ``stored`` is recalculated for a
+            request at ``angle``; narrows the threshold interval."""
+            nonlocal below, above
+            if stored is None:
+                return True
+            difference = abs(stored - angle)
+            if difference > threshold:
+                if difference < above:
+                    above = difference
+                return True
+            if difference > below:
+                below = difference
+            return False
+
         def probe_l2(k: int, angle: Optional[float]) -> CacheAccessResult:
-            """``TextureCache.lookup`` on the L2 for parent row ``k``;
+            """``TextureCache.lookup`` on the L2 for kept row ``k``;
             ``angle`` is None for an untagged (isotropic) parent."""
             nonlocal l2_hits, l2_misses, l2_angle_misses
             cache_set = l2_table[l2_set_col[k]]
@@ -347,9 +406,7 @@ class _AtfimReplaySession(ReplaySession):
             line = cache_set.get(tag)
             if line is not None:
                 cache_set.move_to_end(tag)
-                if angle is not None and (
-                    line.angle is None or abs(line.angle - angle) > threshold
-                ):
+                if angle is not None and stale(line.angle, angle):
                     line.angle = angle
                     l2_angle_misses += 1
                     return angle_miss
@@ -370,26 +427,28 @@ class _AtfimReplaySession(ReplaySession):
             if not num_parents:
                 return issue
             address_done = generate_addresses(cluster, issue, num_parents)
+            # The request's repeated probes hit L1 (see _AtfimColumns).
+            repeated = repeats[index]
+            l1_hits[cluster] += repeated
+            reuses += repeated
 
             l1_sets = l1_by_cluster[cluster]
-            l1_stored = l1_angle[index]
+            l1_stored, l2_stored = l1_angle[index], l2_angle[index]
             missing: List[int] = []
             for k in range(offsets[index], offsets[index + 1]):
                 cache_set = l1_sets[l1_set_col[k]]
                 tag = l1_tag_col[k]
                 line = cache_set.get(tag)
-                tagged = angled[k]
                 if line is not None:
                     cache_set.move_to_end(tag)
-                    if tagged and (line.angle is None
-                                   or abs(line.angle - l1_stored) > threshold):
+                    if l1_stored is not None and stale(line.angle, l1_stored):
                         # A stale-angle line is recalculated whatever the
                         # L2 holds; the L2 copy's angle tag refreshes.
                         line.angle = l1_stored
                         l1_angle_misses[cluster] += 1
-                        probe_l2(k, l2_angle[index])
+                        probe_l2(k, l2_stored)
                         recalculations += 1
-                        missing.append(k)
+                        missing.append(rows[k])
                     else:
                         l1_hits[cluster] += 1
                         reuses += 1
@@ -399,20 +458,16 @@ class _AtfimReplaySession(ReplaySession):
                 else:
                     l1_fills[cluster][l1_set_col[k]].append(tag)
                 l1_misses[cluster] += 1
-                if tagged:
-                    cache_set[tag] = make_line(tag, l1_stored)
-                    result = probe_l2(k, l2_angle[index])
-                else:
-                    cache_set[tag] = make_line(tag)
-                    result = probe_l2(k, None)
+                cache_set[tag] = make_line(tag, l1_stored)
+                result = probe_l2(k, l2_stored)
                 if result is hit:
                     reuses += 1
                 elif result is angle_miss:
                     recalculations += 1
-                    missing.append(k)
+                    missing.append(rows[k])
                 else:
                     cold_misses += 1
-                    missing.append(k)
+                    missing.append(rows[k])
 
             ready = offload(address_done, missing) if missing else address_done
             return filter_texels(cluster, ready, num_parents)
@@ -434,6 +489,7 @@ class _AtfimReplaySession(ReplaySession):
             path.offload_packages = offload_packages
             path.child_texels_generated = children_generated
             path.child_lines_fetched = lines_fetched
+            path.threshold_interval = (below, above)
 
         self.serve_one = serve_one
         self.finish = finish

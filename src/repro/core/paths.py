@@ -10,6 +10,7 @@ only in their texture paths.
 from __future__ import annotations
 
 import abc
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
@@ -463,6 +464,11 @@ class TexturePath(abc.ABC):
         # across reset_for_measurement.  S-TFIM has none.
         self.caches: Optional[CacheHierarchy] = None
         self._column_cache: Optional[Tuple[ExpandedFrame, Any]] = None
+        # (below, above): every effective angle threshold t with
+        # below <= t < above repeats each replay since the path was
+        # built.  Only A-TFIM's angle comparisons narrow it, and
+        # reset_for_measurement keeps it, as the caches' cold fills.
+        self.threshold_interval: Tuple[float, float] = (0.0, math.inf)
 
     def _columns_for(
         self, frame: ExpandedFrame, build: Callable[[], _Columns]
@@ -518,12 +524,13 @@ class TexturePath(abc.ABC):
         Called between a frame's cold replay and its replay from the
         warm caches, and between a sequence's frames: the next replay
         sees the caches the last one left, with fresh resource clocks
-        and statistics.  The caches are all it keeps: every unit,
-        queue, merge window, link, TSV, DRAM bank and counter returns
-        to its constructed state, so a path without caches (S-TFIM)
-        returns to its constructed state entirely.  That is what lets
-        ``simulate_frame`` measure the cold replay wherever
-        :meth:`warm_start_inert` holds.
+        and statistics.  The caches are all it keeps (with
+        :attr:`threshold_interval`, which describes the replays rather
+        than the machine): every unit, queue, merge window, link, TSV,
+        DRAM bank and counter returns to its constructed state, so a
+        path without caches (S-TFIM) returns to its constructed state
+        entirely.  That is what lets ``simulate_frame`` measure the
+        cold replay wherever :meth:`warm_start_inert` holds.
         """
 
     def warm_start_inert(self) -> bool:

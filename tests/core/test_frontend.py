@@ -11,18 +11,27 @@ caches say a warm start could change a cache outcome
 measured frame, which holds because ``reset_for_measurement`` returns
 every design's path, caches apart, to its constructed state.  S-TFIM
 has no caches, so it never replays twice.  And no run keeps a frame or
-replay columns on its path.
+replay columns on its path.  A call that differs from the last simulated
+one only in a threshold inside that run's ``threshold_interval`` is
+served from it, replaying nothing; any other difference simulates.
 """
 
 import copy
 import dataclasses
 import gc
+import math
 import weakref
 
 import pytest
 
 from repro import obs
 from repro.core import Design, simulate_frame, simulate_sequence
+from repro.core.angle import (
+    DEFAULT_THRESHOLD,
+    THRESHOLD_005PI,
+    THRESHOLD_01PI,
+    THRESHOLD_NO_RECALC,
+)
 from repro.core.atfim import AtfimPath
 from repro.core.baseline import GpuFilteringPath
 from repro.core.designs import DesignConfig
@@ -350,3 +359,167 @@ def test_runs_hold_no_frame_or_columns(fresh):
             scene, [trace, dataclasses.replace(trace)], config
         )
         assert result.path._column_cache is None, design
+
+
+SWEEP_WORKLOADS = ["hl2-640x480", "fear-640x480"]
+"""Fig. 14's workloads: hl2 needs one replay, fear the warm one too."""
+
+
+def sweep_config(workload, angle):
+    return workload.design_config(
+        Design.A_TFIM, angle_threshold=angle.effective_radians
+    )
+
+
+def at(config, threshold):
+    """``config`` at effective angle threshold ``threshold``."""
+    exact = dataclasses.replace(config, angle_threshold=threshold,
+                                angle_threshold_scale=1.0)
+    assert exact.effective_angle_threshold == threshold
+    return exact
+
+
+def unserved(scene, trace, config, threshold):
+    """A simulation at effective threshold ``threshold`` that no earlier
+    run can serve: on a trace object of its own."""
+    return simulate_frame(scene, dataclasses.replace(trace),
+                          at(config, threshold))
+
+
+@pytest.mark.parametrize("name", SWEEP_WORKLOADS)
+def test_the_threshold_interval_is_tight(traces, name):
+    """At 0.01pi, which recalculates, the run's interval holds exactly
+    the thresholds that simulate it again: fresh runs at both ends of
+    it repeat the run, and fresh runs just outside differ.  Fear's run
+    replays twice, so there the interval covers both replays (which
+    ``tests/core/test_texture_paths.py`` pins on a hand-built frame)."""
+    workload, scene, trace = traces(name)
+    config = sweep_config(workload, DEFAULT_THRESHOLD)
+    run = simulate_frame(scene, trace, config)
+    below, above = run.path.threshold_interval
+    assert 0.0 < below <= config.effective_angle_threshold < above < math.inf
+    expected = observed(run)
+    for threshold in (below, math.nextafter(above, 0.0)):
+        assert observed(unserved(scene, trace, config, threshold)) == expected
+    for threshold in (above, math.nextafter(below, 0.0)):
+        assert observed(unserved(scene, trace, config, threshold)) != expected
+
+
+def test_a_call_is_served_exactly_inside_the_interval(traces, monkeypatch):
+    """On the recorded run's trace, both ends of its interval are
+    served, and the first threshold above it simulates."""
+    workload, scene, trace = traces("hl2-640x480")
+    config = sweep_config(workload, DEFAULT_THRESHOLD)
+    below, above = simulate_frame(scene, trace, config).path.threshold_interval
+    calls = []
+    count_calls(monkeypatch, AtfimPath, "begin_replay", calls)
+    for threshold in (below, math.nextafter(above, 0.0)):
+        simulate_frame(scene, trace, at(config, threshold))
+    assert calls == []
+    simulate_frame(scene, trace, at(config, above))
+    assert calls
+
+
+@pytest.mark.parametrize("name", SWEEP_WORKLOADS)
+def test_a_served_call_is_the_run_its_threshold_simulates(traces, monkeypatch,
+                                                          name):
+    """After 0.05pi, which recalculates nothing, 0.1pi and no
+    recalculation open no replay session, and each returns what a fresh
+    simulation at its own threshold returns, with its own config."""
+    workload, scene, trace = traces(name)
+    loose = (THRESHOLD_01PI, THRESHOLD_NO_RECALC)
+    fresh_runs = {
+        angle: simulate_frame(scene, dataclasses.replace(trace),
+                              sweep_config(workload, angle))
+        for angle in loose
+    }
+    stored = simulate_frame(scene, trace, sweep_config(workload,
+                                                       THRESHOLD_005PI))
+    calls = []
+    count_calls(monkeypatch, AtfimPath, "begin_replay", calls)
+    for angle in loose:
+        config = sweep_config(workload, angle)
+        served = simulate_frame(scene, trace, config)
+        assert calls == []
+        assert served.config == config and served.path.config == config
+        assert observed(served) == observed(fresh_runs[angle])
+    assert stored.config == stored.path.config == sweep_config(
+        workload, THRESHOLD_005PI)
+
+
+def loose_tiny(fresh):
+    """The tiny scene under A-TFIM at pi, which no quantised angle
+    difference exceeds, simulated once: any looser threshold is
+    served from it."""
+    scene, trace = fresh
+    config = DesignConfig(design=Design.A_TFIM, angle_threshold=math.pi)
+    simulate_frame(scene, trace, config)
+    return scene, trace, dataclasses.replace(config,
+                                             angle_threshold=2 * math.pi)
+
+
+@pytest.mark.parametrize("change, sessions", [
+    pytest.param(lambda scene, trace, config: {}, 0, id="threshold-only"),
+    pytest.param(lambda scene, trace, config: {
+        "config": dataclasses.replace(config, angle_threshold=0.0)},
+        1, id="threshold-outside-the-interval"),
+    pytest.param(lambda scene, trace, config: {
+        "config": dataclasses.replace(config, design=Design.BASELINE)},
+        1, id="design"),
+    pytest.param(lambda scene, trace, config: {
+        "config": dataclasses.replace(config, aniso_enabled=False)},
+        1, id="aniso"),
+    pytest.param(lambda scene, trace, config: {
+        "config": dataclasses.replace(config, consolidation_enabled=False)},
+        1, id="consolidation"),
+    pytest.param(lambda scene, trace, config: {"warmup": False}, 1,
+                 id="warmup"),
+    pytest.param(lambda scene, trace, config: {
+        "trace": dataclasses.replace(trace)}, 1, id="trace-object"),
+    pytest.param(lambda scene, trace, config: {"scene": copy.copy(scene)},
+                 1, id="scene-object"),
+])
+def test_no_call_is_served_across_another_setting(fresh, monkeypatch, change,
+                                                  sessions):
+    """Only the threshold may differ: a call that changes anything else
+    simulates (at least one replay session), one that does not replays
+    nothing."""
+    scene, trace, config = loose_tiny(fresh)
+    calls = []
+    for owner in (GpuFilteringPath, StfimPath, AtfimPath):
+        count_calls(monkeypatch, owner, "begin_replay", calls)
+    call = dict(scene=scene, trace=trace, config=config)
+    call.update(change(scene, trace, config))
+    simulate_frame(**call)
+    assert min(len(calls), 1) == sessions
+
+
+def test_a_served_call_is_traced_and_checked(fresh, monkeypatch):
+    """A served call still records ``replays`` (0) and its stat group
+    on its span, and still runs the invariant check when asked."""
+    from repro.analysis import invariants
+
+    scene, trace, config = loose_tiny(fresh)
+    was = obs.tracing_enabled()
+    obs.set_tracing(True, propagate_env=False)
+    obs.reset_tracer()
+    try:
+        run = simulate_frame(scene, trace, config, check_invariants=True)
+        (root,) = obs.get_tracer().as_dicts()
+    finally:
+        obs.reset_tracer()
+        obs.set_tracing(was, propagate_env=False)
+    assert root["name"] == "core.simulate_frame"
+    assert root["attributes"]["replays"] == 0
+    assert [child["name"] for child in root["children"]] == [
+        "core.check_invariants"]
+    assert root["stats"] == {
+        key: float(value) for key, value in run_stat_group(run).flatten()}
+
+    def always_fails(run):
+        yield "injected failure"
+
+    monkeypatch.setattr(invariants, "_REGISTRY",
+                        [*invariants._REGISTRY, ("always-fails", always_fails)])
+    with pytest.raises(invariants.InvariantError, match="injected"):
+        simulate_frame(scene, trace, config, check_invariants=True)

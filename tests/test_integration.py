@@ -273,7 +273,9 @@ class TestWarmup:
         scene, trace = fast_workload_trace
         config = fast_workload.design_config(Design.A_TFIM)
         first = simulate_frame(scene, trace, config)
-        second = simulate_frame(scene, trace, config)
+        # A trace object of its own, so the second call simulates again
+        # rather than being served the first call's run.
+        second = simulate_frame(scene, dataclasses.replace(trace), config)
         assert first.frame.frame_cycles == second.frame.frame_cycles
         assert first.frame.traffic.external_texture == (
             second.frame.traffic.external_texture
