@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -62,10 +63,14 @@ class DesignConfig:
     quantify the value of merging duplicate child fetches."""
 
     def __post_init__(self) -> None:
-        if self.angle_threshold < 0:
+        # Written so that NaN fails: the A-TFIM models would read a NaN
+        # threshold in opposite ways (reuse all, recalculate all).
+        if not self.angle_threshold >= 0:
             raise ValueError("angle threshold must be non-negative")
-        if self.angle_threshold_scale <= 0:
-            raise ValueError("angle threshold scale must be positive")
+        if not 0 < self.angle_threshold_scale < math.inf:
+            raise ValueError(
+                "angle threshold scale must be positive and finite"
+            )
         if self.mtu_share < 1:
             raise ValueError("MTU share ratio must be >= 1")
         if self.gpu.num_clusters % self.mtu_share:

@@ -29,13 +29,23 @@ Sampling modes:
 ``ISOTROPIC``
     Anisotropic filtering disabled (trilinear only) -- the Fig. 4 study
     and the paper's lowest-quality reference point.
+
+Rasterization does not depend on the sampling mode, and Fig. 15 renders
+each view six times (exact, then A-TFIM at five thresholds).  So a
+:class:`Renderer` keeps the last view it rasterized -- its trace, a copy
+of its raster statistics and a copy of its depth buffer -- and
+:meth:`Renderer.render` and :meth:`Renderer.trace_only` of the same view
+start from that copy instead of rasterizing again.  The view is keyed
+on every value rasterization reads (:meth:`Renderer._view_key`), not on
+the identity of the mutable scene and camera, so a camera moved in
+place or a triangle added rasterizes again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -68,6 +78,20 @@ class RenderOutput:
     parent_reuses: int = 0
 
 
+@dataclass(frozen=True)
+class _RasterizedView:
+    """A renderer's last rasterization: its key and what it produced.
+
+    ``stats`` and ``depth`` are private copies; callers get copies of
+    them.  The trace's columns are read-only, so callers share it.
+    """
+
+    key: bytes
+    trace: FragmentTrace
+    stats: RasterStats
+    depth: np.ndarray
+
+
 class Renderer:
     """Renders a scene under one sampling mode."""
 
@@ -84,22 +108,23 @@ class Renderer:
         self.rasterizer = Rasterizer(
             tile_size=tile_size, max_anisotropy=max_anisotropy, lod_bias=lod_bias
         )
+        self._view: Optional[_RasterizedView] = None
 
     def trace_only(self, scene: Scene, camera: Camera) -> RenderOutput:
         """Rasterize without shading: fast path for the cycle model.
 
         The returned image is the cleared framebuffer; only the trace and
-        raster statistics are meaningful.
+        raster statistics are meaningful.  Like :meth:`render`, it starts
+        from a copy of the last rasterized view when the view is the same.
         """
-        framebuffer = Framebuffer(self.width, self.height)
         with obs.span(
             "render.trace_only", width=self.width, height=self.height
         ):
-            trace = self.rasterizer.rasterize_scene(scene, camera, framebuffer)
+            framebuffer, trace, stats = self._rasterize(scene, camera)
         return RenderOutput(
             image=framebuffer.rgb_image(),
             trace=trace,
-            raster_stats=self.rasterizer.stats,
+            raster_stats=stats,
             framebuffer=framebuffer,
         )
 
@@ -115,9 +140,13 @@ class Renderer:
         ``angle_threshold`` (radians) only applies to
         :attr:`SamplingMode.ATFIM`.  The shaded colours are written in
         submission order, so an overdrawn pixel shows its last fragment,
-        the nearest one early-Z let through.
+        the nearest one early-Z let through.  A view this renderer
+        rasterized last (in any mode, or by :meth:`trace_only`) starts
+        from a copy of that rasterization; the ``render.rasterize`` span
+        records ``reused``.  The output is the same either way, and it
+        owns its framebuffer and statistics.
         """
-        if mode is SamplingMode.ATFIM and angle_threshold < 0:
+        if mode is SamplingMode.ATFIM and not angle_threshold >= 0:
             raise ValueError("threshold must be non-negative")
         with obs.span(
             "render.render",
@@ -125,11 +154,8 @@ class Renderer:
             width=self.width,
             height=self.height,
         ):
-            framebuffer = Framebuffer(self.width, self.height)
             with obs.span("render.rasterize"):
-                trace = self.rasterizer.rasterize_scene(
-                    scene, camera, framebuffer
-                )
+                framebuffer, trace, stats = self._rasterize(scene, camera)
             with obs.span("render.shade", fragments=len(trace)):
                 colors, reuses, recalculations = self._shade_batch(
                     scene, trace, mode, angle_threshold
@@ -139,11 +165,68 @@ class Renderer:
         return RenderOutput(
             image=framebuffer.rgb_image(),
             trace=trace,
-            raster_stats=self.rasterizer.stats,
+            raster_stats=stats,
             framebuffer=framebuffer,
             parent_recalculations=recalculations,
             parent_reuses=reuses,
         )
+
+    def _rasterize(
+        self, scene: Scene, camera: Camera
+    ) -> Tuple[Framebuffer, FragmentTrace, RasterStats]:
+        """A fresh framebuffer holding the view's depth, its trace and its
+        raster statistics: from the last view when the key matches, else
+        from :meth:`Rasterizer.rasterize_scene`, which becomes the last
+        view.  Annotates the current span with ``reused``."""
+        key = self._view_key(scene, camera)
+        view = self._view
+        reused = view is not None and view.key == key
+        obs.annotate(reused=reused)
+        framebuffer = Framebuffer(self.width, self.height)
+        if reused:
+            np.copyto(framebuffer.depth, view.depth)
+        else:
+            trace = self.rasterizer.rasterize_scene(scene, camera, framebuffer)
+            view = self._view = _RasterizedView(
+                key=key,
+                trace=trace,
+                stats=replace(self.rasterizer.stats),
+                depth=framebuffer.depth.copy(),
+            )
+        return framebuffer, view.trace, replace(view.stats)
+
+    def _view_key(self, scene: Scene, camera: Camera) -> bytes:
+        """The bytes of every value rasterization reads.
+
+        Each triangle's vertices, uvs and texture id with that texture's
+        size; the camera's position, target, up, field of view and clip
+        planes; the frame size; and the rasterizer's tile size, maximum
+        anisotropy and LOD bias.  Equal bytes mean equal inputs, bit for
+        bit, so the rasterizations are bit-identical too.
+        """
+        raster = self.rasterizer
+        parts = [
+            np.array(
+                [self.width, self.height, raster.tile_size,
+                 raster.max_anisotropy],
+                dtype=np.int64,
+            ).tobytes(),
+            np.array(
+                [raster.lod_bias, camera.fov_y, camera.near, camera.far],
+                dtype=np.float64,
+            ).tobytes(),
+        ]
+        for vector in (camera.position, camera.target, camera.up):
+            parts.append(np.asarray(vector, dtype=np.float64).tobytes())
+        for triangle in scene.triangles:
+            texture = scene.textures[triangle.texture_id]
+            for values in (triangle.vertices, triangle.uvs):
+                parts.append(np.asarray(values, dtype=np.float64).tobytes())
+            parts.append(np.array(
+                [triangle.texture_id, texture.width, texture.height],
+                dtype=np.int64,
+            ).tobytes())
+        return b"".join(parts)
 
     def _shade_batch(
         self,

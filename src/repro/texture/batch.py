@@ -39,7 +39,10 @@ each trilinear stage by mip level; parents are partitioned by mip level
 and probe count.  Partitioning never changes results — all arithmetic
 is per-fragment elementwise — it only keeps gathers rectangular.  The
 one step that is not elementwise is A-TFIM's reuse decision
-(:func:`reuse_producers`), which runs in request order.
+(:func:`reuse_producers`): each lookup depends on its key's earlier
+recalculations, so it runs as array rounds over all keys at once, one
+recalculation per key per round.  The per-lookup loop it replaces is
+the oracle in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -528,21 +531,93 @@ def reuse_producers(
     lookup, the index of the lookup whose filtered value it uses (its
     own index when it recalculates).
 
-    This is the one sequential step of the A-TFIM kernel: each decision
-    depends on the recalculations before it, and one request can hit a
-    key twice (wrapped taps on a tiny mip), so it runs per lookup.
+    Keys never influence each other, so every key is decided at once.
+    One stable sort by key puts each key's lookups together in request
+    order (one request can hit a key twice: wrapped taps on a tiny mip).
+    A key's first lookup recalculates, and after a recalculation ``r``
+    the next one is the first later lookup of the key whose angle fails
+    ``abs(angle_r - angle) <= threshold``: the per-lookup rule's own
+    float64 comparison, so the producers equal its element for element.
+    :func:`_later_recalculations` advances every key's chain of
+    recalculations together; each lookup then takes the last
+    recalculation of its key at or before it.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be non-negative")
-    producers = list(range(len(keys)))
-    stored: Dict[int, Tuple[int, float]] = {}
-    for index, key, angle in zip(producers, keys.tolist(), angles.tolist()):
-        entry = stored.get(key)
-        if entry is not None and abs(entry[1] - angle) <= threshold:
-            producers[index] = entry[0]
-        else:
-            stored[key] = (index, angle)
-    return np.array(producers, dtype=np.int64)
+    count = len(keys)
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    order = _stable_key_order(keys)
+    grouped = keys[order]
+    recalculated = np.empty(count, dtype=bool)
+    recalculated[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=recalculated[1:])
+    _later_recalculations(angles[order], recalculated, threshold)
+    latest = np.maximum.accumulate(np.where(recalculated, np.arange(count), 0))
+    producers = np.empty(count, dtype=np.int64)
+    producers[order] = order[latest]
+    return producers
+
+
+def _stable_key_order(keys: np.ndarray) -> np.ndarray:
+    """The permutation that sorts ``keys`` stably (ties in index order).
+
+    Key and index are packed into one int64 (key above, index below),
+    whose plain sort is several times faster than a stable argsort; keys
+    spread too wide to pack take the stable argsort.
+    """
+    keys = keys.astype(np.int64, copy=False)
+    count = len(keys)
+    shift = (count - 1).bit_length()
+    low = int(keys.min())
+    if (int(keys.max()) - low) >> (62 - shift):
+        return np.argsort(keys, kind="stable")
+    packed = np.sort(((keys - low) << shift) | np.arange(count))
+    return packed & ((1 << shift) - 1)
+
+
+_WINDOW = 8
+"""Lookups each undecided key examines per round.  Most recalculations
+follow the previous one within a few lookups, so a small window wastes
+little work; a key with no exit in its window moves on by a window."""
+
+_WINDOW_STEPS = np.arange(_WINDOW)
+
+
+def _later_recalculations(
+    angles: np.ndarray, recalculated: np.ndarray, threshold: float
+) -> None:
+    """Mark every recalculation after each key's first, in place.
+
+    ``angles`` are grouped by key (each key's lookups contiguous, in
+    request order) and ``recalculated`` marks each key's first lookup.
+    Each round, every key with lookups left compares the next
+    :data:`_WINDOW` of them against the angle of its latest
+    recalculation; the first that fails the threshold becomes its next
+    recalculation.  A round costs a fixed number of array operations,
+    and the rounds number about the longest chain of recalculations.
+    """
+    starts = np.flatnonzero(recalculated)
+    ends = np.append(starts[1:], len(angles))
+    repeated = starts + 1 < ends
+    latest, end = starts[repeated], ends[repeated]
+    scan = latest + 1
+    # A window can run past its key's last lookup, into the next key or
+    # off the end (hence the padding); ``exits < end`` rejects exits there.
+    padded = np.concatenate([angles, np.zeros(_WINDOW)])
+    rows = np.arange(len(scan))
+    while len(scan):
+        window = padded[scan[:, None] + _WINDOW_STEPS]
+        stays = np.abs(angles[latest][:, None] - window) <= threshold
+        first = stays.argmin(axis=1)
+        exits = scan + first
+        moved = ~stays[rows[: len(scan)], first] & (exits < end)
+        recalculated[exits[moved]] = True
+        latest = np.where(moved, exits, latest)
+        scan = np.where(moved, exits + 1, scan + _WINDOW)
+        open_ = scan < end
+        if not open_.all():
+            latest, scan, end = latest[open_], scan[open_], end[open_]
 
 
 def anisotropic_first_batch(

@@ -18,6 +18,7 @@ import pytest
 # explicit REPRO_CHECK_INVARIANTS=0 from the caller.
 os.environ.setdefault("REPRO_CHECK_INVARIANTS", "1")
 
+from repro import obs
 from repro.core import Design, simulate_frame
 from repro.render.camera import Camera
 from repro.render.renderer import Renderer
@@ -61,6 +62,17 @@ def make_tiny_scene(texture_size: int = 64) -> tuple[Scene, Camera]:
         fov_y=math.radians(65.0),
     )
     return scene, camera
+
+
+@pytest.fixture
+def tracing_on():
+    """Force tracing on (without touching the environment), clean slate."""
+    was = obs.tracing_enabled()
+    obs.set_tracing(True, propagate_env=False)
+    obs.reset_tracer()
+    yield
+    obs.reset_tracer()
+    obs.set_tracing(was, propagate_env=False)
 
 
 @pytest.fixture(scope="session")

@@ -48,5 +48,17 @@ class TestDesignConfig:
             DesignConfig(mtu_share=0)
         with pytest.raises(ValueError):
             DesignConfig(mtu_share=32)  # more than clusters
+
+    @pytest.mark.parametrize("field, value", [
+        ("angle_threshold", math.nan),
+        ("angle_threshold_scale", math.nan),
+        ("angle_threshold_scale", math.inf),  # 0 x inf is a NaN threshold
+    ])
+    def test_nan_threshold_rejected(self, field, value):
+        # A NaN threshold passes a "< 0" test, and the two reuse models
+        # read it in opposite ways: simulate_frame reuses every parent,
+        # the renderer recalculates every one.
+        with pytest.raises(ValueError):
+            DesignConfig(**{field: value})
         with pytest.raises(ValueError):
             DesignConfig(mtu_share=3)  # does not divide the 16 clusters

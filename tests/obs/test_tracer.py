@@ -19,17 +19,6 @@ def tracing_off():
     obs.set_tracing(was, propagate_env=False)
 
 
-@pytest.fixture
-def tracing_on():
-    """Force tracing on (without touching the environment), clean slate."""
-    was = obs.tracing_enabled()
-    obs.set_tracing(True, propagate_env=False)
-    obs.reset_tracer()
-    yield
-    obs.reset_tracer()
-    obs.set_tracing(was, propagate_env=False)
-
-
 class TestDisabled:
     def test_span_yields_none_and_records_nothing(self, tracing_off):
         with obs.span("phase", detail=1) as current:

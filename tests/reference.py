@@ -19,7 +19,9 @@ results:
   :class:`RasterFragment` rows, and the per-fragment footprint;
 * :class:`ScalarRenderer` -- per-request shading in all four sampling
   modes, with A-TFIM's parent reuse in :class:`AngleTaggedParentStore`,
-  and the sequential per-fragment framebuffer write.
+  and the sequential per-fragment framebuffer write;
+* :func:`reuse_producers` -- A-TFIM's reuse decision over a lookup
+  stream, one lookup at a time through a dict.
 
 It also holds the row-to-column helpers for hand-built inputs:
 :func:`trace_from_requests` and :func:`request_batch`.
@@ -701,6 +703,29 @@ class ScalarRasterizer(Rasterizer):
         return fragments
 
 
+def reuse_producers(
+    keys: np.ndarray, angles: np.ndarray, threshold: float
+) -> np.ndarray:
+    """The per-lookup form of :func:`repro.texture.batch.reuse_producers`.
+
+    Walks the lookups in order with a dict from key to the index and
+    angle of the key's last recalculation: a lookup reuses when its key
+    is stored and ``abs(stored - angle) <= threshold``, and otherwise
+    recalculates and stores its own index and angle.
+    """
+    if not threshold >= 0:
+        raise ValueError("threshold must be non-negative")
+    producers = list(range(len(keys)))
+    stored: Dict[int, Tuple[int, float]] = {}
+    for index, key, angle in zip(producers, keys.tolist(), angles.tolist()):
+        entry = stored.get(key)
+        if entry is not None and abs(entry[1] - angle) <= threshold:
+            producers[index] = entry[0]
+        else:
+            stored[key] = (index, angle)
+    return np.array(producers, dtype=np.int64)
+
+
 class AngleTaggedParentStore:
     """Functional model of A-TFIM's angle-tagged parent-texel reuse.
 
@@ -714,7 +739,7 @@ class AngleTaggedParentStore:
     """
 
     def __init__(self, threshold: float, angle_bits: int = 7) -> None:
-        if threshold < 0:
+        if not threshold >= 0:
             raise ValueError("threshold must be non-negative")
         self.threshold = threshold
         self.angle_bits = angle_bits

@@ -1,10 +1,17 @@
 """Tests for whole-frame rendering under the sampling modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.core.angle import THRESHOLD_SWEEP
 from repro.quality import psnr
+from repro.render.raster import Rasterizer
 from repro.render.renderer import Renderer, SamplingMode
+from repro.render.scene import TexturedTriangle
+from repro.workloads import workload_by_name
 from tests.conftest import make_tiny_scene
 
 
@@ -91,3 +98,160 @@ class TestRenderModes:
         scene, camera = tiny
         again = renderer.render(scene, camera, SamplingMode.EXACT).image
         np.testing.assert_array_equal(again, exact_image)
+
+
+FIG15_RENDERS = [(SamplingMode.EXACT, 0.0)] + [
+    (SamplingMode.ATFIM, threshold.effective_radians)
+    for threshold in THRESHOLD_SWEEP
+]
+"""Fig. 15's renders of one view: exact, then A-TFIM per threshold."""
+
+
+@pytest.fixture
+def rasterizations(monkeypatch):
+    """The number of ``Rasterizer.rasterize_scene`` calls, as a list."""
+    calls = []
+    original = Rasterizer.rasterize_scene
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Rasterizer, "rasterize_scene", counting)
+    return calls
+
+
+def tiny_renderer():
+    return Renderer(width=32, height=24, tile_size=4, max_anisotropy=8)
+
+
+def assert_traces_equal(trace, expected):
+    for owner, other in ((trace, expected),
+                         (trace.footprint, expected.footprint)):
+        for column in dataclasses.fields(owner):
+            value, wanted = (getattr(owner, column.name),
+                             getattr(other, column.name))
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, wanted), column.name
+            elif column.name != "footprint":
+                assert value == wanted, column.name
+
+
+def assert_outputs_equal(output, expected):
+    assert np.array_equal(output.image, expected.image)
+    assert np.array_equal(output.framebuffer.depth, expected.framebuffer.depth)
+    assert_traces_equal(output.trace, expected.trace)
+    assert output.raster_stats == expected.raster_stats
+    assert output.parent_reuses == expected.parent_reuses
+    assert output.parent_recalculations == expected.parent_recalculations
+
+
+def spans_named(name):
+    found = []
+    pending = list(obs.get_tracer().roots)
+    while pending:
+        span = pending.pop(0)
+        if span.name == name:
+            found.append(span)
+        pending[:0] = span.children
+    return found
+
+
+class TestViewMemo:
+    def test_fig15_sequence_rasterizes_once(self, rasterizations):
+        workload = workload_by_name("doom3-640x480")
+        built = workload.build()
+        renderer = workload.make_renderer()
+        outputs = [
+            renderer.render(built.scene, built.camera, mode, threshold)
+            for mode, threshold in FIG15_RENDERS
+        ]
+        assert len(rasterizations) == 1
+        for (mode, threshold), output in zip(FIG15_RENDERS, outputs):
+            fresh = workload.make_renderer().render(
+                built.scene, built.camera, mode, threshold
+            )
+            assert_outputs_equal(output, fresh)
+
+    def test_camera_changed_in_place_rasterizes_again(self, rasterizations):
+        scene, camera = make_tiny_scene()
+        renderer = tiny_renderer()
+
+        def render_changed(previous):
+            calls = len(rasterizations)
+            output = renderer.render(scene, camera, SamplingMode.EXACT)
+            assert len(rasterizations) == calls + 1
+            assert not np.array_equal(output.image, previous.image)
+            fresh = tiny_renderer().render(scene, camera, SamplingMode.EXACT)
+            assert_outputs_equal(output, fresh)
+            return output
+
+        output = renderer.render(scene, camera, SamplingMode.EXACT)
+        camera.position[0] = 0.75  # an array edited in place
+        output = render_changed(output)
+        camera.fov_y *= 0.9  # a field reassigned
+        render_changed(output)
+
+    def test_appended_triangle_rasterizes_again(self, rasterizations):
+        scene, camera = make_tiny_scene()
+        renderer = tiny_renderer()
+        before = renderer.render(scene, camera, SamplingMode.EXACT)
+        scene.add_triangle(TexturedTriangle(
+            vertices=np.array(
+                [[-2.0, 0.5, -6.0], [2.0, 0.5, -6.0], [0.0, 3.0, -6.0]]
+            ),
+            uvs=np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]),
+            texture_id=scene.triangles[-1].texture_id,
+        ))
+        after = renderer.render(scene, camera, SamplingMode.EXACT)
+        assert len(rasterizations) == 2
+        assert after.raster_stats.triangles_submitted == (
+            before.raster_stats.triangles_submitted + 1
+        )
+        assert_outputs_equal(
+            after, tiny_renderer().render(scene, camera, SamplingMode.EXACT)
+        )
+
+    def test_outputs_do_not_share_framebuffers(self, rasterizations):
+        scene, camera = make_tiny_scene()
+        renderer = tiny_renderer()
+        earlier = [
+            renderer.render(scene, camera, SamplingMode.EXACT),  # rasterizes
+            renderer.render(scene, camera, SamplingMode.ATFIM, 0.05),  # reuses
+        ]
+        for output in earlier:
+            output.framebuffer.depth.fill(0.0)
+            output.framebuffer.color.fill(1.0)
+            output.raster_stats.fragments_generated = -1
+        latest = renderer.render(scene, camera, SamplingMode.ATFIM, 0.05)
+        assert len(rasterizations) == 1
+        assert_outputs_equal(
+            latest,
+            tiny_renderer().render(scene, camera, SamplingMode.ATFIM, 0.05),
+        )
+
+    def test_trace_only_then_render_rasterizes_once(self, rasterizations):
+        scene, camera = make_tiny_scene()
+        renderer = tiny_renderer()
+        traced = renderer.trace_only(scene, camera)
+        rendered = renderer.render(scene, camera, SamplingMode.EXACT)
+        assert len(rasterizations) == 1
+        assert rendered.trace is traced.trace
+        assert not traced.image.any()
+        assert_outputs_equal(
+            rendered, tiny_renderer().render(scene, camera, SamplingMode.EXACT)
+        )
+
+    def test_rasterize_span_records_reuse(self, tracing_on):
+        scene, camera = make_tiny_scene()
+        renderer = tiny_renderer()
+        renderer.render(scene, camera, SamplingMode.EXACT)
+        renderer.render(scene, camera, SamplingMode.ATFIM, 0.05)
+        camera.target[1] += 0.5
+        renderer.render(scene, camera, SamplingMode.EXACT)
+        renderer.trace_only(scene, camera)
+        assert [span.attributes["reused"]
+                for span in spans_named("render.rasterize")] == [
+            False, True, False]
+        assert [span.attributes["reused"]
+                for span in spans_named("render.trace_only")] == [True]

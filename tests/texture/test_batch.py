@@ -7,6 +7,8 @@ promise's enforcement, over edge UVs, wrap-around coordinates, clamped
 LODs, single-level mip chains, and whole rendered frames.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -400,3 +402,11 @@ class TestBatchedRenderer:
         renderer = Renderer(width=16, height=12, tile_size=4)
         with pytest.raises(ValueError):
             renderer.render(scene, camera, SamplingMode.ATFIM, -0.01)
+
+    def test_nan_threshold_rejected(self):
+        # NaN passes a "< 0" test; the per-lookup rule would then
+        # recalculate every parent, while simulate_frame reuses every one.
+        scene, camera = make_tiny_scene()
+        renderer = Renderer(width=16, height=12, tile_size=4)
+        with pytest.raises(ValueError):
+            renderer.render(scene, camera, SamplingMode.ATFIM, math.nan)
