@@ -3,10 +3,9 @@
 Subcommands:
 
 * ``lint [paths...]`` -- run the custom AST rules over the given files or
-  directories (default: ``src``, ``benchmarks``, ``tests`` and
-  ``examples`` under the current directory).  Exits 1 when findings
-  exist, so CI can gate on it.  ``--format json`` prints
-  machine-readable findings.
+  directories (default: ``src``, ``tests`` and ``examples`` under the
+  current directory).  Exits 1 when findings exist, so CI can gate on
+  it.  ``--format json`` prints machine-readable findings.
 * ``rules`` -- list the rule IDs and what each one enforces.
 * ``invariants`` -- list the registered runtime invariants.
 """
@@ -23,7 +22,7 @@ from typing import List, Optional
 from repro.analysis.linter import lint_paths
 from repro.analysis.rules import describe_rules
 
-DEFAULT_LINT_TARGETS = ("src", "benchmarks", "tests", "examples")
+DEFAULT_LINT_TARGETS = ("src", "tests", "examples")
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -84,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser("lint", help="run the custom AST lint rules")
     lint.add_argument("paths", nargs="*",
-                      help="files or directories (default: src benchmarks "
-                           "tests examples)")
+                      help="files or directories (default: src tests "
+                           "examples)")
     lint.add_argument("--format", choices=["text", "json"], default="text")
     lint.set_defaults(func=_cmd_lint)
 

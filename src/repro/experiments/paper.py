@@ -87,6 +87,9 @@ PAPER = {
     "parent_buffer_kb": PaperStat(
         mean=1.41, description="Parent Texel Buffer storage"
     ),
+    "consolidation_kb": PaperStat(
+        mean=0.5, description="Child Texel Consolidation storage"
+    ),
     "hmc_area_fraction": PaperStat(
         mean=0.0318, description="A-TFIM logic-layer area share of a DRAM die"
     ),

@@ -6,7 +6,7 @@ work.  A reproduction's conclusions are only credible if the *orderings*
 -- A-TFIM > B-PIM > baseline > S-TFIM on rendering; S-TFIM's traffic
 explosion; the threshold tradeoff -- survive any reasonable setting of
 those constants.  This module sweeps them and reports the design
-orderings at every point.
+orderings at every point; :mod:`repro.experiments.validate` checks them.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Dict, List, Sequence
 from repro.core import Design, simulate_frame
 from repro.core.angle import DEFAULT_THRESHOLD
 from repro.experiments.common import FigureData
+from repro.experiments.validate import validate
 from repro.workloads import workload_by_name
 
 
@@ -128,19 +129,10 @@ def latency_hiding(
     return data
 
 
-def orderings_hold(data: FigureData) -> bool:
-    """True when A-TFIM leads and S-TFIM trails in every row."""
-    for row in data.rows:
-        if not (
-            row.get("a_tfim") > row.get("b_pim") >= row.get("s_tfim")
-        ):
-            return False
-    return True
-
-
 if __name__ == "__main__":
     for figure in (overlap_factor(), shader_work(), latency_hiding()):
         print(figure.title)
         print(figure.format_table())
-        print("orderings hold:", orderings_hold(figure))
+        for check in validate(figure):
+            print(check)
         print()

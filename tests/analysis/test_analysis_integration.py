@@ -22,7 +22,7 @@ class TestLintOnRepo:
         assert findings == [], "\n".join(f.format() for f in findings)
 
     def test_tests_and_benchmarks_are_clean(self):
-        findings = lint_paths([REPO_ROOT / "tests", REPO_ROOT / "benchmarks"])
+        findings = lint_paths([REPO_ROOT / "tests"])
         assert findings == [], "\n".join(f.format() for f in findings)
 
     def test_cli_exits_zero_on_clean_tree(self, capsys):

@@ -3,39 +3,30 @@
 import pytest
 
 from repro.experiments import sensitivity
-from repro.experiments.common import FigureData
-
-
-class TestOrderingsHold:
-    def make(self, a, b, s):
-        data = FigureData(
-            figure="sens", title="t", columns=["b_pim", "s_tfim", "a_tfim"]
-        )
-        data.add_row("row", b_pim=b, s_tfim=s, a_tfim=a)
-        return data
-
-    def test_paper_shape_passes(self):
-        assert sensitivity.orderings_hold(self.make(a=1.5, b=1.2, s=0.9))
-
-    def test_stfim_winning_fails(self):
-        assert not sensitivity.orderings_hold(self.make(a=1.5, b=1.2, s=1.3))
-
-    def test_atfim_losing_fails(self):
-        assert not sensitivity.orderings_hold(self.make(a=1.1, b=1.2, s=0.9))
+from tests.experiments.test_validate import assert_claims_hold
 
 
 class TestSweeps:
-    """One compact real sweep: orderings robust on the fast workload."""
+    """Real sweeps: the design orderings hold at every point."""
 
     def test_overlap_sweep_keeps_orderings(self):
         data = sensitivity.overlap_factor(
             "riddick-640x480", factors=(0.3, 0.8)
         )
-        assert sensitivity.orderings_hold(data)
+        assert_claims_hold(data)
         assert len(data.rows) == 2
 
     def test_latency_hiding_sweep_keeps_orderings(self):
         data = sensitivity.latency_hiding(
             "riddick-640x480", depths=(16, 128)
         )
-        assert sensitivity.orderings_hold(data)
+        assert_claims_hold(data)
+
+    @pytest.mark.parametrize("sweep", [
+        sensitivity.overlap_factor,
+        sensitivity.shader_work,
+        sensitivity.latency_hiding,
+    ])
+    def test_default_sweep_keeps_its_claims(self, sweep):
+        # doom3-640x480 at the default sweep values.
+        assert_claims_hold(sweep())
