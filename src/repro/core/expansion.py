@@ -34,7 +34,14 @@ import numpy as np
 
 from repro.render.scene import Scene
 from repro.texture.address import TexelAddressMap
-from repro.texture.batch import RequestBatch, level_blend_arrays, probe_offset_arrays
+from repro.texture.batch import (
+    TAP_DX,
+    TAP_DY,
+    RequestBatch,
+    bilinear_tap_arrays,
+    level_blend_arrays,
+    probe_offset_matrix,
+)
 from repro.texture.mipmap import MipmapChain
 from repro.texture.requests import FragmentTrace, TextureRequest
 from repro.texture.sampling import (
@@ -43,10 +50,6 @@ from repro.texture.sampling import (
     parent_texel_coords,
     probe_offsets,
 )
-
-_TAP_DX = np.array([0, 1, 0, 1], dtype=np.int64)
-_TAP_DY = np.array([0, 0, 1, 1], dtype=np.int64)
-"""The bilinear tap order of :func:`repro.texture.sampling.bilinear_taps`."""
 
 
 @dataclass(frozen=True)
@@ -404,20 +407,16 @@ class RequestExpander:
         slots = [low, high] if bool(dual.any()) else [low]
         texel_sets, parent_lines = [], []
         for level in slots:
-            scale = np.ldexp(1.0, level)
-            tap_x = np.floor(u / scale - 0.5).astype(np.int64)[:, None] + _TAP_DX
-            tap_y = np.floor(v / scale - 0.5).astype(np.int64)[:, None] + _TAP_DY
-            offset_x = np.empty((count, probes), dtype=np.int64)
-            offset_y = np.empty((count, probes), dtype=np.int64)
-            for index in range(probes):
-                offset_x[:, index], offset_y[:, index] = probe_offset_arrays(
-                    level,
-                    batch.major_du[rows],
-                    batch.major_dv[rows],
-                    batch.major_length[rows],
-                    probes,
-                    index,
-                )
+            x0, y0, _weights = bilinear_tap_arrays(u, v, level)
+            tap_x = x0[:, None] + TAP_DX
+            tap_y = y0[:, None] + TAP_DY
+            offset_x, offset_y = probe_offset_matrix(
+                level,
+                batch.major_du[rows],
+                batch.major_dv[rows],
+                batch.major_length[rows],
+                probes,
+            )
             texel_sets.append(self.address_map.texel_lines(
                 chain,
                 level[:, None, None],

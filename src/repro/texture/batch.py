@@ -4,9 +4,10 @@ The scalar kernels in :mod:`repro.texture.sampling` walk one fragment at
 a time, one texel tap at a time — fine as a readable hardware reference,
 hopeless as the inner loop of a figure suite that filters hundreds of
 thousands of fragments.  This module re-expresses the same math over
-*arrays of fragments*: taps are gathered with fancy indexing and blended
-with broadcast multiplies, so one numpy call replaces thousands of
-Python-level tap loops.
+*arrays of fragments*: every probe of every fragment is filtered at
+once, its taps gathered with one flat ``np.take`` per mip level and
+blended with broadcast multiplies, so one numpy call replaces thousands
+of Python-level tap loops.
 
 Bit-identity contract
 ---------------------
@@ -27,18 +28,18 @@ operations in the same order* as the scalar path —
   as ``color += weight * value``.
 
 The scalar functions stay the oracle: ``tests/texture/test_batch.py``
-asserts ``np.array_equal`` (exact, every bit) between the two paths, and
-the drain-time ``batch-fetch-parity`` invariant
+holds every kernel to them byte for byte, fetch sets included, and the
+drain-time ``batch-fetch-parity`` invariant
 (:func:`repro.analysis.invariants.check_batch_scalar_parity`) re-checks
 a deterministic sample of every batched render when
 ``REPRO_CHECK_INVARIANTS=1``: requests for the exact and isotropic
 kernels, recalculated parents for the anisotropic-first one.
 
-Grouping strategy: fragments are partitioned by probe count, and within
-each trilinear stage by mip level; parents are partitioned by mip level
-and probe count.  Partitioning never changes results — all arithmetic
-is per-fragment elementwise — it only keeps gathers rectangular.  The
-one step that is not elementwise is A-TFIM's reuse decision
+Grouping strategy: fragments and parents are partitioned by probe
+count, so a group's offsets form one ``(rows, probes)`` matrix, and
+sorted by mip level, so each level's taps or children are one gather.
+Neither changes results — all arithmetic is per-fragment elementwise.
+The one step that is not elementwise is A-TFIM's reuse decision
 (:func:`reuse_producers`): each lookup depends on its key's earlier
 recalculations, so it runs as array rounds over all keys at once, one
 recalculation per key per round.  The per-lookup loop it replaces is
@@ -47,8 +48,8 @@ the oracle in ``tests/reference.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -78,6 +79,10 @@ class RequestBatch:
     def __len__(self) -> int:
         return int(self.u.shape[0])
 
+    def take(self, rows: Union[slice, np.ndarray]) -> "RequestBatch":
+        """The lookups at ``rows``."""
+        return RequestBatch(*(getattr(self, f.name)[rows] for f in fields(self)))
+
     @classmethod
     def from_trace(
         cls, trace: FragmentTrace, rows: Union[slice, np.ndarray] = slice(None)
@@ -85,14 +90,9 @@ class RequestBatch:
         """The lookups at ``rows`` of a trace (all of them by default)."""
         footprint = trace.footprint
         return cls(
-            u=trace.u[rows],
-            v=trace.v[rows],
-            lod=footprint.lod[rows],
-            probes=footprint.probes[rows],
-            major_du=footprint.major_du[rows],
-            major_dv=footprint.major_dv[rows],
-            major_length=footprint.major_length[rows],
-        )
+            trace.u, trace.v, footprint.lod, footprint.probes,
+            footprint.major_du, footprint.major_dv, footprint.major_length,
+        ).take(rows)
 
 
 class BatchFetchRecorder:
@@ -117,15 +117,15 @@ class BatchFetchRecorder:
         xs: np.ndarray,
         ys: np.ndarray,
     ) -> None:
-        """Record one tap gather: wrapped coordinates at one mip level."""
-        self._chunks.append(
-            (
-                np.asarray(request_indices, dtype=np.int64),
-                np.full(len(xs), level, dtype=np.int64),
-                np.asarray(xs, dtype=np.int64),
-                np.asarray(ys, dtype=np.int64),
-            )
-        )
+        """Record one gather at one mip level: wrapped coordinates, one
+        row of ``xs``/``ys`` (any trailing shape) per request index."""
+        per_row = np.size(xs) // len(request_indices)
+        self._chunks.append((
+            np.repeat(np.asarray(request_indices, dtype=np.int64), per_row),
+            np.full(np.size(xs), level, dtype=np.int64),
+            np.asarray(xs, dtype=np.int64).ravel(),
+            np.asarray(ys, dtype=np.int64).ravel(),
+        ))
 
     def request_texels(self) -> Dict[int, List[TexelCoord]]:
         """Deduplicated ``(level, x, y)`` fetches keyed by fragment index."""
@@ -174,29 +174,96 @@ def level_blend_arrays(
     return low_i, high_i, weight
 
 
-def probe_offset_arrays(
+def probe_offset_matrix(
     levels: np.ndarray,
     major_du: np.ndarray,
     major_dv: np.ndarray,
     major_length: np.ndarray,
     probes: int,
-    probe_index: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`~repro.texture.sampling.probe_offsets` at one
-    probe index, for fragments sharing one probe count.
+    """Vectorised :func:`~repro.texture.sampling.probe_offsets`: every
+    probe's integer offsets, as ``(rows, probes)`` arrays, for fragments
+    sharing one probe count (one undisplaced probe when it is 1).
 
-    ``np.rint`` rounds half to even exactly as Python's ``round`` does,
-    so the integer displacements match the scalar path bit for bit.
+    Column ``i`` performs the scalar function's IEEE-754 operations for
+    probe ``i``, and ``np.rint`` rounds half to even exactly as Python's
+    ``round`` does, so every displacement matches it bit for bit.
     """
     if probes == 1:
-        zero = np.zeros(len(levels), dtype=np.int64)
+        zero = np.zeros((len(major_du), 1), dtype=np.int64)
         return zero, zero
-    length_at_level = major_length / np.ldexp(1.0, levels.astype(np.int64))
-    spacing = length_at_level / probes
-    distance = (probe_index - (probes - 1) / 2.0) * spacing
-    dx = np.rint(distance * major_du).astype(np.int64)
-    dy = np.rint(distance * major_dv).astype(np.int64)
-    return dx, dy
+    spacing = major_length / np.ldexp(1.0, levels) / probes
+    distance = (np.arange(probes) - (probes - 1) / 2.0) * spacing[:, None]
+    return (
+        np.rint(distance * major_du[:, None]).astype(np.int64),
+        np.rint(distance * major_dv[:, None]).astype(np.int64),
+    )
+
+
+TAP_DX = np.array([0, 1, 0, 1], dtype=np.int64)
+TAP_DY = np.array([0, 0, 1, 1], dtype=np.int64)
+"""The bilinear tap order of :func:`repro.texture.sampling.bilinear_taps`."""
+
+
+def _level_runs(
+    chain: MipmapChain,
+    levels: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    request_indices: Optional[np.ndarray] = None,
+    recorder: Optional[BatchFetchRecorder] = None,
+) -> Iterator[Tuple[slice, np.ndarray]]:
+    """Each run of rows at one mip level, with the texels at its rows'
+    unwrapped ``xs``/``ys`` (any trailing shape, a color axis appended):
+    one flat ``np.take`` on the level's ``(h*w, 4)`` view.  Callers pass
+    rows sorted by level and reduce each run before the next is fetched.
+
+    Level sizes are powers of two (:class:`~repro.texture.texture.Texture`
+    requires it), so the scalar wrap ``x % width`` is the mask
+    ``x & (width - 1)``, for negative ``x`` too.  ``recorder`` logs each
+    row's fetches under ``request_indices``.
+    """
+    starts = np.flatnonzero(np.diff(levels, prepend=levels[:1] - 1)).tolist()
+    for start, end in zip(starts, [*starts[1:], len(levels)]):
+        mip = chain.level(int(levels[start]))
+        wrapped_x = xs[start:end] & (mip.width - 1)
+        wrapped_y = ys[start:end] & (mip.height - 1)
+        if recorder is not None and request_indices is not None:
+            recorder.add(
+                request_indices[start:end], mip.level, wrapped_x, wrapped_y
+            )
+        yield slice(start, end), np.take(
+            mip.data.reshape(-1, 4), wrapped_y * mip.width + wrapped_x, axis=0
+        )
+
+
+def bilinear_tap_arrays(
+    u: np.ndarray, v: np.ndarray, levels: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+    """Vectorised :func:`~repro.texture.sampling.bilinear_taps` at each
+    row's level, for level-0 ``u``/``v``: the unwrapped coordinates of
+    the first tap (the others step by :data:`TAP_DX`/:data:`TAP_DY`) and
+    the four tap weights, by the scalar function's operations.  The one
+    batched home of the tap arithmetic: the kernels and request
+    expansion all take their taps from here."""
+    scale = np.ldexp(1.0, levels)
+    su = u / scale - 0.5
+    sv = v / scale - 0.5
+    x0f = np.floor(su)
+    y0f = np.floor(sv)
+    fx = su - x0f
+    fy = sv - y0f
+    weights = ((1.0 - fx) * (1.0 - fy), fx * (1.0 - fy), (1.0 - fx) * fy, fx * fy)
+    return x0f.astype(np.int64), y0f.astype(np.int64), weights
+
+
+def _probe_mean(values: np.ndarray) -> np.ndarray:
+    """Each row's probes (axis 1) added into a zero vector in index
+    order and divided by the count once, as the scalar loops do."""
+    total = np.zeros((len(values), 4), dtype=np.float64)
+    for index in range(values.shape[1]):
+        total += values[:, index]
+    return total / values.shape[1]
 
 
 def bilinear_batch(
@@ -214,137 +281,80 @@ def bilinear_batch(
     Mirrors :func:`~repro.texture.sampling.bilinear_sample`: levels are
     clamped to the chain, coordinates scale by the clamped level, the
     2x2 taps accumulate in fixed order with wrap addressing applied at
-    fetch time.  ``offset_x``/``offset_y`` are per-fragment integer
-    probe displacements.
+    fetch time, all taps of all probes at one level in one gather
+    (:func:`_level_runs`).  ``offset_x``/``offset_y`` are integer probe
+    displacements as ``(fragments, probes)`` arrays
+    (:func:`probe_offset_matrix`), giving ``(fragments, probes, 4)``
+    colors; without them, one undisplaced sample, ``(fragments, 4)``.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    count = len(u)
-    clamped = np.clip(np.asarray(levels, dtype=np.int64), 0, chain.max_level)
-    if offset_x is None:
-        offset_x = np.zeros(count, dtype=np.int64)
-    if offset_y is None:
-        offset_y = np.zeros(count, dtype=np.int64)
-    out = np.zeros((count, 4), dtype=np.float64)
-    for level in np.unique(clamped):
-        sel = np.nonzero(clamped == level)[0]
-        mip = chain.level(int(level))
-        scale = np.ldexp(1.0, mip.level)
-        lu = u[sel] / scale
-        lv = v[sel] / scale
-        su = lu - 0.5
-        sv = lv - 0.5
-        x0f = np.floor(su)
-        y0f = np.floor(sv)
-        fx = su - x0f
-        fy = sv - y0f
-        x0 = x0f.astype(np.int64) + offset_x[sel]
-        y0 = y0f.astype(np.int64) + offset_y[sel]
-        taps = (
-            (x0, y0, (1.0 - fx) * (1.0 - fy)),
-            (x0 + 1, y0, fx * (1.0 - fy)),
-            (x0, y0 + 1, (1.0 - fx) * fy),
-            (x0 + 1, y0 + 1, fx * fy),
-        )
-        acc = np.zeros((len(sel), 4), dtype=np.float64)
-        for tap_x, tap_y, tap_weight in taps:
-            xs = tap_x % mip.width
-            ys = tap_y % mip.height
-            if recorder is not None and request_indices is not None:
-                recorder.add(request_indices[sel], mip.level, xs, ys)
-            acc += tap_weight[:, None] * mip.data[ys, xs]
-        out[sel] = acc
+    if offset_x is None or offset_y is None:
+        zero = np.zeros((len(u), 1), dtype=np.int64)
+        return bilinear_batch(
+            chain, levels, u, v, zero, zero, request_indices, recorder
+        )[:, 0]
+    levels = np.clip(np.asarray(levels, dtype=np.int64), 0, chain.max_level)
+    x0, y0, tap_weights = bilinear_tap_arrays(
+        np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64), levels
+    )
+    out = np.zeros(offset_x.shape + (4,), dtype=np.float64)
+    for rows, texels in _level_runs(
+        chain,
+        levels,
+        x0[:, None, None] + offset_x[:, :, None] + TAP_DX,
+        y0[:, None, None] + offset_y[:, :, None] + TAP_DY,
+        request_indices,
+        recorder,
+    ):
+        for tap, weight in enumerate(tap_weights):
+            out[rows] += weight[rows, None, None] * texels[:, :, tap]
     return out
 
 
 def trilinear_batch(
     chain: MipmapChain,
     batch: RequestBatch,
-    probe_index: Optional[int] = None,
-    subset: Optional[np.ndarray] = None,
-    request_indices: Optional[np.ndarray] = None,
+    probes: int,
+    request_indices: np.ndarray,
     recorder: Optional[BatchFetchRecorder] = None,
-    blend: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
-    """Trilinear filter a fragment batch (optionally one aniso probe).
+    """Trilinear filter a fragment batch at each of its ``probes``
+    anisotropic probes: ``(fragments, probes, 4)``.
 
     Mirrors :func:`~repro.texture.sampling.trilinear_sample`: each
     fragment blends the bilinear results of its two mip levels with its
-    fractional LOD weight; with ``probe_index`` given, each level's taps
-    are displaced by that probe's integer offset at that level.
-    Single-level fragments take the low bilinear result directly (no
-    zero-weight blend arithmetic), and their high level is neither
-    fetched nor recorded — exactly as the scalar path behaves.
-
-    ``subset`` restricts work to those batch positions (default: all).
-    ``blend`` optionally supplies precomputed
-    :func:`level_blend_arrays` output for the subset, so callers that
-    filter the same fragments once per probe (the anisotropic loop)
-    don't re-derive an identical blend every probe.
+    fractional LOD weight, each level's taps displaced by each probe's
+    integer offset at that level (:func:`probe_offset_matrix`; a single
+    probe is undisplaced).  Single-level fragments take the low bilinear
+    result directly (no zero-weight blend arithmetic), and their high
+    level is neither fetched nor recorded -- exactly as the scalar path
+    behaves.  ``recorder`` logs each fragment's fetches under
+    ``request_indices``.
     """
-    if subset is None:
-        subset = np.arange(len(batch), dtype=np.int64)
-    if request_indices is None:
-        request_indices = subset
-    u = batch.u[subset]
-    v = batch.v[subset]
-    if blend is None:
-        blend = level_blend_arrays(chain, batch.lod[subset])
-    low, high, weight = blend
+    low, high, weight = level_blend_arrays(chain, batch.lod)
 
-    def offsets_for(levels: np.ndarray, sel: np.ndarray) -> Tuple[
-        Optional[np.ndarray], Optional[np.ndarray]
-    ]:
-        if probe_index is None:
-            return None, None
-        dx = np.zeros(len(sel), dtype=np.int64)
-        dy = np.zeros(len(sel), dtype=np.int64)
-        probe_counts = batch.probes[subset][sel]
-        for count in np.unique(probe_counts):
-            if probe_index >= count:
-                raise IndexError(
-                    f"probe index {probe_index} out of range for "
-                    f"{int(count)}-probe footprint"
-                )
-            group = np.nonzero(probe_counts == count)[0]
-            rows = subset[sel[group]]
-            dx[group], dy[group] = probe_offset_arrays(
-                levels[group],
-                batch.major_du[rows],
-                batch.major_dv[rows],
-                batch.major_length[rows],
-                int(count),
-                probe_index,
-            )
-        return dx, dy
+    def bilinear(
+        rows: Union[slice, np.ndarray], levels: np.ndarray
+    ) -> np.ndarray:
+        offset_x, offset_y = probe_offset_matrix(
+            levels,
+            batch.major_du[rows],
+            batch.major_dv[rows],
+            batch.major_length[rows],
+            probes,
+        )
+        return bilinear_batch(
+            chain, levels, batch.u[rows], batch.v[rows], offset_x, offset_y,
+            request_indices[rows], recorder,
+        )
 
-    everyone = np.arange(len(subset), dtype=np.int64)
-    low_dx, low_dy = offsets_for(low, everyone)
-    low_color = bilinear_batch(
-        chain, low, u, v, low_dx, low_dy, request_indices, recorder
-    )
-    single = (weight == 0.0) | (low == high)
-    if bool(np.all(single)):
-        return low_color
-    dual = np.nonzero(~single)[0]
-    high_dx, high_dy = offsets_for(high[dual], dual)
-    high_color = bilinear_batch(
-        chain,
-        high[dual],
-        u[dual],
-        v[dual],
-        high_dx,
-        high_dy,
-        request_indices[dual],
-        recorder,
-    )
-    dual_weight = weight[dual]
-    out = low_color
-    out[dual] = (
-        low_color[dual] * (1.0 - dual_weight)[:, None]
-        + high_color * dual_weight[:, None]
-    )
-    return out
+    colors = bilinear(slice(None), low)
+    dual = np.flatnonzero((weight != 0.0) & (low != high))
+    if len(dual):
+        blend = weight[dual, None, None]
+        colors[dual] = (
+            colors[dual] * (1.0 - blend) + bilinear(dual, high[dual]) * blend
+        )
+    return colors
 
 
 def anisotropic_batch(
@@ -355,29 +365,14 @@ def anisotropic_batch(
 ) -> np.ndarray:
     """Conventional-order anisotropic filter over a fragment batch.
 
-    Mirrors :func:`~repro.texture.sampling.anisotropic_sample`:
-    fragments are grouped by probe count; each group accumulates its
-    trilinear probes in index order and divides by the count once.
+    Mirrors :func:`~repro.texture.sampling.anisotropic_sample`: the
+    fragments of each probe count are filtered at all their probes at
+    once (:func:`trilinear_batch`); each then adds its probes in index
+    order and divides by the count once.
     """
-    if request_indices is None:
-        request_indices = np.arange(len(batch), dtype=np.int64)
-    out = np.zeros((len(batch), 4), dtype=np.float64)
-    for count in np.unique(batch.probes):
-        sel = np.nonzero(batch.probes == count)[0]
-        blend = level_blend_arrays(chain, batch.lod[sel])
-        acc = np.zeros((len(sel), 4), dtype=np.float64)
-        for index in range(int(count)):
-            acc += trilinear_batch(
-                chain,
-                batch,
-                probe_index=index,
-                subset=sel,
-                request_indices=request_indices[sel],
-                recorder=recorder,
-                blend=blend,
-            )
-        out[sel] = acc / int(count)
-    return out
+    return _by_probe_count(
+        chain, batch, batch.probes, request_indices, recorder, _probe_mean
+    )
 
 
 def isotropic_batch(
@@ -388,12 +383,33 @@ def isotropic_batch(
 ) -> np.ndarray:
     """Trilinear-only batch filter (anisotropic disabled), the batched
     counterpart of ``TextureSampler.sample_isotropic``."""
+    return _by_probe_count(
+        chain, batch, np.ones(len(batch), dtype=np.int64), request_indices,
+        recorder, lambda colors: colors[:, 0],
+    )
+
+
+def _by_probe_count(
+    chain: MipmapChain,
+    batch: RequestBatch,
+    counts: np.ndarray,
+    request_indices: Optional[np.ndarray],
+    recorder: Optional[BatchFetchRecorder],
+    reduce: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """:func:`trilinear_batch` of the fragments of each probe count in
+    ``counts``, in ascending LOD order (so each mip level, low or high,
+    is one run of :func:`_level_runs`), its probes reduced to a color."""
     if request_indices is None:
         request_indices = np.arange(len(batch), dtype=np.int64)
-    return trilinear_batch(
-        chain, batch, probe_index=None,
-        request_indices=request_indices, recorder=recorder,
-    )
+    out = np.empty((len(batch), 4), dtype=np.float64)
+    for count in np.flatnonzero(np.bincount(counts)).tolist():
+        rows = np.flatnonzero(counts == count)
+        rows = rows[np.argsort(batch.lod[rows], kind="stable")]
+        out[rows] = reduce(trilinear_batch(
+            chain, batch.take(rows), count, request_indices[rows], recorder
+        ))
+    return out
 
 
 PARENT_SLOTS = 8
@@ -439,30 +455,15 @@ def parent_texel_arrays(
     xs = np.empty(shape, dtype=np.int64)
     ys = np.empty(shape, dtype=np.int64)
     weights = np.empty(shape, dtype=np.float64)
-    for first, level, level_weight in (
-        (0, low, 1.0 - blend_weight),
-        (4, high, blend_weight),
+    for slots, level, level_weight in (
+        (slice(0, 4), low, 1.0 - blend_weight),
+        (slice(4, 8), high, blend_weight),
     ):
-        scale = np.ldexp(1.0, level)
-        su = u / scale - 0.5
-        sv = v / scale - 0.5
-        x0f = np.floor(su)
-        y0f = np.floor(sv)
-        fx = su - x0f
-        fy = sv - y0f
-        x0 = x0f.astype(np.int64)
-        y0 = y0f.astype(np.int64)
-        taps = (
-            (x0, y0, (1.0 - fx) * (1.0 - fy)),
-            (x0 + 1, y0, fx * (1.0 - fy)),
-            (x0, y0 + 1, (1.0 - fx) * fy),
-            (x0 + 1, y0 + 1, fx * fy),
-        )
-        for slot, (tap_x, tap_y, tap_weight) in enumerate(taps, start=first):
-            levels[:, slot] = level
-            xs[:, slot] = tap_x
-            ys[:, slot] = tap_y
-            weights[:, slot] = tap_weight * level_weight
+        x0, y0, tap_weights = bilinear_tap_arrays(u, v, level)
+        levels[:, slots] = level[:, None]
+        xs[:, slots] = x0[:, None] + TAP_DX
+        ys[:, slots] = y0[:, None] + TAP_DY
+        weights[:, slots] = np.stack(tap_weights, axis=1) * level_weight[:, None]
     used = np.ones(shape, dtype=bool)
     used[:, 4:] = ((blend_weight != 0.0) & (low != high))[:, None]
     level_widths = widths[levels]
@@ -491,30 +492,57 @@ def filter_parent_batch(
     """Vectorised :func:`~repro.texture.sampling.filter_parent_texel`.
 
     One row per parent: its level, unwrapped coordinates and its
-    request's footprint columns.  Parents are grouped by level and probe
-    count; each group adds its child texels into a zero vector in probe
-    index order and divides by the count once, as the scalar loop does.
-    ``recorder`` logs each row's child fetches under ``lookup_indices``.
+    request's footprint columns.  The rows of each probe count take
+    their offsets from one :func:`probe_offset_matrix` call, and their
+    children at each level are one gather (:func:`_level_runs`); each
+    parent adds its children into a zero vector in probe index order and
+    divides by the count once, as the scalar loop does.  ``recorder``
+    logs each row's child fetches under ``lookup_indices``.
     """
     out = np.empty((len(levels), 4), dtype=np.float64)
-    for level in np.unique(levels):
-        mip = chain.level(int(level))
-        at_level = levels == level
-        for count in np.unique(probes[at_level]):
-            sel = np.nonzero(at_level & (probes == count))[0]
-            acc = np.zeros((len(sel), 4), dtype=np.float64)
-            for index in range(int(count)):
-                dx, dy = probe_offset_arrays(
-                    levels[sel], major_du[sel], major_dv[sel],
-                    major_length[sel], int(count), index,
-                )
-                cx = (xs[sel] + dx) % mip.width
-                cy = (ys[sel] + dy) % mip.height
-                if recorder is not None and lookup_indices is not None:
-                    recorder.add(lookup_indices[sel], mip.level, cx, cy)
-                acc += mip.data[cy, cx]
-            out[sel] = acc / int(count)
+    for count in np.flatnonzero(np.bincount(probes)).tolist():
+        group = np.flatnonzero(probes == count)
+        group = group[np.argsort(levels[group], kind="stable")]
+        group_levels = levels[group]
+        offset_x, offset_y = probe_offset_matrix(
+            group_levels, major_du[group], major_dv[group], major_length[group],
+            count,
+        )
+        for rows, children in _level_runs(
+            chain,
+            group_levels,
+            xs[group, None] + offset_x,
+            ys[group, None] + offset_y,
+            None if lookup_indices is None else lookup_indices[group],
+            recorder,
+        ):
+            out[group[rows]] = _probe_mean(children)
     return out
+
+
+def _filter_parents(
+    chain: MipmapChain,
+    batch: RequestBatch,
+    parents: ParentTexels,
+    flat: np.ndarray,
+    recorder: Optional[BatchFetchRecorder] = None,
+) -> np.ndarray:
+    """:func:`filter_parent_batch` of the parents at ascending ``flat``
+    indices into ``parents``' ``(request, slot)`` columns; ``recorder``
+    logs each one's child fetches under its position in ``flat``."""
+    rows = flat // PARENT_SLOTS
+    return filter_parent_batch(
+        chain,
+        parents.levels.ravel()[flat],
+        parents.xs.ravel()[flat],
+        parents.ys.ravel()[flat],
+        batch.probes[rows],
+        batch.major_du[rows],
+        batch.major_dv[rows],
+        batch.major_length[rows],
+        recorder,
+        np.arange(len(flat), dtype=np.int64),
+    )
 
 
 def reuse_producers(
@@ -652,19 +680,8 @@ def anisotropic_first_batch(
         quantised = quantize_angles(np.asarray(angles, dtype=np.float64))
         producers = reuse_producers(keys, quantised[rows], threshold)
     own = np.nonzero(producers == np.arange(len(keys)))[0]
-    flat_own = lookups[own]
-    own_rows = rows[own]
     values = np.empty((len(keys), 4), dtype=np.float64)
-    values[own] = filter_parent_batch(
-        chain,
-        parents.levels.ravel()[flat_own],
-        parents.xs.ravel()[flat_own],
-        parents.ys.ravel()[flat_own],
-        batch.probes[own_rows],
-        batch.major_du[own_rows],
-        batch.major_dv[own_rows],
-        batch.major_length[own_rows],
-    )
+    values[own] = _filter_parents(chain, batch, parents, lookups[own])
     slot_values = np.zeros((len(used), 4), dtype=np.float64)
     slot_values[lookups] = values[producers]
     slot_values = slot_values.reshape(len(batch), PARENT_SLOTS, 4)
@@ -748,43 +765,24 @@ class BatchSampler:
         )
 
         picked = _strided(len(batch), sample_limit)
-        sub = RequestBatch(
-            u=batch.u[picked],
-            v=batch.v[picked],
-            lod=batch.lod[picked],
-            probes=batch.probes[picked],
-            major_du=batch.major_du[picked],
-            major_dv=batch.major_dv[picked],
-            major_length=batch.major_length[picked],
-        )
+        sub = batch.take(picked)
         batch_recorder = BatchFetchRecorder()
-        if isotropic:
-            batch_colors = isotropic_batch(self.chain, sub, recorder=batch_recorder)
-        else:
-            batch_colors = anisotropic_batch(
-                self.chain, sub, recorder=batch_recorder
-            )
+        kernel = isotropic_batch if isotropic else anisotropic_batch
+        batch_colors = kernel(self.chain, sub, recorder=batch_recorder)
         batch_texels = batch_recorder.request_texels()
 
         entries = []
         for position in range(len(sub)):
             scalar_recorder = _FetchRecorder()
             footprint = _footprint(sub, position)
+            u, v = float(sub.u[position]), float(sub.v[position])
             if isotropic:
                 scalar_color = trilinear_sample(
-                    self.chain,
-                    footprint.lod,
-                    float(sub.u[position]),
-                    float(sub.v[position]),
-                    recorder=scalar_recorder,
+                    self.chain, footprint.lod, u, v, recorder=scalar_recorder
                 )
             else:
                 scalar_color = anisotropic_sample(
-                    self.chain,
-                    footprint,
-                    float(sub.u[position]),
-                    float(sub.v[position]),
-                    recorder=scalar_recorder,
+                    self.chain, footprint, u, v, recorder=scalar_recorder
                 )
             entries.append(
                 (
@@ -813,17 +811,8 @@ class BatchSampler:
         flat = lookups[picked]
         rows = flat // PARENT_SLOTS
         batch_recorder = BatchFetchRecorder()
-        batch_values = filter_parent_batch(
-            self.chain,
-            parents.levels.ravel()[flat],
-            parents.xs.ravel()[flat],
-            parents.ys.ravel()[flat],
-            batch.probes[rows],
-            batch.major_du[rows],
-            batch.major_dv[rows],
-            batch.major_length[rows],
-            recorder=batch_recorder,
-            lookup_indices=np.arange(len(flat), dtype=np.int64),
+        batch_values = _filter_parents(
+            self.chain, batch, parents, flat, batch_recorder
         )
         batch_texels = batch_recorder.request_texels()
 

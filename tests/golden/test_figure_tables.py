@@ -21,7 +21,12 @@ render at each threshold of ``THRESHOLD_SWEEP``, the fragment and
 covered-pixel counts, the sha256 of the image and of the depth buffer,
 and the parent reuse and recalculation counts.
 
-All three files are regenerated only by this command, from the
+The fast set and the overdrawn scenes cap anisotropy at 8 probes.
+``sixteen_probe_renders.json`` pins the same renders of the three
+workloads whose views take 16-probe footprints: doom3-, fear- and
+hl2-1280x1024 (1,312, 456 and 2,928 of their requests).
+
+All four files are regenerated only by this command, from the
 repository root::
 
     PYTHONPATH=src python -m tests.golden.test_figure_tables --regenerate
@@ -33,7 +38,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
@@ -51,6 +56,8 @@ GOLDEN = Path(__file__).with_name("figure_tables.json")
 IMAGES = Path(__file__).with_name("fig15_images.json")
 OVERDRAW = Path(__file__).with_name("overdraw_renders.json")
 OVERDRAW_WORKLOADS = ("hl2-640x480", "fear-640x480")
+SIXTEEN_PROBE = Path(__file__).with_name("sixteen_probe_renders.json")
+SIXTEEN_PROBE_WORKLOADS = ("doom3-1280x1024", "fear-1280x1024", "hl2-1280x1024")
 
 TEXT_TABLES = {
     "Table I": tables.format_table1,
@@ -107,14 +114,19 @@ def _sha256(array: np.ndarray) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()
 
 
-def overdraw_renders() -> List[Dict[str, Any]]:
-    """The exact and swept A-TFIM renders of the overdrawn scenes."""
+def sweep_renders(
+    names: Sequence[str],
+) -> Tuple[List[Dict[str, Any]], Dict[str, int]]:
+    """Fig. 15's renders of each workload: the exact render, then A-TFIM
+    at each threshold of ``THRESHOLD_SWEEP``; and each workload's most
+    probes per request (its renders share one view)."""
     renders = [(SamplingMode.EXACT, 0.0)] + [
         (SamplingMode.ATFIM, threshold.effective_radians)
         for threshold in THRESHOLD_SWEEP
     ]
     pins: List[Dict[str, Any]] = []
-    for name in OVERDRAW_WORKLOADS:
+    most_probes: Dict[str, int] = {}
+    for name in names:
         workload = workload_by_name(name)
         built = workload.build()
         renderer = workload.make_renderer()
@@ -134,7 +146,8 @@ def overdraw_renders() -> List[Dict[str, Any]]:
                 "parent_reuses": output.parent_reuses,
                 "parent_recalculations": output.parent_recalculations,
             })
-    return pins
+        most_probes[name] = int(output.trace.footprint.probes.max())
+    return pins, most_probes
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +180,18 @@ def test_overdraw_renders_match_golden():
     assert len(pinned) == len(OVERDRAW_WORKLOADS) * (1 + len(THRESHOLD_SWEEP))
     # The pins are only worth having while the scenes overdraw.
     assert all(pin["fragments"] > pin["pixels"] for pin in pinned)
-    assert overdraw_renders() == pinned
+    assert sweep_renders(OVERDRAW_WORKLOADS)[0] == pinned
+
+
+def test_sixteen_probe_renders_match_golden():
+    pinned = json.loads(SIXTEEN_PROBE.read_text())
+    assert len(pinned) == (
+        len(SIXTEEN_PROBE_WORKLOADS) * (1 + len(THRESHOLD_SWEEP))
+    )
+    pins, most_probes = sweep_renders(SIXTEEN_PROBE_WORKLOADS)
+    # The pins are only worth having while the views take 16 probes.
+    assert most_probes == {name: 16 for name in SIXTEEN_PROBE_WORKLOADS}
+    assert pins == pinned
 
 
 if __name__ == "__main__":
@@ -180,7 +204,12 @@ if __name__ == "__main__":
     IMAGES.write_text(
         json.dumps(report.images, indent=1, allow_nan=False) + "\n"
     )
-    OVERDRAW.write_text(
-        json.dumps(overdraw_renders(), indent=1, allow_nan=False) + "\n"
-    )
-    print(f"wrote {GOLDEN}, {IMAGES} and {OVERDRAW}")
+    for path, names in (
+        (OVERDRAW, OVERDRAW_WORKLOADS),
+        (SIXTEEN_PROBE, SIXTEEN_PROBE_WORKLOADS),
+    ):
+        path.write_text(
+            json.dumps(sweep_renders(names)[0], indent=1, allow_nan=False)
+            + "\n"
+        )
+    print(f"wrote {GOLDEN}, {IMAGES}, {OVERDRAW} and {SIXTEEN_PROBE}")

@@ -1,16 +1,19 @@
 """Bit-identity tests: batched kernels vs the scalar oracle.
 
-Every comparison here is ``np.array_equal`` -- exact, every bit -- not
-``allclose``: the batch kernels promise the same IEEE-754 operations in
-the same order as the scalar reference, and these tests are that
-promise's enforcement, over edge UVs, wrap-around coordinates, clamped
-LODs, single-level mip chains, and whole rendered frames.
+Every comparison here is exact, not ``allclose``: the batch kernels
+promise the same IEEE-754 operations in the same order as the scalar
+reference, and these tests are that promise's enforcement, over edge
+UVs, wrap-around coordinates, clamped LODs, single-level mip chains, and
+whole rendered frames.  ``np.array_equal`` calls -0.0 equal to 0.0, so
+the hypothesis property (:class:`TestKernelBitParity`) compares the
+bytes.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.analysis.invariants import InvariantError, check_batch_scalar_parity
 from repro.core.angle import THRESHOLD_SWEEP
@@ -26,9 +29,9 @@ from repro.texture.batch import (
     isotropic_batch,
     level_blend_arrays,
     parent_texel_arrays,
-    probe_offset_arrays,
+    probe_offset_matrix,
 )
-from repro.texture.lod import compute_footprint
+from repro.texture.lod import SampleFootprint, compute_footprint
 from repro.texture.mipmap import build_mipmaps
 from repro.texture.sampling import (
     _FetchRecorder,
@@ -88,23 +91,24 @@ class TestLevelBlendArrays:
 
 
 class TestProbeOffsetArrays:
-    @pytest.mark.parametrize("probes", [1, 2, 4, 8])
+    """:func:`probe_offset_matrix`: row ``r``, column ``i`` is probe ``i``
+    of :func:`probe_offsets` at row ``r``'s level."""
+
+    @pytest.mark.parametrize("probes", [1, 2, 4, 8, 16])
     def test_matches_scalar_offsets(self, probes):
         fp = footprint(probes=probes, lod=1.0, direction=(0.6, 0.8))
-        for level in (0, 1, 2):
+        levels = np.array([0, 1, 2, 0, 4], dtype=np.int64)
+        dx, dy = probe_offset_matrix(
+            levels,
+            np.full(len(levels), fp.major_du),
+            np.full(len(levels), fp.major_dv),
+            np.full(len(levels), fp.major_length),
+            probes,
+        )
+        assert dx.shape == dy.shape == (len(levels), probes)
+        for row, level in enumerate(levels.tolist()):
             scalar = probe_offsets(fp, level)
-            levels = np.full(3, level, dtype=np.int64)
-            for index in range(probes):
-                dx, dy = probe_offset_arrays(
-                    levels,
-                    np.full(3, fp.major_du),
-                    np.full(3, fp.major_dv),
-                    np.full(3, fp.major_length),
-                    probes,
-                    index,
-                )
-                assert (dx == scalar[index][0]).all()
-                assert (dy == scalar[index][1]).all()
+            assert list(zip(dx[row].tolist(), dy[row].tolist())) == list(scalar)
 
 
 class TestBilinearBatch:
@@ -277,6 +281,139 @@ class TestParentKernels:
         )
         assert np.array_equal(colors, scalar)
         assert np.array_equal(producers, np.arange(len(producers)))
+
+
+sides = st.sampled_from([1, 2, 4, 8, 16])
+# Round axis components and whole lengths put probe offsets on exact
+# halves, where rounding half to even matters.
+axis = st.one_of(
+    st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+)
+footprints = st.builds(
+    SampleFootprint,
+    lod=st.one_of(st.floats(-3.0, 7.0), st.integers(-1, 6).map(float)),
+    anisotropy=st.just(1.0),
+    probes=st.integers(1, 16),
+    major_du=axis,
+    major_dv=axis,
+    major_length=st.one_of(
+        st.floats(0.0, 300.0), st.integers(0, 64).map(float)
+    ),
+)
+positions = st.tuples(st.floats(-70.0, 70.0), st.floats(-70.0, 70.0))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A mip chain (1x1, single-level, up to 16x16, not always square)
+    and requests drawn from small pools, so footprints repeat."""
+    width, height, seed = draw(sides), draw(sides), draw(st.integers(0, 99))
+    rng = np.random.default_rng(seed)
+    data = rng.random((height, width, 4))
+    data[rng.random(data.shape) < 0.2] = 0.0
+    chain = build_mipmaps(Texture(texture_id=0, data=data))
+    pool = draw(st.lists(footprints, min_size=1, max_size=4))
+    fps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    uvs = draw(st.lists(positions, min_size=len(fps), max_size=len(fps)))
+    return chain, fps, uvs
+
+
+def fetch_sets(recorder):
+    return {
+        key: set(texels) for key, texels in recorder.request_texels().items()
+    }
+
+
+def scalar_fetch_sets(sample_calls):
+    sets = {}
+    for index, call in enumerate(sample_calls):
+        recorder = _FetchRecorder()
+        call(recorder)
+        sets[index] = set(recorder.texels)
+    return sets
+
+
+class TestKernelBitParity:
+    """Every batched kernel against its scalar function, to 16 probes:
+    the bytes of each color and each fragment's fetch set.
+
+    A failing example is reported as found, not shrunk.  Shrinking runs
+    this test thousands of times, up to hypothesis's five-minute limit,
+    and hypothesis keeps up to 10,000 of those results, each failing one
+    holding its exception and so the test's locals: a kernel bug would
+    cost minutes and over a gigabyte before it was reported.
+    """
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate],
+    )
+    @given(case=kernel_cases())
+    def test_kernels_match_scalar_bytes(self, case):
+        chain, fps, uvs = case
+        batch = _batch_of(fps, uvs)
+
+        recorder = BatchFetchRecorder()
+        colors = anisotropic_batch(chain, batch, recorder=recorder)
+        calls = [
+            lambda rec, fp=fp, u=u, v=v: anisotropic_sample(
+                chain, fp, u, v, recorder=rec
+            )
+            for fp, (u, v) in zip(fps, uvs)
+        ]
+        scalar = np.array([call(None) for call in calls])
+        assert colors.tobytes() == scalar.tobytes()
+        assert fetch_sets(recorder) == scalar_fetch_sets(calls)
+
+        recorder = BatchFetchRecorder()
+        colors = isotropic_batch(chain, batch, recorder=recorder)
+        calls = [
+            lambda rec, fp=fp, u=u, v=v: trilinear_sample(
+                chain, fp.lod, u, v, recorder=rec
+            )
+            for fp, (u, v) in zip(fps, uvs)
+        ]
+        scalar = np.array([call(None) for call in calls])
+        assert colors.tobytes() == scalar.tobytes()
+        assert fetch_sets(recorder) == scalar_fetch_sets(calls)
+
+        colors, producers = anisotropic_first_batch(chain, batch)
+        scalar = np.array([
+            anisotropic_first_sample(chain, fp, u, v)
+            for fp, (u, v) in zip(fps, uvs)
+        ])
+        assert colors.tobytes() == scalar.tobytes()
+        assert np.array_equal(producers, np.arange(len(producers)))
+
+        # Every parent of every request.
+        rows = [
+            (fp, parent)
+            for fp, (u, v) in zip(fps, uvs)
+            for parent in parent_texel_coords(chain, fp.lod, u, v)
+        ]
+        recorder = BatchFetchRecorder()
+        values = filter_parent_batch(
+            chain,
+            np.array([level for _, (level, _, _, _) in rows]),
+            np.array([x for _, (_, x, _, _) in rows]),
+            np.array([y for _, (_, _, y, _) in rows]),
+            np.array([fp.probes for fp, _ in rows]),
+            np.array([fp.major_du for fp, _ in rows]),
+            np.array([fp.major_dv for fp, _ in rows]),
+            np.array([fp.major_length for fp, _ in rows]),
+            recorder=recorder,
+            lookup_indices=np.arange(len(rows)),
+        )
+        calls = [
+            lambda rec, fp=fp, parent=parent: filter_parent_texel(
+                chain, fp, *parent[:3], recorder=rec
+            )
+            for fp, parent in rows
+        ]
+        scalar = np.array([call(None) for call in calls])
+        assert values.tobytes() == scalar.tobytes()
+        assert fetch_sets(recorder) == scalar_fetch_sets(calls)
 
 
 class TestBatchSampler:
