@@ -30,9 +30,11 @@ import numpy as np
 from repro.core.designs import Design, DesignConfig
 from repro.core.expansion import ExpandedFrame, _offsets
 from repro.core.paths import (
+    L1_ANGLE_MISS,
+    L1_HIT,
     CacheHierarchy,
     GpuReplayColumns,
-    GpuReplayState,
+    L1Replay,
     MergeWindowReplay,
     PathActivity,
     QueueReplay,
@@ -40,7 +42,9 @@ from repro.core.paths import (
     ReplaySession,
     TexturePath,
     UnitReplayState,
+    _set_tables,
     check_frame,
+    check_served,
 )
 from repro.gpu.config import ATFIM_MEMORY_UNIT
 from repro.gpu.texunit import TextureUnit
@@ -92,8 +96,9 @@ class AtfimPath(TexturePath):
         self.child_lines_fetched = 0
         self.offload_packages = 0
 
-    def begin_replay(self, frame: ExpandedFrame) -> ReplaySession:
-        return _AtfimReplaySession(self, frame)
+    def begin_replay(self, frame: ExpandedFrame,
+                     clusters: np.ndarray) -> ReplaySession:
+        return _AtfimReplaySession(self, frame, clusters)
 
     def activity(self) -> PathActivity:
         activity = PathActivity()
@@ -169,7 +174,9 @@ class _AtfimColumns:
     ``l1_angle[i]`` and ``l2_angle[i]`` are request ``i``'s camera
     angle quantised to each cache's ``angle_bits``, as
     ``TextureCache.lookup`` stores it, or None where its parents carry
-    no angle tag (only anisotropic parents, ``child_counts > 1``, do).
+    no angle tag (only anisotropic parents, ``child_counts > 1``, do);
+    ``l1_tags[k]`` is kept row ``k``'s L1 tag, NaN for None, as
+    :class:`~repro.core.paths.L1Replay` reads it.
     The offload reads only missing parents' rows of ``child_counts``,
     ``child_offsets`` and ``child_lines``, so those stay views of the
     frame's arrays (items read as python ints), checked once per frame
@@ -177,7 +184,7 @@ class _AtfimColumns:
     """
 
     __slots__ = ("gpu", "repeats", "rows", "l1_angle", "l2_angle",
-                 "child_counts", "child_offsets", "child_lines")
+                 "l1_tags", "child_counts", "child_offsets", "child_lines")
 
     def __init__(self, config: DesignConfig, frame: ExpandedFrame) -> None:
         lines, child_counts = frame.parent_lines, frame.child_counts
@@ -211,13 +218,20 @@ class _AtfimColumns:
         self.child_offsets = memoryview(frame.child_offsets)
         self.child_lines = memoryview(frame.child_lines)
 
-        def tags(bits: int) -> List[Optional[float]]:
-            angles = quantize_angles(frame.camera_angles, bits).astype(object)
-            angles[~angled] = None
-            return angles.tolist()
+        def tags(bits: int) -> np.ndarray:
+            angles = quantize_angles(frame.camera_angles, bits)
+            angles[~angled] = np.nan
+            return angles
 
-        self.l1_angle = tags(l1.angle_bits)
-        self.l2_angle = tags(config.gpu.l2_cache.angle_bits)
+        def stored(angles: np.ndarray) -> List[Optional[float]]:
+            values = angles.astype(object)
+            values[~angled] = None
+            return values.tolist()
+
+        l1_tags = tags(l1.angle_bits)
+        self.l1_angle = stored(l1_tags)
+        self.l2_angle = stored(tags(config.gpu.l2_cache.angle_bits))
+        self.l1_tags = l1_tags[self.gpu.requests]
 
 
 class _AtfimReplaySession(ReplaySession):
@@ -229,13 +243,15 @@ class _AtfimReplaySession(ReplaySession):
     in ``tests/reference.py`` does, with no call into a live object:
 
     * the GPU texture unit's address and filter stages over the
-      request's parents (:class:`~repro.core.paths.GpuReplayState`), and
-      the angle-tagged L1 -> L2 classification (``TextureCache.lookup``
-      on each level, with its cold-fill log) reading each kept parent's
-      set and tag, the request's repeated probes and its quantised
-      angle tags from :class:`_AtfimColumns`, which a frame's cold
-      replay hands to its warm one, if it has one
-      (:meth:`TexturePath._columns_for`);
+      request's parents (:class:`~repro.core.paths.UnitReplayState`),
+      and the angle-tagged L1 -> L2 classification (``TextureCache.lookup``
+      on each level, with its cold-fill log).  Every kept parent's L1
+      probe is decided when the session opens
+      (:class:`~repro.core.paths.L1Replay`, over :class:`_AtfimColumns`,
+      which a frame's cold replay hands to its warm one, if it has one:
+      :meth:`TexturePath._columns_for`), so a request visits only its
+      parents that miss L1 or find a stale angle tag there, and probes
+      the L2 for each;
     * the offload of the missing parents: one package over the transmit
       link, the Parent Texel Buffer (:class:`~repro.core.paths.QueueReplay`),
       the Texel Generator, Child Texel Consolidation and its merge
@@ -260,46 +276,61 @@ class _AtfimReplaySession(ReplaySession):
     is the largest difference that stayed within the threshold and
     ``above`` the smallest that exceeded it, so every effective
     threshold t with ``below <= t < above`` decides every comparison
-    alike, and with it every counter, cycle and angle tag.
+    alike, and with it every counter, cycle and angle tag.  The L1's
+    comparisons narrow it when the session opens, the L2's as they
+    happen.
     """
 
-    def __init__(self, path: AtfimPath, frame: ExpandedFrame) -> None:
+    def __init__(self, path: AtfimPath, frame: ExpandedFrame,
+                 clusters: np.ndarray) -> None:
         columns = path._columns_for(
             frame, lambda: _AtfimColumns(path.config, frame)
         )
         gpu = columns.gpu
+        config = path.config
+        threshold = config.effective_angle_threshold
+        caches = path.caches
+        l1 = L1Replay(caches.l1, clusters[gpu.requests], gpu.lines,
+                      columns.l1_tags, threshold)
+        offsets, missed = gpu.missed(l1.outcomes)
         texels = gpu.texels
-        offsets = gpu.offsets
-        l1_set_col, l1_tag_col = gpu.l1_set, gpu.l1_tag
-        l2_set_col, l2_tag_col = gpu.l2_set, gpu.l2_tag
-        l1_assoc, l2_assoc = gpu.l1_assoc, gpu.l2_assoc
-        repeats, rows = columns.repeats, columns.rows
+        l2_set_col = gpu.l2_set[missed].tolist()
+        l2_tag_col = gpu.l2_tag[missed].tolist()
+        stale_col = (l1.outcomes[missed] == L1_ANGLE_MISS).tolist()
+        rows = columns.rows
+        parents = [rows[k] for k in missed.tolist()]
+        del missed
+        l2_assoc = gpu.l2_assoc
+        l2_angle = columns.l2_angle
         child_counts = columns.child_counts
         child_offsets = columns.child_offsets
         child_lines = columns.child_lines
-        l1_angle, l2_angle = columns.l1_angle, columns.l2_angle
-        config = path.config
-        threshold = config.effective_angle_threshold
         below, above = path.threshold_interval
+        below, above = max(below, l1.below), min(above, l1.above)
         consolidating = config.consolidation_enabled
         packets = config.packets
         request_bytes = packets.parent_texel_request_bytes
         response_bytes = packets.parent_texel_response_bytes
         line_bytes = packets.cache_line_bytes
         require_positive_sizes(request_bytes, line_bytes)
+        served = bytearray(len(texels))
 
-        state = GpuReplayState(path.units, path.caches)
+        state = UnitReplayState(path.units)
         generate_addresses = state.generate_addresses
         filter_texels = state.filter_texels
         requests_delta = state.requests
-        l1_hits, l1_misses = state.l1_hits, state.l1_misses
-        l1_angle_misses = state.l1_angle_misses
-        l1_by_cluster, l1_fills = state.l1_sets, state.l1_fills
-        l2_table, l2_fills = state.l2_sets, state.l2_fills
-        l2 = path.caches.l2
+        l2_table, l2_fills = _set_tables(caches.l2)
+        l2 = caches.l2
         l2_hits, l2_misses, l2_angle_misses = l2.hits, l2.misses, l2.angle_misses
-        reuses = path.parent_reuses
-        recalculations = path.parent_recalculations
+        # Every L1 hit, a request's repeated probes included (see
+        # _AtfimColumns), is a reuse, and every stale L1 hit a
+        # recalculation.
+        repeated = np.bincount(clusters, weights=columns.repeats,
+                               minlength=len(caches.l1)).astype(np.int64)
+        reuses = (path.parent_reuses + int(l1.counts[L1_HIT].sum())
+                  + int(repeated.sum()))
+        recalculations = (path.parent_recalculations
+                          + int(l1.counts[L1_ANGLE_MISS].sum()))
         cold_misses = path.parent_cold_misses
         make_line = _Line
         hit, angle_miss, miss = (
@@ -398,7 +429,7 @@ class _AtfimReplaySession(ReplaySession):
             return False
 
         def probe_l2(k: int, angle: Optional[float]) -> CacheAccessResult:
-            """``TextureCache.lookup`` on the L2 for kept row ``k``;
+            """``TextureCache.lookup`` on the L2 for missed row ``k``;
             ``angle`` is None for an untagged (isotropic) parent."""
             nonlocal l2_hits, l2_misses, l2_angle_misses
             cache_set = l2_table[l2_set_col[k]]
@@ -422,57 +453,40 @@ class _AtfimReplaySession(ReplaySession):
 
         def serve_one(cluster: int, issue: float, index: int) -> float:
             nonlocal reuses, recalculations, cold_misses
+            served[index] += 1
             requests_delta[cluster] += 1
             num_parents = texels[index]
             if not num_parents:
                 return issue
             address_done = generate_addresses(cluster, issue, num_parents)
-            # The request's repeated probes hit L1 (see _AtfimColumns).
-            repeated = repeats[index]
-            l1_hits[cluster] += repeated
-            reuses += repeated
-
-            l1_sets = l1_by_cluster[cluster]
-            l1_stored, l2_stored = l1_angle[index], l2_angle[index]
+            first, last = offsets[index], offsets[index + 1]
+            if first == last:
+                return filter_texels(cluster, address_done, num_parents)
+            l2_stored = l2_angle[index]
             missing: List[int] = []
-            for k in range(offsets[index], offsets[index + 1]):
-                cache_set = l1_sets[l1_set_col[k]]
-                tag = l1_tag_col[k]
-                line = cache_set.get(tag)
-                if line is not None:
-                    cache_set.move_to_end(tag)
-                    if l1_stored is not None and stale(line.angle, l1_stored):
-                        # A stale-angle line is recalculated whatever the
-                        # L2 holds; the L2 copy's angle tag refreshes.
-                        line.angle = l1_stored
-                        l1_angle_misses[cluster] += 1
-                        probe_l2(k, l2_stored)
-                        recalculations += 1
-                        missing.append(rows[k])
-                    else:
-                        l1_hits[cluster] += 1
-                        reuses += 1
-                    continue
-                if len(cache_set) >= l1_assoc:
-                    cache_set.popitem(last=False)
-                else:
-                    l1_fills[cluster][l1_set_col[k]].append(tag)
-                l1_misses[cluster] += 1
-                cache_set[tag] = make_line(tag, l1_stored)
+            for k in range(first, last):
                 result = probe_l2(k, l2_stored)
-                if result is hit:
+                if stale_col[k]:
+                    # A stale-angle line is recalculated whatever the
+                    # L2 holds; the L2 copy's angle tag refreshes.
+                    missing.append(parents[k])
+                elif result is hit:
                     reuses += 1
                 elif result is angle_miss:
                     recalculations += 1
-                    missing.append(rows[k])
+                    missing.append(parents[k])
                 else:
                     cold_misses += 1
-                    missing.append(rows[k])
+                    missing.append(parents[k])
 
             ready = offload(address_done, missing) if missing else address_done
             return filter_texels(cluster, ready, num_parents)
 
         def finish() -> None:
+            check_served(served)
+            l1.flush()
+            for cache, count in zip(caches.l1, repeated.tolist()):
+                cache.hits += count
             state.flush()
             logic.flush()
             parent_buffer.flush()

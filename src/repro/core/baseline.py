@@ -9,15 +9,20 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from repro.core.designs import Design, DesignConfig
 from repro.core.expansion import ExpandedFrame
 from repro.core.paths import (
     CacheHierarchy,
     GpuReplayColumns,
-    GpuReplayState,
+    L1Replay,
     PathActivity,
     ReplaySession,
     TexturePath,
+    UnitReplayState,
+    _set_tables,
+    check_served,
 )
 from repro.gpu.texunit import TextureUnit
 from repro.memory.gddr5 import Gddr5Memory
@@ -53,8 +58,9 @@ class GpuFilteringPath(TexturePath):
             self.hmc = HybridMemoryCube(config.hmc)
             self.gddr5 = None
 
-    def begin_replay(self, frame: ExpandedFrame) -> "_GpuReplaySession":
-        return _GpuReplaySession(self, frame)
+    def begin_replay(self, frame: ExpandedFrame,
+                     clusters: np.ndarray) -> "_GpuReplaySession":
+        return _GpuReplaySession(self, frame, clusters)
 
     def activity(self) -> PathActivity:
         activity = PathActivity()
@@ -94,10 +100,14 @@ class _GpuReplaySession(ReplaySession):
 
     The serving arithmetic is the scalar reference's call chain
     (texture-unit stages, L1 -> L2 -> memory lookup, L2 port, line fill)
-    operation for operation, with no call into a live object: the units
-    are :class:`~repro.core.paths.GpuReplayState`'s, the L1/L2 lookup
-    (with its cold-fill log) and the L2 port are inlined, and a line
-    fill is the replay form of ``Gddr5Memory.read`` (baseline) or
+    operation for operation, with no call into a live object.  Every L1
+    probe is decided when the session opens (:class:`~repro.core.paths.L1Replay`),
+    so a request visits only its rows that miss L1: an L1 hit is ready
+    at the request's address time, which never exceeds its data-ready
+    time, and touches nothing else.  The units are a
+    :class:`~repro.core.paths.UnitReplayState`, the L2 lookup (with its
+    cold-fill log) and the L2 port are inlined, and a line fill is the
+    replay form of ``Gddr5Memory.read`` (baseline) or
     ``HybridMemoryCube.external_read`` (B-PIM) from
     :mod:`repro.memory.replay`.  Every piece of state is seeded from
     the live objects, folded locally in service order (so float
@@ -107,18 +117,22 @@ class _GpuReplaySession(ReplaySession):
     because nothing else adds texture bytes while a session is open.
     """
 
-    def __init__(self, path: "GpuFilteringPath", frame: ExpandedFrame) -> None:
+    def __init__(self, path: "GpuFilteringPath", frame: ExpandedFrame,
+                 clusters: np.ndarray) -> None:
         columns = path._columns_for(frame, lambda: GpuReplayColumns(
             path.config.gpu, frame.texels, frame.line_offsets, frame.lines
         ))
-        texels = columns.texels
-        offsets = columns.offsets
-        lines = columns.lines
-        l1_set_col, l1_tag_col = columns.l1_set, columns.l1_tag
-        l2_set_col, l2_tag_col = columns.l2_set, columns.l2_tag
-        l1_assoc, l2_assoc = columns.l1_assoc, columns.l2_assoc
-
         caches = path.caches
+        l1 = L1Replay(caches.l1, clusters[columns.requests], columns.lines)
+        offsets, missed = columns.missed(l1.outcomes)
+        texels = columns.texels
+        lines = columns.addresses[missed].tolist()
+        l2_set_col = columns.l2_set[missed].tolist()
+        l2_tag_col = columns.l2_tag[missed].tolist()
+        l2_assoc = columns.l2_assoc
+        del missed
+        served = bytearray(len(texels))
+
         packets = path.config.packets
         request_bytes = packets.read_request_bytes
         payload_bytes = packets.cache_line_bytes
@@ -142,13 +156,11 @@ class _GpuReplaySession(ReplaySession):
         traffic = path.traffic
         texture_bytes = traffic.external[TrafficClass.TEXTURE]
 
-        state = GpuReplayState(path.units, caches)
+        state = UnitReplayState(path.units)
         generate_addresses = state.generate_addresses
         filter_texels = state.filter_texels
         requests_delta = state.requests
-        l1_hits, l1_misses = state.l1_hits, state.l1_misses
-        l1_by_cluster, l1_fills = state.l1_sets, state.l1_fills
-        l2_table, l2_fills = state.l2_sets, state.l2_fills
+        l2_table, l2_fills = _set_tables(caches.l2)
         l2_hits = caches.l2.hits
         l2_misses = caches.l2.misses
         port = caches.l2_port
@@ -164,26 +176,12 @@ class _GpuReplaySession(ReplaySession):
         def serve_one(cluster: int, issue: float, index: int) -> float:
             nonlocal port_next, port_bytes, port_requests, port_busy
             nonlocal l2_hits, l2_misses, texture_bytes
+            served[index] += 1
             requests_delta[cluster] += 1
             num_texels = texels[index]
             address_done = generate_addresses(cluster, issue, num_texels)
             data_ready = address_done
-            l1_sets = l1_by_cluster[cluster]
             for k in range(offsets[index], offsets[index + 1]):
-                cache_set = l1_sets[l1_set_col[k]]
-                tag = l1_tag_col[k]
-                if tag in cache_set:
-                    # An L1 hit is ready at arrival (== address_done),
-                    # which never exceeds data_ready: skip the compare.
-                    cache_set.move_to_end(tag)
-                    l1_hits[cluster] += 1
-                    continue
-                if len(cache_set) >= l1_assoc:
-                    cache_set.popitem(last=False)
-                else:
-                    l1_fills[cluster][l1_set_col[k]].append(tag)
-                cache_set[tag] = make_line(tag)
-                l1_misses[cluster] += 1
                 cache_set = l2_table[l2_set_col[k]]
                 tag = l2_tag_col[k]
                 if tag in cache_set:
@@ -213,6 +211,8 @@ class _GpuReplaySession(ReplaySession):
             return filter_texels(cluster, data_ready, num_texels)
 
         def finish() -> None:
+            check_served(served)
+            l1.flush()
             state.flush()
             memory.flush()
             traffic.external[TrafficClass.TEXTURE] = Bytes(texture_bytes)

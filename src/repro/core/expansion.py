@@ -120,18 +120,36 @@ def _segment_take(
 def _first_touch(rows: np.ndarray) -> np.ndarray:
     """Mask of each row's first occurrences, as a first-touch dedup keeps.
 
-    A stable sort ranks equal values by position, so the first of each
-    run of equal values in sorted order is the earliest in the row.
+    Each value is packed with its flat position into one int64 (value
+    above, position below), so one plain sort per row ranks equal values
+    by position, and the first of each run of equal values in sorted
+    order is the earliest in the row; the positions then scatter the
+    mask back in one flat assignment.  Values spread too wide to pack
+    take a stable argsort, as
+    :func:`~repro.texture.batch._stable_key_order` does.
     """
-    if rows.shape[1] <= 1:
+    count, width = rows.shape
+    if width <= 1:
         return np.ones(rows.shape, dtype=bool)
-    order = np.argsort(rows, axis=1, kind="stable")
-    ranked = np.take_along_axis(rows, order, axis=1)
+    total = count * width
+    shift = (total - 1).bit_length()
+    low = int(rows.min())
+    if (int(rows.max()) - low) >> (62 - shift):
+        order = np.argsort(rows, axis=1, kind="stable")
+        ranked = np.take_along_axis(rows, order, axis=1)
+        position = order + np.arange(0, total, width)[:, None]
+    else:
+        packed = np.sort(
+            ((rows - low) << shift) | np.arange(total).reshape(rows.shape),
+            axis=1,
+        )
+        ranked = packed >> shift
+        position = packed & ((1 << shift) - 1)
     first = np.ones(rows.shape, dtype=bool)
-    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    mask = np.empty(rows.shape, dtype=bool)
-    np.put_along_axis(mask, order, first, axis=1)
-    return mask
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    mask = np.empty(total, dtype=bool)
+    mask[position.ravel()] = first.ravel()
+    return mask.reshape(rows.shape)
 
 
 @dataclass(frozen=True, eq=False)

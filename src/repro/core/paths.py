@@ -23,7 +23,8 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.texunit import TextureUnit, TextureUnitActivity
 from repro.memory.traffic import TrafficMeter
 from repro.sim.resources import BandwidthServer, RequestQueue
-from repro.texture.cache import TextureCache
+from repro.texture.batch import _later_recalculations, _stable_key_order
+from repro.texture.cache import TextureCache, _Line
 from repro.units import Cycles, Ops
 
 
@@ -246,52 +247,330 @@ def check_frame(texel_counts: np.ndarray, *addresses: np.ndarray) -> None:
             raise ValueError("negative address")
 
 
+L1_HIT, L1_FILL, L1_ANGLE_MISS = 0, 1, 2
+""":class:`L1Replay`'s outcome codes, ``TextureCache.lookup``'s results:
+a hit, a miss (which fills the line) and a tag hit whose angle tag is
+stale (which refreshes it)."""
+
+
 class GpuReplayColumns:
     """Per-trace columns for a replay session that inlines the GPU side.
 
     Request ``i`` puts ``texels[i]`` texels through its cluster's texture
     unit (one address op and one filter op each) and probes the caches
-    for ``lines[offsets[i]:offsets[i + 1]]``.  Every column is a pure
-    function of those arrays and the cache geometry, computed as a
-    whole-trace numpy expression and materialised as a python list (the
-    scheduler indexes them one scalar at a time, where list indexing
-    beats ndarray item access).  The cache set/tag columns replicate
-    ``TextureCache._locate``: int64 floor division and modulus agree
-    exactly with python ints for non-negative addresses, which
-    :func:`check_frame` ensures once per frame.
-
-    The per-line columns are computed once per distinct line and share
-    one python int per distinct value: a trace touches few distinct
+    for ``lines[offsets[i]:offsets[i + 1]]``; ``requests[k]`` is row
+    ``k``'s request.  :class:`L1Replay` reads ``lines`` whole when a
+    session opens.  The rows that miss L1 then probe the L2 inline, one
+    scalar at a time, where list indexing beats ndarray item access:
+    :meth:`missed` gives each request's such rows, and a session takes
+    their ``l2_set``, ``l2_tag`` and ``addresses`` as python lists.
+    Those three replicate ``TextureCache._locate`` (int64 floor division
+    and modulus agree exactly with python ints for non-negative
+    addresses, which :func:`check_frame` ensures once per frame) and are
+    object arrays of python ints, computed once per distinct line and
+    sharing one int per distinct value: a trace touches few distinct
     lines many times (doom3-640x480's 38,312 parents sit in 858 lines),
     so the lists cost little more than their pointers.
     """
 
-    __slots__ = (
-        "texels", "offsets", "lines", "l1_set", "l1_tag", "l2_set",
-        "l2_tag", "l1_assoc", "l2_assoc",
-    )
+    __slots__ = ("texels", "offsets", "lines", "requests", "addresses",
+                 "l2_set", "l2_tag", "l2_assoc")
 
     def __init__(self, gpu: GPUConfig, texels: np.ndarray,
                  offsets: np.ndarray, lines: np.ndarray) -> None:
         check_frame(texels, lines)
         self.texels = texels.tolist()
-        self.offsets = offsets.tolist()
+        self.offsets = offsets
+        self.lines = lines
+        self.requests = np.repeat(
+            np.arange(len(texels), dtype=np.int32), np.diff(offsets)
+        )
         distinct, inverse = np.unique(lines, return_inverse=True)
 
-        def per_line(values: np.ndarray) -> List[int]:
-            return values.astype(object)[inverse].tolist()
+        def per_line(values: np.ndarray) -> np.ndarray:
+            return values.astype(object)[inverse]
 
-        self.lines = per_line(distinct)
-        l1, l2 = gpu.l1_cache, gpu.l2_cache
-        l1_lines = distinct // l1.line_bytes
+        self.addresses = per_line(distinct)
+        l2 = gpu.l2_cache
         l2_lines = distinct // l2.line_bytes
-        l1_sets, l2_sets = l1.num_sets, l2.num_sets
-        self.l1_set = per_line(l1_lines % l1_sets)
-        self.l1_tag = per_line(l1_lines // l1_sets)
-        self.l2_set = per_line(l2_lines % l2_sets)
-        self.l2_tag = per_line(l2_lines // l2_sets)
-        self.l1_assoc = l1.associativity
+        self.l2_set = per_line(l2_lines % l2.num_sets)
+        self.l2_tag = per_line(l2_lines // l2.num_sets)
         self.l2_assoc = l2.associativity
+
+    def missed(self, outcomes: np.ndarray) -> Tuple[List[int], np.ndarray]:
+        """Each request's offsets into the rows whose L1 outcome is not
+        a hit, and those rows, in row order."""
+        rows = np.flatnonzero(outcomes != L1_HIT)
+        return np.searchsorted(rows, self.offsets).tolist(), rows
+
+
+def check_served(served: bytearray) -> None:
+    """Refuse a replay that did not serve every request exactly once.
+
+    A session counts each request it serves in ``served``, one byte per
+    request.  Its L1 outcomes were decided for every request, each
+    cluster's in index order, so a replay that skipped or repeated one
+    would write back caches that no service order produces.
+    """
+    if served.count(1) != len(served):
+        raise RuntimeError("a replay session must serve every request once")
+
+
+class L1Replay:
+    """The per-cluster L1s' replay form: every probe of one replay,
+    decided in array passes when its session opens.
+
+    A cluster's L1 sees only that cluster's probes, in the order the
+    cluster serves its requests, so no outcome depends on timing.
+    ``clusters[k]`` indexes the cache in ``caches`` that probe ``k``
+    reads and ``lines[k]`` is its byte address; each cluster's probes
+    are given in its service order.  ``angles[k]`` is the probe's angle
+    tag, quantised as the cache stores it, or NaN where the probe
+    carries none; without ``angles`` no probe does.
+
+    Each (cluster, set) stream is prefixed with that set's contents,
+    oldest first: an empty set that met those lines in that order would
+    hold them so, and the cold-fill log counts the prefix as filled
+    before.  LRU fills on every miss, so a set holds the most recently
+    used lines, at most ``associativity``.  A probe therefore hits iff
+    its line was seen before in the stream and fewer than
+    ``associativity`` distinct lines came between: the LRU stack
+    distance, decided in windowed rounds (:func:`_lru_hits`).  A miss is
+    a cold fill iff fewer than ``associativity`` distinct lines came
+    before it, and the final contents are each stream's last
+    ``associativity`` distinct lines, by last use.
+
+    An angle tag changes only at a fill or a stale hit, and each keeps
+    the line resident, so a line's *residency* -- a fill (or a prefix
+    entry) and the hits that follow it -- is one chain: a tagged hit is
+    stale iff the tag stored at the residency's last fill or stale hit
+    differs from its own by more than ``threshold``, or the stored tag
+    is None (NaN, which no comparison keeps).  That is the rule
+    :func:`~repro.texture.batch.reuse_producers` decides, and the same
+    kernel decides it here.  Every comparison narrows ``(below, above)``
+    as the sessions' inline L2 comparisons do.
+
+    ``outcomes[k]`` is probe ``k``'s outcome code and
+    ``counts[code][c]`` counts cache ``c``'s probes with that outcome;
+    :meth:`flush` writes the counters, contents, angle tags and
+    cold-fill logs back to the live caches.
+    """
+
+    __slots__ = ("outcomes", "counts", "below", "above", "_caches",
+                 "_contents", "_cold_fills")
+
+    def __init__(self, caches: Sequence[TextureCache], clusters: np.ndarray,
+                 lines: np.ndarray, angles: Optional[np.ndarray] = None,
+                 threshold: float = 0.0) -> None:
+        self._caches = caches
+        self.below, self.above = 0.0, math.inf
+        count, num_caches = len(lines), len(caches)
+        self.outcomes = np.zeros(count, dtype=np.int8)
+        self.counts = np.zeros((3, num_caches), dtype=np.int64)
+        self._contents: List[Tuple[int, int, List[int], Any]] = []
+        self._cold_fills: List[Tuple[int, int, List[int], Any]] = []
+        if count == 0:
+            return
+        config = caches[0].config
+        num_sets, ways = config.num_sets, config.associativity
+        line_index = lines // config.line_bytes
+        streams = clusters * num_sets + line_index % num_sets
+        tags = line_index // num_sets
+        del line_index
+
+        # Prefix every touched stream with its set's contents, oldest first.
+        prefix_streams: List[int] = []
+        prefix_tags: List[int] = []
+        prefix_angles: List[float] = []
+        touched = np.bincount(streams, minlength=num_caches * num_sets)
+        for stream in np.flatnonzero(touched).tolist():
+            cluster, set_index = divmod(stream, num_sets)
+            resident = caches[cluster]._sets.get(set_index)
+            if resident:
+                prefix_streams += [stream] * len(resident)
+                prefix_tags += resident
+                if angles is not None:
+                    prefix_angles += [
+                        math.nan if line.angle is None else line.angle
+                        for line in resident.values()
+                    ]
+        prefix = len(prefix_tags)
+        total = prefix + count
+        # Stream positions: each stream's prefix, then its probes in order.
+        stream = np.concatenate(
+            [np.array(prefix_streams, dtype=np.int64), streams]
+        )
+        order = _stable_key_order(stream).astype(np.int32)
+        stream = stream[order]
+        tag = np.concatenate([np.array(prefix_tags, dtype=np.int64), tags])
+        tag = tag[order]
+        del streams, tags, touched
+
+        # Each position's previous and next use of its line in its stream.
+        low = int(tag.min())
+        span = int(tag.max()) - low + 1
+        if (num_caches * num_sets * span) >> 62:
+            by_line = np.lexsort((tag, stream))
+            ranked = np.stack([stream[by_line], tag[by_line]])
+            same = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).all(axis=0))
+        else:
+            key = stream * span + (tag - low)
+            by_line = _stable_key_order(key).astype(np.int32)
+            ranked = key[by_line]
+            same = np.flatnonzero(ranked[1:] == ranked[:-1])
+            del key
+        del ranked
+        earlier, later = by_line[same], by_line[same + 1]
+        previous = np.full(total, -1, dtype=np.int32)
+        previous[later] = earlier
+        following = np.full(total, total, dtype=np.int32)
+        following[earlier] = later
+        del same, earlier, later
+
+        hit = _lru_hits(previous, following, ways)
+        # Cold fills: first uses that found a free way.
+        firsts = np.flatnonzero(previous < 0)
+        first_streams = stream[firsts]
+        rank = np.arange(len(firsts)) - np.searchsorted(first_streams,
+                                                        first_streams)
+        cold = firsts[(rank < ways) & (order[firsts] >= prefix)]
+        # Final contents: each stream's last ``ways`` lines, by last use.
+        last = np.flatnonzero(following == total)
+        last_streams = stream[last]
+        rank = np.searchsorted(last_streams, last_streams, side="right")
+        resident = last[rank - np.arange(len(last)) <= ways]
+        del previous, following, firsts, first_streams, last, last_streams, rank
+
+        outcome = np.where(hit, L1_HIT, L1_FILL).astype(np.int8)
+        stored = None
+        if angles is not None:
+            angle = np.concatenate(
+                [np.array(prefix_angles, dtype=np.float64), angles]
+            )[order]
+            self._decide_angles(by_line, hit, angle, threshold, outcome)
+            stored = angle[resident]
+            del angle
+        del by_line, hit
+
+        where = np.empty(total, dtype=np.int32)
+        where[order] = np.arange(total, dtype=np.int32)
+        self.outcomes = outcome[where[prefix:]]
+        del where, order, outcome
+        self.counts = np.bincount(
+            clusters * 3 + self.outcomes, minlength=3 * num_caches
+        ).reshape(num_caches, 3).T
+        self._cold_fills = _per_stream(stream[cold], tag[cold], None, num_sets)
+        self._contents = _per_stream(stream[resident], tag[resident], stored,
+                                     num_sets)
+
+    def _decide_angles(self, by_line: np.ndarray, hit: np.ndarray,
+                       angle: np.ndarray, threshold: float,
+                       outcome: np.ndarray) -> None:
+        """Mark the stale hits in ``outcome``, narrow the interval, and
+        leave in ``angle`` each position's stored tag after its use."""
+        # A residency's lookups: its fill (or prefix entry), then its
+        # tagged hits; untagged hits compare nothing and store nothing.
+        looks = ~hit[by_line] | ~np.isnan(angle[by_line])
+        lookups = by_line[looks]
+        opens = ~hit[lookups]
+        recalculated = opens.copy()
+        chain = angle[lookups]
+        _later_recalculations(chain, recalculated, threshold)
+        outcome[lookups[recalculated & ~opens]] = L1_ANGLE_MISS
+        latest = np.maximum.accumulate(
+            np.where(recalculated, np.arange(len(lookups)), 0)
+        )
+        inner = np.flatnonzero(~opens)
+        difference = np.abs(chain[latest[inner - 1]] - chain[inner])
+        exceeded = recalculated[inner]
+        within = difference[~exceeded]
+        if len(within):
+            self.below = float(within.max())
+        compared = difference[exceeded]
+        compared = compared[~np.isnan(compared)]
+        if len(compared):
+            self.above = float(compared.min())
+        # A line's group opens with a lookup, so each use's latest
+        # lookup so far is in its group.
+        angle[by_line] = chain[latest[np.cumsum(looks) - 1]]
+
+    def flush(self) -> None:
+        """Write the replay's counters, contents and cold fills back."""
+        caches = self._caches
+        hits, misses, angle_misses = self.counts.tolist()
+        for index, cache in enumerate(caches):
+            cache.hits += hits[index]
+            cache.misses += misses[index]
+            cache.angle_misses += angle_misses[index]
+        for cluster, set_index, tags, stored in self._contents:
+            cache_set = caches[cluster]._sets[set_index] = OrderedDict()
+            if stored is None:
+                for tag in tags:
+                    cache_set[tag] = _Line(tag)
+            else:
+                for tag, angle in zip(tags, stored):
+                    cache_set[tag] = _Line(tag, angle)
+        for cluster, set_index, tags, _ in self._cold_fills:
+            caches[cluster]._cold_fills.setdefault(set_index, []).extend(tags)
+
+
+def _lru_hits(previous: np.ndarray, following: np.ndarray,
+              ways: int) -> np.ndarray:
+    """Which positions hit an LRU set of ``ways`` lines.
+
+    Positions are laid out stream by stream; ``previous[j]`` is the last
+    earlier position of ``j``'s line in its stream (-1 for none) and
+    ``following[j]`` the next later one (the length for none).  ``j``
+    hits iff fewer than ``ways`` distinct lines were used strictly
+    between ``previous[j]`` and ``j``: the positions ``k`` there whose
+    ``following[k]`` lies beyond ``j``.  A gap shorter than ``ways``
+    hits outright.  Each round, every undecided position counts the
+    next ``ways`` positions back, and is decided once it has counted
+    ``ways`` lines (a miss) or passed its previous use (a hit).
+    """
+    position = np.arange(len(previous), dtype=np.int32)
+    reused = previous >= 0
+    gap = position - previous
+    hit = reused & (gap <= ways)
+    pending = np.flatnonzero(reused & (gap > ways)).astype(np.int32)
+    del position, reused, gap
+    steps = np.arange(1, ways + 1, dtype=np.int32)
+    floor = previous[pending]
+    end = pending
+    distinct = np.zeros(len(pending), dtype=np.int32)
+    while len(pending):
+        window = end[:, None] - steps
+        counted = following[np.maximum(window, 0)] > pending[:, None]
+        counted &= window > floor[:, None]
+        distinct += counted.sum(axis=1, dtype=np.int32)
+        del window, counted
+        evicted = distinct >= ways
+        scanned = end - ways <= floor + 1
+        hit[pending[scanned & ~evicted]] = True
+        open_ = ~(evicted | scanned)
+        pending, floor, distinct = pending[open_], floor[open_], distinct[open_]
+        end = end[open_] - ways
+    return hit
+
+
+def _per_stream(
+    stream: np.ndarray, tags: np.ndarray, angles: Optional[np.ndarray],
+    num_sets: int,
+) -> List[Tuple[int, int, List[int], Any]]:
+    """``(cluster, set, tags, angles)`` per run of one stream in
+    ``stream``, the angles as a list with None for NaN, or None."""
+    begins = np.flatnonzero(np.diff(stream, prepend=-1)).tolist()
+    tag_list = tags.tolist()
+    if angles is not None:
+        stored = angles.astype(object)
+        stored[np.isnan(angles)] = None
+        angle_list = stored.tolist()
+    runs = []
+    for start, end in zip(begins, begins[1:] + [len(tag_list)]):
+        cluster, set_index = divmod(int(stream[start]), num_sets)
+        runs.append((cluster, set_index, tag_list[start:end],
+                     None if angles is None else angle_list[start:end]))
+    return runs
 
 
 def _set_tables(cache: TextureCache) -> Tuple[List[OrderedDict], List[List[int]]]:
@@ -403,42 +682,13 @@ class UnitReplayState:
             filter_stage.total_ops = Ops(filter_stage.total_ops + filt_ops)
 
 
-class GpuReplayState(UnitReplayState):
-    """The GPU side's mutable state, unpacked for an inlined replay session.
-
-    The per-cluster texture units (:class:`UnitReplayState`, the unit
-    half), plus each cluster's L1 hit, miss and angle-miss counters and
-    :func:`_set_tables`, and the shared L2's set tables.  The L2's
-    counters are plain ints, which each session keeps and flushes
-    itself.
-    """
-
-    def __init__(self, units: Sequence[TextureUnit], caches: CacheHierarchy) -> None:
-        super().__init__(units)
-        self.caches = caches
-        self.l1_hits = [cache.hits for cache in caches.l1]
-        self.l1_misses = [cache.misses for cache in caches.l1]
-        self.l1_angle_misses = [cache.angle_misses for cache in caches.l1]
-        l1_tables = [_set_tables(cache) for cache in caches.l1]
-        self.l1_sets = [sets for sets, _ in l1_tables]
-        self.l1_fills = [fills for _, fills in l1_tables]
-        self.l2_sets, self.l2_fills = _set_tables(caches.l2)
-
-    def flush(self) -> None:
-        """Write the session's per-cluster state back to the live objects."""
-        super().flush()
-        for cluster, l1 in enumerate(self.caches.l1):
-            l1.hits = self.l1_hits[cluster]
-            l1.misses = self.l1_misses[cluster]
-            l1.angle_misses = self.l1_angle_misses[cluster]
-
-
 class ReplaySession:
     """One replay's serving context, opened by :meth:`TexturePath.begin_replay`.
 
-    The scheduler calls :meth:`serve_one` once per request, in service
-    order, and :meth:`finish` once at drain time, before any counter is
-    read.  Each design's session reads the frame's
+    The scheduler calls :meth:`serve_one` once per request, serving each
+    cluster's requests in index order, and :meth:`finish` once at drain
+    time, before any counter is read; ``finish`` refuses a replay that
+    did not serve every request once (:func:`check_served`).  Each design's session reads the frame's
     :class:`~repro.core.expansion.ExpandedFrame` arrays by request index;
     its arithmetic must stay bit-identical to the design's scalar
     reference in ``tests/reference.py``, which the replay parity tests
@@ -502,14 +752,18 @@ class TexturePath(abc.ABC):
         self._column_cache = None
 
     @abc.abstractmethod
-    def begin_replay(self, frame: ExpandedFrame) -> ReplaySession:
+    def begin_replay(self, frame: ExpandedFrame,
+                     clusters: np.ndarray) -> ReplaySession:
         """Open a serving session for one replay of ``frame``.
 
+        ``clusters[i]`` is the shader cluster that issues request ``i``.
         The scheduler serves every request of a replay through one
-        session, letting path implementations precompute per-request
-        columns (texel counts, line slices, cache set/tag address math)
-        from the frame's arrays and keep the state they serve -- units,
-        caches, queues, merge windows and the memory -- in locals until
+        session, once each and each cluster's in index order, letting
+        path implementations decide every L1 probe up front
+        (:class:`L1Replay`), precompute per-request columns (texel
+        counts, line slices, cache set/tag address math) from the
+        frame's arrays, and keep the state they serve -- units, caches,
+        queues, merge windows and the memory -- in locals until
         :meth:`ReplaySession.finish`.
         """
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.core.designs import Design, DesignConfig
 from repro.core.expansion import ExpandedFrame
 from repro.core.paths import (
@@ -28,6 +30,7 @@ from repro.core.paths import (
     TexturePath,
     UnitReplayState,
     check_frame,
+    check_served,
 )
 from repro.gpu.config import MTU_TEXTURE_UNIT
 from repro.gpu.texunit import TextureUnit
@@ -74,7 +77,8 @@ class StfimPath(TexturePath):
             ReadMergeWindow(READ_MERGE_WINDOW_LINES) for _ in range(num_mtus)
         ]
 
-    def begin_replay(self, frame: ExpandedFrame) -> ReplaySession:
+    def begin_replay(self, frame: ExpandedFrame,
+                     clusters: np.ndarray) -> ReplaySession:
         return _StfimReplaySession(self, frame)
 
     def activity(self) -> PathActivity:
@@ -158,6 +162,7 @@ class _StfimReplaySession(ReplaySession):
         line_bytes = packets.cache_line_bytes
         require_positive_sizes(request_bytes, response_bytes, line_bytes)
         share = path.config.mtu_share
+        served = bytearray(len(texels))
 
         units = UnitReplayState(path.mtus)
         requests = units.requests
@@ -182,6 +187,7 @@ class _StfimReplaySession(ReplaySession):
 
         def serve_one(cluster: int, issue: float, index: int) -> float:
             nonlocal external_bytes
+            served[index] += 1
             mtu = cluster // share
             requests[mtu] += 1
             admitted = enqueue(mtu, issue)
@@ -199,6 +205,7 @@ class _StfimReplaySession(ReplaySession):
             return send_response(filtered, response_bytes)
 
         def finish() -> None:
+            check_served(served)
             units.flush()
             queues.flush()
             windows.flush()

@@ -20,6 +20,7 @@ result -- falls out of the same replay.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import List, Sequence, Union
 
@@ -181,11 +182,12 @@ class GpuPipeline:
 
     def _partition(
         self, trace: FragmentTrace
-    ) -> tuple[List[List[int]], List[int]]:
+    ) -> tuple[np.ndarray, List[List[int]], List[int]]:
         """Split the request stream per cluster, preserving order.
 
-        Returns per-cluster lists of request *indices* (into the trace
-        and its expansion) plus per-cluster fragment counts.
+        Returns each request's cluster (:meth:`assign_clusters`), the
+        per-cluster lists of request *indices* (into the trace and its
+        expansion) and the per-cluster fragment counts.
 
         Memoised on the trace's identity: the replays of one frame (its
         cold replay and, where it needs one, the replay from the warm
@@ -196,16 +198,16 @@ class GpuPipeline:
         if cached is not None and cached[0] is trace:
             return cached[1]
         config = self.config
-        assignments = self.assign_clusters(trace).tolist()
+        clusters = self.assign_clusters(trace)
         per_cluster: List[List[int]] = [
             [] for _ in range(config.num_clusters)
         ]
-        for request_index, cluster in enumerate(assignments):
+        for request_index, cluster in enumerate(clusters.tolist()):
             per_cluster[cluster].append(request_index)
         fragments_per_cluster = [
             len(stream) for stream in per_cluster
         ]
-        result = (per_cluster, fragments_per_cluster)
+        result = (clusters, per_cluster, fragments_per_cluster)
         self._partition_cache = (trace, result)
         return result
 
@@ -222,122 +224,70 @@ class GpuPipeline:
         completed (finite latency-hiding depth).  Returns the texture
         makespan, the latency histogram, and per-cluster fragment counts.
 
-        Event-ordered: each round serves, in ascending cluster order,
-        every cluster whose next request issues earliest, so shared
-        resources (L2 port, links, memory channels) observe arrivals in
-        simulated-time order.  Serving cluster ``c`` mutates only ``c``'s
-        own clock and inflight window, so a round's ready set is fixed
-        the moment its time becomes the minimum, and the service
-        sequence is exactly that of a one-event-at-a-time heap popping
-        equal times in ascending cluster order (the reference scheduler
-        in ``tests/reference.py``).
+        Event-ordered, from a heap of ``(issue, cluster)`` entries, one
+        per cluster with requests left: each step serves the cluster
+        whose next request issues earliest, ties in ascending cluster
+        order, so shared resources (L2 port, links, memory channels)
+        observe arrivals in simulated-time order.  Serving a cluster
+        changes only its own clock and inflight window, so its entry is
+        never stale, and the service sequence is exactly that of the
+        reference scheduler in ``tests/reference.py``.
 
         Requests are served through the session that
-        :meth:`TexturePath.begin_replay` opens on the frame's arrays.  The
-        latency histogram and makespan are reduced at drain time from the
-        event-ordered completion log: ``observe_batch``'s cumsum-based
-        fold is bit-identical to per-event ``observe``, and float max is
-        order-independent.  The scheduler state stays in python lists:
-        rounds are singletons in steady state (cluster clocks drift apart
-        after the first few cycles), so numpy state arrays per round
-        cost more than they save.
+        :meth:`TexturePath.begin_replay` opens on the frame's arrays and
+        the request-to-cluster assignment: each cluster's requests once
+        each, in index order.  The latency histogram and makespan are
+        reduced at drain time from the event-ordered issue and
+        completion logs: ``observe_batch``'s cumsum-based fold is
+        bit-identical to per-event ``observe``, and float max is
+        order-independent.
         """
         if len(expanded) != len(trace):
             raise ValueError("expansion does not match the trace")
         frame = self._frame_for(expanded)
         config = self.config
-        num_clusters = config.num_clusters
         histogram = LatencyHistogram("texture_latency")
         depth = config.max_inflight_texture_requests
-        per_cluster, fragments_per_cluster = self._partition(trace)
-
-        lengths = [len(stream) for stream in per_cluster]
-        remaining = sum(lengths)
-        if remaining == 0:
+        clusters, per_cluster, fragments_per_cluster = self._partition(trace)
+        if not len(trace):
             return 0.0, histogram, fragments_per_cluster
 
-        session = path.begin_replay(frame)
+        session = path.begin_replay(frame, clusters)
         serve_one = session.serve_one
-        infinity = float("inf")
-        cursor = [0] * num_clusters
-        inflight: List[List[float]] = [[] for _ in range(num_clusters)]
-        # ready_at[c] is always fresh (recomputed after each serve), so
-        # no stale-entry revalidation is needed: the reference heap's
-        # re-pushed entries resolve to these same fresh values -- and
-        # the per-cluster clock (issue + 1) folds into ready_at too.
-        ready_at = [
-            0.0 if lengths[cluster] else infinity
-            for cluster in range(num_clusters)
+        # Each cluster's completions so far: the gate of its request at
+        # position p is the completion at position p - depth.
+        completed: List[List[float]] = [[] for _ in per_cluster]
+        heap = [
+            (0.0, cluster)
+            for cluster, stream in enumerate(per_cluster) if stream
         ]
+        issue_log: List[float] = []
         completion_log: List[float] = []
-        round_times: List[float] = []
-        round_sizes: List[int] = []
-
-        while remaining:
-            now = min(ready_at)
-            if ready_at.count(now) == 1:
-                # Steady-state fast path: cluster clocks drift apart
-                # after the first few cycles, so nearly every round
-                # serves exactly one cluster.
-                cluster = ready_at.index(now)
-                position = cursor[cluster]
-                completion = serve_one(
-                    cluster, now, per_cluster[cluster][position]
-                )
-                completion_log.append(completion)
-                round_times.append(now)
-                round_sizes.append(1)
-                window = inflight[cluster]
-                window.append(completion)
-                if len(window) > depth:
-                    del window[0]
-                position += 1
-                cursor[cluster] = position
+        log_issue, log_completion = issue_log.append, completion_log.append
+        replace, pop = heapq.heapreplace, heapq.heappop
+        while heap:
+            now, cluster = heap[0]
+            done = completed[cluster]
+            stream = per_cluster[cluster]
+            position = len(done)
+            completion = serve_one(cluster, now, stream[position])
+            log_issue(now)
+            log_completion(completion)
+            done.append(completion)
+            position += 1
+            if position < len(stream):
                 next_time = now + 1.0
-                if position < lengths[cluster]:
-                    gate = window[-depth] if len(window) >= depth else 0.0
-                    ready_at[cluster] = (
-                        gate if gate > next_time else next_time
-                    )
-                else:
-                    ready_at[cluster] = infinity
-                remaining -= 1
-                continue
-            ready = [
-                cluster
-                for cluster in range(num_clusters)
-                if ready_at[cluster] == now
-            ]
-            round_times.append(now)
-            round_sizes.append(len(ready))
-            next_time = now + 1.0
-            for cluster in ready:
-                completion = serve_one(
-                    cluster, now, per_cluster[cluster][cursor[cluster]]
-                )
-                completion_log.append(completion)
-                window = inflight[cluster]
-                window.append(completion)
-                if len(window) > depth:
-                    del window[0]
-                position = cursor[cluster] + 1
-                cursor[cluster] = position
-                if position < lengths[cluster]:
-                    gate = window[-depth] if len(window) >= depth else 0.0
-                    ready_at[cluster] = (
-                        gate if gate > next_time else next_time
-                    )
-                else:
-                    ready_at[cluster] = infinity
-            remaining -= len(ready)
+                if position >= depth:
+                    gate = done[position - depth]
+                    if gate > next_time:
+                        next_time = gate
+                replace(heap, (next_time, cluster))
+            else:
+                pop(heap)
 
         session.finish()
         completions = np.asarray(completion_log, dtype=np.float64)
-        issues = np.repeat(
-            np.asarray(round_times, dtype=np.float64),
-            np.asarray(round_sizes, dtype=np.int64),
-        )
-        latencies = completions - issues
+        latencies = completions - np.asarray(issue_log, dtype=np.float64)
         if bool(np.any(latencies < 0)):
             raise RuntimeError("texture path completed before issue")
         histogram.observe_batch(latencies)

@@ -94,8 +94,11 @@ class TexelAddressMap:
         """:meth:`texel_line` over int64 arrays that broadcast together.
 
         Integer arithmetic only, so every element equals the scalar
-        method's result: numpy's ``%`` and ``//`` by a positive divisor
-        floor exactly as Python's do, including for negative coordinates.
+        method's result.  Mip sizes and the tile are powers of two
+        (``Texture`` and ``__post_init__`` refuse others, and each level
+        halves the last), so the wrap ``x % width`` is the mask
+        ``x & (width - 1)`` in two's complement, negative coordinates
+        included, and the tile's ``//`` and ``%`` are shifts and masks.
         """
         if line_bytes <= 0:
             raise ValueError("line size must be positive")
@@ -106,13 +109,14 @@ class TexelAddressMap:
         byte_offset = np.array(
             [mip.byte_offset for mip in mips], dtype=np.int64
         )[clamped]
-        x = xs % width
-        y = ys % height
+        x = xs & (width - 1)
+        y = ys & (height - 1)
         tile = self.tile_size
+        shift = tile.bit_length() - 1
         tiled = (
-            ((y // tile) * (width // tile) + x // tile) * (tile * tile)
-            + (y % tile) * tile
-            + x % tile
+            (((y >> shift) * (width >> shift) + (x >> shift)) << (2 * shift))
+            + ((y & (tile - 1)) << shift)
+            + (x & (tile - 1))
         )
         linear = np.where(width < tile, y * width + x, tiled)
         base = self.texture_region(chain.texture.texture_id)

@@ -39,7 +39,8 @@ class Texture:
         ):
             raise ValueError("texture dimensions must be powers of two")
         self.data = np.asarray(self.data, dtype=np.float64)
-        if np.any(self.data < 0.0) or np.any(self.data > 1.0):
+        # Written so that NaN fails: every comparison with NaN is false.
+        if not ((self.data >= 0.0) & (self.data <= 1.0)).all():
             raise ValueError("texel values must lie in [0, 1]")
 
     @property

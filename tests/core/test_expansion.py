@@ -16,6 +16,7 @@ from repro.core.expansion import (
     ExpandedRequest,
     ParentTexel,
     RequestExpander,
+    _first_touch,
 )
 from repro.experiments.runner import FAST_WORKLOADS
 from repro.render.scene import Scene
@@ -152,6 +153,19 @@ def fast_trace(request):
     camera = walk_forward(4.0)(built.camera).cameras(built.camera, 3)[1]
     renderer = workload.make_renderer()
     return built.scene, renderer.trace_only(built.scene, camera).trace
+
+
+class TestFirstTouch:
+    @pytest.mark.parametrize("spread", (1 << 8, 1 << 60),
+                             ids=("packed", "too-wide-to-pack"))
+    def test_marks_each_rows_first_occurrences(self, spread):
+        rng = np.random.default_rng(3)
+        values = rng.integers(0, 5, size=(50, 12)) * (spread // 8)
+        expected = [
+            [value not in row[:column] for column, value in enumerate(row)]
+            for row in values.tolist()
+        ]
+        assert _first_touch(values).tolist() == expected
 
 
 class TestExpandFrame:

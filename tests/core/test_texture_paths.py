@@ -51,7 +51,8 @@ def expand(scene, u=20.0, v=20.0, probes=4, lod=1.5, angle=0.4):
 def serve(path, cluster, issue, expanded):
     """Serve one request as the replay scheduler does: open a session on
     a one-request frame, serve it, flush the session's counters."""
-    session = path.begin_replay(ExpandedFrame.from_requests([expanded]))
+    session = path.begin_replay(ExpandedFrame.from_requests([expanded]),
+                                np.array([cluster]))
     completion = session.serve_one(cluster, issue, 0)
     session.finish()
     return completion
@@ -300,7 +301,8 @@ class TestRepeatedProbes:
         """Serve every request on cluster 0, 100 cycles apart, through
         the production session or the reference; observe the path."""
         path = AtfimPath(self.config, TrafficMeter())
-        session = path.begin_replay(frame) if production else None
+        session = (path.begin_replay(frame, np.zeros(len(frame), dtype=int))
+                   if production else None)
         for index in range(len(frame)):
             if production:
                 session.serve_one(0, index * 100.0, index)
@@ -379,7 +381,8 @@ class TestThresholdInterval:
         for index in range(passes):
             if index:
                 path.reset_for_measurement()
-            session = path.begin_replay(frame)
+            session = path.begin_replay(frame,
+                                        np.zeros(len(frame), dtype=int))
             for request in range(len(frame)):
                 session.serve_one(0, request * 100.0, request)
             session.finish()

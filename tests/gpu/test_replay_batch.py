@@ -1,7 +1,7 @@
 """Bit-identity of the replay scheduler against the scalar reference.
 
-``GpuPipeline.replay_texture_stream`` serves every request ready at one
-timestamp through the design's replay session; the one-event-at-a-time
+``GpuPipeline.replay_texture_stream`` serves every request, in event
+order, through the design's replay session; the one-event-at-a-time
 heap scheduler of ``tests/reference.py``, serving each request through
 the design's scalar ``serve``, is the reference.  The contract is exact
 equality -- not approximate -- across every observable the replay
@@ -15,7 +15,8 @@ texture units (:func:`resource_state`): every bandwidth server's clock
 and totals, every DRAM bank's open row, clock and counters, per-vault
 access counts, request queues, read-merge windows, stage clocks and
 both traffic dicts, plus every cache's cold-fill log
-(:func:`cold_fills`).  Every replay of a sequence is observed, so the
+(:func:`cold_fills`) and every cache set's lines in LRU order with their
+angle tags (:func:`cache_contents`).  Every replay of a sequence is observed, so the
 warm-up's state is held to it as well as the measured replay's.
 A-TFIM is also held to it across camera-angle thresholds with Child
 Texel Consolidation on and off, S-TFIM with two and four clusters per
@@ -30,11 +31,12 @@ held to the same replay too.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import Design, stfim
 from repro.core.designs import DesignConfig
-from repro.core.expansion import RequestExpander
+from repro.core.expansion import ExpandedFrame, RequestExpander
 from repro.core.frontend import make_texture_path
 from repro.gpu.config import GPUConfig
 from repro.gpu.pipeline import GpuPipeline
@@ -174,6 +176,20 @@ def cold_fills(path):
     ]
 
 
+def cache_contents(path):
+    """Every cache's non-empty sets: their lines in LRU order, oldest
+    first, each with its angle tag.  A session writes these back in
+    ``finish``; the next replay starts from them."""
+    caches = getattr(path, "caches", None)
+    if caches is None:
+        return None
+    return [
+        {index: [(tag, line.angle) for tag, line in lines.items()]
+         for index, lines in cache._sets.items() if lines}
+        for cache in caches.l1 + [caches.l2]
+    ]
+
+
 def observe(path, traffic, makespan, histogram, per_cluster):
     """Every replay observable, collapsed into one comparable dict."""
     activity = path.activity()
@@ -199,6 +215,7 @@ def observe(path, traffic, makespan, histogram, per_cluster):
         "stat_group": dict(path.stat_group().flatten()),
         "resources": resource_state(path, traffic),
         "cold_fills": cold_fills(path),
+        "cache_contents": cache_contents(path),
     }
 
 
@@ -359,11 +376,20 @@ class TestDegenerateStreams:
         assert batched["latency_count"] == count
 
     def test_depth_one_serialises_each_cluster(self, frame):
-        """depth=1 exercises the singleton fast path on every round."""
+        """depth=1 gates every request on its cluster's last completion."""
         expanded = pick_expansions(Design.BASELINE, frame)
         scalar = replay(Design.BASELINE, 1, frame["trace"], expanded, False)
         batched = replay(Design.BASELINE, 1, frame["trace"], expanded, True)
         assert batched == scalar
+
+
+def serve_all(path, expanded):
+    """A session on ``expanded`` that has served every request from
+    cluster 0, in index order."""
+    session = path.begin_replay(expanded, np.zeros(len(expanded), dtype=int))
+    for index in range(len(expanded)):
+        session.serve_one(0, float(index), index)
+    return session
 
 
 class TestSessionContract:
@@ -372,11 +398,12 @@ class TestSessionContract:
         gpu = small_gpu(4)
         for design in (Design.BASELINE, Design.A_TFIM):
             expanded = pick_expansions(design, frame)
+            pair = ExpandedFrame.from_requests([expanded[0], expanded[1]])
             traffic = TrafficMeter()
             path = make_texture_path(
                 DesignConfig(design=design, gpu=gpu), traffic
             )
-            session = path.begin_replay(expanded)
+            session = path.begin_replay(pair, np.array([0, 1]))
             session.serve_one(0, 0.0, 0)
             session.serve_one(1, 0.0, 1)
             before = path.activity()
@@ -392,6 +419,31 @@ class TestSessionContract:
         "design", (Design.BASELINE, Design.S_TFIM, Design.A_TFIM),
         ids=lambda d: d.value,
     )
+    @pytest.mark.parametrize("served", ([0], [0, 1, 1, 2]),
+                             ids=("skipped", "repeated"))
+    def test_finish_refuses_a_replay_that_did_not_serve_every_request_once(
+        self, frame, design, served
+    ):
+        """Each request's L1 outcomes were decided when the session
+        opened, so a replay that skipped or repeated one is refused
+        before anything is written back."""
+        expanded = pick_expansions(design, frame)
+        triple = ExpandedFrame.from_requests([expanded[i] for i in range(3)])
+        path = make_texture_path(
+            DesignConfig(design=design, gpu=small_gpu(4)), TrafficMeter()
+        )
+        session = path.begin_replay(triple, np.zeros(3, dtype=int))
+        for issue, index in enumerate(served):
+            session.serve_one(0, float(issue), index)
+        with pytest.raises(RuntimeError, match="every request once"):
+            session.finish()
+        assert path.activity().gpu_texture.requests == 0
+        assert path.activity().memory_texture.requests == 0
+
+    @pytest.mark.parametrize(
+        "design", (Design.BASELINE, Design.S_TFIM, Design.A_TFIM),
+        ids=lambda d: d.value,
+    )
     def test_columns_handed_to_the_next_replay_only(self, frame, design):
         """A replay leaves its columns for the next replay of the same
         frame, which takes them: afterwards the path holds none."""
@@ -400,9 +452,9 @@ class TestSessionContract:
         path = make_texture_path(
             DesignConfig(design=design, gpu=gpu), TrafficMeter()
         )
-        first = path.begin_replay(expanded)
+        first = serve_all(path, expanded)
         first.finish()
         assert path._column_cache[0] is expanded
-        second = path.begin_replay(expanded)
+        second = serve_all(path, expanded)
         second.finish()
         assert path._column_cache is None

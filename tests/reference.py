@@ -94,7 +94,7 @@ def replay_texture_stream(
     histogram = LatencyHistogram("texture_latency")
     depth = config.max_inflight_texture_requests
     makespan = 0.0
-    per_cluster, fragments_per_cluster = pipeline._partition(trace)
+    _, per_cluster, fragments_per_cluster = pipeline._partition(trace)
 
     # Event-ordered replay: always serve the cluster whose next
     # request issues earliest, so shared resources (L2 port, links,

@@ -96,3 +96,22 @@ class TestTexelAddressMap:
             address_map.texture_region(-1)
         with pytest.raises(ValueError):
             address_map.line_address(0, 0)
+
+    @pytest.mark.parametrize("height, width", [(16, 16), (4, 32), (32, 2)])
+    def test_texel_lines_match_the_scalar_map(self, height, width):
+        """The array form wraps and tiles with shifts and masks; every
+        level, including those narrower than a tile, and negative and
+        far-out coordinates give the scalar method's line."""
+        rng = np.random.default_rng(7)
+        chain = build_mipmaps(Texture(
+            texture_id=3, data=rng.random((height, width, 4))
+        ))
+        address_map = TexelAddressMap()
+        levels = rng.integers(-1, chain.num_levels + 1, size=400)
+        xs = rng.integers(-3 * width, 3 * width, size=400)
+        ys = rng.integers(-3 * height, 3 * height, size=400)
+        lines = address_map.texel_lines(chain, levels, xs, ys)
+        assert lines.tolist() == [
+            address_map.texel_line(chain, level, x, y)
+            for level, x, y in zip(levels.tolist(), xs.tolist(), ys.tolist())
+        ]

@@ -50,3 +50,9 @@ class TestTexture:
         data[0, 0, 0] = 1.5
         with pytest.raises(ValueError):
             Texture(texture_id=0, data=data)
+
+    def test_nan_values_rejected(self):
+        data = make_data()
+        data[3, 2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Texture(texture_id=0, data=data)
