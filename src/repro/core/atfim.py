@@ -172,8 +172,8 @@ class _AtfimColumns:
     row ``k``'s parent row.
 
     ``l1_angle[i]`` and ``l2_angle[i]`` are request ``i``'s camera
-    angle quantised to each cache's ``angle_bits``, as
-    ``TextureCache.lookup`` stores it, or None where its parents carry
+    angle quantised to each cache's ``angle_bits``, as the caches store
+    it, or None where its parents carry
     no angle tag (only anisotropic parents, ``child_counts > 1``, do);
     ``l1_tags[k]`` is kept row ``k``'s L1 tag, NaN for None, as
     :class:`~repro.core.paths.L1Replay` reads it.
@@ -244,8 +244,9 @@ class _AtfimReplaySession(ReplaySession):
 
     * the GPU texture unit's address and filter stages over the
       request's parents (:class:`~repro.core.paths.UnitReplayState`),
-      and the angle-tagged L1 -> L2 classification (``TextureCache.lookup``
-      on each level, with its cold-fill log).  Every kept parent's L1
+      and the angle-tagged L1 -> L2 classification (a
+      :class:`~repro.texture.cache.TextureCache` probe on each level,
+      with its cold-fill log).  Every kept parent's L1
       probe is decided when the session opens
       (:class:`~repro.core.paths.L1Replay`, over :class:`_AtfimColumns`,
       which a frame's cold replay hands to its warm one, if it has one:
@@ -429,8 +430,9 @@ class _AtfimReplaySession(ReplaySession):
             return False
 
         def probe_l2(k: int, angle: Optional[float]) -> CacheAccessResult:
-            """``TextureCache.lookup`` on the L2 for missed row ``k``;
-            ``angle`` is None for an untagged (isotropic) parent."""
+            """The L2's angle-tagged probe for missed row ``k``
+            (:class:`~repro.texture.cache.TextureCache`); ``angle`` is
+            None for an untagged (isotropic) parent."""
             nonlocal l2_hits, l2_misses, l2_angle_misses
             cache_set = l2_table[l2_set_col[k]]
             tag = l2_tag_col[k]

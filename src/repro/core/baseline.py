@@ -106,13 +106,13 @@ class _GpuReplaySession(ReplaySession):
     at the request's address time, which never exceeds its data-ready
     time, and touches nothing else.  The units are a
     :class:`~repro.core.paths.UnitReplayState`, the L2 lookup (with its
-    cold-fill log) and the L2 port are inlined, and a line fill is the
-    replay form of ``Gddr5Memory.read`` (baseline) or
-    ``HybridMemoryCube.external_read`` (B-PIM) from
-    :mod:`repro.memory.replay`.  Every piece of state is seeded from
-    the live objects, folded locally in service order (so float
-    accumulators reproduce the scalar ``+=`` sequence bit for bit), and
-    written back by ``finish``.  That includes the frame's texture
+    cold-fill log) and the L2 port are inlined, and a line fill is a
+    read of :class:`~repro.memory.replay.Gddr5Replay` (baseline) or an
+    external read of :class:`~repro.memory.replay.HmcReplay` (B-PIM).
+    Every piece of state is seeded from the live objects, folded
+    locally in service order (so float accumulators reproduce the
+    scalar ``+=`` sequence bit for bit), and written back by
+    ``finish``.  That includes the frame's texture
     bytes: ``finish`` assigns the meter's texture entry, which is exact
     because nothing else adds texture bytes while a session is open.
     """

@@ -75,10 +75,6 @@ class DesignRun:
     def external_texture_bytes(self) -> Bytes:
         return self.frame.traffic.external_texture
 
-    @property
-    def external_total_bytes(self) -> Bytes:
-        return self.frame.traffic.external_total
-
 
 _expansions: List[Tuple[Scene, FragmentTrace, bool, ExpandedFrame]] = []
 """The expansions of the last call's traces, each with its scene, trace
@@ -121,19 +117,18 @@ def _expand(
         yield expanded
 
 
-_last_run: List[Tuple[Scene, FragmentTrace, bool, DesignRun]] = []
-"""The last run ``simulate_frame`` simulated, with its scene, trace and
-``warmup``."""
+_last_run: List[Tuple[Scene, FragmentTrace, DesignRun]] = []
+"""The last run ``simulate_frame`` simulated, with its scene and trace."""
 
 
 def _restated(
-    scene: Scene, trace: FragmentTrace, config: DesignConfig, warmup: bool
+    scene: Scene, trace: FragmentTrace, config: DesignConfig
 ) -> Optional[DesignRun]:
     """The last simulated run restated with ``config``, where it is the
     run this call would simulate; else None.
 
-    That holds when the call has the last call's scene and trace objects
-    and ``warmup``, differs from its config at most in
+    That holds when the call has the last call's scene and trace
+    objects, differs from its config at most in
     ``angle_threshold`` and ``angle_threshold_scale``, and has an
     effective threshold in the run's
     :attr:`~repro.core.paths.TexturePath.threshold_interval`, which
@@ -145,9 +140,8 @@ def _restated(
     """
     if not _last_run:
         return None
-    last_scene, last_trace, last_warmup, run = _last_run[0]
-    if (last_scene is not scene or last_trace is not trace
-            or last_warmup != warmup):
+    last_scene, last_trace, run = _last_run[0]
+    if last_scene is not scene or last_trace is not trace:
         return None
     thresholds = dict(angle_threshold=run.config.angle_threshold,
                       angle_threshold_scale=run.config.angle_threshold_scale)
@@ -178,7 +172,7 @@ def _check_run_invariants(run: "DesignRun") -> None:
 
 
 def _replayed(
-    scene: Scene, trace: FragmentTrace, config: DesignConfig, warmup: bool
+    scene: Scene, trace: FragmentTrace, config: DesignConfig
 ) -> DesignRun:
     """:func:`simulate_frame`'s simulation: the cold replay, and the
     warm one where the cold replay's caches call for it."""
@@ -199,7 +193,7 @@ def _replayed(
             )
 
     frame = replay()
-    warm = warmup and not path.warm_start_inert()
+    warm = not path.warm_start_inert()
     if warm:
         path.reset_for_measurement()
         traffic.reset()
@@ -213,7 +207,6 @@ def simulate_frame(
     scene: Scene,
     trace: FragmentTrace,
     config: DesignConfig,
-    warmup: bool = True,
     check_invariants: Optional[bool] = None,
 ) -> DesignRun:
     """Simulate one frame of ``trace`` under ``config``.
@@ -223,27 +216,26 @@ def simulate_frame(
     design-independent -- all designs shade the same fragments; what
     differs is how their texture lookups are served.
 
-    With ``warmup`` (the default), the measured frame is the frame
-    replayed from the texture caches it leaves behind, modelling the
-    steady state of a running game.  The frame is first replayed from
-    the freshly built path.  If that cold replay's caches show that a
-    warm start could change none of its cache outcomes
-    (:meth:`TexturePath.warm_start_inert`), the warm replay would repeat
-    it bit for bit, since ``reset_for_measurement`` returns everything
-    but the caches to its constructed state: the cold replay is then the
-    measured frame.  Otherwise the path is reset for measurement and the
-    frame replayed again.  The scaled caches hold far fewer lines than a
-    frame touches, so a frame evicts the warm lines before it reuses
-    them (a capacity regime), and 25 of the 40 workload x design points
-    are inert, S-TFIM (which has no caches) everywhere.  Without
-    ``warmup`` the cold replay is the measured frame.
+    The measured frame is the frame replayed from the texture caches it
+    leaves behind, modelling the steady state of a running game.  The
+    frame is first replayed from the freshly built path.  If that cold
+    replay's caches show that a warm start could change none of its
+    cache outcomes (:meth:`TexturePath.warm_start_inert`), the warm
+    replay would repeat it bit for bit, since ``reset_for_measurement``
+    returns everything but the caches to its constructed state: the
+    cold replay is then the measured frame.  Otherwise the path is
+    reset for measurement and the frame replayed again.  The scaled
+    caches hold far fewer lines than a frame touches, so a frame evicts
+    the warm lines before it reuses them (a capacity regime), and 25 of
+    the 40 workload x design points are inert, S-TFIM (which has no
+    caches) everywhere.
 
     Consecutive calls on one (scene, trace) with the same
     ``aniso_enabled`` share one expansion (:func:`_expand`), and the
     call leaves no other expansion alive.
 
     A call that differs from the last simulated one (same scene and
-    trace objects, same ``warmup``) only in ``angle_threshold`` or
+    trace objects) only in ``angle_threshold`` or
     ``angle_threshold_scale``, with an effective threshold that decides
     every angle comparison of that run's replays alike
     (:attr:`TexturePath.threshold_interval`), replays nothing: it returns
@@ -265,10 +257,10 @@ def simulate_frame(
         requests=len(trace),
         aniso_enabled=config.aniso_enabled,
     ):
-        run = _restated(scene, trace, config, warmup)
+        run = _restated(scene, trace, config)
         if run is None:
-            run = _replayed(scene, trace, config, warmup)
-            _last_run[:] = [(scene, trace, warmup, run)]
+            run = _replayed(scene, trace, config)
+            _last_run[:] = [(scene, trace, run)]
         else:
             obs.annotate(replays=0)
         if _resolve_check_invariants(check_invariants):

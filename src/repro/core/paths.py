@@ -39,8 +39,11 @@ class ReadMergeWindow:
     additionally hold recently fetched texel lines in staging registers
     (the paper's Child Texel Consolidation buffer performs exactly this
     merge for child texels, section V-D).  The window maps a line address
-    to the ready-time of its in-flight/just-completed fetch; a hit reuses
-    that fetch instead of re-occupying a DRAM bank.
+    to the ready-time of its in-flight/just-completed fetch, least
+    recently used first; a hit reuses that fetch instead of re-occupying
+    a DRAM bank and becomes the most recent entry, and a miss's fetch
+    enters the window, evicting the least recent entry past
+    ``capacity``.  :class:`MergeWindowReplay` serves the reads.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -50,28 +53,13 @@ class ReadMergeWindow:
         self._lines: "OrderedDict[int, float]" = OrderedDict()
         self.merged = 0
 
-    def lookup(self, line: int) -> Optional[float]:
-        """Ready time of a mergeable fetch of ``line``, or None."""
-        if line in self._lines:
-            self._lines.move_to_end(line)
-            self.merged += 1
-            return self._lines[line]
-        return None
-
-    def insert(self, line: int, ready: float) -> None:
-        self._lines[line] = ready
-        self._lines.move_to_end(line)
-        if len(self._lines) > self.capacity:
-            self._lines.popitem(last=False)
-
     def reset(self) -> None:
         self._lines.clear()
         self.merged = 0
 
 
 class MergeWindowReplay:
-    """:meth:`ReadMergeWindow.lookup`, then ``fetch`` and
-    :meth:`ReadMergeWindow.insert` on a miss, over a list of windows.
+    """Reads through a list of :class:`ReadMergeWindow` objects.
 
     ``read(index, arrival, line)`` returns the ready time of ``line``
     through ``windows[index]``: a merge is ready no earlier than
@@ -110,8 +98,8 @@ class MergeWindowReplay:
 
 
 class QueueReplay:
-    """:meth:`~repro.sim.resources.RequestQueue.enqueue` over a list of
-    queues: ``enqueue(index, arrival)`` returns the admission cycle.
+    """Admission to a list of :class:`~repro.sim.resources.RequestQueue`
+    objects: ``enqueue(index, arrival)`` returns the admission cycle.
 
     Each queue's clock, entry count and stall cycles fold locally until
     :meth:`flush`.
@@ -248,9 +236,10 @@ def check_frame(texel_counts: np.ndarray, *addresses: np.ndarray) -> None:
 
 
 L1_HIT, L1_FILL, L1_ANGLE_MISS = 0, 1, 2
-""":class:`L1Replay`'s outcome codes, ``TextureCache.lookup``'s results:
-a hit, a miss (which fills the line) and a tag hit whose angle tag is
-stale (which refreshes it)."""
+""":class:`L1Replay`'s outcome codes, a probe's
+:class:`~repro.texture.cache.CacheAccessResult`: a hit, a miss (which
+fills the line) and a tag hit whose angle tag is stale (which refreshes
+it)."""
 
 
 class GpuReplayColumns:
@@ -264,13 +253,15 @@ class GpuReplayColumns:
     scalar at a time, where list indexing beats ndarray item access:
     :meth:`missed` gives each request's such rows, and a session takes
     their ``l2_set``, ``l2_tag`` and ``addresses`` as python lists.
-    Those three replicate ``TextureCache._locate`` (int64 floor division
+    The set and tag are the L2's placement of the line
+    (:class:`~repro.texture.cache.TextureCache`; int64 floor division
     and modulus agree exactly with python ints for non-negative
-    addresses, which :func:`check_frame` ensures once per frame) and are
-    object arrays of python ints, computed once per distinct line and
-    sharing one int per distinct value: a trace touches few distinct
-    lines many times (doom3-640x480's 38,312 parents sit in 858 lines),
-    so the lists cost little more than their pointers.
+    addresses, which :func:`check_frame` ensures once per frame), and
+    the three are object arrays of python ints, computed once per
+    distinct line and sharing one int per distinct value: a trace
+    touches few distinct lines many times (doom3-640x480's 38,312
+    parents sit in 858 lines), so the lists cost little more than their
+    pointers.
     """
 
     __slots__ = ("texels", "offsets", "lines", "requests", "addresses",
@@ -581,8 +572,8 @@ def _set_tables(cache: TextureCache) -> Tuple[List[OrderedDict], List[List[int]]
     list instead of setdefault-ing a dict; pre-created empty sets and
     logs are invisible to cache semantics and to
     :meth:`TextureCache.warm_start_inert`.  A session appends a fill's
-    tag to its set's log where ``TextureCache._fill`` does: when the
-    set has a free way, so a full set's fill pays nothing.
+    tag to its set's log when the set has a free way, so a full set's
+    fill pays nothing.
     """
     sets_dict, fills_dict = cache._sets, cache._cold_fills
     sets, fills = [], []
@@ -604,14 +595,17 @@ class UnitReplayState:
     Seeded from the live units, per unit: the address and filter stages'
     next-issue clocks and busy cycles, and the requests and address and
     filter ops the session adds.  ``generate_addresses(unit, arrival,
-    n)`` and ``filter_texels(unit, arrival, n)`` are
-    :class:`~repro.gpu.texunit.TextureUnit`'s two methods over these
-    lists, operation for operation; a session counts a request with
-    ``requests[unit] += 1``.  One state serves the GPU's per-cluster
-    units, S-TFIM's MTUs and A-TFIM's logic-layer Texel Generator and
-    Combination Unit.  A session mutates the lists in service order (so
-    float accumulators reproduce the scalar ``+=`` sequence bit for bit)
-    and calls :meth:`flush` from its ``finish``.
+    n)`` and ``filter_texels(unit, arrival, n)`` put ``n`` texels
+    through one of :class:`~repro.gpu.texunit.TextureUnit`'s two stages
+    and return the time they are done: ``n`` ops, at one per texel,
+    start when both the texels and the stage are ready, and the result
+    follows the pipeline depth after the last issues.  Zero texels pass
+    through at ``arrival`` without touching the stage.  A session
+    counts a request with ``requests[unit] += 1``.  One state serves
+    the GPU's per-cluster units, S-TFIM's MTUs and A-TFIM's logic-layer
+    Texel Generator and Combination Unit.  A session mutates the lists
+    in service order (so float accumulators reproduce the scalar ``+=``
+    sequence bit for bit) and calls :meth:`flush` from its ``finish``.
     """
 
     def __init__(self, units: Sequence[TextureUnit]) -> None:

@@ -146,7 +146,6 @@ class GpuPipeline:
 
     def __init__(self, config: GPUConfig) -> None:
         self.config = config
-        self._partition_cache = None
         self._frame_cache = None
 
     def _frame_for(self, expanded: Expansion) -> ExpandedFrame:
@@ -188,15 +187,7 @@ class GpuPipeline:
         Returns each request's cluster (:meth:`assign_clusters`), the
         per-cluster lists of request *indices* (into the trace and its
         expansion) and the per-cluster fragment counts.
-
-        Memoised on the trace's identity: the replays of one frame (its
-        cold replay and, where it needs one, the replay from the warm
-        caches) partition the same trace object, and the partition is
-        read-only to both schedulers.
         """
-        cached = self._partition_cache
-        if cached is not None and cached[0] is trace:
-            return cached[1]
         config = self.config
         clusters = self.assign_clusters(trace)
         per_cluster: List[List[int]] = [
@@ -207,9 +198,7 @@ class GpuPipeline:
         fragments_per_cluster = [
             len(stream) for stream in per_cluster
         ]
-        result = (clusters, per_cluster, fragments_per_cluster)
-        self._partition_cache = (trace, result)
-        return result
+        return clusters, per_cluster, fragments_per_cluster
 
     def replay_texture_stream(
         self,

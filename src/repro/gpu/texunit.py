@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.gpu.config import TextureUnitConfig
 from repro.sim.resources import ThroughputUnit
-from repro.units import Cycles, Ops, OpsPerCycle
+from repro.units import Ops, OpsPerCycle
 
 
 @dataclass
@@ -37,7 +37,11 @@ class TextureUnitActivity:
 
 
 class TextureUnit:
-    """The two ALU arrays of one texture unit as throughput resources."""
+    """The two ALU arrays of one texture unit as throughput resources.
+
+    :class:`repro.core.paths.UnitReplayState` serves requests on the
+    stages and counts their activity.
+    """
 
     def __init__(self, name: str, config: TextureUnitConfig) -> None:
         self.name = name
@@ -53,27 +57,6 @@ class TextureUnit:
             pipeline_depth=config.pipeline_depth,
         )
         self.activity = TextureUnitActivity()
-
-    def generate_addresses(self, arrival: Cycles, num_texels: int) -> Cycles:
-        """Address-generation stage: one op per texel; returns done time."""
-        if num_texels < 0:
-            raise ValueError("negative texel count")
-        self.activity.address_ops = Ops(self.activity.address_ops + num_texels)
-        if num_texels == 0:
-            return arrival
-        return self.address_stage.issue(arrival, Ops(float(num_texels)))
-
-    def filter_texels(self, arrival: Cycles, num_texels: int) -> Cycles:
-        """Filtering stage: one op per texel; returns result-ready time."""
-        if num_texels < 0:
-            raise ValueError("negative texel count")
-        self.activity.filter_ops = Ops(self.activity.filter_ops + num_texels)
-        if num_texels == 0:
-            return arrival
-        return self.filter_stage.issue(arrival, Ops(float(num_texels)))
-
-    def note_request(self) -> None:
-        self.activity.requests += 1
 
     def reset(self) -> None:
         self.address_stage.reset()

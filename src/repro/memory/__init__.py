@@ -18,7 +18,7 @@ used to regenerate Fig. 2 and Fig. 12.
 from repro.memory.packets import PacketSpec
 from repro.memory.dram import DramTiming, DramBank, DramDevice
 from repro.memory.gddr5 import Gddr5Config, Gddr5Memory
-from repro.memory.hmc import HmcConfig, HmcLink, HmcVault, HybridMemoryCube
+from repro.memory.hmc import HmcConfig, HmcVault, HybridMemoryCube
 from repro.memory.traffic import TrafficClass, TrafficMeter
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "Gddr5Config",
     "Gddr5Memory",
     "HmcConfig",
-    "HmcLink",
     "HmcVault",
     "HybridMemoryCube",
     "TrafficClass",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from repro.units import Bytes, Cycles
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,10 @@ class DramTiming:
 class DramBank:
     """One DRAM bank with an open-row buffer.
 
-    The bank tracks which row is open and when it next becomes available;
-    accesses return their data-ready time (occupancy end + pipelined CAS
-    latency).
+    The bank tracks which row is open and when it next becomes available.
+    An access starts when both it and the bank are ready, occupies the
+    bank for a row hit's or a row miss's occupancy (opening its row), and
+    its data is ready one pipelined CAS latency after that.
     """
 
     timing: DramTiming
@@ -79,22 +80,6 @@ class DramBank:
     row_hits: int = field(default=0, repr=False)
     row_misses: int = field(default=0, repr=False)
     busy_cycles: Cycles = field(default=Cycles(0.0), repr=False)
-
-    def access_row(self, arrival: Cycles, row: int) -> Cycles:
-        """Access ``row`` at ``arrival``; return data-ready time."""
-        if row < 0:
-            raise ValueError("negative row")
-        start = max(arrival, self._next_free)
-        if row == self.open_row:
-            occupancy = self.timing.row_hit_occupancy
-            self.row_hits += 1
-        else:
-            occupancy = self.timing.row_miss_occupancy
-            self.row_misses += 1
-            self.open_row = row
-        self._next_free = start + occupancy
-        self.busy_cycles += occupancy
-        return self._next_free + self.timing.column_access_cycles
 
     @property
     def next_free(self) -> float:
@@ -123,6 +108,12 @@ class DramDevice:
     vault's device sees every 32nd block and must rotate its own banks at
     that coarser stride (``interleave_step=32``); a single GDDR5 channel
     uses step 1.
+
+    Blocks rotate across banks; a bank's row buffer covers its blocks
+    within a span of ``interleave x step x banks x blocks_per_row``
+    bytes, so streaming sweeps hit open rows while hot small regions
+    still spread over all banks.  :class:`repro.memory.replay.DramReplay`
+    serves accesses on the banks of one or more devices.
     """
 
     timing: DramTiming
@@ -140,27 +131,6 @@ class DramDevice:
             raise ValueError("interleave step must be positive")
         if not self.banks:
             self.banks = [DramBank(self.timing) for _ in range(self.num_banks)]
-
-    def locate(self, address: int) -> Tuple[int, int]:
-        """Map an address to (bank index, row index).
-
-        Blocks rotate across banks; a bank's row buffer covers its blocks
-        within a span of ``interleave x step x banks x blocks_per_row``
-        bytes, so streaming sweeps hit open rows while hot small regions
-        still spread over all banks.
-        """
-        if address < 0:
-            raise ValueError("negative address")
-        stride = self.bank_interleave_bytes * self.interleave_step
-        bank = (address // stride) % self.num_banks
-        blocks_per_row = max(1, self.timing.row_bytes // self.bank_interleave_bytes)
-        row = address // (stride * self.num_banks * blocks_per_row)
-        return bank, row
-
-    def access(self, arrival: Cycles, address: int) -> Cycles:
-        """Route an access to its bank; return data-ready time."""
-        bank_index, row = self.locate(address)
-        return self.banks[bank_index].access_row(arrival, row)
 
     def row_hit_rate(self) -> float:
         hits = sum(bank.row_hits for bank in self.banks)

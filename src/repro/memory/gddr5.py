@@ -46,9 +46,12 @@ class Gddr5Config:
 class Gddr5Memory:
     """The baseline GPU's off-chip memory.
 
-    ``read``/``write`` serve cache-line transfers; completion times come
-    from the later of the data-bus occupancy and the DRAM bank timing,
-    which lets either bandwidth or bank conflicts be the bottleneck.
+    A read of a cache line goes to the channel of its 256-byte block
+    (``channel_interleave_bytes``, round-robin over the channels) and
+    occupies the data bus; it completes at the later of the bus and the
+    DRAM bank timing, which lets either bandwidth or bank conflicts be
+    the bottleneck.  :class:`repro.memory.replay.Gddr5Replay` serves the
+    reads.
     """
 
     def __init__(self, config: Gddr5Config | None = None) -> None:
@@ -70,26 +73,6 @@ class Gddr5Memory:
         self.reads = 0
         # Texture traffic only reads; the stat group keeps the counter.
         self.writes = 0
-
-    def channel_for(self, address: int) -> DramDevice:
-        if address < 0:
-            raise ValueError("negative address")
-        index = (
-            address // self.config.channel_interleave_bytes
-        ) % self.config.num_channels
-        return self.channels[index]
-
-    def _access(self, arrival: Cycles, address: int, nbytes: Bytes) -> Cycles:
-        bank_ready = self.channel_for(address).access(arrival, address)
-        bus_ready = self.bus.access(arrival, nbytes)
-        return max(bank_ready, bus_ready)
-
-    def read(self, arrival: Cycles, address: int, nbytes: Bytes) -> Cycles:
-        """Read ``nbytes`` at ``address``; return data-ready cycle."""
-        if nbytes <= 0:
-            raise ValueError("read size must be positive")
-        self.reads += 1
-        return self._access(arrival, address, nbytes)
 
     @property
     def total_bytes(self) -> Bytes:

@@ -75,35 +75,16 @@ class HmcConfig:
         ) / self.num_vaults
 
 
-class HmcLink:
-    """One direction of the full-duplex external serial link set."""
-
-    def __init__(self, name: str, config: HmcConfig) -> None:
-        self.config = config
-        self.server = BandwidthServer(
-            name=name,
-            bytes_per_cycle=config.link_bytes_per_cycle,
-            latency=config.link_latency_cycles,
-        )
-
-    def transmit(self, arrival: Cycles, nbytes: Bytes) -> Cycles:
-        """Send ``nbytes`` over this direction; return delivery cycle."""
-        return self.server.access(arrival, nbytes)
-
-    @property
-    def total_bytes(self) -> Bytes:
-        return self.server.total_bytes
-
-    def reset(self) -> None:
-        self.server.reset()
-
-
 VAULT_BLOCK_BYTES = 256
 """Vault interleave granularity."""
 
 
 class HmcVault:
-    """One vault: a controller, a TSV column and a stack of DRAM banks."""
+    """One vault: a controller, a TSV column and a stack of DRAM banks.
+
+    An access reads its bank and occupies the TSV column at once; its
+    data is ready the vault access latency after the later of the two.
+    """
 
     def __init__(self, index: int, config: HmcConfig) -> None:
         self.index = index
@@ -121,15 +102,6 @@ class HmcVault:
         )
         self.accesses = 0
 
-    def access(self, arrival: Cycles, address: int, nbytes: Bytes) -> Cycles:
-        """Serve an internal access; return data-ready cycle."""
-        if nbytes <= 0:
-            raise ValueError("access size must be positive")
-        bank_ready = self.device.access(arrival, address)
-        tsv_ready = self.tsv.access(arrival, nbytes)
-        self.accesses += 1
-        return max(bank_ready, tsv_ready) + self.config.vault_access_latency_cycles
-
     @property
     def total_bytes(self) -> Bytes:
         return self.tsv.total_bytes
@@ -143,19 +115,33 @@ class HmcVault:
 class HybridMemoryCube:
     """The full cube: transmit/receive links, switch, and vaults.
 
-    Two access paths exist:
+    Each direction of the full-duplex external serial link set is one
+    bandwidth server.  Two access paths exist:
 
-    * :meth:`external_read` -- the host GPU reaches DRAM over the serial
-      links (what B-PIM uses for everything);
-    * :meth:`internal_read` -- logic-layer units (MTUs, the A-TFIM texel
+    * an *external read* -- the host GPU reaches DRAM over the serial
+      links: the request package crosses the transmit link, the vault
+      serves it, and the response crosses the receive link (what B-PIM
+      uses for everything);
+    * an *internal read* -- logic-layer units (MTUs, the A-TFIM texel
       pipeline) reach DRAM directly through the switch and TSVs, never
       touching the links.
+
+    Vaults interleave at 256-byte block granularity
+    (:data:`VAULT_BLOCK_BYTES`): small-block striping spreads spatially
+    hot texture regions over all vaults (the property that realises the
+    quoted internal bandwidth), and each vault's own bank mapping
+    accounts for the striding via ``interleave_step`` (see
+    :class:`repro.memory.dram.DramDevice`).
+    :class:`repro.memory.replay.HmcReplay` serves both paths and the
+    offloading designs' packages over each link.
     """
 
     def __init__(self, config: HmcConfig | None = None) -> None:
         self.config = config or HmcConfig()
-        self.tx_link = HmcLink("hmc.link.tx", self.config)  # GPU -> cube
-        self.rx_link = HmcLink("hmc.link.rx", self.config)  # cube -> GPU
+        link = dict(bytes_per_cycle=self.config.link_bytes_per_cycle,
+                    latency=self.config.link_latency_cycles)
+        self.tx_link = BandwidthServer("hmc.link.tx", **link)  # GPU -> cube
+        self.rx_link = BandwidthServer("hmc.link.rx", **link)  # cube -> GPU
         self.vaults: List[HmcVault] = [
             HmcVault(index, self.config) for index in range(self.config.num_vaults)
         ]
@@ -163,52 +149,6 @@ class HybridMemoryCube:
         # Texture traffic only reads; the stat group keeps the counter.
         self.external_writes = 0
         self.internal_reads = 0
-
-    def vault_for(self, address: int) -> HmcVault:
-        """Vault interleaving at 256-byte block granularity.
-
-        Small-block striping spreads spatially hot texture regions over
-        all vaults (the property that realises the quoted internal
-        bandwidth); each vault's own bank mapping accounts for the
-        striding via ``interleave_step`` (see
-        :class:`repro.memory.dram.DramDevice`).
-        """
-        if address < 0:
-            raise ValueError("negative address")
-        index = (address // VAULT_BLOCK_BYTES) % self.config.num_vaults
-        return self.vaults[index]
-
-    # ------------------------------------------------------------------
-    # External path: host GPU <-> cube over the serial links.
-    # ------------------------------------------------------------------
-
-    def external_read(
-        self, arrival: Cycles, address: int, request_bytes: Bytes, response_bytes: Bytes
-    ) -> Cycles:
-        """A read crossing the links; returns the response delivery cycle."""
-        request_delivered = self.tx_link.transmit(arrival, request_bytes)
-        data_ready = self.vault_for(address).access(
-            request_delivered, address, response_bytes
-        )
-        self.external_reads += 1
-        return self.rx_link.transmit(data_ready, response_bytes)
-
-    def send_request(self, arrival: Cycles, nbytes: Bytes) -> Cycles:
-        """Ship a request package to the cube over the transmit link."""
-        return self.tx_link.transmit(arrival, nbytes)
-
-    def send_response(self, arrival: Cycles, nbytes: Bytes) -> Cycles:
-        """Ship a response package from the cube over the receive link."""
-        return self.rx_link.transmit(arrival, nbytes)
-
-    # ------------------------------------------------------------------
-    # Internal path: logic-layer units <-> vaults over the switch/TSVs.
-    # ------------------------------------------------------------------
-
-    def internal_read(self, arrival: Cycles, address: int, nbytes: Bytes) -> Cycles:
-        """A logic-layer read; never touches the external links."""
-        self.internal_reads += 1
-        return self.vault_for(address).access(arrival, address, nbytes)
 
     @property
     def external_bytes(self) -> Bytes:

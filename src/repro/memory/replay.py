@@ -1,40 +1,41 @@
-"""The memory side's replay form: HMC and GDDR5 state for one replay.
+"""The memory side's timing model: HMC and GDDR5 service for one replay.
 
-The live memory objects answer one access per method call:
-``HybridMemoryCube.internal_read`` walks ``vault_for`` ->
-``HmcVault.access`` -> ``DramDevice.access`` -> ``DramBank.access_row``
-and two ``BandwidthServer.access`` calls.  That chain is the memory
-model's readable, unit-tested scalar form, and the references in
-``tests/reference.py`` serve through it.  A replay session
-(:class:`repro.core.paths.ReplaySession`) serves a whole frame instead,
-so the classes here unpack each memory's mutable state into flat lists
--- per server (the links, the TSVs, the GDDR5 bus), per vault and per
-DRAM bank -- and compute each access as closures over those lists, with
-the live methods' arithmetic operation for operation:
+The memory objects (:class:`~repro.memory.hmc.HybridMemoryCube`,
+:class:`~repro.memory.gddr5.Gddr5Memory`, their
+:class:`~repro.memory.dram.DramDevice` banks and
+:class:`~repro.sim.resources.BandwidthServer` links, TSVs and bus) hold
+configuration and state.  A replay session
+(:class:`repro.core.paths.ReplaySession`) serves a whole frame, so the
+classes here unpack each memory's mutable state into flat lists -- per
+server (the links, the TSVs, the GDDR5 bus), per vault and per DRAM
+bank -- and compute each access as closures over those lists:
 
-* :class:`ServerReplay` -- ``BandwidthServer.access`` over a list of
-  servers: the HMC's two link directions and its 32 TSV columns, or the
-  GDDR5 bus;
-* :class:`DramReplay` -- ``DramDevice.locate`` and
-  ``DramBank.access_row`` over devices of one geometry: the HMC's
-  vaults or the GDDR5 channels;
-* :class:`HmcReplay` -- ``send_request``, ``send_response``,
-  ``internal_read`` and ``external_read``, with the 256-byte vault
+* :class:`ServerReplay` -- FIFO occupancy over a list of servers: the
+  HMC's two link directions and its 32 TSV columns, or the GDDR5 bus;
+* :class:`DramReplay` -- an address's bank and row, and the open-row
+  bank model, over devices of one geometry: the HMC's vaults or the
+  GDDR5 channels;
+* :class:`HmcReplay` -- the request and response packages over the
+  links, and internal and external reads, with the 256-byte vault
   interleave;
-* :class:`Gddr5Replay` -- ``Gddr5Memory.read``, with the channel
-  interleave.
+* :class:`Gddr5Replay` -- a GDDR5 read, with the channel interleave.
 
-A session builds these when it opens, which seeds them from the live
+A session builds these when it opens, which seeds them from the memory
 objects, serves every request through the closures in service order
-(so float accumulators reproduce the scalar ``+=`` sequence bit for
-bit), and calls ``flush()`` from its ``finish``, which writes every
-field back by assignment.  Nothing else may touch the memory while a
-session is open.
+(so float accumulators add in the order the accesses happen), and
+calls ``flush()`` from its ``finish``, which writes every field back by
+assignment.  Nothing else may touch the memory while a session is
+open.
 
-The live methods check each access: a negative address, a non-positive
-access size.  The replay hoists them: the session checks its frame's
-addresses in one vectorised pass (its columns) and its constant sizes
-once (:func:`require_positive_sizes`).
+These closures are the memory's only timing code.  Their oracle is the
+per-access form in ``tests/reference.py`` (``server_access``,
+``device_access``, ``internal_read``, ``external_read``,
+``gddr5_read``, ...), one call per access on the memory objects with
+the same arithmetic, operation for operation, and its checks of each
+access: a negative address, a non-positive access size.  The replay
+hoists those checks: the session checks its frame's addresses in one
+vectorised pass (its columns) and its constant sizes once
+(:func:`require_positive_sizes`).
 """
 
 from __future__ import annotations
@@ -50,18 +51,21 @@ from repro.units import Bytes, Cycles
 
 
 def require_positive_sizes(*sizes: Bytes) -> None:
-    """The live methods' per-access size check, made once per session
-    on the constant access and package sizes it serves."""
+    """The per-access size check, made once per session on the constant
+    access and package sizes it serves."""
     for nbytes in sizes:
         if nbytes <= 0:
             raise ValueError("access size must be positive")
 
 
 class ServerReplay:
-    """``BandwidthServer.access`` over a list of servers.
+    """FIFO occupancy over a list of :class:`BandwidthServer` objects.
 
     ``access(index, arrival, nbytes)`` serves ``nbytes`` on
-    ``servers[index]`` and returns the ready time.
+    ``servers[index]`` and returns the ready time: the access starts
+    when both it and the server are free, occupies the server for
+    ``nbytes / bytes_per_cycle`` cycles, and is ready the server's fixed
+    latency after that.  A zero-byte access only pays the latency.
     """
 
     __slots__ = ("access", "flush")
@@ -97,12 +101,17 @@ class ServerReplay:
 
 
 class DramReplay:
-    """``DramDevice.access`` over the devices of one memory.
+    """Bank accesses over the devices of one memory.
 
-    ``access(device, arrival, address)`` locates ``address`` in
-    ``devices[device]`` (bank and row, as ``DramDevice.locate``) and
-    serves it as ``DramBank.access_row``; the banks' state lives in flat
-    lists indexed ``device * num_banks + bank``.  A memory builds all its
+    ``access(device, arrival, address)`` places ``address`` in
+    ``devices[device]`` -- the bank of its interleave block and the row
+    of its span, as :class:`~repro.memory.dram.DramDevice` describes --
+    and serves it on that bank (:class:`~repro.memory.dram.DramBank`):
+    it starts when both it and the bank are free, occupies the bank for
+    a burst on a row hit or for precharge, activate and burst on a miss
+    (which opens its row), and returns the data-ready time, one column
+    access latency later.  The banks' state lives in flat lists indexed
+    ``device * num_banks + bank``.  A memory builds all its
     devices (the HMC's vaults, the GDDR5 channels) from one
     configuration, so the first device's geometry serves for all.
     """
@@ -165,9 +174,15 @@ _TX, _RX = 0, 1
 class HmcReplay:
     """The cube's link, TSV, vault and bank state for one replay.
 
-    ``send_request``, ``send_response``, ``internal_read`` and
-    ``external_read`` take the live methods' arguments and return what
-    they return.
+    ``send_request(arrival, nbytes)`` and ``send_response(arrival,
+    nbytes)`` ship a package over the transmit or the receive link and
+    return its delivery cycle.  ``internal_read(arrival, address,
+    nbytes)`` is a logic-layer read: the address's vault reads its bank
+    and occupies its TSV column at once, and the data is ready the vault
+    access latency after the later of the two.  ``external_read(arrival,
+    address, request_bytes, response_bytes)`` ships the request over the
+    transmit link, reads the vault on delivery, and returns when the
+    response has crossed the receive link.
     """
 
     __slots__ = ("send_request", "send_response", "internal_read",
@@ -178,7 +193,7 @@ class HmcReplay:
         num_vaults = hmc.config.num_vaults
         access_latency = hmc.config.vault_access_latency_cycles
         servers = ServerReplay(
-            [hmc.tx_link.server, hmc.rx_link.server]
+            [hmc.tx_link, hmc.rx_link]
             + [vault.tsv for vault in vaults]
         )
         serve = servers.access
@@ -189,7 +204,7 @@ class HmcReplay:
         external_reads = hmc.external_reads
 
         def vault_access(arrival: float, address: int, nbytes: Bytes) -> float:
-            """``vault_for(address).access(arrival, address, nbytes)``."""
+            """A read of ``address``'s vault: its bank and TSV column."""
             vault = (address // VAULT_BLOCK_BYTES) % num_vaults
             bank_ready = bank_access(vault, arrival, address)
             tsv_ready = serve(2 + vault, arrival, nbytes)
@@ -232,8 +247,9 @@ class HmcReplay:
 class Gddr5Replay:
     """The GDDR5 bus, channel and bank state for one replay.
 
-    ``read`` takes ``Gddr5Memory.read``'s arguments and returns what it
-    returns.
+    ``read(arrival, address, nbytes)`` reads ``nbytes`` at ``address``
+    from the channel of its interleave block and over the data bus at
+    once, and returns the later of the two ready times.
     """
 
     __slots__ = ("read", "flush")

@@ -9,6 +9,14 @@ fixed latency later.  This is the standard "resource occupancy" shortcut
 used by architecture-lite simulators: it reproduces bandwidth saturation
 and queueing delay exactly for FIFO servers, while being orders of
 magnitude faster than per-cycle ticking.
+
+The classes here hold each resource's configuration and state; a replay
+serves accesses on them through its replay form, which seeds its state
+from these objects and writes it back when the replay finishes:
+:class:`repro.memory.replay.ServerReplay` for a
+:class:`BandwidthServer`, :class:`repro.core.paths.UnitReplayState` for
+the :class:`ThroughputUnit` stages of a texture unit and
+:class:`repro.core.paths.QueueReplay` for a :class:`RequestQueue`.
 """
 
 from __future__ import annotations
@@ -48,22 +56,6 @@ class BandwidthServer:
         if self.latency < 0:
             raise ValueError(f"{self.name}: latency must be non-negative")
 
-    def access(self, arrival: Cycles, nbytes: Bytes) -> Cycles:
-        """Serve ``nbytes`` arriving at ``arrival``; return ready time.
-
-        The ready time includes the fixed latency.  Zero-byte accesses are
-        legal and only pay the latency (useful for pure-control messages).
-        """
-        if nbytes < 0:
-            raise ValueError("negative transfer size")
-        start = max(arrival, self._next_free)
-        occupancy = nbytes / self.bytes_per_cycle
-        self._next_free = Cycles(start + occupancy)
-        self.total_bytes = Bytes(self.total_bytes + nbytes)
-        self.total_requests += 1
-        self.busy_cycles = Cycles(self.busy_cycles + occupancy)
-        return Cycles(self._next_free + self.latency)
-
     @property
     def next_free(self) -> Cycles:
         return self._next_free
@@ -97,17 +89,6 @@ class ThroughputUnit:
         if self.pipeline_depth < 0:
             raise ValueError(f"{self.name}: pipeline depth must be non-negative")
 
-    def issue(self, arrival: Cycles, ops: Ops = Ops(1.0)) -> Cycles:
-        """Issue ``ops`` back-to-back operations; return completion time."""
-        if ops < 0:
-            raise ValueError("negative op count")
-        start = max(arrival, self._next_issue)
-        occupancy = ops / self.ops_per_cycle
-        self._next_issue = Cycles(start + occupancy)
-        self.total_ops = Ops(self.total_ops + int(ops))
-        self.busy_cycles = Cycles(self.busy_cycles + occupancy)
-        return Cycles(self._next_issue + self.pipeline_depth)
-
     @property
     def next_issue(self) -> Cycles:
         return self._next_issue
@@ -127,6 +108,12 @@ class RequestQueue:
     until a "resume" arrives.  In the occupancy model, fullness translates
     into a delayed effective arrival time for the incoming request, and we
     account the delay as stall cycles.
+
+    The queue drains ``drain_rate`` entries per cycle, so an entry that
+    arrives when the queue holds ``capacity`` in-flight entries is
+    admitted only when the oldest entry has drained.  The model keeps a
+    single "head would be free at" pointer: the queue is equivalent to a
+    server of rate ``drain_rate`` with ``capacity`` buffer slots.
     """
 
     name: str
@@ -141,28 +128,6 @@ class RequestQueue:
             raise ValueError(f"{self.name}: capacity must be positive")
         if self.drain_rate <= 0:
             raise ValueError(f"{self.name}: drain rate must be positive")
-
-    def enqueue(self, arrival: Cycles) -> Cycles:
-        """Admit one request; return the cycle at which it is admitted.
-
-        The queue drains ``drain_rate`` entries per cycle, so an entry that
-        arrives when the queue holds ``capacity`` in-flight entries is
-        admitted only when the oldest entry has drained.  The model keeps a
-        single "head would be free at" pointer: the queue is equivalent to
-        a server of rate ``drain_rate`` with ``capacity`` buffer slots.
-        """
-        # The queue holds (free_at - t) * drain_rate entries at time t; a
-        # new entry is admitted once at most capacity - 1 remain queued.
-        buffered = Ops(float(self.capacity - 1))
-        earliest_slot = self._occupancy_free_at - buffered / self.drain_rate
-        admitted = max(arrival, earliest_slot)
-        stall = admitted - arrival
-        self._occupancy_free_at = Cycles(
-            max(self._occupancy_free_at, admitted) + Ops(1.0) / self.drain_rate
-        )
-        self.total_enqueued += 1
-        self.total_stall_cycles = Cycles(self.total_stall_cycles + stall)
-        return admitted
 
     def reset(self) -> None:
         self._occupancy_free_at = Cycles(0.0)

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional
 
-from repro.texture.lod import quantize_angle
-from repro.units import BITS_PER_BYTE, Bits, Bytes, Radians
+from repro.units import BITS_PER_BYTE, Bits, Bytes
 
 
 class CacheAccessResult(Enum):
@@ -80,10 +79,25 @@ class _Line:
 class TextureCache:
     """An LRU set-associative cache over byte addresses.
 
-    The cache is *timeless*: it tracks contents and hit/miss outcomes,
-    while timing is supplied by the resource servers in the cycle model.
-    This separation keeps the cache reusable by both the functional
-    renderer (for the quality study) and the performance model.
+    The cache is *timeless*: it holds contents, angle tags and hit/miss
+    counters, while timing is supplied by the resource servers in the
+    cycle model.  A probe of the line containing address ``a`` reads
+    set ``(a // line_bytes) % num_sets`` for tag
+    ``(a // line_bytes) // num_sets``.  A tag match hits and becomes
+    the set's most recent line; a miss fills the line, evicting the
+    least recent one from a full set.  With an angle tag and a
+    threshold, a tag match whose stored (quantised) angle is None or
+    differs from the probe's quantised angle by more than the threshold
+    is an :attr:`CacheAccessResult.ANGLE_MISS`: the line stays, takes
+    the new angle and becomes the most recent (the recalculated parent
+    texel replaces the stale one, section V-C).  A miss stores the
+    probe's angle, or None.
+
+    The performance model is its one user: the replay sessions decide
+    the L1s' probes in array passes (:class:`repro.core.paths.L1Replay`)
+    and probe the L2 inline, and write their outcomes back here.  The
+    functional renderer keeps no cache: it decides A-TFIM's parent
+    reuse per parent key (:func:`repro.texture.batch.reuse_producers`).
 
     Each set also logs its *cold fill*: the tags it filled while it
     still had a free way, in order, since the cache was last empty.
@@ -100,71 +114,6 @@ class TextureCache:
         self.hits = 0
         self.misses = 0
         self.angle_misses = 0
-
-    def _locate(self, address: int) -> tuple[int, int]:
-        line_index = address // self.config.line_bytes
-        set_index = line_index % self.config.num_sets
-        tag = line_index // self.config.num_sets
-        return set_index, tag
-
-    def lookup(
-        self,
-        address: int,
-        angle: Optional[float] = None,
-        angle_threshold: Optional[Radians] = None,
-    ) -> CacheAccessResult:
-        """Access the line containing ``address``; fill on miss.
-
-        Without angle arguments this is an ordinary cache access.  With
-        both ``angle`` and ``angle_threshold`` given, a tag hit whose
-        stored (quantised) angle differs from the request's quantised
-        angle by more than the threshold counts as
-        :attr:`CacheAccessResult.ANGLE_MISS`; the line is refilled with
-        the new angle (the recalculated parent texel replaces the stale
-        one, per section V-C).
-        """
-        if address < 0:
-            raise ValueError("negative address")
-        set_index, tag = self._locate(address)
-        cache_set = self._sets.setdefault(set_index, OrderedDict())
-        stored_angle = self._quantized(angle)
-
-        line = cache_set.get(tag)
-        if line is not None:
-            if angle is not None and angle_threshold is not None:
-                if line.angle is None or abs(line.angle - stored_angle) > angle_threshold:
-                    line.angle = stored_angle
-                    cache_set.move_to_end(tag)
-                    self.angle_misses += 1
-                    return CacheAccessResult.ANGLE_MISS
-            cache_set.move_to_end(tag)
-            self.hits += 1
-            return CacheAccessResult.HIT
-
-        self._fill(set_index, cache_set, tag, stored_angle)
-        self.misses += 1
-        return CacheAccessResult.MISS
-
-    def _quantized(self, angle: Optional[float]) -> Optional[float]:
-        if angle is None:
-            return None
-        return quantize_angle(angle, self.config.angle_bits)
-
-    def _fill(
-        self, set_index: int, cache_set: "OrderedDict[int, _Line]", tag: int,
-        angle: Optional[float],
-    ) -> None:
-        if len(cache_set) >= self.config.associativity:
-            cache_set.popitem(last=False)  # evict LRU
-        else:
-            self._cold_fills.setdefault(set_index, []).append(tag)
-        cache_set[tag] = _Line(tag=tag, angle=angle)
-
-    def contains(self, address: int) -> bool:
-        """Presence probe that does not disturb LRU state or counters."""
-        set_index, tag = self._locate(address)
-        cache_set = self._sets.get(set_index)
-        return cache_set is not None and tag in cache_set
 
     @property
     def accesses(self) -> int:

@@ -51,10 +51,6 @@ class SampleFootprint:
     major_length: float = 0.0
     """Length of the major footprint axis in level-0 texel units."""
 
-    @property
-    def is_isotropic(self) -> bool:
-        return self.probes == 1
-
 
 def _next_power_of_two(value: float) -> int:
     """Smallest power of two >= value (minimum 1)."""

@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 # Every frame simulated by the suite is validated against the runtime
 # conservation invariants (repro.analysis.invariants).  Set before any
@@ -26,6 +27,15 @@ from repro.render.scene import Scene
 from repro.texture.texture import Texture
 from repro.workloads import workload_by_name
 from repro.workloads.textures import ProceduralTextureLibrary
+
+NO_SHRINK = settings(
+    deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate]
+)
+"""Hypothesis settings without the shrink phase, for properties over
+the production forms: a failing example is reported as found, within
+seconds.  Shrinking one can take minutes and, as each failing attempt
+pins its test's locals through its exception, over a gigabyte.  Use as
+``@settings(NO_SHRINK, max_examples=...)``."""
 
 
 def make_checker_texture(texture_id: int = 0, size: int = 64) -> Texture:

@@ -45,6 +45,7 @@ from repro.obs import run_stat_group
 from repro.render.renderer import Renderer
 from repro.workloads import workload_by_name
 from repro.workloads.animation import strafe, walk_forward
+from tests import reference
 from tests.conftest import make_tiny_scene
 from tests.gpu.test_replay_batch import resource_state
 
@@ -288,9 +289,11 @@ def test_warm_up_replays_only_cached_designs(fresh, traces, monkeypatch,
                                              source, design, sessions):
     """One replay session, plus one from the warm caches exactly where
     the cold replay's check fails: never for S-TFIM, which has no
-    caches."""
+    caches.  The trace is a fresh object, so no earlier run serves the
+    call."""
     scene, trace, config = scene_trace_config(source, design, fresh, traces)
-    cold = simulate_frame(scene, trace, config, warmup=False)
+    trace = dataclasses.replace(trace)
+    cold = reference.cold_run(scene, trace, config)
     calls = []
     for owner in (GpuFilteringPath, StfimPath, AtfimPath):
         count_calls(monkeypatch, owner, "begin_replay", calls)
@@ -472,8 +475,6 @@ def loose_tiny(fresh):
     pytest.param(lambda scene, trace, config: {
         "config": dataclasses.replace(config, consolidation_enabled=False)},
         1, id="consolidation"),
-    pytest.param(lambda scene, trace, config: {"warmup": False}, 1,
-                 id="warmup"),
     pytest.param(lambda scene, trace, config: {
         "trace": dataclasses.replace(trace)}, 1, id="trace-object"),
     pytest.param(lambda scene, trace, config: {"scene": copy.copy(scene)},

@@ -1,9 +1,11 @@
-"""The L1 replay form against the live cache, probe for probe.
+"""The L1 replay form against the per-access cache lookup, probe for
+probe.
 
 :class:`~repro.core.paths.L1Replay` decides a whole replay's L1 probes
-in array passes; ``TextureCache.lookup``, one probe at a time, is its
-oracle.  Each example warms a few caches with a random stream (so the
-form starts from random contents, angle tags and cold-fill logs), then
+in array passes; ``tests.reference.cache_lookup``, one probe at a time,
+is its oracle.  Each example warms a few caches with a random stream
+(so the form starts from random contents, angle tags and cold-fill
+logs), then
 sends one random stream through the oracle and through the form, and
 compares every probe's outcome, each set's final lines in LRU order
 with their angle tags, the cold-fill logs, the counters and the
@@ -20,7 +22,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import Design
 from repro.core.expansion import RequestExpander
@@ -30,6 +32,8 @@ from repro.gpu.pipeline import GpuPipeline
 from repro.memory.traffic import TrafficMeter
 from repro.texture.cache import CacheAccessResult, CacheConfig, TextureCache
 from repro.texture.lod import quantize_angle, quantize_angles
+from tests.conftest import NO_SHRINK
+from tests.reference import cache_lookup, cache_set_and_tag
 
 STEP = (math.pi / 2) / 127
 """One step of a 7-bit angle tag."""
@@ -78,15 +82,15 @@ def make_caches(ways, sets, clusters):
 
 
 def lookup(caches, probe, threshold, interval):
-    """``TextureCache.lookup`` of one probe; narrows ``interval`` where
-    the lookup compares two angle tags."""
+    """The oracle's lookup of one probe; narrows ``interval`` where the
+    lookup compares two angle tags."""
     cluster, line, tagged, step = probe
     cache = caches[cluster]
     address = 64 * line
     if not tagged:
-        return cache.lookup(address)
+        return cache_lookup(cache, address)
     angle = step * STEP
-    set_index, tag = cache._locate(address)
+    set_index, tag = cache_set_and_tag(cache, address)
     stored = cache._sets.get(set_index, {}).get(tag)
     if stored is not None and stored.angle is not None:
         difference = abs(stored.angle - quantize_angle(angle))
@@ -94,7 +98,7 @@ def lookup(caches, probe, threshold, interval):
             interval[1] = min(interval[1], difference)
         else:
             interval[0] = max(interval[0], difference)
-    return cache.lookup(address, angle, threshold)
+    return cache_lookup(cache, address, angle, threshold)
 
 
 def state(caches):
@@ -113,11 +117,7 @@ def state(caches):
 
 
 class TestL1ReplayMatchesLookup:
-    @settings(
-        max_examples=300,
-        deadline=None,
-        phases=[Phase.explicit, Phase.reuse, Phase.generate],
-    )
+    @settings(NO_SHRINK, max_examples=300)
     @given(case=cases())
     @example(case=(
         # A hits after B, C, D and repeats of B: the count of lines
@@ -149,11 +149,7 @@ class TestL1ReplayMatchesLookup:
         form.flush()
         assert state(replayed) == state(oracle)
 
-    @settings(
-        max_examples=100,
-        deadline=None,
-        phases=[Phase.explicit, Phase.reuse, Phase.generate],
-    )
+    @settings(NO_SHRINK, max_examples=100)
     @given(case=cases())
     def test_untagged_streams(self, case):
         """Without angles (the baseline's L1s) every probe is untagged
@@ -165,7 +161,7 @@ class TestL1ReplayMatchesLookup:
         for caches in (oracle, replayed):
             for probe in untag:
                 lookup(caches, probe, 0.0, [0.0, math.inf])
-        expected = [CODES[oracle[cluster].lookup(64 * line)]
+        expected = [CODES[cache_lookup(oracle[cluster], 64 * line)]
                     for cluster, line, *_ in stream]
         columns = np.array([probe[:2] for probe in stream], dtype=np.int64)
         columns = columns.reshape(-1, 2)
@@ -182,7 +178,7 @@ def test_lines_too_far_apart_to_pack_one_key():
     oracle, replayed = (make_caches(2, 1, 64) for _ in range(2))
     clusters = np.array([63, 63, 5, 63, 63, 63])
     lines = np.array([0, 1 << 62, 0, 0, 64, 1 << 62])
-    expected = [CODES[oracle[cluster].lookup(line)]
+    expected = [CODES[cache_lookup(oracle[cluster], line)]
                 for cluster, line in zip(clusters.tolist(), lines.tolist())]
     form = L1Replay(replayed, clusters, lines)
     assert form.outcomes.tolist() == expected == [1, 1, 1, 0, 1, 1]

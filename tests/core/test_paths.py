@@ -3,14 +3,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.designs import Design, DesignConfig
-from repro.core.paths import CacheHierarchy, ReadMergeWindow
+from repro.core.paths import CacheHierarchy, MergeWindowReplay, ReadMergeWindow
 from repro.memory.gddr5 import Gddr5Memory
 from repro.memory.hmc import HybridMemoryCube
 from repro.memory.packets import PacketSpec
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.texture.cache import CacheAccessResult
+from tests import reference
+from tests.conftest import NO_SHRINK
 from tests.reference import (
     Gddr5Interface,
     HmcExternalInterface,
@@ -19,42 +22,111 @@ from tests.reference import (
 )
 
 
+class Reads:
+    """Reads through one window's replay form, each ``(line, arrival)``
+    given with the ready time its fetch would have: ``fetched`` logs the
+    lines that missed the window and were fetched."""
+
+    def __init__(self, window, ready):
+        self.ready = ready
+        self.fetched = []
+        self.replay = MergeWindowReplay([window], self.fetch)
+
+    def fetch(self, arrival, line):
+        self.fetched.append(line)
+        return self.ready[line]
+
+    def __call__(self, line, arrival=0.0):
+        return self.replay.read(0, arrival, line)
+
+
 class TestReadMergeWindow:
     def test_miss_then_merge(self):
         window = ReadMergeWindow(capacity=4)
-        assert window.lookup(64) is None
-        window.insert(64, ready=10.0)
-        assert window.lookup(64) == 10.0
+        read = Reads(window, {64: 10.0})
+        assert read(64) == 10.0
+        assert read.fetched == [64]
+        assert read(64) == 10.0
+        assert read.fetched == [64]
+        read.replay.flush()
         assert window.merged == 1
 
     def test_lru_eviction(self):
         window = ReadMergeWindow(capacity=2)
-        window.insert(0, 1.0)
-        window.insert(64, 2.0)
-        window.insert(128, 3.0)  # evicts 0
-        assert window.lookup(0) is None
-        assert window.lookup(64) == 2.0
+        read = Reads(window, {0: 1.0, 64: 2.0, 128: 3.0})
+        read(0)
+        read(64)
+        read(128)  # evicts 0
+        assert read(64) == 2.0
+        assert read.fetched == [0, 64, 128]
+        read(0)
+        assert read.fetched[-1] == 0
 
     def test_lookup_refreshes_lru(self):
         window = ReadMergeWindow(capacity=2)
-        window.insert(0, 1.0)
-        window.insert(64, 2.0)
-        window.lookup(0)
-        window.insert(128, 3.0)  # evicts 64, not 0
-        assert window.lookup(0) == 1.0
-        assert window.lookup(64) is None
+        read = Reads(window, {0: 1.0, 64: 2.0, 128: 3.0})
+        read(0)
+        read(64)
+        read(0)
+        read(128)  # evicts 64, not 0
+        assert read(0) == 1.0
+        assert read.fetched == [0, 64, 128]
+        read(64)
+        assert read.fetched[-1] == 64
 
     def test_reset(self):
         window = ReadMergeWindow()
-        window.insert(0, 1.0)
-        window.lookup(0)
+        read = Reads(window, {0: 1.0})
+        read(0)
+        read(0)
+        read.replay.flush()
         window.reset()
-        assert window.lookup(0) is None
         assert window.merged == 0
+        read = Reads(window, {0: 1.0})
+        read(0)
+        assert read.fetched == [0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ReadMergeWindow(capacity=0)
+
+    @settings(NO_SHRINK, max_examples=200)
+    @given(capacities=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           data=st.data())
+    def test_matches_the_oracle(self, capacities, data):
+        """Each read against the oracle's lookup, then fetch and insert on
+        a miss: the same ready times and fetches, and after ``flush()``
+        the same windows, entries in LRU order and merge counts."""
+        reads = data.draw(st.lists(
+            st.tuples(st.integers(0, len(capacities) - 1),
+                      st.floats(0, 100), st.integers(0, 7)),
+            max_size=60,
+        ))
+        oracle, replayed = ([ReadMergeWindow(capacity)
+                             for capacity in capacities] for _ in range(2))
+        fetched = []
+
+        def fetch(arrival, line):
+            fetched.append(line)
+            return arrival + 10.0 + line
+
+        windows = MergeWindowReplay(replayed, fetch)
+        expected_fetches = []
+        for index, arrival, line in reads:
+            merged = reference.window_lookup(oracle[index], line)
+            if merged is not None:
+                expected = max(arrival, merged)
+            else:
+                expected = arrival + 10.0 + line
+                expected_fetches.append(line)
+                reference.window_insert(oracle[index], line, expected)
+            assert windows.read(index, arrival, line) == expected
+        windows.flush()
+        assert fetched == expected_fetches
+        assert ([(list(window._lines.items()), window.merged)
+                 for window in replayed]
+                == [(list(window._lines.items()), window.merged)
+                    for window in oracle])
 
 
 class TestMemoryInterfaces:

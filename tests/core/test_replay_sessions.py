@@ -1,13 +1,16 @@
-"""The production replay serves the memory side from session-local state.
+"""The production replay serves every resource through its replay form.
 
-Each design's replay session seeds the HMC, GDDR5, request-queue,
-merge-window and texture-unit state from the live objects, serves every
-request from that state and writes it back in ``finish()``; the
-per-access methods of those objects are the memory model's unit-tested
-scalar form, which only the references in ``tests/reference.py`` call.
-Bit-identity with the references is ``tests/gpu/test_replay_batch.py``'s
-job; these tests pin that the production path makes no per-access call
-and that the per-access checks it hoists still refuse bad frames.
+Each contended resource has one timing model in ``src/``: the replay
+form a session opens over it (``ServerReplay``, ``DramReplay``,
+``HmcReplay``, ``Gddr5Replay``, ``QueueReplay``, ``MergeWindowReplay``,
+``UnitReplayState`` and ``L1Replay``, and the L2 inlined in the
+baseline/B-PIM and A-TFIM sessions).  The per-access form, one call per
+access over a component's state, lives only in ``tests/reference.py``
+as those forms' oracle.  Bit-identity with the references is
+``tests/gpu/test_replay_batch.py``'s job; these tests pin that no
+component in ``src/`` defines a per-access method, that the production
+path calls no oracle function, and that the per-access checks the
+sessions hoist still refuse bad frames.
 """
 
 import dataclasses
@@ -21,41 +24,82 @@ from repro.core.frontend import make_texture_path
 from repro.core.paths import ReadMergeWindow
 from repro.gpu.pipeline import GpuPipeline
 from repro.gpu.texunit import TextureUnit
-from repro.memory.dram import DramDevice
+from repro.memory import hmc
+from repro.memory.dram import DramBank, DramDevice
 from repro.memory.gddr5 import Gddr5Memory
 from repro.memory.hmc import HmcVault, HybridMemoryCube
 from repro.memory.traffic import TrafficMeter
 from repro.render.renderer import Renderer
-from repro.sim.resources import BandwidthServer, RequestQueue
+from repro.sim.resources import BandwidthServer, RequestQueue, ThroughputUnit
+from repro.texture.cache import TextureCache
 from repro.workloads import workload_by_name
 from tests import reference
 from tests.conftest import make_tiny_scene
 
 PER_ACCESS_METHODS = (
-    (HybridMemoryCube, "internal_read"),
+    (BandwidthServer, "access"),
+    (ThroughputUnit, "issue"),
+    (RequestQueue, "enqueue"),
+    (DramBank, "access_row"),
+    (DramDevice, "locate"),
+    (DramDevice, "access"),
+    (Gddr5Memory, "channel_for"),
+    (Gddr5Memory, "_access"),
+    (Gddr5Memory, "read"),
+    (HmcVault, "access"),
+    (HybridMemoryCube, "vault_for"),
     (HybridMemoryCube, "external_read"),
     (HybridMemoryCube, "send_request"),
     (HybridMemoryCube, "send_response"),
-    (HmcVault, "access"),
-    (DramDevice, "access"),
-    (Gddr5Memory, "read"),
-    (BandwidthServer, "access"),
-    (RequestQueue, "enqueue"),
+    (HybridMemoryCube, "internal_read"),
+    (TextureCache, "_locate"),
+    (TextureCache, "lookup"),
+    (TextureCache, "_quantized"),
+    (TextureCache, "_fill"),
+    (TextureCache, "contains"),
     (ReadMergeWindow, "lookup"),
     (ReadMergeWindow, "insert"),
     (TextureUnit, "generate_addresses"),
     (TextureUnit, "filter_texels"),
+    (TextureUnit, "note_request"),
 )
-"""The live objects' per-access methods: the memory model's scalar form."""
+"""The per-access methods that the components' replay forms replaced;
+their arithmetic is the oracle's in ``tests/reference.py``."""
+
+ORACLE_FUNCTIONS = (
+    "server_access", "stage_issue", "generate_addresses", "filter_texels",
+    "note_request", "enqueue", "window_lookup", "window_insert",
+    "access_row", "locate", "device_access", "channel_for", "gddr5_read",
+    "vault_for", "vault_access", "external_read", "send_request",
+    "send_response", "internal_read", "cache_lookup", "cache_contains",
+)
+"""The per-access functions of ``tests/reference.py``."""
+
+
+@pytest.mark.parametrize(
+    "owner, name", PER_ACCESS_METHODS,
+    ids=[f"{owner.__name__}.{name}" for owner, name in PER_ACCESS_METHODS],
+)
+def test_no_component_defines_a_per_access_method(owner, name):
+    assert not hasattr(owner, name)
+
+
+def test_the_link_is_a_bandwidth_server():
+    """The cube's link directions are bandwidth servers, served by
+    ``ServerReplay`` like the TSVs and the GDDR5 bus."""
+    cube = HybridMemoryCube()
+    assert type(cube.tx_link) is type(cube.rx_link) is BandwidthServer
+    assert not hasattr(hmc, "HmcLink")
 
 
 @pytest.fixture
 def forbid_per_access_calls(monkeypatch):
-    for owner, name in PER_ACCESS_METHODS:
-        def refuse(*args, _name=f"{owner.__name__}.{name}", **kwargs):
+    """Every per-access function of the oracle refuses to run."""
+    for name in ORACLE_FUNCTIONS:
+        def refuse(*args, _name=name, **kwargs):
             raise AssertionError(f"per-access call to {_name}")
 
-        monkeypatch.setattr(owner, name, refuse)
+        monkeypatch.setattr(reference, name, refuse)
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +111,10 @@ def tiny():
 
 
 class TestReplayMakesNoPerAccessCall:
-    """With every per-access method refusing, a fast workload still
-    simulates under every design, with anisotropy off too, and as a
-    sequence: the replay serves the memory side from session state."""
+    """With every per-access function of the oracle refusing, a fast
+    workload still simulates under every design, with anisotropy off
+    too, and as a sequence: production serves every resource through
+    its replay form, and the oracle serves the references alone."""
 
     @pytest.fixture(scope="class")
     def workload(self):
@@ -106,7 +151,8 @@ class TestReplayMakesNoPerAccessCall:
 
     @pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
     def test_the_patch_bites(self, tiny, forbid_per_access_calls, design):
-        """The reference replay serves through the per-access methods."""
+        """The reference replay serves through the per-access functions,
+        so the parity tests compare every design with the oracle."""
         config = DesignConfig(design=design)
         path = make_texture_path(config, TrafficMeter())
         with pytest.raises(AssertionError, match="per-access call"):

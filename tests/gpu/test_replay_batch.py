@@ -121,7 +121,7 @@ def resource_state(path, traffic):
     servers, banks, state = [], [], {}
     hmc = getattr(path, "hmc", None)
     if hmc is not None:
-        servers += [hmc.tx_link.server, hmc.rx_link.server]
+        servers += [hmc.tx_link, hmc.rx_link]
         servers += [vault.tsv for vault in hmc.vaults]
         banks += [bank for vault in hmc.vaults for bank in vault.device.banks]
         state["vault_accesses"] = [vault.accesses for vault in hmc.vaults]
@@ -165,8 +165,8 @@ def resource_state(path, traffic):
 
 def cold_fills(path):
     """Every cache's non-empty cold-fill logs, which decide
-    ``warm_start_inert``: a session must log what ``TextureCache._fill``
-    logs, in the same order."""
+    ``warm_start_inert``: a session must log what the reference's
+    ``cache_lookup`` logs, in the same order."""
     caches = getattr(path, "caches", None)
     if caches is None:
         return None

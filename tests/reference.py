@@ -5,16 +5,29 @@ or inlined for speed.  This module keeps the plain one-at-a-time form of
 each, with the same arithmetic, so a parity test can demand bit-identical
 results:
 
+* the per-access timing of each contended resource, one function call
+  per access over the component's state: :func:`server_access` (a
+  :class:`~repro.sim.resources.BandwidthServer`), :func:`stage_issue`,
+  :func:`generate_addresses` and :func:`filter_texels` (a texture
+  unit's stages), :func:`enqueue` (a request queue),
+  :func:`window_lookup` and :func:`window_insert` (a read-merge
+  window), :func:`access_row`, :func:`locate` and :func:`device_access`
+  (DRAM banks), :func:`gddr5_read`, the cube's :func:`internal_read`,
+  :func:`external_read`, :func:`send_request` and
+  :func:`send_response`, and :func:`cache_lookup` (a texture cache).
+  ``src/`` serves each resource only through its replay form
+  (:mod:`repro.memory.replay`, :mod:`repro.core.paths`, and the L2
+  inlined in the baseline/B-PIM and A-TFIM sessions); these functions
+  are those forms' oracle;
 * :func:`replay_texture_stream` -- the one-event-at-a-time heap
   scheduler, serving each request through its design's :func:`serve`;
 * :func:`serve` -- one request through one design's texture path:
   texture-unit stages, L1 -> L2 -> memory :func:`lookup` (baseline and
   B-PIM, filling lines through a :class:`MemoryInterface`), the S-TFIM
   memory texture unit (:func:`serve_stfim`), or the A-TFIM angle-tagged
-  :func:`probe` and :func:`offload`.  Each calls the live objects'
-  per-access methods: ``HybridMemoryCube.internal_read`` and its links,
-  ``Gddr5Memory.read``, ``RequestQueue.enqueue``, the
-  :class:`~repro.core.paths.ReadMergeWindow` and the texture units;
+  :func:`probe` and :func:`offload`, each through the per-access
+  functions above;
+* :func:`cold_run` -- a frame replayed once, from a freshly built path;
 * :class:`ScalarRasterizer` -- the per-pixel fragment emitter, emitting
   :class:`RasterFragment` rows, and the per-fragment footprint;
 * :class:`ScalarRenderer` -- per-request shading in all four sampling
@@ -31,6 +44,7 @@ from __future__ import annotations
 
 import abc
 import heapq
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -39,12 +53,16 @@ import numpy as np
 
 from repro.core.atfim import AtfimPath
 from repro.core.baseline import GpuFilteringPath
-from repro.core.expansion import ExpandedRequest
-from repro.core.paths import CacheHierarchy, TexturePath
+from repro.core.designs import DesignConfig
+from repro.core.expansion import ExpandedRequest, RequestExpander
+from repro.core.frontend import DesignRun, make_texture_path
+from repro.core.paths import CacheHierarchy, ReadMergeWindow, TexturePath
 from repro.core.stfim import StfimPath
 from repro.gpu.pipeline import Expansion, GpuPipeline
+from repro.gpu.texunit import TextureUnit
+from repro.memory.dram import DramBank, DramDevice
 from repro.memory.gddr5 import Gddr5Memory
-from repro.memory.hmc import HybridMemoryCube
+from repro.memory.hmc import VAULT_BLOCK_BYTES, HmcVault, HybridMemoryCube
 from repro.memory.packets import PacketSpec
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.render.camera import Camera
@@ -53,7 +71,8 @@ from repro.render.raster import Rasterizer, RasterStats
 from repro.render.renderer import Renderer, RenderOutput, SamplingMode
 from repro.render.scene import Scene
 from repro.sim.latency import LatencyHistogram
-from repro.texture.cache import CacheAccessResult
+from repro.sim.resources import BandwidthServer, RequestQueue, ThroughputUnit
+from repro.texture.cache import CacheAccessResult, TextureCache, _Line
 from repro.texture.batch import RequestBatch
 from repro.texture.lod import (
     FootprintBatch,
@@ -71,7 +90,282 @@ from repro.texture.sampling import (
     parent_texel_coords,
     trilinear_sample,
 )
-from repro.units import Bytes, Cycles, Radians
+from repro.units import Bytes, Cycles, Ops, Radians
+
+
+# ---------------------------------------------------------------------------
+# Per-access timing: one call per access over a component's state.
+# ---------------------------------------------------------------------------
+
+
+def server_access(
+    server: BandwidthServer, arrival: Cycles, nbytes: Bytes
+) -> Cycles:
+    """Serve ``nbytes`` arriving at ``arrival`` on ``server``; return the
+    ready time.
+
+    The ready time includes the fixed latency.  Zero-byte accesses are
+    legal and only pay the latency (useful for pure-control messages).
+    """
+    if nbytes < 0:
+        raise ValueError("negative transfer size")
+    start = max(arrival, server._next_free)
+    occupancy = nbytes / server.bytes_per_cycle
+    server._next_free = Cycles(start + occupancy)
+    server.total_bytes = Bytes(server.total_bytes + nbytes)
+    server.total_requests += 1
+    server.busy_cycles = Cycles(server.busy_cycles + occupancy)
+    return Cycles(server._next_free + server.latency)
+
+
+def stage_issue(
+    stage: ThroughputUnit, arrival: Cycles, ops: Ops = Ops(1.0)
+) -> Cycles:
+    """Issue ``ops`` back-to-back operations on ``stage``; return the
+    completion time."""
+    if ops < 0:
+        raise ValueError("negative op count")
+    start = max(arrival, stage._next_issue)
+    occupancy = ops / stage.ops_per_cycle
+    stage._next_issue = Cycles(start + occupancy)
+    stage.total_ops = Ops(stage.total_ops + int(ops))
+    stage.busy_cycles = Cycles(stage.busy_cycles + occupancy)
+    return Cycles(stage._next_issue + stage.pipeline_depth)
+
+
+def generate_addresses(
+    unit: TextureUnit, arrival: Cycles, num_texels: int
+) -> Cycles:
+    """Address-generation stage: one op per texel; returns done time."""
+    if num_texels < 0:
+        raise ValueError("negative texel count")
+    unit.activity.address_ops = Ops(unit.activity.address_ops + num_texels)
+    if num_texels == 0:
+        return arrival
+    return stage_issue(unit.address_stage, arrival, Ops(float(num_texels)))
+
+
+def filter_texels(
+    unit: TextureUnit, arrival: Cycles, num_texels: int
+) -> Cycles:
+    """Filtering stage: one op per texel; returns result-ready time."""
+    if num_texels < 0:
+        raise ValueError("negative texel count")
+    unit.activity.filter_ops = Ops(unit.activity.filter_ops + num_texels)
+    if num_texels == 0:
+        return arrival
+    return stage_issue(unit.filter_stage, arrival, Ops(float(num_texels)))
+
+
+def note_request(unit: TextureUnit) -> None:
+    unit.activity.requests += 1
+
+
+def enqueue(queue: RequestQueue, arrival: Cycles) -> Cycles:
+    """Admit one request to ``queue``; return the cycle at which it is
+    admitted."""
+    # The queue holds (free_at - t) * drain_rate entries at time t; a
+    # new entry is admitted once at most capacity - 1 remain queued.
+    buffered = Ops(float(queue.capacity - 1))
+    earliest_slot = queue._occupancy_free_at - buffered / queue.drain_rate
+    admitted = max(arrival, earliest_slot)
+    stall = admitted - arrival
+    queue._occupancy_free_at = Cycles(
+        max(queue._occupancy_free_at, admitted) + Ops(1.0) / queue.drain_rate
+    )
+    queue.total_enqueued += 1
+    queue.total_stall_cycles = Cycles(queue.total_stall_cycles + stall)
+    return admitted
+
+
+def window_lookup(window: ReadMergeWindow, line: int) -> Optional[float]:
+    """Ready time of a mergeable fetch of ``line``, or None."""
+    if line in window._lines:
+        window._lines.move_to_end(line)
+        window.merged += 1
+        return window._lines[line]
+    return None
+
+
+def window_insert(window: ReadMergeWindow, line: int, ready: float) -> None:
+    window._lines[line] = ready
+    window._lines.move_to_end(line)
+    if len(window._lines) > window.capacity:
+        window._lines.popitem(last=False)
+
+
+def access_row(bank: DramBank, arrival: Cycles, row: int) -> Cycles:
+    """Access ``row`` of ``bank`` at ``arrival``; return data-ready time."""
+    if row < 0:
+        raise ValueError("negative row")
+    start = max(arrival, bank._next_free)
+    if row == bank.open_row:
+        occupancy = bank.timing.row_hit_occupancy
+        bank.row_hits += 1
+    else:
+        occupancy = bank.timing.row_miss_occupancy
+        bank.row_misses += 1
+        bank.open_row = row
+    bank._next_free = start + occupancy
+    bank.busy_cycles += occupancy
+    return bank._next_free + bank.timing.column_access_cycles
+
+
+def locate(device: DramDevice, address: int) -> Tuple[int, int]:
+    """Map an address to (bank index, row index) in ``device``."""
+    if address < 0:
+        raise ValueError("negative address")
+    stride = device.bank_interleave_bytes * device.interleave_step
+    bank = (address // stride) % device.num_banks
+    blocks_per_row = max(
+        1, device.timing.row_bytes // device.bank_interleave_bytes
+    )
+    row = address // (stride * device.num_banks * blocks_per_row)
+    return bank, row
+
+
+def device_access(device: DramDevice, arrival: Cycles, address: int) -> Cycles:
+    """Route an access to its bank; return data-ready time."""
+    bank_index, row = locate(device, address)
+    return access_row(device.banks[bank_index], arrival, row)
+
+
+def channel_for(memory: Gddr5Memory, address: int) -> DramDevice:
+    if address < 0:
+        raise ValueError("negative address")
+    index = (
+        address // memory.config.channel_interleave_bytes
+    ) % memory.config.num_channels
+    return memory.channels[index]
+
+
+def gddr5_read(
+    memory: Gddr5Memory, arrival: Cycles, address: int, nbytes: Bytes
+) -> Cycles:
+    """Read ``nbytes`` at ``address``; return data-ready cycle."""
+    if nbytes <= 0:
+        raise ValueError("read size must be positive")
+    memory.reads += 1
+    bank_ready = device_access(channel_for(memory, address), arrival, address)
+    bus_ready = server_access(memory.bus, arrival, nbytes)
+    return max(bank_ready, bus_ready)
+
+
+def vault_for(hmc: HybridMemoryCube, address: int) -> HmcVault:
+    """The vault of ``address``: 256-byte blocks, round-robin."""
+    if address < 0:
+        raise ValueError("negative address")
+    index = (address // VAULT_BLOCK_BYTES) % hmc.config.num_vaults
+    return hmc.vaults[index]
+
+
+def vault_access(
+    vault: HmcVault, arrival: Cycles, address: int, nbytes: Bytes
+) -> Cycles:
+    """Serve an internal access; return data-ready cycle."""
+    if nbytes <= 0:
+        raise ValueError("access size must be positive")
+    bank_ready = device_access(vault.device, arrival, address)
+    tsv_ready = server_access(vault.tsv, arrival, nbytes)
+    vault.accesses += 1
+    latency = vault.config.vault_access_latency_cycles
+    return max(bank_ready, tsv_ready) + latency
+
+
+def external_read(
+    hmc: HybridMemoryCube, arrival: Cycles, address: int,
+    request_bytes: Bytes, response_bytes: Bytes,
+) -> Cycles:
+    """A read crossing the links; returns the response delivery cycle."""
+    request_delivered = server_access(hmc.tx_link, arrival, request_bytes)
+    data_ready = vault_access(
+        vault_for(hmc, address), request_delivered, address, response_bytes
+    )
+    hmc.external_reads += 1
+    return server_access(hmc.rx_link, data_ready, response_bytes)
+
+
+def send_request(
+    hmc: HybridMemoryCube, arrival: Cycles, nbytes: Bytes
+) -> Cycles:
+    """Ship a request package to the cube over the transmit link."""
+    return server_access(hmc.tx_link, arrival, nbytes)
+
+
+def send_response(
+    hmc: HybridMemoryCube, arrival: Cycles, nbytes: Bytes
+) -> Cycles:
+    """Ship a response package from the cube over the receive link."""
+    return server_access(hmc.rx_link, arrival, nbytes)
+
+
+def internal_read(
+    hmc: HybridMemoryCube, arrival: Cycles, address: int, nbytes: Bytes
+) -> Cycles:
+    """A logic-layer read; never touches the external links."""
+    hmc.internal_reads += 1
+    return vault_access(vault_for(hmc, address), arrival, address, nbytes)
+
+
+def cache_set_and_tag(cache: TextureCache, address: int) -> Tuple[int, int]:
+    """The set and tag of the line containing ``address``."""
+    line_index = address // cache.config.line_bytes
+    set_index = line_index % cache.config.num_sets
+    tag = line_index // cache.config.num_sets
+    return set_index, tag
+
+
+def cache_lookup(
+    cache: TextureCache,
+    address: int,
+    angle: Optional[float] = None,
+    angle_threshold: Optional[Radians] = None,
+) -> CacheAccessResult:
+    """Access the line containing ``address``; fill on miss.
+
+    Without angle arguments this is an ordinary cache access.  With
+    both ``angle`` and ``angle_threshold`` given, a tag hit whose stored
+    (quantised) angle differs from the request's quantised angle by more
+    than the threshold counts as :attr:`CacheAccessResult.ANGLE_MISS`;
+    the line is refilled with the new angle (the recalculated parent
+    texel replaces the stale one, per section V-C).
+    """
+    if address < 0:
+        raise ValueError("negative address")
+    set_index, tag = cache_set_and_tag(cache, address)
+    cache_set = cache._sets.setdefault(set_index, OrderedDict())
+    stored_angle = (
+        None if angle is None
+        else quantize_angle(angle, cache.config.angle_bits)
+    )
+
+    line = cache_set.get(tag)
+    if line is not None:
+        if angle is not None and angle_threshold is not None:
+            if (line.angle is None
+                    or abs(line.angle - stored_angle) > angle_threshold):
+                line.angle = stored_angle
+                cache_set.move_to_end(tag)
+                cache.angle_misses += 1
+                return CacheAccessResult.ANGLE_MISS
+        cache_set.move_to_end(tag)
+        cache.hits += 1
+        return CacheAccessResult.HIT
+
+    if len(cache_set) >= cache.config.associativity:
+        cache_set.popitem(last=False)  # evict LRU
+    else:
+        cache._cold_fills.setdefault(set_index, []).append(tag)
+    cache_set[tag] = _Line(tag=tag, angle=stored_angle)
+    cache.misses += 1
+    return CacheAccessResult.MISS
+
+
+def cache_contains(cache: TextureCache, address: int) -> bool:
+    """Presence probe that does not disturb LRU state or counters."""
+    set_index, tag = cache_set_and_tag(cache, address)
+    cache_set = cache._sets.get(set_index)
+    return cache_set is not None and tag in cache_set
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +435,28 @@ def replay_texture_stream(
     return makespan, histogram, fragments_per_cluster
 
 
+def cold_run(scene: Scene, trace: FragmentTrace,
+             config: DesignConfig) -> DesignRun:
+    """``trace`` simulated once, from a freshly built path: the cold
+    replay that ``simulate_frame`` runs first (and measures where a warm
+    start is inert), as ``bench/``'s traced pass replays it before its
+    measured replay."""
+    traffic = TrafficMeter()
+    path = make_texture_path(config, traffic)
+    frame = GpuPipeline(config.gpu).simulate_frame(
+        trace=trace,
+        expanded=RequestExpander(scene).expand_frame(
+            trace, config.aniso_enabled
+        ),
+        path=path,
+        traffic=traffic,
+        num_vertices=scene.num_vertices,
+        external_bytes_per_cycle=config.external_bytes_per_cycle,
+    )
+    path.release_columns()
+    return DesignRun(config=config, frame=frame, path=path)
+
+
 def serve(
     path: TexturePath, cluster: int, issue: float, expanded: ExpandedRequest
 ) -> float:
@@ -180,7 +496,7 @@ class Gddr5Interface(MemoryInterface):
         self.payload_bytes = packets.cache_line_bytes
 
     def read_line(self, arrival: Cycles, address: int) -> float:
-        ready = self.memory.read(arrival, address, self.payload_bytes)
+        ready = gddr5_read(self.memory, arrival, address, self.payload_bytes)
         self.traffic.add_external(TrafficClass.TEXTURE, self.line_traffic_bytes())
         return ready
 
@@ -203,7 +519,8 @@ class HmcExternalInterface(MemoryInterface):
         self.payload_bytes = packets.cache_line_bytes
 
     def read_line(self, arrival: Cycles, address: int) -> float:
-        ready = self.hmc.external_read(
+        ready = external_read(
+            self.hmc,
             arrival,
             address,
             self.packets.read_request_bytes,
@@ -235,16 +552,16 @@ def _serve_gpu_filtering(
     """Baseline/B-PIM: every conventional-order line through the caches,
     then filtering on the GPU."""
     unit = path.units[cluster]
-    unit.note_request()
+    note_request(unit)
     num_texels = expanded.num_conventional_texels
-    address_done = unit.generate_addresses(issue, num_texels)
+    address_done = generate_addresses(unit, issue, num_texels)
     data_ready = address_done
     memory = memory_interface(path)
     for line in expanded.conventional_lines:
         ready = lookup(path.caches, cluster, address_done, line, memory)
         if ready > data_ready:
             data_ready = ready
-    return unit.filter_texels(data_ready, num_texels)
+    return filter_texels(unit, data_ready, num_texels)
 
 
 def serve_stfim(
@@ -256,36 +573,36 @@ def serve_stfim(
     packets = path.config.packets
     index = cluster // path.config.mtu_share
     mtu = path.mtus[index]
-    mtu.note_request()
+    note_request(mtu)
 
     # Shader -> MTU: live-texture package over the transmit link,
     # gated by the MTU's bounded request queue (stall protocol).
-    admitted = path.queues[index].enqueue(issue)
+    admitted = enqueue(path.queues[index], issue)
     request_bytes = packets.texture_request_bytes
     path.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
-    delivered = path.hmc.send_request(admitted, request_bytes)
+    delivered = send_request(path.hmc, admitted, request_bytes)
 
     # MTU pipeline: address generation, vault fetches, filtering.
-    address_done = mtu.generate_addresses(delivered, num_texels)
+    address_done = generate_addresses(mtu, delivered, num_texels)
     data_ready = address_done
     line_bytes = packets.cache_line_bytes
     window = path.merge_windows[index]
     for line in lines:
-        merged_ready = window.lookup(line)
+        merged_ready = window_lookup(window, line)
         if merged_ready is not None:
             ready = max(address_done, merged_ready)
         else:
-            ready = path.hmc.internal_read(address_done, line, line_bytes)
+            ready = internal_read(path.hmc, address_done, line, line_bytes)
             path.traffic.add_internal(TrafficClass.TEXTURE, float(line_bytes))
-            window.insert(line, ready)
+            window_insert(window, line, ready)
         if ready > data_ready:
             data_ready = ready
-    filtered = mtu.filter_texels(data_ready, num_texels)
+    filtered = filter_texels(mtu, data_ready, num_texels)
 
     # MTU -> shader: one filtered sample back over the receive link.
     response_bytes = packets.texture_response_bytes(samples=1)
     path.traffic.add_external(TrafficClass.TEXTURE, float(response_bytes))
-    return path.hmc.send_response(filtered, response_bytes)
+    return send_response(path.hmc, filtered, response_bytes)
 
 
 class ParentColumns(NamedTuple):
@@ -311,15 +628,17 @@ def offload(
     # missing parents (they share the first parent's base address).
     request_bytes = packets.parent_texel_request_bytes
     path.traffic.add_external(TrafficClass.TEXTURE, float(request_bytes))
-    delivered = path.hmc.send_request(arrival, request_bytes)
+    delivered = send_request(path.hmc, arrival, request_bytes)
 
     # Parent Texel Buffer admission (backpressure when full).
-    admitted = path.parent_buffer.enqueue(delivered)
+    admitted = enqueue(path.parent_buffer, delivered)
 
     # Texel Generator: one address op per child texel.
     total_children = sum(columns.child_counts[parent] for parent in missing)
     path.child_texels_generated += total_children
-    generated = path.texel_generator.generate_addresses(admitted, total_children)
+    generated = generate_addresses(
+        path.texel_generator, admitted, total_children
+    )
 
     # Child Texel Consolidation: dedup child lines across parents.
     child_lines, bounds = columns.child_lines, columns.child_offsets
@@ -347,26 +666,26 @@ def offload(
     merging = path.config.consolidation_enabled
     for line in lines:
         merged_ready = (
-            path.child_merge_window.lookup(line) if merging else None
+            window_lookup(path.child_merge_window, line) if merging else None
         )
         if merged_ready is not None:
             ready = max(generated, merged_ready)
         else:
-            ready = path.hmc.internal_read(generated, line, line_bytes)
+            ready = internal_read(path.hmc, generated, line, line_bytes)
             path.traffic.add_internal(TrafficClass.TEXTURE, float(line_bytes))
             if merging:
-                path.child_merge_window.insert(line, ready)
+                window_insert(path.child_merge_window, line, ready)
             path.child_lines_fetched += 1
         if ready > data_ready:
             data_ready = ready
 
     # Combination Unit: one filter op per child texel.
-    combined = path.combination_unit.filter_texels(data_ready, total_children)
+    combined = filter_texels(path.combination_unit, data_ready, total_children)
 
     # Response package back to the GPU, normal bilinear-fetch format.
     response_bytes = packets.parent_texel_response_bytes(len(missing))
     path.traffic.add_external(TrafficClass.TEXTURE, float(response_bytes))
-    return path.hmc.send_response(combined, response_bytes)
+    return send_response(path.hmc, combined, response_bytes)
 
 
 def _serve_atfim(
@@ -388,12 +707,12 @@ def _serve_atfim(
     )
     angle = expanded.camera_angle
     unit = path.units[cluster]
-    unit.note_request()
+    note_request(unit)
     threshold = path.config.effective_angle_threshold
 
     # GPU side: generate the (few) parent-texel addresses.
     num_parents = len(parents)
-    address_done = unit.generate_addresses(issue, num_parents)
+    address_done = generate_addresses(unit, issue, num_parents)
 
     # Classify each parent against the angle-tagged caches.  Only
     # anisotropic parents carry an angle tag; isotropic ones behave
@@ -423,7 +742,7 @@ def _serve_atfim(
         parents_ready = address_done
 
     # GPU side: bilinear/trilinear over the (approximated) parents.
-    return unit.filter_texels(parents_ready, num_parents)
+    return filter_texels(unit, parents_ready, num_parents)
 
 
 def lookup(
@@ -438,12 +757,12 @@ def lookup(
     An L1 hit is ready at ``arrival``; an L2 hit occupies the L2 port
     for one line and pays its latency; an L2 miss reads memory.
     """
-    result = caches.l1[cluster].lookup(address)
+    result = cache_lookup(caches.l1[cluster], address)
     if result is CacheAccessResult.HIT:
         return arrival
-    l2_result = caches.l2.lookup(address)
+    l2_result = cache_lookup(caches.l2, address)
     if l2_result is CacheAccessResult.HIT:
-        return caches.l2_port.access(arrival, caches.line_bytes)
+        return server_access(caches.l2_port, arrival, caches.line_bytes)
     return memory.read_line(arrival, address)
 
 
@@ -460,15 +779,15 @@ def probe(
     and pays neither the L2 port's occupancy nor its latency, where
     :func:`lookup` charges both.
     """
-    result = caches.l1[cluster].lookup(address, angle, angle_threshold)
+    result = cache_lookup(caches.l1[cluster], address, angle, angle_threshold)
     if result is CacheAccessResult.HIT:
         return CacheAccessResult.HIT
     if result is CacheAccessResult.ANGLE_MISS:
         # A stale-angle line must be recalculated regardless of L2;
         # refresh the L2 copy's angle tag as well.
-        caches.l2.lookup(address, angle, angle_threshold)
+        cache_lookup(caches.l2, address, angle, angle_threshold)
         return CacheAccessResult.ANGLE_MISS
-    l2_result = caches.l2.lookup(address, angle, angle_threshold)
+    l2_result = cache_lookup(caches.l2, address, angle, angle_threshold)
     if l2_result is CacheAccessResult.HIT:
         return CacheAccessResult.HIT
     if l2_result is CacheAccessResult.ANGLE_MISS:

@@ -19,6 +19,7 @@ from repro.energy import EnergyModel
 from repro.experiments.runner import FAST_WORKLOADS
 from repro.obs import run_stat_group
 from repro.workloads import workload_by_name
+from tests import reference
 
 
 def _threshold_sweep(workload, scene, trace, **overrides):
@@ -252,16 +253,16 @@ class TestWarmup:
         that moves either point fails here."""
         scene, trace = fast_workload_trace
         config = fast_workload.design_config(Design.BASELINE)
-        cold = simulate_frame(scene, trace, config, warmup=False)
-        warm = simulate_frame(scene, trace, config, warmup=True)
+        cold = reference.cold_run(scene, trace, config)
+        warm = simulate_frame(scene, trace, config)
         assert (dict(run_stat_group(warm).flatten())
                 == dict(run_stat_group(cold).flatten()))
 
         workload = workload_by_name("riddick-640x480")
         scene, trace = workload.trace()
         config = workload.design_config(Design.BASELINE)
-        cold = simulate_frame(scene, trace, config, warmup=False)
-        warm = simulate_frame(scene, trace, config, warmup=True)
+        cold = reference.cold_run(scene, trace, config)
+        warm = simulate_frame(scene, trace, config)
         assert (dict(run_stat_group(warm).flatten())
                 != dict(run_stat_group(cold).flatten()))
         assert warm.frame.cache_stats.l2_misses < cold.frame.cache_stats.l2_misses

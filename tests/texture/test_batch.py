@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.invariants import InvariantError, check_batch_scalar_parity
 from repro.core.angle import THRESHOLD_SWEEP
@@ -46,7 +46,7 @@ from repro.texture.sampling import (
 )
 from repro.texture.texture import Texture
 from repro.workloads import workload_by_name
-from tests.conftest import make_tiny_scene
+from tests.conftest import NO_SHRINK, make_tiny_scene
 from tests.reference import ScalarRasterizer, ScalarRenderer, request_batch
 
 
@@ -344,11 +344,7 @@ class TestKernelBitParity:
     cost minutes and over a gigabyte before it was reported.
     """
 
-    @settings(
-        max_examples=200,
-        deadline=None,
-        phases=[Phase.explicit, Phase.reuse, Phase.generate],
-    )
+    @settings(NO_SHRINK, max_examples=200)
     @given(case=kernel_cases())
     def test_kernels_match_scalar_bytes(self, case):
         chain, fps, uvs = case

@@ -1,15 +1,50 @@
-"""Tests for the texture caches and the angle-tag policy."""
+"""Tests for the texture caches and the angle-tag policy.
+
+Probes go through :class:`~repro.core.paths.L1Replay`, the form a replay
+session decides its L1 probes with, and the cache is read after
+``flush()``.  A per-access check that the sessions make once per frame
+is tested on the per-access oracle in ``tests/reference.py``.
+"""
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.core.paths import L1_ANGLE_MISS, L1_FILL, L1_HIT, L1Replay
 from repro.texture.cache import CacheAccessResult, CacheConfig, TextureCache
+from repro.texture.lod import quantize_angle
+from tests import reference
+
+RESULTS = {
+    L1_HIT: CacheAccessResult.HIT,
+    L1_FILL: CacheAccessResult.MISS,
+    L1_ANGLE_MISS: CacheAccessResult.ANGLE_MISS,
+}
 
 
 def make_cache(size=1024, assoc=4, line=64):
     return TextureCache(CacheConfig(size_bytes=size, associativity=assoc,
                                     line_bytes=line))
+
+
+def probe(cache, addresses, angles=None, threshold=0.0):
+    """Probe ``addresses`` in order through the L1 replay form and flush
+    it into ``cache``; return each probe's outcome.
+
+    ``angles[k]`` is probe ``k``'s camera angle, or None for a probe
+    that carries no angle tag; without ``angles`` none does.
+    """
+    tags = None
+    if angles is not None:
+        bits = cache.config.angle_bits
+        tags = np.array([math.nan if angle is None
+                         else quantize_angle(angle, bits)
+                         for angle in angles], dtype=np.float64)
+    form = L1Replay([cache], np.zeros(len(addresses), dtype=np.int64),
+                    np.array(addresses, dtype=np.int64), tags, threshold)
+    form.flush()
+    return [RESULTS[code] for code in form.outcomes.tolist()]
 
 
 class TestCacheConfig:
@@ -48,132 +83,109 @@ class TestCacheConfig:
 
 class TestBasicCaching:
     def test_first_access_misses_then_hits(self):
-        cache = make_cache()
-        assert cache.lookup(0) is CacheAccessResult.MISS
-        assert cache.lookup(0) is CacheAccessResult.HIT
+        assert probe(make_cache(), [0, 0]) == [
+            CacheAccessResult.MISS, CacheAccessResult.HIT]
 
     def test_same_line_shares_entry(self):
-        cache = make_cache()
-        cache.lookup(0)
-        assert cache.lookup(63) is CacheAccessResult.HIT
-        assert cache.lookup(64) is CacheAccessResult.MISS
+        assert probe(make_cache(), [0, 63, 64])[1:] == [
+            CacheAccessResult.HIT, CacheAccessResult.MISS]
 
     def test_lru_eviction(self):
         cache = make_cache(size=4 * 64, assoc=4)  # one set of 4 lines
-        for index in range(4):
-            cache.lookup(index * 64)
-        cache.lookup(0)          # refresh line 0
-        cache.lookup(4 * 64)     # evicts line 1 (LRU)
-        assert cache.lookup(0) is CacheAccessResult.HIT
-        assert cache.lookup(64) is CacheAccessResult.MISS
+        fill = [index * 64 for index in range(4)]
+        # Refresh line 0, then evict line 1 (LRU) with a fifth line.
+        *_, line_0, line_1 = probe(cache, fill + [0, 4 * 64, 0, 64])
+        assert line_0 is CacheAccessResult.HIT
+        assert line_1 is CacheAccessResult.MISS
 
     def test_sets_isolate_addresses(self):
         cache = make_cache(size=8 * 64, assoc=4)  # 2 sets
         # Fill set 0 beyond capacity; set 1 lines must survive.
-        cache.lookup(64)  # set 1
-        for index in range(8):
-            cache.lookup(index * 2 * 64)  # all map to set 0
-        assert cache.lookup(64) is CacheAccessResult.HIT
+        set_zero = [index * 2 * 64 for index in range(8)]
+        assert probe(cache, [64] + set_zero + [64])[-1] is (
+            CacheAccessResult.HIT)
 
     def test_hit_and_miss_rates(self):
         cache = make_cache()
-        cache.lookup(0)
-        cache.lookup(0)
-        cache.lookup(64)
+        probe(cache, [0, 0, 64])
         assert cache.hit_rate() == pytest.approx(1.0 / 3.0)
         assert cache.miss_rate() == pytest.approx(2.0 / 3.0)
 
     def test_contains_is_side_effect_free(self):
         cache = make_cache()
-        cache.lookup(0)
+        probe(cache, [0])
         hits_before = cache.hits
-        assert cache.contains(0)
-        assert not cache.contains(4096)
+        assert reference.cache_contains(cache, 0)
+        assert not reference.cache_contains(cache, 4096)
         assert cache.hits == hits_before
 
     def test_negative_address_rejected(self):
+        """Sessions refuse a frame with a negative address once
+        (``tests/core/test_replay_sessions.py``); the oracle checks each
+        access."""
         with pytest.raises(ValueError):
-            make_cache().lookup(-1)
+            reference.cache_lookup(make_cache(), -1)
 
     def test_reset_clears_contents(self):
         cache = make_cache()
-        cache.lookup(0)
+        probe(cache, [0])
         cache.reset()
-        assert cache.lookup(0) is CacheAccessResult.MISS
+        assert probe(cache, [0]) == [CacheAccessResult.MISS]
 
     def test_reset_counters_keeps_contents(self):
         cache = make_cache()
-        cache.lookup(0)
+        probe(cache, [0])
         cache.reset_counters()
         assert cache.hits == 0
-        assert cache.lookup(0) is CacheAccessResult.HIT
+        assert probe(cache, [0]) == [CacheAccessResult.HIT]
 
 
 class TestAngleTagging:
     def test_same_angle_reuses(self):
-        cache = make_cache()
         threshold = 0.01 * math.pi
-        cache.lookup(0, angle=0.3, angle_threshold=threshold)
-        assert (
-            cache.lookup(0, angle=0.3, angle_threshold=threshold)
-            is CacheAccessResult.HIT
-        )
+        assert probe(make_cache(), [0, 0], [0.3, 0.3], threshold)[-1] is (
+            CacheAccessResult.HIT)
 
     def test_angle_within_threshold_reuses(self):
-        cache = make_cache()
         threshold = 0.05 * math.pi
-        cache.lookup(0, angle=0.30, angle_threshold=threshold)
-        assert (
-            cache.lookup(0, angle=0.32, angle_threshold=threshold)
-            is CacheAccessResult.HIT
-        )
+        assert probe(make_cache(), [0, 0], [0.30, 0.32], threshold)[-1] is (
+            CacheAccessResult.HIT)
 
     def test_angle_beyond_threshold_recalculates(self):
         cache = make_cache()
         threshold = 0.01 * math.pi
-        cache.lookup(0, angle=0.1, angle_threshold=threshold)
-        result = cache.lookup(0, angle=0.8, angle_threshold=threshold)
+        result = probe(cache, [0, 0], [0.1, 0.8], threshold)[-1]
         assert result is CacheAccessResult.ANGLE_MISS
         assert cache.angle_misses == 1
 
     def test_angle_miss_updates_stored_angle(self):
-        cache = make_cache()
         threshold = 0.01 * math.pi
-        cache.lookup(0, angle=0.1, angle_threshold=threshold)
-        cache.lookup(0, angle=0.8, angle_threshold=threshold)  # recalc
-        # Now the stored angle is 0.8: reuse succeeds.
-        assert (
-            cache.lookup(0, angle=0.8, angle_threshold=threshold)
-            is CacheAccessResult.HIT
-        )
+        # The recalculation stores 0.8: the next probe at 0.8 reuses.
+        assert probe(make_cache(), [0, 0, 0], [0.1, 0.8, 0.8],
+                     threshold)[-1] is CacheAccessResult.HIT
 
     def test_plain_lookup_after_angled_fill(self):
-        cache = make_cache()
-        cache.lookup(0, angle=0.1, angle_threshold=0.05)
-        assert cache.lookup(0) is CacheAccessResult.HIT
+        assert probe(make_cache(), [0, 0], [0.1, None], 0.05)[-1] is (
+            CacheAccessResult.HIT)
 
     def test_angled_lookup_after_plain_fill_recalculates(self):
         # A line cached without an angle cannot satisfy an angle-checked
         # parent-texel fetch.
-        cache = make_cache()
-        cache.lookup(0)
-        result = cache.lookup(0, angle=0.3, angle_threshold=0.05)
+        result = probe(make_cache(), [0, 0], [None, 0.3], 0.05)[-1]
         assert result is CacheAccessResult.ANGLE_MISS
 
     def test_looser_threshold_fewer_recalcs(self):
         angles = [0.05 * index for index in range(20)]
         strict = make_cache()
         loose = make_cache()
-        for angle in angles:
-            strict.lookup(0, angle=angle, angle_threshold=0.01)
-            loose.lookup(0, angle=angle, angle_threshold=1.0)
+        probe(strict, [0] * len(angles), angles, 0.01)
+        probe(loose, [0] * len(angles), angles, 1.0)
         assert loose.angle_misses < strict.angle_misses
 
     def test_quantisation_applied_to_stored_angle(self):
-        cache = make_cache()
         # Two angles closer than half a quantisation step are identical
         # after quantisation, so they always reuse even at threshold 0.
         step = (math.pi / 2) / 127
-        cache.lookup(0, angle=10 * step, angle_threshold=0.0)
-        result = cache.lookup(0, angle=10 * step + step / 8, angle_threshold=0.0)
+        result = probe(make_cache(), [0, 0], [10 * step, 10 * step + step / 8],
+                       0.0)[-1]
         assert result is CacheAccessResult.HIT

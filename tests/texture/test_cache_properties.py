@@ -1,8 +1,13 @@
-"""Property-based tests: the texture cache against a reference model.
+"""Property-based tests: the texture cache's replay form against a model.
 
 A miniature reference implementation (plain dict + recency list) checks
 the set-associative LRU cache over arbitrary access sequences generated
 by hypothesis -- the classic model-based test for replacement policies.
+Every property probes through :class:`~repro.core.paths.L1Replay`, the
+form a replay session decides its L1 probes with
+(:func:`tests.texture.test_cache.probe`), and reads the cache after
+``flush()``; ``tests/core/test_l1_replay.py`` holds the same form to the
+per-access oracle probe for probe.
 """
 
 from collections import OrderedDict
@@ -10,6 +15,9 @@ from collections import OrderedDict
 from hypothesis import given, settings, strategies as st
 
 from repro.texture.cache import CacheAccessResult, CacheConfig, TextureCache
+from tests import reference
+from tests.conftest import NO_SHRINK
+from tests.texture.test_cache import probe
 
 LINE = 64
 ASSOC = 2
@@ -43,38 +51,37 @@ addresses = st.integers(min_value=0, max_value=LINE * 64 - 1)
 
 
 class TestCacheAgainstReference:
-    @settings(max_examples=200, deadline=None)
+    @settings(NO_SHRINK, max_examples=200)
     @given(sequence=st.lists(addresses, min_size=1, max_size=200))
     def test_hit_miss_sequence_matches_reference(self, sequence):
-        cache = TextureCache(CONFIG)
-        reference = ReferenceCache()
-        for address in sequence:
-            expected_hit = reference.access(address)
-            result = cache.lookup(address)
-            assert result.is_hit == expected_hit, (
-                f"divergence at address {address}"
-            )
+        model = ReferenceCache()
+        expected = [model.access(address) for address in sequence]
+        results = probe(TextureCache(CONFIG), sequence)
+        assert [result.is_hit for result in results] == expected
 
-    @settings(max_examples=100, deadline=None)
+    @settings(NO_SHRINK, max_examples=100)
     @given(sequence=st.lists(addresses, min_size=1, max_size=100))
     def test_counters_consistent(self, sequence):
         cache = TextureCache(CONFIG)
-        for address in sequence:
-            cache.lookup(address)
+        probe(cache, sequence)
         assert cache.hits + cache.misses == len(sequence)
         assert 0.0 <= cache.hit_rate() <= 1.0
         assert cache.hit_rate() + cache.miss_rate() == 1.0
 
-    @settings(max_examples=100, deadline=None)
+    @settings(NO_SHRINK, max_examples=100)
     @given(sequence=st.lists(addresses, min_size=1, max_size=100))
     def test_contains_agrees_with_next_lookup(self, sequence):
-        cache = TextureCache(CONFIG)
+        """The form's probe hits exactly where the oracle's presence
+        probe finds the line before the oracle looks it up."""
+        oracle = TextureCache(CONFIG)
+        present = []
         for address in sequence:
-            present = cache.contains(address)
-            result = cache.lookup(address)
-            assert result.is_hit == present
+            present.append(reference.cache_contains(oracle, address))
+            reference.cache_lookup(oracle, address)
+        results = probe(TextureCache(CONFIG), sequence)
+        assert [result.is_hit for result in results] == present
 
-    @settings(max_examples=50, deadline=None)
+    @settings(NO_SHRINK, max_examples=50)
     @given(
         sequence=st.lists(addresses, min_size=1, max_size=50),
         angle_a=st.floats(0.0, 1.5),
@@ -86,16 +93,13 @@ class TestCacheAgainstReference:
     ):
         """An angle mismatch may force recalculation, but only on lines
         that are actually present (ANGLE_MISS never replaces MISS)."""
-        cache = TextureCache(CONFIG)
-        reference = ReferenceCache()
-        for index, address in enumerate(sequence):
-            angle = angle_a if index % 2 == 0 else angle_b
-            expected_present = reference.access(address)
-            result = cache.lookup(address, angle=angle, angle_threshold=threshold)
-            if result is CacheAccessResult.MISS:
-                assert not expected_present
-            else:
-                assert expected_present
+        model = ReferenceCache()
+        expected_present = [model.access(address) for address in sequence]
+        angles = [angle_a if index % 2 == 0 else angle_b
+                  for index in range(len(sequence))]
+        results = probe(TextureCache(CONFIG), sequence, angles, threshold)
+        for result, present in zip(results, expected_present):
+            assert (result is not CacheAccessResult.MISS) == present
 
 
 def geometry(sets, ways):
@@ -129,10 +133,11 @@ def warm_start_cases(draw):
 
 
 def run_pass(cache, stream, threshold):
-    return [
-        cache.lookup(line * LINE, angle=angle, angle_threshold=threshold)
-        for line, angle in stream
-    ]
+    """Each probe's outcome in one pass of ``stream`` through the form."""
+    addresses = [line * LINE for line, _ in stream]
+    if threshold is None:
+        return probe(cache, addresses)
+    return probe(cache, addresses, [angle for _, angle in stream], threshold)
 
 
 def contents(cache):
@@ -147,7 +152,7 @@ class TestWarmStartInert:
     """``warm_start_inert`` after a cold pass predicts, exactly, whether
     the same pass from the warm contents repeats every outcome."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(NO_SHRINK, max_examples=300)
     @given(case=warm_start_cases())
     def test_check_is_exact_on_the_live_cache(self, case):
         config, stream, threshold = case
