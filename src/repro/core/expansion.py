@@ -366,10 +366,13 @@ class RequestExpander:
         texture_ids = trace.texture_id
         members: List[np.ndarray] = []
         groups: List[_Group] = []
-        for texture_id in np.unique(texture_ids).tolist():
+        # The distinct values of small non-negative ints, ascending:
+        # ``np.unique`` would import ``numpy.ma`` on first use.
+        for texture_id in np.flatnonzero(np.bincount(texture_ids)).tolist():
             in_texture = texture_ids == texture_id
             chain = self._chain(texture_id)
-            for probes in np.unique(batch.probes[in_texture]).tolist():
+            probe_counts = np.bincount(batch.probes[in_texture])
+            for probes in np.flatnonzero(probe_counts).tolist():
                 rows = np.nonzero(in_texture & (batch.probes == probes))[0]
                 members.append(rows)
                 groups.append(self._expand_group(chain, batch, rows, probes))

@@ -17,14 +17,12 @@ modelled.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional, Sequence
 
-from repro.core import Design, simulate_frame
+from repro.core import Design
 from repro.core.angle import DEFAULT_THRESHOLD
 from repro.experiments.common import FigureData
 from repro.experiments.runner import ExperimentRunner
-from repro.workloads import GameWorkload, workload_by_name
 
 
 def mtu_sharing(
@@ -86,15 +84,26 @@ def consolidation(
     return data
 
 
+ANISOTROPY_CAPS = (2, 4, 8, 16)
+"""The anisotropy caps :func:`anisotropy_cap` sweeps."""
+
+INTERNAL_BANDWIDTH_MULTIPLIERS = (0.5, 1.0, 2.0, 4.0)
+"""The HMC internal-bandwidth multipliers :func:`internal_bandwidth`
+sweeps."""
+
+
 def anisotropy_cap(
-    workload_name: str = "doom3-640x480",
-    caps: Sequence[int] = (2, 4, 8, 16),
+    runner: Optional[ExperimentRunner] = None,
+    workload_names: Optional[Sequence[str]] = None,
+    caps: Sequence[int] = ANISOTROPY_CAPS,
 ) -> FigureData:
-    """Baseline texel volume and A-TFIM gain vs max anisotropy level."""
-    base_workload = workload_by_name(workload_name)
+    """Baseline texel volume and A-TFIM gain vs max anisotropy level, on
+    the runner's first workload."""
+    runner = runner or ExperimentRunner(workload_names)
+    workload = runner.workloads[0]
     data = FigureData(
         figure="ablation-aniso-cap",
-        title=f"A-TFIM texture speedup vs max anisotropy ({workload_name})",
+        title=f"A-TFIM texture speedup vs max anisotropy ({workload.name})",
         columns=["texels_per_request", "a_tfim_texture_speedup"],
         paper_reference=(
             "Section II-C: required texels grow with the anisotropy level "
@@ -102,71 +111,47 @@ def anisotropy_cap(
         ),
     )
     for cap in caps:
-        workload = dataclasses.replace(base_workload, max_anisotropy=cap)
-        scene, trace = workload.trace()
-        baseline = simulate_frame(
-            scene, trace, workload.design_config(Design.BASELINE)
-        )
-        atfim = simulate_frame(
-            scene,
-            trace,
-            workload.design_config(
-                Design.A_TFIM,
-                angle_threshold=DEFAULT_THRESHOLD.effective_radians,
-            ),
-        )
-        texels = baseline.frame.texels_requested / max(
-            1, baseline.frame.num_requests
-        )
+        baseline = runner.run(
+            workload, Design.BASELINE, max_anisotropy=cap
+        ).frame
+        atfim = runner.run(workload, Design.A_TFIM, max_anisotropy=cap).frame
         data.add_row(
             f"aniso_{cap}x",
-            texels_per_request=texels,
-            a_tfim_texture_speedup=atfim.frame.texture_speedup_over(
-                baseline.frame
+            texels_per_request=(
+                baseline.texels_requested / max(1, baseline.num_requests)
             ),
+            a_tfim_texture_speedup=atfim.texture_speedup_over(baseline),
         )
     return data
 
 
 def internal_bandwidth(
-    workload_name: str = "doom3-640x480",
-    multipliers: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
+    runner: Optional[ExperimentRunner] = None,
+    workload_names: Optional[Sequence[str]] = None,
+    multipliers: Sequence[float] = INTERNAL_BANDWIDTH_MULTIPLIERS,
 ) -> FigureData:
-    """A-TFIM texture speedup vs HMC internal bandwidth."""
-    workload = workload_by_name(workload_name)
-    scene, trace = workload.trace()
-    baseline = simulate_frame(
-        scene, trace, workload.design_config(Design.BASELINE)
-    )
+    """A-TFIM texture speedup vs HMC internal bandwidth, on the runner's
+    first workload; the external links are clamped to the internal
+    bandwidth."""
+    runner = runner or ExperimentRunner(workload_names)
+    workload = runner.workloads[0]
+    baseline = runner.baseline(workload).frame
     data = FigureData(
         figure="ablation-internal-bw",
-        title=f"A-TFIM texture speedup vs HMC internal bandwidth ({workload_name})",
+        title=f"A-TFIM texture speedup vs HMC internal bandwidth ({workload.name})",
         columns=["a_tfim_texture_speedup"],
         paper_reference=(
             "Section III: internal bandwidth (512 GB/s) vs external "
             "(320 GB/s) is the headroom the TFIM designs exploit."
         ),
     )
-    base_hmc = workload.hmc_config()
     for multiplier in multipliers:
-        hmc = dataclasses.replace(
-            base_hmc,
-            internal_bandwidth_gb_per_s=base_hmc.internal_bandwidth_gb_per_s
-            * multiplier,
-            external_bandwidth_gb_per_s=min(
-                base_hmc.external_bandwidth_gb_per_s,
-                base_hmc.internal_bandwidth_gb_per_s * multiplier,
-            ),
+        run = runner.run(
+            workload, Design.A_TFIM, internal_bandwidth_multiplier=multiplier
         )
-        config = workload.design_config(
-            Design.A_TFIM,
-            angle_threshold=DEFAULT_THRESHOLD.effective_radians,
-            hmc=hmc,
-        )
-        run = simulate_frame(scene, trace, config)
         data.add_row(
             f"internal_x{multiplier}",
-            a_tfim_texture_speedup=run.frame.texture_speedup_over(baseline.frame),
+            a_tfim_texture_speedup=run.frame.texture_speedup_over(baseline),
         )
     return data
 
@@ -174,12 +159,9 @@ def internal_bandwidth(
 if __name__ == "__main__":
     from repro.experiments.runner import FAST_WORKLOADS
 
-    for figure in (
-        mtu_sharing(workload_names=FAST_WORKLOADS),
-        consolidation(workload_names=FAST_WORKLOADS),
-        anisotropy_cap(),
-        internal_bandwidth(),
-    ):
+    fast = ExperimentRunner(FAST_WORKLOADS)
+    for study in (mtu_sharing, consolidation, anisotropy_cap, internal_bandwidth):
+        figure = study(fast)
         print(figure.title)
         print(figure.format_table())
         print()

@@ -6,8 +6,10 @@ reuse; the PSNR between the two is the paper's quality metric.  Identical
 frames score the paper's cap of 99 dB; above ~70 dB differences are
 imperceptible.
 
-This is the only experiment that shades real pixels, so it is the most
-expensive; ``workload_names`` can restrict it to a subset.
+This is the only experiment that shades real pixels.  The renders are
+runner points (:class:`~repro.experiments.runner.RenderKey`), so the
+report computes them with its grid and this module only reads them;
+``workload_names`` can restrict it to a subset.
 """
 
 from __future__ import annotations
@@ -51,18 +53,11 @@ def run(
         ),
     )
     for workload in runner.workloads:
-        built = workload.build()
-        renderer = workload.make_renderer()
-        reference = renderer.render(
-            built.scene, built.camera, SamplingMode.EXACT
-        ).image
+        reference = runner.render(workload, SamplingMode.EXACT).image
         values: Dict[str, float] = {}
         for threshold in thresholds:
-            approximate = renderer.render(
-                built.scene,
-                built.camera,
-                SamplingMode.ATFIM,
-                angle_threshold=threshold.effective_radians,
+            approximate = runner.render(
+                workload, SamplingMode.ATFIM, threshold
             ).image
             values[threshold.label] = psnr(reference, approximate)
         data.add_row(workload.name, **values)

@@ -28,10 +28,17 @@ from repro.experiments import (
     tables,
 )
 from repro.core import Design
-from repro.core.angle import DEFAULT_THRESHOLD, THRESHOLD_SWEEP
+from repro.core.angle import THRESHOLD_SWEEP
 from repro.experiments.common import FigureData
-from repro.experiments.runner import FAST_WORKLOADS, ExperimentRunner, RunKey
+from repro.experiments.runner import (
+    FAST_WORKLOADS,
+    ExperimentRunner,
+    Key,
+    RenderKey,
+    run_key,
+)
 from repro.experiments.validate import summarize, validate
+from repro.render.renderer import SamplingMode
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
@@ -51,40 +58,52 @@ measurement.
 
 
 def grid_keys(
-    runner: ExperimentRunner, include_ablations: bool = True
-) -> List[RunKey]:
-    """Every grid point the report reads, for the prefetch.
+    runner: ExperimentRunner,
+    include_quality: bool = True,
+    include_ablations: bool = True,
+) -> List[Key]:
+    """Every point the report reads, for the prefetch.
 
-    Mirrors the slices taken by fig02-fig14: all four designs at the
-    default threshold, the fig04 aniso-off baseline and the A-TFIM
-    threshold sweep; with ``include_ablations`` also the points of the
-    two ablations the runner serves: S-TFIM with two and four clusters
-    per MTU, and A-TFIM with consolidation off.
+    Mirrors the points the figures read: on every workload all four
+    designs at the default threshold, the fig04 aniso-off baseline and
+    the A-TFIM threshold sweep; with ``include_quality`` Fig. 15's exact
+    render and its A-TFIM render at each threshold; with
+    ``include_ablations`` S-TFIM with two and four clusters per MTU and
+    A-TFIM with consolidation off, and on the first workload the
+    baseline and A-TFIM at each anisotropy cap and A-TFIM at each HMC
+    internal-bandwidth multiplier.  Points repeat (the sweep holds the
+    default threshold, and an ablation point at the workload's defaults
+    has the default key), so the list is deduplicated, first seen first.
     """
-    default = DEFAULT_THRESHOLD.effective_radians
-    keys: List[RunKey] = []
+    keys: List[Key] = []
     for workload in runner.workloads:
-        name = workload.name
         for design in Design:
-            keys.append(RunKey(name, design, default, True))
-        keys.append(RunKey(name, Design.BASELINE, default, False))
+            keys.append(run_key(workload, design))
+        keys.append(run_key(workload, Design.BASELINE, aniso_enabled=False))
         for threshold in THRESHOLD_SWEEP:
+            keys.append(run_key(workload, Design.A_TFIM, threshold))
+        if include_quality:
+            keys.append(RenderKey(workload.name, SamplingMode.EXACT))
+            for threshold in THRESHOLD_SWEEP:
+                keys.append(RenderKey(
+                    workload.name, SamplingMode.ATFIM,
+                    threshold.effective_radians,
+                ))
+        if include_ablations:
+            for ratio in (2, 4):
+                keys.append(run_key(workload, Design.S_TFIM, mtu_share=ratio))
             keys.append(
-                RunKey(name, Design.A_TFIM, threshold.effective_radians, True)
+                run_key(workload, Design.A_TFIM, consolidation_enabled=False)
             )
-        if not include_ablations:
-            continue
-        for ratio in (2, 4):
-            keys.append(
-                RunKey(name, Design.S_TFIM, default, True, mtu_share=ratio)
-            )
-        keys.append(
-            RunKey(
-                name, Design.A_TFIM, default, True, consolidation_enabled=False
-            )
-        )
-    # The sweep includes the default threshold, duplicating the design
-    # loop's A-TFIM point; dedup preserving first-seen order.
+    if include_ablations:
+        first = runner.workloads[0]
+        for cap in ablations.ANISOTROPY_CAPS:
+            for design in (Design.BASELINE, Design.A_TFIM):
+                keys.append(run_key(first, design, max_anisotropy=cap))
+        for multiplier in ablations.INTERNAL_BANDWIDTH_MULTIPLIERS:
+            keys.append(run_key(
+                first, Design.A_TFIM, internal_bandwidth_multiplier=multiplier
+            ))
     return list(dict.fromkeys(keys))
 
 
@@ -172,11 +191,10 @@ def figure_tables(
 
     if include_ablations:
         with obs.span("report.ablations"):
-            name = runner.workloads[0].name
             figures.append((ablations.mtu_sharing(runner), 3))
             figures.append((ablations.consolidation(runner), 3))
-            figures.append((ablations.anisotropy_cap(name), 3))
-            figures.append((ablations.internal_bandwidth(name), 3))
+            figures.append((ablations.anisotropy_cap(runner), 3))
+            figures.append((ablations.internal_bandwidth(runner), 3))
     return figures
 
 
@@ -193,17 +211,19 @@ def generate_with_runner(
     to the manifest and stderr, so the same report reads the same
     whether it ran serially or with ``jobs``.
 
-    The design-point grid (:func:`grid_keys`) is prefetched through
-    :meth:`ExperimentRunner.run_many` before any figure renders, one
-    workload after another and, with ``jobs > 1``, on that many
-    processes; each workload's trace is then expanded once per
-    anisotropy setting, and the figures only hit the memo.  The
-    returned runner carries the memo counters and completed runs the
-    manifest records.
+    Every point the report reads (:func:`grid_keys`) is prefetched
+    through :meth:`ExperimentRunner.run_many` before any figure is
+    built, one workload after another and, with ``jobs > 1``, on that
+    many processes; each workload's trace is then expanded once per
+    anisotropy setting, and the figures only read the memo.  The
+    returned runner carries the memo counters, completed runs and
+    renders the manifest records.
     """
     runner = ExperimentRunner(workload_names)
     with obs.span("report.generate", workloads=len(runner.workloads)):
-        runner.run_many(grid_keys(runner, include_ablations), jobs=jobs)
+        runner.run_many(
+            grid_keys(runner, include_quality, include_ablations), jobs=jobs
+        )
         sections: List[str] = [HEADER]
 
         sections.append("\n## Table I: simulator configuration\n\n```\n"

@@ -7,6 +7,11 @@ work.  A reproduction's conclusions are only credible if the *orderings*
 explosion; the threshold tradeoff -- survive any reasonable setting of
 those constants.  This module sweeps them and reports the design
 orderings at every point; :mod:`repro.experiments.validate` checks them.
+
+It is a tier-1-only study (``tests/experiments/test_sensitivity.py``):
+its sweeps replace GPU constants that no runner key holds, so
+:class:`~repro.experiments.runner.ExperimentRunner` does not serve them
+and ``python -m repro report`` does not print them.
 """
 
 from __future__ import annotations

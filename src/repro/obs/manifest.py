@@ -6,8 +6,8 @@ configuration (with a content digest), the simulator source version the
 results were computed from, the span tree recorded by
 :mod:`repro.obs.tracer`, and the flattened
 :class:`~repro.sim.stats.StatGroup` metrics of the runner: its memo
-counters and every completed design run.  Serialized as strict JSON
-(``allow_nan=False``: non-finite values are a bug, not a
+counters, every completed design run and every render.  Serialized as
+strict JSON (``allow_nan=False``: non-finite values are a bug, not a
 serialization detail).
 
 ``python -m repro trace <manifest.json>`` converts the embedded span
@@ -115,9 +115,9 @@ def build_manifest(
     """Assemble a manifest from the current process state.
 
     ``runner`` (an :class:`~repro.experiments.runner.ExperimentRunner`)
-    contributes its flattened StatGroup metrics: the memo counters and
-    every completed run; the span tree is drained from the process-wide
-    tracer.
+    contributes its flattened StatGroup metrics: the memo counters,
+    every completed run and every render; the span tree is drained from
+    the process-wide tracer.
     """
     # Imported lazily: importing repro.experiments loads the runner,
     # which records spans through repro.obs, so a top-level import

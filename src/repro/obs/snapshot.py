@@ -3,9 +3,10 @@
 The simulator's per-component counters (stage cycles, traffic bytes,
 cache outcomes, texture-unit activity, memory-system events) live in
 many small objects; these helpers roll one frame -- or a whole runner's
-worth of frames -- into a single :class:`~repro.sim.stats.StatGroup`
-tree whose :meth:`~repro.sim.stats.StatGroup.flatten` output is what the
-run manifest and the span tree embed.
+worth of frames and renders -- into a single
+:class:`~repro.sim.stats.StatGroup` tree whose
+:meth:`~repro.sim.stats.StatGroup.flatten` output is what the run
+manifest and the span tree embed.
 
 Everything here reads drained results; nothing mutates simulator state.
 Snapshot group names use ``/`` inside path segments (``doom3/a-tfim``)
@@ -79,11 +80,16 @@ def run_stat_group(run: "DesignRun", name: str = "run") -> StatGroup:
 
 
 def runner_stat_group(runner: "ExperimentRunner") -> StatGroup:
-    """Snapshot every design run an :class:`ExperimentRunner` completed.
+    """Snapshot every design run and render an :class:`ExperimentRunner`
+    completed.
 
-    One child per completed grid point, named
-    ``<workload>/<design>[/t<threshold>][/...]``, plus the runner's own
-    memoisation counters.
+    One ``runs`` child per completed grid point, named
+    ``<workload>/<design>/t<threshold>[/...]`` with one segment per
+    setting off its default (a variant's overrides included, such as
+    ``aniso-2x`` or ``internal-x2.0``), so no two runs share a name; one
+    ``renders`` child per render, ``<workload>/<mode>/t<threshold>``,
+    with its parent reuse and recalculation counts; plus the runner's
+    own memoisation counters.
     """
     root = StatGroup("runner")
     cache = root.child("cache")
@@ -100,6 +106,20 @@ def runner_stat_group(runner: "ExperimentRunner") -> StatGroup:
             parts.append(f"mtu-share-{key.mtu_share}")
         if not key.consolidation_enabled:
             parts.append("no-consolidation")
+        if key.variant.max_anisotropy is not None:
+            parts.append(f"aniso-{key.variant.max_anisotropy}x")
+        if key.variant.internal_bandwidth_multiplier != 1.0:
+            parts.append(f"internal-x{key.variant.internal_bandwidth_multiplier}")
         name = "/".join(parts)
         runs.adopt(run_stat_group(run, name=name))
+
+    renders = root.child("renders")
+    for key, render in runner.completed_renders().items():
+        group = renders.child(
+            f"{key.workload}/{key.mode.value}/t{key.angle_threshold:.6f}"
+        )
+        group.counter("parent_reuses").add(render.parent_reuses)
+        group.counter("parent_recalculations").add(
+            render.parent_recalculations
+        )
     return root

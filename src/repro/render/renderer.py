@@ -257,7 +257,9 @@ class Renderer:
 
         colors = np.zeros((len(trace), 4), dtype=np.float64)
         reuses = recalculations = 0
-        for texture_id in np.unique(trace.texture_id).tolist():
+        # The distinct texture ids, ascending (``np.unique`` would
+        # import ``numpy.ma`` on first use).
+        for texture_id in np.flatnonzero(np.bincount(trace.texture_id)).tolist():
             indices = np.nonzero(trace.texture_id == texture_id)[0]
             chain = scene.mipmap_chain(texture_id)
             sampler = BatchSampler(chain)

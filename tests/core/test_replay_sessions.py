@@ -8,8 +8,8 @@ baseline/B-PIM and A-TFIM sessions).  The per-access form, one call per
 access over a component's state, lives only in ``tests/reference.py``
 as those forms' oracle.  Bit-identity with the references is
 ``tests/gpu/test_replay_batch.py``'s job; these tests pin that no
-component in ``src/`` defines a per-access method, that the production
-path calls no oracle function, and that the per-access checks the
+component in ``src/`` defines a per-access method, that the reference
+replay serves through the oracle, and that the per-access checks the
 sessions hoist still refuse bad frames.
 """
 
@@ -17,7 +17,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import Design, simulate_frame, simulate_sequence
+from repro.core import Design
 from repro.core.designs import DesignConfig
 from repro.core.expansion import RequestExpander
 from repro.core.frontend import make_texture_path
@@ -32,7 +32,6 @@ from repro.memory.traffic import TrafficMeter
 from repro.render.renderer import Renderer
 from repro.sim.resources import BandwidthServer, RequestQueue, ThroughputUnit
 from repro.texture.cache import TextureCache
-from repro.workloads import workload_by_name
 from tests import reference
 from tests.conftest import make_tiny_scene
 
@@ -111,43 +110,10 @@ def tiny():
 
 
 class TestReplayMakesNoPerAccessCall:
-    """With every per-access function of the oracle refusing, a fast
-    workload still simulates under every design, with anisotropy off
-    too, and as a sequence: production serves every resource through
-    its replay form, and the oracle serves the references alone."""
-
-    @pytest.fixture(scope="class")
-    def workload(self):
-        return workload_by_name("doom3-640x480")
-
-    @pytest.fixture(scope="class")
-    def traced(self, workload):
-        return workload.trace()
-
-    @pytest.mark.parametrize(
-        "design, aniso",
-        [(design, True) for design in Design]
-        + [(Design.BASELINE, False), (Design.A_TFIM, False)],
-        ids=lambda value: value.value if isinstance(value, Design)
-        else ("aniso" if value else "iso"),
-    )
-    def test_simulate_frame(self, workload, traced, forbid_per_access_calls,
-                            design, aniso):
-        scene, trace = traced
-        config = dataclasses.replace(
-            workload.design_config(design), aniso_enabled=aniso
-        )
-        run = simulate_frame(scene, trace, config)
-        assert run.frame.num_requests == len(trace)
-        assert run.frame.texture_cycles > 0
-
-    def test_simulate_sequence(self, workload, traced,
-                               forbid_per_access_calls):
-        scene, trace = traced
-        result = simulate_sequence(
-            scene, [trace, trace], workload.design_config(Design.A_TFIM)
-        )
-        assert result.num_frames == 2
+    """The production replay cannot make a per-access call: no module in
+    ``src/`` imports the oracle, and no component defines a per-access
+    method (``test_no_component_defines_a_per_access_method``).  What
+    this class keeps is the oracle's side."""
 
     @pytest.mark.parametrize("design", list(Design), ids=lambda d: d.value)
     def test_the_patch_bites(self, tiny, forbid_per_access_calls, design):

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import pickle
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -13,17 +14,23 @@ import pytest
 
 from repro import obs
 from repro.core import Design
-from repro.core.angle import DEFAULT_THRESHOLD
+from repro.core.angle import DEFAULT_THRESHOLD, THRESHOLD_SWEEP
 from repro.core.expansion import RequestExpander
+from repro.experiments import runner as runner_module
 from repro.experiments.cache import source_version
 from repro.experiments.report import generate_with_runner, grid_keys
 from repro.experiments.runner import (
     FAST_WORKLOADS,
     ExperimentRunner,
+    RenderKey,
     RunKey,
+    Variant,
     _pool_results,
+    run_key,
 )
 from repro.obs import run_stat_group
+from repro.render.renderer import SamplingMode
+from repro.workloads import workload_by_name
 
 WORKLOAD = "doom3-640x480"
 DEFAULT = DEFAULT_THRESHOLD.effective_radians
@@ -35,6 +42,11 @@ MIXED = [
     RunKey(WORKLOAD, Design.BASELINE, DEFAULT, True),
     RunKey("riddick-640x480", Design.BASELINE, DEFAULT, True),
     RunKey(WORKLOAD, Design.A_TFIM, DEFAULT, True),
+]
+# Renders of both workloads, so the pool takes them too.
+RENDERS = [
+    RenderKey(WORKLOAD, SamplingMode.EXACT),
+    RenderKey("riddick-640x480", SamplingMode.ATFIM, DEFAULT),
 ]
 FAST_GRID = [
     RunKey(name, design, DEFAULT, True)
@@ -99,6 +111,34 @@ class TestRunMany:
         for key in FAST_GRID:
             expected = golden[f"{key.workload}/{key.design.value}"]
             assert dict(run_stat_group(results[key]).flatten()) == expected, key
+
+    def test_pooled_renders_match_serial(self):
+        serial = ExperimentRunner([WORKLOAD]).run_many(RENDERS)
+        pooled = ExperimentRunner([WORKLOAD]).run_many(RENDERS, jobs=2)
+        assert list(pooled) == RENDERS
+        for key in RENDERS:
+            assert pooled[key].image.tobytes() == serial[key].image.tobytes()
+            assert (pooled[key].parent_reuses,
+                    pooled[key].parent_recalculations) == (
+                serial[key].parent_reuses, serial[key].parent_recalculations
+            )
+        assert serial[RENDERS[1]].parent_reuses > 0
+
+    def test_tasks_are_submitted_longest_first(self, monkeypatch):
+        submitted = []
+
+        def record(_pool, _fn, groups):
+            submitted.extend(groups)
+            return [([None] * len(keys), []) for keys in groups.values()]
+
+        monkeypatch.setattr(runner_module, "_pool_results", record)
+        keys = [
+            RunKey(name, Design.BASELINE, DEFAULT, True)
+            for name in ("doom3-320x240", "doom3-1280x1024", WORKLOAD)
+        ]
+        results = ExperimentRunner([WORKLOAD]).run_many(keys, jobs=2)
+        assert submitted == ["doom3-1280x1024", WORKLOAD, "doom3-320x240"]
+        assert list(results) == keys
 
     def test_results_memoised_after_fan_out(self):
         runner = ExperimentRunner([WORKLOAD])
@@ -165,18 +205,93 @@ class TestReportIntegration:
         runner = ExperimentRunner([WORKLOAD])
         keys = grid_keys(runner)
         assert len(keys) == len(set(keys))
-        designs = {key.design for key in keys}
+        runs = [key for key in keys if isinstance(key, RunKey)]
+        renders = [key for key in keys if isinstance(key, RenderKey)]
+        assert len(runs) + len(renders) == len(keys)
+        designs = {key.design for key in runs}
         assert designs == set(Design)
-        assert any(not key.aniso_enabled for key in keys)
-        assert any(not key.consolidation_enabled for key in keys)
-        assert any(key.mtu_share > 1 for key in keys)
-        thresholds = {key.angle_threshold for key in keys}
+        assert any(not key.aniso_enabled for key in runs)
+        assert any(not key.consolidation_enabled for key in runs)
+        assert any(key.mtu_share > 1 for key in runs)
+        thresholds = {key.angle_threshold for key in runs}
         assert len(thresholds) > 1
-        without = grid_keys(runner, include_ablations=False)
+        # doom3-640x480 caps anisotropy at 8x, so its 8x point is the
+        # default key (None).
+        assert {key.variant.max_anisotropy for key in runs} == {
+            None, 2, 4, 16
+        }
+        assert {key.variant.internal_bandwidth_multiplier for key in runs} == {
+            0.5, 1.0, 2.0, 4.0
+        }
+        assert [(key.mode, key.angle_threshold) for key in renders] == [
+            (SamplingMode.EXACT, 0.0)
+        ] + [
+            (SamplingMode.ATFIM, threshold.effective_radians)
+            for threshold in THRESHOLD_SWEEP
+        ]
+        without = grid_keys(
+            runner, include_quality=False, include_ablations=False
+        )
         assert set(without) < set(keys)
         assert all(
-            key.mtu_share == 1 and key.consolidation_enabled
+            isinstance(key, RunKey) and key.mtu_share == 1
+            and key.consolidation_enabled and key.variant == Variant()
             for key in without
+        )
+
+    def test_a_variant_at_the_defaults_is_the_default_key(self):
+        # The report's ablations run on doom3-1280x1024, whose default
+        # cap is 16x: their aniso_16x and internal_x1.0 rows read
+        # Fig. 10's points from the memo.
+        workload = workload_by_name("doom3-1280x1024")
+        fig10 = [RunKey(workload.name, design, DEFAULT, True)
+                 for design in (Design.BASELINE, Design.A_TFIM)]
+        assert [
+            run_key(workload, design, max_anisotropy=16)
+            for design in (Design.BASELINE, Design.A_TFIM)
+        ] == fig10
+        assert run_key(
+            workload, Design.A_TFIM, internal_bandwidth_multiplier=1.0
+        ) == fig10[1]
+        assert run_key(workload, Design.A_TFIM, max_anisotropy=8) not in fig10
+        keys = grid_keys(ExperimentRunner([workload.name]))
+        assert set(fig10) <= set(keys)
+        # Baseline and A-TFIM at 2x, 4x and 8x, and A-TFIM at x0.5, x2
+        # and x4: the 16x and x1.0 points are Fig. 10's.
+        assert sum(key.variant != Variant() for key in keys
+                   if isinstance(key, RunKey)) == 9
+
+    def test_a_serial_fast_report_computes_only_in_its_prefetch(self):
+        """Every simulation and render of the report runs inside one
+        ``run_many`` batch, its grid prefetch: the figures only read the
+        memo, so they open no batch of their own."""
+        was = obs.tracing_enabled()
+        obs.set_tracing(True, propagate_env=False)
+        obs.reset_tracer()
+        try:
+            _text, runner = generate_with_runner(FAST_WORKLOADS)
+            spans = obs.get_tracer().as_dicts()
+        finally:
+            obs.reset_tracer()
+            obs.set_tracing(was, propagate_env=False)
+        counts = Counter()
+
+        def walk(forest, in_batch):
+            for span in forest:
+                inside = in_batch or span["name"] == "runner.run_many"
+                counts[span["name"], inside] += 1
+                walk(span["children"], inside)
+
+        walk(spans, False)
+        keys = grid_keys(runner)
+        assert counts["runner.run_many", True] == 1
+        assert counts["core.simulate_frame", False] == 0
+        assert counts["render.render", False] == 0
+        assert counts["core.simulate_frame", True] == sum(
+            isinstance(key, RunKey) for key in keys
+        )
+        assert counts["render.render", True] == sum(
+            isinstance(key, RenderKey) for key in keys
         )
 
     def test_report_expands_each_trace_once_per_aniso_setting(
@@ -212,20 +327,24 @@ class TestArtefactsPickle:
 
 
 class TestMemoCountingParity:
+    """Over design runs and renders alike."""
+
     def test_serial_and_parallel_memo_misses_agree(self):
+        keys = MIXED + RENDERS
         serial = ExperimentRunner([WORKLOAD])
-        serial.run_many(MIXED, jobs=1)
+        serial.run_many(keys, jobs=1)
         parallel = ExperimentRunner([WORKLOAD])
-        parallel.run_many(MIXED, jobs=2)
-        assert serial.memo_misses == parallel.memo_misses == len(MIXED)
+        parallel.run_many(keys, jobs=2)
+        assert serial.memo_misses == parallel.memo_misses == len(keys)
         assert serial.memo_hits == parallel.memo_hits == 0
 
     def test_rerun_hits_agree_across_branches(self):
+        keys = MIXED + RENDERS
         serial = ExperimentRunner([WORKLOAD])
-        serial.run_many(MIXED, jobs=1)
-        serial.run_many(MIXED, jobs=1)
+        serial.run_many(keys, jobs=1)
+        serial.run_many(keys, jobs=1)
         parallel = ExperimentRunner([WORKLOAD])
-        parallel.run_many(MIXED, jobs=2)
-        parallel.run_many(MIXED, jobs=2)
-        assert serial.memo_hits == parallel.memo_hits == len(MIXED)
-        assert serial.memo_misses == parallel.memo_misses == len(MIXED)
+        parallel.run_many(keys, jobs=2)
+        parallel.run_many(keys, jobs=2)
+        assert serial.memo_hits == parallel.memo_hits == len(keys)
+        assert serial.memo_misses == parallel.memo_misses == len(keys)

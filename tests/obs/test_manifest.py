@@ -7,6 +7,9 @@ import json
 import pytest
 
 from repro import obs
+from repro.core import Design
+from repro.core.angle import DEFAULT_THRESHOLD
+from repro.experiments.runner import ExperimentRunner
 from repro.obs.chrome import MAIN_TID, chrome_trace
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
@@ -16,6 +19,7 @@ from repro.obs.manifest import (
     load_manifest,
     write_chrome_trace,
 )
+from repro.render.renderer import SamplingMode
 
 
 def _sample_manifest(**overrides) -> RunManifest:
@@ -184,6 +188,9 @@ class _FakeRunner:
     def completed_runs(self):
         return {}
 
+    def completed_renders(self):
+        return {}
+
 
 class TestBuildManifest:
     def test_without_runner(self):
@@ -217,3 +224,45 @@ class TestBuildManifest:
         path = manifest.write(tmp_path / "m.json")
         clone = load_manifest(path)
         assert clone.stats == manifest.stats
+
+
+class TestRunnerStats:
+    """The manifest names every point a runner computed."""
+
+    @pytest.fixture(scope="class")
+    def runner(self):
+        # The smallest frame: 40x30 pixels, anisotropy capped at 4x.
+        runner = ExperimentRunner(["doom3-320x240"])
+        workload = runner.workloads[0]
+        runner.run(workload, Design.A_TFIM)
+        runner.run(workload, Design.A_TFIM, max_anisotropy=2)
+        runner.run(workload, Design.A_TFIM, internal_bandwidth_multiplier=2.0)
+        runner.render(workload, SamplingMode.EXACT)
+        runner.render(workload, SamplingMode.ATFIM, DEFAULT_THRESHOLD)
+        return runner
+
+    def test_each_variant_run_has_its_own_name(self, runner):
+        stats = build_manifest("report", runner=runner).stats
+        default = "runner.runs.doom3-320x240/a-tfim/t0.031416"
+        names = [default, default + "/aniso-2x", default + "/internal-x2.0"]
+        for name in names:
+            assert f"{name}.stages.frame_cycles" in stats, name
+        # Three runs, each under its own name: none replaced another.
+        assert sum(key.endswith(".stages.frame_cycles") for key in stats) == 3
+        assert (stats[f"{names[0]}.texels_requested"]
+                > stats[f"{names[1]}.texels_requested"])
+
+    def test_each_render_is_listed_with_its_parent_counts(self, runner):
+        stats = build_manifest("report", runner=runner).stats
+        renders = runner.completed_renders()
+        assert len(renders) == 2
+        for key, render in renders.items():
+            name = (f"runner.renders.{key.workload}/{key.mode.value}"
+                    f"/t{key.angle_threshold:.6f}")
+            assert stats[f"{name}.parent_reuses"] == render.parent_reuses
+            assert stats[f"{name}.parent_recalculations"] == (
+                render.parent_recalculations
+            )
+        assert stats[
+            "runner.renders.doom3-320x240/atfim/t0.031416.parent_reuses"
+        ] > 0

@@ -8,10 +8,15 @@ reproduction's actual contract.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import Design, simulate_frame
 from repro.core.angle import THRESHOLD_SWEEP
 from repro.core.expansion import RequestExpander
@@ -281,3 +286,32 @@ class TestWarmup:
         assert first.frame.traffic.external_texture == (
             second.frame.traffic.external_texture
         )
+
+
+class TestImportFootprint:
+    def test_simulating_and_rendering_do_not_import_numpy_ma(self):
+        # numpy 2.4's plain ``np.unique`` imports ``numpy.ma`` on first
+        # use, 17-21 ms of CPU inside the first timed point of a run.  A
+        # fresh interpreter, because this one imported it long ago.
+        script = "\n".join([
+            "import sys",
+            "from repro.core import Design, simulate_frame",
+            "from repro.render.renderer import SamplingMode",
+            "from repro.workloads import workload_by_name",
+            "workload = workload_by_name('doom3-640x480')",
+            "scene, trace = workload.trace()",
+            "for design in Design:",
+            "    simulate_frame(scene, trace, workload.design_config(design))",
+            "built = workload.build()",
+            "workload.make_renderer().render(",
+            "    built.scene, built.camera, SamplingMode.ATFIM, 0.01)",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        src = Path(repro.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"]
