@@ -34,22 +34,11 @@ class AngleThreshold:
 
     @property
     def effective_radians(self) -> Radians:
-        """The threshold as a number (no-recalculation => pi, which no
-        quantised angle difference can exceed)."""
+        """The threshold as a number (no-recalculation => pi, more steps
+        than any two angle tags differ by)."""
         if self.radians is None:
             return Radians(math.pi)
         return self.radians
-
-    def reuse_allowed(self, angle_difference: Radians) -> bool:
-        """Whether a cached parent texel may be reused.
-
-        Section V-C: reuse requires the pixel's camera angle to be within
-        the threshold of the cached angle.  Differences are compared on
-        absolute value; the no-recalculation setting reuses everything.
-        """
-        if self.radians is None:
-            return True
-        return abs(angle_difference) <= self.radians
 
     def __str__(self) -> str:
         return self.label

@@ -23,7 +23,7 @@ Unit are 16-wide ALU arrays.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from repro.memory.replay import HmcReplay, require_positive_sizes
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.sim.resources import RequestQueue
 from repro.texture.cache import CacheAccessResult, _Line
-from repro.texture.lod import quantize_angles
+from repro.texture.lod import NO_ANGLE, angle_codes, threshold_steps
 from repro.units import Bytes
 
 PARENT_TEXEL_BUFFER_DEPTH = 256
@@ -171,11 +171,11 @@ class _AtfimColumns:
     and the cache columns cover the kept rows, and ``rows[k]`` is kept
     row ``k``'s parent row.
 
-    ``l1_angle[i]`` and ``l2_angle[i]`` are request ``i``'s camera
-    angle quantised to each cache's ``angle_bits``, as the caches store
-    it, or None where its parents carry
-    no angle tag (only anisotropic parents, ``child_counts > 1``, do);
-    ``l1_tags[k]`` is kept row ``k``'s L1 tag, NaN for None, as
+    ``angles[i]`` is request ``i``'s angle tag code
+    (:func:`~repro.texture.lod.angle_codes`), or
+    :data:`~repro.texture.lod.NO_ANGLE` where its parents carry no angle
+    tag (only anisotropic parents, ``child_counts > 1``, do);
+    ``row_angles[k]`` is kept row ``k``'s, as
     :class:`~repro.core.paths.L1Replay` reads it.
     The offload reads only missing parents' rows of ``child_counts``,
     ``child_offsets`` and ``child_lines``, so those stay views of the
@@ -183,8 +183,8 @@ class _AtfimColumns:
     like the rest.
     """
 
-    __slots__ = ("gpu", "repeats", "rows", "l1_angle", "l2_angle",
-                 "l1_tags", "child_counts", "child_offsets", "child_lines")
+    __slots__ = ("gpu", "repeats", "rows", "angles", "row_angles",
+                 "child_counts", "child_offsets", "child_lines")
 
     def __init__(self, config: DesignConfig, frame: ExpandedFrame) -> None:
         lines, child_counts = frame.parent_lines, frame.child_counts
@@ -217,21 +217,10 @@ class _AtfimColumns:
         self.child_counts = memoryview(child_counts)
         self.child_offsets = memoryview(frame.child_offsets)
         self.child_lines = memoryview(frame.child_lines)
-
-        def tags(bits: int) -> np.ndarray:
-            angles = quantize_angles(frame.camera_angles, bits)
-            angles[~angled] = np.nan
-            return angles
-
-        def stored(angles: np.ndarray) -> List[Optional[float]]:
-            values = angles.astype(object)
-            values[~angled] = None
-            return values.tolist()
-
-        l1_tags = tags(l1.angle_bits)
-        self.l1_angle = stored(l1_tags)
-        self.l2_angle = stored(tags(config.gpu.l2_cache.angle_bits))
-        self.l1_tags = l1_tags[self.gpu.requests]
+        angles = angle_codes(frame.camera_angles)
+        angles[~angled] = NO_ANGLE
+        self.angles = angles.tolist()
+        self.row_angles = angles[self.gpu.requests]
 
 
 class _AtfimReplaySession(ReplaySession):
@@ -273,13 +262,15 @@ class _AtfimReplaySession(ReplaySession):
     charges for the same event.
 
     Each angle comparison, on either level, also narrows the path's
-    :attr:`~repro.core.paths.TexturePath.threshold_interval`: ``below``
-    is the largest difference that stayed within the threshold and
-    ``above`` the smallest that exceeded it, so every effective
-    threshold t with ``below <= t < above`` decides every comparison
-    alike, and with it every counter, cycle and angle tag.  The L1's
-    comparisons narrow it when the session opens, the L2's as they
-    happen.
+    :attr:`~repro.core.paths.TexturePath.threshold_interval`, in steps:
+    ``below`` is the largest difference that stayed within the threshold
+    and ``above`` the smallest that exceeded it, so every effective
+    threshold of k steps with ``below <= k < above`` decides every
+    comparison alike, and with it every counter, cycle and angle tag.
+    The L1's comparisons narrow it when the session opens, the L2's as
+    they happen.  Tags and the threshold are integers (a code and a
+    step count), so one step count decides every gap of that many steps
+    alike.
     """
 
     def __init__(self, path: AtfimPath, frame: ExpandedFrame,
@@ -289,10 +280,10 @@ class _AtfimReplaySession(ReplaySession):
         )
         gpu = columns.gpu
         config = path.config
-        threshold = config.effective_angle_threshold
+        threshold = threshold_steps(config.effective_angle_threshold)
         caches = path.caches
         l1 = L1Replay(caches.l1, clusters[gpu.requests], gpu.lines,
-                      columns.l1_tags, threshold)
+                      columns.row_angles, threshold)
         offsets, missed = gpu.missed(l1.outcomes)
         texels = gpu.texels
         l2_set_col = gpu.l2_set[missed].tolist()
@@ -302,7 +293,7 @@ class _AtfimReplaySession(ReplaySession):
         parents = [rows[k] for k in missed.tolist()]
         del missed
         l2_assoc = gpu.l2_assoc
-        l2_angle = columns.l2_angle
+        angles = columns.angles
         child_counts = columns.child_counts
         child_offsets = columns.child_offsets
         child_lines = columns.child_lines
@@ -414,12 +405,10 @@ class _AtfimReplaySession(ReplaySession):
             external_bytes += response
             return send_response(combined, response)
 
-        def stale(stored: Optional[float], angle: float) -> bool:
+        def stale(stored: int, angle: int) -> bool:
             """Whether a line tagged ``stored`` is recalculated for a
-            request at ``angle``; narrows the threshold interval."""
+            request tagged ``angle``; narrows the threshold interval."""
             nonlocal below, above
-            if stored is None:
-                return True
             difference = abs(stored - angle)
             if difference > threshold:
                 if difference < above:
@@ -429,17 +418,17 @@ class _AtfimReplaySession(ReplaySession):
                 below = difference
             return False
 
-        def probe_l2(k: int, angle: Optional[float]) -> CacheAccessResult:
+        def probe_l2(k: int, angle: int) -> CacheAccessResult:
             """The L2's angle-tagged probe for missed row ``k``
             (:class:`~repro.texture.cache.TextureCache`); ``angle`` is
-            None for an untagged (isotropic) parent."""
+            ``NO_ANGLE`` for an untagged (isotropic) parent."""
             nonlocal l2_hits, l2_misses, l2_angle_misses
             cache_set = l2_table[l2_set_col[k]]
             tag = l2_tag_col[k]
             line = cache_set.get(tag)
             if line is not None:
                 cache_set.move_to_end(tag)
-                if angle is not None and stale(line.angle, angle):
+                if angle != NO_ANGLE and stale(line.angle, angle):
                     line.angle = angle
                     l2_angle_misses += 1
                     return angle_miss
@@ -464,10 +453,10 @@ class _AtfimReplaySession(ReplaySession):
             first, last = offsets[index], offsets[index + 1]
             if first == last:
                 return filter_texels(cluster, address_done, num_parents)
-            l2_stored = l2_angle[index]
+            angle = angles[index]
             missing: List[int] = []
             for k in range(first, last):
-                result = probe_l2(k, l2_stored)
+                result = probe_l2(k, angle)
                 if stale_col[k]:
                     # A stale-angle line is recalculated whatever the
                     # L2 holds; the L2 copy's angle tag refreshes.

@@ -22,10 +22,6 @@ class Design(Enum):
     A_TFIM = "a-tfim"
 
     @property
-    def uses_hmc(self) -> bool:
-        return self is not Design.BASELINE
-
-    @property
     def filters_in_memory(self) -> bool:
         return self in (Design.S_TFIM, Design.A_TFIM)
 

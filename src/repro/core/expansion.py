@@ -77,17 +77,6 @@ class ExpandedRequest:
     num_parent_texels: int
 
     @property
-    def unique_child_lines(self) -> Tuple[int, ...]:
-        """Child lines after Child Texel Consolidation (dedup across
-        parents -- the merge the consolidation buffer performs)."""
-        seen: Dict[int, None] = {}
-        for parent in self.parents:
-            for line in parent.child_line_addresses:
-                if line not in seen:
-                    seen[line] = None
-        return tuple(seen)
-
-    @property
     def total_child_texels(self) -> int:
         return sum(parent.num_children for parent in self.parents)
 

@@ -36,6 +36,7 @@ from repro.core.stfim import StfimPath
 from repro.gpu.pipeline import FrameResult, GpuPipeline
 from repro.memory.traffic import TrafficMeter
 from repro.render.scene import Scene
+from repro.texture.lod import threshold_steps
 from repro.texture.requests import FragmentTrace
 from repro.units import Bytes, Cycles
 
@@ -130,7 +131,8 @@ def _restated(
     That holds when the call has the last call's scene and trace
     objects, differs from its config at most in
     ``angle_threshold`` and ``angle_threshold_scale``, and has an
-    effective threshold in the run's
+    effective threshold whose step count
+    (:func:`~repro.texture.lod.threshold_steps`) lies in the run's
     :attr:`~repro.core.paths.TexturePath.threshold_interval`, which
     spans every replay the run made: every angle comparison then comes
     out alike, and with it every counter, cycle and angle tag.  The
@@ -148,7 +150,7 @@ def _restated(
     if dataclasses.replace(config, **thresholds) != run.config:
         return None
     below, above = run.path.threshold_interval
-    if not below <= config.effective_angle_threshold < above:
+    if not below <= threshold_steps(config.effective_angle_threshold) < above:
         return None
     path = copy.copy(run.path)
     path.config = config
@@ -292,11 +294,6 @@ class SequenceResult:
     @property
     def total_external_texture_bytes(self) -> Bytes:
         return sum(frame.traffic.external_texture for frame in self.frames)
-
-    @property
-    def mean_texture_latency(self) -> Cycles:
-        latencies = [frame.texture_filter_latency for frame in self.frames]
-        return sum(latencies) / len(latencies)
 
     def speedup_over(self, baseline: "SequenceResult") -> float:
         if self.total_cycles <= 0:

@@ -10,7 +10,6 @@ only in their texture paths.
 from __future__ import annotations
 
 import abc
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
@@ -25,10 +24,15 @@ from repro.memory.traffic import TrafficMeter
 from repro.sim.resources import BandwidthServer, RequestQueue
 from repro.texture.batch import _later_recalculations, _stable_key_order
 from repro.texture.cache import TextureCache, _Line
+from repro.texture.lod import ANGLE_LEVELS, NO_ANGLE
 from repro.units import Cycles, Ops
 
 
 _Columns = TypeVar("_Columns")
+
+ALL_THRESHOLDS = (0, ANGLE_LEVELS + 1)
+"""The threshold interval before any angle comparison: every step count
+a threshold can have, 0 to ``ANGLE_LEVELS``."""
 
 
 class ReadMergeWindow:
@@ -316,8 +320,10 @@ class L1Replay:
     ``clusters[k]`` indexes the cache in ``caches`` that probe ``k``
     reads and ``lines[k]`` is its byte address; each cluster's probes
     are given in its service order.  ``angles[k]`` is the probe's angle
-    tag, quantised as the cache stores it, or NaN where the probe
-    carries none; without ``angles`` no probe does.
+    tag code (:func:`~repro.texture.lod.angle_codes`, int16), or
+    :data:`~repro.texture.lod.NO_ANGLE` where the probe carries none;
+    without ``angles`` no probe does.  ``threshold`` is a step count
+    (:func:`~repro.texture.lod.threshold_steps`).
 
     Each (cluster, set) stream is prefixed with that set's contents,
     oldest first: an empty set that met those lines in that order would
@@ -334,9 +340,9 @@ class L1Replay:
     An angle tag changes only at a fill or a stale hit, and each keeps
     the line resident, so a line's *residency* -- a fill (or a prefix
     entry) and the hits that follow it -- is one chain: a tagged hit is
-    stale iff the tag stored at the residency's last fill or stale hit
-    differs from its own by more than ``threshold``, or the stored tag
-    is None (NaN, which no comparison keeps).  That is the rule
+    stale iff the code stored at the residency's last fill or stale hit
+    differs from its own by more than ``threshold`` steps, as a stored
+    ``NO_ANGLE`` always does.  That is the rule
     :func:`~repro.texture.batch.reuse_producers` decides, and the same
     kernel decides it here.  Every comparison narrows ``(below, above)``
     as the sessions' inline L2 comparisons do.
@@ -352,9 +358,9 @@ class L1Replay:
 
     def __init__(self, caches: Sequence[TextureCache], clusters: np.ndarray,
                  lines: np.ndarray, angles: Optional[np.ndarray] = None,
-                 threshold: float = 0.0) -> None:
+                 threshold: int = 0) -> None:
         self._caches = caches
-        self.below, self.above = 0.0, math.inf
+        self.below, self.above = ALL_THRESHOLDS
         count, num_caches = len(lines), len(caches)
         self.outcomes = np.zeros(count, dtype=np.int8)
         self.counts = np.zeros((3, num_caches), dtype=np.int64)
@@ -372,7 +378,7 @@ class L1Replay:
         # Prefix every touched stream with its set's contents, oldest first.
         prefix_streams: List[int] = []
         prefix_tags: List[int] = []
-        prefix_angles: List[float] = []
+        prefix_angles: List[int] = []
         touched = np.bincount(streams, minlength=num_caches * num_sets)
         for stream in np.flatnonzero(touched).tolist():
             cluster, set_index = divmod(stream, num_sets)
@@ -381,10 +387,7 @@ class L1Replay:
                 prefix_streams += [stream] * len(resident)
                 prefix_tags += resident
                 if angles is not None:
-                    prefix_angles += [
-                        math.nan if line.angle is None else line.angle
-                        for line in resident.values()
-                    ]
+                    prefix_angles += [line.angle for line in resident.values()]
         prefix = len(prefix_tags)
         total = prefix + count
         # Stream positions: each stream's prefix, then its probes in order.
@@ -436,7 +439,7 @@ class L1Replay:
         stored = None
         if angles is not None:
             angle = np.concatenate(
-                [np.array(prefix_angles, dtype=np.float64), angles]
+                [np.array(prefix_angles, dtype=np.int16), angles]
             )[order]
             self._decide_angles(by_line, hit, angle, threshold, outcome)
             stored = angle[resident]
@@ -455,13 +458,13 @@ class L1Replay:
                                      num_sets)
 
     def _decide_angles(self, by_line: np.ndarray, hit: np.ndarray,
-                       angle: np.ndarray, threshold: float,
+                       angle: np.ndarray, threshold: int,
                        outcome: np.ndarray) -> None:
         """Mark the stale hits in ``outcome``, narrow the interval, and
         leave in ``angle`` each position's stored tag after its use."""
         # A residency's lookups: its fill (or prefix entry), then its
         # tagged hits; untagged hits compare nothing and store nothing.
-        looks = ~hit[by_line] | ~np.isnan(angle[by_line])
+        looks = ~hit[by_line] | (angle[by_line] != NO_ANGLE)
         lookups = by_line[looks]
         opens = ~hit[lookups]
         recalculated = opens.copy()
@@ -476,11 +479,10 @@ class L1Replay:
         exceeded = recalculated[inner]
         within = difference[~exceeded]
         if len(within):
-            self.below = float(within.max())
+            self.below = int(within.max())
         compared = difference[exceeded]
-        compared = compared[~np.isnan(compared)]
         if len(compared):
-            self.above = float(compared.min())
+            self.above = min(self.above, int(compared.min()))
         # A line's group opens with a lookup, so each use's latest
         # lookup so far is in its group.
         angle[by_line] = chain[latest[np.cumsum(looks) - 1]]
@@ -549,18 +551,15 @@ def _per_stream(
     num_sets: int,
 ) -> List[Tuple[int, int, List[int], Any]]:
     """``(cluster, set, tags, angles)`` per run of one stream in
-    ``stream``, the angles as a list with None for NaN, or None."""
+    ``stream``, the angles as a list, or None."""
     begins = np.flatnonzero(np.diff(stream, prepend=-1)).tolist()
     tag_list = tags.tolist()
-    if angles is not None:
-        stored = angles.astype(object)
-        stored[np.isnan(angles)] = None
-        angle_list = stored.tolist()
+    angle_list = None if angles is None else angles.tolist()
     runs = []
     for start, end in zip(begins, begins[1:] + [len(tag_list)]):
         cluster, set_index = divmod(int(stream[start]), num_sets)
         runs.append((cluster, set_index, tag_list[start:end],
-                     None if angles is None else angle_list[start:end]))
+                     None if angle_list is None else angle_list[start:end]))
     return runs
 
 
@@ -708,11 +707,12 @@ class TexturePath(abc.ABC):
         # across reset_for_measurement.  S-TFIM has none.
         self.caches: Optional[CacheHierarchy] = None
         self._column_cache: Optional[Tuple[ExpandedFrame, Any]] = None
-        # (below, above): every effective angle threshold t with
-        # below <= t < above repeats each replay since the path was
-        # built.  Only A-TFIM's angle comparisons narrow it, and
-        # reset_for_measurement keeps it, as the caches' cold fills.
-        self.threshold_interval: Tuple[float, float] = (0.0, math.inf)
+        # (below, above): every effective angle threshold of k steps
+        # (threshold_steps) with below <= k < above repeats each replay
+        # since the path was built.  Only A-TFIM's angle comparisons
+        # narrow it, and reset_for_measurement keeps it, as the caches'
+        # cold fills.
+        self.threshold_interval: Tuple[int, int] = ALL_THRESHOLDS
 
     def _columns_for(
         self, frame: ExpandedFrame, build: Callable[[], _Columns]

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.texture.cache import CacheConfig
+from repro.texture.lod import ANGLE_BITS
 from repro.units import BITS_PER_BYTE, Bits
 
 KB = 1024.0
@@ -40,7 +41,6 @@ class OverheadParams:
     storage_area_mm2: float = 1.12
     dram_die_area_mm2: float = 226.1
     gpu_area_mm2: float = 136.7
-    angle_bits: Bits = Bits(7)
     angle_area_mm2: float = 0.31
     num_clusters: int = 16
 
@@ -70,9 +70,10 @@ class AtfimOverhead:
     gpu_area_fraction: float
 
 
-def _angle_kb(cache: CacheConfig, angle_bits: Bits) -> float:
-    """Extra angle-tag storage for one cache, in KB."""
-    return cache.num_lines * angle_bits / BITS_PER_BYTE / KB
+def _angle_kb(cache: CacheConfig) -> float:
+    """Extra angle-tag storage for one cache, in KB: one
+    :data:`~repro.texture.lod.ANGLE_BITS` tag per line."""
+    return cache.num_lines * ANGLE_BITS / BITS_PER_BYTE / KB
 
 
 def compute_overhead(
@@ -96,8 +97,8 @@ def compute_overhead(
     )
     hmc_area = params.logic_area_mm2 + params.storage_area_mm2
 
-    l1_angle = _angle_kb(l1, params.angle_bits)
-    l2_angle = _angle_kb(l2, params.angle_bits)
+    l1_angle = _angle_kb(l1)
+    l2_angle = _angle_kb(l2)
     # One L1 per cluster plus the shared L2.
     gpu_total = l1_angle * params.num_clusters + l2_angle
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 @dataclass
@@ -76,12 +76,6 @@ class FigureData:
         separator = "  ".join("-" * width for width in widths)
         lines.insert(1, separator)
         return "\n".join(lines)
-
-    def summary_line(self, column: str) -> str:
-        return (
-            f"{self.figure} {column}: mean {self.mean(column):.3f}, "
-            f"max {self.maximum(column):.3f}"
-        )
 
 
 def geometric_mean(values: Sequence[float]) -> float:

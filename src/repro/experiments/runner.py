@@ -224,22 +224,35 @@ def _pool_results(
 ) -> List[Any]:
     """``fn(name, keys)`` for every workload group on ``pool``, in order.
 
-    The first task to fail -- with its own exception, or with
-    ``BrokenProcessPool`` when a worker died -- cancels every task not
-    yet started, shuts the pool down and is re-raised naming its
-    workload.
+    The first task to fail cancels every task not yet started and shuts
+    the pool down.  A task that raised its own exception is re-raised
+    naming its workload.  When a worker died, every task that had not
+    finished holds ``BrokenProcessPool``, which names no culprit, so the
+    error says that the pool broke and lists those tasks' workloads.
     """
     from concurrent.futures import FIRST_EXCEPTION, wait
+    from concurrent.futures.process import BrokenProcessPool
 
     futures = [pool.submit(fn, name, keys) for name, keys in groups.items()]
     done, _pending = wait(futures, return_when=FIRST_EXCEPTION)
+    if all(future.exception() is None for future in done):
+        return [future.result() for future in futures]
+    pool.shutdown(wait=True, cancel_futures=True)
+    unfinished = []
     for name, future in zip(groups, futures):
-        if future in done and future.exception() is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        error = None if future.cancelled() else future.exception()
+        if error is not None and not isinstance(error, BrokenProcessPool):
             raise RuntimeError(
                 f"run_many worker failed on workload {name!r}"
-            ) from future.exception()
-    return [future.result() for future in futures]
+            ) from error
+        if future.cancelled() or error is not None:
+            unfinished.append(name)
+    broken = next(future.exception() for future in done
+                  if future.exception() is not None)
+    raise RuntimeError(
+        "run_many worker failed: the process pool broke before the tasks "
+        f"of workloads {', '.join(map(repr, unfinished))} finished"
+    ) from broken
 
 
 class _View(NamedTuple):

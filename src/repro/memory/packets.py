@@ -57,11 +57,6 @@ class PacketSpec:
         return self.cache_line_bytes + self.header_bytes
 
     @property
-    def write_request_bytes(self) -> Bytes:
-        """A write: one cache line plus header."""
-        return self.cache_line_bytes + self.header_bytes
-
-    @property
     def texture_request_bytes(self) -> Bytes:
         """S-TFIM live-texture request package (4x a read request)."""
         return self.texture_request_scale * self.read_request_bytes

@@ -46,10 +46,6 @@ class TexturedTriangle:
             raise ValueError("degenerate triangle")
         return cross / norm
 
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
 
 @dataclass
 class Scene:

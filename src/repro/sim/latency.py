@@ -115,24 +115,6 @@ class LatencyHistogram:
             return Cycles(0.0)
         return Cycles(self.total / self.count)
 
-    def percentile_bucket_upper_bound(self, fraction: float) -> Cycles:
-        """Upper bound (in cycles) of the bucket containing the percentile.
-
-        Histograms are bucketed, so this is a bound rather than an exact
-        percentile -- sufficient for tail-latency sanity checks in tests.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        if self.count == 0:
-            return Cycles(0.0)
-        target = fraction * self.count
-        seen = 0
-        for index, population in enumerate(self.buckets):
-            seen += population
-            if seen >= target:
-                return Cycles(float(2 ** index))
-        return Cycles(float(2 ** (len(self.buckets) - 1)))
-
 
 def makespan(records: Sequence[LatencyRecord]) -> Cycles:
     """Latest completion time across a batch of records (0 if empty)."""

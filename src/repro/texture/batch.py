@@ -53,10 +53,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.texture.lod import SampleFootprint, quantize_angles
+from repro.texture.lod import SampleFootprint, angle_codes, threshold_steps
 from repro.texture.mipmap import MipmapChain
 from repro.texture.requests import FragmentTrace
 from repro.texture.sampling import TexelCoord
+from repro.units import Radians
 
 
 @dataclass
@@ -140,12 +141,6 @@ class BatchFetchRecorder:
                     bucket.add(coord)
                     ordered.setdefault(key, []).append(coord)
         return ordered
-
-    def request_counts(self) -> Dict[int, int]:
-        """Unique-texel fetch count per fragment index."""
-        return {
-            key: len(coords) for key, coords in self.request_texels().items()
-        }
 
 
 def level_blend_arrays(
@@ -546,16 +541,17 @@ def _filter_parents(
 
 
 def reuse_producers(
-    keys: np.ndarray, angles: np.ndarray, threshold: float
+    keys: np.ndarray, angles: np.ndarray, threshold: int
 ) -> np.ndarray:
     """A-TFIM's angle-tagged parent reuse, decided over a lookup stream.
 
-    ``keys`` and ``angles`` (quantised camera angles) hold one entry per
-    parent lookup, in request order and slot by slot.  A lookup reuses
-    when its key is stored and the stored angle is within ``threshold``
-    of its own.  The stored angle is that of the key's last
+    ``keys`` and ``angles`` (int16 tag codes,
+    :func:`~repro.texture.lod.angle_codes`) hold one entry per parent
+    lookup, in request order and slot by slot.  A lookup reuses when its
+    key is stored and the stored code is within ``threshold`` steps of
+    its own.  The stored code is that of the key's last
     *recalculation*: a reuse leaves the entry alone, while a
-    recalculation stores its own index and angle.  Returns, for every
+    recalculation stores its own index and code.  Returns, for every
     lookup, the index of the lookup whose filtered value it uses (its
     own index when it recalculates).
 
@@ -563,14 +559,13 @@ def reuse_producers(
     One stable sort by key puts each key's lookups together in request
     order (one request can hit a key twice: wrapped taps on a tiny mip).
     A key's first lookup recalculates, and after a recalculation ``r``
-    the next one is the first later lookup of the key whose angle fails
-    ``abs(angle_r - angle) <= threshold``: the per-lookup rule's own
-    float64 comparison, so the producers equal its element for element.
+    the next one is the first later lookup of the key whose code fails
+    ``abs(code_r - code) <= threshold``.
     :func:`_later_recalculations` advances every key's chain of
     recalculations together; each lookup then takes the last
     recalculation of its key at or before it.
     """
-    if not threshold >= 0:
+    if threshold < 0:
         raise ValueError("threshold must be non-negative")
     count = len(keys)
     if count == 0:
@@ -613,17 +608,18 @@ _WINDOW_STEPS = np.arange(_WINDOW)
 
 
 def _later_recalculations(
-    angles: np.ndarray, recalculated: np.ndarray, threshold: float
+    angles: np.ndarray, recalculated: np.ndarray, threshold: int
 ) -> None:
     """Mark every recalculation after each key's first, in place.
 
-    ``angles`` are grouped by key (each key's lookups contiguous, in
-    request order) and ``recalculated`` marks each key's first lookup.
-    Each round, every key with lookups left compares the next
-    :data:`_WINDOW` of them against the angle of its latest
-    recalculation; the first that fails the threshold becomes its next
-    recalculation.  A round costs a fixed number of array operations,
-    and the rounds number about the longest chain of recalculations.
+    ``angles`` are tag codes grouped by key (each key's lookups
+    contiguous, in request order) and ``recalculated`` marks each key's
+    first lookup.  Each round, every key with lookups left compares the
+    next :data:`_WINDOW` of them against the code of its latest
+    recalculation; the first more than ``threshold`` steps off becomes
+    its next recalculation.  A round costs a fixed number of array
+    operations, and the rounds number about the longest chain of
+    recalculations.
     """
     starts = np.flatnonzero(recalculated)
     ends = np.append(starts[1:], len(angles))
@@ -632,7 +628,7 @@ def _later_recalculations(
     scan = latest + 1
     # A window can run past its key's last lookup, into the next key or
     # off the end (hence the padding); ``exits < end`` rejects exits there.
-    padded = np.concatenate([angles, np.zeros(_WINDOW)])
+    padded = np.concatenate([angles, np.zeros(_WINDOW, dtype=angles.dtype)])
     rows = np.arange(len(scan))
     while len(scan):
         window = padded[scan[:, None] + _WINDOW_STEPS]
@@ -652,7 +648,7 @@ def anisotropic_first_batch(
     chain: MipmapChain,
     batch: RequestBatch,
     angles: Optional[np.ndarray] = None,
-    threshold: float = 0.0,
+    threshold: Radians = 0.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """A-TFIM's anisotropic-first filter over a batch.
 
@@ -661,11 +657,12 @@ def anisotropic_first_batch(
     :func:`~repro.texture.sampling.anisotropic_first_sample`).  Every
     request's parents become lookups in request order, slot by slot.
     Without ``angles`` each lookup filters its own parent.  With the
-    requests' camera ``angles`` (radians), :func:`reuse_producers`
-    decides which lookup produces each value.  Each producer is filtered
-    once by :func:`filter_parent_batch`, the values are gathered, and
-    each request adds its weighted slots in slot order, the scalar
-    ``color += weight * value``.
+    requests' camera ``angles`` and the ``threshold`` (both radians),
+    :func:`reuse_producers` decides which lookup produces each value,
+    on the angles' tag codes and the threshold's step count.  Each
+    producer is filtered once by :func:`filter_parent_batch`, the values
+    are gathered, and each request adds its weighted slots in slot
+    order, the scalar ``color += weight * value``.
 
     Returns the colors and the per-lookup producer indices.
     """
@@ -677,8 +674,9 @@ def anisotropic_first_batch(
     if angles is None:
         producers = np.arange(len(keys), dtype=np.int64)
     else:
-        quantised = quantize_angles(np.asarray(angles, dtype=np.float64))
-        producers = reuse_producers(keys, quantised[rows], threshold)
+        producers = reuse_producers(
+            keys, angle_codes(angles)[rows], threshold_steps(threshold)
+        )
     own = np.nonzero(producers == np.arange(len(keys)))[0]
     values = np.empty((len(keys), 4), dtype=np.float64)
     values[own] = _filter_parents(chain, batch, parents, lookups[own])

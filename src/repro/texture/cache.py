@@ -3,22 +3,23 @@
 Table I: each cluster has a 16 KB, 16-way L1 texture cache; a 128 KB,
 16-way L2 texture cache is shared.  Lines are 64 bytes.
 
-For A-TFIM, each line additionally stores one camera angle (7 bits,
-section VII-E).  A lookup then carries the requesting pixel's camera
-angle: a tag match whose stored angle differs by more than the configured
-threshold is treated as a miss ("recalculation"), which is the paper's
-performance/quality knob (section V-C).
+For A-TFIM, each line additionally stores one camera angle, a 7-bit
+code (section VII-E, :func:`repro.texture.lod.angle_codes`).  A lookup
+then carries the requesting pixel's code: a tag match whose stored code
+differs by more than the threshold's step count is treated as a miss
+("recalculation"), which is the paper's performance/quality knob
+(section V-C).
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.units import BITS_PER_BYTE, Bits, Bytes
+from repro.texture.lod import NO_ANGLE
+from repro.units import Bytes
 
 
 class CacheAccessResult(Enum):
@@ -42,7 +43,6 @@ class CacheConfig:
     size_bytes: Bytes
     line_bytes: Bytes = 64
     associativity: int = 16
-    angle_bits: Bits = 7
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.line_bytes <= 0 or self.associativity <= 0:
@@ -58,22 +58,11 @@ class CacheConfig:
     def num_sets(self) -> int:
         return self.num_lines // self.associativity
 
-    @property
-    def angle_storage_bytes(self) -> Bytes:
-        """Extra storage for per-line camera angles (section VII-E).
-
-        Rounded up to whole bytes: storage is allocated in bytes, and a
-        fractional byte count would leak into downstream overhead sums.
-        """
-        return Bytes(
-            math.ceil(self.num_lines * self.angle_bits / BITS_PER_BYTE)
-        )
-
 
 @dataclass
 class _Line:
     tag: int
-    angle: Optional[float] = None
+    angle: int = NO_ANGLE
 
 
 class TextureCache:
@@ -85,13 +74,15 @@ class TextureCache:
     set ``(a // line_bytes) % num_sets`` for tag
     ``(a // line_bytes) // num_sets``.  A tag match hits and becomes
     the set's most recent line; a miss fills the line, evicting the
-    least recent one from a full set.  With an angle tag and a
-    threshold, a tag match whose stored (quantised) angle is None or
-    differs from the probe's quantised angle by more than the threshold
-    is an :attr:`CacheAccessResult.ANGLE_MISS`: the line stays, takes
-    the new angle and becomes the most recent (the recalculated parent
-    texel replaces the stale one, section V-C).  A miss stores the
-    probe's angle, or None.
+    least recent one from a full set.  A line's angle tag is a code of
+    :func:`~repro.texture.lod.angle_codes`, or
+    :data:`~repro.texture.lod.NO_ANGLE`.  A tagged probe's tag match
+    whose stored code differs from the probe's by more than the
+    threshold's step count (always, for ``NO_ANGLE``) is an
+    :attr:`CacheAccessResult.ANGLE_MISS`: the line stays, takes the new
+    code and becomes the most recent (the recalculated parent texel
+    replaces the stale one, section V-C).  A miss stores the probe's
+    code.
 
     The performance model is its one user: the replay sessions decide
     the L1s' probes in array passes (:class:`repro.core.paths.L1Replay`)

@@ -32,10 +32,5 @@ class TexelFormat:
             raise ValueError("cache line smaller than one texel")
         return line_bytes // self.bytes_per_texel
 
-    def bytes_for(self, texels: int) -> int:
-        if texels < 0:
-            raise ValueError("negative texel count")
-        return texels * self.bytes_per_texel
-
 
 RGBA8 = TexelFormat(name="rgba8", bytes_per_texel=4, components=4)

@@ -16,7 +16,7 @@ anisotropic filtering (Mavridis & Papaioannou, the paper's [31]).
 """
 
 from __future__ import annotations
-from repro.units import Bits, Radians
+from repro.units import Radians
 
 import math
 from dataclasses import dataclass
@@ -226,38 +226,60 @@ def compute_footprint_batch(
     )
 
 
-def quantize_angle(angle: Radians, bits: Bits = 7) -> float:
-    """Quantise an angle in [0, pi/2] to ``bits`` bits, as the cache does.
+ANGLE_BITS = 7
+"""Bits of one camera-angle tag (section VII-E).  Every tag width in the
+model derives from this constant."""
+
+ANGLE_LEVELS = (1 << ANGLE_BITS) - 1
+"""Tag steps over [0, pi/2]: a tag is one of the codes 0..127."""
+
+ANGLE_STEP = (math.pi / 2.0) / ANGLE_LEVELS
+"""One tag step in radians: 90/127 ~= 0.71 degrees."""
+
+NO_ANGLE = 2 * ANGLE_LEVELS + 1
+"""The code of a line or probe that carries no angle tag (255).  It lies
+at least ``ANGLE_LEVELS + 1`` steps from every code, and a threshold is
+at most ``ANGLE_LEVELS`` steps, so no comparison with it keeps: a tagged
+probe of an untagged line recalculates."""
+
+
+def angle_codes(angles: np.ndarray) -> np.ndarray:
+    """Each camera angle's tag code, as the caches store it.
 
     Section VII-E: 7 bits per cache line record the camera angle.  The
-    stored range is [0, pi/2] (:func:`camera_angle` folds grazing
-    directions into it), divided into ``2**bits - 1`` steps of
-    90/(2**7 - 1) ~= 0.71 degrees, so the rounding error is at most half
-    a step (~0.35 degrees) -- within the paper's ~1-degree budget.
+    stored range is [0, pi/2] (:func:`camera_angle_from_normal` folds
+    grazing directions into it), divided into :data:`ANGLE_LEVELS` steps
+    of :data:`ANGLE_STEP`; an angle is clamped to pi/2 and rounded to the
+    nearest step (half to even, ``np.rint``), so the rounding error is at
+    most half a step (~0.35 degrees) -- within the paper's ~1-degree
+    budget.  Codes are int16, so the difference of two codes, or of a
+    code and :data:`NO_ANGLE`, does not wrap.
     """
-    if bits <= 0:
-        raise ValueError("bit count must be positive")
-    if angle < 0:
-        raise ValueError("angle must be non-negative")
-    levels = (1 << bits) - 1
-    half_pi = math.pi / 2.0
-    clamped = min(angle, half_pi)
-    step = half_pi / levels
-    return round(clamped / step) * step
+    angles = np.asarray(angles, dtype=np.float64)
+    if not bool(np.all(angles >= 0)):
+        raise ValueError("angles must be non-negative")
+    return np.rint(np.minimum(angles, math.pi / 2.0) / ANGLE_STEP).astype(
+        np.int16
+    )
 
 
-def quantize_angles(angles: np.ndarray, bits: Bits = 7) -> np.ndarray:
-    """:func:`quantize_angle` over an array, element for element.
+def threshold_steps(radians: Radians) -> int:
+    """An angle threshold as a step count: the largest d <= 127 with
+    ``d * ANGLE_STEP <= radians``.
 
-    ``np.rint`` rounds half to even as python's ``round`` does, and the
-    clamp, division and product are the same IEEE-754 operations, so
-    every element equals the scalar result exactly.
+    Two tags are within the threshold iff their codes differ by at most
+    d.  No two tags differ by more than :data:`ANGLE_LEVELS` steps, so
+    every threshold of that many steps or more decides alike: it keeps
+    every pair.
     """
-    if bits <= 0:
-        raise ValueError("bit count must be positive")
-    if bool(np.any(angles < 0)):
-        raise ValueError("angle must be non-negative")
-    levels = (1 << bits) - 1
-    half_pi = math.pi / 2.0
-    step = half_pi / levels
-    return np.rint(np.minimum(angles, half_pi) / step) * step
+    if not radians >= 0:
+        raise ValueError("threshold must be non-negative")
+    if radians >= ANGLE_LEVELS * ANGLE_STEP:
+        return ANGLE_LEVELS
+    steps = math.floor(radians / ANGLE_STEP)
+    # The rounded quotient can land one step off the product's answer.
+    if steps * ANGLE_STEP > radians:
+        steps -= 1
+    elif (steps + 1) * ANGLE_STEP <= radians:
+        steps += 1
+    return steps

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -58,7 +57,3 @@ class Texture:
     def texel(self, x: int, y: int) -> np.ndarray:
         """Fetch one texel with wrap (repeat) addressing."""
         return self.data[y % self.height, x % self.width]
-
-    def texels_wrapped(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Vectorised wrapped texel gather; returns (n, 4)."""
-        return self.data[ys % self.height, xs % self.width]

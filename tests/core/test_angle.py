@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.angle import (
@@ -13,6 +14,8 @@ from repro.core.angle import (
     THRESHOLD_SWEEP,
     AngleThreshold,
 )
+from repro.texture.batch import reuse_producers
+from repro.texture.lod import ANGLE_STEP, angle_codes, threshold_steps
 
 
 class TestAngleThreshold:
@@ -75,39 +78,67 @@ class TestDegreeRadianRoundTrips:
         assert math.radians(right.degrees) == pytest.approx(math.pi / 2)
 
 
+def reuse_allowed(threshold, stored, angle):
+    """Whether a parent filtered at camera angle ``stored`` is reused for
+    a pixel at ``angle`` (radians): the production reuse kernel's rule,
+    on the two angles' tag codes and the threshold's step count."""
+    codes = angle_codes(np.array([stored, angle]))
+    steps = threshold_steps(threshold.effective_radians)
+    return reuse_producers(np.zeros(2, dtype=np.int64), codes, steps)[1] == 0
+
+
+BASE = 0.3
+"""A camera angle (radians) the differences below start from."""
+
+
 class TestReusePredicate:
+    """Section V-C's reuse test: the stored and requesting angles' codes
+    may differ by at most the threshold's step count."""
+
     def test_difference_within_threshold_reuses(self):
-        assert DEFAULT_THRESHOLD.reuse_allowed(0.005 * math.pi)
+        assert reuse_allowed(DEFAULT_THRESHOLD, BASE, BASE + 0.005 * math.pi)
 
     def test_difference_beyond_threshold_recalculates(self):
-        assert not DEFAULT_THRESHOLD.reuse_allowed(0.02 * math.pi)
+        assert not reuse_allowed(DEFAULT_THRESHOLD, BASE,
+                                 BASE + 0.02 * math.pi)
 
     def test_boundary_difference_reuses(self):
-        # Exactly at the threshold: reuse (the check is <=).
-        assert DEFAULT_THRESHOLD.reuse_allowed(DEFAULT_THRESHOLD.radians)
+        # Exactly the threshold's step count apart: reuse (the check is
+        # <=).  0.01pi is 2.54 steps, so codes 2 apart reuse, 3 do not.
+        assert threshold_steps(DEFAULT_THRESHOLD.radians) == 2
+        assert reuse_allowed(DEFAULT_THRESHOLD, 24 * ANGLE_STEP,
+                             26 * ANGLE_STEP)
+        assert not reuse_allowed(DEFAULT_THRESHOLD, 24 * ANGLE_STEP,
+                                 27 * ANGLE_STEP)
 
     def test_zero_difference_always_reuses(self):
         for threshold in THRESHOLD_SWEEP:
-            assert threshold.reuse_allowed(0.0)
+            assert reuse_allowed(threshold, BASE, BASE)
 
     def test_sign_of_difference_does_not_matter(self):
-        assert DEFAULT_THRESHOLD.reuse_allowed(-0.005 * math.pi)
-        assert not DEFAULT_THRESHOLD.reuse_allowed(-0.02 * math.pi)
+        assert reuse_allowed(DEFAULT_THRESHOLD, BASE + 0.005 * math.pi, BASE)
+        assert not reuse_allowed(DEFAULT_THRESHOLD, BASE + 0.02 * math.pi,
+                                 BASE)
 
     def test_zero_threshold_only_reuses_identical_angles(self):
+        # Identical codes: angles within one quantisation step's rounding.
         zero = AngleThreshold(label="zero", radians=0.0)
-        assert zero.reuse_allowed(0.0)
-        assert not zero.reuse_allowed(1e-9)
+        assert reuse_allowed(zero, BASE, BASE)
+        assert reuse_allowed(zero, BASE, BASE + 1e-9)
+        assert not reuse_allowed(zero, 24 * ANGLE_STEP, 25 * ANGLE_STEP)
 
     def test_no_recalculation_reuses_everything(self):
-        for difference in (0.0, 0.5 * math.pi, math.pi, -math.pi):
-            assert THRESHOLD_NO_RECALC.reuse_allowed(difference)
+        for stored, angle in ((0.0, math.pi / 2), (math.pi / 2, 0.0),
+                              (BASE, 1.2), (0.0, 0.0)):
+            assert reuse_allowed(THRESHOLD_NO_RECALC, stored, angle)
 
     def test_strictness_ordering(self):
-        # A difference of 2 degrees: rejected by the two strictest
-        # settings, accepted by the looser ones.
+        # A difference of 2 degrees (codes 3 apart here): rejected by the
+        # two strictest settings (1 and 2 steps), accepted by the looser
+        # ones.
         difference = math.radians(2.0)
         decisions = [
-            threshold.reuse_allowed(difference) for threshold in THRESHOLD_SWEEP
+            reuse_allowed(threshold, BASE, BASE + difference)
+            for threshold in THRESHOLD_SWEEP
         ]
         assert decisions == [False, False, True, True, True]

@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.core.designs import Design, DesignConfig
+from repro.core.frontend import make_texture_path
+from repro.memory.traffic import TrafficMeter
 
 
 class TestDesign:
@@ -12,10 +14,14 @@ class TestDesign:
         assert len(list(Design)) == 4
 
     def test_hmc_usage(self):
-        assert not Design.BASELINE.uses_hmc
-        assert Design.B_PIM.uses_hmc
-        assert Design.S_TFIM.uses_hmc
-        assert Design.A_TFIM.uses_hmc
+        # The baseline reads GDDR5; every other design's path builds an
+        # HMC.
+        uses_hmc = [
+            make_texture_path(DesignConfig(design=design), TrafficMeter()).hmc
+            is not None
+            for design in Design
+        ]
+        assert uses_hmc == [False, True, True, True]
 
     def test_in_memory_filtering(self):
         assert not Design.BASELINE.filters_in_memory

@@ -83,12 +83,6 @@ class TestExpansion:
             assert parent.num_children == 4
         assert expanded.total_child_texels == 32
 
-    def test_unique_child_lines_deduplicated(self, scene):
-        expander = RequestExpander(scene)
-        expanded = expander.expand(make_request(probes=8))
-        raw = sum(len(p.child_line_addresses) for p in expanded.parents)
-        assert len(expanded.unique_child_lines) <= raw
-
     def test_lines_are_aligned(self, scene):
         expander = RequestExpander(scene)
         expanded = expander.expand(make_request())

@@ -43,6 +43,7 @@ from repro.gpu.pipeline import GpuPipeline
 from repro.memory.traffic import TrafficMeter
 from repro.obs import run_stat_group
 from repro.render.renderer import Renderer
+from repro.texture.lod import ANGLE_LEVELS, ANGLE_STEP, threshold_steps
 from repro.workloads import workload_by_name
 from repro.workloads.animation import strafe, walk_forward
 from tests import reference
@@ -392,7 +393,7 @@ def unserved(scene, trace, config, threshold):
 @pytest.mark.parametrize("name", SWEEP_WORKLOADS)
 def test_the_threshold_interval_is_tight(traces, name):
     """At 0.01pi, which recalculates, the run's interval holds exactly
-    the thresholds that simulate it again: fresh runs at both ends of
+    the step counts that simulate it again: fresh runs at both ends of
     it repeat the run, and fresh runs just outside differ.  Fear's run
     replays twice, so there the interval covers both replays (which
     ``tests/core/test_texture_paths.py`` pins on a hand-built frame)."""
@@ -400,26 +401,30 @@ def test_the_threshold_interval_is_tight(traces, name):
     config = sweep_config(workload, DEFAULT_THRESHOLD)
     run = simulate_frame(scene, trace, config)
     below, above = run.path.threshold_interval
-    assert 0.0 < below <= config.effective_angle_threshold < above < math.inf
+    steps = threshold_steps(config.effective_angle_threshold)
+    assert 0 < below <= steps < above <= ANGLE_LEVELS
     expected = observed(run)
-    for threshold in (below, math.nextafter(above, 0.0)):
-        assert observed(unserved(scene, trace, config, threshold)) == expected
-    for threshold in (above, math.nextafter(below, 0.0)):
-        assert observed(unserved(scene, trace, config, threshold)) != expected
+    for inside in (below, above - 1):
+        assert observed(unserved(scene, trace, config,
+                                 inside * ANGLE_STEP)) == expected
+    for outside in (above, below - 1):
+        assert observed(unserved(scene, trace, config,
+                                 outside * ANGLE_STEP)) != expected
 
 
 def test_a_call_is_served_exactly_inside_the_interval(traces, monkeypatch):
     """On the recorded run's trace, both ends of its interval are
-    served, and the first threshold above it simulates."""
+    served, as is a threshold between two step counts inside it, and
+    the first step count above it simulates."""
     workload, scene, trace = traces("hl2-640x480")
     config = sweep_config(workload, DEFAULT_THRESHOLD)
     below, above = simulate_frame(scene, trace, config).path.threshold_interval
     calls = []
     count_calls(monkeypatch, AtfimPath, "begin_replay", calls)
-    for threshold in (below, math.nextafter(above, 0.0)):
-        simulate_frame(scene, trace, at(config, threshold))
+    for steps in (below, above - 1, above - 0.5):
+        simulate_frame(scene, trace, at(config, steps * ANGLE_STEP))
     assert calls == []
-    simulate_frame(scene, trace, at(config, above))
+    simulate_frame(scene, trace, at(config, above * ANGLE_STEP))
     assert calls
 
 
@@ -451,9 +456,9 @@ def test_a_served_call_is_the_run_its_threshold_simulates(traces, monkeypatch,
 
 
 def loose_tiny(fresh):
-    """The tiny scene under A-TFIM at pi, which no quantised angle
-    difference exceeds, simulated once: any looser threshold is
-    served from it."""
+    """The tiny scene under A-TFIM at pi, more steps than any two tags
+    differ by, simulated once: any looser threshold is served from
+    it."""
     scene, trace = fresh
     config = DesignConfig(design=Design.A_TFIM, angle_threshold=math.pi)
     simulate_frame(scene, trace, config)

@@ -10,8 +10,8 @@ sends one random stream through the oracle and through the form, and
 compares every probe's outcome, each set's final lines in LRU order
 with their angle tags, the cold-fill logs, the counters and the
 threshold interval.  Streams use few lines per set, so lines are reused
-at every stack distance, and angles on a few quantisation steps, so
-comparisons land on, between and across thresholds.  The premise that
+at every stack distance, and angles on a few tag codes, so comparisons
+land on, between and across thresholds.  The premise that
 makes deciding the L1s up front exact -- their state does not depend on
 the order in which requests of different clusters are served -- is
 checked on a real frame.
@@ -27,11 +27,17 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core import Design
 from repro.core.expansion import RequestExpander
 from repro.core.frontend import make_texture_path
-from repro.core.paths import L1_ANGLE_MISS, L1_FILL, L1_HIT, L1Replay
+from repro.core.paths import (
+    ALL_THRESHOLDS,
+    L1_ANGLE_MISS,
+    L1_FILL,
+    L1_HIT,
+    L1Replay,
+)
 from repro.gpu.pipeline import GpuPipeline
 from repro.memory.traffic import TrafficMeter
 from repro.texture.cache import CacheAccessResult, CacheConfig, TextureCache
-from repro.texture.lod import quantize_angle, quantize_angles
+from repro.texture.lod import NO_ANGLE, angle_codes, threshold_steps
 from tests.conftest import NO_SHRINK
 from tests.reference import cache_lookup, cache_set_and_tag
 
@@ -68,9 +74,7 @@ def cases(draw):
     differences = sorted({abs(a - b) for a in steps for b in steps})
     threshold = draw(st.sampled_from(
         [0.0, 1.5 * STEP, math.inf]
-        + [quantize_angle(difference * STEP) for difference in differences]
-        + [abs(quantize_angle(a * STEP) - quantize_angle(b * STEP))
-           for a in steps[:3] for b in steps[:3]]
+        + [difference * STEP for difference in differences]
     ))
     return ways, sets, clusters, warm, stream, threshold
 
@@ -82,8 +86,8 @@ def make_caches(ways, sets, clusters):
 
 
 def lookup(caches, probe, threshold, interval):
-    """The oracle's lookup of one probe; narrows ``interval`` where the
-    lookup compares two angle tags."""
+    """The oracle's lookup of one probe; narrows ``interval`` (in steps)
+    where the lookup compares two angle tags."""
     cluster, line, tagged, step = probe
     cache = caches[cluster]
     address = 64 * line
@@ -92,9 +96,9 @@ def lookup(caches, probe, threshold, interval):
     angle = step * STEP
     set_index, tag = cache_set_and_tag(cache, address)
     stored = cache._sets.get(set_index, {}).get(tag)
-    if stored is not None and stored.angle is not None:
-        difference = abs(stored.angle - quantize_angle(angle))
-        if difference > threshold:
+    if stored is not None:
+        difference = abs(stored.angle - int(angle_codes(angle)))
+        if difference > threshold_steps(threshold):
             interval[1] = min(interval[1], difference)
         else:
             interval[0] = max(interval[0], difference)
@@ -133,17 +137,17 @@ class TestL1ReplayMatchesLookup:
                             for _ in range(2))
         for caches in (oracle, replayed):
             for probe in warm:
-                lookup(caches, probe, threshold, [0.0, math.inf])
-        interval = [0.0, math.inf]
+                lookup(caches, probe, threshold, list(ALL_THRESHOLDS))
+        interval = list(ALL_THRESHOLDS)
         expected = [CODES[lookup(oracle, probe, threshold, interval)]
                     for probe in stream]
 
         columns = np.array([probe for probe in stream], dtype=np.int64)
         columns = columns.reshape(-1, 4)
-        angles = quantize_angles(columns[:, 3] * STEP)
-        angles[columns[:, 2] == 0] = np.nan
+        angles = angle_codes(columns[:, 3] * STEP)
+        angles[columns[:, 2] == 0] = NO_ANGLE
         form = L1Replay(replayed, columns[:, 0], 64 * columns[:, 1],
-                        angles, threshold)
+                        angles, threshold_steps(threshold))
         assert form.outcomes.tolist() == expected
         assert [form.below, form.above] == interval
         form.flush()
@@ -160,14 +164,14 @@ class TestL1ReplayMatchesLookup:
                             for _ in range(2))
         for caches in (oracle, replayed):
             for probe in untag:
-                lookup(caches, probe, 0.0, [0.0, math.inf])
+                lookup(caches, probe, 0.0, list(ALL_THRESHOLDS))
         expected = [CODES[cache_lookup(oracle[cluster], 64 * line)]
                     for cluster, line, *_ in stream]
         columns = np.array([probe[:2] for probe in stream], dtype=np.int64)
         columns = columns.reshape(-1, 2)
         form = L1Replay(replayed, columns[:, 0], 64 * columns[:, 1])
         assert form.outcomes.tolist() == expected
-        assert (form.below, form.above) == (0.0, math.inf)
+        assert (form.below, form.above) == ALL_THRESHOLDS
         form.flush()
         assert state(replayed) == state(oracle)
 

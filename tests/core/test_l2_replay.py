@@ -12,8 +12,9 @@ L2's hits, misses and angle misses, each L2 set's lines in LRU order
 with their angle tags, its cold-fill log, and the L2 port's clock,
 bytes, requests and busy cycles.  The L1s hold one or two lines a set,
 so most rows miss them and reach the L2.  For A-TFIM a rerun at either
-end of the path's threshold interval then leaves every counter and tag
-as the run left them: the interval's definition.
+end of the path's threshold interval (a range of step counts) then
+leaves every counter and tag as the run left them: the interval's
+definition.
 """
 
 import math
@@ -27,6 +28,7 @@ from repro.core.frontend import make_texture_path
 from repro.gpu.config import GPUConfig
 from repro.memory.traffic import TrafficMeter
 from repro.texture.cache import CacheConfig
+from repro.texture.lod import threshold_steps
 from tests import reference
 from tests.conftest import NO_SHRINK
 from tests.gpu.test_replay_batch import cache_contents, cold_fills, server_state
@@ -145,15 +147,12 @@ class TestInlineL2:
     @given(case=cases())
     def test_a_threshold_inside_the_interval_repeats_the_run(self, case):
         _, gpu, threshold, requests = case
-        # The interval [below, above) holds no infinite threshold; no
-        # difference of two tags in [0, pi/2] exceeds pi either.
-        threshold = min(threshold, math.pi)
         completions, path = run(Design.A_TFIM, gpu, threshold, requests,
                                 True)
         below, above = path.threshold_interval
-        assert below <= threshold < above
-        ends = [below, math.nextafter(above, 0.0)]
-        for inside in ends:
-            again, rerun = run(Design.A_TFIM, gpu, inside, requests, True)
+        assert below <= threshold_steps(threshold) < above
+        for inside in (below, above - 1):
+            again, rerun = run(Design.A_TFIM, gpu, inside * STEP, requests,
+                               True)
             assert again == completions
             assert everything(rerun) == everything(path)

@@ -80,14 +80,15 @@ class TestSimulateSequence:
         )
         assert later_traffic > 0
 
-    def test_empty_sequence_rejected(self, sequence_setup):
-        workload, scene, _ = sequence_setup
-        with pytest.raises(ValueError):
-            simulate_sequence(scene, [], workload.design_config(Design.BASELINE))
-
     def test_mean_texture_latency(self, sequence_setup):
         workload, scene, traces = sequence_setup
         result = simulate_sequence(
             scene, traces, workload.design_config(Design.B_PIM)
         )
-        assert result.mean_texture_latency > 0
+        assert all(frame.texture_filter_latency > 0
+                   for frame in result.frames)
+
+    def test_empty_sequence_rejected(self, sequence_setup):
+        workload, scene, _ = sequence_setup
+        with pytest.raises(ValueError):
+            simulate_sequence(scene, [], workload.design_config(Design.BASELINE))

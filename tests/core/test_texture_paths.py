@@ -20,12 +20,13 @@ from repro.core.expansion import (
     ParentTexel,
     RequestExpander,
 )
+from repro.core.paths import ALL_THRESHOLDS
 from repro.core.stfim import StfimPath
 from repro.gpu.config import GPUConfig
-from repro.memory.traffic import TrafficClass, TrafficMeter
+from repro.memory.traffic import TrafficMeter
 from repro.render.scene import Scene
 from repro.texture.cache import CacheConfig
-from repro.texture.lod import compute_footprint
+from repro.texture.lod import NO_ANGLE, compute_footprint, threshold_steps
 from repro.texture.requests import TextureRequest
 from repro.workloads.textures import ProceduralTextureLibrary
 from tests import reference
@@ -349,7 +350,8 @@ class TestRepeatedProbes:
     def test_isotropic_requests_carry_no_angle_tag(self):
         frame = hand_frame((0.4, [X, Z, X]), probes=1)
         columns = _AtfimColumns(self.config, frame)
-        assert (columns.l1_angle, columns.l2_angle) == ([None], [None])
+        assert columns.angles == [NO_ANGLE]
+        assert set(columns.row_angles.tolist()) == {NO_ANGLE}
         assert columns.repeats == [1]
         assert self.replayed(frame, True) == self.replayed(frame, False)
 
@@ -393,20 +395,22 @@ class TestThresholdInterval:
         path = GpuFilteringPath(DesignConfig(design=Design.BASELINE),
                                 TrafficMeter())
         serve(path, 0, 0.0, expand(scene))
-        assert path.threshold_interval == (0.0, math.inf)
+        assert path.threshold_interval == ALL_THRESHOLDS
 
     def test_the_interval_spans_the_warm_replay_and_the_cold_one(self):
-        """Tags 1, 3 and 0 steps on one line, at 1.5 steps: the cold
-        replay compares 2 and 3 steps (both over), the warm one, from
-        the tag 0 the cold one left, 1 step (within) and 3 steps.  So
-        the warm replay sets the lower end and the cold one the upper."""
+        """Tags 1, 3 and 0 steps on one line, at 1.5 steps (1 whole
+        step): the cold replay compares 2 and 3 steps (both over), the
+        warm one, from the tag 0 the cold one left, 1 step (within) and
+        3 steps.  So the warm replay sets the lower end and the cold one
+        the upper, in steps."""
         step = self.step
         frame = hand_frame((step, [X]), (3 * step, [X]), (0.0, [X]))
         threshold = 1.5 * step
         cold, _ = self.replays(frame, threshold, passes=1)
         both, expected = self.replays(frame, threshold, passes=2)
-        assert cold[0] < both[0] <= threshold < both[1] == cold[1]
-        for inside in (both[0], math.nextafter(both[1], 0.0)):
-            assert self.replays(frame, inside, passes=2)[1] == expected
-        for outside in (math.nextafter(both[0], 0.0), both[1]):
-            assert self.replays(frame, outside, passes=2)[1] != expected
+        assert cold[0] < both[0] <= threshold_steps(threshold) < both[1]
+        assert both[1] == cold[1]
+        for inside in (both[0], both[1] - 1):
+            assert self.replays(frame, inside * step, passes=2)[1] == expected
+        for outside in (both[0] - 1, both[1]):
+            assert self.replays(frame, outside * step, passes=2)[1] != expected

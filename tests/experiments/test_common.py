@@ -52,10 +52,6 @@ class TestFigureData:
         widths = {len(line) for line in lines}
         assert len(widths) == 1  # all rows padded to equal width
 
-    def test_summary_line(self):
-        line = make_figure().summary_line("a")
-        assert "mean 2.000" in line
-
 
 class TestGeometricMean:
     def test_known_value(self):

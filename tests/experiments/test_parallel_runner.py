@@ -6,7 +6,7 @@ import multiprocessing
 import os
 import pickle
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -62,6 +62,28 @@ def _exit_on_die(name, _keys):
     if name == "die":
         os._exit(3)
     return name
+
+
+class FinishedPool:
+    """A pool stub whose tasks have finished before ``submit`` returns:
+    ``outcomes[name]`` is the task's result, or the exception it holds.
+    No process starts."""
+
+    def __init__(self, outcomes):
+        self.outcomes = outcomes
+        self.shut_down = False
+
+    def submit(self, _fn, name, _keys):
+        future = Future()
+        outcome = self.outcomes[name]
+        if isinstance(outcome, BaseException):
+            future.set_exception(outcome)
+        else:
+            future.set_result(outcome)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut_down = True
 
 
 def run_signature(run):
@@ -165,7 +187,42 @@ class TestPool:
             with pytest.raises(RuntimeError, match="worker failed") as info:
                 _pool_results(pool, _exit_on_die, {"die": [], "ok": []})
         assert isinstance(info.value.__cause__, BrokenProcessPool)
+        assert "pool broke" in str(info.value)
         assert multiprocessing.active_children() == []
+
+    def test_a_broken_pool_names_no_culprit(self):
+        """Every task that had not finished when a worker died holds
+        ``BrokenProcessPool``: the error says the pool broke and lists
+        their workloads, and blames none of them, nor the one that
+        finished first."""
+        pool = FinishedPool({"ok": "done", "first": BrokenProcessPool(),
+                             "second": BrokenProcessPool()})
+        with pytest.raises(RuntimeError) as info:
+            _pool_results(pool, _exit_on_die,
+                          {"ok": [], "first": [], "second": []})
+        message = str(info.value)
+        assert "pool broke" in message and "on workload" not in message
+        assert "'first', 'second'" in message and "'ok'" not in message
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+        assert pool.shut_down
+
+    def test_a_task_error_names_its_own_workload(self):
+        """A task's own exception names its workload, even after tasks
+        that hold ``BrokenProcessPool`` in submission order."""
+        error = ValueError("no such workload")
+        pool = FinishedPool({"ok": "done", "broken": BrokenProcessPool(),
+                             "bad": error})
+        with pytest.raises(RuntimeError,
+                           match="failed on workload 'bad'") as info:
+            _pool_results(pool, _exit_on_die,
+                          {"ok": [], "broken": [], "bad": []})
+        assert info.value.__cause__ is error
+        assert pool.shut_down
+
+    def test_finished_tasks_return_in_submission_order(self):
+        pool = FinishedPool({"b": 2, "a": 1})
+        assert _pool_results(pool, _exit_on_die, {"b": [], "a": []}) == [2, 1]
+        assert not pool.shut_down
 
     def test_worker_forests_grafted_per_workload_in_workload_order(
         self, monkeypatch

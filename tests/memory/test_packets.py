@@ -39,10 +39,6 @@ class TestPacketSpec:
     def test_texels_per_line(self):
         assert PacketSpec().texels_per_line() == 16
 
-    def test_write_request(self):
-        spec = PacketSpec()
-        assert spec.write_request_bytes == spec.cache_line_bytes + spec.header_bytes
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PacketSpec(cache_line_bytes=0)

@@ -75,11 +75,13 @@ from repro.sim.resources import BandwidthServer, RequestQueue, ThroughputUnit
 from repro.texture.cache import CacheAccessResult, TextureCache, _Line
 from repro.texture.batch import RequestBatch
 from repro.texture.lod import (
+    NO_ANGLE,
     FootprintBatch,
     SampleFootprint,
+    angle_codes,
     camera_angle_from_normal,
     compute_footprint,
-    quantize_angle,
+    threshold_steps,
 )
 from repro.texture.mipmap import MipmapChain
 from repro.texture.requests import FragmentTrace, TextureRequest
@@ -324,26 +326,25 @@ def cache_lookup(
     """Access the line containing ``address``; fill on miss.
 
     Without angle arguments this is an ordinary cache access.  With
-    both ``angle`` and ``angle_threshold`` given, a tag hit whose stored
-    (quantised) angle differs from the request's quantised angle by more
-    than the threshold counts as :attr:`CacheAccessResult.ANGLE_MISS`;
-    the line is refilled with the new angle (the recalculated parent
-    texel replaces the stale one, per section V-C).
+    both ``angle`` and ``angle_threshold`` given (radians), a tag hit
+    whose stored code differs from the request's code by more than the
+    threshold's step count counts as
+    :attr:`CacheAccessResult.ANGLE_MISS`; the line is refilled with the
+    new code (the recalculated parent texel replaces the stale one, per
+    section V-C).  A line filled without an angle holds ``NO_ANGLE``,
+    which every such comparison finds stale.
     """
     if address < 0:
         raise ValueError("negative address")
     set_index, tag = cache_set_and_tag(cache, address)
     cache_set = cache._sets.setdefault(set_index, OrderedDict())
-    stored_angle = (
-        None if angle is None
-        else quantize_angle(angle, cache.config.angle_bits)
-    )
+    stored_angle = NO_ANGLE if angle is None else int(angle_codes(angle))
 
     line = cache_set.get(tag)
     if line is not None:
         if angle is not None and angle_threshold is not None:
-            if (line.angle is None
-                    or abs(line.angle - stored_angle) > angle_threshold):
+            if (abs(line.angle - stored_angle)
+                    > threshold_steps(angle_threshold)):
                 line.angle = stored_angle
                 cache_set.move_to_end(tag)
                 cache.angle_misses += 1
@@ -1023,19 +1024,19 @@ class ScalarRasterizer(Rasterizer):
 
 
 def reuse_producers(
-    keys: np.ndarray, angles: np.ndarray, threshold: float
+    keys: np.ndarray, angles: np.ndarray, threshold: int
 ) -> np.ndarray:
     """The per-lookup form of :func:`repro.texture.batch.reuse_producers`.
 
     Walks the lookups in order with a dict from key to the index and
-    angle of the key's last recalculation: a lookup reuses when its key
-    is stored and ``abs(stored - angle) <= threshold``, and otherwise
-    recalculates and stores its own index and angle.
+    tag code of the key's last recalculation: a lookup reuses when its
+    key is stored and ``abs(stored - code) <= threshold`` (steps), and
+    otherwise recalculates and stores its own index and code.
     """
-    if not threshold >= 0:
+    if threshold < 0:
         raise ValueError("threshold must be non-negative")
     producers = list(range(len(keys)))
-    stored: Dict[int, Tuple[int, float]] = {}
+    stored: Dict[int, Tuple[int, int]] = {}
     for index, key, angle in zip(producers, keys.tolist(), angles.tolist()):
         entry = stored.get(key)
         if entry is not None and abs(entry[1] - angle) <= threshold:
@@ -1049,40 +1050,36 @@ class AngleTaggedParentStore:
     """Functional model of A-TFIM's angle-tagged parent-texel reuse.
 
     Keys are parent texel identities ``(texture, level, x, y)``; values
-    are the filtered parent value and the (quantised) camera angle it was
-    filtered under.  A lookup whose angle differs by more than the
-    threshold recalculates, exactly mirroring the architectural cache
-    policy in :mod:`repro.texture.cache` -- but holding *values*, because
-    the functional path needs the possibly-stale colors to measure their
-    quality impact.
+    are the filtered parent value and the tag code of the camera angle
+    it was filtered under.  A lookup whose code differs by more than the
+    threshold's step count recalculates, exactly mirroring the
+    architectural cache policy in :mod:`repro.texture.cache` -- but
+    holding *values*, because the functional path needs the
+    possibly-stale colors to measure their quality impact.
     """
 
-    def __init__(self, threshold: float, angle_bits: int = 7) -> None:
-        if not threshold >= 0:
-            raise ValueError("threshold must be non-negative")
-        self.threshold = threshold
-        self.angle_bits = angle_bits
-        self._store: Dict[Tuple[int, int, int, int], Tuple[np.ndarray, float]] = {}
+    def __init__(self, threshold: float) -> None:
+        self.steps = threshold_steps(threshold)
+        self._store: Dict[Tuple[int, int, int, int], Tuple[np.ndarray, int]] = {}
         self.reuses = 0
         self.recalculations = 0
 
     def lookup(
         self, key: Tuple[int, int, int, int], angle: float
     ) -> Optional[np.ndarray]:
-        quantised = quantize_angle(angle, self.angle_bits)
+        code = int(angle_codes(angle))
         entry = self._store.get(key)
         if entry is None:
             return None
-        value, stored_angle = entry
-        if abs(stored_angle - quantised) <= self.threshold:
+        value, stored_code = entry
+        if abs(stored_code - code) <= self.steps:
             self.reuses += 1
             return value
         return None
 
     def store(self, key: Tuple[int, int, int, int], angle: float,
               value: np.ndarray) -> None:
-        quantised = quantize_angle(angle, self.angle_bits)
-        self._store[key] = (value, quantised)
+        self._store[key] = (value, int(angle_codes(angle)))
         self.recalculations += 1
 
 

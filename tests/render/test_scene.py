@@ -33,14 +33,6 @@ class TestTexturedTriangle:
         with pytest.raises(ValueError):
             _ = triangle.normal
 
-    def test_centroid(self):
-        triangle = TexturedTriangle(
-            vertices=np.array([[0, 0, 0], [3, 0, 0], [0, 3, 0]], dtype=float),
-            uvs=np.zeros((3, 2)),
-            texture_id=0,
-        )
-        assert np.allclose(triangle.centroid, [1, 1, 0])
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             TexturedTriangle(

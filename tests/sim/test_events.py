@@ -49,22 +49,6 @@ class TestLatencyHistogram:
         with pytest.raises(ValueError):
             hist.observe(-1.0)
 
-    def test_percentile_bound(self):
-        hist = LatencyHistogram("lat")
-        for _ in range(99):
-            hist.observe(1.0)
-        hist.observe(1000.0)
-        median_bound = hist.percentile_bucket_upper_bound(0.5)
-        tail_bound = hist.percentile_bucket_upper_bound(1.0)
-        assert median_bound <= 2.0
-        assert tail_bound >= 1000.0
-
-    def test_percentile_validation(self):
-        hist = LatencyHistogram("lat")
-        with pytest.raises(ValueError):
-            hist.percentile_bucket_upper_bound(0.0)
-        assert hist.percentile_bucket_upper_bound(0.5) == 0.0  # empty
-
 
 class TestMakespan:
     def test_latest_completion(self):

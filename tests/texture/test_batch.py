@@ -211,12 +211,10 @@ class TestAnisotropicBatch:
         recorder = BatchFetchRecorder()
         anisotropic_batch(chain, batch, recorder=recorder)
         texels = recorder.request_texels()
-        counts = recorder.request_counts()
         for index, (fp, (u, v)) in enumerate(zip(fps, uvs)):
             scalar_recorder = _FetchRecorder()
             anisotropic_sample(chain, fp, u, v, recorder=scalar_recorder)
             assert set(texels[index]) == set(scalar_recorder.texels)
-            assert counts[index] == len(scalar_recorder.texels)
 
 
 class TestParentKernels:

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core.paths import L1_ANGLE_MISS, L1_FILL, L1_HIT, L1Replay
+from repro.energy.overhead import compute_overhead
+from repro.gpu.config import GPUConfig
 from repro.texture.cache import CacheAccessResult, CacheConfig, TextureCache
-from repro.texture.lod import quantize_angle
+from repro.texture.lod import NO_ANGLE, angle_codes, threshold_steps
 from tests import reference
 
 RESULTS = {
@@ -32,17 +34,17 @@ def probe(cache, addresses, angles=None, threshold=0.0):
     """Probe ``addresses`` in order through the L1 replay form and flush
     it into ``cache``; return each probe's outcome.
 
-    ``angles[k]`` is probe ``k``'s camera angle, or None for a probe
-    that carries no angle tag; without ``angles`` none does.
+    ``angles[k]`` is probe ``k``'s camera angle (radians), or None for a
+    probe that carries no angle tag; without ``angles`` none does.  The
+    form reads the angles' tag codes and the threshold's step count.
     """
-    tags = None
+    codes = None
     if angles is not None:
-        bits = cache.config.angle_bits
-        tags = np.array([math.nan if angle is None
-                         else quantize_angle(angle, bits)
-                         for angle in angles], dtype=np.float64)
+        codes = np.array([NO_ANGLE if angle is None else angle_codes(angle)
+                          for angle in angles], dtype=np.int16)
     form = L1Replay([cache], np.zeros(len(addresses), dtype=np.int64),
-                    np.array(addresses, dtype=np.int64), tags, threshold)
+                    np.array(addresses, dtype=np.int64), codes,
+                    threshold_steps(threshold))
     form.flush()
     return [RESULTS[code] for code in form.outcomes.tolist()]
 
@@ -54,25 +56,12 @@ class TestCacheConfig:
         assert config.num_sets == 16
 
     def test_angle_storage_matches_paper(self):
-        # Section VII-E: 0.21 KB per 16KB L1, 1.75 KB per 128KB L2.
-        l1 = CacheConfig(size_bytes=16 * 1024)
-        l2 = CacheConfig(size_bytes=128 * 1024)
-        assert l1.angle_storage_bytes / 1024 == pytest.approx(0.21, abs=0.02)
-        assert l2.angle_storage_bytes / 1024 == pytest.approx(1.75, abs=0.01)
-
-    def test_angle_storage_is_whole_bytes(self):
-        # Storage is allocated in bytes: 256 lines x 7 bits = 1792 bits
-        # divides evenly (224 B), but a geometry that does not must
-        # round up rather than report a fractional byte count.
-        exact = CacheConfig(size_bytes=16 * 1024)
-        assert exact.angle_storage_bytes == 224
-        assert isinstance(exact.angle_storage_bytes, int)
-        ragged = CacheConfig(
-            size_bytes=768, line_bytes=64, associativity=4
-        )
-        assert ragged.num_lines == 12  # 84 bits -> 10.5 B, ceil to 11
-        assert ragged.angle_storage_bytes == 11
-        assert isinstance(ragged.angle_storage_bytes, int)
+        # Section VII-E: one 7-bit tag per line of the default GPU's
+        # caches is 0.21 KB per 16KB L1 and 1.75 KB per 128KB L2.
+        gpu = GPUConfig()
+        overhead = compute_overhead(l1=gpu.l1_cache, l2=gpu.l2_cache)
+        assert overhead.l1_angle_kb == pytest.approx(0.21, abs=0.02)
+        assert overhead.l2_angle_kb == pytest.approx(1.75, abs=0.01)
 
     def test_validation(self):
         with pytest.raises(ValueError):

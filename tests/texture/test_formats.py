@@ -18,14 +18,6 @@ class TestTexelFormat:
         with pytest.raises(ValueError):
             fmt.texels_per_line(64)
 
-    def test_bytes_for(self):
-        # The paper's 16x anisotropic example: 128 texels = 512 bytes.
-        assert RGBA8.bytes_for(128) == 512
-
-    def test_bytes_for_negative_rejected(self):
-        with pytest.raises(ValueError):
-            RGBA8.bytes_for(-1)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TexelFormat(name="bad", bytes_per_texel=0)

@@ -10,10 +10,10 @@ equal element for element.  The streams cover:
   past the kernel's window of lookups per round;
 * keys packed near zero and keys spread across the int64 range (too wide
   to pack with the lookup index, so sorted by a stable argsort);
-* angles on the 7-bit :func:`~repro.texture.lod.quantize_angles` grid,
-  drifting up to three steps per lookup along the stream;
-* thresholds of 0, between two grid steps, exactly equal to a
-  difference present in the stream, pi, and inf;
+* 7-bit tag codes (:func:`~repro.texture.lod.angle_codes`), drifting up
+  to three steps per lookup along the stream;
+* thresholds of 0 steps, a few steps, exactly a difference present in
+  the stream, and the most a threshold can be (127 steps: pi, inf);
 * empty and length-1 streams.
 """
 
@@ -24,11 +24,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.texture.batch import reuse_producers
-from repro.texture.lod import quantize_angles
+from repro.texture.lod import (
+    ANGLE_LEVELS,
+    ANGLE_STEP,
+    angle_codes,
+    threshold_steps,
+)
 from tests.reference import reuse_producers as reference_producers
-
-ANGLE_STEP = (math.pi / 2.0) / 127
-"""One step of the 7-bit camera-angle quantiser."""
 
 key_pools = st.one_of(
     st.lists(st.integers(0, 90_000), min_size=1, max_size=50, unique=True),
@@ -40,7 +42,7 @@ key_pools = st.one_of(
 
 @st.composite
 def streams(draw):
-    """Keys and grid angles of a lookup stream, in request order."""
+    """Keys and tag codes of a lookup stream, in request order."""
     pool = draw(key_pools)
     runs = draw(st.lists(
         st.tuples(st.sampled_from(pool), st.integers(1, 40)),
@@ -52,25 +54,23 @@ def streams(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     drift = np.cumsum(rng.integers(-3, 4, size=len(keys)))
     levels = np.clip(draw(st.integers(0, 127)) + drift, 0, 127)
-    return keys, quantize_angles(levels * ANGLE_STEP)
+    return keys, angle_codes(levels * ANGLE_STEP)
 
 
 @st.composite
 def thresholds(draw, angles):
-    """A threshold of one of the kinds the module docstring lists."""
-    kind = draw(st.sampled_from(
-        ["zero", "between", "difference", "pi", "inf"]
-    ))
+    """A step count of one of the kinds the module docstring lists."""
+    kind = draw(st.sampled_from(["zero", "few", "difference", "most"]))
     if kind == "zero":
-        return 0.0
-    if kind == "between":
-        return (draw(st.integers(0, 6)) + 0.5) * ANGLE_STEP
+        return 0
+    if kind == "few":
+        return draw(st.integers(1, 6))
     if kind == "difference":
         first, second = draw(st.lists(
             st.sampled_from(angles.tolist()), min_size=2, max_size=2
         ))
         return abs(first - second)
-    return math.pi if kind == "pi" else math.inf
+    return ANGLE_LEVELS
 
 
 @settings(max_examples=200, deadline=None)
@@ -84,31 +84,65 @@ def test_producers_equal_the_per_lookup_loop(data):
     )
 
 
+def float_tag_producers(keys, codes, threshold):
+    """The per-lookup loop under the rule tags followed before they were
+    codes, kept here only: float tags ``q = code * ANGLE_STEP``, reused
+    iff ``abs(q_stored - q) <= threshold`` (radians)."""
+    producers = list(range(len(keys)))
+    stored = {}
+    for index, key, code in zip(producers, keys.tolist(), codes.tolist()):
+        angle = code * ANGLE_STEP
+        entry = stored.get(key)
+        if entry is not None and abs(entry[1] - angle) <= threshold:
+            producers[index] = entry[0]
+        else:
+            stored[key] = (index, angle)
+    return np.array(producers, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_away_from_whole_steps_codes_decide_as_float_tags(data):
+    """At least 0.2 steps from every whole step count -- as every
+    threshold the report runs is -- the kernel's codes and step count
+    decide every lookup as the float rule does."""
+    keys, codes = data.draw(streams())
+    whole = data.draw(st.one_of(st.integers(0, 8), st.integers(0, 2100)))
+    threshold = (whole + data.draw(st.floats(0.2, 0.8))) * ANGLE_STEP
+    assert np.array_equal(
+        reuse_producers(keys, codes, threshold_steps(threshold)),
+        float_tag_producers(keys, codes, threshold),
+    )
+
+
 @pytest.mark.parametrize("threshold", [0.0, ANGLE_STEP, math.inf])
 def test_empty_and_single_lookup_streams(threshold):
+    steps = threshold_steps(threshold)
     empty = reuse_producers(
-        np.empty(0, dtype=np.int64), np.empty(0), threshold
+        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int16), steps
     )
     assert empty.dtype == np.int64 and empty.shape == (0,)
-    single = reuse_producers(np.array([7]), np.array([0.5]), threshold)
+    single = reuse_producers(np.array([7]), angle_codes([0.5]), steps)
     assert single.tolist() == [0]
 
 
 def test_a_long_chain_runs_past_the_window():
-    # One key whose angle climbs a step per lookup: under a threshold
-    # between one and two steps, every other lookup recalculates.
+    # One key whose code climbs a step per lookup: under a threshold
+    # of one step, every other lookup recalculates.
     keys = np.zeros(41, dtype=np.int64)
-    angles = quantize_angles(np.arange(41) * ANGLE_STEP)
-    producers = reuse_producers(keys, angles, 1.5 * ANGLE_STEP)
+    angles = np.arange(41, dtype=np.int16)
+    producers = reuse_producers(keys, angles, 1)
     assert producers.tolist() == [index - index % 2 for index in range(41)]
-    assert np.array_equal(
-        producers, reference_producers(keys, angles, 1.5 * ANGLE_STEP)
-    )
+    assert np.array_equal(producers, reference_producers(keys, angles, 1))
 
 
 @pytest.mark.parametrize("threshold", [-0.01, math.nan])
 def test_negative_or_nan_threshold_rejected(threshold):
-    # NaN fails no "< 0" test, and the loop would recalculate every
-    # lookup under it while simulate_frame would reuse every one.
+    # The kernel reads a step count, and the step count of a negative or
+    # NaN threshold is refused (NaN would fail no "< 0" test); a
+    # negative step count is refused too.
+    codes = angle_codes([0.1, 0.1])
     with pytest.raises(ValueError):
-        reuse_producers(np.array([1, 1]), np.array([0.1, 0.1]), threshold)
+        reuse_producers(np.array([1, 1]), codes, threshold_steps(threshold))
+    with pytest.raises(ValueError):
+        reuse_producers(np.array([1, 1]), codes, -1)

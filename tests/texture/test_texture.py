@@ -26,16 +26,6 @@ class TestTexture:
         assert np.array_equal(texture.texel(8, 8), texture.texel(0, 0))
         assert np.array_equal(texture.texel(-1, -1), texture.texel(7, 7))
 
-    def test_vectorised_gather_matches_scalar(self):
-        texture = Texture(texture_id=0, data=make_data())
-        xs = np.array([0, 5, 9, -1])
-        ys = np.array([3, 7, -2, 12])
-        gathered = texture.texels_wrapped(xs, ys)
-        for index in range(len(xs)):
-            assert np.array_equal(
-                gathered[index], texture.texel(int(xs[index]), int(ys[index]))
-            )
-
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             Texture(texture_id=0, data=make_data(7, 8))
