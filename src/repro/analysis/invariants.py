@@ -43,7 +43,6 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, List
 
-from repro.core.designs import Design
 from repro.energy.model import EnergyModel
 from repro.memory.traffic import TrafficClass
 

@@ -16,6 +16,7 @@ Rule IDs are stable and gate-able:
 * ``REP109`` — bare ``map()``/``submit()`` on a process/thread pool
   outside ``src/repro/experiments/runner.py``; batch fan-out goes
   through ``ExperimentRunner.run_many``.
+* ``REP110`` — module-level import whose name the module never reads.
 
 Every rule is syntactic and per file: one :class:`LintRule` per ID, each
 seeing one node at a time.
@@ -24,7 +25,7 @@ seeing one node at a time.
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.linter import SYNTAX_ERROR_RULE, LintContext, LintRule
 
@@ -403,8 +404,8 @@ _MONOTONIC_FUNCS = frozenset({"monotonic", "monotonic_ns"})
 class MonotonicOutsideObsRule(LintRule):
     """Raw ``time.monotonic()`` reads scattered through the codebase are
     untraceable one-off timers; host phases are timed with
-    ``repro.obs.span()``/``timed_stage`` so they land in run manifests
-    and Chrome traces.  ``repro.obs`` itself is the only legitimate
+    ``repro.obs.span()`` so they land in run manifests and Chrome
+    traces.  ``repro.obs`` itself is the only legitimate
     call site."""
 
     rule_id = "REP108"
@@ -432,7 +433,7 @@ class MonotonicOutsideObsRule(LintRule):
                 self,
                 node,
                 f"raw time.{func.attr}() call; record host timing with "
-                "repro.obs.span()/timed_stage so it reaches the manifest",
+                "repro.obs.span() so it reaches the manifest",
             )
 
 
@@ -499,6 +500,105 @@ class BarePoolMapRule(LintRule):
             )
 
 
+# ---------------------------------------------------------------------------
+# REP110 — every module-level import is read.
+# ---------------------------------------------------------------------------
+
+def _module_imports(body: List[ast.stmt]) -> Iterator[Tuple[ast.AST, str]]:
+    """Each module-level import's aliases with the names they bind,
+    looking into ``if``/``try``/``with`` blocks but not into functions or
+    classes."""
+    for statement in body:
+        if isinstance(statement, ast.Import):
+            for alias in statement.names:
+                yield alias, alias.asname or alias.name.split(".")[0]
+        elif isinstance(statement, ast.ImportFrom):
+            if statement.module == "__future__":
+                continue
+            for alias in statement.names:
+                if alias.name != "*":
+                    yield alias, alias.asname or alias.name
+        elif isinstance(statement, (ast.If, ast.Try, ast.With)):
+            for block in ("body", "orelse", "handlers", "finalbody"):
+                for child in getattr(statement, block, ()):
+                    if isinstance(child, ast.ExceptHandler):
+                        yield from _module_imports(child.body)
+                    else:
+                        yield from _module_imports([child])
+
+
+def _annotation_names(annotation: Optional[ast.expr]) -> Set[str]:
+    """The names a string annotation (or a string inside one) reads."""
+    names: Set[str] = set()
+    if annotation is None:
+        return names
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                parsed = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(
+                name.id for name in ast.walk(parsed)
+                if isinstance(name, ast.Name)
+            )
+    return names
+
+
+def _exported(module: ast.Module) -> Set[str]:
+    """The string entries of a module-level ``__all__``."""
+    for statement in module.body:
+        if (isinstance(statement, ast.Assign)
+                and any(isinstance(target, ast.Name) and target.id == "__all__"
+                        for target in statement.targets)
+                and isinstance(statement.value, (ast.List, ast.Tuple))):
+            return {
+                element.value for element in statement.value.elts
+                if isinstance(element, ast.Constant)
+                and isinstance(element.value, str)
+            }
+    return set()
+
+
+class UnusedImportRule(LintRule):
+    """An import nothing reads is dead code that still costs an import
+    at load time and misleads a reader about the module's
+    dependencies.  A name counts as read where the module loads it,
+    and where a string annotation names it; a package's
+    ``__init__.py`` re-exports by importing, and names listed in
+    ``__all__`` are exports, so neither is flagged."""
+
+    rule_id = "REP110"
+    name = "unused-import"
+    description = "module-level import whose name the module never reads"
+    node_types = (ast.Module,)
+
+    def applies_to(self, ctx: LintContext) -> bool:
+        return not ctx.path.endswith("__init__.py")
+
+    def check(self, node: ast.AST, ctx: LintContext) -> None:
+        read = _exported(node)  # type: ignore[arg-type]
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name) and not isinstance(
+                child.ctx, ast.Store
+            ):
+                read.add(child.id)
+            elif isinstance(child, ast.arg):
+                read |= _annotation_names(child.annotation)
+            elif isinstance(child, ast.AnnAssign):
+                read |= _annotation_names(child.annotation)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                read |= _annotation_names(child.returns)
+        for alias, bound in _module_imports(node.body):  # type: ignore[attr-defined]
+            if bound not in read:
+                ctx.report(
+                    self,
+                    alias,
+                    f"'{bound}' is imported but never used; delete the "
+                    "import",
+                )
+
+
 DEFAULT_RULES: Tuple[LintRule, ...] = (
     StatMutationRule(),
     WallClockRule(),
@@ -509,6 +609,7 @@ DEFAULT_RULES: Tuple[LintRule, ...] = (
     PublicAnnotationRule(),
     MonotonicOutsideObsRule(),
     BarePoolMapRule(),
+    UnusedImportRule(),
 )
 
 

@@ -42,7 +42,6 @@ from repro.core.paths import (
     ReplaySession,
     TexturePath,
     UnitReplayState,
-    _set_tables,
     check_frame,
     check_served,
 )
@@ -52,7 +51,8 @@ from repro.memory.hmc import HybridMemoryCube
 from repro.memory.replay import HmcReplay, require_positive_sizes
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.sim.resources import RequestQueue
-from repro.texture.cache import CacheAccessResult, _Line
+from repro.texture.address import LINE_BYTES
+from repro.texture.cache import CacheAccessResult
 from repro.texture.lod import NO_ANGLE, angle_codes, threshold_steps
 from repro.units import Bytes
 
@@ -201,12 +201,13 @@ class _AtfimColumns:
         # Rank each request's rows by L1 set, in probe order within a
         # set: a row repeats where the row before it probed the same line.
         l1 = config.gpu.l1_cache
-        l1_lines = lines // l1.line_bytes
-        order = np.argsort(request * l1.num_sets + l1_lines % l1.num_sets,
-                           kind="stable")
+        key, tags = l1.placement(lines)
+        key += request * l1.num_sets
+        order = np.argsort(key, kind="stable")
         repeat = np.zeros(len(lines), dtype=bool)
-        repeat[order[1:]] = ((request[order[1:]] == request[order[:-1]])
-                             & (l1_lines[order[1:]] == l1_lines[order[:-1]]))
+        repeat[order[1:]] = ((key[order[1:]] == key[order[:-1]])
+                             & (tags[order[1:]] == tags[order[:-1]]))
+        del key, tags, order
         repeats = np.bincount(request[repeat], minlength=len(counts))
         kept = ~repeat
         self.gpu = GpuReplayColumns(
@@ -303,15 +304,14 @@ class _AtfimReplaySession(ReplaySession):
         packets = config.packets
         request_bytes = packets.parent_texel_request_bytes
         response_bytes = packets.parent_texel_response_bytes
-        line_bytes = packets.cache_line_bytes
-        require_positive_sizes(request_bytes, line_bytes)
+        require_positive_sizes(request_bytes)
         served = bytearray(len(texels))
 
         state = UnitReplayState(path.units)
         generate_addresses = state.generate_addresses
         filter_texels = state.filter_texels
         requests_delta = state.requests
-        l2_table, l2_fills = _set_tables(caches.l2)
+        l2_table, l2_fills = caches.l2.tables()
         l2 = caches.l2
         l2_hits, l2_misses, l2_angle_misses = l2.hits, l2.misses, l2.angle_misses
         # Every L1 hit, a request's repeated probes included (see
@@ -324,7 +324,6 @@ class _AtfimReplaySession(ReplaySession):
         recalculations = (path.parent_recalculations
                           + int(l1.counts[L1_ANGLE_MISS].sum()))
         cold_misses = path.parent_cold_misses
-        make_line = _Line
         hit, angle_miss, miss = (
             CacheAccessResult.HIT, CacheAccessResult.ANGLE_MISS,
             CacheAccessResult.MISS,
@@ -349,9 +348,9 @@ class _AtfimReplaySession(ReplaySession):
 
         def fetch(arrival: float, line: int) -> float:
             nonlocal internal_bytes, lines_fetched
-            internal_bytes += line_bytes
+            internal_bytes += LINE_BYTES
             lines_fetched += 1
-            return internal_read(arrival, line, line_bytes)
+            return internal_read(arrival, line, LINE_BYTES)
 
         # The merge window IS the consolidation buffer's cross-package
         # face: disabling consolidation disables both the intra-package
@@ -425,11 +424,11 @@ class _AtfimReplaySession(ReplaySession):
             nonlocal l2_hits, l2_misses, l2_angle_misses
             cache_set = l2_table[l2_set_col[k]]
             tag = l2_tag_col[k]
-            line = cache_set.get(tag)
-            if line is not None:
+            stored = cache_set.get(tag)
+            if stored is not None:
                 cache_set.move_to_end(tag)
-                if angle != NO_ANGLE and stale(line.angle, angle):
-                    line.angle = angle
+                if angle != NO_ANGLE and stale(stored, angle):
+                    cache_set[tag] = angle
                     l2_angle_misses += 1
                     return angle_miss
                 l2_hits += 1
@@ -438,7 +437,7 @@ class _AtfimReplaySession(ReplaySession):
                 cache_set.popitem(last=False)
             else:
                 l2_fills[l2_set_col[k]].append(tag)
-            cache_set[tag] = make_line(tag, angle)
+            cache_set[tag] = angle
             l2_misses += 1
             return miss
 

@@ -21,7 +21,6 @@ from repro.core.paths import (
     ReplaySession,
     TexturePath,
     UnitReplayState,
-    _set_tables,
     check_served,
 )
 from repro.gpu.texunit import TextureUnit
@@ -29,7 +28,8 @@ from repro.memory.gddr5 import Gddr5Memory
 from repro.memory.hmc import HybridMemoryCube
 from repro.memory.replay import Gddr5Replay, HmcReplay, require_positive_sizes
 from repro.memory.traffic import TrafficClass, TrafficMeter
-from repro.texture.cache import _Line
+from repro.texture.address import LINE_BYTES
+from repro.texture.lod import NO_ANGLE
 from repro.units import Bytes, Cycles
 
 
@@ -135,16 +135,15 @@ class _GpuReplaySession(ReplaySession):
 
         packets = path.config.packets
         request_bytes = packets.read_request_bytes
-        payload_bytes = packets.cache_line_bytes
-        response_bytes = payload_bytes + packets.header_bytes
-        require_positive_sizes(request_bytes, payload_bytes)
+        response_bytes = packets.read_response_bytes
+        require_positive_sizes(request_bytes)
         line_traffic = float(request_bytes + response_bytes)
         if path.gddr5 is not None:
             memory = Gddr5Replay(path.gddr5)
             gddr5_read = memory.read
 
             def fill_line(arrival: float, address: int) -> float:
-                return gddr5_read(arrival, address, payload_bytes)
+                return gddr5_read(arrival, address, LINE_BYTES)
         else:
             memory = HmcReplay(path.hmc)
             external_read = memory.external_read
@@ -160,7 +159,7 @@ class _GpuReplaySession(ReplaySession):
         generate_addresses = state.generate_addresses
         filter_texels = state.filter_texels
         requests_delta = state.requests
-        l2_table, l2_fills = _set_tables(caches.l2)
+        l2_table, l2_fills = caches.l2.tables()
         l2_hits = caches.l2.hits
         l2_misses = caches.l2.misses
         port = caches.l2_port
@@ -168,10 +167,8 @@ class _GpuReplaySession(ReplaySession):
         port_bytes = port.total_bytes
         port_requests = port.total_requests
         port_busy = port.busy_cycles
-        port_line_bytes = caches.line_bytes
-        port_occ = port_line_bytes / port.bytes_per_cycle
+        port_occ = LINE_BYTES / port.bytes_per_cycle
         port_latency = port.latency
-        make_line = _Line
 
         def serve_one(cluster: int, issue: float, index: int) -> float:
             nonlocal port_next, port_bytes, port_requests, port_busy
@@ -193,7 +190,7 @@ class _GpuReplaySession(ReplaySession):
                         else port_next
                     )
                     port_next = start + port_occ
-                    port_bytes += port_line_bytes
+                    port_bytes += LINE_BYTES
                     port_requests += 1
                     port_busy += port_occ
                     ready = port_next + port_latency
@@ -202,7 +199,7 @@ class _GpuReplaySession(ReplaySession):
                         cache_set.popitem(last=False)
                     else:
                         l2_fills[l2_set_col[k]].append(tag)
-                    cache_set[tag] = make_line(tag)
+                    cache_set[tag] = NO_ANGLE
                     l2_misses += 1
                     ready = fill_line(address_done, lines[k])
                     texture_bytes += line_traffic

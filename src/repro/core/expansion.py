@@ -262,10 +262,9 @@ class _Group(NamedTuple):
 class RequestExpander:
     """Expands requests for one scene's texture set."""
 
-    def __init__(self, scene: Scene, line_bytes: int = 64) -> None:
+    def __init__(self, scene: Scene) -> None:
         self.scene = scene
         self.address_map = TexelAddressMap()
-        self.line_bytes = line_bytes
         self._chains: Dict[int, MipmapChain] = {}
 
     def _chain(self, texture_id: int) -> MipmapChain:
@@ -301,7 +300,7 @@ class RequestExpander:
                 for x, y in taps:
                     texel_count += 1
                     line = self.address_map.texel_line(
-                        chain, level, x + dx, y + dy, self.line_bytes
+                        chain, level, x + dx, y + dy
                     )
                     conventional_lines.setdefault(line, None)
 
@@ -311,14 +310,12 @@ class RequestExpander:
             children = child_texel_coords(footprint, level, x, y)
             child_lines: Dict[int, None] = {}
             for cx, cy in children:
-                line = self.address_map.texel_line(
-                    chain, level, cx, cy, self.line_bytes
-                )
+                line = self.address_map.texel_line(chain, level, cx, cy)
                 child_lines.setdefault(line, None)
             parent_records.append(
                 ParentTexel(
                     line_address=self.address_map.texel_line(
-                        chain, level, x, y, self.line_bytes
+                        chain, level, x, y
                     ),
                     child_line_addresses=tuple(child_lines),
                     num_children=len(children),
@@ -432,10 +429,9 @@ class RequestExpander:
                 level[:, None, None],
                 tap_x[:, None, :] + offset_x[:, :, None],
                 tap_y[:, None, :] + offset_y[:, :, None],
-                self.line_bytes,
             ))
             parent_lines.append(self.address_map.texel_lines(
-                chain, level[:, None], tap_x, tap_y, self.line_bytes
+                chain, level[:, None], tap_x, tap_y
             ))
 
         walk = np.concatenate(

@@ -23,7 +23,8 @@ from repro.gpu.texunit import TextureUnit, TextureUnitActivity
 from repro.memory.traffic import TrafficMeter
 from repro.sim.resources import BandwidthServer, RequestQueue
 from repro.texture.batch import _later_recalculations, _stable_key_order
-from repro.texture.cache import TextureCache, _Line
+from repro.texture.address import LINE_BYTES
+from repro.texture.cache import SetRun, TextureCache
 from repro.texture.lod import ANGLE_LEVELS, NO_ANGLE
 from repro.units import Cycles, Ops
 
@@ -181,10 +182,9 @@ class CacheHierarchy:
             # The L2 is banked: it can deliver several lines per cycle in
             # aggregate (4 here), matching the fill bandwidth a 16-cluster
             # GPU needs so the shared L2 is not an artificial bottleneck.
-            bytes_per_cycle=4.0 * gpu.l2_cache.line_bytes,
+            bytes_per_cycle=4.0 * LINE_BYTES,
             latency=gpu.l2_latency_cycles,
         )
-        self.line_bytes = gpu.l1_cache.line_bytes
 
     def stats(self) -> CacheHierarchyStats:
         aggregated = CacheHierarchyStats()
@@ -258,10 +258,9 @@ class GpuReplayColumns:
     :meth:`missed` gives each request's such rows, and a session takes
     their ``l2_set``, ``l2_tag`` and ``addresses`` as python lists.
     The set and tag are the L2's placement of the line
-    (:class:`~repro.texture.cache.TextureCache`; int64 floor division
-    and modulus agree exactly with python ints for non-negative
-    addresses, which :func:`check_frame` ensures once per frame), and
-    the three are object arrays of python ints, computed once per
+    (:meth:`~repro.texture.cache.CacheConfig.placement`, exact for the
+    non-negative addresses :func:`check_frame` ensures once per frame),
+    and the three are object arrays of python ints, computed once per
     distinct line and sharing one int per distinct value: a trace
     touches few distinct lines many times (doom3-640x480's 38,312
     parents sit in 858 lines), so the lists cost little more than their
@@ -286,11 +285,10 @@ class GpuReplayColumns:
             return values.astype(object)[inverse]
 
         self.addresses = per_line(distinct)
-        l2 = gpu.l2_cache
-        l2_lines = distinct // l2.line_bytes
-        self.l2_set = per_line(l2_lines % l2.num_sets)
-        self.l2_tag = per_line(l2_lines // l2.num_sets)
-        self.l2_assoc = l2.associativity
+        l2_set, l2_tag = gpu.l2_cache.placement(distinct)
+        self.l2_set = per_line(l2_set)
+        self.l2_tag = per_line(l2_tag)
+        self.l2_assoc = gpu.l2_cache.associativity
 
     def missed(self, outcomes: np.ndarray) -> Tuple[List[int], np.ndarray]:
         """Each request's offsets into the rows whose L1 outcome is not
@@ -350,7 +348,8 @@ class L1Replay:
     ``outcomes[k]`` is probe ``k``'s outcome code and
     ``counts[code][c]`` counts cache ``c``'s probes with that outcome;
     :meth:`flush` writes the counters, contents, angle tags and
-    cold-fill logs back to the live caches.
+    cold-fill logs back to the live caches
+    (:meth:`~repro.texture.cache.TextureCache.write_back`).
     """
 
     __slots__ = ("outcomes", "counts", "below", "above", "_caches",
@@ -364,16 +363,15 @@ class L1Replay:
         count, num_caches = len(lines), len(caches)
         self.outcomes = np.zeros(count, dtype=np.int8)
         self.counts = np.zeros((3, num_caches), dtype=np.int64)
-        self._contents: List[Tuple[int, int, List[int], Any]] = []
-        self._cold_fills: List[Tuple[int, int, List[int], Any]] = []
+        self._contents: List[List[SetRun]] = [[] for _ in caches]
+        self._cold_fills: List[List[SetRun]] = [[] for _ in caches]
         if count == 0:
             return
         config = caches[0].config
         num_sets, ways = config.num_sets, config.associativity
-        line_index = lines // config.line_bytes
-        streams = clusters * num_sets + line_index % num_sets
-        tags = line_index // num_sets
-        del line_index
+        sets, tags = config.placement(lines)
+        streams = clusters * num_sets + sets
+        del sets
 
         # Prefix every touched stream with its set's contents, oldest first.
         prefix_streams: List[int] = []
@@ -382,12 +380,11 @@ class L1Replay:
         touched = np.bincount(streams, minlength=num_caches * num_sets)
         for stream in np.flatnonzero(touched).tolist():
             cluster, set_index = divmod(stream, num_sets)
-            resident = caches[cluster]._sets.get(set_index)
+            resident, codes = caches[cluster].contents(set_index)
             if resident:
                 prefix_streams += [stream] * len(resident)
                 prefix_tags += resident
-                if angles is not None:
-                    prefix_angles += [line.angle for line in resident.values()]
+                prefix_angles += codes
         prefix = len(prefix_tags)
         total = prefix + count
         # Stream positions: each stream's prefix, then its probes in order.
@@ -453,9 +450,10 @@ class L1Replay:
         self.counts = np.bincount(
             clusters * 3 + self.outcomes, minlength=3 * num_caches
         ).reshape(num_caches, 3).T
-        self._cold_fills = _per_stream(stream[cold], tag[cold], None, num_sets)
-        self._contents = _per_stream(stream[resident], tag[resident], stored,
-                                     num_sets)
+        self._cold_fills = _per_cache(stream[cold], tag[cold], None,
+                                      num_sets, num_caches)
+        self._contents = _per_cache(stream[resident], tag[resident], stored,
+                                    num_sets, num_caches)
 
     def _decide_angles(self, by_line: np.ndarray, hit: np.ndarray,
                        angle: np.ndarray, threshold: int,
@@ -495,16 +493,7 @@ class L1Replay:
             cache.hits += hits[index]
             cache.misses += misses[index]
             cache.angle_misses += angle_misses[index]
-        for cluster, set_index, tags, stored in self._contents:
-            cache_set = caches[cluster]._sets[set_index] = OrderedDict()
-            if stored is None:
-                for tag in tags:
-                    cache_set[tag] = _Line(tag)
-            else:
-                for tag, angle in zip(tags, stored):
-                    cache_set[tag] = _Line(tag, angle)
-        for cluster, set_index, tags, _ in self._cold_fills:
-            caches[cluster]._cold_fills.setdefault(set_index, []).extend(tags)
+            cache.write_back(self._contents[index], self._cold_fills[index])
 
 
 def _lru_hits(previous: np.ndarray, following: np.ndarray,
@@ -546,46 +535,22 @@ def _lru_hits(previous: np.ndarray, following: np.ndarray,
     return hit
 
 
-def _per_stream(
+def _per_cache(
     stream: np.ndarray, tags: np.ndarray, angles: Optional[np.ndarray],
-    num_sets: int,
-) -> List[Tuple[int, int, List[int], Any]]:
-    """``(cluster, set, tags, angles)`` per run of one stream in
+    num_sets: int, num_caches: int,
+) -> List[List[SetRun]]:
+    """Per cache, ``(set, tags, angles)`` per run of one stream in
     ``stream``, the angles as a list, or None."""
     begins = np.flatnonzero(np.diff(stream, prepend=-1)).tolist()
     tag_list = tags.tolist()
     angle_list = None if angles is None else angles.tolist()
-    runs = []
+    runs: List[List[SetRun]] = [[] for _ in range(num_caches)]
     for start, end in zip(begins, begins[1:] + [len(tag_list)]):
         cluster, set_index = divmod(int(stream[start]), num_sets)
-        runs.append((cluster, set_index, tag_list[start:end],
-                     None if angle_list is None else angle_list[start:end]))
+        runs[cluster].append((set_index, tag_list[start:end],
+                              None if angle_list is None
+                              else angle_list[start:end]))
     return runs
-
-
-def _set_tables(cache: TextureCache) -> Tuple[List[OrderedDict], List[List[int]]]:
-    """Every set's OrderedDict of ``cache`` and its cold-fill log, each
-    indexed by set.
-
-    Materialised up front so an inlined session's hot loop indexes a
-    list instead of setdefault-ing a dict; pre-created empty sets and
-    logs are invisible to cache semantics and to
-    :meth:`TextureCache.warm_start_inert`.  A session appends a fill's
-    tag to its set's log when the set has a free way, so a full set's
-    fill pays nothing.
-    """
-    sets_dict, fills_dict = cache._sets, cache._cold_fills
-    sets, fills = [], []
-    for set_index in range(cache.config.num_sets):
-        entry = sets_dict.get(set_index)
-        if entry is None:
-            entry = sets_dict[set_index] = OrderedDict()
-        sets.append(entry)
-        log = fills_dict.get(set_index)
-        if log is None:
-            log = fills_dict[set_index] = []
-        fills.append(log)
-    return sets, fills
 
 
 class UnitReplayState:

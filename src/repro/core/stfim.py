@@ -38,6 +38,7 @@ from repro.memory.hmc import HybridMemoryCube
 from repro.memory.replay import HmcReplay, require_positive_sizes
 from repro.memory.traffic import TrafficClass, TrafficMeter
 from repro.sim.resources import RequestQueue
+from repro.texture.address import LINE_BYTES
 from repro.units import Bytes, Cycles
 
 MTU_REQUEST_QUEUE_DEPTH = 256
@@ -159,8 +160,7 @@ class _StfimReplaySession(ReplaySession):
         packets = path.config.packets
         request_bytes = packets.texture_request_bytes
         response_bytes = packets.texture_response_bytes(samples=1)
-        line_bytes = packets.cache_line_bytes
-        require_positive_sizes(request_bytes, response_bytes, line_bytes)
+        require_positive_sizes(request_bytes, response_bytes)
         share = path.config.mtu_share
         served = bytearray(len(texels))
 
@@ -179,8 +179,8 @@ class _StfimReplaySession(ReplaySession):
 
         def fetch(arrival: float, line: int) -> float:
             nonlocal internal_bytes
-            internal_bytes += line_bytes
-            return internal_read(arrival, line, line_bytes)
+            internal_bytes += LINE_BYTES
+            return internal_read(arrival, line, LINE_BYTES)
 
         windows = MergeWindowReplay(path.merge_windows, fetch)
         read = windows.read

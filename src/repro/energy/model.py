@@ -15,13 +15,11 @@ per-bit constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.core.designs import Design
-from repro.core.paths import PathActivity
 from repro.gpu.pipeline import FrameResult
-from repro.memory.traffic import TrafficMeter
 from repro.units import (
     BITS_PER_BYTE,
     PJ,

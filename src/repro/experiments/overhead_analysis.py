@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.energy.overhead import AtfimOverhead, compute_overhead
+from repro.energy.overhead import compute_overhead
 from repro.experiments.common import FigureData
 
 

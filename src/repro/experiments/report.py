@@ -58,22 +58,20 @@ measurement.
 
 
 def grid_keys(
-    runner: ExperimentRunner,
-    include_quality: bool = True,
-    include_ablations: bool = True,
+    runner: ExperimentRunner, include_quality: bool = True
 ) -> List[Key]:
     """Every point the report reads, for the prefetch.
 
     Mirrors the points the figures read: on every workload all four
-    designs at the default threshold, the fig04 aniso-off baseline and
-    the A-TFIM threshold sweep; with ``include_quality`` Fig. 15's exact
-    render and its A-TFIM render at each threshold; with
-    ``include_ablations`` S-TFIM with two and four clusters per MTU and
-    A-TFIM with consolidation off, and on the first workload the
-    baseline and A-TFIM at each anisotropy cap and A-TFIM at each HMC
-    internal-bandwidth multiplier.  Points repeat (the sweep holds the
-    default threshold, and an ablation point at the workload's defaults
-    has the default key), so the list is deduplicated, first seen first.
+    designs at the default threshold, the fig04 aniso-off baseline, the
+    A-TFIM threshold sweep, S-TFIM with two and four clusters per MTU
+    and A-TFIM with consolidation off; with ``include_quality`` Fig.
+    15's exact render and its A-TFIM render at each threshold; and on
+    the first workload the baseline and A-TFIM at each anisotropy cap
+    and A-TFIM at each HMC internal-bandwidth multiplier.  Points repeat
+    (the sweep holds the default threshold, and an ablation point at the
+    workload's defaults has the default key), so the list is
+    deduplicated, first seen first.
     """
     keys: List[Key] = []
     for workload in runner.workloads:
@@ -89,21 +87,19 @@ def grid_keys(
                     workload.name, SamplingMode.ATFIM,
                     threshold.effective_radians,
                 ))
-        if include_ablations:
-            for ratio in (2, 4):
-                keys.append(run_key(workload, Design.S_TFIM, mtu_share=ratio))
-            keys.append(
-                run_key(workload, Design.A_TFIM, consolidation_enabled=False)
-            )
-    if include_ablations:
-        first = runner.workloads[0]
-        for cap in ablations.ANISOTROPY_CAPS:
-            for design in (Design.BASELINE, Design.A_TFIM):
-                keys.append(run_key(first, design, max_anisotropy=cap))
-        for multiplier in ablations.INTERNAL_BANDWIDTH_MULTIPLIERS:
-            keys.append(run_key(
-                first, Design.A_TFIM, internal_bandwidth_multiplier=multiplier
-            ))
+        for ratio in (2, 4):
+            keys.append(run_key(workload, Design.S_TFIM, mtu_share=ratio))
+        keys.append(
+            run_key(workload, Design.A_TFIM, consolidation_enabled=False)
+        )
+    first = runner.workloads[0]
+    for cap in ablations.ANISOTROPY_CAPS:
+        for design in (Design.BASELINE, Design.A_TFIM):
+            keys.append(run_key(first, design, max_anisotropy=cap))
+    for multiplier in ablations.INTERNAL_BANDWIDTH_MULTIPLIERS:
+        keys.append(run_key(
+            first, Design.A_TFIM, internal_bandwidth_multiplier=multiplier
+        ))
     return list(dict.fromkeys(keys))
 
 
@@ -165,9 +161,7 @@ def _figure_section(data: FigureData, precision: int = 3) -> str:
 
 
 def figure_tables(
-    runner: ExperimentRunner,
-    include_quality: bool = True,
-    include_ablations: bool = True,
+    runner: ExperimentRunner, include_quality: bool = True
 ) -> List[Tuple[FigureData, int]]:
     """Every figure table of the report, in report order.
 
@@ -189,19 +183,17 @@ def figure_tables(
             )
     figures.append((overhead_analysis.run(), 4))
 
-    if include_ablations:
-        with obs.span("report.ablations"):
-            figures.append((ablations.mtu_sharing(runner), 3))
-            figures.append((ablations.consolidation(runner), 3))
-            figures.append((ablations.anisotropy_cap(runner), 3))
-            figures.append((ablations.internal_bandwidth(runner), 3))
+    with obs.span("report.ablations"):
+        figures.append((ablations.mtu_sharing(runner), 3))
+        figures.append((ablations.consolidation(runner), 3))
+        figures.append((ablations.anisotropy_cap(runner), 3))
+        figures.append((ablations.internal_bandwidth(runner), 3))
     return figures
 
 
 def generate_with_runner(
     workload_names: Optional[Sequence[str]] = None,
     include_quality: bool = True,
-    include_ablations: bool = True,
     jobs: Optional[int] = None,
 ) -> Tuple[str, ExperimentRunner]:
     """Build the full EXPERIMENTS.md text; also return the runner.
@@ -222,7 +214,7 @@ def generate_with_runner(
     runner = ExperimentRunner(workload_names)
     with obs.span("report.generate", workloads=len(runner.workloads)):
         runner.run_many(
-            grid_keys(runner, include_quality, include_ablations), jobs=jobs
+            grid_keys(runner, include_quality), jobs=jobs
         )
         sections: List[str] = [HEADER]
 
@@ -231,9 +223,7 @@ def generate_with_runner(
         sections.append("\n## Table II: gaming benchmarks\n\n```\n"
                         + tables.format_table2() + "\n```\n")
 
-        for data, precision in figure_tables(
-            runner, include_quality, include_ablations
-        ):
+        for data, precision in figure_tables(runner, include_quality):
             sections.append(_figure_section(data, precision))
 
     return "".join(sections), runner
@@ -242,12 +232,11 @@ def generate_with_runner(
 def generate(
     workload_names: Optional[Sequence[str]] = None,
     include_quality: bool = True,
-    include_ablations: bool = True,
     jobs: Optional[int] = None,
 ) -> str:
     """Build the full EXPERIMENTS.md text."""
     text, _runner = generate_with_runner(
-        workload_names, include_quality, include_ablations, jobs=jobs
+        workload_names, include_quality, jobs=jobs
     )
     return text
 
@@ -261,7 +250,6 @@ def write_report(
     path: str = "EXPERIMENTS.md",
     workload_names: Optional[Sequence[str]] = None,
     include_quality: bool = True,
-    include_ablations: bool = True,
     jobs: Optional[int] = None,
     manifest: Optional[str] = None,
 ) -> Path:
@@ -283,7 +271,7 @@ def write_report(
         obs.set_tracing(True)
     try:
         text, runner = generate_with_runner(
-            workload_names, include_quality, include_ablations, jobs=jobs
+            workload_names, include_quality, jobs=jobs
         )
         elapsed = time.time() - started  # repro: noqa(REP102) -- wall-clock timing of report generation, not sim time
         output = Path(path)
@@ -300,7 +288,6 @@ def write_report(
                     "path": str(path),
                     "workloads": [w.name for w in runner.workloads],
                     "include_quality": include_quality,
-                    "include_ablations": include_ablations,
                     "jobs": jobs,
                 },
                 runner=runner,

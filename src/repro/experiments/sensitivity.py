@@ -17,7 +17,7 @@ and ``python -m repro report`` does not print them.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.core import Design, simulate_frame
 from repro.core.angle import DEFAULT_THRESHOLD

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.designs import DesignConfig
 from repro.gpu.config import ATFIM_MEMORY_UNIT, GPUConfig, MTU_TEXTURE_UNIT
 from repro.memory.gddr5 import Gddr5Config
 from repro.memory.hmc import HmcConfig

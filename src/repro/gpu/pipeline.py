@@ -21,7 +21,7 @@ result -- falls out of the same replay.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 import numpy as np

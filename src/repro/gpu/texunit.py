@@ -15,7 +15,7 @@ caches/servers themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.gpu.config import TextureUnitConfig
 from repro.sim.resources import ThroughputUnit

@@ -28,7 +28,6 @@ class Gddr5Config:
     channel-level parallelism is what lets the quoted bandwidth be
     reached under banked access streams."""
     num_banks: int = 16
-    line_bytes: Bytes = Bytes(64)
     channel_interleave_bytes: Bytes = Bytes(256)
     timing: DramTiming = field(default_factory=DramTiming)
 

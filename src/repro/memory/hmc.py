@@ -38,7 +38,6 @@ class HmcConfig:
     link_latency_cycles: Cycles = Cycles(32.0)
     tsv_latency_cycles: Cycles = Cycles(1.0)
     vault_access_latency_cycles: Cycles = Cycles(40.0)
-    line_bytes: Bytes = Bytes(64)
     timing: DramTiming = field(default_factory=DramTiming)
 
     def __post_init__(self) -> None:

@@ -16,35 +16,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.texture.address import LINE_BYTES
+from repro.texture.texture import TEXEL_BYTES
 from repro.units import Bytes
 
 
 @dataclass(frozen=True)
 class PacketSpec:
-    """Byte sizes of each package kind for a given cache-line size.
+    """Byte sizes of each package kind.
 
     Sizes follow the paper's methodology: a read request is a small header
-    package; a read response carries one cache line plus a header; the
+    package; a read response carries one cache line
+    (:data:`~repro.texture.address.LINE_BYTES`) plus a header; the
     S-TFIM texture request package is ``texture_request_scale`` (default 4)
     times the read request; the A-TFIM parent-texel package is likewise a
     4x offloading package but the Offloading Unit's hash-table compression
     packs several parent texels of one fetch into one package.
     """
 
-    cache_line_bytes: Bytes = Bytes(64)
     header_bytes: Bytes = Bytes(16)
     texture_request_scale: int = 4
-    texel_bytes: Bytes = Bytes(4)  # RGBA8
 
     def __post_init__(self) -> None:
-        if self.cache_line_bytes <= 0:
-            raise ValueError("cache line size must be positive")
         if self.header_bytes <= 0:
             raise ValueError("header size must be positive")
         if self.texture_request_scale <= 0:
             raise ValueError("texture request scale must be positive")
-        if self.texel_bytes <= 0:
-            raise ValueError("texel size must be positive")
 
     @property
     def read_request_bytes(self) -> Bytes:
@@ -54,7 +51,7 @@ class PacketSpec:
     @property
     def read_response_bytes(self) -> Bytes:
         """A normal read response: one cache line plus header."""
-        return self.cache_line_bytes + self.header_bytes
+        return LINE_BYTES + self.header_bytes
 
     @property
     def texture_request_bytes(self) -> Bytes:
@@ -67,13 +64,12 @@ class PacketSpec:
         The paper sizes one response package equal to a read response; a
         request for a fragment quad carries a handful of samples, which
         still fits one package, so we charge one read-response package per
-        ``ceil(samples * texel_bytes / cache_line_bytes)`` lines.
+        ``ceil(samples * TEXEL_BYTES / LINE_BYTES)`` lines.
         """
         if samples <= 0:
             raise ValueError("sample count must be positive")
-        payload = samples * self.texel_bytes
-        lines = -(-payload // self.cache_line_bytes)  # ceil division
-        return lines * self.cache_line_bytes + self.header_bytes
+        lines = -(-samples * TEXEL_BYTES // LINE_BYTES)  # ceil division
+        return lines * LINE_BYTES + self.header_bytes
 
     @property
     def parent_texel_request_bytes(self) -> Bytes:
@@ -89,10 +85,5 @@ class PacketSpec:
         """
         if parent_texels <= 0:
             raise ValueError("parent texel count must be positive")
-        payload = parent_texels * self.texel_bytes
-        lines = -(-payload // self.cache_line_bytes)
-        return lines * self.cache_line_bytes + self.header_bytes
-
-    def texels_per_line(self) -> int:
-        """How many texels one cache line holds (16 for RGBA8 / 64 B)."""
-        return self.cache_line_bytes // self.texel_bytes
+        lines = -(-parent_texels * TEXEL_BYTES // LINE_BYTES)
+        return lines * LINE_BYTES + self.header_bytes

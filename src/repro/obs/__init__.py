@@ -7,7 +7,6 @@ The observability layer for the reproduction's *host-side* phases:
   attributes, attached StatGroup snapshots), off by default and
   zero-overhead while off; enable with ``REPRO_TRACE=1`` or
   :func:`set_tracing`.
-* :func:`timed_stage` -- decorator giving any function a span for free.
 * :class:`~repro.obs.manifest.RunManifest` -- the JSON provenance record
   (config digest, source version, span tree, flattened metrics with the
   runner's memo counters) written next to experiment output by the
@@ -36,12 +35,10 @@ from repro.obs.tracer import (
     Tracer,
     annotate,
     attach_stats,
-    event,
     get_tracer,
     reset_tracer,
     set_tracing,
     span,
-    timed_stage,
     tracing_enabled,
 )
 
@@ -53,7 +50,6 @@ __all__ = [
     "Tracer",
     "annotate",
     "attach_stats",
-    "event",
     "build_manifest",
     "chrome_trace",
     "config_digest",
@@ -65,7 +61,6 @@ __all__ = [
     "runner_stat_group",
     "set_tracing",
     "span",
-    "timed_stage",
     "tracing_enabled",
     "write_chrome_trace",
 ]

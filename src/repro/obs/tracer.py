@@ -19,11 +19,10 @@ or :func:`set_tracing` (which also exports the variable so spawned
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, TypeVar, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 ENV_FLAG = "REPRO_TRACE"
 """Environment variable that switches tracing on (any value but ``0``)."""
@@ -172,31 +171,6 @@ class Tracer:
             if self._stack.pop() is span:
                 break
 
-    def event(self, name: str, **attributes: Any) -> Optional[Span]:
-        """Record an instantaneous (zero-duration) span.
-
-        Point-in-time markers -- a retry scheduled, a pool rebuilt, a
-        task degraded -- share the span tree's structure (they nest
-        under the current span) without needing enter/exit pairing.
-        """
-        if not _enabled:
-            return None
-        span = Span(
-            name=name,
-            span_id=self._next_id,
-            parent_id=self._stack[-1].span_id if self._stack else None,
-            start_wall=time.time(),
-            start=time.monotonic(),
-            duration=0.0,
-            attributes=dict(attributes),
-        )
-        self._next_id += 1
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-        return span
-
     def current(self) -> Optional[Span]:
         """The innermost open span, or ``None``."""
         return self._stack[-1] if self._stack else None
@@ -266,13 +240,6 @@ def annotate(**attributes: Any) -> None:
         _TRACER.annotate(**attributes)
 
 
-def event(name: str, **attributes: Any) -> Optional[Span]:
-    """Record an instantaneous marker span (no-op when disabled)."""
-    if not _enabled:
-        return None
-    return _TRACER.event(name, **attributes)
-
-
 def attach_stats(stats: Any, prefix: str = "") -> None:
     """Attach a StatGroup/mapping snapshot to the current span."""
     if _enabled:
@@ -284,43 +251,3 @@ def reset_tracer() -> None:
     task: a worker runs several tasks, and each task returns only its
     own span forest)."""
     _TRACER.reset()
-
-
-_F = TypeVar("_F", bound=Callable[..., Any])
-
-
-def timed_stage(name_or_fn: Union[str, None, _F] = None) -> Any:
-    """Decorator giving a function a span for free.
-
-    Usable bare or with an explicit span name::
-
-        @timed_stage
-        def drain(...): ...
-
-        @timed_stage("report.figures")
-        def assemble_figures(...): ...
-
-    When tracing is disabled the wrapper is a single boolean test and a
-    direct call -- instrumented code need not guard itself.
-    """
-
-    def decorate(fn: _F, span_name: str) -> _F:
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not _enabled:
-                return fn(*args, **kwargs)
-            with _TRACER.span(span_name):
-                return fn(*args, **kwargs)
-
-        return wrapper  # type: ignore[return-value]
-
-    if callable(name_or_fn):
-        fn = name_or_fn
-        return decorate(fn, f"{fn.__module__}.{fn.__qualname__}")
-
-    explicit = name_or_fn
-
-    def outer(fn: _F) -> _F:
-        return decorate(fn, explicit or f"{fn.__module__}.{fn.__qualname__}")
-
-    return outer

@@ -9,7 +9,7 @@ that every performance model in :mod:`repro` is built on:
   bounded request queues with backpressure).
 * :mod:`repro.sim.stats` -- counters, accumulators and hierarchical stat
   groups used for reporting.
-* :mod:`repro.sim.latency` -- latency records and histogram utilities.
+* :mod:`repro.sim.latency` -- latency histogram utilities.
 
 The central modelling idea (documented in DESIGN.md section 5) is that a
 request's completion time on a contended resource is::
@@ -25,7 +25,7 @@ resource keeps its own next-free cycle.
 
 from repro.sim.resources import BandwidthServer, RequestQueue, ThroughputUnit
 from repro.sim.stats import Accumulator, Counter, StatGroup
-from repro.sim.latency import LatencyHistogram, LatencyRecord
+from repro.sim.latency import LatencyHistogram
 
 __all__ = [
     "BandwidthServer",
@@ -34,6 +34,5 @@ __all__ = [
     "Counter",
     "Accumulator",
     "StatGroup",
-    "LatencyRecord",
     "LatencyHistogram",
 ]

@@ -1,4 +1,4 @@
-"""Latency records and histogram utilities.
+"""Latency histogram utilities.
 
 All quantities here are GPU cycles (:data:`repro.units.Cycles`); the
 histogram buckets are powers of two of a cycle.
@@ -6,34 +6,11 @@ histogram buckets are powers of two of a cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.units import Cycles
-
-
-@dataclass(frozen=True)
-class LatencyRecord:
-    """One request's timeline through the system.
-
-    The paper measures texture-filtering latency "from the time when a
-    shader sends out the texel fetching request to when it receives the
-    final texture output" (section VII-A); a :class:`LatencyRecord`
-    captures exactly that interval plus the issue time for ordering.
-    """
-
-    issue_cycle: Cycles
-    complete_cycle: Cycles
-
-    @property
-    def latency(self) -> Cycles:
-        return Cycles(self.complete_cycle - self.issue_cycle)
-
-    def __post_init__(self) -> None:
-        if self.complete_cycle < self.issue_cycle:
-            raise ValueError("completion precedes issue")
 
 
 def bucket_index(latency: Cycles, num_buckets: int) -> int:
@@ -114,12 +91,3 @@ class LatencyHistogram:
         if self.count == 0:
             return Cycles(0.0)
         return Cycles(self.total / self.count)
-
-
-def makespan(records: Sequence[LatencyRecord]) -> Cycles:
-    """Latest completion time across a batch of records (0 if empty)."""
-    latest = 0.0
-    for record in records:
-        if record.complete_cycle > latest:
-            latest = record.complete_cycle
-    return Cycles(latest)

@@ -5,11 +5,11 @@ actual RGBA values, so rendered frames and PSNR are real) and
 *architecturally* (producing texel addresses, cache behaviour and memory
 traffic for the cycle model):
 
-* :mod:`repro.texture.formats` -- texel formats and cache-line packing.
-* :mod:`repro.texture.texture` -- the Texture object (image + metadata).
+* :mod:`repro.texture.texture` -- the Texture object (image + metadata)
+  and the texel size in memory.
 * :mod:`repro.texture.mipmap` -- mipmap chain construction and layout.
 * :mod:`repro.texture.address` -- texel coordinate -> byte address
-  map (tiled layout).
+  map (tiled layout) and the one cache-line geometry.
 * :mod:`repro.texture.lod` -- screen-space derivatives -> mip LOD and
   anisotropy (level-of-anisotropy, footprint axes, camera angle).
 * :mod:`repro.texture.sampling` -- bilinear / trilinear / anisotropic
@@ -21,7 +21,6 @@ traffic for the cycle model):
   the renderer and the cycle model.
 """
 
-from repro.texture.formats import TexelFormat, RGBA8
 from repro.texture.texture import Texture
 from repro.texture.mipmap import MipmapChain, build_mipmaps
 from repro.texture.address import TexelAddressMap
@@ -37,8 +36,6 @@ from repro.texture.cache import CacheConfig, TextureCache, CacheAccessResult
 from repro.texture.requests import TextureRequest
 
 __all__ = [
-    "TexelFormat",
-    "RGBA8",
     "Texture",
     "MipmapChain",
     "build_mipmaps",

@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from repro.texture.texture import Texture
+from repro.texture.texture import TEXEL_BYTES, Texture
 from repro.units import Bytes
 
 
@@ -88,8 +88,7 @@ class MipmapChain:
     @property
     def total_bytes(self) -> Bytes:
         last = self.levels[-1]
-        bytes_per_texel = self.texture.fmt.bytes_per_texel
-        return last.byte_offset + last.width * last.height * bytes_per_texel
+        return last.byte_offset + last.width * last.height * TEXEL_BYTES
 
 
 def build_mipmaps(texture: Texture) -> MipmapChain:
@@ -98,10 +97,9 @@ def build_mipmaps(texture: Texture) -> MipmapChain:
     image = texture.data
     offset = 0
     level_index = 0
-    bytes_per_texel = texture.fmt.bytes_per_texel
     while True:
         levels.append(MipLevel(level=level_index, data=image, byte_offset=offset))
-        offset += image.shape[0] * image.shape[1] * bytes_per_texel
+        offset += image.shape[0] * image.shape[1] * TEXEL_BYTES
         if image.shape[0] == 1 and image.shape[1] == 1:
             break
         image = downsample_box(image)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.texture.formats import RGBA8, TexelFormat
 from repro.units import Bytes
+
+TEXEL_BYTES: Bytes = 4
+"""Bytes per texel in memory: four 8-bit color components, the format
+modern GPUs default to and the one the paper's traffic arithmetic
+assumes ("16x anisotropic requires 16 x 2 x 4 = 128 texels")."""
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -22,12 +26,11 @@ class Texture:
     functional representation in floating point makes the filter-reorder
     equality (paper section V-B) hold to rounding error rather than to
     8-bit quantization; the architectural model separately accounts
-    bytes using :class:`~repro.texture.formats.TexelFormat`.
+    :data:`TEXEL_BYTES` per texel.
     """
 
     texture_id: int
     data: np.ndarray
-    fmt: TexelFormat = field(default=RGBA8)
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -52,7 +55,7 @@ class Texture:
 
     @property
     def size_bytes(self) -> Bytes:
-        return self.width * self.height * self.fmt.bytes_per_texel
+        return self.width * self.height * TEXEL_BYTES
 
     def texel(self, x: int, y: int) -> np.ndarray:
         """Fetch one texel with wrap (repeat) addressing."""

@@ -18,8 +18,8 @@ sequences are exactly reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Sequence
 
 import numpy as np
 

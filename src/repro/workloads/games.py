@@ -19,7 +19,6 @@ anisotropy-bound, and chamber-style scenes the least.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -27,9 +26,9 @@ from repro.core.designs import Design, DesignConfig
 from repro.gpu.config import GPUConfig
 from repro.memory.gddr5 import Gddr5Config
 from repro.memory.hmc import HmcConfig
-from repro.render.camera import Camera
 from repro.render.renderer import Renderer
 from repro.render.scene import Scene
+from repro.texture.address import LINE_BYTES
 from repro.texture.cache import CacheConfig
 from repro.texture.requests import FragmentTrace
 from repro.workloads.scenes import BuiltScene, SceneStyle, build_scene
@@ -128,7 +127,6 @@ class GameWorkload:
         per request land in the band the paper's measured S-TFIM traffic
         ratios imply (~0.3-0.5 line fills per texture request).
         """
-        line = 64
         sim_pixels = self.sim_width * self.sim_height
         l2_assoc = 8
         l2_lines = max(8 * l2_assoc, sim_pixels // 24)
@@ -138,10 +136,12 @@ class GameWorkload:
         l1_sets = max(2, l1_lines // l1_assoc)
         return GPUConfig(
             l1_cache=CacheConfig(
-                size_bytes=l1_sets * l1_assoc * line, associativity=l1_assoc
+                size_bytes=l1_sets * l1_assoc * LINE_BYTES,
+                associativity=l1_assoc,
             ),
             l2_cache=CacheConfig(
-                size_bytes=l2_sets * l2_assoc * line, associativity=l2_assoc
+                size_bytes=l2_sets * l2_assoc * LINE_BYTES,
+                associativity=l2_assoc,
             ),
         )
 

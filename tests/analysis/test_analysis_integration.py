@@ -72,7 +72,7 @@ class TestSeededViolations:
         assert analysis_main(["rules"]) == 0
         out = capsys.readouterr().out
         assert [line.split()[0] for line in out.splitlines()] == [
-            f"REP{number}" for number in range(100, 110)
+            f"REP{number}" for number in range(100, 111)
         ]
         assert analysis_main(["invariants"]) == 0
         *names, hint = capsys.readouterr().out.splitlines()

@@ -355,3 +355,73 @@ class TestTimingExemptionsNarrowToObs:
         assert "REP102" not in ids_for(source, self.OBS_PATH)
         assert "REP108" in ids_for(source, self.RUNNER_PATH)
         assert "REP102" in ids_for(source, self.RUNNER_PATH)
+
+
+class TestUnusedImport:
+    INIT_PATH = "src/repro/sim/__init__.py"
+
+    def test_unused_imports_flagged(self):
+        source = """
+        import os
+        import numpy as np
+        from typing import List, Tuple
+
+        def f(items: List[int]) -> int:
+            return len(items)
+        """
+        findings = [f for f in findings_for(source) if f.rule_id == "REP110"]
+        assert [f.message.split("'")[1] for f in findings] == [
+            "os", "np", "Tuple"
+        ]
+        assert [f.line for f in findings] == [2, 3, 4]
+
+    def test_read_names_not_flagged(self):
+        source = """
+        import os.path
+        from collections import OrderedDict as Ordered
+
+        table = Ordered()
+        here = os.path.dirname(__file__)
+        """
+        assert "REP110" not in ids_for(source)
+
+    def test_names_in_string_annotations_count_as_reads(self):
+        source = """
+        from __future__ import annotations
+        from typing import List
+        from repro.sim.stats import StatGroup
+
+        def group(name: "str") -> "StatGroup":
+            ...
+
+        groups: "List[int]" = []
+        """
+        assert "REP110" not in ids_for(source)
+
+    def test_flagged_in_tests_too(self):
+        assert "REP110" in ids_for("import pytest\n", TEST_PATH)
+
+    def test_reexports_exempt(self):
+        source = "from repro.sim.stats import Counter\n"
+        assert "REP110" not in ids_for(source, self.INIT_PATH)
+        exported = source + "__all__ = ['Counter']\n"
+        assert "REP110" not in ids_for(exported)
+        assert "REP110" in ids_for(source)
+
+    def test_only_module_level_imports_checked(self):
+        source = """
+        def lazy() -> None:
+            import json
+        """
+        assert "REP110" not in ids_for(source)
+        guarded = """
+        try:
+            import json
+        except ImportError:
+            pass
+        """
+        assert "REP110" in ids_for(guarded)
+
+    def test_noqa_suppresses(self):
+        source = "import json  # repro: noqa(REP110) -- fixture\n"
+        assert "REP110" not in ids_for(source)

@@ -257,12 +257,9 @@ def texture_requests(draw):
 
 class TestExpandFrameProperties:
     @settings(max_examples=150, deadline=None)
-    @given(
-        requests=st.lists(texture_requests(), min_size=1, max_size=12),
-        line_bytes=st.sampled_from([64, 128]),
-    )
-    def test_matches_scalar_expand(self, requests, line_bytes):
-        expander = RequestExpander(PROPERTY_SCENE, line_bytes=line_bytes)
+    @given(requests=st.lists(texture_requests(), min_size=1, max_size=12))
+    def test_matches_scalar_expand(self, requests):
+        expander = RequestExpander(PROPERTY_SCENE)
         trace = trace_from_requests(requests)
         frame = expander.expand_frame(trace)
         flat = expander.expand_frame(trace, aniso_enabled=False)

@@ -308,8 +308,7 @@ def cache_contents(path):
     if path.caches is None:
         return None
     return [
-        {index: [(tag, line.angle) for tag, line in cache_set.items()]
-         for index, cache_set in cache._sets.items() if cache_set}
+        reference.cache_contents(cache)
         for cache in path.caches.l1 + [path.caches.l2]
     ]
 

@@ -39,7 +39,7 @@ from repro.memory.traffic import TrafficMeter
 from repro.texture.cache import CacheAccessResult, CacheConfig, TextureCache
 from repro.texture.lod import NO_ANGLE, angle_codes, threshold_steps
 from tests.conftest import NO_SHRINK
-from tests.reference import cache_lookup, cache_set_and_tag
+from tests.reference import cache_contents, cache_lookup, cache_set_and_tag
 
 STEP = (math.pi / 2) / 127
 """One step of a 7-bit angle tag."""
@@ -95,9 +95,9 @@ def lookup(caches, probe, threshold, interval):
         return cache_lookup(cache, address)
     angle = step * STEP
     set_index, tag = cache_set_and_tag(cache, address)
-    stored = cache._sets.get(set_index, {}).get(tag)
+    stored = dict(cache_contents(cache).get(set_index, [])).get(tag)
     if stored is not None:
-        difference = abs(stored.angle - int(angle_codes(angle)))
+        difference = abs(stored - int(angle_codes(angle)))
         if difference > threshold_steps(threshold):
             interval[1] = min(interval[1], difference)
         else:
@@ -110,8 +110,7 @@ def state(caches):
     cold-fill logs and its counters."""
     return [
         (
-            {index: [(tag, line.angle) for tag, line in lines.items()]
-             for index, lines in cache._sets.items() if lines},
+            cache_contents(cache),
             {index: list(log) for index, log in cache._cold_fills.items()
              if log},
             (cache.hits, cache.misses, cache.angle_misses),

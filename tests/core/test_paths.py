@@ -10,7 +10,7 @@ from repro.core.paths import CacheHierarchy, MergeWindowReplay, ReadMergeWindow
 from repro.memory.gddr5 import Gddr5Memory
 from repro.memory.hmc import HybridMemoryCube
 from repro.memory.packets import PacketSpec
-from repro.memory.traffic import TrafficClass, TrafficMeter
+from repro.memory.traffic import TrafficMeter
 from repro.texture.cache import CacheAccessResult
 from tests import reference
 from tests.conftest import NO_SHRINK

@@ -312,8 +312,7 @@ class TestRepeatedProbes:
         if production:
             session.finish()
         return (dict(path.stat_group().flatten()),
-                [{index: [(tag, line.angle) for tag, line in lines.items()]
-                  for index, lines in cache._sets.items() if lines}
+                [reference.cache_contents(cache)
                  for cache in path.caches.l1 + [path.caches.l2]])
 
     @pytest.mark.parametrize("requests, rows, repeats", [

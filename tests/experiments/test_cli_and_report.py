@@ -48,7 +48,6 @@ class TestReport:
         text = generate(
             workload_names=["riddick-640x480"],
             include_quality=False,
-            include_ablations=False,
         )
         assert "Table I" in text
         assert "fig10" in text

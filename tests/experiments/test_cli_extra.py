@@ -1,7 +1,5 @@
 """Tests for the render/verbose CLI paths."""
 
-from pathlib import Path
-
 from repro.cli import main
 
 

@@ -109,7 +109,7 @@ def serial_report():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RequestExpander, "expand_frame", counting)
         text, runner = generate_with_runner(
-            REPORT_WORKLOADS, include_quality=False, include_ablations=False
+            REPORT_WORKLOADS, include_quality=False
         )
     return text, runner, expansions
 
@@ -286,15 +286,8 @@ class TestReportIntegration:
             (SamplingMode.ATFIM, threshold.effective_radians)
             for threshold in THRESHOLD_SWEEP
         ]
-        without = grid_keys(
-            runner, include_quality=False, include_ablations=False
-        )
-        assert set(without) < set(keys)
-        assert all(
-            isinstance(key, RunKey) and key.mtu_share == 1
-            and key.consolidation_enabled and key.variant == Variant()
-            for key in without
-        )
+        without = grid_keys(runner, include_quality=False)
+        assert without == runs
 
     def test_a_variant_at_the_defaults_is_the_default_key(self):
         # The report's ablations run on doom3-1280x1024, whose default
@@ -354,18 +347,22 @@ class TestReportIntegration:
     def test_report_expands_each_trace_once_per_aniso_setting(
         self, serial_report
     ):
-        _text, _runner, expansions = serial_report
-        assert len(expansions) == 2 * len(REPORT_WORKLOADS)
+        # Each workload's trace with anisotropy on and off, then, on the
+        # first workload, the trace of each other anisotropy cap (on).
+        _text, runner, expansions = serial_report
+        caps = {key.variant.max_anisotropy for key in grid_keys(runner)
+                if isinstance(key, RunKey)} - {None}
         assert len(set(expansions)) == len(expansions)
-        assert [aniso for _trace, aniso in expansions] == [True, False] * 2
+        assert [aniso for _trace, aniso in expansions] == (
+            [True, False] + [True] * len(caps) + [True, False]
+        )
 
     def test_pool_report_matches_serial_text_and_memo_counters(
         self, serial_report
     ):
         text, serial, _expansions = serial_report
         pooled_text, pooled = generate_with_runner(
-            REPORT_WORKLOADS, include_quality=False, include_ablations=False,
-            jobs=2,
+            REPORT_WORKLOADS, include_quality=False, jobs=2,
         )
         assert pooled_text == text
         assert (pooled.memo_hits, pooled.memo_misses) == (

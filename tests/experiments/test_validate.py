@@ -4,8 +4,6 @@ pinned outcomes on the committed full report."""
 import re
 from pathlib import Path
 
-import pytest
-
 from repro.experiments.common import FigureData
 from repro.experiments.validate import (
     CheckResult,

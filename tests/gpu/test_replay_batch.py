@@ -184,9 +184,7 @@ def cache_contents(path):
     if caches is None:
         return None
     return [
-        {index: [(tag, line.angle) for tag, line in lines.items()]
-         for index, lines in cache._sets.items() if lines}
-        for cache in caches.l1 + [caches.l2]
+        reference.cache_contents(cache) for cache in caches.l1 + [caches.l2]
     ]
 
 

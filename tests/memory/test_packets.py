@@ -3,6 +3,8 @@
 import pytest
 
 from repro.memory.packets import PacketSpec
+from repro.texture.address import LINE_BYTES
+from repro.texture.texture import TEXEL_BYTES
 
 
 class TestPacketSpec:
@@ -23,11 +25,11 @@ class TestPacketSpec:
         small = spec.texture_response_bytes(1)
         large = spec.texture_response_bytes(40)
         assert large > small
-        assert (large - spec.header_bytes) % spec.cache_line_bytes == 0
+        assert (large - spec.header_bytes) % LINE_BYTES == 0
 
     def test_parent_texel_response_single_line_up_to_16_parents(self):
         spec = PacketSpec()
-        # 16 RGBA8 parents = 64 bytes = exactly one line.
+        # 16 four-byte parents = 64 bytes = exactly one line.
         assert spec.parent_texel_response_bytes(16) == spec.read_response_bytes
         assert spec.parent_texel_response_bytes(8) == spec.read_response_bytes
 
@@ -37,11 +39,15 @@ class TestPacketSpec:
             spec.parent_texel_response_bytes(0)
 
     def test_texels_per_line(self):
-        assert PacketSpec().texels_per_line() == 16
+        # A response line holds LINE_BYTES // TEXEL_BYTES = 16 texels.
+        spec = PacketSpec()
+        assert LINE_BYTES // TEXEL_BYTES == 16
+        assert spec.parent_texel_response_bytes(16) == LINE_BYTES + spec.header_bytes
+        assert spec.parent_texel_response_bytes(17) == 2 * LINE_BYTES + spec.header_bytes
+        assert spec.texture_response_bytes(16) == spec.texture_response_bytes(1)
+        assert spec.texture_response_bytes(17) == spec.texture_response_bytes(32)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PacketSpec(cache_line_bytes=0)
         with pytest.raises(ValueError):
             PacketSpec(header_bytes=-1)
         with pytest.raises(ValueError):

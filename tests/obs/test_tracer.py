@@ -1,4 +1,4 @@
-"""Tests for the tracing spans: nesting, zero-overhead-off, decorator."""
+"""Tests for the tracing spans: nesting and zero-overhead-off."""
 
 from __future__ import annotations
 
@@ -31,14 +31,15 @@ class TestDisabled:
         assert obs.get_tracer().as_dicts() == []
 
     def test_disabled_equals_absent(self, tracing_off):
-        """A timed_stage-wrapped function behaves exactly like the bare
-        one when tracing is off: same result, no recorded state."""
+        """Code run under a span behaves exactly like the bare code when
+        tracing is off: same result, no recorded state."""
 
         def compute(x: int) -> int:
             return x * 2
 
-        wrapped = obs.timed_stage("bench.compute")(compute)
-        assert wrapped(21) == compute(21)
+        with obs.span("bench.compute"):
+            traced = compute(21)
+        assert traced == compute(21)
         assert obs.get_tracer().as_dicts() == []
 
 
@@ -107,35 +108,6 @@ class TestSpans:
         obs.reset_tracer()
         assert obs.get_tracer().as_dicts() == []
         assert obs.get_tracer().current() is None
-
-
-class TestTimedStage:
-    def test_bare_decorator_uses_qualified_name(self, tracing_on):
-        @obs.timed_stage
-        def stage() -> int:
-            return 5
-
-        assert stage() == 5
-        span = obs.get_tracer().as_dicts()[0]
-        assert span["name"].endswith("stage")
-
-    def test_named_decorator(self, tracing_on):
-        @obs.timed_stage("custom.name")
-        def stage() -> int:
-            return 5
-
-        assert stage() == 5
-        assert obs.get_tracer().as_dicts()[0]["name"] == "custom.name"
-
-    def test_nests_under_enclosing_span(self, tracing_on):
-        @obs.timed_stage("inner.stage")
-        def stage() -> None:
-            pass
-
-        with obs.span("outer"):
-            stage()
-        forest = obs.get_tracer().as_dicts()
-        assert forest[0]["children"][0]["name"] == "inner.stage"
 
 
 class TestSetTracing:

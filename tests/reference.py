@@ -72,7 +72,8 @@ from repro.render.renderer import Renderer, RenderOutput, SamplingMode
 from repro.render.scene import Scene
 from repro.sim.latency import LatencyHistogram
 from repro.sim.resources import BandwidthServer, RequestQueue, ThroughputUnit
-from repro.texture.cache import CacheAccessResult, TextureCache, _Line
+from repro.texture.address import LINE_BYTES
+from repro.texture.cache import CacheAccessResult, TextureCache
 from repro.texture.batch import RequestBatch
 from repro.texture.lod import (
     NO_ANGLE,
@@ -311,7 +312,7 @@ def internal_read(
 
 def cache_set_and_tag(cache: TextureCache, address: int) -> Tuple[int, int]:
     """The set and tag of the line containing ``address``."""
-    line_index = address // cache.config.line_bytes
+    line_index = address // LINE_BYTES
     set_index = line_index % cache.config.num_sets
     tag = line_index // cache.config.num_sets
     return set_index, tag
@@ -340,12 +341,11 @@ def cache_lookup(
     cache_set = cache._sets.setdefault(set_index, OrderedDict())
     stored_angle = NO_ANGLE if angle is None else int(angle_codes(angle))
 
-    line = cache_set.get(tag)
-    if line is not None:
+    stored = cache_set.get(tag)
+    if stored is not None:
         if angle is not None and angle_threshold is not None:
-            if (abs(line.angle - stored_angle)
-                    > threshold_steps(angle_threshold)):
-                line.angle = stored_angle
+            if abs(stored - stored_angle) > threshold_steps(angle_threshold):
+                cache_set[tag] = stored_angle
                 cache_set.move_to_end(tag)
                 cache.angle_misses += 1
                 return CacheAccessResult.ANGLE_MISS
@@ -357,7 +357,7 @@ def cache_lookup(
         cache_set.popitem(last=False)  # evict LRU
     else:
         cache._cold_fills.setdefault(set_index, []).append(tag)
-    cache_set[tag] = _Line(tag=tag, angle=stored_angle)
+    cache_set[tag] = stored_angle
     cache.misses += 1
     return CacheAccessResult.MISS
 
@@ -367,6 +367,17 @@ def cache_contains(cache: TextureCache, address: int) -> bool:
     set_index, tag = cache_set_and_tag(cache, address)
     cache_set = cache._sets.get(set_index)
     return cache_set is not None and tag in cache_set
+
+
+def cache_contents(cache: TextureCache) -> Dict[int, List[Tuple[int, int]]]:
+    """Every non-empty set's ``(tag, angle code)`` pairs, least recent
+    first: what the parity tests compare between two caches."""
+    contents = {}
+    for set_index in range(cache.config.num_sets):
+        tags, codes = cache.contents(set_index)
+        if tags:
+            contents[set_index] = list(zip(tags, codes))
+    return contents
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +505,7 @@ class Gddr5Interface(MemoryInterface):
         self.memory = memory
         self.packets = packets
         self.traffic = traffic
-        self.payload_bytes = packets.cache_line_bytes
+        self.payload_bytes = LINE_BYTES
 
     def read_line(self, arrival: Cycles, address: int) -> float:
         ready = gddr5_read(self.memory, arrival, address, self.payload_bytes)
@@ -517,7 +528,7 @@ class HmcExternalInterface(MemoryInterface):
         self.hmc = hmc
         self.packets = packets
         self.traffic = traffic
-        self.payload_bytes = packets.cache_line_bytes
+        self.payload_bytes = LINE_BYTES
 
     def read_line(self, arrival: Cycles, address: int) -> float:
         ready = external_read(
@@ -586,15 +597,14 @@ def serve_stfim(
     # MTU pipeline: address generation, vault fetches, filtering.
     address_done = generate_addresses(mtu, delivered, num_texels)
     data_ready = address_done
-    line_bytes = packets.cache_line_bytes
     window = path.merge_windows[index]
     for line in lines:
         merged_ready = window_lookup(window, line)
         if merged_ready is not None:
             ready = max(address_done, merged_ready)
         else:
-            ready = internal_read(path.hmc, address_done, line, line_bytes)
-            path.traffic.add_internal(TrafficClass.TEXTURE, float(line_bytes))
+            ready = internal_read(path.hmc, address_done, line, LINE_BYTES)
+            path.traffic.add_internal(TrafficClass.TEXTURE, float(LINE_BYTES))
             window_insert(window, line, ready)
         if ready > data_ready:
             data_ready = ready
@@ -662,7 +672,6 @@ def offload(
     # identical child fetches.  The merge window IS the consolidation
     # buffer's cross-package face: disabling consolidation disables
     # both the intra-package dedup above and this merging.
-    line_bytes = packets.cache_line_bytes
     data_ready = generated
     merging = path.config.consolidation_enabled
     for line in lines:
@@ -672,8 +681,8 @@ def offload(
         if merged_ready is not None:
             ready = max(generated, merged_ready)
         else:
-            ready = internal_read(path.hmc, generated, line, line_bytes)
-            path.traffic.add_internal(TrafficClass.TEXTURE, float(line_bytes))
+            ready = internal_read(path.hmc, generated, line, LINE_BYTES)
+            path.traffic.add_internal(TrafficClass.TEXTURE, float(LINE_BYTES))
             if merging:
                 window_insert(path.child_merge_window, line, ready)
             path.child_lines_fetched += 1
@@ -763,7 +772,7 @@ def lookup(
         return arrival
     l2_result = cache_lookup(caches.l2, address)
     if l2_result is CacheAccessResult.HIT:
-        return server_access(caches.l2_port, arrival, caches.line_bytes)
+        return server_access(caches.l2_port, arrival, LINE_BYTES)
     return memory.read_line(arrival, address)
 
 

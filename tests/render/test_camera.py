@@ -1,7 +1,5 @@
 """Tests for the camera."""
 
-import math
-
 import numpy as np
 import pytest
 

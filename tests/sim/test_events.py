@@ -1,21 +1,8 @@
-"""Tests for latency records and histograms."""
+"""Tests for latency histograms."""
 
 import pytest
 
-from repro.sim.latency import LatencyHistogram, LatencyRecord, makespan
-
-
-class TestLatencyRecord:
-    def test_latency(self):
-        record = LatencyRecord(issue_cycle=10.0, complete_cycle=35.0)
-        assert record.latency == 25.0
-
-    def test_completion_before_issue_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyRecord(issue_cycle=10.0, complete_cycle=5.0)
-
-    def test_zero_latency_allowed(self):
-        assert LatencyRecord(1.0, 1.0).latency == 0.0
+from repro.sim.latency import LatencyHistogram
 
 
 class TestLatencyHistogram:
@@ -48,12 +35,3 @@ class TestLatencyHistogram:
         hist = LatencyHistogram("lat")
         with pytest.raises(ValueError):
             hist.observe(-1.0)
-
-
-class TestMakespan:
-    def test_latest_completion(self):
-        records = [LatencyRecord(0.0, 5.0), LatencyRecord(2.0, 9.0)]
-        assert makespan(records) == 9.0
-
-    def test_empty(self):
-        assert makespan([]) == 0.0

@@ -7,7 +7,6 @@ reproduction's actual contract.
 """
 
 import dataclasses
-import math
 import os
 import subprocess
 import sys

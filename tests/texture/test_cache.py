@@ -25,9 +25,8 @@ RESULTS = {
 }
 
 
-def make_cache(size=1024, assoc=4, line=64):
-    return TextureCache(CacheConfig(size_bytes=size, associativity=assoc,
-                                    line_bytes=line))
+def make_cache(size=1024, assoc=4):
+    return TextureCache(CacheConfig(size_bytes=size, associativity=assoc))
 
 
 def probe(cache, addresses, angles=None, threshold=0.0):
@@ -67,7 +66,7 @@ class TestCacheConfig:
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=0)
         with pytest.raises(ValueError):
-            CacheConfig(size_bytes=1000, line_bytes=64, associativity=16)
+            CacheConfig(size_bytes=1000, associativity=16)
 
 
 class TestBasicCaching:
@@ -93,12 +92,6 @@ class TestBasicCaching:
         set_zero = [index * 2 * 64 for index in range(8)]
         assert probe(cache, [64] + set_zero + [64])[-1] is (
             CacheAccessResult.HIT)
-
-    def test_hit_and_miss_rates(self):
-        cache = make_cache()
-        probe(cache, [0, 0, 64])
-        assert cache.hit_rate() == pytest.approx(1.0 / 3.0)
-        assert cache.miss_rate() == pytest.approx(2.0 / 3.0)
 
     def test_contains_is_side_effect_free(self):
         cache = make_cache()

@@ -14,17 +14,16 @@ from collections import OrderedDict
 
 from hypothesis import given, settings, strategies as st
 
+from repro.texture.address import LINE_BYTES as LINE
 from repro.texture.cache import CacheAccessResult, CacheConfig, TextureCache
 from tests import reference
 from tests.conftest import NO_SHRINK
 from tests.texture.test_cache import probe
 
-LINE = 64
 ASSOC = 2
 SETS = 2
-CONFIG = CacheConfig(
-    size_bytes=LINE * ASSOC * SETS, line_bytes=LINE, associativity=ASSOC
-)
+CONFIG = CacheConfig(size_bytes=LINE * ASSOC * SETS, associativity=ASSOC)
+HIT = CacheAccessResult.HIT
 
 
 class ReferenceCache:
@@ -57,16 +56,16 @@ class TestCacheAgainstReference:
         model = ReferenceCache()
         expected = [model.access(address) for address in sequence]
         results = probe(TextureCache(CONFIG), sequence)
-        assert [result.is_hit for result in results] == expected
+        assert [result is HIT for result in results] == expected
 
     @settings(NO_SHRINK, max_examples=100)
     @given(sequence=st.lists(addresses, min_size=1, max_size=100))
     def test_counters_consistent(self, sequence):
         cache = TextureCache(CONFIG)
-        probe(cache, sequence)
+        results = probe(cache, sequence)
         assert cache.hits + cache.misses == len(sequence)
-        assert 0.0 <= cache.hit_rate() <= 1.0
-        assert cache.hit_rate() + cache.miss_rate() == 1.0
+        assert cache.angle_misses == 0
+        assert cache.hits == sum(result is HIT for result in results)
 
     @settings(NO_SHRINK, max_examples=100)
     @given(sequence=st.lists(addresses, min_size=1, max_size=100))
@@ -79,7 +78,7 @@ class TestCacheAgainstReference:
             present.append(reference.cache_contains(oracle, address))
             reference.cache_lookup(oracle, address)
         results = probe(TextureCache(CONFIG), sequence)
-        assert [result.is_hit for result in results] == present
+        assert [result is HIT for result in results] == present
 
     @settings(NO_SHRINK, max_examples=50)
     @given(
@@ -103,9 +102,7 @@ class TestCacheAgainstReference:
 
 
 def geometry(sets, ways):
-    return CacheConfig(
-        size_bytes=LINE * sets * ways, line_bytes=LINE, associativity=ways
-    )
+    return CacheConfig(size_bytes=LINE * sets * ways, associativity=ways)
 
 
 @st.composite
@@ -140,14 +137,6 @@ def run_pass(cache, stream, threshold):
     return probe(cache, addresses, [angle for _, angle in stream], threshold)
 
 
-def contents(cache):
-    """Every set's lines, oldest first, with their angle tags."""
-    return {
-        index: [(tag, line.angle) for tag, line in cache_set.items()]
-        for index, cache_set in cache._sets.items() if cache_set
-    }
-
-
 class TestWarmStartInert:
     """``warm_start_inert`` after a cold pass predicts, exactly, whether
     the same pass from the warm contents repeats every outcome."""
@@ -159,12 +148,12 @@ class TestWarmStartInert:
         cache = TextureCache(config)
         cold = run_pass(cache, stream, threshold)
         inert = cache.warm_start_inert()
-        cold_contents = contents(cache)
+        cold_contents = reference.cache_contents(cache)
         cache.reset_counters()
         warm = run_pass(cache, stream, threshold)
         assert inert == (warm == cold)
         if inert:
-            assert contents(cache) == cold_contents
+            assert reference.cache_contents(cache) == cold_contents
 
     def test_a_set_with_a_free_way_is_not_inert(self):
         """Set 0 cycles through twice its ways (inert on its own); set 1

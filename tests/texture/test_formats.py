@@ -1,25 +1,16 @@
-"""Tests for texel formats."""
+"""Tests for the texel format: one RGBA texel of four 8-bit components."""
 
-import pytest
+import numpy as np
 
-from repro.texture.formats import RGBA8, TexelFormat
+from repro.texture.address import LINE_BYTES, TILE
+from repro.texture.texture import TEXEL_BYTES, Texture
 
 
 class TestTexelFormat:
     def test_rgba8(self):
-        assert RGBA8.bytes_per_texel == 4
-        assert RGBA8.components == 4
+        assert TEXEL_BYTES == 4
+        texture = Texture(texture_id=0, data=np.zeros((8, 16, 4)))
+        assert texture.size_bytes == 8 * 16 * 4
 
     def test_texels_per_line(self):
-        assert RGBA8.texels_per_line(64) == 16
-
-    def test_line_smaller_than_texel_rejected(self):
-        fmt = TexelFormat(name="fat", bytes_per_texel=128)
-        with pytest.raises(ValueError):
-            fmt.texels_per_line(64)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TexelFormat(name="bad", bytes_per_texel=0)
-        with pytest.raises(ValueError):
-            TexelFormat(name="bad", bytes_per_texel=4, components=0)
+        assert LINE_BYTES // TEXEL_BYTES == TILE * TILE == 16

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.texture.mipmap import MipmapChain, build_mipmaps, downsample_box
+from repro.texture.mipmap import build_mipmaps, downsample_box
 from repro.texture.texture import Texture
 
 

@@ -13,7 +13,6 @@ also confirm the correctness of the output texture", up to rounding.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.texture.lod import compute_footprint
